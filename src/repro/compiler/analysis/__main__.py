@@ -5,9 +5,12 @@ Usage::
     python -m repro.compiler.analysis <kernel> [<kernel> ...]
     python -m repro.compiler.analysis --all
 
-Each named kernel (``spmv``, ``matmul``, ``dot``, ``vadd``, ``sddmm``)
-is compiled with the interpreter backend (no toolchain needed), then
-the report prints the typed-IR verification issues, the capacity
+Each named kernel (``spmv``, ``matmul``, ``dot``, ``vadd``, ``madd3``,
+``sddmm``) is compiled with the interpreter backend (no toolchain
+needed), then the report prints the size of what was generated (bytes
+of C source, **P** statements, **E** nodes — a three-operand sum like
+``madd3`` is where these used to blow up), the typed-IR verification
+issues, the capacity
 lint's verdict on every store into a capacity-managed output array,
 and the stream-level property signature (lawfulness, monotonicity,
 boundedness, ⊕-law obligations) inferred by
@@ -21,6 +24,8 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.compiler import codegen_c
+from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.analysis.streamprops import analyze_expr
 from repro.compiler.analysis.verifier import verify_kernel
 from repro.compiler.formats import TensorInput
@@ -97,6 +102,18 @@ def _build_vadd() -> Kernel:
     )
 
 
+def _build_madd3() -> Kernel:
+    schema = Schema.of(i=range(N), j=range(N))
+    ctx = TypeContext(schema, {v: {"i", "j"} for v in "ABC"})
+    sparse = ("sparse", "sparse")
+    return compile_kernel(
+        Var("A") + Var("B") + Var("C"), ctx,
+        {v: _mat(("i", "j"), sparse) for v in "ABC"},
+        OutputSpec(("i", "j"), sparse, (N, N)),
+        backend="interp", cache=False, name="cli_madd3",
+    )
+
+
 def _build_sddmm() -> Kernel:
     schema = Schema.of(i=range(N), j=range(N), k=range(N))
     ctx = TypeContext(
@@ -116,6 +133,7 @@ KERNELS: Dict[str, Callable[[], Kernel]] = {
     "matmul": _build_matmul,
     "dot": _build_dot,
     "vadd": _build_vadd,
+    "madd3": _build_madd3,
     "sddmm": _build_sddmm,
 }
 
@@ -125,6 +143,12 @@ def report(name: str, kernel: Kernel) -> int:
     print(f"== kernel {name!r} ({kernel.name}) " + "=" * max(0, 40 - len(name)))
     print(f"   params: {', '.join(f'{p.name}:{p.ctype}' for p in kernel.params)}")
     print(f"   locals: {len(kernel.decls)} compiler temporaries")
+    c_source = codegen_c.emit_kernel_source(
+        kernel.name, kernel.params, kernel.decls, kernel.loop_ir
+    )
+    statements, nodes = program_size(kernel.loop_ir)
+    print(f"   size: {len(c_source)} bytes of C, {statements} P statements, "
+          f"{nodes} E nodes")
 
     issues = verify_kernel(kernel)
     errors = [i for i in issues if i.severity == "error"]

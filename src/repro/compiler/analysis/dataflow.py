@@ -55,7 +55,8 @@ S = TypeVar("S")
 # structural helpers (shared by opt, codegen_py, verifier, intervals)
 # ----------------------------------------------------------------------
 def expr_key(e: E) -> str:
-    """A structural identity key (E reprs are deterministic and total)."""
+    """A structural identity key: E reprs are deterministic and total,
+    and each node renders its own once (see :class:`~repro.compiler.ir.E`)."""
     return repr(e)
 
 
@@ -144,6 +145,45 @@ def stmt_reads(p: P) -> Set[str]:
 
     walk(p)
     return out
+
+
+def program_size(p: P) -> Tuple[int, int]:
+    """(**P** statements, **E** nodes) in ``p``: leaf statements plus
+    one per ``while``/``if``, and every expression node under them —
+    the size measures ``python -m repro.compiler.analysis`` reports."""
+
+    def nodes(e: E) -> int:
+        if isinstance(e, EAccess):
+            return 1 + nodes(e.index)
+        if isinstance(e, EBinop):
+            return 1 + nodes(e.left) + nodes(e.right)
+        if isinstance(e, EUnop):
+            return 1 + nodes(e.operand)
+        if isinstance(e, ECond):
+            return 1 + nodes(e.cond) + nodes(e.then) + nodes(e.els)
+        if isinstance(e, ECall):
+            return 1 + sum(nodes(a) for a in e.args)
+        return 1
+
+    if isinstance(p, PSeq):
+        sizes = [program_size(x) for x in p.items]
+        return sum(s for s, _ in sizes), sum(n for _, n in sizes)
+    if isinstance(p, PAssign):
+        return 1, nodes(p.expr)
+    if isinstance(p, PStore):
+        return 1, nodes(p.index) + nodes(p.expr)
+    if isinstance(p, PSort):
+        return 1, nodes(p.count)
+    if isinstance(p, PWhile):
+        s, n = program_size(p.body)
+        return 1 + s, nodes(p.cond) + n
+    if isinstance(p, PIf):
+        s, n = program_size(p.then)
+        if p.els is not None:
+            es, en = program_size(p.els)
+            s, n = s + es, n + en
+        return 1 + s, nodes(p.cond) + n
+    return 0, 0  # PSkip, PComment
 
 
 def live_transfer(p: P, live: Set[str]) -> Set[str]:
@@ -454,5 +494,6 @@ __all__ = [
     "arrays_read",
     "stmt_effects",
     "stmt_reads",
+    "program_size",
     "live_transfer",
 ]

@@ -20,7 +20,16 @@ must satisfy:
   path before any assignment reaches it is flagged (both backends
   zero-initialize locals, so this is defined behavior — but in
   compiler output it means a pass deleted or reordered a live
-  definition, which is exactly the DSE/LICM bug class).
+  definition, which is exactly the DSE/LICM bug class);
+* **binding temporaries** — a variable declared through
+  :meth:`NameGen.binding <repro.compiler.ir.NameGen.binding>` (the
+  per-iteration temporaries of a stream's binding step) has exactly one
+  static assignment site, and every read of it is reached by that
+  assignment *within the same loop iteration*: it is never read by the
+  condition of the loop whose body binds it, never read before its
+  binding step, and never assigned inside a loop nested within the
+  iteration that reads it.  This is ``guard``'s "the condition is
+  invariant for the guarded stream's lifetime" as a checked property.
 
 :func:`verify_program` returns the list of :class:`Issue` findings;
 :func:`check_program` raises :class:`~repro.errors.IRVerifyError` —
@@ -30,11 +39,12 @@ naming the offending pass when run inside the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.compiler.analysis.dataflow import (
     ENTRY_ZERO,
     ReachingDefinitions,
+    free_vars,
     run_forward,
 )
 from repro.compiler.ir import (
@@ -67,6 +77,10 @@ _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _BOOL_OPS = ("&&", "||")
 _MINMAX_OPS = ("min", "max")
 
+#: the ``while`` statements (by ``id``) enclosing a program point,
+#: outermost first
+_Loops = Tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class Issue:
@@ -85,11 +99,13 @@ class Issue:
 class VerifyContext:
     """What the verifier knows about a kernel's environment: the
     declared arrays (name → element type), scalar parameters
-    (name → type), and declared locals (name → type)."""
+    (name → type), declared locals (name → type), and which of the
+    locals are binding temporaries."""
 
     arrays: Mapping[str, str] = field(default_factory=dict)
     scalars: Mapping[str, str] = field(default_factory=dict)
     locals: Mapping[str, str] = field(default_factory=dict)
+    bindings: FrozenSet[str] = frozenset()
 
     @classmethod
     def from_params(
@@ -107,7 +123,9 @@ class VerifyContext:
             else:
                 scalars[name] = ctype
         locals_: Dict[str, str] = {v.name: v.type for v in decls}
-        return cls(arrays=arrays, scalars=scalars, locals=locals_)
+        bindings = frozenset(v.name for v in decls if v.binding)
+        return cls(arrays=arrays, scalars=scalars, locals=locals_,
+                   bindings=bindings)
 
     def var_type(self, name: str) -> Optional[str]:
         if name in self.scalars:
@@ -470,6 +488,85 @@ class _Verifier:
                     rd.use_reprs[(stmt_id, name)],
                 )
 
+    # ---------------- binding temporaries ----------------
+    def check_bindings(self, body: P) -> None:
+        """One assignment site per binding temporary, reaching every
+        read within the iteration that makes it (see the module docs).
+
+        A single walk in execution order carries ``seen``, the binding
+        temporaries some path of the *current* iteration has assigned;
+        a loop body starts from what the enclosing iteration had bound
+        and hands nothing back, and a loop's condition is checked
+        before its body is entered."""
+        names = self.ctx.bindings
+        if not names:
+            return
+        sites: Dict[str, Tuple[str, _Loops]] = {}
+        unreached: Dict[str, Tuple[str, _Loops]] = {}
+
+        def read(e: E, stmt: P, loops: _Loops, seen: Set[str]) -> None:
+            for name in free_vars(e) & names:
+                if name not in seen:
+                    unreached.setdefault(name, (repr(stmt), loops))
+
+        def walk(p: P, loops: _Loops, seen: Set[str]) -> Set[str]:
+            if isinstance(p, PSeq):
+                for item in p.items:
+                    seen = walk(item, loops, seen)
+            elif isinstance(p, PAssign):
+                read(p.expr, p, loops, seen)
+                name = p.var.name
+                if name in names:
+                    if name in sites:
+                        self.error(
+                            "binding-site",
+                            f"binding temporary {name!r} has a second "
+                            f"assignment site (first: {sites[name][0]})",
+                            repr(p),
+                        )
+                    else:
+                        sites[name] = (repr(p), loops)
+                    seen = seen | {name}
+            elif isinstance(p, PStore):
+                read(p.index, p, loops, seen)
+                read(p.expr, p, loops, seen)
+            elif isinstance(p, PSort):
+                read(p.count, p, loops, seen)
+            elif isinstance(p, PIf):
+                read(p.cond, p, loops, seen)
+                then = walk(p.then, loops, seen)
+                els = walk(p.els, loops, seen) if p.els is not None else seen
+                seen = then | els
+            elif isinstance(p, PWhile):
+                read(p.cond, p, loops, seen)
+                walk(p.body, loops + (id(p),), seen)
+            return seen
+
+        walk(body, (), set())
+        for name, (reader, loops) in unreached.items():
+            site = sites.get(name)
+            if site is None:
+                self.error(
+                    "binding-scope",
+                    f"binding temporary {name!r} is read but never assigned",
+                    reader,
+                )
+            elif loops[:len(site[1])] != site[1]:
+                self.error(
+                    "binding-scope",
+                    f"binding temporary {name!r} is assigned inside a loop "
+                    f"nested within the iteration that reads it (read by: "
+                    f"{reader})",
+                    site[0],
+                )
+            else:
+                self.error(
+                    "binding-scope",
+                    f"binding temporary {name!r} is read before this "
+                    f"iteration's binding step assigns it ({site[0]})",
+                    reader,
+                )
+
 
 def verify_program(
     body: P, ctx: VerifyContext, *, check_init: bool = True
@@ -478,6 +575,7 @@ def verify_program(
     (errors first, then warnings), empty when the program is clean."""
     v = _Verifier(ctx)
     v.check_stmt(body)
+    v.check_bindings(body)
     if check_init:
         v.check_init(body)
     return sorted(v.issues, key=lambda i: (i.severity != "error",))

@@ -115,6 +115,14 @@ def emit_stmt(p: P, indent: int = 1) -> str:
     raise TypeError(f"cannot emit statement {p!r}")
 
 
+#: the qsort comparator ``PSort`` calls; emitted, like an ``Op``'s
+#: ``c_header``, only into kernels that use it
+_CMP_I64 = """static int _cmp_i64(const void* a, const void* b) {
+  int64_t x = *(const int64_t*)a, y = *(const int64_t*)b;
+  return (x > y) - (x < y);
+}"""
+
+
 def _collect_headers(p: P, acc: Dict[str, str]) -> None:
     def walk_e(e: E) -> None:
         if isinstance(e, ECall):
@@ -150,6 +158,9 @@ def _collect_headers(p: P, acc: Dict[str, str]) -> None:
     elif isinstance(p, PStore):
         walk_e(p.index)
         walk_e(p.expr)
+    elif isinstance(p, PSort):
+        acc["_cmp_i64"] = _CMP_I64
+        walk_e(p.count)
 
 
 def emit_kernel_source(
@@ -176,12 +187,6 @@ def emit_kernel_source(
 #include <math.h>
 #include <string.h>
 #include <stdlib.h>
-
-__attribute__((unused))
-static int _cmp_i64(const void* a, const void* b) {{
-  int64_t x = *(const int64_t*)a, y = *(const int64_t*)b;
-  return (x > y) - (x < y);
-}}
 
 {helper_code}
 

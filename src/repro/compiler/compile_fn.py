@@ -7,10 +7,24 @@ the equational derivation of Figure 16:
 
     init;
     while (valid) {
+        bind;                      // the level's per-iteration temporaries
         i = index;                 // saved so skips see a stable value
         if (ready) { push; compile(sub-dest, value); skip1(i); }
         else      { skip0(i); }
     }
+
+``bind`` is the stream's binding step (see
+:class:`~repro.compiler.sstream.SStream`): the composite combinators
+decide once per iteration which operands are live and which sit at the
+merge point, and ``index``, ``ready``, the value's guards and the skips
+name those decisions instead of each re-deriving them from the
+operands' ``valid``/``index`` — which is what keeps the emitted code
+linear in the expression.  It is empty for primitive levels, and the
+loop is then exactly Figure 16's.  ``valid`` is the one component
+evaluated outside an iteration, so it never reads a bound temporary of
+its own level.  A level that is ready whenever it is valid (every
+primitive level, and sums of them) gets no ready test and no
+``skip0`` arm.
 
 Contracted (dummy) levels have no index and no push; their skips close
 over the inner index themselves (Section 5.1.2).
@@ -19,8 +33,8 @@ over the inner index themselves (Section 5.1.2).
 from __future__ import annotations
 
 from repro.compiler.dest import Dest
-from repro.compiler.ir import E, NameGen, P, PAssign, PIf, PSeq, PWhile
-from repro.compiler.sstream import SStream, is_sstream
+from repro.compiler.ir import NameGen, P, PAssign, PIf, PSeq, PSkip, PWhile
+from repro.compiler.sstream import SStream, always_ready, is_sstream
 from repro.errors import CompileError
 from repro.streams.base import STAR
 
@@ -36,24 +50,20 @@ def compile_stream(dest: Dest, s, ng: NameGen) -> P:
             f"cannot compile non-stream value {s!r} (is_sstream lied?)"
         )
     if s.attr is STAR:
-        step = s.advance1 if s.advance1 is not None else s.skip1(None)
-        hot = PSeq(compile_stream(dest, s.value, ng), step)
-        if repr(s.ready) == repr(s.valid):
-            body = hot  # ready whenever valid: no branch needed
-        else:
-            body = PIf(s.ready, hot, s.skip0(None))
-        return PSeq(s.init, PWhile(s.valid, body))
-    if s.index is None:
-        raise CompileError(
-            f"stream level {s.attr!r} has no index expression; every "
-            "non-contracted level must produce one"
-        )
-    i = ng.fresh(f"ix_{s.attr}")
-    pre, sub, post = dest.push(i)
-    step = s.advance1 if s.advance1 is not None else s.skip1(i)
-    hot = PSeq(pre, compile_stream(sub, s.value, ng), post, step)
-    if repr(s.ready) == repr(s.valid):
-        body = PSeq(PAssign(i, s.index), hot)
+        i = None
+        pre, sub, post = PSkip(), dest, PSkip()
+        save = PSkip()
     else:
-        body = PSeq(PAssign(i, s.index), PIf(s.ready, hot, s.skip0(i)))
-    return PSeq(s.init, PWhile(s.valid, body))
+        if s.index is None:
+            raise CompileError(
+                f"stream level {s.attr!r} has no index expression; every "
+                "non-contracted level must produce one"
+            )
+        i = ng.fresh(f"ix_{s.attr}")
+        pre, sub, post = dest.push(i)
+        save = PAssign(i, s.index)
+    step = s.advance1 if s.advance1 is not None else s.skip1(i)
+    body = PSeq(pre, compile_stream(sub, s.value, ng), post, step)
+    if not always_ready(s):  # else ready whenever valid: no branch needed
+        body = PIf(s.ready, body, s.skip0(i))
+    return PSeq(s.init, PWhile(s.valid, PSeq(s.bind, save, body)))

@@ -83,22 +83,43 @@ class Op:
 # expressions
 # ----------------------------------------------------------------------
 class E:
-    """Base class for expressions.  Immutable, side-effect free."""
+    """Base class for expressions.  Immutable, side-effect free.
 
-    __slots__ = ("type",)
+    ``repr(e)`` is the node's *structural key* (deterministic and
+    total); because nodes are immutable it is rendered once and kept on
+    the node, so keying every subexpression of a tree is linear in its
+    size instead of quadratic."""
+
+    __slots__ = ("type", "_key")
 
     def __init__(self, type_: str) -> None:
         self.type = type_
+        self._key: Optional[str] = None
+
+    def __repr__(self) -> str:
+        key = self._key
+        if key is None:
+            key = self._key = self._render()
+        return key
+
+    def _render(self) -> str:
+        raise NotImplementedError
 
 
 class EVar(E):
-    __slots__ = ("name",)
+    """A variable.  ``binding`` marks the *declaration* of a binding
+    temporary (set only by :meth:`NameGen.binding`, on the instance in
+    ``NameGen.allocated``); the verifier reads it from the declared
+    locals, uses of the variable need not carry it."""
+
+    __slots__ = ("name", "binding")
 
     def __init__(self, name: str, type_: str = TINT) -> None:
         super().__init__(type_)
         self.name = name
+        self.binding = False
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return self.name
 
 
@@ -109,7 +130,7 @@ class ELit(E):
         super().__init__(type_)
         self.value = value
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return repr(self.value)
 
 
@@ -123,7 +144,7 @@ class EAccess(E):
         self.array = array
         self.index = index
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return f"{self.array}[{self.index!r}]"
 
 
@@ -145,7 +166,7 @@ class EBinop(E):
         self.left = left
         self.right = right
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
@@ -159,7 +180,7 @@ class EUnop(E):
         self.op = op
         self.operand = operand
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return f"{self.op}({self.operand!r})"
 
 
@@ -174,7 +195,7 @@ class ECond(E):
         self.then = then
         self.els = els
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return f"({self.cond!r} ? {self.then!r} : {self.els!r})"
 
 
@@ -190,7 +211,7 @@ class ECall(E):
         self.op = op
         self.args = tuple(args)
 
-    def __repr__(self) -> str:
+    def _render(self) -> str:
         return f"{self.op.name}({', '.join(map(repr, self.args))})"
 
 
@@ -442,4 +463,13 @@ class NameGen:
         self._counts[hint] = n + 1
         var = EVar(f"{self._prefix}{hint}{n}", type_)
         self.allocated.append(var)
+        return var
+
+    def binding(self, hint: str, type_: str = TINT) -> EVar:
+        """A fresh *binding temporary*: a variable a stream combinator
+        assigns once per loop iteration, in the level's ``bind`` step,
+        and that the rest of the iteration then names instead of
+        re-deriving (see :class:`~repro.compiler.sstream.SStream`)."""
+        var = self.fresh(hint, type_)
+        var.binding = True
         return var

@@ -87,7 +87,8 @@ def _lower(expr, ctx, inputs, ops, ng, search, attr_dims, locate=True) -> Value:
             _lower(expr.left, ctx, inputs, ops, ng, search, attr_dims, locate),
             _lower(expr.right, ctx, inputs, ops, ng, search, attr_dims, locate),
             ops,
-            ng if locate else None,
+            ng,
+            locate,
         )
     if isinstance(expr, Add):
         return sadd(

@@ -6,6 +6,13 @@ stream's state variables, ``skip0``/``skip1`` render skip code for a
 given target index expression, and ``init`` (re)initializes the state.
 ``value`` is either a nested :class:`SStream` or a scalar **E**.
 
+A level may also carry a *binding step* (``bind``): statements run once
+at the top of every loop iteration that define temporaries the rest of
+the iteration names instead of re-deriving.  The composite combinators
+use it so that an operand's ``valid``/``index`` text appears a constant
+number of times per level, whatever the nesting depth — the emitted
+code is linear in the size of the contraction expression.
+
 Level constructors (:func:`sparse_level`, :func:`dense_level`,
 :func:`function_level`) encode the primitive streams of Example 5.2;
 the combinators (:func:`smul`, :func:`sadd`, :func:`scontract`,
@@ -66,6 +73,18 @@ class SStream:
     e.g. SpMV's inner loop to ``y[i] += A_vals[p] * x[A_crd[p]]``.
     ``dim`` is the level's extent (None = unbounded), used both to
     bound located reads and to decide which operand can drive a loop.
+
+    **Evaluation protocol.**  ``valid`` and ``init`` read only state
+    variables (of this level and of enclosing ones).  Every other
+    component — ``ready``, ``index``, the guards inside ``value``,
+    ``skip0``/``skip1``/``advance1`` — is evaluated only while ``valid``
+    holds and only after ``bind`` has run in the same iteration, so it
+    may name the temporaries ``bind`` assigns.  A temporary bound here
+    stays meaningful for the whole iteration, inner loops included: the
+    level's state moves only in its skip, the last thing an iteration
+    does.  Whoever consumes a stream (``compile_stream`` or an
+    enclosing combinator) runs its ``bind`` exactly once per iteration,
+    under its ``valid``.
     """
 
     attr: object
@@ -84,6 +103,8 @@ class SStream:
     #: monotone source), letting the common path of the emitted loop
     #: avoid a scan.  None = no fast path; use skip1.
     advance1: Optional[P] = None
+    #: the per-iteration binding step (see the class docstring)
+    bind: P = field(default_factory=PSkip)
 
     @property
     def locatable(self) -> bool:
@@ -299,13 +320,51 @@ def sreplicate(ng: NameGen, attr: str, value: Value, dim: Optional[E] = None) ->
 
 
 # ----------------------------------------------------------------------
+# binding helpers
+# ----------------------------------------------------------------------
+def always_ready(s: SStream) -> bool:
+    """Whether ``s`` is ready in every valid state — true of every
+    primitive level and of sums of such — so that no ready test (and no
+    ``skip0`` arm) is needed around it.  ``ready`` is only consulted
+    while ``valid`` holds, so either spelling says so: the ``valid``
+    expression itself (the primitive levels) or the literal true."""
+    r = s.ready
+    return (isinstance(r, ELit) and r.value is True) or repr(r) == repr(s.valid)
+
+
+def _is_atomic(e: E) -> bool:
+    """A variable, a literal, or one array read at either."""
+    if isinstance(e, EAccess):
+        e = e.index
+    return isinstance(e, (EVar, ELit))
+
+
+def _named_index(s: SStream, ng: NameGen) -> Tuple[E, P]:
+    """``s``'s index as an expression that is cheap to repeat, and the
+    statement binding it (to run under ``s.valid``, after ``s.bind``).
+
+    A primitive level's index is atomic and is used as it is; a
+    composite one (the max of a product, the merged index of a sum) is
+    bound to a temporary, so that nesting composites — and printing
+    ``min``/``max``, whose C rendering repeats each operand — does not
+    nest their text."""
+    assert s.index is not None
+    if _is_atomic(s.index):
+        return s.index, PSkip()
+    tmp = ng.binding(f"{s.attr}_at")
+    return tmp, PAssign(tmp, s.index)
+
+
+# ----------------------------------------------------------------------
 # guarding (used by addition)
 # ----------------------------------------------------------------------
-def guard(cond: E, s: Value, ops: ScalarOps) -> Value:
+def guard(cond: EVar, s: Value, ops: ScalarOps) -> Value:
     """A stream equal to ``s`` while ``cond`` holds and empty otherwise.
 
-    ``cond`` must be loop-invariant for the guarded stream's lifetime
-    (it references the *enclosing* level's state)."""
+    ``cond`` is a temporary bound by the *enclosing* level's iteration,
+    hence invariant for the guarded stream's lifetime (the IR verifier
+    checks exactly this of every binding temporary).  Skips need no
+    test of their own: they only ever run while ``valid`` holds."""
     if not is_sstream(s):
         return ECond(cond, s, ops.zero)
     return SStream(
@@ -313,45 +372,50 @@ def guard(cond: E, s: Value, ops: ScalarOps) -> Value:
         shape=s.shape,
         init=PIf(cond, s.init),
         valid=eand(cond, s.valid),
-        ready=s.ready,
+        ready=blit(True) if always_ready(s) else s.ready,
         index=s.index,
         value=s.value,
-        skip0=lambda i: PIf(cond, s.skip0(i)),
-        skip1=lambda i: PIf(cond, s.skip1(i)),
-        advance1=PIf(cond, s.advance1) if s.advance1 is not None else None,
+        skip0=s.skip0,
+        skip1=s.skip1,
+        advance1=s.advance1,
+        bind=s.bind,
     )
 
 
 # ----------------------------------------------------------------------
 # multiplication (Figure 14 / Definition 5.4)
 # ----------------------------------------------------------------------
-def smul(a: Value, b: Value, ops: ScalarOps, ng: Optional[NameGen] = None) -> Value:
+def smul(a: Value, b: Value, ops: ScalarOps, ng: NameGen, locate: bool = True) -> Value:
     """Product of syntactic streams, with the same dummy-level
     dispatch rules as the runtime :func:`repro.streams.combinators.mul`.
 
     When one operand supports random access (``locatable``) the product
     iterates the other operand and *locates* into it — TACO's locate
-    optimization — instead of emitting a co-iteration merge loop.
+    optimization — instead of emitting a co-iteration merge loop
+    (``locate=False`` forces co-iteration, for ablation).
     """
     if not is_sstream(a) and not is_sstream(b):
         return ops.mul(a, b)
     if is_sstream(a) and a.attr is STAR:
-        return a.map_value(lambda v: smul(v, b, ops, ng))
+        return a.map_value(lambda v: smul(v, b, ops, ng, locate))
     if is_sstream(b) and b.attr is STAR:
-        return b.map_value(lambda v: smul(a, v, ops, ng))
+        return b.map_value(lambda v: smul(a, v, ops, ng, locate))
     if not is_sstream(a):
-        return b.map_value(lambda v: smul(a, v, ops, ng))
+        return b.map_value(lambda v: smul(a, v, ops, ng, locate))
     if not is_sstream(b):
-        return a.map_value(lambda v: smul(v, b, ops, ng))
+        return a.map_value(lambda v: smul(v, b, ops, ng, locate))
     if a.attr != b.attr:
         raise ValueError(f"cannot multiply levels {a.attr!r} and {b.attr!r}")
-    assert a.index is not None and b.index is not None
 
-    if ng is not None:
+    if locate:
         located = _try_locate(a, b, ops, ng)
         if located is not None:
             return located
 
+    # both operands are valid whenever the product is, so both binding
+    # steps run unconditionally
+    ia, name_a = _named_index(a, ng)
+    ib, name_b = _named_index(b, ng)
     advance1 = None
     if a.advance1 is not None and b.advance1 is not None:
         # product is ready only when both operands are ready at the same
@@ -362,12 +426,13 @@ def smul(a: Value, b: Value, ops: ScalarOps, ng: Optional[NameGen] = None) -> Va
         shape=a.shape,
         init=PSeq(a.init, b.init),
         valid=eand(a.valid, b.valid),
-        ready=eand(a.ready, b.ready, EBinop("==", a.index, b.index, TBOOL)),
-        index=emax(a.index, b.index),
-        value=smul(a.value, b.value, ops, ng),
+        ready=eand(a.ready, b.ready, EBinop("==", ia, ib, TBOOL)),
+        index=emax(ia, ib),
+        value=smul(a.value, b.value, ops, ng, locate),
         skip0=lambda i: PSeq(a.skip0(i), b.skip0(i)),
         skip1=lambda i: PSeq(a.skip1(i), b.skip1(i)),
         advance1=advance1,
+        bind=PSeq(a.bind, name_a, b.bind, name_b),
     )
 
 
@@ -391,23 +456,25 @@ def _try_locate(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> Optional
     else:
         return None
 
-    assert passenger.locate is not None and driver.index is not None
-    # the located operand reads at the driver's current index expression;
-    # any duplication is cleaned up by the C compiler's CSE.  No bounds
-    # check is needed: all operands of a level share one attribute, and
-    # the kernel wrapper validates that every tensor (and the output)
-    # agrees on each attribute's dimension, while tensor construction
-    # bounds every stored coordinate by its dimension.
-    inner = passenger.locate(driver.index)
+    assert passenger.locate is not None
+    # the located operand reads at the driver's current index (bound to
+    # a temporary first when composite).  No bounds check is needed:
+    # all operands of a level share one attribute, and the kernel
+    # wrapper validates that every tensor (and the output) agrees on
+    # each attribute's dimension, while tensor construction bounds
+    # every stored coordinate by its dimension.
+    index, name = _named_index(driver, ng)
+    inner = passenger.locate(index)
     if order == "ab":
         value = smul(driver.value, inner, ops, ng)
     else:
         value = smul(inner, driver.value, ops, ng)
     return replace(
         driver,
+        index=index,
         value=value,
-        shape=driver.shape,
         locate=None,
+        bind=PSeq(driver.bind, name),
     )
 
 
@@ -434,40 +501,60 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
     ready requires every live operand *at the min index* to be ready
     itself (an unready operand at that index may still produce a value
     there, so the sum must wait — δ's skip-to-(i, 0) lets it advance
-    internally without loss)."""
+    internally without loss).
+
+    The binding step evaluates each operand's ``valid`` once (``live``),
+    runs the live operands' own binding steps, and decides once which
+    operands sit at the merge point (``at``); ``ready``, ``index``, the
+    guards pushed into the value and both skips then read those
+    temporaries.  An operand's state moves only in its own skip, which
+    is the last thing to read that operand's temporaries."""
     if a.attr != b.attr and not (a.attr is STAR and b.attr is STAR):
         raise ValueError(f"cannot add levels {a.attr!r} and {b.attr!r}")
+    live_a = ng.binding("live", TBOOL)
+    live_b = ng.binding("live", TBOOL)
     if a.attr is STAR:
         # all indices are *, so every live side is at the merge point
-        at_a = a.valid
-        at_b = b.valid
+        at_a, at_b = live_a, live_b
         index = None
+        name_a = name_b = merge = PSkip()
     else:
-        assert a.index is not None and b.index is not None
-        at_a = eand(
-            a.valid,
-            eor(EUnop("!", b.valid, TBOOL), EBinop("<=", a.index, b.index, TBOOL)),
+        ia, name_a = _named_index(a, ng)
+        ib, name_b = _named_index(b, ng)
+        at_a = ng.binding("at", TBOOL)
+        at_b = ng.binding("at", TBOOL)
+        merge = PSeq(
+            PAssign(at_a, eand(
+                live_a, eor(EUnop("!", live_b, TBOOL), EBinop("<=", ia, ib, TBOOL)),
+            )),
+            PAssign(at_b, eand(
+                live_b, eor(EUnop("!", live_a, TBOOL), EBinop("<=", ib, ia, TBOOL)),
+            )),
         )
-        at_b = eand(
-            b.valid,
-            eor(EUnop("!", a.valid, TBOOL), EBinop("<=", b.index, a.index, TBOOL)),
-        )
-        index = ECond(
-            eand(a.valid, b.valid),
-            emin(a.index, b.index),
-            ECond(a.valid, a.index, b.index),
-        )
+        # one of at_a/at_b holds in every valid state, and whichever
+        # does is at the min index
+        index = ECond(at_a, ia, ib)
 
-    ready = eand(
-        eor(at_a, at_b),
-        eor(EUnop("!", at_a, TBOOL), a.ready),
-        eor(EUnop("!", at_b, TBOOL), b.ready),
+    def under(live: EVar, *stmts: P) -> P:
+        body = PSeq(*stmts)
+        return PIf(live, body) if body.items else body
+
+    bind = PSeq(
+        PAssign(live_a, a.valid),
+        PAssign(live_b, b.valid),
+        under(live_a, a.bind, name_a),
+        under(live_b, b.bind, name_b),
+        merge,
     )
+
+    def ready_at(at: EVar, s: SStream) -> E:
+        return blit(True) if always_ready(s) else eor(EUnop("!", at, TBOOL), s.ready)
+
     value = sadd(guard(at_a, a.value, ops), guard(at_b, b.value, ops), ops, ng)
 
     def skip(fn_a: SkipFn, fn_b: SkipFn) -> SkipFn:
         def run(i: Optional[E]) -> P:
-            return PSeq(PIf(a.valid, fn_a(i)), PIf(b.valid, fn_b(i)))
+            return PSeq(PIf(live_a, fn_a(i)), PIf(live_b, fn_b(i)))
 
         return run
 
@@ -476,11 +563,13 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
         shape=a.shape,
         init=PSeq(a.init, b.init),
         valid=eor(a.valid, b.valid),
-        ready=ready,
+        # true when both operands are always ready: then so is the sum
+        ready=eand(ready_at(at_a, a), ready_at(at_b, b)),
         index=index,
         value=value,
         skip0=skip(a.skip0, b.skip0),
         skip1=skip(a.skip1, b.skip1),
+        bind=bind,
     )
 
 
@@ -512,6 +601,7 @@ def scontract(s: SStream, ng: NameGen) -> SStream:
         skip0=skip(s.skip0),
         skip1=skip(s.skip1),
         advance1=s.advance1,
+        bind=s.bind,
     )
 
 

@@ -11,6 +11,7 @@ complexity"), the adversarial triangle-query family
 from repro.workloads.generators import (
     dense_matrix,
     dense_vector,
+    nested_sum,
     sparse_matrix,
     sparse_tensor3,
     sparse_vector,
@@ -24,6 +25,7 @@ __all__ = [
     "sparse_tensor3",
     "dense_vector",
     "dense_matrix",
+    "nested_sum",
     "triangle_relations",
     "triangle_tensors",
 ]

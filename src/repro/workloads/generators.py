@@ -77,6 +77,35 @@ def sparse_tensor3(
     return Tensor.from_entries(attrs, formats, dims, entries, semiring)
 
 
+def nested_sum(depth: int, n_operands: int, n: int = 5, nnz: int = 12):
+    """``Σ (A + B + …)`` of ``n_operands`` random tensors over ``depth``
+    compressed levels, contracted to a scalar: the program family whose
+    generated code used to grow geometrically in both parameters.
+    Returns ``(expr, ctx, tensors, total)`` — ``total`` is the exact
+    expected result (small integer values)."""
+    from repro.krelation import Schema
+    from repro.lang import Sum, TypeContext, Var
+
+    attrs = tuple("ijkl"[:depth])
+    names = "ABCD"[:n_operands]
+    ctx = TypeContext(Schema.of(**{a: range(n) for a in attrs}),
+                      {v: set(attrs) for v in names})
+    rng = np.random.default_rng(10 * depth + n_operands)
+    tensors, total = {}, 0.0
+    for v in names:
+        entries = {tuple(int(x) for x in rng.integers(0, n, depth)):
+                   float(rng.integers(1, 9)) for _ in range(nnz)}
+        total += sum(entries.values())
+        tensors[v] = Tensor.from_entries(
+            attrs, ("sparse",) * depth, (n,) * depth, entries, FLOAT)
+    expr = Var(names[0])
+    for v in names[1:]:
+        expr = expr + Var(v)
+    for a in reversed(attrs):
+        expr = Sum(a, expr)
+    return expr, ctx, tensors, total
+
+
 def dense_vector(n: int, attr: str = "i", seed: int = 0) -> Tensor:
     rng = np.random.default_rng(seed)
     entries = {(i,): float(rng.random()) + 0.5 for i in range(n)}

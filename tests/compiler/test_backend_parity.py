@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.data import Tensor
 from repro.krelation import Schema
-from repro.lang import Sum, TypeContext, Var
+from repro.lang import Sum, TypeContext, Var, denote
 from repro.semirings import INT
-from tests.strategies import sparse_data
+from tests.strategies import SUM_N, sparse_data, sum_programs
 
 N = 8
 SCHEMA = Schema.of(i=range(N), j=range(N))
@@ -82,3 +82,22 @@ def test_matrix_add_kernels_agree(dm, dn):
                                 backend=backend, name="parity_madd")
         results.append(kernel.run(tensors, capacity=4 * N * N).to_dict())
     assert results[0] == results[1] == results[2]
+
+
+@given(prog=sum_programs(INT))
+@settings(max_examples=12, deadline=None)
+def test_nested_sum_kernels_agree(prog):
+    """Nested sums and sums of products into a sparse vector, CSR, or
+    (rank 3 has no compressed stack) dense output: the three backends
+    agree with each other and with the denotation 𝒯."""
+    rank = len(prog.out_attrs)
+    formats = {0: (), 1: ("sparse",), 2: ("dense", "sparse"), 3: ("dense",) * 3}[rank]
+    out = OutputSpec(prog.out_attrs, formats, (SUM_N,) * rank) if rank else None
+    truth = denote(prog.expr, prog.ctx, prog.krels)
+    want = truth.support if rank else truth.total()
+    for backend in ("interp", "python", "c"):
+        kernel = compile_kernel(prog.expr, prog.ctx, prog.tensors, out,
+                                backend=backend, name=f"parity_{prog.tag}")
+        result = kernel.run(prog.tensors, capacity=SUM_N ** 3 + 1)
+        got = result.to_dict() if rank else result
+        assert got == want, f"{prog.expr!r} on {backend}"

@@ -6,6 +6,8 @@ arithmetic/widening, and the capacity bounds lint on the append
 patterns the destinations actually emit.
 """
 
+import pytest
+
 from repro.compiler.analysis.dataflow import (
     ENTRY_PARAM,
     ENTRY_ZERO,
@@ -254,3 +256,43 @@ class TestBoundsLint:
 
     def test_no_contracts_no_findings(self):
         assert lint_bounds(_append_loop(True), []) == []
+
+
+# ------------------------------------------- the lint on whole kernels
+#: the capacity lint's verdict on the benchmark's programs (Fig. 17 /
+#: 19 / 20 / 21), as (array, subscript, proven) per store.  A lost
+#: refinement would flip a store to unproven and silently route the C
+#: kernel through the supervised fork (``needs_guard``).
+PINNED_FINDINGS = {
+    "spmv": [],
+    "add": [("out_crd1", "_ton0", True), ("out_vals", "_ton0", True),
+            ("out_vals", "_tcse1", True)],
+    "inner": [],
+    "mmul": [("out_crd1", "_ton0", True), ("out_vals", "_ton0", True)] * 2,
+    "smul": [("out_pos1", "0", True), ("out_crd1", "_ton0", True),
+             ("out_vals", "_ton0", True), ("out_crd0", "_ton1", True),
+             ("out_pos1", "_ton1", True)],
+    "mttkrp": [],
+    "filtered_spmv": [],
+    "triangle": [],
+    "tpch_q5": [],
+    "tpch_q9": [],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_FINDINGS))
+def test_benchmark_program_lint_verdicts_are_pinned(cell):
+    datagen = pytest.importorskip("bench.datagen")
+    programs = pytest.importorskip("bench.programs")
+    lib_kernel = pytest.importorskip("bench.workloads.lib_kernel")
+    if cell.startswith("tpch_"):
+        from repro.tpch import generate
+
+        program = programs.tpch(generate(0.001, seed=1), cell[len("tpch_"):])
+    else:
+        build, size = lib_kernel.SMOKE[cell]
+        program = build(datagen.rng_for(1, "lint", cell), **size)
+    kernel = program.compile(f"lint_{cell}", backend="interp")
+    assert not kernel.needs_guard
+    assert [(f.array, f.index, f.proven)
+            for f in kernel.capacity_findings] == PINNED_FINDINGS[cell]

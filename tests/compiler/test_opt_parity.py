@@ -5,7 +5,13 @@ at ``opt_level=0`` (the seed pipeline, scalar Python) and at the
 default level (full passes + vectorized Python backend), on all three
 backends; results are compared elementwise.  Floating-point semirings
 compare with tolerance because NumPy's pairwise reductions round
-differently than the sequential loop."""
+differently than the sequential loop.
+
+Nested sums and sums of products (``tests.strategies.sum_programs``) are
+additionally checked against the denotation 𝒯 at every opt level on
+every backend: their merge loops read per-iteration binding
+temporaries, and a temporary read after its operand's state has moved
+gives a wrong answer on exactly these programs."""
 
 import math
 
@@ -16,11 +22,11 @@ from hypothesis import strategies as st
 
 from repro.compiler.analysis.verifier import verify_kernel
 from repro.compiler.kernel import OutputSpec, compile_kernel
-from repro.data import Tensor
+from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import Schema
-from repro.lang import Sum, TypeContext, Var
-from repro.semirings import FLOAT, MIN_PLUS, NAT
-from tests.strategies import sparse_data
+from repro.lang import Sum, TypeContext, Var, denote
+from repro.semirings import BOOL, FLOAT, MIN_PLUS, NAT
+from tests.strategies import SUM_N, sparse_data, sum_programs
 
 N = 6
 SCHEMA = Schema.of(i=range(N), j=range(N))
@@ -104,6 +110,39 @@ def test_opt_level_parity(sr_name, which, backend, data):
         name=f"par2_{which}_{sr_name}_{backend}",
     )
     _assert_equivalent(semiring, k0.run(tensors), k2.run(tensors))
+
+
+SUM_SEMIRINGS = {"float": FLOAT, "nat": NAT, "bool": BOOL, "min_plus": MIN_PLUS}
+
+
+@pytest.mark.parametrize("sr_name", sorted(SUM_SEMIRINGS))
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_nested_sums_match_denotation(sr_name, backend, data):
+    """2–3-operand sums and sums of products, up to three levels deep,
+    agree with 𝒯 at opt 0/1/2 — with the IR verifier (binding-temporary
+    invariant included) run after every pass."""
+    semiring = SUM_SEMIRINGS[sr_name]
+    prog = data.draw(sum_programs(semiring))
+    truth = denote(prog.expr, prog.ctx, prog.krels)
+    rank = len(prog.out_attrs)
+    out = (
+        OutputSpec(prog.out_attrs, ("dense",) * rank, (SUM_N,) * rank)
+        if rank else None
+    )
+    for opt_level in (0, 1, 2):
+        kernel = compile_kernel(
+            prog.expr, prog.ctx, prog.tensors, out, semiring=semiring,
+            backend=backend, opt_level=opt_level, verify=True,
+            name=f"sum_{prog.tag}_{sr_name}_{backend}_o{opt_level}",
+        )
+        result = kernel.run(prog.tensors)
+        where = f"{prog.expr!r} on {backend} at opt {opt_level}"
+        if rank:
+            assert tensor_to_krelation(result, prog.schema).equal(truth), where
+        else:
+            assert semiring.eq(result, truth.total()), where
 
 
 def _fixed_tensors(which, semiring):

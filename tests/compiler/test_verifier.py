@@ -314,3 +314,82 @@ def test_mutated_pass_is_blamed(monkeypatch, attr, pass_name):
 def test_unmutated_build_verifies_clean():
     kernel = _compile_spmv("mut_baseline")
     assert verify_kernel(kernel) == []
+
+
+# ------------------------------------------- binding-temporary invariant
+def _compile_matrix_add(name):
+    """``A + B`` over two compressed levels: the outer merge binds
+    ``_tat0``/``_tat1`` once per iteration and the inner loops read
+    them (``guard``'s loop-invariant condition)."""
+    data = {(i, j): float(i + j + 1) for i in range(N) for j in range(N)
+            if (i + 2 * j) % 3 == 0}
+    A = Tensor.from_entries(("i", "j"), ("sparse", "sparse"), (N, N), data, FLOAT)
+    ctx = TypeContext(SCHEMA, {"A": {"i", "j"}, "B": {"i", "j"}})
+    return compile_kernel(
+        Var("A") + Var("B"), ctx, {"A": A, "B": A},
+        OutputSpec(("i", "j"), ("dense", "dense"), (N, N)),
+        backend="interp", cache=False, verify=True, name=name,
+    )
+
+
+def _sink_binding(body, moved):
+    """Move the first ``_tat*`` assignment of a loop body into the next
+    loop nested in that body (appending the statement to ``moved``)."""
+    if isinstance(body, PSeq):
+        return PSeq(*[_sink_binding(x, moved) for x in body.items])
+    if isinstance(body, PIf):
+        els = _sink_binding(body.els, moved) if body.els is not None else None
+        return PIf(body.cond, _sink_binding(body.then, moved), els)
+    if not isinstance(body, PWhile):
+        return body
+    items = list(body.body.items) if isinstance(body.body, PSeq) else [body.body]
+    if not moved:
+        at = next((k for k, s in enumerate(items) if isinstance(s, PAssign)
+                   and s.var.name.startswith("_tat")), None)
+        inner = next((m for m in range((at or 0) + 1, len(items))
+                      if isinstance(items[m], PWhile)), None)
+        if at is not None and inner is not None:
+            moved.append(items[at])
+            loop = items[inner]
+            items[inner] = PWhile(loop.cond, PSeq(items[at], loop.body))
+            del items[at]
+    return PWhile(body.cond, PSeq(*[_sink_binding(x, moved) for x in items]))
+
+
+def test_binding_assigned_in_nested_loop_is_blamed(monkeypatch):
+    """A pass that sinks a binding temporary's assignment into a loop
+    nested within the iteration that reads it is caught, and the
+    verifier blames that assignment."""
+    moved = []
+    orig = opt.simplify
+    monkeypatch.setattr(opt, "simplify",
+                        lambda body: _sink_binding(orig(body), moved))
+    with pytest.raises(IRVerifyError) as exc:
+        _compile_matrix_add("mut_binding")
+    assert len(moved) == 1
+    assert exc.value.pass_name == "simplify"
+    assert exc.value.stmt == repr(moved[0])
+    assert exc.value.violations[0].invariant == "binding-scope"
+
+
+def test_binding_invariants_on_handwritten_ir():
+    ng = NameGen()
+    b = ng.binding("at", TBOOL)
+    i = ng.fresh("i")
+    ctx = VerifyContext.from_params([Param("n", "scalar", TINT)], ng.allocated)
+    step = PAssign(i, EBinop("+", i, ilit(1), TINT))
+    in_range = EBinop("<", i, EVar("n"), TBOOL)
+    bind = PAssign(b, EBinop("<", i, ilit(3), TBOOL))
+    # bound at the top of the iteration, read below it: clean
+    ok = PWhile(in_range, PSeq(bind, PIf(b, step, step)))
+    assert verify_program(ok, ctx) == []
+    # the loop's own condition runs before the binding step
+    stale = PWhile(EBinop("&&", in_range, b, TBOOL), PSeq(bind, step))
+    assert "binding-scope" in invariants(verify_program(stale, ctx))
+    # two assignment sites
+    twice = PWhile(in_range, PSeq(bind, PIf(b, PAssign(b, blit(False))), step))
+    assert "binding-site" in invariants(verify_program(twice, ctx))
+
+
+def test_sum_kernel_verifies_clean():
+    assert verify_kernel(_compile_matrix_add("mut_binding_baseline")) == []
