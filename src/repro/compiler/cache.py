@@ -53,7 +53,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
-CACHE_VERSION = 3  # v3: per-iteration bindings; qsort comparator only with PSort
+CACHE_VERSION = 4  # v4: advance1 through sums, direct sparse append, only-what-is-named C prologue
 
 ENV_CACHE_DIR = "REPRO_KERNEL_CACHE_DIR"
 ENV_CACHE = "REPRO_KERNEL_CACHE"

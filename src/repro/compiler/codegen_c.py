@@ -15,11 +15,12 @@ import shutil
 import subprocess
 import tempfile
 from ctypes import CDLL, POINTER, c_bool, c_double, c_int64
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
 from repro.compiler import resilience
+from repro.compiler.analysis.dataflow import stmt_effects, stmt_reads
 from repro.compiler.cache import default_cache_dir
 from repro.compiler.formats import Param
 from repro.compiler.resilience import logger
@@ -123,11 +124,20 @@ _CMP_I64 = """static int _cmp_i64(const void* a, const void* b) {
 }"""
 
 
-def _collect_headers(p: P, acc: Dict[str, str]) -> None:
+def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
+    """What ``p`` needs ahead of the kernel function: ``<math.h>`` for
+    an infinite literal (``INFINITY``) or a user ``Op`` (whose C text
+    may call libm), ``<stdlib.h>`` and the comparator for a ``PSort``,
+    and every used ``Op``'s ``c_header``."""
+
     def walk_e(e: E) -> None:
-        if isinstance(e, ECall):
+        if isinstance(e, ELit):
+            if e.type == TFLOAT and math.isinf(e.value):
+                includes.add("math.h")
+        elif isinstance(e, ECall):
+            includes.add("math.h")
             if e.op.c_header:
-                acc[e.op.name] = e.op.c_header
+                helpers[e.op.name] = e.op.c_header
             for a in e.args:
                 walk_e(a)
         elif isinstance(e, EBinop):
@@ -144,23 +154,32 @@ def _collect_headers(p: P, acc: Dict[str, str]) -> None:
 
     if isinstance(p, PSeq):
         for x in p.items:
-            _collect_headers(x, acc)
+            _collect_prelude(x, includes, helpers)
     elif isinstance(p, PWhile):
         walk_e(p.cond)
-        _collect_headers(p.body, acc)
+        _collect_prelude(p.body, includes, helpers)
     elif isinstance(p, PIf):
         walk_e(p.cond)
-        _collect_headers(p.then, acc)
+        _collect_prelude(p.then, includes, helpers)
         if p.els is not None:
-            _collect_headers(p.els, acc)
+            _collect_prelude(p.els, includes, helpers)
     elif isinstance(p, PAssign):
         walk_e(p.expr)
     elif isinstance(p, PStore):
         walk_e(p.index)
         walk_e(p.expr)
     elif isinstance(p, PSort):
-        acc["_cmp_i64"] = _CMP_I64
+        includes.add("stdlib.h")
+        helpers["_cmp_i64"] = _CMP_I64
         walk_e(p.count)
+
+
+def named_decls(decls: Sequence[EVar], body: P) -> List[EVar]:
+    """The temporaries among ``decls`` that ``body`` reads or assigns —
+    the name generator hands out many that lowering and the optimiser
+    then never use."""
+    named = stmt_reads(body) | stmt_effects(body)[0]
+    return [v for v in decls if v.name in named]
 
 
 def emit_kernel_source(
@@ -169,32 +188,29 @@ def emit_kernel_source(
     decls: Sequence[EVar],
     body: P,
 ) -> str:
-    """The full C translation unit for one kernel."""
-    headers: Dict[str, str] = {}
-    _collect_headers(body, headers)
+    """The full C translation unit for one kernel.
+
+    It holds only what ``body`` names: a header or helper is included
+    only if a statement needs it, and of ``decls`` only the
+    :func:`named_decls` are declared."""
+    includes: Set[str] = set()
+    helpers: Dict[str, str] = {}
+    _collect_prelude(body, includes, helpers)
     sig_parts = []
     for param in params:
         if param.kind == "array":
             sig_parts.append(f"{c_type(param.ctype)}* {param.name}")
         else:
             sig_parts.append(f"{c_type(param.ctype)} {param.name}")
-    decl_lines = "\n".join(
-        f"  {c_type(v.type)} {v.name} = 0;" for v in decls
+    function = "\n".join(
+        [f"void {name}({', '.join(sig_parts)}) {{"]
+        + [f"  {c_type(v.type)} {v.name} = 0;" for v in named_decls(decls, body)]
+        + [emit_stmt(body), "}"]
     )
-    helper_code = "\n".join(headers.values())
-    return f"""#include <stdint.h>
-#include <stdbool.h>
-#include <math.h>
-#include <string.h>
-#include <stdlib.h>
-
-{helper_code}
-
-void {name}({', '.join(sig_parts)}) {{
-{decl_lines}
-{emit_stmt(body)}
-}}
-"""
+    include_lines = "\n".join(
+        f"#include <{h}>" for h in ["stdint.h", "stdbool.h", *sorted(includes)]
+    )
+    return "\n\n".join([include_lines, *helpers.values(), function]) + "\n"
 
 
 class CKernel:

@@ -9,9 +9,17 @@ the equational derivation of Figure 16:
     while (valid) {
         bind;                      // the level's per-iteration temporaries
         i = index;                 // saved so skips see a stable value
-        if (ready) { push; compile(sub-dest, value); skip1(i); }
+        if (ready) { push; compile(sub-dest, value); δ; }
         else      { skip0(i); }
     }
+
+δ, the step past a ready state, is ``skip1(i)`` spelled as the stream's
+``advance1`` — increments of the operands that produced ``i``, which
+every combinator derives from its operands' — and falls back to the
+``skip1(i)`` scan only for a stream that has none.  At the innermost
+level, whose value is a scalar, ``push; compile; close`` is the
+destination's ``append(i, value)``, which a compressed leaf level
+specialises to one guarded pair of stores.
 
 ``bind`` is the stream's binding step (see
 :class:`~repro.compiler.sstream.SStream`): the composite combinators
@@ -32,6 +40,8 @@ over the inner index themselves (Section 5.1.2).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.compiler.dest import Dest
 from repro.compiler.ir import NameGen, P, PAssign, PIf, PSeq, PSkip, PWhile
 from repro.compiler.sstream import SStream, always_ready, is_sstream
@@ -51,8 +61,8 @@ def compile_stream(dest: Dest, s, ng: NameGen) -> P:
         )
     if s.attr is STAR:
         i = None
-        pre, sub, post = PSkip(), dest, PSkip()
         save = PSkip()
+        emit = compile_stream(dest, s.value, ng)
     else:
         if s.index is None:
             raise CompileError(
@@ -60,10 +70,28 @@ def compile_stream(dest: Dest, s, ng: NameGen) -> P:
                 "non-contracted level must produce one"
             )
         i = ng.fresh(f"ix_{s.attr}")
-        pre, sub, post = dest.push(i)
         save = PAssign(i, s.index)
+        if is_sstream(s.value):
+            pre, sub, post = dest.push(i)
+            emit = PSeq(pre, compile_stream(sub, s.value, ng), post)
+        else:
+            emit = dest.append(i, s.value)
     step = s.advance1 if s.advance1 is not None else s.skip1(i)
-    body = PSeq(pre, compile_stream(sub, s.value, ng), post, step)
+    body = PSeq(emit, step)
     if not always_ready(s):  # else ready whenever valid: no branch needed
         body = PIf(s.ready, body, s.skip0(i))
     return PSeq(s.init, PWhile(s.valid, PSeq(s.bind, save, body)))
+
+
+def step_counts(s) -> Tuple[int, int]:
+    """How the loops :func:`compile_stream` emits for ``s`` step at a
+    ready state: (levels stepping by ``advance1``, levels falling back
+    to a ``skip1`` scan)."""
+    fast = scan = 0
+    while is_sstream(s):
+        if s.advance1 is not None:
+            fast += 1
+        else:
+            scan += 1
+        s = s.value
+    return fast, scan

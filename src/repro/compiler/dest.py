@@ -53,6 +53,12 @@ class Dest:
         post after it."""
         raise NotImplementedError
 
+    def append(self, index: E, value: E) -> P:
+        """``push(index)`` followed by the store of a scalar ``value``:
+        what a stream's innermost level does at every index."""
+        pre, sub, post = self.push(index)
+        return PSeq(pre, sub.store(value), post)
+
     def setup(self) -> P:
         """Code emitted once before the kernel loop nest."""
         return PSkip()
@@ -159,18 +165,29 @@ class SparseLeafDest(Dest):
         self.counter = counter
         self.cap = cap
 
-    def push(self, index: E) -> Tuple[P, Dest, P]:
-        slot = emin(self.counter, EBinop("-", self.cap, ilit(1), TINT))
-        pre = PIf(
+    def _write(self, index: E, value: E) -> P:
+        """Fill the next slot, if there is room for it."""
+        return PIf(
             EBinop("<", self.counter, self.cap, TBOOL),
             PSeq(
                 PStore(self.crd, self.counter, index),
-                PStore(self.vals, self.counter, self.ops.zero),
+                PStore(self.vals, self.counter, value),
             ),
         )
+
+    def _bump(self) -> P:
+        return PAssign(self.counter, EBinop("+", self.counter, ilit(1), TINT))
+
+    def push(self, index: E) -> Tuple[P, Dest, P]:
+        slot = emin(self.counter, EBinop("-", self.cap, ilit(1), TINT))
         sub = ArraySlotDest(self.ops, self.vals, slot)
-        post = PAssign(self.counter, EBinop("+", self.counter, ilit(1), TINT))
-        return pre, sub, post
+        return self._write(index, self.ops.zero), sub, self._bump()
+
+    def append(self, index: E, value: E) -> P:
+        # a scalar lands in a slot nothing else writes: the Hoare triple
+        # from {out ↦ 0} stores 0 + value = value, with no zero store,
+        # no clamped slot and no read-modify-write
+        return PSeq(self._write(index, value), self._bump())
 
     def setup(self) -> P:
         return PAssign(self.counter, ilit(0))

@@ -1374,10 +1374,13 @@ def _workspace_needed(stream, output: Optional[OutputSpec]) -> bool:
         revisited.append(any(seq[k] is STAR for k in range(prev + 1, p)))
         prev = p
     if any(revisited[:-1]):
+        k = revisited.index(True)
         raise ShapeError(
-            "a non-innermost sparse output level is iterated out of order "
-            f"(loop nest {seq}); materialize a temporary or choose a dense "
-            "format for the upper output levels"
+            f"output level {output.attrs[k]!r} ({output.formats[k]}) of a "
+            "compressed output sits under a contracted level, which revisits "
+            f"it out of order (loop nest {seq}); only the innermost output "
+            "level has a workspace — materialize a temporary or choose an "
+            "all-dense output"
         )
     return revisited[-1]
 

@@ -101,7 +101,11 @@ class SStream:
     #: fast path for δ at a ready state: equivalent to
     #: ``skip1(index(q))`` there (e.g. ``q += 1`` for a strictly
     #: monotone source), letting the common path of the emitted loop
-    #: avoid a scan.  None = no fast path; use skip1.
+    #: avoid a scan.  Every combinator derives its own from its
+    #: operands' — a product steps both, a sum steps the operands at the
+    #: merge point, Σ and guards pass it through — so a primitive's
+    #: increment reaches the loop whatever is built on top of it.
+    #: None = no fast path; use skip1.
     advance1: Optional[P] = None
     #: the per-iteration binding step (see the class docstring)
     bind: P = field(default_factory=PSkip)
@@ -332,6 +336,13 @@ def always_ready(s: SStream) -> bool:
     return (isinstance(r, ELit) and r.value is True) or repr(r) == repr(s.valid)
 
 
+def _ready_when_valid(s: SStream) -> E:
+    """``s.ready`` for a reader that already knows ``s.valid`` holds —
+    every reader, by the evaluation protocol: the literal true for an
+    always-ready level, whose ``ready`` may be spelled ``valid``."""
+    return blit(True) if always_ready(s) else s.ready
+
+
 def _is_atomic(e: E) -> bool:
     """A variable, a literal, or one array read at either."""
     if isinstance(e, EAccess):
@@ -372,7 +383,7 @@ def guard(cond: EVar, s: Value, ops: ScalarOps) -> Value:
         shape=s.shape,
         init=PIf(cond, s.init),
         valid=eand(cond, s.valid),
-        ready=blit(True) if always_ready(s) else s.ready,
+        ready=_ready_when_valid(s),
         index=s.index,
         value=s.value,
         skip0=s.skip0,
@@ -426,7 +437,11 @@ def smul(a: Value, b: Value, ops: ScalarOps, ng: NameGen, locate: bool = True) -
         shape=a.shape,
         init=PSeq(a.init, b.init),
         valid=eand(a.valid, b.valid),
-        ready=eand(a.ready, b.ready, EBinop("==", ia, ib, TBOOL)),
+        # the product's valid already is the conjunction of the operands'
+        ready=eand(
+            _ready_when_valid(a), _ready_when_valid(b),
+            EBinop("==", ia, ib, TBOOL),
+        ),
         index=emax(ia, ib),
         value=smul(a.value, b.value, ops, ng, locate),
         skip0=lambda i: PSeq(a.skip0(i), b.skip0(i)),
@@ -508,7 +523,14 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
     operands sit at the merge point (``at``); ``ready``, ``index``, the
     guards pushed into the value and both skips then read those
     temporaries.  An operand's state moves only in its own skip, which
-    is the last thing to read that operand's temporaries."""
+    is the last thing to read that operand's temporaries.
+
+    δ at a ready state (``advance1``) steps exactly the operands at the
+    merge point, each by its own ``advance1``: the sum is ready only if
+    every one of them is, so there ``advance1 ≡ skip1(i)``; a live
+    operand off the merge point has an index > i, where ``skip1(i)`` of
+    a strictly monotone stream is the identity.  The scan through both
+    ``skip1``s remains for an operand that has no ``advance1``."""
     if a.attr != b.attr and not (a.attr is STAR and b.attr is STAR):
         raise ValueError(f"cannot add levels {a.attr!r} and {b.attr!r}")
     live_a = ng.binding("live", TBOOL)
@@ -558,6 +580,10 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
 
         return run
 
+    advance1 = None
+    if a.advance1 is not None and b.advance1 is not None:
+        advance1 = PSeq(PIf(at_a, a.advance1), PIf(at_b, b.advance1))
+
     return SStream(
         attr=a.attr,
         shape=a.shape,
@@ -569,6 +595,7 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
         value=value,
         skip0=skip(a.skip0, b.skip0),
         skip1=skip(a.skip1, b.skip1),
+        advance1=advance1,
         bind=bind,
     )
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.data import Tensor
-from repro.krelation import Schema
+from repro.krelation import Schema, ShapeError
 from repro.lang import Sum, TypeContext, Var, denote
 from repro.semirings import INT
 from tests.strategies import SUM_N, sparse_data, sum_programs
@@ -92,6 +92,15 @@ def test_nested_sum_kernels_agree(prog):
     agree with each other and with the denotation 𝒯."""
     rank = len(prog.out_attrs)
     formats = {0: (), 1: ("sparse",), 2: ("dense", "sparse"), 3: ("dense",) * 3}[rank]
+    if prog.out_attrs == ("j", "k"):
+        # Σ_i encloses both output levels and revisits the row level j,
+        # which has no workspace: CSR is refused, by name, and the
+        # shape runs into a dense output instead
+        csr = OutputSpec(prog.out_attrs, formats, (SUM_N,) * rank)
+        with pytest.raises(ShapeError, match=r"output level 'j' \(dense\)"):
+            compile_kernel(prog.expr, prog.ctx, prog.tensors, csr,
+                           backend="interp", cache=False)
+        formats = ("dense", "dense")
     out = OutputSpec(prog.out_attrs, formats, (SUM_N,) * rank) if rank else None
     truth = denote(prog.expr, prog.ctx, prog.krels)
     want = truth.support if rank else truth.total()

@@ -9,7 +9,8 @@ differently than the sequential loop.
 
 Nested sums and sums of products (``tests.strategies.sum_programs``) are
 additionally checked against the denotation 𝒯 at every opt level on
-every backend: their merge loops read per-iteration binding
+every backend, over linearly scanning and over galloping operands:
+their merge loops read per-iteration binding
 temporaries, and a temporary read after its operand's state has moved
 gives a wrong answer on exactly these programs."""
 
@@ -115,6 +116,28 @@ def test_opt_level_parity(sr_name, which, backend, data):
 SUM_SEMIRINGS = {"float": FLOAT, "nat": NAT, "bool": BOOL, "min_plus": MIN_PLUS}
 
 
+def _check_sum_program(prog, semiring, sr_name, backend, search,
+                       opt_levels=(0, 1, 2)):
+    truth = denote(prog.expr, prog.ctx, prog.krels)
+    rank = len(prog.out_attrs)
+    out = (
+        OutputSpec(prog.out_attrs, ("dense",) * rank, (SUM_N,) * rank)
+        if rank else None
+    )
+    for opt_level in opt_levels:
+        kernel = compile_kernel(
+            prog.expr, prog.ctx, prog.tensors, out, semiring=semiring,
+            backend=backend, opt_level=opt_level, verify=True, search=search,
+            name=f"sum_{prog.tag}_{sr_name}_{backend}_{search[0]}o{opt_level}",
+        )
+        result = kernel.run(prog.tensors)
+        where = f"{prog.expr!r} on {backend} at opt {opt_level} ({search} skip)"
+        if rank:
+            assert tensor_to_krelation(result, prog.schema).equal(truth), where
+        else:
+            assert semiring.eq(result, truth.total()), where
+
+
 @pytest.mark.parametrize("sr_name", sorted(SUM_SEMIRINGS))
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(data=st.data())
@@ -125,24 +148,23 @@ def test_nested_sums_match_denotation(sr_name, backend, data):
     invariant included) run after every pass."""
     semiring = SUM_SEMIRINGS[sr_name]
     prog = data.draw(sum_programs(semiring))
-    truth = denote(prog.expr, prog.ctx, prog.krels)
-    rank = len(prog.out_attrs)
-    out = (
-        OutputSpec(prog.out_attrs, ("dense",) * rank, (SUM_N,) * rank)
-        if rank else None
-    )
-    for opt_level in (0, 1, 2):
-        kernel = compile_kernel(
-            prog.expr, prog.ctx, prog.tensors, out, semiring=semiring,
-            backend=backend, opt_level=opt_level, verify=True,
-            name=f"sum_{prog.tag}_{sr_name}_{backend}_o{opt_level}",
-        )
-        result = kernel.run(prog.tensors)
-        where = f"{prog.expr!r} on {backend} at opt {opt_level}"
-        if rank:
-            assert tensor_to_krelation(result, prog.schema).equal(truth), where
-        else:
-            assert semiring.eq(result, truth.total()), where
+    _check_sum_program(prog, semiring, sr_name, backend, "linear")
+
+
+@pytest.mark.parametrize("sr_name", sorted(SUM_SEMIRINGS))
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("opt_level", (0, 1, 2))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_galloping_nested_sums_match_denotation(sr_name, backend, opt_level, data):
+    """The same program family over galloping (``search="binary"``)
+    operands: a ready sum steps each operand at the merge point by
+    ``advance1``, and the gallop-then-bisect ``skip1`` it replaces is
+    the largest step there is — what remains of it is the products'
+    ``skip0``.  (One opt level per test keeps each under a second.)"""
+    semiring = SUM_SEMIRINGS[sr_name]
+    prog = data.draw(sum_programs(semiring))
+    _check_sum_program(prog, semiring, sr_name, backend, "binary", (opt_level,))
 
 
 def _fixed_tensors(which, semiring):
