@@ -9,10 +9,8 @@ Each named kernel (``spmv``, ``matmul``, ``dot``, ``vadd``, ``madd3``,
 ``sddmm``) is compiled with the interpreter backend (no toolchain
 needed), then the report prints the size of what was generated (bytes
 of C source, **P** statements, **E** nodes — a three-operand sum like
-``madd3`` is where these used to blow up), how many levels of the loop
-nest step at a ready state by an ``advance1`` increment and how many
-fall back to a ``skip1`` scan (a missing δ fast path shows here without
-reading C), the typed-IR verification issues, the capacity
+``madd3`` is where these used to blow up), the typed-IR verification
+issues, the capacity
 lint's verdict on every store into a capacity-managed output array,
 and the stream-level property signature (lawfulness, monotonicity,
 boundedness, ⊕-law obligations) inferred by
@@ -30,11 +28,8 @@ from repro.compiler import codegen_c
 from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.analysis.streamprops import analyze_expr
 from repro.compiler.analysis.verifier import verify_kernel
-from repro.compiler.compile_fn import step_counts
 from repro.compiler.formats import TensorInput
-from repro.compiler.ir import NameGen
 from repro.compiler.kernel import Kernel, OutputSpec, compile_kernel
-from repro.compiler.lower import lower
 from repro.data.tensor import Tensor
 from repro.krelation.schema import Schema
 from repro.lang.ast import Sum, Var
@@ -147,29 +142,13 @@ def report(name: str, kernel: Kernel) -> int:
     """Print the verification + lint report; return the error count."""
     print(f"== kernel {name!r} ({kernel.name}) " + "=" * max(0, 40 - len(name)))
     print(f"   params: {', '.join(f'{p.name}:{p.ctype}' for p in kernel.params)}")
-    named = codegen_c.named_decls(kernel.decls, kernel.loop_ir)
-    print(f"   locals: {len(kernel.decls)} compiler temporaries, "
-          f"{len(named)} named by the body")
+    print(f"   locals: {len(kernel.decls)} compiler temporaries")
     c_source = codegen_c.emit_kernel_source(
         kernel.name, kernel.params, kernel.decls, kernel.loop_ir
     )
     statements, nodes = program_size(kernel.loop_ir)
     print(f"   size: {len(c_source)} bytes of C, {statements} P statements, "
           f"{nodes} E nodes")
-
-    recipe = kernel.recipe
-    if recipe is not None:
-        specs = {
-            var: TensorInput(var, attrs, formats, kernel.ops)
-            for var, attrs, formats in recipe.input_structure
-        }
-        stream = lower(
-            recipe.expr, recipe.ctx, specs, kernel.ops, NameGen(),
-            search=recipe.search, attr_dims=dict(recipe.attr_dims),
-            locate=recipe.locate,
-        )
-        fast, scan = step_counts(stream)
-        print(f"   steps: {fast} level(s) by advance1, {scan} by a skip1 scan")
 
     issues = verify_kernel(kernel)
     errors = [i for i in issues if i.severity == "error"]
@@ -187,9 +166,14 @@ def report(name: str, kernel: Kernel) -> int:
     unproven = [f for f in findings if not f.proven]
 
     stream_errors = 0
+    recipe = kernel.recipe
     if recipe is None:
         print("   stream properties: (no recipe; not analyzable post-hoc)")
     else:
+        specs = {
+            var: TensorInput(var, attrs, formats, kernel.ops)
+            for var, attrs, formats in recipe.input_structure
+        }
         sig, stream_findings = analyze_expr(
             recipe.expr, recipe.ctx, specs, recipe.semiring,
             dims=dict(recipe.attr_dims),

@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Set
 import numpy as np
 
 from repro.compiler import resilience
-from repro.compiler.analysis.dataflow import stmt_effects, stmt_reads
 from repro.compiler.cache import default_cache_dir
 from repro.compiler.formats import Param
 from repro.compiler.resilience import logger
@@ -124,18 +123,23 @@ _CMP_I64 = """static int _cmp_i64(const void* a, const void* b) {
 }"""
 
 
+#: an ``Op``'s ``c_expr``/``c_header`` is C text from outside the
+#: compiler: a kernel that calls one includes what every kernel used to
+_OP_INCLUDES = ("math.h", "stdlib.h", "string.h")
+
+
 def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
     """What ``p`` needs ahead of the kernel function: ``<math.h>`` for
-    an infinite literal (``INFINITY``) or a user ``Op`` (whose C text
-    may call libm), ``<stdlib.h>`` and the comparator for a ``PSort``,
-    and every used ``Op``'s ``c_header``."""
+    an infinite literal (``INFINITY``), ``<stdlib.h>`` and the
+    comparator for a ``PSort``, and for a user ``Op`` its ``c_header``
+    and :data:`_OP_INCLUDES`."""
 
     def walk_e(e: E) -> None:
         if isinstance(e, ELit):
             if e.type == TFLOAT and math.isinf(e.value):
                 includes.add("math.h")
         elif isinstance(e, ECall):
-            includes.add("math.h")
+            includes.update(_OP_INCLUDES)
             if e.op.c_header:
                 helpers[e.op.name] = e.op.c_header
             for a in e.args:
@@ -174,25 +178,14 @@ def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
         walk_e(p.count)
 
 
-def named_decls(decls: Sequence[EVar], body: P) -> List[EVar]:
-    """The temporaries among ``decls`` that ``body`` reads or assigns —
-    the name generator hands out many that lowering and the optimiser
-    then never use."""
-    named = stmt_reads(body) | stmt_effects(body)[0]
-    return [v for v in decls if v.name in named]
-
-
 def emit_kernel_source(
     name: str,
     params: Sequence[Param],
     decls: Sequence[EVar],
     body: P,
 ) -> str:
-    """The full C translation unit for one kernel.
-
-    It holds only what ``body`` names: a header or helper is included
-    only if a statement needs it, and of ``decls`` only the
-    :func:`named_decls` are declared."""
+    """The full C translation unit for one kernel; a header or helper
+    is included only if a statement of ``body`` needs it."""
     includes: Set[str] = set()
     helpers: Dict[str, str] = {}
     _collect_prelude(body, includes, helpers)
@@ -204,7 +197,7 @@ def emit_kernel_source(
             sig_parts.append(f"{c_type(param.ctype)} {param.name}")
     function = "\n".join(
         [f"void {name}({', '.join(sig_parts)}) {{"]
-        + [f"  {c_type(v.type)} {v.name} = 0;" for v in named_decls(decls, body)]
+        + [f"  {c_type(v.type)} {v.name} = 0;" for v in decls]
         + [emit_stmt(body), "}"]
     )
     include_lines = "\n".join(

@@ -13,13 +13,13 @@ the equational derivation of Figure 16:
         else      { skip0(i); }
     }
 
-δ, the step past a ready state, is ``skip1(i)`` spelled as the stream's
-``advance1`` — increments of the operands that produced ``i``, which
-every combinator derives from its operands' — and falls back to the
-``skip1(i)`` scan only for a stream that has none.  At the innermost
-level, whose value is a scalar, ``push; compile; close`` is the
-destination's ``append(i, value)``, which a compressed leaf level
-specialises to one guarded pair of stores.
+δ, the step past a ready state, is the paper's ``skip(q, (i, 1))``,
+spelled as the stream's ``advance1`` — increments of the operands that
+produced ``i``, which every combinator derives from its operands'; a
+ready state is the only place the strict skip is taken, so the loop
+never scans for it.  At the innermost level, whose value is a scalar,
+``push; compile; close`` is the destination's ``append(i, value)``,
+which a compressed leaf level specialises to one guarded pair of stores.
 
 ``bind`` is the stream's binding step (see
 :class:`~repro.compiler.sstream.SStream`): the composite combinators
@@ -39,8 +39,6 @@ over the inner index themselves (Section 5.1.2).
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from repro.compiler.dest import Dest
 from repro.compiler.ir import NameGen, P, PAssign, PIf, PSeq, PSkip, PWhile
@@ -76,22 +74,7 @@ def compile_stream(dest: Dest, s, ng: NameGen) -> P:
             emit = PSeq(pre, compile_stream(sub, s.value, ng), post)
         else:
             emit = dest.append(i, s.value)
-    step = s.advance1 if s.advance1 is not None else s.skip1(i)
-    body = PSeq(emit, step)
+    body = PSeq(emit, s.advance1)
     if not always_ready(s):  # else ready whenever valid: no branch needed
         body = PIf(s.ready, body, s.skip0(i))
     return PSeq(s.init, PWhile(s.valid, PSeq(s.bind, save, body)))
-
-
-def step_counts(s) -> Tuple[int, int]:
-    """How the loops :func:`compile_stream` emits for ``s`` step at a
-    ready state: (levels stepping by ``advance1``, levels falling back
-    to a ``skip1`` scan)."""
-    fast = scan = 0
-    while is_sstream(s):
-        if s.advance1 is not None:
-            fast += 1
-        else:
-            scan += 1
-        s = s.value
-    return fast, scan

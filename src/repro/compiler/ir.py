@@ -50,6 +50,9 @@ class Op:
     interpreter and the Python backend); ``c_expr`` renders a C
     expression from argument strings; ``c_header`` optionally supplies
     a C definition emitted once per kernel (e.g. a helper function).
+    Both may call ``<math.h>``, ``<stdlib.h>`` and ``<string.h>``, which
+    a kernel using an op includes; any other header ``c_header``
+    includes itself.
     Like the paper's ``Op.add``, built-in arithmetic is unprivileged —
     it is expressed with the same mechanism users extend.
     """

@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.compiler import codegen_c, codegen_py, resilience
+from repro.compiler.analysis.dataflow import stmt_effects, stmt_reads
 from repro.compiler.analysis.intervals import lint_bounds
 from repro.compiler.analysis.streamprops import verify_expr
 from repro.compiler.cache import kernel_cache, kernel_cache_key
@@ -1147,18 +1148,22 @@ class KernelBuilder:
         body = optimize(body, ng, self.opt_level,
                         verify=self.verify, params=params)
         _check_no_shadowing(name, params, ng)
+        # the name generator hands out temporaries that lowering and the
+        # optimiser then never use; a kernel declares the ones its body names
+        named = stmt_reads(body) | stmt_effects(body)[0]
+        decls = [v for v in ng.allocated if v.name in named]
 
         findings = lint_bounds(
             body,
             dest.contracts(),
             params=[p.name for p in params],
-            decls=[v.name for v in ng.allocated],
+            decls=[v.name for v in decls],
         )
 
         backend_used = self.backend
         if self.backend == "c":
             try:
-                source = codegen_c.emit_kernel_source(name, params, ng.allocated, body)
+                source = codegen_c.emit_kernel_source(name, params, decls, body)
                 backend_kernel = codegen_c.CKernel(source, name, params)
             except (BackendUnavailableError, CompileError) as exc:
                 if not resilience.fallback_enabled():
@@ -1169,20 +1174,20 @@ class KernelBuilder:
                     name, exc, resilience.ENV_BACKEND_FALLBACK,
                 )
                 backend_kernel = codegen_py.PyKernel(
-                    name, params, ng.allocated, body,
+                    name, params, decls, body,
                     vectorize=self.opt_level > 0 and not self.sanitize,
                     checked=bool(self.sanitize),
                 )
                 backend_used = "python"
         elif self.backend == "python":
             backend_kernel = codegen_py.PyKernel(
-                name, params, ng.allocated, body, vectorize=self.vectorize,
+                name, params, decls, body, vectorize=self.vectorize,
                 checked=bool(self.sanitize),
             )
         else:
-            backend_kernel = InterpKernel(name, params, ng.allocated, body)
+            backend_kernel = InterpKernel(name, params, decls, body)
         kernel = Kernel(name, backend_kernel, params, specs, output, self.ops,
-                        body, decls=ng.allocated)
+                        body, decls=decls)
         kernel.ws_dim = output.dims[-1] if workspace else None
         kernel.capacity_findings = findings
 

@@ -2,8 +2,9 @@
 
 A :class:`SStream` is an indexed stream whose components are program
 fragments: ``index``/``ready``/``valid`` are **E** expressions over the
-stream's state variables, ``skip0``/``skip1`` render skip code for a
-given target index expression, and ``init`` (re)initializes the state.
+stream's state variables, ``skip0`` renders the code of ``skip(q, (i, 0))``
+for a given target index expression, ``advance1`` is the step past a
+ready state, and ``init`` (re)initializes the state.
 ``value`` is either a nested :class:`SStream` or a scalar **E**.
 
 A level may also carry a *binding step* (``bind``): statements run once
@@ -62,8 +63,8 @@ class SStream:
     """A syntactic indexed stream (Figure 13).
 
     ``attr`` is the level's attribute (or :data:`STAR` for contracted
-    levels, whose ``index`` is ``None`` and whose skip functions ignore
-    their argument).  ``shape`` is the real-attribute shape of the whole
+    levels, whose ``index`` is ``None`` and whose ``skip0`` ignores its
+    argument).  ``shape`` is the real-attribute shape of the whole
     nested stream.
 
     Levels that support random access — dense and implicit levels, whose
@@ -77,7 +78,7 @@ class SStream:
     **Evaluation protocol.**  ``valid`` and ``init`` read only state
     variables (of this level and of enclosing ones).  Every other
     component — ``ready``, ``index``, the guards inside ``value``,
-    ``skip0``/``skip1``/``advance1`` — is evaluated only while ``valid``
+    ``skip0``/``advance1`` — is evaluated only while ``valid``
     holds and only after ``bind`` has run in the same iteration, so it
     may name the temporaries ``bind`` assigns.  A temporary bound here
     stays meaningful for the whole iteration, inner loops included: the
@@ -95,18 +96,16 @@ class SStream:
     index: Optional[E]
     value: Value
     skip0: SkipFn
-    skip1: SkipFn
+    #: δ at a ready state: ``skip(q, (index(q), 1))`` there, spelled
+    #: without a scan (``q += 1`` for a strictly monotone source).  Every
+    #: combinator derives its own from its operands' — a product steps
+    #: both, a sum steps the operands at the merge point, Σ and guards
+    #: pass it through — so a primitive's increment reaches the loop
+    #: whatever is built on top of it.  A ready state is the only place
+    #: the strict skip is ever taken, so no general ``skip1`` exists.
+    advance1: P
     locate: Optional[Callable[[E], Value]] = None
     dim: Optional[E] = None
-    #: fast path for δ at a ready state: equivalent to
-    #: ``skip1(index(q))`` there (e.g. ``q += 1`` for a strictly
-    #: monotone source), letting the common path of the emitted loop
-    #: avoid a scan.  Every combinator derives its own from its
-    #: operands' — a product steps both, a sum steps the operands at the
-    #: merge point, Σ and guards pass it through — so a primitive's
-    #: increment reaches the loop whatever is built on top of it.
-    #: None = no fast path; use skip1.
-    advance1: Optional[P] = None
     #: the per-iteration binding step (see the class docstring)
     bind: P = field(default_factory=PSkip)
 
@@ -171,56 +170,48 @@ def sparse_level(
     valid = EBinop("<", q, hi, TBOOL)
     index = EAccess(crd_array, q, TINT)
 
-    def make_skip(strict: bool) -> SkipFn:
-        cmp_op = "<=" if strict else "<"
-
-        def skip(i: Optional[E]) -> P:
-            assert i is not None
-            within = EBinop(cmp_op, EAccess(crd_array, q, TINT), i, TBOOL)
-            if search == "linear":
-                return PWhile(
-                    eand(EBinop("<", q, hi, TBOOL), within),
-                    PAssign(q, EBinop("+", q, ilit(1), TINT)),
-                )
-            step = ng.fresh(f"{attr}_step")
-            bhi = ng.fresh(f"{attr}_bhi")
-            mid = ng.fresh(f"{attr}_mid")
-            probe = lambda pos: EBinop(cmp_op, EAccess(crd_array, pos, TINT), i, TBOOL)
-            gallop = PWhile(
-                eand(
-                    EBinop("<", EBinop("+", q, step, TINT), hi, TBOOL),
-                    probe(EBinop("+", q, step, TINT)),
-                ),
-                PSeq(
-                    PAssign(q, EBinop("+", q, step, TINT)),
-                    PAssign(step, EBinop("*", step, ilit(2), TINT)),
-                ),
+    def skip0(i: Optional[E]) -> P:
+        assert i is not None
+        if search == "linear":
+            return PWhile(
+                eand(valid, EBinop("<", index, i, TBOOL)),
+                PAssign(q, EBinop("+", q, ilit(1), TINT)),
             )
-            bisect = PWhile(
-                EBinop("<", q, bhi, TBOOL),
-                PSeq(
-                    PAssign(mid, EBinop("/", EBinop("+", q, bhi, TINT), ilit(2), TINT)),
-                    PIf(
-                        probe(mid),
-                        PAssign(q, EBinop("+", mid, ilit(1), TINT)),
-                        PAssign(bhi, mid),
-                    ),
-                ),
-            )
-            return PSeq(
+        step = ng.fresh(f"{attr}_step")
+        bhi = ng.fresh(f"{attr}_bhi")
+        mid = ng.fresh(f"{attr}_mid")
+        probe = lambda pos: EBinop("<", EAccess(crd_array, pos, TINT), i, TBOOL)
+        gallop = PWhile(
+            eand(
+                EBinop("<", EBinop("+", q, step, TINT), hi, TBOOL),
+                probe(EBinop("+", q, step, TINT)),
+            ),
+            PSeq(
+                PAssign(q, EBinop("+", q, step, TINT)),
+                PAssign(step, EBinop("*", step, ilit(2), TINT)),
+            ),
+        )
+        bisect = PWhile(
+            EBinop("<", q, bhi, TBOOL),
+            PSeq(
+                PAssign(mid, EBinop("/", EBinop("+", q, bhi, TINT), ilit(2), TINT)),
                 PIf(
-                    eand(EBinop("<", q, hi, TBOOL), probe(q)),
-                    PSeq(
-                        PAssign(step, ilit(1)),
-                        gallop,
-                        PAssign(bhi, emin(EBinop("+", q, step, TINT), hi)),
-                        PAssign(q, EBinop("+", q, ilit(1), TINT)),
-                        bisect,
-                    ),
+                    probe(mid),
+                    PAssign(q, EBinop("+", mid, ilit(1), TINT)),
+                    PAssign(bhi, mid),
                 ),
-            )
-
-        return skip
+            ),
+        )
+        return PIf(
+            eand(valid, probe(q)),
+            PSeq(
+                PAssign(step, ilit(1)),
+                gallop,
+                PAssign(bhi, emin(EBinop("+", q, step, TINT), hi)),
+                PAssign(q, EBinop("+", q, ilit(1), TINT)),
+                bisect,
+            ),
+        )
 
     return SStream(
         attr=attr,
@@ -230,8 +221,7 @@ def sparse_level(
         ready=valid,
         index=index,
         value=value_fn(q),
-        skip0=make_skip(strict=False),
-        skip1=make_skip(strict=True),
+        skip0=skip0,
         advance1=PAssign(q, EBinop("+", q, ilit(1), TINT)),
     )
 
@@ -251,11 +241,6 @@ def dense_level(
         assert j is not None
         return PIf(EBinop(">", j, i, TBOOL), PAssign(i, j))
 
-    def skip1(j: Optional[E]) -> P:
-        assert j is not None
-        j1 = EBinop("+", j, ilit(1), TINT)
-        return PIf(EBinop(">", j1, i, TBOOL), PAssign(i, j1))
-
     return SStream(
         attr=attr,
         shape=shape,
@@ -265,7 +250,6 @@ def dense_level(
         index=i,
         value=value_fn(i),
         skip0=skip0,
-        skip1=skip1,
         locate=value_fn,
         dim=dim,
         advance1=PAssign(i, EBinop("+", i, ilit(1), TINT)),
@@ -293,11 +277,6 @@ def function_level(
         assert j is not None
         return PIf(EBinop(">", j, i, TBOOL), PAssign(i, j))
 
-    def skip1(j: Optional[E]) -> P:
-        assert j is not None
-        j1 = EBinop("+", j, ilit(1), TINT)
-        return PIf(EBinop(">", j1, i, TBOOL), PAssign(i, j1))
-
     return SStream(
         attr=attr,
         shape=shape,
@@ -307,7 +286,6 @@ def function_level(
         index=i,
         value=value_fn(i),
         skip0=skip0,
-        skip1=skip1,
         locate=value_fn,
         dim=dim,
         advance1=PAssign(i, EBinop("+", i, ilit(1), TINT)),
@@ -387,7 +365,6 @@ def guard(cond: EVar, s: Value, ops: ScalarOps) -> Value:
         index=s.index,
         value=s.value,
         skip0=s.skip0,
-        skip1=s.skip1,
         advance1=s.advance1,
         bind=s.bind,
     )
@@ -427,11 +404,6 @@ def smul(a: Value, b: Value, ops: ScalarOps, ng: NameGen, locate: bool = True) -
     # steps run unconditionally
     ia, name_a = _named_index(a, ng)
     ib, name_b = _named_index(b, ng)
-    advance1 = None
-    if a.advance1 is not None and b.advance1 is not None:
-        # product is ready only when both operands are ready at the same
-        # index, so advancing each past its own index is exactly skip1
-        advance1 = PSeq(a.advance1, b.advance1)
     return SStream(
         attr=a.attr,
         shape=a.shape,
@@ -445,8 +417,9 @@ def smul(a: Value, b: Value, ops: ScalarOps, ng: NameGen, locate: bool = True) -
         index=emax(ia, ib),
         value=smul(a.value, b.value, ops, ng, locate),
         skip0=lambda i: PSeq(a.skip0(i), b.skip0(i)),
-        skip1=lambda i: PSeq(a.skip1(i), b.skip1(i)),
-        advance1=advance1,
+        # the product is ready only when both operands are ready at the
+        # same index, so each steps past its own
+        advance1=PSeq(a.advance1, b.advance1),
         bind=PSeq(a.bind, name_a, b.bind, name_b),
     )
 
@@ -521,16 +494,15 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
     The binding step evaluates each operand's ``valid`` once (``live``),
     runs the live operands' own binding steps, and decides once which
     operands sit at the merge point (``at``); ``ready``, ``index``, the
-    guards pushed into the value and both skips then read those
-    temporaries.  An operand's state moves only in its own skip, which
-    is the last thing to read that operand's temporaries.
+    guards pushed into the value, ``skip0`` and ``advance1`` then read
+    those temporaries.  An operand's state moves only in its own step,
+    which is the last thing to read that operand's temporaries.
 
     δ at a ready state (``advance1``) steps exactly the operands at the
     merge point, each by its own ``advance1``: the sum is ready only if
-    every one of them is, so there ``advance1 ≡ skip1(i)``; a live
-    operand off the merge point has an index > i, where ``skip1(i)`` of
-    a strictly monotone stream is the identity.  The scan through both
-    ``skip1``s remains for an operand that has no ``advance1``."""
+    every one of them is, so each is at a ready state of its own; a live
+    operand off the merge point has an index > i, where
+    ``skip(q, (i, 1))`` of a strictly monotone stream is the identity."""
     if a.attr != b.attr and not (a.attr is STAR and b.attr is STAR):
         raise ValueError(f"cannot add levels {a.attr!r} and {b.attr!r}")
     live_a = ng.binding("live", TBOOL)
@@ -574,16 +546,6 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
 
     value = sadd(guard(at_a, a.value, ops), guard(at_b, b.value, ops), ops, ng)
 
-    def skip(fn_a: SkipFn, fn_b: SkipFn) -> SkipFn:
-        def run(i: Optional[E]) -> P:
-            return PSeq(PIf(live_a, fn_a(i)), PIf(live_b, fn_b(i)))
-
-        return run
-
-    advance1 = None
-    if a.advance1 is not None and b.advance1 is not None:
-        advance1 = PSeq(PIf(at_a, a.advance1), PIf(at_b, b.advance1))
-
     return SStream(
         attr=a.attr,
         shape=a.shape,
@@ -593,9 +555,8 @@ def _sadd_streams(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> SStrea
         ready=eand(ready_at(at_a, a), ready_at(at_b, b)),
         index=index,
         value=value,
-        skip0=skip(a.skip0, b.skip0),
-        skip1=skip(a.skip1, b.skip1),
-        advance1=advance1,
+        skip0=lambda i: PSeq(PIf(live_a, a.skip0(i)), PIf(live_b, b.skip0(i))),
+        advance1=PSeq(PIf(at_a, a.advance1), PIf(at_b, b.advance1)),
         bind=bind,
     )
 
@@ -610,12 +571,9 @@ def scontract(s: SStream, ng: NameGen) -> SStream:
         raise ValueError("cannot contract an already-contracted level")
     tmp = ng.fresh("ci")
 
-    def skip(fn: SkipFn) -> SkipFn:
-        def run(_i: Optional[E]) -> P:
-            assert s.index is not None
-            return PSeq(PAssign(tmp, s.index), fn(tmp))
-
-        return run
+    def skip0(_i: Optional[E]) -> P:
+        assert s.index is not None
+        return PSeq(PAssign(tmp, s.index), s.skip0(tmp))
 
     return SStream(
         attr=STAR,
@@ -625,8 +583,7 @@ def scontract(s: SStream, ng: NameGen) -> SStream:
         ready=s.ready,
         index=None,
         value=s.value,
-        skip0=skip(s.skip0),
-        skip1=skip(s.skip1),
+        skip0=skip0,
         advance1=s.advance1,
         bind=s.bind,
     )
@@ -646,7 +603,6 @@ def singleton_contract(ng: NameGen, value: Value, ops: ScalarOps) -> SStream:
         index=None,
         value=value,
         skip0=lambda _i: PSkip(),
-        skip1=lambda _i: PAssign(flag, ilit(1)),
         advance1=PAssign(flag, ilit(1)),
     )
 

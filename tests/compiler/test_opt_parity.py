@@ -159,9 +159,8 @@ def test_nested_sums_match_denotation(sr_name, backend, data):
 def test_galloping_nested_sums_match_denotation(sr_name, backend, opt_level, data):
     """The same program family over galloping (``search="binary"``)
     operands: a ready sum steps each operand at the merge point by
-    ``advance1``, and the gallop-then-bisect ``skip1`` it replaces is
-    the largest step there is — what remains of it is the products'
-    ``skip0``.  (One opt level per test keeps each under a second.)"""
+    ``advance1``, so galloping lives only in the products' ``skip0``.
+    (One opt level per test keeps each under a second.)"""
     semiring = SUM_SEMIRINGS[sr_name]
     prog = data.draw(sum_programs(semiring))
     _check_sum_program(prog, semiring, sr_name, backend, "binary", (opt_level,))
