@@ -23,17 +23,18 @@ def tensor_from_krelation(
     if sorted(attrs) != sorted(rel.shape):
         raise ValueError(f"order {order!r} is not a permutation of {rel.shape!r}")
     perm = [rel.shape.index(a) for a in attrs]
-    entries = {tuple(k[p] for p in perm): v for k, v in rel.items()}
-    return Tensor.from_entries(attrs, formats, dims, entries, semiring=rel.semiring)
+    support = rel.support
+    coords = np.array(list(support), dtype=np.int64).reshape(len(support), len(perm))
+    return Tensor.from_coo(
+        attrs, formats, dims, coords[:, perm], list(support.values()), rel.semiring)
 
 
 def tensor_to_krelation(tensor: Tensor, schema: Schema) -> KRelation:
     """Unpack a tensor into a K-relation over ``schema``."""
-    data = tensor.to_dict()
+    coords, vals = tensor.to_coo()
     shape = schema.sort_shape(tensor.attrs)
-    if shape != tensor.attrs:
-        perm = [tensor.attrs.index(a) for a in shape]
-        data = {tuple(k[p] for p in perm): v for k, v in data.items()}
+    perm = [tensor.attrs.index(a) for a in shape]
+    data = dict(zip(map(tuple, coords[:, perm].tolist()), vals.tolist()))
     return KRelation(schema, tensor.semiring, shape, data)
 
 
@@ -47,8 +48,6 @@ def tensor_from_dense(
     array = np.asarray(array)
     if array.ndim != len(attrs):
         raise ValueError(f"array rank {array.ndim} != {len(attrs)} attrs")
-    entries = {}
-    for idx in np.argwhere(array != semiring.zero):
-        key = tuple(int(i) for i in idx)
-        entries[key] = array[tuple(idx)].item()
-    return Tensor.from_entries(attrs, formats, array.shape, entries, semiring=semiring)
+    coords = np.argwhere(array != semiring.zero)
+    return Tensor.from_coo(
+        attrs, formats, array.shape, coords, array[tuple(coords.T)], semiring)

@@ -7,6 +7,7 @@ arrays by run detection — fully vectorized with numpy.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,6 +20,11 @@ _FORMATS = ("dense", "sparse")
 
 class Tensor:
     """An n-dimensional tensor stored by per-level formats.
+
+    Data enters through :meth:`from_coo` and leaves through
+    :meth:`to_coo`, as columns; :meth:`from_entries` and :meth:`to_dict`
+    are the same two calls behind a ``{coord: value}`` dictionary — the
+    specification view, which nothing on a data path goes through.
 
     Attributes
     ----------
@@ -47,11 +53,7 @@ class Tensor:
         vals: np.ndarray,
         semiring: Semiring = FLOAT,
     ) -> None:
-        if not (len(attrs) == len(formats) == len(dims)):
-            raise ValueError("attrs, formats and dims must have equal length")
-        for fmt in formats:
-            if fmt not in _FORMATS:
-                raise ValueError(f"unknown level format {fmt!r}")
+        _check_levels(attrs, formats, dims)
         self.attrs = tuple(attrs)
         self.formats = tuple(formats)
         self.dims = tuple(int(d) for d in dims)
@@ -72,6 +74,72 @@ class Tensor:
 
     # ------------------------------------------------------------------
     @classmethod
+    def from_coo(
+        cls,
+        attrs: Sequence[str],
+        formats: Sequence[str],
+        dims: Sequence[int],
+        coords: Any,
+        values: Any,
+        semiring: Semiring = FLOAT,
+        dtype: Optional[np.dtype] = None,
+    ) -> "Tensor":
+        """Build a tensor from coordinate columns — the one constructor.
+
+        ``coords`` is an ``(n, rank)`` integer array within ``dims``, in
+        any order, and ``values`` the ``n`` values beside it.  A
+        coordinate that occurs once is assigned; repeats are ⊕-folded
+        in input order (the sort is stable).
+        """
+        _check_levels(attrs, formats, dims)
+        rank = len(attrs)
+        dims = tuple(int(d) for d in dims)
+        if dtype is None:
+            dtype = _dtype_for(semiring)
+        values = np.asarray(values, dtype=dtype)
+        n = len(values)
+        # one contiguous column per level
+        cols = np.ascontiguousarray(
+            np.asarray(coords, dtype=np.int64).reshape(n, rank).T)
+        bad = (cols.min(axis=1, initial=0) < 0) | (cols.max(axis=1, initial=-1) >= dims)
+        if bad.any():
+            raise ValueError(f"coordinate out of range at level {int(np.argmax(bad))}")
+        order = _lex_order(cols, dims)
+        cols = cols[:, order]
+        values = values[order]
+
+        pos: Dict[int, np.ndarray] = {}
+        crd: Dict[int, np.ndarray] = {}
+        slots = np.zeros(n, dtype=np.int64)
+        parent_count = 1
+        for k, ck in enumerate(cols):
+            if formats[k] == "dense":
+                slots = slots * dims[k] + ck
+                parent_count *= dims[k]
+            else:
+                new_run = np.ones(n, dtype=bool)
+                new_run[1:] = (slots[1:] != slots[:-1]) | (ck[1:] != ck[:-1])
+                crd[k] = ck[new_run]
+                counts = np.bincount(slots[new_run], minlength=parent_count)
+                pos[k] = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+                slots = np.cumsum(new_run) - 1
+                parent_count = len(crd[k])
+        # sorted input: equal coordinates are adjacent and share a slot
+        vals = np.full(parent_count, semiring.zero, dtype=dtype)
+        again = np.zeros(n, dtype=bool)
+        again[1:] = slots[1:] == slots[:-1]
+        if not again.any():
+            vals[slots] = values
+        else:
+            vals[slots[~again]] = values[~again]
+            if semiring.np_add is not None:
+                # ufunc.at applies repeats one by one, in index order
+                semiring.np_add.at(vals, slots[again], values[again])
+            else:
+                _acc_generic(vals, slots[again], values[again], semiring)
+        return cls(attrs, formats, dims, pos, crd, vals, semiring)
+
+    @classmethod
     def from_entries(
         cls,
         attrs: Sequence[str],
@@ -81,71 +149,11 @@ class Tensor:
         semiring: Semiring = FLOAT,
         dtype: Optional[np.dtype] = None,
     ) -> "Tensor":
-        """Build a tensor from ``{(i, j, …): value}`` entries.
-
-        Duplicate coordinates are summed (with ordinary ``+``; use
-        distinct coordinates for exotic semirings).  Coordinates must
-        lie within ``dims``.
-        """
+        """:meth:`from_coo` over ``{(i, j, …): value}`` entries, or a
+        list of such pairs (repeats are ⊕-summed in list order)."""
         items = list(entries.items() if isinstance(entries, Mapping) else entries)
-        rank = len(attrs)
-        if dtype is None:
-            dtype = _dtype_for(semiring)
-        if not items:
-            return cls._empty(attrs, formats, dims, semiring, dtype)
-        coords = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), rank)
-        values = np.array([v for _, v in items], dtype=dtype)
-        for k in range(rank):
-            if coords[:, k].min() < 0 or coords[:, k].max() >= dims[k]:
-                raise ValueError(f"coordinate out of range at level {k}")
-        # sort lexicographically in level order (outermost = primary key)
-        order = np.lexsort(tuple(coords[:, k] for k in reversed(range(rank))))
-        coords = coords[order]
-        values = values[order]
-
-        pos: Dict[int, np.ndarray] = {}
-        crd: Dict[int, np.ndarray] = {}
-        slots = np.zeros(len(items), dtype=np.int64)
-        parent_count = 1
-        for k in range(rank):
-            ck = coords[:, k]
-            if formats[k] == "dense":
-                slots = slots * dims[k] + ck
-                parent_count *= dims[k]
-            else:
-                new_run = np.ones(len(items), dtype=bool)
-                new_run[1:] = (slots[1:] != slots[:-1]) | (ck[1:] != ck[:-1])
-                crd[k] = ck[new_run]
-                counts = np.bincount(slots[new_run], minlength=parent_count)
-                pos[k] = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-                slots = np.cumsum(new_run) - 1
-                parent_count = len(crd[k])
-        from repro.semirings.instances import FloatSemiring, IntSemiring, NatSemiring
-
-        plain_add = isinstance(semiring, (FloatSemiring, IntSemiring, NatSemiring))
-        if plain_add:
-            vals = np.zeros(parent_count, dtype=dtype)
-            np.add.at(vals, slots, values)
-        else:
-            vals = np.full(parent_count, semiring.zero, dtype=dtype)
-            _acc_generic(vals, slots, values, semiring)
-        return cls(attrs, formats, dims, pos, crd, vals, semiring)
-
-    @classmethod
-    def _empty(cls, attrs, formats, dims, semiring, dtype) -> "Tensor":
-        pos: Dict[int, np.ndarray] = {}
-        crd: Dict[int, np.ndarray] = {}
-        parent_count = 1
-        for k, fmt in enumerate(formats):
-            if fmt == "dense":
-                parent_count *= dims[k]
-            else:
-                crd[k] = np.zeros(0, dtype=np.int64)
-                pos[k] = np.zeros(parent_count + 1, dtype=np.int64)
-                parent_count = 0
-        fill = semiring.zero if semiring.zero != 0 else 0
-        vals = np.full(parent_count, fill, dtype=dtype)
-        return cls(attrs, formats, dims, pos, crd, vals, semiring)
+        coords, values = zip(*items) if items else ((), ())
+        return cls.from_coo(attrs, formats, dims, coords, values, semiring, dtype)
 
     # ------------------------------------------------------------------
     # shard slicing (the parallel runtime's operand partitioner)
@@ -216,31 +224,61 @@ class Tensor:
         return weights
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[Tuple[int, ...], Any]:
-        """All stored (coordinate, value) pairs with nonzero value."""
-        out: Dict[Tuple[int, ...], Any] = {}
-
-        def walk(level: int, slot: int, prefix: Tuple[int, ...]) -> None:
-            if level == self.order:
-                v = self.vals[slot]
-                if not self.semiring.is_zero(v.item() if hasattr(v, "item") else v):
-                    out[prefix] = v.item() if hasattr(v, "item") else v
-                return
-            if self.formats[level] == "dense":
-                for i in range(self.dims[level]):
-                    walk(level + 1, slot * self.dims[level] + i, prefix + (i,))
+    def to_coo(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored leaves with non-zero value, as columns: an
+        ``(n, order)`` int64 array and the ``n`` values beside it, in
+        storage order — which *is* lexicographic order in ``attrs``
+        (every level's coordinates ascend within their parent)."""
+        # leaf-slot count: walk the level sizes down
+        parents = []
+        n = 1
+        for k, fmt in enumerate(self.formats):
+            parents.append(n)
+            n = n * self.dims[k] if fmt == "dense" else int(self.pos[k][n])
+        vals = self.vals[:n]
+        slots = np.flatnonzero(self.semiring.nonzero_mask(vals))
+        vals = vals[slots]
+        # ... and each kept leaf's coordinates back up
+        coords = np.empty((len(slots), self.order), dtype=np.int64)
+        for k in reversed(range(self.order)):
+            if self.formats[k] == "dense":
+                slots, coords[:, k] = np.divmod(slots, self.dims[k])
             else:
-                p = self.pos[level]
-                c = self.crd[level]
-                for q in range(p[slot], p[slot + 1]):
-                    walk(level + 1, int(q), prefix + (int(c[q]),))
+                coords[:, k] = self.crd[k][slots]
+                # the parent of child q is the last s with pos[s] <= q
+                pk = self.pos[k][: parents[k] + 1]
+                slots = np.searchsorted(pk, slots, side="right") - 1
+        return coords, vals
 
-        walk(0, 0, ())
-        return out
+    def to_dict(self) -> Dict[Tuple[int, ...], Any]:
+        """:meth:`to_coo` as a ``{coordinate: value}`` dictionary."""
+        coords, vals = self.to_coo()
+        return dict(zip(map(tuple, coords.tolist()), vals.tolist()))
 
     def __repr__(self) -> str:
         fmts = ",".join(f"{a}:{f}" for a, f in zip(self.attrs, self.formats))
         return f"Tensor[{fmts}](dims={self.dims}, slots={self.nnz})"
+
+
+def _check_levels(attrs, formats, dims) -> None:
+    if not (len(attrs) == len(formats) == len(dims)):
+        raise ValueError("attrs, formats and dims must have equal length")
+    for fmt in formats:
+        if fmt not in _FORMATS:
+            raise ValueError(f"unknown level format {fmt!r}")
+
+
+def _lex_order(cols: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Stable lexicographic argsort of in-range coordinate columns
+    (outermost level = primary key)."""
+    if math.prod(dims) < 2**63:
+        # the row-major linear index fits in int64: sort that one key —
+        # a timsort, linear on input already in order (the usual case)
+        key = cols[0]
+        for k in range(1, len(cols)):
+            key = key * dims[k] + cols[k]
+        return np.argsort(key, kind="stable")
+    return np.lexsort(cols[::-1])
 
 
 def _acc_generic(vals, slots, values, semiring) -> None:

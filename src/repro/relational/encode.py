@@ -9,7 +9,7 @@ keys`` is just Σ over the non-output attributes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.dictionary import Dictionary
 from repro.data.tensor import Tensor
@@ -93,16 +93,12 @@ def relation_to_tensor(
             f"column {col!r} value {value!r} needs a dictionary encoding"
         )
 
-    entries: Dict[Tuple[int, ...], Any] = {}
-    one = semiring.one
+    coords: List[Tuple[int, ...]] = []
+    values: List[Any] = []
     for row in rel.rows:
         rowd = dict(zip(rel.columns, row))
-        key = tuple(code_of(a, c, rowd[c]) for a, c in zip(attrs, keys))
-        val = measure(rowd) if measure is not None else one
-        if key in entries:
-            entries[key] = semiring.add(entries[key], val)
-        else:
-            entries[key] = val
+        coords.append(tuple(code_of(a, c, rowd[c]) for a, c in zip(attrs, keys)))
+        values.append(measure(rowd) if measure is not None else semiring.one)
 
     sizes = []
     for pos, (a, c) in enumerate(zip(attrs, keys)):
@@ -111,8 +107,9 @@ def relation_to_tensor(
         elif encoder is not None and _has_dict(encoder, a):
             sizes.append(encoder.dim(a))
         else:
-            sizes.append(1 + max((k[pos] for k in entries), default=0))
-    return Tensor.from_entries(attrs, formats, sizes, entries, semiring)
+            sizes.append(1 + max((k[pos] for k in coords), default=0))
+    # the constructor ⊕-sums rows with equal keys, in row order
+    return Tensor.from_coo(attrs, formats, sizes, coords, values, semiring)
 
 
 def _has_dict(encoder: ColumnEncoder, attr: str) -> bool:

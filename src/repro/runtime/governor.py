@@ -12,25 +12,25 @@ with a *streaming* incremental ⊕-fold that loads one spilled partial
 at a time.
 
 Correctness rests on Theorem 6.1 exactly as the eager merge does: a
-contracted split's merge is ``functools.reduce(⊕, partials)`` — a left
-fold in shard-index order — and the streaming fold below performs the
-*same* left fold in the *same* order, just interleaving loads with
-combines.  The result is therefore bit-identical to the in-RAM path,
-floating point included.  Free splits concatenate rather than combine;
-the concatenation output must exist in full, so a free merge's floor is
-the output size — the governor still bounds the *partial* overhead by
-loading spilled windows only at merge time.
+contracted split's merge is a left ⊕-fold in shard-index order that
+reads each partial once, so the streaming merge *is* the eager one
+(:func:`repro.runtime.merge.merge_partials`) fed by a generator that
+interleaves loads with combines.  The result is therefore bit-identical
+to the in-RAM path, floating point included.  Free splits concatenate
+rather than combine; the concatenation output must exist in full, so a
+free merge's floor is the output size — the governor still bounds the
+*partial* overhead by loading spilled windows only at merge time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.compiler.resilience import logger
 from repro.data.tensor import Tensor
-from repro.errors import CacheCorruptionError, StreamPropertyError
+from repro.errors import CacheCorruptionError
 from repro.runtime.jobs import JobJournal
-from repro.runtime.merge import _merge_free, merge_partials
+from repro.runtime.merge import merge_partials
 
 #: accounting size of a scalar partial (a Python number)
 _SCALAR_BYTES = 32
@@ -49,12 +49,11 @@ def partial_nbytes(result: Any) -> int:
 class PartialAccumulator:
     """Collects shard partials under a resident-memory budget.
 
-    ``budget_bytes=None`` keeps everything resident — :meth:`merge`
-    then delegates to the eager :func:`merge_partials` verbatim, so
-    the non-governed path is bit-for-bit the existing behaviour.  With
-    a budget, partials past the limit are spilled to ``journal``
-    (lowest shard index first, so the streaming fold replays the same
-    left-to-right order) and the merge streams them back one at a time.
+    ``budget_bytes=None`` keeps everything resident.  With a budget,
+    partials past the limit are spilled to ``journal`` (lowest shard
+    index first) and :meth:`merge` streams them back one at a time —
+    through the same :func:`merge_partials`, in the same shard-index
+    order, so governed and ungoverned runs are bit-for-bit equal.
     """
 
     def __init__(
@@ -151,66 +150,17 @@ class PartialAccumulator:
         return result
 
     def merge(self) -> Any:
-        """Combine all accumulated partials, streaming spilled ones.
-
-        With nothing spilled this is exactly the eager merge.  With
-        spills, the fold runs in shard-index order — the identical left
-        fold :func:`repro.runtime.merge._merge_contracted` performs —
-        loading each disk-only partial just-in-time and releasing each
-        resident one as it is consumed.
-        """
-        plan = self.plan
+        """Combine all accumulated partials, streaming spilled ones:
+        one :func:`merge_partials` call, fed in shard-index order.  A
+        contracted merge reads each partial once, so a disk-only one is
+        loaded just in time and a resident one released as consumed."""
         indices = sorted(set(self._resident) | self._disk_only)
-        if not self._disk_only:
-            partials = [self._resident[i] for i in indices]
-            return merge_partials(self.kernel, plan, partials)
-
-        # the streaming path re-checks the plan certificate exactly as
-        # merge_partials does — spilling must not skip the soundness gate
-        sr = self.kernel.ops.semiring
-        if plan.certificate is not None:
-            plan.certificate.check(sr)
-        elif plan.kind == "contracted" and not getattr(sr, "commutative_add", True):
-            raise StreamPropertyError(
-                f"uncertified contracted merge on {plan.split_attr!r}: ⊕ of "
-                f"semiring {sr.name!r} is not commutative, so ⊕-combining "
-                "shard partials out of range order is unsound"
-            )
-        if plan.kind == "free":
+        partials = (self._take(i) for i in indices)
+        if self.plan.kind == "free":
             # concatenation needs every window at once; the output-sized
             # allocation is the floor for any free merge
-            partials = [self._take(i) for i in indices]
-            return _merge_free(self.kernel, plan, partials)
-        return self._merge_contracted_streaming(indices, sr)
-
-    def _merge_contracted_streaming(self, indices: List[int], sr) -> Any:
-        out = self.kernel.output
-        first = self._take(indices[0])
-        if out is None:
-            acc = first
-            for i in indices[1:]:
-                acc = sr.add(acc, self._take(i))
-            return acc
-        if all(f == "dense" for f in out.formats):
-            acc_vals = first.vals
-            for i in indices[1:]:
-                acc_vals = sr.elementwise_add(acc_vals, self._take(i).vals)
-            return Tensor(out.attrs, out.formats, out.dims, {}, {},
-                          acc_vals, sr)
-        # sparse levels: the eager merge folds every partial's coordinate
-        # dict left to right into one dict — replayed here one partial at
-        # a time, same order, same dict, same dtype rule (first partial)
-        dtype = first.vals.dtype
-        merged: Dict = {}
-        for coord, v in first.to_dict().items():
-            merged[coord] = v
-        for i in indices[1:]:
-            for coord, v in self._take(i).to_dict().items():
-                merged[coord] = sr.add(merged[coord], v) if coord in merged else v
-        entries = {c: v for c, v in merged.items() if not sr.is_zero(v)}
-        return Tensor.from_entries(
-            out.attrs, out.formats, out.dims, entries, sr, dtype=dtype,
-        )
+            partials = list(partials)
+        return merge_partials(self.kernel, self.plan, partials)
 
 
 __all__ = ["PartialAccumulator", "partial_nbytes"]

@@ -21,7 +21,7 @@ float ⊕ is merely associative-up-to-rounding, exactly as the paper
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from repro.errors import ShapeError, StreamPropertyError
 from repro.runtime.planner import ShardPlan
 
 
-def merge_partials(kernel, plan: ShardPlan, partials: Sequence[Any]):
-    """Combine shard results per the plan's split kind.
+def merge_partials(kernel, plan: ShardPlan, partials: Iterable[Any]):
+    """Combine shard results per the plan's split kind (a free split
+    needs ``partials`` as a sequence; a contracted one reads them once).
 
     Asserts the plan's :class:`SplitCertificate` against the semiring
     actually executing the merge — the certificate was issued at plan
@@ -61,70 +62,50 @@ def _merge_free(kernel, plan: ShardPlan, partials: Sequence[Tensor]) -> Tensor:
     out = kernel.output
     if out is None:
         raise ShapeError("free split is impossible for a scalar output")
-    sr = kernel.ops.semiring
-    fmts = out.formats
-    if all(f == "dense" for f in fmts):
-        # row-major storage: the outer level is the slowest-varying
-        # index, so shard value blocks concatenate directly
-        vals = np.concatenate([p.vals for p in partials])
-        return Tensor(out.attrs, fmts, out.dims, {}, {}, vals, sr)
-    if fmts == ("sparse",):
-        crd = np.concatenate(
-            [p.crd[0] + lo for p, (lo, _) in zip(partials, plan.ranges)]
-        )
-        vals = np.concatenate([p.vals for p in partials])
-        pos = {0: np.array([0, len(crd)], dtype=np.int64)}
-        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd}, vals, sr)
-    if fmts == ("dense", "sparse"):
-        pos1 = [np.zeros(1, dtype=np.int64)]
+    # row-major storage: the outer level is the slowest-varying index,
+    # so every level's arrays concatenate in shard order — the outer
+    # coordinates rebased to the global frame, each deeper ``pos``
+    # shifted by the entries of the shards before it
+    pos, crd = {}, {}
+    for k, fmt in enumerate(out.formats):
+        if fmt == "dense":
+            continue
+        if k == 0:
+            crd[0] = np.concatenate(
+                [p.crd[0] + lo for p, (lo, _) in zip(partials, plan.ranges)])
+            pos[0] = np.array([0, len(crd[0])], dtype=np.int64)
+            continue
+        spliced = [np.zeros(1, dtype=np.int64)]
         offset = 0
         for p in partials:
-            pos1.append(p.pos[1][1:] + offset)
-            offset += int(p.pos[1][-1])
-        crd1 = np.concatenate([p.crd[1] for p in partials])
-        vals = np.concatenate([p.vals for p in partials])
-        return Tensor(
-            out.attrs, fmts, out.dims,
-            {1: np.concatenate(pos1)}, {1: crd1}, vals, sr,
-        )
-    if fmts == ("sparse", "sparse"):
-        crd0 = np.concatenate(
-            [p.crd[0] + lo for p, (lo, _) in zip(partials, plan.ranges)]
-        )
-        pos1 = [np.zeros(1, dtype=np.int64)]
-        offset = 0
-        for p in partials:
-            pos1.append(p.pos[1][1:] + offset)
-            offset += int(p.pos[1][-1])
-        crd1 = np.concatenate([p.crd[1] for p in partials])
-        vals = np.concatenate([p.vals for p in partials])
-        pos = {
-            0: np.array([0, len(crd0)], dtype=np.int64),
-            1: np.concatenate(pos1),
-        }
-        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd0, 1: crd1}, vals, sr)
-    raise ShapeError(f"unsupported output formats {fmts} for shard merge")
+            spliced.append(p.pos[k][1:] + offset)
+            offset += int(p.pos[k][-1])
+        pos[k] = np.concatenate(spliced)
+        crd[k] = np.concatenate([p.crd[k] for p in partials])
+    vals = np.concatenate([p.vals for p in partials])
+    return Tensor(
+        out.attrs, out.formats, out.dims, pos, crd, vals, kernel.ops.semiring)
 
 
 # ----------------------------------------------------------------------
 # contracted split: elementwise ⊕ of full-shape partials
 # ----------------------------------------------------------------------
-def _merge_contracted(kernel, partials: Sequence[Any]):
+def _merge_contracted(kernel, partials: Iterable[Any]):
+    """Left ⊕-fold of ``partials``, each read once — so the memory
+    governor can pass a generator that loads spilled ones just in time."""
     sr = kernel.ops.semiring
     out = kernel.output
     if out is None:
         return functools.reduce(sr.add, partials)
     if all(f == "dense" for f in out.formats):
-        vals = functools.reduce(sr.elementwise_add, [p.vals for p in partials])
+        vals = functools.reduce(sr.elementwise_add, (p.vals for p in partials))
         return Tensor(out.attrs, out.formats, out.dims, {}, {}, vals, sr)
     # sparse output levels: shard partials can have different coordinate
-    # sets, so splice via the coordinate dictionary and rebuild
-    merged: Dict[Tuple[int, ...], Any] = {}
-    for p in partials:
-        for coord, v in p.to_dict().items():
-            merged[coord] = sr.add(merged[coord], v) if coord in merged else v
-    entries = {c: v for c, v in merged.items() if not sr.is_zero(v)}
-    return Tensor.from_entries(
-        out.attrs, out.formats, out.dims, entries, sr,
-        dtype=partials[0].vals.dtype,
+    # sets, so stack their coordinate columns and rebuild — the stable
+    # sort in from_coo ⊕-folds a shared coordinate in shard order
+    coords, vals = zip(*(p.to_coo() for p in partials))
+    return Tensor.from_coo(
+        out.attrs, out.formats, out.dims,
+        np.concatenate(coords), np.concatenate(vals), sr,
+        dtype=vals[0].dtype,
     )

@@ -68,6 +68,11 @@ class Semiring:
     def is_zero(self, x: Any) -> bool:
         return self.eq(x, self.zero)
 
+    def nonzero_mask(self, vals: Any) -> Any:
+        """``not is_zero`` over a numpy value array (a subclass that
+        refines :meth:`eq` refines this with it)."""
+        return vals != self.zero
+
     def sum(self, xs: Iterable[Any]) -> Any:
         acc = self.zero
         for x in xs:

@@ -95,6 +95,10 @@ class FloatSemiring(Semiring):
     def eq(self, x: float, y: float) -> bool:
         return math.isclose(x, y, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
+    def nonzero_mask(self, vals: Any) -> Any:
+        # against 0 the relative term of isclose vanishes; NaN is kept
+        return ~(np.abs(vals) <= self.abs_tol)
+
 
 class MinPlusSemiring(Semiring):
     """The tropical (min, +) semiring over R ∪ {+inf}.

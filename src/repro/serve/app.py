@@ -66,6 +66,18 @@ def _validation_body(exc: BaseException) -> Dict[str, Any]:
     return {"error": str(exc), "type": type(exc).__name__}
 
 
+def _decode_and_prepare(body: bytes, tune: Optional[str]):
+    """``(prepared query, explain flag)`` of one request body, off the
+    event loop (a 0.4 MB body parses in ~10 ms).  The parsed document
+    dies here: the operands live on as level arrays only."""
+    try:
+        doc = json.loads(body or b"null")
+    except ValueError as exc:     # UnicodeDecodeError is one
+        raise QueryError(f"bad JSON: {exc}") from None
+    prepared = prepare_request(doc, tune)
+    return prepared, bool(doc.get("explain"))
+
+
 #: idle keep-alive read budget per request, seconds
 IDLE_TIMEOUT = 30.0
 #: extra slack the event loop grants past the request budget before it
@@ -214,14 +226,10 @@ class ContractionServer:
                 retry_after=self.config.drain, close=True,
             )
             return False
+        t0 = time.monotonic()     # the client waits for the decode too
         try:
-            doc = json.loads(body.decode() or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            await send_json(writer, 400, {"error": f"bad JSON: {exc}"})
-            return True
-        try:
-            prepared = await self._in_executor(
-                prepare_request, doc, self.config.tune)
+            prepared, explain = await self._in_executor(
+                _decode_and_prepare, body, self.config.tune)
         except (QueryError, ShapeError, StreamPropertyError, ValueError) as exc:
             await send_json(writer, 400, _validation_body(exc))
             return True
@@ -240,7 +248,6 @@ class ContractionServer:
         self.lifecycle.request_started()
         task = asyncio.current_task()
         self._query_tasks.add(task)
-        t0 = time.monotonic()
         try:
             result, led = await self.single_flight.run(
                 prepared.coalesce_key,
@@ -295,7 +302,7 @@ class ContractionServer:
         if prepared.tune_meta is not None:
             meta["tune"] = prepared.tune_meta
         meta.update(self._job_fields(prepared))
-        if isinstance(doc, dict) and doc.get("explain"):
+        if explain:
             meta["explain"] = prepared.explanation
         if len(result.get("entries", ())) > self.config.stream_threshold:
             try:

@@ -31,10 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.data.tensor import Tensor
 from repro.errors import KernelTimeoutError, ReproError
+from repro.runtime.jobs import fingerprint_tensor
 from repro.semirings.instances import (
     BOOL, FLOAT, INT, MAX_PLUS, MAX_TIMES, MIN_PLUS, NAT,
 )
@@ -64,6 +68,44 @@ def _require(body: Mapping[str, Any], key: str, kind: type) -> Any:
     return value
 
 
+def _decode_entries(raw: List[Any], rank: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One operand's ``entries`` as an ``(n, rank)`` int64 coordinate
+    array and ``n`` float values.  ``ValueError`` (the caller names the
+    operand) unless every entry is a ``[coords, value]`` pair of
+    ``rank`` integers — ``2.0`` counts; ``1.7``, ``true``, ``"3"`` do
+    not — and a number."""
+    try:
+        keys, values = zip(*raw, strict=True) if raw else ((), ())
+        ranks = set(map(len, keys))
+    except (TypeError, ValueError):
+        raise ValueError("every entry must be a [coords, value] pair") from None
+    if ranks - {rank}:
+        raise ValueError(f"entry rank {min(ranks - {rank})} != spec rank {rank}")
+    cells = list(chain.from_iterable(keys))
+    kinds = set(map(type, cells))
+    for rule, odd in (
+        ("coordinates must be integers", kinds - {int, float}),
+        ("values must be numbers", set(map(type, values)) - {int, float, bool}),
+    ):
+        if odd:
+            names = ", ".join(sorted(t.__name__ for t in odd))
+            raise ValueError(f"{rule}, got {names}")
+    try:
+        coords = np.array(cells, dtype=np.int64 if kinds <= {int} else np.float64)
+        vals = np.array(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    if coords.dtype != np.int64:
+        # a float column is integral iff it survives the round trip
+        # (NaN, ±inf and anything past 2**63 do not)
+        with np.errstate(invalid="ignore"):
+            ints = coords.astype(np.int64)
+        if not np.array_equal(ints, coords):
+            raise ValueError("coordinates must be integers")
+        coords = ints
+    return coords.reshape(len(vals), rank), vals
+
+
 def _decode_operands(
     operands_json: List[Any], operand_letters: Tuple[Tuple[str, ...], ...]
 ) -> List[Tensor]:
@@ -73,43 +115,32 @@ def _decode_operands(
     decoded = []
     hull: Dict[str, int] = {}
     for pos, (obj, letters) in enumerate(zip(operands_json, operand_letters)):
-        if not isinstance(obj, Mapping):
-            raise QueryError(f"operand {pos} must be an object")
-        raw = _require(obj, "entries", list)
-        entries: List[Tuple[Tuple[int, ...], Any]] = []
-        for e in raw:
-            try:
-                coords, value = e
-                coords = tuple(int(c) for c in coords)
-            except (TypeError, ValueError) as exc:
-                raise QueryError(
-                    f"operand {pos}: bad entry {e!r} ({exc})"
-                ) from None
-            if len(coords) != len(letters):
-                raise QueryError(
-                    f"operand {pos}: entry rank {len(coords)} != spec rank "
-                    f"{len(letters)}"
-                )
-            entries.append((coords, value))
-        dims = obj.get("dims")
-        if dims is not None and len(dims) != len(letters):
-            raise QueryError(
-                f"operand {pos}: {len(dims)} dims for rank {len(letters)}"
-            )
-        for k, a in enumerate(letters):
-            seen = 1 + max((c[k] for c, _ in entries), default=0)
+        try:
+            if not isinstance(obj, Mapping):
+                raise ValueError("must be an object")
+            coords, vals = _decode_entries(_require(obj, "entries", list), len(letters))
+            dims = obj.get("dims")
             if dims is not None:
-                seen = max(seen, int(dims[k]))
-            hull[a] = max(hull.get(a, 1), seen)
-        decoded.append((pos, obj, letters, entries, dims))
+                if not (isinstance(dims, list) and set(map(type, dims)) <= {int}):
+                    raise ValueError("dims must be a list of integers")
+                if len(dims) != len(letters):
+                    raise ValueError(f"{len(dims)} dims for rank {len(letters)}")
+        except ValueError as exc:
+            raise QueryError(f"operand {pos}: {exc}") from None
+        # stated dims bound their coordinates (from_coo checks those)
+        seen = dims if dims is not None else (
+            coords.max(axis=0, initial=0) + 1).tolist()
+        for a, d in zip(letters, seen):
+            hull[a] = max(hull.get(a, 1), d)
+        decoded.append((pos, obj, letters, coords, vals, dims))
 
     tensors = []
-    for pos, obj, letters, entries, dims in decoded:
+    for pos, obj, letters, coords, vals, dims in decoded:
         if dims is None:
             dims = [hull[a] for a in letters]
         formats = tuple(obj.get("formats") or ("sparse",) * len(letters))
         try:
-            tensors.append(Tensor.from_entries(letters, formats, dims, entries))
+            tensors.append(Tensor.from_coo(letters, formats, dims, coords, vals))
         except ValueError as exc:
             raise QueryError(f"operand {pos}: {exc}") from None
     return tensors
@@ -117,10 +148,8 @@ def _decode_operands(
 
 def _encode_result(result: Any) -> Dict[str, Any]:
     if isinstance(result, Tensor):
-        entries = [
-            list(coords) + [_json_value(v)]
-            for coords, v in sorted(result.to_dict().items())
-        ]
+        coords, vals = result.to_coo()      # already in sorted order
+        entries = [c + [v] for c, v in zip(coords.tolist(), vals.tolist())]
         return {
             "kind": "tensor",
             "attrs": list(result.attrs),
@@ -334,6 +363,10 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
     client knobs always win (the tuner is never consulted for them),
     and any tuner failure falls back to the untuned plan.
 
+    Each operand's ``entries`` become two arrays, checked as arrays,
+    for :meth:`~repro.data.tensor.Tensor.from_coo`; nothing is coerced
+    (a coordinate ``1.7`` or ``true`` is an error, not coordinate 1).
+
     Raises :class:`QueryError` (→ 400) for anything malformed; shape
     and dimension mismatches surface as the front-end's own
     :class:`~repro.krelation.schema.ShapeError` (also → 400).  Because
@@ -404,10 +437,13 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
         except ValueError as exc:
             raise QueryError(str(exc)) from None
     kernel_key = plan.cache_key()
+    # the built operands stand in for their JSON: the key names the
+    # tensors, not their spelling (nor their entry order)
+    identity = {**body, "operands": [fingerprint_tensor(t) for t in tensors]}
     return PreparedQuery(
         kind="einsum",
         kernel_key=kernel_key,
-        coalesce_key=f"{kernel_key}:{_body_digest(body)}",
+        coalesce_key=f"{kernel_key}:{_body_digest(identity)}",
         deadline_ms=deadline_ms,
         plan=plan,
         capacity=capacity,

@@ -65,7 +65,11 @@ async def read_request(
         except UnicodeDecodeError:
             raise HttpError(400, "malformed header") from None
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    declared = headers.get("content-length") or "0"
+    # isdigit alone admits non-ASCII digits; int() alone admits "+5", "-5"
+    if not (declared.isascii() and declared.isdigit()):
+        raise HttpError(400, f"bad Content-Length {declared!r}")
+    length = int(declared)
     if length > max_body:
         raise HttpError(413, f"body exceeds {max_body} bytes")
     body = b""

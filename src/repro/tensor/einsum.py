@@ -244,9 +244,8 @@ def repack(
     if sorted(attrs) != sorted(tensor.attrs):
         raise ValueError(f"{attrs} is not a permutation of {tensor.attrs}")
     perm = [tensor.attrs.index(a) for a in attrs]
-    entries = {
-        tuple(key[p] for p in perm): val for key, val in tensor.to_dict().items()
-    }
+    coords, vals = tensor.to_coo()
     formats = tuple(formats) if formats is not None else tensor.formats
     dims = tuple(tensor.dims[p] for p in perm)
-    return Tensor.from_entries(attrs, formats, dims, entries, tensor.semiring)
+    return Tensor.from_coo(
+        attrs, formats, dims, coords[:, perm], vals, tensor.semiring)

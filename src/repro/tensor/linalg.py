@@ -23,14 +23,10 @@ from repro.tensor.einsum import einsum, repack
 
 def _as_vector(x, attr: str, semiring: Semiring = FLOAT) -> Tensor:
     if isinstance(x, Tensor):
-        if x.order != 1:
-            raise ShapeError(f"expected a vector, got {x!r}")
-        if x.attrs != (attr,):
-            return Tensor((attr,), x.formats, x.dims, x.pos, x.crd, x.vals, x.semiring)
-        return x
+        return _relabel(x, (attr,))
     arr = np.asarray(x, dtype=np.float64)
-    entries = {(int(i),): float(v) for i, v in enumerate(arr)}
-    return Tensor.from_entries((attr,), ("dense",), (len(arr),), entries, semiring)
+    return Tensor.from_coo(
+        (attr,), ("dense",), (len(arr),), np.arange(len(arr)), arr, semiring)
 
 
 def _relabel(t: Tensor, attrs: Sequence[str]) -> Tensor:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
+import json
 
-from repro.serve.query import QueryError, prepare_request
+import pytest
+from hypothesis import given, settings
+
+from repro.serve.query import QueryError, _encode_result, prepare_request
+from tests.data.test_tensor_properties import (
+    coo_cases, coo_tensor, reference_to_dict,
+)
 from tests.serve.harness import einsum_query
 
 
@@ -34,6 +41,57 @@ def test_deadline_does_not_change_identity():
     assert b.deadline_ms == 250
 
 
+def test_identity_is_the_tensors_not_their_spelling():
+    """Patience, curiosity, JSON key order and entry order do not split
+    the coalesce key; one changed value does."""
+    doc = einsum_query(seed=4)
+    key = prepare_request(doc).coalesce_key
+    respelled = {k: doc[k] for k in reversed(list(doc))}
+    respelled["operands"] = [
+        {k: (v[::-1] if k == "entries" else v) for k, v in reversed(list(op.items()))}
+        for op in doc["operands"]
+    ]
+    assert json.dumps(respelled) != json.dumps(doc)
+    assert prepare_request(respelled).coalesce_key == key
+    assert prepare_request(dict(doc, explain=True, deadline_ms=99)).coalesce_key == key
+    changed = copy.deepcopy(doc)
+    changed["operands"][1]["entries"][0][1] += 0.5
+    assert prepare_request(changed).coalesce_key != key
+    assert prepare_request(dict(doc, capacity=64)).coalesce_key != key
+
+
+def _parent_encode_result(result):
+    """``_encode_result`` as it stood at PR 18: the dict walk, sorted."""
+    entries = [
+        list(coords) + [v]
+        for coords, v in sorted(reference_to_dict(result).items())
+    ]
+    return {
+        "kind": "tensor",
+        "attrs": list(result.attrs),
+        "dims": list(result.dims),
+        "nnz": len(entries),
+        "entries": entries,
+    }
+
+
+@given(case=coo_cases())
+@settings(max_examples=100, deadline=None)
+def test_encoded_result_bytes_are_unchanged(case):
+    t = coo_tensor(case)
+    assert json.dumps(_encode_result(t)) == json.dumps(_parent_encode_result(t))
+
+
+def test_integral_float_coordinates_are_integers():
+    doc = einsum_query(seed=6)
+    as_floats = copy.deepcopy(doc)
+    for operand in as_floats["operands"]:
+        for entry in operand["entries"]:
+            entry[0] = [float(c) for c in entry[0]]
+    assert (prepare_request(as_floats).coalesce_key
+            == prepare_request(doc).coalesce_key)
+
+
 def test_dims_default_to_coordinate_hull():
     doc = einsum_query()
     for operand in doc["operands"]:
@@ -51,6 +109,35 @@ def test_dims_default_to_coordinate_hull():
     (lambda d: d.update(capacity="lots"), "capacity"),
     (lambda d: d.update(deadline_ms="soon"), "deadline_ms"),
     (lambda d: d["operands"][0]["entries"].append([[1], 2.0]), "rank"),
+    # the entry list is client input: nothing in it is coerced
+    (lambda d: d["operands"][0]["entries"].append([[1.7, 0], 2.0]),
+     "operand 0: coordinates must be integers"),
+    (lambda d: d["operands"][1]["entries"].append([[True, 0], 2.0]),
+     "operand 1: coordinates must be integers, got bool"),
+    (lambda d: d["operands"][0]["entries"].append([["1", 0], 2.0]),
+     "operand 0: coordinates must be integers, got str"),
+    (lambda d: d["operands"][0]["entries"].append([[[1], 0], 2.0]),
+     "operand 0: coordinates must be integers, got list"),
+    (lambda d: d["operands"][0]["entries"].append([[float("nan"), 0], 2.0]),
+     "operand 0: coordinates must be integers"),
+    (lambda d: d["operands"][0]["entries"].append([[0, 0], 2.0, 3.0]),
+     "operand 0: every entry must be a [coords, value] pair"),
+    (lambda d: d["operands"][0]["entries"].append(7),
+     "operand 0: every entry must be a [coords, value] pair"),
+    (lambda d: d["operands"][0]["entries"].append([0, 2.0]),
+     "operand 0: every entry must be a [coords, value] pair"),
+    (lambda d: d["operands"][1]["entries"].append([[0, 0, 0], 2.0]),
+     "operand 1: entry rank 3 != spec rank 2"),
+    (lambda d: d["operands"][0]["entries"].append([[0, 0], "2.0"]),
+     "operand 0: values must be numbers, got str"),
+    (lambda d: d["operands"][0]["entries"].append([[0, 0], None]),
+     "operand 0: values must be numbers, got NoneType"),
+    (lambda d: d["operands"][0]["entries"].append([[4, 0], 2.0]),
+     "operand 0: coordinate out of range at level 0"),
+    (lambda d: d["operands"][1]["entries"].append([[0, -1], 2.0]),
+     "operand 1: coordinate out of range at level 1"),
+    (lambda d: d["operands"][0].update(dims=[4, "4"]),
+     "operand 0: dims must be a list of integers"),
 ])
 def test_malformed_einsum_raises_query_error(mutate, fragment):
     doc = einsum_query()

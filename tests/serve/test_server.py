@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -47,7 +48,17 @@ def test_sql_query_roundtrip(make_server):
     assert resp.json["result"]["rows"] == [[1]]
 
 
-def test_bad_requests_are_400(make_server):
+def _raw_exchange(port: int, head: str) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+        s.sendall(head.encode())
+        s.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := s.recv(4096):
+            reply += chunk
+        return reply
+
+
+def test_bad_requests_are_400(make_server, caplog):
     server = make_server()
     assert server.query({"kind": "einsum"}).status == 400
     assert server.query({"kind": "wat"}).status == 400
@@ -57,6 +68,25 @@ def test_bad_requests_are_400(make_server):
     assert server.query(bad_shape).status == 400
     raw = http_request(server.port, "POST", "/query", timeout=10)
     assert raw.status == 400      # empty body is not JSON
+    # a fractional coordinate is not silently served as coordinate 1
+    assert server.query({
+        "kind": "einsum", "spec": "i,i->",
+        "operands": [{"entries": [[[1.7], 2.0]]}, {"entries": [[[1], 3.0]]}],
+    }).status == 400
+    # the framing header is client input too: a length that is not a
+    # number, is signed or is over the limit gets a reply — not an
+    # unhandled exception in the connection task — and the next
+    # connection is served
+    for length, status in (("abc", 400), ("-5", 400), ("+5", 400),
+                           (str(1 << 40), 413)):
+        reply = _raw_exchange(
+            server.port,
+            f"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n")
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), (length, reply)
+        assert server.request("GET", "/healthz").status == 200
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert not errors, errors
 
 
 def test_rate_limit_sheds_with_retry_after(make_server):
