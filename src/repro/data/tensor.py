@@ -7,7 +7,6 @@ arrays by run detection — fully vectorized with numpy.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,7 +103,8 @@ class Tensor:
         bad = (cols.min(axis=1, initial=0) < 0) | (cols.max(axis=1, initial=-1) >= dims)
         if bad.any():
             raise ValueError(f"coordinate out of range at level {int(np.argmax(bad))}")
-        order = _lex_order(cols, dims)
+        # stable, outermost level = primary key
+        order = np.lexsort(cols[::-1])
         cols = cols[:, order]
         values = values[order]
 
@@ -229,16 +229,9 @@ class Tensor:
         ``(n, order)`` int64 array and the ``n`` values beside it, in
         storage order — which *is* lexicographic order in ``attrs``
         (every level's coordinates ascend within their parent)."""
-        # leaf-slot count: walk the level sizes down
-        parents = []
-        n = 1
-        for k, fmt in enumerate(self.formats):
-            parents.append(n)
-            n = n * self.dims[k] if fmt == "dense" else int(self.pos[k][n])
-        vals = self.vals[:n]
-        slots = np.flatnonzero(self.semiring.nonzero_mask(vals))
-        vals = vals[slots]
-        # ... and each kept leaf's coordinates back up
+        slots = np.flatnonzero(self.semiring.nonzero_mask(self.vals))
+        vals = self.vals[slots]
+        # each kept leaf's coordinates, walking back up the levels
         coords = np.empty((len(slots), self.order), dtype=np.int64)
         for k in reversed(range(self.order)):
             if self.formats[k] == "dense":
@@ -246,8 +239,7 @@ class Tensor:
             else:
                 coords[:, k] = self.crd[k][slots]
                 # the parent of child q is the last s with pos[s] <= q
-                pk = self.pos[k][: parents[k] + 1]
-                slots = np.searchsorted(pk, slots, side="right") - 1
+                slots = np.searchsorted(self.pos[k], slots, side="right") - 1
         return coords, vals
 
     def to_dict(self) -> Dict[Tuple[int, ...], Any]:
@@ -266,19 +258,6 @@ def _check_levels(attrs, formats, dims) -> None:
     for fmt in formats:
         if fmt not in _FORMATS:
             raise ValueError(f"unknown level format {fmt!r}")
-
-
-def _lex_order(cols: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Stable lexicographic argsort of in-range coordinate columns
-    (outermost level = primary key)."""
-    if math.prod(dims) < 2**63:
-        # the row-major linear index fits in int64: sort that one key —
-        # a timsort, linear on input already in order (the usual case)
-        key = cols[0]
-        for k in range(1, len(cols)):
-            key = key * dims[k] + cols[k]
-        return np.argsort(key, kind="stable")
-    return np.lexsort(cols[::-1])
 
 
 def _acc_generic(vals, slots, values, semiring) -> None:

@@ -9,7 +9,7 @@ keys`` is just Σ over the non-output attributes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.data.dictionary import Dictionary
 from repro.data.tensor import Tensor
@@ -93,12 +93,16 @@ def relation_to_tensor(
             f"column {col!r} value {value!r} needs a dictionary encoding"
         )
 
-    coords: List[Tuple[int, ...]] = []
-    values: List[Any] = []
+    entries: Dict[Tuple[int, ...], Any] = {}
+    one = semiring.one
     for row in rel.rows:
         rowd = dict(zip(rel.columns, row))
-        coords.append(tuple(code_of(a, c, rowd[c]) for a, c in zip(attrs, keys)))
-        values.append(measure(rowd) if measure is not None else semiring.one)
+        key = tuple(code_of(a, c, rowd[c]) for a, c in zip(attrs, keys))
+        val = measure(rowd) if measure is not None else one
+        if key in entries:
+            entries[key] = semiring.add(entries[key], val)
+        else:
+            entries[key] = val
 
     sizes = []
     for pos, (a, c) in enumerate(zip(attrs, keys)):
@@ -107,9 +111,8 @@ def relation_to_tensor(
         elif encoder is not None and _has_dict(encoder, a):
             sizes.append(encoder.dim(a))
         else:
-            sizes.append(1 + max((k[pos] for k in coords), default=0))
-    # the constructor ⊕-sums rows with equal keys, in row order
-    return Tensor.from_coo(attrs, formats, sizes, coords, values, semiring)
+            sizes.append(1 + max((k[pos] for k in entries), default=0))
+    return Tensor.from_entries(attrs, formats, sizes, entries, semiring)
 
 
 def _has_dict(encoder: ColumnEncoder, attr: str) -> bool:

@@ -15,11 +15,14 @@ Correctness rests on Theorem 6.1 exactly as the eager merge does: a
 contracted split's merge is a left ⊕-fold in shard-index order that
 reads each partial once, so the streaming merge *is* the eager one
 (:func:`repro.runtime.merge.merge_partials`) fed by a generator that
-interleaves loads with combines.  The result is therefore bit-identical
-to the in-RAM path, floating point included.  Free splits concatenate
-rather than combine; the concatenation output must exist in full, so a
-free merge's floor is the output size — the governor still bounds the
-*partial* overhead by loading spilled windows only at merge time.
+interleaves loads with combines — a sparse-output fold included: each
+partial's coordinate columns are folded into the running result before
+the next is loaded, so its floor is the output plus one partial.  The
+result is therefore bit-identical to the in-RAM path, floating point
+included.  Free splits concatenate rather than combine; the
+concatenation output must exist in full, so a free merge's floor is
+the output size — the governor still bounds the *partial* overhead by
+loading spilled windows only at merge time.
 """
 
 from __future__ import annotations

@@ -62,29 +62,49 @@ def _merge_free(kernel, plan: ShardPlan, partials: Sequence[Tensor]) -> Tensor:
     out = kernel.output
     if out is None:
         raise ShapeError("free split is impossible for a scalar output")
-    # row-major storage: the outer level is the slowest-varying index,
-    # so every level's arrays concatenate in shard order — the outer
-    # coordinates rebased to the global frame, each deeper ``pos``
-    # shifted by the entries of the shards before it
-    pos, crd = {}, {}
-    for k, fmt in enumerate(out.formats):
-        if fmt == "dense":
-            continue
-        if k == 0:
-            crd[0] = np.concatenate(
-                [p.crd[0] + lo for p, (lo, _) in zip(partials, plan.ranges)])
-            pos[0] = np.array([0, len(crd[0])], dtype=np.int64)
-            continue
-        spliced = [np.zeros(1, dtype=np.int64)]
+    sr = kernel.ops.semiring
+    fmts = out.formats
+    if all(f == "dense" for f in fmts):
+        # row-major storage: the outer level is the slowest-varying
+        # index, so shard value blocks concatenate directly
+        vals = np.concatenate([p.vals for p in partials])
+        return Tensor(out.attrs, fmts, out.dims, {}, {}, vals, sr)
+    if fmts == ("sparse",):
+        crd = np.concatenate(
+            [p.crd[0] + lo for p, (lo, _) in zip(partials, plan.ranges)]
+        )
+        vals = np.concatenate([p.vals for p in partials])
+        pos = {0: np.array([0, len(crd)], dtype=np.int64)}
+        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd}, vals, sr)
+    if fmts == ("dense", "sparse"):
+        pos1 = [np.zeros(1, dtype=np.int64)]
         offset = 0
         for p in partials:
-            spliced.append(p.pos[k][1:] + offset)
-            offset += int(p.pos[k][-1])
-        pos[k] = np.concatenate(spliced)
-        crd[k] = np.concatenate([p.crd[k] for p in partials])
-    vals = np.concatenate([p.vals for p in partials])
-    return Tensor(
-        out.attrs, out.formats, out.dims, pos, crd, vals, kernel.ops.semiring)
+            pos1.append(p.pos[1][1:] + offset)
+            offset += int(p.pos[1][-1])
+        crd1 = np.concatenate([p.crd[1] for p in partials])
+        vals = np.concatenate([p.vals for p in partials])
+        return Tensor(
+            out.attrs, fmts, out.dims,
+            {1: np.concatenate(pos1)}, {1: crd1}, vals, sr,
+        )
+    if fmts == ("sparse", "sparse"):
+        crd0 = np.concatenate(
+            [p.crd[0] + lo for p, (lo, _) in zip(partials, plan.ranges)]
+        )
+        pos1 = [np.zeros(1, dtype=np.int64)]
+        offset = 0
+        for p in partials:
+            pos1.append(p.pos[1][1:] + offset)
+            offset += int(p.pos[1][-1])
+        crd1 = np.concatenate([p.crd[1] for p in partials])
+        vals = np.concatenate([p.vals for p in partials])
+        pos = {
+            0: np.array([0, len(crd0)], dtype=np.int64),
+            1: np.concatenate(pos1),
+        }
+        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd0, 1: crd1}, vals, sr)
+    raise ShapeError(f"unsupported output formats {fmts} for shard merge")
 
 
 # ----------------------------------------------------------------------
@@ -100,12 +120,15 @@ def _merge_contracted(kernel, partials: Iterable[Any]):
     if all(f == "dense" for f in out.formats):
         vals = functools.reduce(sr.elementwise_add, (p.vals for p in partials))
         return Tensor(out.attrs, out.formats, out.dims, {}, {}, vals, sr)
-    # sparse output levels: shard partials can have different coordinate
-    # sets, so stack their coordinate columns and rebuild — the stable
-    # sort in from_coo ⊕-folds a shared coordinate in shard order
-    coords, vals = zip(*(p.to_coo() for p in partials))
-    return Tensor.from_coo(
-        out.attrs, out.formats, out.dims,
-        np.concatenate(coords), np.concatenate(vals), sr,
-        dtype=vals[0].dtype,
-    )
+    # sparse output levels: partials differ in their coordinate sets, so
+    # stack each one's columns under the running result's and rebuild —
+    # the stable sort in from_coo keeps the accumulator on the left of
+    # ⊕, and only the output and one partial are alive at a time
+    def fold(acc: Tensor, p: Tensor) -> Tensor:
+        (ac, av), (pc, pv) = acc.to_coo(), p.to_coo()
+        return Tensor.from_coo(
+            out.attrs, out.formats, out.dims,
+            np.concatenate((ac, pc)), np.concatenate((av, pv)), sr,
+            dtype=av.dtype,
+        )
+    return functools.reduce(fold, partials)

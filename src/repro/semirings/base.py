@@ -69,8 +69,7 @@ class Semiring:
         return self.eq(x, self.zero)
 
     def nonzero_mask(self, vals: Any) -> Any:
-        """``not is_zero`` over a numpy value array (a subclass that
-        refines :meth:`eq` refines this with it)."""
+        """``not is_zero`` over a numpy array (refined with :meth:`eq`)."""
         return vals != self.zero
 
     def sum(self, xs: Iterable[Any]) -> Any:

@@ -70,10 +70,7 @@ def _decode_and_prepare(body: bytes, tune: Optional[str]):
     """``(prepared query, explain flag)`` of one request body, off the
     event loop (a 0.4 MB body parses in ~10 ms).  The parsed document
     dies here: the operands live on as level arrays only."""
-    try:
-        doc = json.loads(body or b"null")
-    except ValueError as exc:     # UnicodeDecodeError is one
-        raise QueryError(f"bad JSON: {exc}") from None
+    doc = json.loads(body or b"null")
     prepared = prepare_request(doc, tune)
     return prepared, bool(doc.get("explain"))
 
@@ -230,6 +227,9 @@ class ContractionServer:
         try:
             prepared, explain = await self._in_executor(
                 _decode_and_prepare, body, self.config.tune)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            await send_json(writer, 400, {"error": f"bad JSON: {exc}"})
+            return True
         except (QueryError, ShapeError, StreamPropertyError, ValueError) as exc:
             await send_json(writer, 400, _validation_body(exc))
             return True

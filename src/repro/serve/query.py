@@ -68,12 +68,33 @@ def _require(body: Mapping[str, Any], key: str, kind: type) -> Any:
     return value
 
 
+def _integers(cells: List[Any], what: str) -> np.ndarray:
+    """``cells`` as an int64 array, or ``ValueError`` (``OverflowError``
+    past int64): ``2.0`` is the integer 2; ``1.7``, ``true``, ``"3"``
+    and NaN are not integers."""
+    kinds = set(map(type, cells))
+    if kinds - {int, float}:
+        names = ", ".join(sorted(t.__name__ for t in kinds - {int, float}))
+        raise ValueError(f"{what} must be integers, got {names}")
+    column = np.array(cells, dtype=np.int64 if kinds <= {int} else np.float64)
+    if column.dtype != np.int64:
+        # below 2**53 a float64 holds every integer exactly, so there a
+        # column is integral iff it survives the round trip; NaN, ±inf
+        # and an int its float neighbours would round fail the bound
+        if not (np.abs(column) < 2.0**53).all():
+            raise ValueError(f"{what} must be integers below 2**53 beside a float")
+        ints = column.astype(np.int64)
+        if not np.array_equal(ints, column):
+            raise ValueError(f"{what} must be integers")
+        column = ints
+    return column
+
+
 def _decode_entries(raw: List[Any], rank: int) -> Tuple[np.ndarray, np.ndarray]:
     """One operand's ``entries`` as an ``(n, rank)`` int64 coordinate
     array and ``n`` float values.  ``ValueError`` (the caller names the
     operand) unless every entry is a ``[coords, value]`` pair of
-    ``rank`` integers — ``2.0`` counts; ``1.7``, ``true``, ``"3"`` do
-    not — and a number."""
+    ``rank`` integers and a number."""
     try:
         keys, values = zip(*raw, strict=True) if raw else ((), ())
         ranks = set(map(len, keys))
@@ -81,29 +102,12 @@ def _decode_entries(raw: List[Any], rank: int) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError("every entry must be a [coords, value] pair") from None
     if ranks - {rank}:
         raise ValueError(f"entry rank {min(ranks - {rank})} != spec rank {rank}")
-    cells = list(chain.from_iterable(keys))
-    kinds = set(map(type, cells))
-    for rule, odd in (
-        ("coordinates must be integers", kinds - {int, float}),
-        ("values must be numbers", set(map(type, values)) - {int, float, bool}),
-    ):
-        if odd:
-            names = ", ".join(sorted(t.__name__ for t in odd))
-            raise ValueError(f"{rule}, got {names}")
-    try:
-        coords = np.array(cells, dtype=np.int64 if kinds <= {int} else np.float64)
-        vals = np.array(values, dtype=np.float64)
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from None
-    if coords.dtype != np.int64:
-        # a float column is integral iff it survives the round trip
-        # (NaN, ±inf and anything past 2**63 do not)
-        with np.errstate(invalid="ignore"):
-            ints = coords.astype(np.int64)
-        if not np.array_equal(ints, coords):
-            raise ValueError("coordinates must be integers")
-        coords = ints
-    return coords.reshape(len(vals), rank), vals
+    coords = _integers(list(chain.from_iterable(keys)), "coordinates")
+    odd = set(map(type, values)) - {int, float, bool}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise ValueError(f"values must be numbers, got {names}")
+    return coords.reshape(len(values), rank), np.array(values, dtype=np.float64)
 
 
 def _decode_operands(
@@ -121,11 +125,12 @@ def _decode_operands(
             coords, vals = _decode_entries(_require(obj, "entries", list), len(letters))
             dims = obj.get("dims")
             if dims is not None:
-                if not (isinstance(dims, list) and set(map(type, dims)) <= {int}):
+                if not isinstance(dims, list):
                     raise ValueError("dims must be a list of integers")
+                dims = _integers(dims, "dims").tolist()
                 if len(dims) != len(letters):
                     raise ValueError(f"{len(dims)} dims for rank {len(letters)}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise QueryError(f"operand {pos}: {exc}") from None
         # stated dims bound their coordinates (from_coo checks those)
         seen = dims if dims is not None else (
@@ -364,8 +369,9 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
     and any tuner failure falls back to the untuned plan.
 
     Each operand's ``entries`` become two arrays, checked as arrays,
-    for :meth:`~repro.data.tensor.Tensor.from_coo`; nothing is coerced
-    (a coordinate ``1.7`` or ``true`` is an error, not coordinate 1).
+    for :meth:`~repro.data.tensor.Tensor.from_coo`; ``2.0`` is read as
+    the integer 2 and nothing else is coerced (a coordinate or dimension
+    ``1.7``, ``true`` or ``"1"`` is an error, not 1).
 
     Raises :class:`QueryError` (→ 400) for anything malformed; shape
     and dimension mismatches surface as the front-end's own

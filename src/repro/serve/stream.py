@@ -66,9 +66,10 @@ async def read_request(
             raise HttpError(400, "malformed header") from None
         headers[name.strip().lower()] = value.strip()
     declared = headers.get("content-length") or "0"
-    # isdigit alone admits non-ASCII digits; int() alone admits "+5", "-5"
-    if not (declared.isascii() and declared.isdigit()):
-        raise HttpError(400, f"bad Content-Length {declared!r}")
+    # isdigit alone admits non-ASCII digits; int() alone admits "+5",
+    # "-5", and raises past its own digit limit (19 digits cover int64)
+    if not (declared.isascii() and declared.isdigit() and len(declared) <= 19):
+        raise HttpError(400, f"bad Content-Length {declared[:32]!r}")
     length = int(declared)
     if length > max_body:
         raise HttpError(413, f"body exceeds {max_body} bytes")

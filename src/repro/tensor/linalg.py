@@ -23,7 +23,11 @@ from repro.tensor.einsum import einsum, repack
 
 def _as_vector(x, attr: str, semiring: Semiring = FLOAT) -> Tensor:
     if isinstance(x, Tensor):
-        return _relabel(x, (attr,))
+        if x.order != 1:
+            raise ShapeError(f"expected a vector, got {x!r}")
+        if x.attrs != (attr,):
+            return Tensor((attr,), x.formats, x.dims, x.pos, x.crd, x.vals, x.semiring)
+        return x
     arr = np.asarray(x, dtype=np.float64)
     return Tensor.from_coo(
         (attr,), ("dense",), (len(arr),), np.arange(len(arr)), arr, semiring)

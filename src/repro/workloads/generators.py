@@ -17,15 +17,11 @@ def _unique_coords(rng: np.random.Generator, dims: Sequence[int], nnz: int) -> n
     total = int(np.prod(dims))
     nnz = min(nnz, total)
     flat = rng.choice(total, size=nnz, replace=False)
-    return np.stack(np.unravel_index(flat, dims), axis=1)
-
-
-def _random_tensor(seed, attrs, formats, dims, nnz, semiring) -> Tensor:
-    """~``nnz`` distinct uniform coordinates, values in [0.5, 1.5)."""
-    rng = np.random.default_rng(seed)
-    coords = _unique_coords(rng, dims, max(1, nnz))
-    return Tensor.from_coo(
-        attrs, formats, dims, coords, rng.random(len(coords)) + 0.5, semiring)
+    coords = np.empty((nnz, len(dims)), dtype=np.int64)
+    for k in range(len(dims) - 1, -1, -1):
+        coords[:, k] = flat % dims[k]
+        flat //= dims[k]
+    return coords
 
 
 def sparse_vector(
@@ -37,8 +33,12 @@ def sparse_vector(
     semiring: Semiring = FLOAT,
 ) -> Tensor:
     """A random vector with ~``density * n`` nonzeros in [0.5, 1.5)."""
-    return _random_tensor(
-        seed, (attr,), (fmt,), (n,), int(density * n), semiring)
+    rng = np.random.default_rng(seed)
+    coords = _unique_coords(rng, (n,), max(1, int(density * n)))
+    entries = {
+        (int(i),): float(rng.random()) + 0.5 for (i,) in coords
+    }
+    return Tensor.from_entries((attr,), (fmt,), (n,), entries, semiring)
 
 
 def sparse_matrix(
@@ -51,8 +51,12 @@ def sparse_matrix(
     semiring: Semiring = FLOAT,
 ) -> Tensor:
     """A random n×m matrix with ~``density * n * m`` nonzeros."""
-    return _random_tensor(
-        seed, attrs, formats, (n, m), int(density * n * m), semiring)
+    rng = np.random.default_rng(seed)
+    coords = _unique_coords(rng, (n, m), max(1, int(density * n * m)))
+    entries = {
+        (int(i), int(j)): float(rng.random()) + 0.5 for i, j in coords
+    }
+    return Tensor.from_entries(attrs, formats, (n, m), entries, semiring)
 
 
 def sparse_tensor3(
@@ -64,8 +68,13 @@ def sparse_tensor3(
     semiring: Semiring = FLOAT,
 ) -> Tensor:
     """A random third-order tensor (CSF by default)."""
-    return _random_tensor(
-        seed, attrs, formats, dims, int(density * int(np.prod(dims))), semiring)
+    rng = np.random.default_rng(seed)
+    nnz = max(1, int(density * int(np.prod(dims))))
+    coords = _unique_coords(rng, dims, nnz)
+    entries = {
+        tuple(int(x) for x in c): float(rng.random()) + 0.5 for c in coords
+    }
+    return Tensor.from_entries(attrs, formats, dims, entries, semiring)
 
 
 def nested_sum(depth: int, n_operands: int, n: int = 5, nnz: int = 12):
@@ -98,13 +107,17 @@ def nested_sum(depth: int, n_operands: int, n: int = 5, nnz: int = 12):
 
 
 def dense_vector(n: int, attr: str = "i", seed: int = 0) -> Tensor:
-    vals = np.random.default_rng(seed).random(n) + 0.5
-    return Tensor((attr,), ("dense",), (n,), {}, {}, vals, FLOAT)
+    rng = np.random.default_rng(seed)
+    entries = {(i,): float(rng.random()) + 0.5 for i in range(n)}
+    return Tensor.from_entries((attr,), ("dense",), (n,), entries, FLOAT)
 
 
 def dense_matrix(n: int, m: int, attrs: Tuple[str, str] = ("i", "j"), seed: int = 0) -> Tensor:
-    vals = np.random.default_rng(seed).random(n * m) + 0.5
-    return Tensor(attrs, ("dense", "dense"), (n, m), {}, {}, vals, FLOAT)
+    rng = np.random.default_rng(seed)
+    entries = {
+        (i, j): float(rng.random()) + 0.5 for i in range(n) for j in range(m)
+    }
+    return Tensor.from_entries(attrs, ("dense", "dense"), (n, m), entries, FLOAT)
 
 
 def triangle_relations(n: int) -> Tuple[Relation, Relation, Relation]:

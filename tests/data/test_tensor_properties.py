@@ -206,16 +206,6 @@ def test_from_coo_builds_the_reference_level_arrays(case):
     assert_same_storage(Tensor.from_entries(*case), want)
 
 
-def test_from_coo_sorts_an_index_space_past_int64():
-    """2**80 coordinates have no int64 linear index: the sort falls back
-    from the fused key to a lexsort, same arrays."""
-    big = 2**40
-    entries = [((big // 2, 5), 1.0), ((3, big - 1), 2.0), ((3, 0), 3.0),
-               ((big // 2, 5), 4.0), ((0, 7), 5.0)]
-    case = ("ij", ("sparse", "sparse"), (big, big), entries, FLOAT)
-    assert_same_storage(coo_tensor(case), reference_from_entries(*case))
-
-
 @given(case=coo_cases())
 @settings(max_examples=150, deadline=None)
 def test_to_coo_is_the_sorted_reference_walk(case):

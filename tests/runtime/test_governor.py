@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.data.tensor import Tensor
 from repro.errors import CacheCorruptionError
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -31,14 +32,14 @@ def job_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "jobs"))
 
 
-def _colmix(seed=5, name="gov_colmix"):
-    """A contracted split: Sum_i A[i,j]·u[i] → dense vector over j."""
+def _colmix(seed=5, name="gov_colmix", fmt="dense"):
+    """A contracted split: Sum_i A[i,j]·u[i] → a vector over j."""
     A = sparse_matrix(N, N, 0.4, attrs=("i", "j"), seed=seed)
     u = dense_vector(N, attr="i", seed=seed + 1)
     ctx = TypeContext(Schema.of(i=None, j=None), {"A": {"i", "j"}, "u": {"i"}})
     kernel = compile_kernel(
         Sum("i", Var("A") * Var("u")), ctx, {"A": A, "u": u},
-        OutputSpec(("j",), ("dense",), (N,)), backend="python", name=name,
+        OutputSpec(("j",), (fmt,), (N,)), backend="python", name=name,
     )
     return kernel, {"A": A, "u": u}
 
@@ -93,6 +94,39 @@ def test_budget_spills_and_streams_bit_identically():
     oracle = merge_partials(kernel, plan, _partials(kernel, tensors, plan))
     merged = acc.merge()
     assert np.array_equal(np.asarray(merged.vals), np.asarray(oracle.vals))
+    assert merged.vals.dtype == oracle.vals.dtype
+
+
+def test_sparse_contracted_merge_folds_one_partial_at_a_time(monkeypatch):
+    """Streaming means the COO copies too: no fold may see more rows
+    than the running result plus the one partial just loaded (stacking
+    every partial first would put all four in one call)."""
+    kernel, tensors, plan, journal = _setup(name="gov_sparse", fmt="sparse")
+    parts = _partials(kernel, tensors, plan)
+    oracle = merge_partials(kernel, plan, _partials(kernel, tensors, plan))
+    acc = PartialAccumulator(kernel, plan, journal, budget_bytes=1.0)
+    for i, p in enumerate(parts):
+        acc.add(i, p)
+    assert acc.spilled_indices()
+    events = []
+    build, take = Tensor.from_coo.__func__, acc._take
+
+    def from_coo(cls, attrs, formats, dims, coords, values, *rest, **kw):
+        events.append(("fold", len(values)))
+        return build(cls, attrs, formats, dims, coords, values, *rest, **kw)
+
+    monkeypatch.setattr(Tensor, "from_coo", classmethod(from_coo))
+    monkeypatch.setattr(
+        acc, "_take", lambda i: events.append(("load", i)) or take(i))
+    merged = acc.merge()
+    assert [kind for kind, _ in events] == [
+        "load", "load", "fold", "load", "fold", "load", "fold"]
+    widest = max(len(p.to_coo()[1]) for p in parts)
+    assert all(rows <= len(oracle.to_coo()[1]) + widest
+               for kind, rows in events if kind == "fold")
+    assert np.array_equal(merged.pos[0], oracle.pos[0])
+    assert np.array_equal(merged.crd[0], oracle.crd[0])
+    assert np.array_equal(merged.vals, oracle.vals)
     assert merged.vals.dtype == oracle.vals.dtype
 
 

@@ -82,12 +82,13 @@ def test_encoded_result_bytes_are_unchanged(case):
     assert json.dumps(_encode_result(t)) == json.dumps(_parent_encode_result(t))
 
 
-def test_integral_float_coordinates_are_integers():
+def test_integral_float_coordinates_and_dims_are_integers():
     doc = einsum_query(seed=6)
     as_floats = copy.deepcopy(doc)
     for operand in as_floats["operands"]:
         for entry in operand["entries"]:
             entry[0] = [float(c) for c in entry[0]]
+        operand["dims"] = [float(d) for d in operand["dims"]]
     assert (prepare_request(as_floats).coalesce_key
             == prepare_request(doc).coalesce_key)
 
@@ -136,7 +137,17 @@ def test_dims_default_to_coordinate_hull():
      "operand 0: coordinate out of range at level 0"),
     (lambda d: d["operands"][1]["entries"].append([[0, -1], 2.0]),
      "operand 1: coordinate out of range at level 1"),
+    # beside a float, an int past 2**53 would be rounded to a neighbour
+    (lambda d: d["operands"][0]["entries"].extend(
+        [[[2**53 + 1, 0], 2.0], [[1.0, 0], 2.0]]),
+     "operand 0: coordinates must be integers below 2**53 beside a float"),
+    (lambda d: d["operands"][0]["entries"].append([[2**64, 0], 2.0]),
+     "operand 0: Python int too large"),
     (lambda d: d["operands"][0].update(dims=[4, "4"]),
+     "operand 0: dims must be integers, got str"),
+    (lambda d: d["operands"][0].update(dims=[4, 4.5]),
+     "operand 0: dims must be integers"),
+    (lambda d: d["operands"][0].update(dims=4),
      "operand 0: dims must be a list of integers"),
 ])
 def test_malformed_einsum_raises_query_error(mutate, fragment):

@@ -77,8 +77,9 @@ def test_bad_requests_are_400(make_server, caplog):
     # number, is signed or is over the limit gets a reply — not an
     # unhandled exception in the connection task — and the next
     # connection is served
+    # (5000 digits is past what int() itself will convert)
     for length, status in (("abc", 400), ("-5", 400), ("+5", 400),
-                           (str(1 << 40), 413)):
+                           ("9" * 5000, 400), (str(1 << 40), 413)):
         reply = _raw_exchange(
             server.port,
             f"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n")
