@@ -5,12 +5,13 @@ Usage::
     python -m repro.compiler.analysis <kernel> [<kernel> ...]
     python -m repro.compiler.analysis --all
 
-Each named kernel (``spmv``, ``matmul``, ``dot``, ``vadd``, ``madd3``,
-``sddmm``) is compiled with the interpreter backend (no toolchain
-needed), then the report prints the size of what was generated (bytes
-of C source, **P** statements, **E** nodes — a three-operand sum like
-``madd3`` is where these used to blow up), the typed-IR verification
-issues, the capacity
+Each named kernel (``spmv``, ``matmul``, ``smul``, ``dot``, ``vadd``,
+``madd3``, ``sddmm``) is compiled with the interpreter backend (no
+toolchain needed), then the report prints the size of what was
+generated (bytes of C source, **P** statements, **E** nodes — a
+three-operand sum like ``madd3`` is where these used to blow up — and
+how many of the statements are the ``PSearch``/``PSort`` primitives),
+the typed-IR verification issues, the capacity
 lint's verdict on every store into a capacity-managed output array,
 and the stream-level property signature (lawfulness, monotonicity,
 boundedness, ⊕-law obligations) inferred by
@@ -65,23 +66,31 @@ def _build_spmv() -> Kernel:
     )
 
 
-def _build_matmul() -> Kernel:
+def _build_matmul(formats=("dense", "sparse"), search="linear",
+                  name="cli_matmul") -> Kernel:
     schema = Schema.of(i=range(N), k=range(N), j=range(N))
     ctx = TypeContext(schema, {"A": {"i", "k"}, "B": {"k", "j"}})
     return compile_kernel(
         Sum("k", Var("A") * Var("B")), ctx,
-        {"A": _mat(("i", "k")), "B": _mat(("k", "j"))},
-        OutputSpec(("i", "j"), ("dense", "sparse"), (N, N)),
-        backend="interp", cache=False, name="cli_matmul",
+        {"A": _mat(("i", "k"), formats), "B": _mat(("k", "j"), formats)},
+        OutputSpec(("i", "j"), formats, (N, N)),
+        backend="interp", search=search, cache=False, name=name,
     )
 
 
+def _svec(start: int, step: int) -> Tensor:
+    entries = {(i,): float(i) for i in range(start, N, step)}
+    return Tensor.from_entries(("i",), ("sparse",), (N,), entries, FLOAT)
+
+
 def _build_dot() -> Kernel:
+    """Figure 2's shape: a co-iteration of compressed vectors, whose
+    off-diagonal arm is two scanning skips."""
     schema = Schema.of(i=range(N))
     ctx = TypeContext(schema, {"x": {"i"}, "y": {"i"}})
     return compile_kernel(
         Sum("i", Var("x") * Var("y")), ctx,
-        {"x": _vec("i"), "y": _vec("i")},
+        {"x": _svec(0, 2), "y": _svec(1, 3)},
         None, backend="interp", cache=False, name="cli_dot",
     )
 
@@ -89,14 +98,8 @@ def _build_dot() -> Kernel:
 def _build_vadd() -> Kernel:
     schema = Schema.of(i=range(N))
     ctx = TypeContext(schema, {"x": {"i"}, "y": {"i"}})
-    x = Tensor.from_entries(
-        ("i",), ("sparse",), (N,), {(i,): float(i) for i in range(0, N, 2)}, FLOAT
-    )
-    y = Tensor.from_entries(
-        ("i",), ("sparse",), (N,), {(i,): float(i) for i in range(1, N, 3)}, FLOAT
-    )
     return compile_kernel(
-        Var("x") + Var("y"), ctx, {"x": x, "y": y},
+        Var("x") + Var("y"), ctx, {"x": _svec(0, 2), "y": _svec(1, 3)},
         OutputSpec(("i",), ("sparse",), (N,)),
         backend="interp", cache=False, name="cli_vadd",
     )
@@ -131,6 +134,8 @@ def _build_sddmm() -> Kernel:
 KERNELS: Dict[str, Callable[[], Kernel]] = {
     "spmv": _build_spmv,
     "matmul": _build_matmul,
+    # doubly compressed operands co-iterate: both primitives in one kernel
+    "smul": lambda: _build_matmul(("sparse", "sparse"), "binary", "cli_smul"),
     "dot": _build_dot,
     "vadd": _build_vadd,
     "madd3": _build_madd3,
@@ -146,9 +151,10 @@ def report(name: str, kernel: Kernel) -> int:
     c_source = codegen_c.emit_kernel_source(
         kernel.name, kernel.params, kernel.decls, kernel.loop_ir
     )
-    statements, nodes = program_size(kernel.loop_ir)
-    print(f"   size: {len(c_source)} bytes of C, {statements} P statements, "
-          f"{nodes} E nodes")
+    size = program_size(kernel.loop_ir)
+    print(f"   size: {len(c_source)} bytes of C, {size['statements']} P statements "
+          f"({size['search.linear']} linear + {size['search.binary']} binary "
+          f"PSearch, {size['sort']} PSort), {size['nodes']} E nodes")
 
     issues = verify_kernel(kernel)
     errors = [i for i in issues if i.severity == "error"]

@@ -10,9 +10,9 @@ are provided — :class:`ReachingDefinitions` and
 former.
 
 The structural helpers at the top (:func:`expr_uses`,
-:func:`free_vars`, :func:`arrays_read`, :func:`stmt_effects`,
-:func:`stmt_reads`, :func:`live_transfer`) are the single shared
-implementation used by the optimizer passes in
+:func:`free_vars`, :func:`arrays_read`, :func:`stmt_exprs`,
+:func:`stmt_effects`, :func:`stmt_reads`, :func:`live_transfer`) are
+the single shared implementation used by the optimizer passes in
 :mod:`repro.compiler.opt`, the vectorizer in
 :mod:`repro.compiler.codegen_py`, and the verifier — previously each
 site carried its own ad-hoc copy.
@@ -20,6 +20,7 @@ site carried its own ad-hoc copy.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import (
     Dict,
     FrozenSet,
@@ -29,6 +30,7 @@ from typing import (
     Set,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.compiler.ir import (
@@ -37,11 +39,13 @@ from repro.compiler.ir import (
     EBinop,
     ECall,
     ECond,
+    ELit,
     EUnop,
     EVar,
     P,
     PAssign,
     PIf,
+    PSearch,
     PSeq,
     PSort,
     PStore,
@@ -81,6 +85,21 @@ def expr_uses(e: E, vars_out: Set[str], arrays_out: Set[str]) -> None:
             expr_uses(a, vars_out, arrays_out)
 
 
+def subexprs(e: E) -> Tuple[E, ...]:
+    """The direct operands of an expression node."""
+    if isinstance(e, EAccess):
+        return (e.index,)
+    if isinstance(e, EBinop):
+        return (e.left, e.right)
+    if isinstance(e, EUnop):
+        return (e.operand,)
+    if isinstance(e, ECond):
+        return (e.cond, e.then, e.els)
+    if isinstance(e, ECall):
+        return e.args
+    return ()
+
+
 def free_vars(e: E) -> Set[str]:
     vs: Set[str] = set()
     expr_uses(e, vs, set())
@@ -93,27 +112,61 @@ def arrays_read(e: E) -> Set[str]:
     return arrs
 
 
+def is_increment(e: E, name: str) -> bool:
+    """Whether ``e`` is ``name + 1`` (or ``1 + name``)."""
+    if not (isinstance(e, EBinop) and e.op == "+"):
+        return False
+    return any(
+        isinstance(v, EVar) and v.name == name
+        and isinstance(one, ELit) and one.value == 1
+        for v, one in ((e.left, e.right), (e.right, e.left))
+    )
+
+
+def stmt_exprs(p: P) -> Tuple[E, ...]:
+    """The expressions ``p`` itself evaluates — a leaf statement's
+    operands, the condition of a ``while``/``if`` — not those of nested
+    statements.  The one table of "what does this statement read" under
+    every analysis, pass and backend; a :class:`PSearch` reads its own
+    variable besides its bound and its target."""
+    if isinstance(p, PAssign):
+        return (p.expr,)
+    if isinstance(p, PStore):
+        return (p.index, p.expr)
+    if isinstance(p, PSearch):
+        return (p.var, p.hi, p.target)
+    if isinstance(p, PSort):
+        return (p.count,)
+    if isinstance(p, (PWhile, PIf)):
+        return (p.cond,)
+    return ()
+
+
+def substatements(p: P) -> Tuple[P, ...]:
+    """The statements nested directly inside ``p``."""
+    if isinstance(p, PSeq):
+        return p.items
+    if isinstance(p, PWhile):
+        return (p.body,)
+    if isinstance(p, PIf):
+        return (p.then,) if p.els is None else (p.then, p.els)
+    return ()
+
+
 def stmt_effects(p: P) -> Tuple[Set[str], Set[str]]:
     """(variables assigned, arrays stored) anywhere inside ``p``."""
     assigned: Set[str] = set()
     stored: Set[str] = set()
 
     def walk(s: P) -> None:
-        if isinstance(s, PSeq):
-            for item in s.items:
-                walk(item)
-        elif isinstance(s, PAssign):
+        if isinstance(s, (PAssign, PSearch)):
             assigned.add(s.var.name)
         elif isinstance(s, PStore):
             stored.add(s.array)
         elif isinstance(s, PSort):
             stored.add(s.array)
-        elif isinstance(s, PWhile):
-            walk(s.body)
-        elif isinstance(s, PIf):
-            walk(s.then)
-            if s.els is not None:
-                walk(s.els)
+        for sub in substatements(s):
+            walk(sub)
 
     walk(p)
     return assigned, stored
@@ -124,66 +177,36 @@ def stmt_reads(p: P) -> Set[str]:
     out: Set[str] = set()
 
     def walk(s: P) -> None:
-        if isinstance(s, PSeq):
-            for item in s.items:
-                walk(item)
-        elif isinstance(s, PAssign):
-            out.update(free_vars(s.expr))
-        elif isinstance(s, PStore):
-            out.update(free_vars(s.index))
-            out.update(free_vars(s.expr))
-        elif isinstance(s, PSort):
-            out.update(free_vars(s.count))
-        elif isinstance(s, PWhile):
-            out.update(free_vars(s.cond))
-            walk(s.body)
-        elif isinstance(s, PIf):
-            out.update(free_vars(s.cond))
-            walk(s.then)
-            if s.els is not None:
-                walk(s.els)
+        for e in stmt_exprs(s):
+            expr_uses(e, out, set())
+        for sub in substatements(s):
+            walk(sub)
 
     walk(p)
     return out
 
 
-def program_size(p: P) -> Tuple[int, int]:
-    """(**P** statements, **E** nodes) in ``p``: leaf statements plus
-    one per ``while``/``if``, and every expression node under them —
-    the size measures ``python -m repro.compiler.analysis`` reports."""
+def program_size(p: P) -> Counter[str]:
+    """What ``p`` is made of: ``statements`` (leaf **P** statements plus
+    one per ``while``/``if``), ``nodes`` (every **E** node under them),
+    and how many of the statements are the two primitives — ``sort``,
+    ``search.linear``, ``search.binary`` — the size measures
+    ``python -m repro.compiler.analysis`` reports."""
 
     def nodes(e: E) -> int:
-        if isinstance(e, EAccess):
-            return 1 + nodes(e.index)
-        if isinstance(e, EBinop):
-            return 1 + nodes(e.left) + nodes(e.right)
-        if isinstance(e, EUnop):
-            return 1 + nodes(e.operand)
-        if isinstance(e, ECond):
-            return 1 + nodes(e.cond) + nodes(e.then) + nodes(e.els)
-        if isinstance(e, ECall):
-            return 1 + sum(nodes(a) for a in e.args)
-        return 1
+        return 1 + sum(nodes(x) for x in subexprs(e))
 
-    if isinstance(p, PSeq):
-        sizes = [program_size(x) for x in p.items]
-        return sum(s for s, _ in sizes), sum(n for _, n in sizes)
-    if isinstance(p, PAssign):
-        return 1, nodes(p.expr)
-    if isinstance(p, PStore):
-        return 1, nodes(p.index) + nodes(p.expr)
+    size: Counter[str] = Counter()
+    for sub in substatements(p):
+        size += program_size(sub)
+    if isinstance(p, (PAssign, PStore, PSearch, PSort, PWhile, PIf)):
+        size["statements"] += 1
+        size["nodes"] += sum(nodes(e) for e in stmt_exprs(p))
     if isinstance(p, PSort):
-        return 1, nodes(p.count)
-    if isinstance(p, PWhile):
-        s, n = program_size(p.body)
-        return 1 + s, nodes(p.cond) + n
-    if isinstance(p, PIf):
-        s, n = program_size(p.then)
-        if p.els is not None:
-            es, en = program_size(p.els)
-            s, n = s + es, n + en
-        return 1 + s, nodes(p.cond) + n
-    return 0, 0  # PSkip, PComment
+        size["sort"] += 1
+    elif isinstance(p, PSearch):
+        size[f"search.{p.strategy}"] += 1
+    return size
 
 
 def live_transfer(p: P, live: Set[str]) -> Set[str]:
@@ -191,12 +214,8 @@ def live_transfer(p: P, live: Set[str]) -> Set[str]:
     assigned variable, then gen everything the statement reads.  Shared
     by :class:`LiveVariables` and the dead-store-elimination pass."""
     if isinstance(p, PAssign):
-        return (live - {p.var.name}) | free_vars(p.expr)
-    if isinstance(p, PStore):
-        return live | free_vars(p.index) | free_vars(p.expr)
-    if isinstance(p, PSort):
-        return live | free_vars(p.count)
-    return live
+        live = live - {p.var.name}
+    return live.union(*(free_vars(e) for e in stmt_exprs(p)))
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +292,7 @@ def _forward(p: P, an: ForwardAnalysis[S], state: S, observe: bool) -> S:
             an.observe_cond(p, p.cond, head)
             _forward(p.body, an, an.refine(p.cond, True, head), True)
         return an.refine(p.cond, False, head)
-    # leaf statements: PAssign, PStore, PSort, PSkip, PComment
+    # leaf statements: PAssign, PStore, PSearch, PSort, PSkip, PComment
     if observe:
         an.observe(p, state)
     return an.transfer(p, state)
@@ -344,7 +363,7 @@ ENTRY_ZERO = "<zero-init>"
 RDState = Dict[str, FrozenSet[str]]
 
 
-def _def_label(stmt: PAssign) -> str:
+def _def_label(stmt: Union[PAssign, PSearch]) -> str:
     return f"def@{id(stmt):x}:{stmt.var.name}"
 
 
@@ -375,7 +394,7 @@ class ReachingDefinitions(ForwardAnalysis[RDState]):
         return state
 
     def transfer(self, stmt: P, state: RDState) -> RDState:
-        if isinstance(stmt, PAssign):
+        if isinstance(stmt, (PAssign, PSearch)):
             label = _def_label(stmt)
             self.def_reprs[label] = repr(stmt)
             new = dict(state)
@@ -398,13 +417,8 @@ class ReachingDefinitions(ForwardAnalysis[RDState]):
             self.use_reprs[key] = repr(stmt)
 
     def observe(self, stmt: P, state: RDState) -> None:
-        if isinstance(stmt, PAssign):
-            self._record(stmt, stmt.expr, state)
-        elif isinstance(stmt, PStore):
-            self._record(stmt, stmt.index, state)
-            self._record(stmt, stmt.expr, state)
-        elif isinstance(stmt, PSort):
-            self._record(stmt, stmt.count, state)
+        for e in stmt_exprs(stmt):
+            self._record(stmt, e, state)
 
     def observe_cond(self, owner: P, cond: E, state: RDState) -> None:
         self._record(owner, cond, state)
@@ -492,6 +506,10 @@ __all__ = [
     "expr_uses",
     "free_vars",
     "arrays_read",
+    "subexprs",
+    "is_increment",
+    "stmt_exprs",
+    "substatements",
     "stmt_effects",
     "stmt_reads",
     "program_size",

@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.compiler.analysis.dataflow import (
     ForwardAnalysis,
     free_vars,
+    is_increment,
     run_forward,
     stmt_effects,
 )
@@ -53,6 +54,7 @@ from repro.compiler.ir import (
     P,
     PAssign,
     PIf,
+    PSearch,
     PSeq,
     PStore,
     PWhile,
@@ -84,12 +86,18 @@ class Interval:
         return self.lo is not None and self.hi is not None and self.lo > self.hi
 
     def join(self, other: "Interval") -> "Interval":
-        if self.is_empty:
+        """The hull; when one operand contains the other it is returned
+        itself, so a join that changes nothing allocates nothing."""
+        if self is other or self.is_empty:
             return other
         if other.is_empty:
             return self
         lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
+        if lo == self.lo and hi == self.hi:
+            return self
+        if lo == other.lo and hi == other.hi:
+            return other
         return Interval(lo, hi)
 
     def meet(self, other: "Interval") -> "Interval":
@@ -262,15 +270,24 @@ class IntervalAnalysis(ForwardAnalysis[IntervalState]):
 
     def transfer(self, stmt: P, state: IntervalState) -> IntervalState:
         if isinstance(stmt, PAssign):
-            new = dict(state)
-            new[stmt.var.name] = eval_interval(stmt.expr, state)
-            return new
-        return state
+            iv = eval_interval(stmt.expr, state)
+        elif isinstance(stmt, PSearch):
+            # var' ∈ [var, max(var, hi)]: no loop, so no widening
+            cur = eval_interval(stmt.var, state)
+            iv = Interval(cur.lo, cur.max_(eval_interval(stmt.hi, state)).hi)
+        else:
+            return state
+        name = stmt.var.name
+        return state if state.get(name) == iv else {**state, name: iv}
 
     def join(self, a: IntervalState, b: IntervalState) -> IntervalState:
-        return {
-            k: a[k].join(b[k]) for k in a.keys() & b.keys()
-        }
+        """Pointwise hull over the common variables — ``a`` itself when
+        it already contains ``b``, as the head of a loop does at (and,
+        for most variables, well before) the fixpoint."""
+        if a is b or (a.keys() <= b.keys()
+                      and all(av.join(b[k]) is av for k, av in a.items())):
+            return a
+        return {k: av.join(b[k]) for k, av in a.items() if k in b}
 
     def widen(self, older: IntervalState, newer: IntervalState) -> IntervalState:
         return {
@@ -290,16 +307,18 @@ class IntervalAnalysis(ForwardAnalysis[IntervalState]):
             return self.refine(cond.operand, False, state)
         if not (isinstance(cond, EBinop) and cond.op in ("<", "<=", ">", ">=", "==")):
             return state
-        out = dict(state)
-        self._clamp(cond.op, cond.left, cond.right, out)
         flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
-        self._clamp(flipped[cond.op], cond.right, cond.left, out)
-        return out
+        return self._clamp(
+            flipped[cond.op], cond.right, cond.left,
+            self._clamp(cond.op, cond.left, cond.right, state),
+        )
 
     @staticmethod
-    def _clamp(op: str, left: E, right: E, state: IntervalState) -> None:
+    def _clamp(op: str, left: E, right: E, state: IntervalState) -> IntervalState:
+        """``state`` with ``left op right`` assumed: itself when the
+        comparison tells nothing new about ``left``."""
         if not isinstance(left, EVar):
-            return
+            return state
         cur = state.get(left.name, TOP)
         r = eval_interval(right, state)
         if op == "<":
@@ -313,11 +332,12 @@ class IntervalAnalysis(ForwardAnalysis[IntervalState]):
         else:  # ==
             bound = r
         new = cur.meet(bound)
-        if not new.is_empty:
-            state[left.name] = new
+        if new.is_empty or new == cur:
+            return state
+        return {**state, left.name: new}
 
     def observe(self, stmt: P, state: IntervalState) -> None:
-        self.at[id(stmt)] = dict(state)
+        self.at[id(stmt)] = state  # states are never mutated in place
 
 
 # ----------------------------------------------------------------------
@@ -380,21 +400,6 @@ def _resolve(e: E, symenv: Dict[str, E], depth: int = 8) -> E:
     return e
 
 
-def _is_increment(stmt: PAssign) -> bool:
-    e = stmt.expr
-    v = stmt.var.name
-    return (
-        isinstance(e, EBinop)
-        and e.op == "+"
-        and (
-            (isinstance(e.left, EVar) and e.left.name == v
-             and isinstance(e.right, ELit) and e.right.value == 1)
-            or (isinstance(e.right, EVar) and e.right.name == v
-                and isinstance(e.left, ELit) and e.left.value == 1)
-        )
-    )
-
-
 class _BoundsLinter:
     def __init__(
         self,
@@ -428,9 +433,9 @@ class _BoundsLinter:
             self._kill_assigned(p.body, facts, symenv)
             self.walk(p.body, facts + _conjuncts(p.cond), dict(symenv))
             return
-        if isinstance(p, PAssign):
+        if isinstance(p, (PAssign, PSearch)):
             v = p.var.name
-            if _is_increment(p):
+            if isinstance(p, PAssign) and is_increment(p.expr, v):
                 # v = v + 1 weakens v < B to v <= B; everything else
                 # about v dies
                 for k, f in enumerate(facts):
@@ -453,7 +458,7 @@ class _BoundsLinter:
                 if n == v or v in free_vars(e)
             ]:
                 del symenv[name]
-            if v not in free_vars(p.expr):
+            if isinstance(p, PAssign) and v not in free_vars(p.expr):
                 symenv[v] = p.expr
             return
         if isinstance(p, PStore):

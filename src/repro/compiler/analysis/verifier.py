@@ -16,6 +16,10 @@ must satisfy:
 * **variables** — every variable read or assigned is a parameter or a
   declared local, used at its declared type; scalar parameters are
   never assigned;
+* **primitives** — a ``PSearch`` is typed like the scan it abbreviates
+  (``var < hi``, ``array[var] < target``), and neither operand names
+  the variable, so a backend may re-evaluate them while it scans; a
+  ``PSort`` takes an integer array and an integer count;
 * **initialization** — via reaching definitions: a local read on some
   path before any assignment reaches it is flagged (both backends
   zero-initialize locals, so this is defined behavior — but in
@@ -46,6 +50,8 @@ from repro.compiler.analysis.dataflow import (
     ReachingDefinitions,
     free_vars,
     run_forward,
+    stmt_exprs,
+    substatements,
 )
 from repro.compiler.ir import (
     E,
@@ -61,6 +67,7 @@ from repro.compiler.ir import (
     PAssign,
     PComment,
     PIf,
+    PSearch,
     PSeq,
     PSkip,
     PSort,
@@ -377,31 +384,26 @@ class _Verifier:
             return
         s = repr(p)
         if isinstance(p, PAssign):
-            declared = self.ctx.var_type(p.var.name)
-            if p.var.name in self.ctx.scalars:
-                self.error(
-                    "assign-to-param",
-                    f"assignment to scalar parameter {p.var.name!r}",
-                    s,
-                )
-            elif declared is None:
-                self.error(
-                    "undefined-variable",
-                    f"assignment to undeclared variable {p.var.name!r}",
-                    s,
-                )
-            elif declared != p.var.type:
-                self.error(
-                    "var-type",
-                    f"variable {p.var.name!r} assigned at type "
-                    f"{p.var.type!r} but declared {declared!r}",
-                    s,
-                )
+            declared = self._check_target(p.var, s)
             et = self.check_expr(p.expr, s)
             if et is not None and declared is not None and et != declared:
                 self.error(
                     "assign-type",
                     f"assigning {et!r} expression to {declared!r} variable "
+                    f"{p.var.name!r}",
+                    s,
+                )
+            return
+        if isinstance(p, PSearch):
+            # typed like the scan it abbreviates
+            self._check_target(p.var, s)
+            here = EAccess(p.array, p.var, TINT)
+            self.check_expr(EBinop("<", p.var, p.hi, TBOOL), s)
+            self.check_expr(EBinop("<", here, p.target, TBOOL), s)
+            if p.var.name in free_vars(p.hi) | free_vars(p.target):
+                self.error(
+                    "search-operand",
+                    f"search bound or target names the searched variable "
                     f"{p.var.name!r}",
                     s,
                 )
@@ -419,50 +421,46 @@ class _Verifier:
                 )
             return
         if isinstance(p, PSort):
-            declared = self.ctx.arrays.get(p.array)
-            if declared is None:
-                self.error(
-                    "undefined-array",
-                    f"sort of unknown array {p.array!r}",
-                    s,
-                )
-            elif declared != TINT:
-                self.error(
-                    "array-consistency",
-                    f"sort of non-integer array {p.array!r} ({declared!r})",
-                    s,
-                )
-            ct = self.check_expr(p.count, s)
-            if ct is not None and ct != TINT:
-                self.error(
-                    "subscript-type",
-                    f"sort count has type {ct!r}, expected int",
-                    s,
-                )
+            self._check_subscript(p.array, p.count, TINT, s, store=True)
             return
-        if isinstance(p, PWhile):
+        if isinstance(p, (PWhile, PIf)):
             ct = self.check_expr(p.cond, s)
             if ct is not None and ct != TBOOL:
+                kind = "while" if isinstance(p, PWhile) else "if"
                 self.error(
                     "condition-type",
-                    f"while condition has type {ct!r}, expected bool",
+                    f"{kind} condition has type {ct!r}, expected bool",
                     s,
                 )
-            self.check_stmt(p.body)
-            return
-        if isinstance(p, PIf):
-            ct = self.check_expr(p.cond, s)
-            if ct is not None and ct != TBOOL:
-                self.error(
-                    "condition-type",
-                    f"if condition has type {ct!r}, expected bool",
-                    s,
-                )
-            self.check_stmt(p.then)
-            if p.els is not None:
-                self.check_stmt(p.els)
+            for sub in substatements(p):
+                self.check_stmt(sub)
             return
         self.error("unknown-node", f"unknown statement node {p!r}", repr(p))
+
+    def _check_target(self, var: EVar, s: str) -> Optional[str]:
+        """An assigned variable is a declared local, assigned at its
+        declared type (which is returned)."""
+        declared = self.ctx.var_type(var.name)
+        if var.name in self.ctx.scalars:
+            self.error(
+                "assign-to-param",
+                f"assignment to scalar parameter {var.name!r}",
+                s,
+            )
+        elif declared is None:
+            self.error(
+                "undefined-variable",
+                f"assignment to undeclared variable {var.name!r}",
+                s,
+            )
+        elif declared != var.type:
+            self.error(
+                "var-type",
+                f"variable {var.name!r} assigned at type "
+                f"{var.type!r} but declared {declared!r}",
+                s,
+            )
+        return declared
 
     # ---------------- initialization ----------------
     def check_init(self, body: P) -> None:
@@ -510,11 +508,12 @@ class _Verifier:
                     unreached.setdefault(name, (repr(stmt), loops))
 
         def walk(p: P, loops: _Loops, seen: Set[str]) -> Set[str]:
+            for e in stmt_exprs(p):
+                read(e, p, loops, seen)
             if isinstance(p, PSeq):
                 for item in p.items:
                     seen = walk(item, loops, seen)
-            elif isinstance(p, PAssign):
-                read(p.expr, p, loops, seen)
+            elif isinstance(p, (PAssign, PSearch)):
                 name = p.var.name
                 if name in names:
                     if name in sites:
@@ -527,18 +526,11 @@ class _Verifier:
                     else:
                         sites[name] = (repr(p), loops)
                     seen = seen | {name}
-            elif isinstance(p, PStore):
-                read(p.index, p, loops, seen)
-                read(p.expr, p, loops, seen)
-            elif isinstance(p, PSort):
-                read(p.count, p, loops, seen)
             elif isinstance(p, PIf):
-                read(p.cond, p, loops, seen)
                 then = walk(p.then, loops, seen)
                 els = walk(p.els, loops, seen) if p.els is not None else seen
                 seen = then | els
             elif isinstance(p, PWhile):
-                read(p.cond, p, loops, seen)
                 walk(p.body, loops + (id(p),), seen)
             return seen
 

@@ -53,7 +53,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
-CACHE_VERSION = 4  # v4: advance1 through sums, direct sparse append, only-what-is-named C prologue
+CACHE_VERSION = 5  # v5: skips are PSearch (a _skip_gal call when binary), PSort calls _sort_i64 and wants a list of 2 x dim
 
 ENV_CACHE_DIR = "REPRO_KERNEL_CACHE_DIR"
 ENV_CACHE = "REPRO_KERNEL_CACHE"

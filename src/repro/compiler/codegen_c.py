@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence, Set
 import numpy as np
 
 from repro.compiler import resilience
+from repro.compiler.analysis.dataflow import stmt_exprs, subexprs, substatements
 from repro.compiler.cache import default_cache_dir
 from repro.compiler.formats import Param
 from repro.compiler.resilience import logger
@@ -38,6 +39,7 @@ from repro.compiler.ir import (
     PAssign,
     PComment,
     PIf,
+    PSearch,
     PSeq,
     PSkip,
     PSort,
@@ -47,6 +49,7 @@ from repro.compiler.ir import (
     TFLOAT,
     TINT,
     c_type,
+    eand,
 )
 
 _CTYPES = {TINT: c_int64, TFLOAT: c_double, TBOOL: c_bool}
@@ -110,16 +113,67 @@ def emit_stmt(p: P, indent: int = 1) -> str:
         return out
     if isinstance(p, PComment):
         return f"{pad}/* {p.text} */"
+    if isinstance(p, PSearch):
+        if p.strategy == "linear":
+            # the specification read as a scan: Figure 2's merge loops
+            return emit_stmt(PWhile(
+                eand(EBinop("<", p.var, p.hi, TBOOL),
+                     EBinop("<", EAccess(p.array, p.var, TINT), p.target, TBOOL)),
+                PAssign(p.var, EBinop("+", p.var, ELit(1, TINT), TINT)),
+            ), indent)
+        q = p.var.name
+        return (f"{pad}{q} = _skip_gal({p.array}, {q}, {emit_expr(p.hi)}, "
+                f"{emit_expr(p.target)});")
     if isinstance(p, PSort):
-        return f"{pad}qsort({p.array}, {emit_expr(p.count)}, sizeof(int64_t), _cmp_i64);"
+        n = emit_expr(p.count)
+        return f"{pad}_sort_i64({p.array}, {n}, {p.array} + {n});"
     raise TypeError(f"cannot emit statement {p!r}")
 
 
-#: the qsort comparator ``PSort`` calls; emitted, like an ``Op``'s
-#: ``c_header``, only into kernels that use it
-_CMP_I64 = """static int _cmp_i64(const void* a, const void* b) {
-  int64_t x = *(const int64_t*)a, y = *(const int64_t*)b;
-  return (x > y) - (x < y);
+# The two hand-written helpers, emitted — like an ``Op``'s ``c_header``
+# — once per file and only into kernels that use them.
+
+#: a binary ``PSearch``: gallop from ``q`` in doubling steps while the
+#: probe is below ``t``, then bisect the last step; always inlined, so a
+#: call costs what the pasted loops did
+_SKIP_GAL = """static inline __attribute__((always_inline)) int64_t _skip_gal(const int64_t* crd, int64_t q, int64_t hi, int64_t t) {
+  if (q < hi && crd[q] < t) {
+    int64_t step = 1;
+    while (q + step < hi && crd[q + step] < t) {
+      q += step;
+      step *= 2;
+    }
+    if (q + step < hi) hi = q + step;
+    q++;
+    while (q < hi) {
+      int64_t mid = (q + hi) / 2;
+      if (crd[mid] < t) q = mid + 1; else hi = mid;
+    }
+  }
+  return q;
+}"""
+
+#: ``PSort``: insertion sort for short lists, else LSD radix sort, 8
+#: bits per pass through ``tmp`` (the array's upper half) and back.
+#: The keys are non-negative
+#: (the precondition), so the passes stop at the highest set byte of
+#: their OR: coordinates below 65,536 take two.  Built at -O2: nothing
+#: here vectorises, and -O3's attempt is half of what the helper costs gcc
+_SORT_I64 = """static __attribute__((optimize("O2"))) void _sort_i64(int64_t* a, int64_t n, int64_t* tmp) {
+  int64_t i, j, x, all = 0;
+  if (n <= 24) {
+    for (i = 1; i < n; a[j] = x, i++)
+      for (x = a[i], j = i; j > 0 && a[j - 1] > x; j--) a[j] = a[j - 1];
+    return;
+  }
+  for (i = 0; i < n; i++) all |= a[i];
+  for (int s = 0; s < 64 && all >> s; s += 8) {
+    int64_t at[257] = {0};
+    for (i = 0; i < n; i++) at[(a[i] >> s & 255) + 1]++;
+    for (i = 1; i < 256; i++) at[i] += at[i - 1];
+    for (i = 0; i < n; i++) tmp[at[a[i] >> s & 255]++] = a[i];
+    for (i = 0; i < n; i++) a[i] = tmp[i];
+  }
 }"""
 
 
@@ -130,8 +184,8 @@ _OP_INCLUDES = ("math.h", "stdlib.h", "string.h")
 
 def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
     """What ``p`` needs ahead of the kernel function: ``<math.h>`` for
-    an infinite literal (``INFINITY``), ``<stdlib.h>`` and the
-    comparator for a ``PSort``, and for a user ``Op`` its ``c_header``
+    an infinite literal (``INFINITY``), the helper a ``PSort`` or a
+    galloping ``PSearch`` calls, and for a user ``Op`` its ``c_header``
     and :data:`_OP_INCLUDES`."""
 
     def walk_e(e: E) -> None:
@@ -142,40 +196,17 @@ def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
             includes.update(_OP_INCLUDES)
             if e.op.c_header:
                 helpers[e.op.name] = e.op.c_header
-            for a in e.args:
-                walk_e(a)
-        elif isinstance(e, EBinop):
-            walk_e(e.left)
-            walk_e(e.right)
-        elif isinstance(e, EUnop):
-            walk_e(e.operand)
-        elif isinstance(e, ECond):
-            walk_e(e.cond)
-            walk_e(e.then)
-            walk_e(e.els)
-        elif isinstance(e, EAccess):
-            walk_e(e.index)
+        for x in subexprs(e):
+            walk_e(x)
 
-    if isinstance(p, PSeq):
-        for x in p.items:
-            _collect_prelude(x, includes, helpers)
-    elif isinstance(p, PWhile):
-        walk_e(p.cond)
-        _collect_prelude(p.body, includes, helpers)
-    elif isinstance(p, PIf):
-        walk_e(p.cond)
-        _collect_prelude(p.then, includes, helpers)
-        if p.els is not None:
-            _collect_prelude(p.els, includes, helpers)
-    elif isinstance(p, PAssign):
-        walk_e(p.expr)
-    elif isinstance(p, PStore):
-        walk_e(p.index)
-        walk_e(p.expr)
-    elif isinstance(p, PSort):
-        includes.add("stdlib.h")
-        helpers["_cmp_i64"] = _CMP_I64
-        walk_e(p.count)
+    for e in stmt_exprs(p):
+        walk_e(e)
+    for sub in substatements(p):
+        _collect_prelude(sub, includes, helpers)
+    if isinstance(p, PSort):
+        helpers["_sort_i64"] = _SORT_I64
+    elif isinstance(p, PSearch) and p.strategy == "binary":
+        helpers["_skip_gal"] = _SKIP_GAL
 
 
 def emit_kernel_source(

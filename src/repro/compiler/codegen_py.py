@@ -36,6 +36,7 @@ this.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import math
@@ -58,6 +59,7 @@ from repro.compiler.ir import (
     PAssign,
     PComment,
     PIf,
+    PSearch,
     PSeq,
     PSkip,
     PSort,
@@ -66,6 +68,12 @@ from repro.compiler.ir import (
     TBOOL,
     TFLOAT,
     TINT,
+)
+from repro.compiler.analysis.dataflow import (
+    is_increment,
+    stmt_exprs,
+    subexprs,
+    substatements,
 )
 from repro.compiler.opt import arrays_read, expr_key, free_vars, subst_vars
 
@@ -131,6 +139,12 @@ def emit_stmt(p: P, indent: int = 1, vectorize: bool = False) -> str:
         return out
     if isinstance(p, PComment):
         return f"{pad}# {p.text}"
+    if isinstance(p, PSearch):
+        # one spelling for both strategies: the result does not depend
+        # on it, and a bisection of the slice is the fast one here
+        q, a, hi, t = p.var.name, p.array, emit_expr(p.hi), emit_expr(p.target)
+        return (f"{pad}if {q} < {hi} and {a}[{q}] < {t}:\n"
+                f"{pad}    {q} = {q} + 1 + _bisect({a}[{q} + 1:{hi}], {t})")
     if isinstance(p, PSort):
         return f"{pad}{p.array}[:{emit_expr(p.count)}].sort()"
     raise TypeError(f"cannot emit statement {p!r}")
@@ -245,7 +259,7 @@ def _vectorize(w: PWhile, indent: int) -> str:
     if not (
         isinstance(incr, PAssign)
         and incr.var.name == pname
-        and _is_incr(fold(incr.expr), pname)
+        and is_increment(fold(incr.expr), pname)
     ):
         raise _VecFail
 
@@ -356,19 +370,6 @@ def _shift_last(e: E, pname: str) -> E:
     return fold(subst_vars(e, {pname: last}))
 
 
-def _is_incr(e: E, pname: str) -> bool:
-    return (
-        isinstance(e, EBinop)
-        and e.op == "+"
-        and (
-            (isinstance(e.left, EVar) and e.left.name == pname
-             and isinstance(e.right, ELit) and e.right.value == 1)
-            or (isinstance(e.right, EVar) and e.right.name == pname
-                and isinstance(e.left, ELit) and e.left.value == 1)
-        )
-    )
-
-
 def _match_accum(rhs: E, arr: str, idx: E, pname: str):
     """Split ``arr[idx] op rest`` (an accumulation reading its own
     target) into (op, rest); a plain store returns (None, rhs)."""
@@ -409,7 +410,7 @@ class _CheckedArray:
 
     The checked Python backend (``REPRO_SANITIZE``) wraps every array
     parameter in one of these, so *every* subscript the generated code
-    performs — loads, stores, and the ``PSort`` slice — is validated
+    performs — loads, stores, and the ``PSort``/``PSearch`` slices — is validated
     against the allocation.  Out-of-bounds access (including negative
     indices, which NumPy would silently wrap) raises ``IndexError``
     naming the kernel, array, index, and length — the Python analogue
@@ -468,36 +469,13 @@ def _collect_ops(p: P, acc: Dict[str, object]) -> None:
     def walk_e(e: E) -> None:
         if isinstance(e, ECall):
             acc[e.op.name] = e.op.spec
-            for a in e.args:
-                walk_e(a)
-        elif isinstance(e, EBinop):
-            walk_e(e.left)
-            walk_e(e.right)
-        elif isinstance(e, EUnop):
-            walk_e(e.operand)
-        elif isinstance(e, ECond):
-            walk_e(e.cond)
-            walk_e(e.then)
-            walk_e(e.els)
-        elif isinstance(e, EAccess):
-            walk_e(e.index)
+        for x in subexprs(e):
+            walk_e(x)
 
-    if isinstance(p, PSeq):
-        for x in p.items:
-            _collect_ops(x, acc)
-    elif isinstance(p, PWhile):
-        walk_e(p.cond)
-        _collect_ops(p.body, acc)
-    elif isinstance(p, PIf):
-        walk_e(p.cond)
-        _collect_ops(p.then, acc)
-        if p.els is not None:
-            _collect_ops(p.els, acc)
-    elif isinstance(p, PAssign):
-        walk_e(p.expr)
-    elif isinstance(p, PStore):
-        walk_e(p.index)
-        walk_e(p.expr)
+    for e in stmt_exprs(p):
+        walk_e(e)
+    for sub in substatements(p):
+        _collect_ops(sub, acc)
 
 
 def emit_kernel_source(
@@ -559,6 +537,7 @@ class PyKernel:
         self._param_names = [p.name for p in self.params]
         namespace: Dict[str, object] = {
             "_inf": math.inf, "_np": np, "_chk": _CheckedArray,
+            "_bisect": bisect_left,
         }
         for op_name, spec in ops.items():
             namespace[f"_op_{op_name}"] = spec

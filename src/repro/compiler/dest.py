@@ -315,7 +315,9 @@ class DensePosDest(Dest):
         )
 
     def finalize(self) -> P:
-        return PSeq(self._fill_to(self.dim), self.child.finalize())
+        # the child has nothing left to do: the last row's push closed
+        # its slice, like every row's
+        return self._fill_to(self.dim)
 
     def contracts(self) -> List[ArrayContract]:
         # child_pos is sized by the level dimension, not a capacity
@@ -336,8 +338,9 @@ class WorkspaceLeafDest(Dest):
     Kjolstad et al. [2019], which the paper notes indexed streams can
     express (Section 9).
 
-    Scratch arrays (``ws_vals``, ``ws_mask``, ``ws_list``) are sized by
-    the level dimension and supplied by the kernel wrapper.
+    Scratch arrays (``ws_vals``, ``ws_mask``, and ``ws_list``, of twice
+    the size: its upper half is the sort's scratch) are sized by the
+    level dimension and supplied by the kernel wrapper.
     """
 
     def __init__(
@@ -408,7 +411,8 @@ class WorkspaceLeafDest(Dest):
         )
 
     def finalize(self) -> P:
-        # if the workspace is the top level, the single slice closes here
+        # only the top level is finalized: a workspace that is one (a
+        # vector output) closes its single slice here
         return self.close_slice()
 
     def contracts(self) -> List[ArrayContract]:

@@ -10,6 +10,7 @@ are tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict
 
 from repro.compiler.ir import (
@@ -25,6 +26,7 @@ from repro.compiler.ir import (
     PAssign,
     PComment,
     PIf,
+    PSearch,
     PSeq,
     PSkip,
     PSort,
@@ -122,6 +124,13 @@ def run_stmt(p: P, state: MachineState, fuel: int = 100_000_000) -> int:
             return run_stmt(p.then, state, fuel)
         if p.els is not None:
             return run_stmt(p.els, state, fuel)
+        return fuel
+    if isinstance(p, PSearch):
+        # the specification itself, whatever the strategy
+        q, hi = state[p.var.name], eval_expr(p.hi, state)
+        target, array = eval_expr(p.target, state), state[p.array]
+        if q < hi and array[q] < target:
+            state[p.var.name] = bisect_left(array, target, q + 1, hi)
         return fuel
     if isinstance(p, PSort):
         count = eval_expr(p.count, state)

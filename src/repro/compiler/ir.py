@@ -351,10 +351,13 @@ class PComment(P):
 
 
 class PSort(P):
-    """Sort the first ``count`` elements of an int64 array in place.
-
-    Used by workspace destinations to order coordinates accumulated out
-    of order (the compression step of a TACO-style workspace)."""
+    """Sort the first ``count`` elements of an int64 array in place,
+    ascending.  The array has room for ``2 * count`` elements: the
+    statement may clobber ``[count, 2 * count)``, its scratch space.
+    Precondition: the elements are non-negative — workspace
+    destinations, the one emitter, sort the coordinates a slice touched
+    (the compression step of a TACO-style workspace) in a list of twice
+    the level's dimension."""
 
     __slots__ = ("array", "count")
 
@@ -364,6 +367,40 @@ class PSort(P):
 
     def __repr__(self) -> str:
         return f"sort({self.array}, {self.count!r})"
+
+
+#: Section 7.3's two implementations of ``skip``
+SEARCH_STRATEGIES = ("linear", "binary")
+
+
+class PSearch(P):
+    """The scanning ``skip`` of a compressed level, a function of the
+    stream interface (Section 5): if ``var < hi`` and
+    ``array[var] < target``, set ``var`` to the least ``q`` in
+    ``(var, hi]`` with ``q == hi`` or ``array[q] >= target``.
+
+    An assignment to ``var`` reading ``var``, ``array``, ``hi`` and
+    ``target``; the last two never name ``var``.  Precondition:
+    ``array`` is strictly increasing on ``[var, hi)`` — the invariant of
+    level storage, which ``Tensor.from_coo`` establishes and in-order
+    output assembly keeps.  Under it the result does not depend on
+    ``strategy``, which only tells a backend whether to scan
+    (``"linear"``) or to gallop and bisect (``"binary"``)."""
+
+    __slots__ = ("var", "array", "hi", "target", "strategy")
+
+    def __init__(self, var: EVar, array: str, hi: E, target: E, strategy: str) -> None:
+        if strategy not in SEARCH_STRATEGIES:
+            raise ValueError(f"unknown search strategy {strategy!r}")
+        self.var = var
+        self.array = array
+        self.hi = hi
+        self.target = target
+        self.strategy = strategy
+
+    def __repr__(self) -> str:
+        return (f"{self.var!r} = search_{self.strategy}({self.array}, "
+                f"{self.var!r}, {self.hi!r}, {self.target!r})")
 
 
 # ----------------------------------------------------------------------

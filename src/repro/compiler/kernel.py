@@ -750,7 +750,8 @@ class Kernel:
         if self.ws_dim is not None:
             env["out_ws_vals"] = np.full(self.ws_dim, zero, dtype=dtype)
             env["out_ws_mask"] = np.zeros(self.ws_dim, dtype=np.int64)
-            env["out_ws_list"] = np.zeros(self.ws_dim, dtype=np.int64)
+            # touched coordinates below, the sort's scratch above
+            env["out_ws_list"] = np.zeros(2 * self.ws_dim, dtype=np.int64)
         return {}
 
     def _assemble_output(self, env: Dict[str, object], _marker):

@@ -43,6 +43,7 @@ from repro.compiler.analysis.dataflow import (
     free_vars,
     live_transfer,
     stmt_effects,
+    stmt_exprs,
     stmt_reads,
 )
 from repro.compiler.analysis.verifier import VerifyContext, check_program
@@ -61,6 +62,7 @@ from repro.compiler.ir import (
     PAssign,
     PComment,
     PIf,
+    PSearch,
     PSeq,
     PSkip,
     PSort,
@@ -71,10 +73,8 @@ from repro.compiler.ir import (
 
 DEFAULT_OPT_LEVEL = 2
 
-# The structural helpers (expr_key/expr_uses/free_vars/arrays_read/
-# stmt_effects/stmt_reads) moved to repro.compiler.analysis.dataflow —
-# the one shared implementation under every pass, the vectorizer, and
-# the verifier.  They are re-exported here for existing importers.
+# The structural helpers imported from analysis.dataflow above are
+# re-exported here for existing importers.
 
 
 def subst_vars(e: E, env: Dict[str, E]) -> E:
@@ -133,6 +133,8 @@ def map_stmt_exprs(p: P, fn) -> P:
         return PAssign(p.var, fn(p.expr))
     if isinstance(p, PStore):
         return PStore(p.array, fn(p.index), fn(p.expr))
+    if isinstance(p, PSearch):
+        return PSearch(p.var, p.array, fn(p.hi), fn(p.target), p.strategy)
     if isinstance(p, PSort):
         return PSort(p.array, fn(p.count))
     if isinstance(p, PWhile):
@@ -157,10 +159,8 @@ def simplify(p: P) -> P:
         if isinstance(e, EVar) and e.name == p.var.name:
             return PSkip()
         return PAssign(p.var, e)
-    if isinstance(p, PStore):
-        return PStore(p.array, fold(p.index), fold(p.expr))
-    if isinstance(p, PSort):
-        return PSort(p.array, fold(p.count))
+    if isinstance(p, (PStore, PSearch, PSort)):
+        return map_stmt_exprs(p, fold)
     if isinstance(p, PWhile):
         cond = fold(p.cond)
         if isinstance(cond, ELit) and cond.type == TBOOL and not cond.value:
@@ -222,10 +222,11 @@ def _cp(p: P, env: Dict[str, E]) -> P:
         if isinstance(e, ELit) or (isinstance(e, EVar) and e.name != p.var.name):
             env[p.var.name] = e
         return PAssign(p.var, e)
-    if isinstance(p, PStore):
-        return PStore(p.array, subst_vars(p.index, env), subst_vars(p.expr, env))
-    if isinstance(p, PSort):
-        return PSort(p.array, subst_vars(p.count, env))
+    if isinstance(p, (PStore, PSearch, PSort)):
+        new = map_stmt_exprs(p, lambda e: subst_vars(e, env))
+        if isinstance(p, PSearch):
+            _cp_kill(env, {p.var.name})
+        return new
     if isinstance(p, PWhile):
         assigned, _ = stmt_effects(p.body)
         _cp_kill(env, assigned)
@@ -270,7 +271,7 @@ def _dse(p: P, live: Set[str]) -> Tuple[P, Set[str]]:
             new_item, live = _dse(item, live)
             items.append(new_item)
         return PSeq(*reversed(items)), live
-    if isinstance(p, PAssign):
+    if isinstance(p, (PAssign, PSearch)):
         if p.var.name not in live:
             return PSkip(), live
         return p, live_transfer(p, live)
@@ -294,9 +295,10 @@ def _dse(p: P, live: Set[str]) -> Tuple[P, Set[str]]:
 # pass: common-subexpression elimination
 # ----------------------------------------------------------------------
 def eliminate_common_subexprs(p: P, ng: NameGen) -> P:
-    """Within each straight-line run of assignments/stores, hoist a read
-    expression (``EAccess``/``EBinop``/``ECall``) that occurs at least
-    twice with no intervening invalidation into a fresh temporary.
+    """Within each straight-line run of assignments, stores and searches,
+    hoist a read expression (``EAccess``/``EBinop``/``ECall``) that
+    occurs at least twice with no intervening invalidation into a fresh
+    temporary.
 
     Occurrences in *conditionally evaluated* positions (branches of an
     ``ECond``, right operands of ``&&``/``||``) are substituted when a
@@ -306,7 +308,7 @@ def eliminate_common_subexprs(p: P, ng: NameGen) -> P:
         out: List[P] = []
         segment: List[P] = []
         for item in p.items:
-            if isinstance(item, (PAssign, PStore, PComment)):
+            if isinstance(item, (PAssign, PStore, PSearch, PComment)):
                 segment.append(item)
             else:
                 out.extend(_cse_segment(segment, ng))
@@ -331,22 +333,6 @@ def _cse_candidate(e: E) -> bool:
         expr_uses(e, vs, arrs)
         return bool(vs or arrs)  # folding already handled all-literal exprs
     return False
-
-
-def _stmt_read_exprs(stmt: P) -> List[E]:
-    if isinstance(stmt, PAssign):
-        return [stmt.expr]
-    if isinstance(stmt, PStore):
-        return [stmt.index, stmt.expr]
-    return []
-
-
-def _stmt_kills(stmt: P) -> Tuple[Optional[str], Optional[str]]:
-    if isinstance(stmt, PAssign):
-        return stmt.var.name, None
-    if isinstance(stmt, PStore):
-        return None, stmt.array
-    return None, None
 
 
 def _cse_segment(stmts: List[P], ng: NameGen) -> List[P]:
@@ -384,15 +370,13 @@ def _cse_segment(stmts: List[P], ng: NameGen) -> List[P]:
                 count(a, guarded)
 
     def apply_kills(stmt: P, epochs: Dict[str, int]) -> None:
-        var, arr = _stmt_kills(stmt)
-        if var is None and arr is None:
-            return
+        assigned, stored = stmt_effects(stmt)
         for k, (vs, arrs) in meta.items():
-            if (var is not None and var in vs) or (arr is not None and arr in arrs):
+            if not (vs.isdisjoint(assigned) and arrs.isdisjoint(stored)):
                 epochs[k] = epochs.get(k, 0) + 1
 
     for stmt in stmts:
-        for e in _stmt_read_exprs(stmt):
+        for e in stmt_exprs(stmt):
             count(e, False)
         apply_kills(stmt, epoch)
 
@@ -438,12 +422,7 @@ def _cse_segment(stmts: List[P], ng: NameGen) -> List[P]:
         return e
 
     for stmt in stmts:
-        if isinstance(stmt, PAssign):
-            stmt = PAssign(stmt.var, rewrite(stmt.expr, False))
-        elif isinstance(stmt, PStore):
-            stmt = PStore(
-                stmt.array, rewrite(stmt.index, False), rewrite(stmt.expr, False)
-            )
+        stmt = map_stmt_exprs(stmt, lambda e: rewrite(e, False))
         apply_kills(stmt, cur_epoch)
         out.append(stmt)
     return out

@@ -39,15 +39,15 @@ from repro.compiler.ir import (
     P,
     PAssign,
     PIf,
+    PSearch,
     PSeq,
     PSkip,
-    PWhile,
+    SEARCH_STRATEGIES,
     TBOOL,
     TINT,
     blit,
     eand,
     emax,
-    emin,
     eor,
     ilit,
 )
@@ -113,16 +113,6 @@ class SStream:
     def locatable(self) -> bool:
         return self.locate is not None
 
-    def with_value(self, value: Value, shape: Optional[Tuple[str, ...]] = None) -> "SStream":
-        # an opaquely replaced value invalidates the locate shortcut
-        # (it would rebuild the untransformed subtree)
-        return replace(
-            self,
-            value=value,
-            shape=self.shape if shape is None else shape,
-            locate=None,
-        )
-
     def map_value(self, fn: Callable[[Value], Value], shape: Optional[Tuple[str, ...]] = None) -> "SStream":
         """Transform the value while *preserving* random access: the
         located subtree is the same transformation applied at the
@@ -159,59 +149,17 @@ def sparse_level(
     """A compressed level reading sorted coordinates from ``crd_array``
     between positions ``lo`` and ``hi``.
 
-    ``search`` selects the skip implementation: ``"linear"`` scans
-    forward one element at a time (TACO-style merge loops), ``"binary"``
-    gallops then bisects — the variant the paper credits for the
-    ``smul`` speedup (Section 8.1).
+    ``search`` selects how a backend may implement the level's skip,
+    one :class:`~repro.compiler.ir.PSearch` statement either way:
+    ``"linear"`` scans forward one element at a time (TACO-style merge
+    loops), ``"binary"`` gallops then bisects — the variant the paper
+    credits for the ``smul`` speedup (Section 8.1).
     """
-    if search not in ("linear", "binary"):
+    if search not in SEARCH_STRATEGIES:
         raise ValueError(f"unknown search strategy {search!r}")
     q = ng.fresh(f"{attr}_q")
     valid = EBinop("<", q, hi, TBOOL)
     index = EAccess(crd_array, q, TINT)
-
-    def skip0(i: Optional[E]) -> P:
-        assert i is not None
-        if search == "linear":
-            return PWhile(
-                eand(valid, EBinop("<", index, i, TBOOL)),
-                PAssign(q, EBinop("+", q, ilit(1), TINT)),
-            )
-        step = ng.fresh(f"{attr}_step")
-        bhi = ng.fresh(f"{attr}_bhi")
-        mid = ng.fresh(f"{attr}_mid")
-        probe = lambda pos: EBinop("<", EAccess(crd_array, pos, TINT), i, TBOOL)
-        gallop = PWhile(
-            eand(
-                EBinop("<", EBinop("+", q, step, TINT), hi, TBOOL),
-                probe(EBinop("+", q, step, TINT)),
-            ),
-            PSeq(
-                PAssign(q, EBinop("+", q, step, TINT)),
-                PAssign(step, EBinop("*", step, ilit(2), TINT)),
-            ),
-        )
-        bisect = PWhile(
-            EBinop("<", q, bhi, TBOOL),
-            PSeq(
-                PAssign(mid, EBinop("/", EBinop("+", q, bhi, TINT), ilit(2), TINT)),
-                PIf(
-                    probe(mid),
-                    PAssign(q, EBinop("+", mid, ilit(1), TINT)),
-                    PAssign(bhi, mid),
-                ),
-            ),
-        )
-        return PIf(
-            eand(valid, probe(q)),
-            PSeq(
-                PAssign(step, ilit(1)),
-                gallop,
-                PAssign(bhi, emin(EBinop("+", q, step, TINT), hi)),
-                PAssign(q, EBinop("+", q, ilit(1), TINT)),
-                bisect,
-            ),
-        )
 
     return SStream(
         attr=attr,
@@ -221,7 +169,7 @@ def sparse_level(
         ready=valid,
         index=index,
         value=value_fn(q),
-        skip0=skip0,
+        skip0=lambda i: PSearch(q, crd_array, hi, i, search),
         advance1=PAssign(q, EBinop("+", q, ilit(1), TINT)),
     )
 
@@ -233,27 +181,9 @@ def dense_level(
     value_fn: Callable[[EVar], Value],
     shape: Tuple[str, ...],
 ) -> SStream:
-    """A dense level iterating indices ``0 .. dim-1`` directly."""
-    i = ng.fresh(f"{attr}_i")
-    valid = EBinop("<", i, dim, TBOOL)
-
-    def skip0(j: Optional[E]) -> P:
-        assert j is not None
-        return PIf(EBinop(">", j, i, TBOOL), PAssign(i, j))
-
-    return SStream(
-        attr=attr,
-        shape=shape,
-        init=PAssign(i, ilit(0)),
-        valid=valid,
-        ready=valid,
-        index=i,
-        value=value_fn(i),
-        skip0=skip0,
-        locate=value_fn,
-        dim=dim,
-        advance1=PAssign(i, EBinop("+", i, ilit(1), TINT)),
-    )
+    """A dense level iterating indices ``0 .. dim-1`` directly: the
+    bounded implicit level whose value is the stored slice."""
+    return function_level(ng, attr, value_fn, shape, dim=dim)
 
 
 def function_level(

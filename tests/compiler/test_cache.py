@@ -105,6 +105,14 @@ def test_disk_payload_round_trip(fresh_cache, tmp_path, monkeypatch):
     assert k2.source == k1.source
     assert np.array_equal(k2.run(tensors).vals, k1.run(tensors).vals)
 
+    # a process of another format version rebuilds, it does not load:
+    # what was stored under one CACHE_VERSION is invisible to the next
+    kc3 = KernelCache(cache_dir=tmp_path)
+    monkeypatch.setattr(kernel_mod, "kernel_cache", kc3)
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", cache_mod.CACHE_VERSION - 1)
+    compile_kernel(expr, ctx, tensors, out, backend="python", name="disk_k")
+    assert kc3.stats.disk_hits == 0 and kc3.stats.misses == 1
+
 
 def test_disk_tier_can_be_disabled(fresh_cache, tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.ENV_CACHE, "0")

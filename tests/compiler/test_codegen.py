@@ -2,6 +2,7 @@
 
 import math
 import re
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from repro.compiler import (
     PAssign, PIf, PSeq, PSkip, PStore, PWhile, TBOOL, TFLOAT, TINT,
 )
 from repro.compiler import codegen_c, codegen_py
+from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.formats import Param
-from repro.compiler.ir import PSort, blit, ilit
+from repro.compiler.interp import InterpKernel
+from repro.compiler.ir import PSearch, PSort, blit, ilit
 from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.data import tensor_to_krelation
 from repro.krelation import Schema
-from repro.lang import TypeContext, Var
+from repro.lang import Sum, TypeContext, Var, denote
 from repro.workloads import nested_sum, sparse_matrix
 
 
@@ -45,7 +49,7 @@ def test_c_stmt_emission():
     text = codegen_c.emit_stmt(body)
     assert "while ((i < 3))" in text
     assert "a[0] = i;" in text
-    assert "qsort(lst" in text
+    assert "_sort_i64(lst, i, lst + i);" in text
 
 
 def test_py_expr_emission():
@@ -166,6 +170,36 @@ def _csr_add():
     return kernel, tensors
 
 
+def _lib_kernel_cell(cell):
+    """A ``lib_kernel`` program of the benchmark at its smoke size,
+    built without a toolchain."""
+    datagen = pytest.importorskip("bench.datagen")
+    lib_kernel = pytest.importorskip("bench.workloads.lib_kernel")
+    build, size = lib_kernel.SMOKE[cell]
+    program = build(datagen.rng_for(1, "budget", cell), **size)
+    return program.compile(f"lk_{cell}_cell", backend="interp")
+
+
+@pytest.mark.parametrize("cell,budget,searches,loops", [
+    # two galloping skips per co-iteration are two calls of one helper
+    # (smul was 4,261 B, filtered_spmv 2,527 B with the loops pasted in):
+    # a skip is one statement, so the only loops of the IR are the
+    # stream levels' (and smul's one flush of its workspace)
+    ("smul", 3_800, {"search.binary": 2}, 4),
+    ("filtered_spmv", 1_800, {"search.binary": 2}, 2),
+    # the radix sort costs what the second, unreachable drain did
+    ("mmul", 2_700, {}, 6),
+])
+def test_skip_and_sort_kernels_fit_their_byte_budgets(cell, budget, searches, loops):
+    kernel = _lib_kernel_cell(cell)
+    source = _c_source(kernel)
+    assert len(source) <= budget
+    assert "qsort" not in source and "<stdlib.h>" not in source
+    size = program_size(kernel.loop_ir)
+    assert {k: n for k, n in size.items() if k.startswith("search.")} == searches
+    assert len(_whiles(kernel.loop_ir)) == loops
+
+
 def _whiles(p):
     if isinstance(p, PSeq):
         return [w for x in p.items for w in _whiles(x)]
@@ -221,4 +255,116 @@ def test_c_prologue_includes_only_what_the_body_needs():
         "k", params, [], PStore("out", ilit(0), ELit(math.inf, TFLOAT)))
     assert "<math.h>" in inf and "<stdlib.h>" not in inf
     sort = codegen_c.emit_kernel_source("k", params, [], PSort("lst", ilit(2)))
-    assert "<stdlib.h>" in sort and "_cmp_i64" in sort and "<math.h>" not in sort
+    assert "void _sort_i64(" in sort and "_skip_gal" not in sort
+    # a sort is an emitted helper, not libc's: no header comes with it
+    assert sort.count("#include") == 2 and "qsort" not in sort
+    q = EVar("_tq0")
+    for strategy, helper in (("linear", False), ("binary", True)):
+        skip = codegen_c.emit_kernel_source(
+            "k", params, [q], PSearch(q, "lst", ilit(2), ilit(7), strategy))
+        assert ("static inline" in skip) == helper
+        assert skip.count("#include") == 2 and "_sort_i64" not in skip
+
+
+# ----------------------------------------------------------------------
+# the two primitives, directly: every backend against the specification
+# ----------------------------------------------------------------------
+def _on_every_backend(name, params, decls, body, env):
+    """Run one hand-built body on the interpreter, the Python backend
+    (plain and checked) and C, each on its own copy of ``env``; returns
+    the four environments."""
+    kernels = [
+        InterpKernel(name, params, decls, body),
+        codegen_py.PyKernel(name, params, decls, body),
+        codegen_py.PyKernel(name, params, decls, body, checked=True),
+        codegen_c.CKernel(
+            codegen_c.emit_kernel_source(name, params, decls, body), name, params),
+    ]
+    envs = []
+    for kernel in kernels:
+        own = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in env.items()}
+        kernel(own)
+        envs.append(own)
+    return envs
+
+
+@pytest.mark.parametrize("strategy", ["linear", "binary"])
+def test_search_meets_its_specification_on_every_backend(strategy):
+    """``PSearch`` against ``bisect_left``: empty and inverted ranges,
+    a variable already at or past the target, targets before the first
+    element, at every element, between elements and past ``hi``, from
+    starts that make the gallop stop on its first, a middle and its
+    last doubling."""
+    crd = np.cumsum(np.arange(1, 34) % 4 + 1).astype(np.int64)   # strictly increasing
+    n = len(crd)
+    targets = sorted({0, 10**12, *(int(c) + d for c in crd for d in (-1, 0, 1))})
+    cases = [(q, hi, t) for q in (0, 1, 7, n - 2, n - 1, n)
+             for hi in (0, q, 20, n) for t in targets]
+    want = [bisect_left(crd, t, q, hi) if q < hi else q for q, hi, t in cases]
+    assert {0, 1, 20, n - 1, n} <= set(want)
+
+    columns = np.array(cases, dtype=np.int64).T
+    k, q = EVar("_tk0"), EVar("_tq0")
+    at = lambda array: EAccess(array, k, TINT)
+    body = PSeq(
+        PAssign(k, ilit(0)),
+        PWhile(EBinop("<", k, EVar("ncases"), TBOOL), PSeq(
+            PAssign(q, at("starts")),
+            PSearch(q, "crd", at("his"), at("targets"), strategy),
+            PStore("out", k, q),
+            PAssign(k, EBinop("+", k, ilit(1), TINT)),
+        )),
+    )
+    params = [Param("ncases", "scalar", TINT)] + [
+        Param(a, "array", TINT) for a in ("crd", "starts", "his", "targets", "out")]
+    env = {"ncases": len(cases), "crd": crd, "starts": columns[0],
+           "his": columns[1], "targets": columns[2],
+           "out": np.full(len(cases), -1, dtype=np.int64)}
+    for got in _on_every_backend(f"search_{strategy}", params, [k, q], body, env):
+        assert got["out"].tolist() == want
+
+
+def test_sort_meets_its_specification_on_every_backend():
+    """``PSort`` against ``sorted()``: both sides of the insertion-sort
+    cut-off, and keys up to 2**40, so that the radix sort runs more
+    than two passes; each list also sorted and reversed.  The list has
+    room for ``2 * count`` elements — the upper half is the statement's
+    scratch — and nothing past that is touched."""
+    rng = np.random.default_rng(20)
+    lists = [rng.choice(2**40, size=n, replace=False) for n in (0, 1, 2, 24, 25, 1_000)]
+    lists += [np.sort(keys)[::step] for keys in lists[2:] for step in (1, -1)]
+    lists.append(np.arange(300)[::-1])      # one radix pass and a bit
+    params = [Param("n", "scalar", TINT), Param("a", "array", TINT)]
+    body = PSort("a", EVar("n"))
+    for keys in lists:
+        n = len(keys)
+        env = {"n": n, "a": np.concatenate([keys, np.zeros(n), [-7, -7]]).astype(np.int64)}
+        for got in _on_every_backend("sort_table", params, [], body, env):
+            assert got["a"][:n].tolist() == sorted(keys.tolist())
+            assert got["a"][2 * n:].tolist() == [-7, -7]
+
+
+def test_workspace_drains_once_per_slice():
+    """A CSR output's workspace is flushed by each row's push and by
+    nothing after the row loop (there used to be a second, unreachable
+    sort + flush there); a workspace that *is* the top level — a sparse
+    vector output — still drains at finalize."""
+    n = 12
+    schema = Schema.of(i=range(n), j=range(n), k=range(n))
+    A = sparse_matrix(n, n, 0.4, attrs=("i", "j"), seed=10)
+    B = sparse_matrix(n, n, 0.4, attrs=("j", "k"), seed=11)
+    mmul = compile_kernel(
+        Sum("j", Var("A") * Var("B")),
+        TypeContext(schema, {"A": {"i", "j"}, "B": {"j", "k"}}), {"A": A, "B": B},
+        OutputSpec(("i", "k"), ("dense", "sparse"), (n, n)),
+        backend="interp", cache=False, name="ws_mmul")
+    assert program_size(mmul.loop_ir)["sort"] == 1
+
+    X = sparse_matrix(n, n, 0.3, attrs=("i", "j"), formats=("sparse", "sparse"), seed=7)
+    ctx = TypeContext(schema, {"X": {"i", "j"}})
+    colsum = compile_kernel(
+        Sum("i", Var("X")), ctx, {"X": X}, OutputSpec(("j",), ("sparse",), (n,)),
+        backend="interp", cache=False, name="ws_colsum")
+    assert program_size(colsum.loop_ir)["sort"] == 1
+    truth = denote(Sum("i", Var("X")), ctx, {"X": tensor_to_krelation(X, schema)})
+    assert tensor_to_krelation(colsum.run({"X": X}, capacity=n), schema).equal(truth)

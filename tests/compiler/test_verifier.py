@@ -30,6 +30,7 @@ from repro.compiler.ir import (
     Op,
     PAssign,
     PIf,
+    PSearch,
     PSeq,
     PSort,
     PStore,
@@ -165,6 +166,30 @@ class TestVerifyProgram:
             ctx_of(arrays={"vals": TFLOAT}, scalars={"n": TINT}),
         )
         assert errors(issues)
+
+    def test_search_operands(self):
+        ctx = ctx_of(arrays={"crd": TINT, "vals": TFLOAT},
+                     scalars={"hi": TINT, "t": TINT},
+                     locals={"q": TINT, "x": TFLOAT})
+        ok = PSeq(PAssign(V("q"), ilit(0)),
+                  PSearch(V("q"), "crd", V("hi"), V("t"), "binary"))
+        assert verify_program(ok, ctx) == []
+        bad = {
+            "array-consistency": PSearch(V("q"), "vals", V("hi"), V("t"), "linear"),
+            "assign-to-param": PSearch(V("hi"), "crd", V("hi"), V("t"), "linear"),
+            "subscript-type": PSearch(FV("x"), "crd", V("hi"), V("t"), "linear"),
+            "operator-type": PSearch(V("q"), "crd", V("hi"), FV("x"), "linear"),
+            # a backend may re-evaluate the bound while it moves q
+            "search-operand": PSearch(
+                V("q"), "crd", EBinop("+", V("q"), ilit(4), TINT), V("t"), "linear"),
+        }
+        for invariant, stmt in bad.items():
+            assert invariant in invariants(errors(verify_program(stmt, ctx))), invariant
+        # the search reads its own variable: an unassigned one is flagged
+        unset = PSearch(V("q"), "crd", V("hi"), V("t"), "linear")
+        assert "use-before-def" in invariants(verify_program(unset, ctx))
+        with pytest.raises(ValueError):
+            PSearch(V("q"), "crd", V("hi"), V("t"), "gallop")
 
     def test_cond_branches_must_agree(self):
         bad = ECond(blit(True), ilit(1), ELit(1.0, TFLOAT))
@@ -389,6 +414,28 @@ def test_binding_invariants_on_handwritten_ir():
     # two assignment sites
     twice = PWhile(in_range, PSeq(bind, PIf(b, PAssign(b, blit(False))), step))
     assert "binding-site" in invariants(verify_program(twice, ctx))
+
+
+def test_search_target_is_a_read_of_a_binding_temporary():
+    """A skip's target is a composite index bound once per iteration
+    (``_named_index``): reading it as a ``PSearch`` target is a read
+    like any other — clean inside the iteration that bound it, rejected
+    after the loop."""
+    ng = NameGen()
+    at = ng.binding("j_at")
+    i, q = ng.fresh("i"), ng.fresh("q")
+    params = [Param("n", "scalar", TINT), Param("crd", "array", TINT)]
+    ctx = VerifyContext.from_params(params, ng.allocated)
+    step = PAssign(i, EBinop("+", i, ilit(1), TINT))
+    bind = PAssign(at, EBinop("*", i, ilit(2), TINT))
+    skip = PSearch(q, "crd", EVar("n"), at, "binary")
+    loop = lambda *body: PSeq(
+        PAssign(q, ilit(0)), PWhile(EBinop("<", i, EVar("n"), TBOOL), PSeq(*body)))
+    assert verify_program(loop(bind, skip, step), ctx) == []
+    outside = verify_program(PSeq(loop(bind, step), skip), ctx)
+    assert "binding-scope" in invariants(errors(outside))
+    before = verify_program(loop(skip, bind, step), ctx)
+    assert "binding-scope" in invariants(errors(before))
 
 
 def test_sum_kernel_verifies_clean():
