@@ -640,13 +640,15 @@ def is_transient(
 # ----------------------------------------------------------------------
 # crash-safe filesystem primitives
 # ----------------------------------------------------------------------
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
-    """Write ``data`` to ``path`` so readers see old-or-new, never half."""
+def atomic_write_bytes(path: Union[str, Path], data: Union[bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` (one buffer, or several to lay end to end) to
+    ``path`` so readers see old-or-new, never half."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(
+                [data] if isinstance(data, (bytes, bytearray, memoryview)) else data)
         os.replace(tmp, path)
     except BaseException:
         try:

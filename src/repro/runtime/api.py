@@ -32,7 +32,7 @@ from repro.errors import (
     ReproError,
     is_retryable,
 )
-from repro.runtime import worker as worker_mod
+from repro.runtime import pool as pool_mod, shm, worker as worker_mod
 from repro.runtime.executor import discard_shared_executor, get_shared_executor
 from repro.runtime.governor import PartialAccumulator
 from repro.runtime.jobs import JobJournal, job_signature
@@ -57,15 +57,6 @@ class ShardStat:
     skipped: bool = False
     #: the partial was evicted to the journal by the memory governor
     spilled: bool = False
-
-
-def _operand_bytes(tensors: Mapping[str, Tensor]) -> int:
-    total = 0
-    for t in tensors.values():
-        total += int(t.vals.nbytes)
-        total += sum(int(a.nbytes) for a in t.pos.values())
-        total += sum(int(a.nbytes) for a in t.crd.values())
-    return total
 
 
 def _local_task(kernel, tensors, capacity, auto_grow, max_capacity,
@@ -140,26 +131,25 @@ def _pool_deadline(kernel, supervised, deadline=None) -> Optional[float]:
     return None
 
 
-def _pool_dispatch(ex, pool_mod, shm, kernel, shard_inputs, shard_dims,
-                   tensors, capacity, auto_grow, max_capacity, deadline):
-    """Submit every shard to the worker pool as shm descriptors.
+def _pool_dispatch(ex, exports, threshold, kernel, shard_inputs, shard_dims,
+                   capacity, auto_grow, max_capacity, deadline):
+    """Submit every shard (or batch item) to the worker pool as shm
+    descriptors.
 
-    Base operand tensors are exported once (memoized on the tensor);
-    each shard's views are described as byte windows into those
-    segments, so the per-shard pipe payload is a few hundred bytes of
-    descriptor regardless of operand size.
+    ``exports`` holds the segments of operands that were exported
+    *before* they were sliced: a shard's arrays are views into them and
+    travel as byte windows, so the per-shard pipe payload is a few
+    hundred bytes of descriptor regardless of operand size.  An operand
+    it does not name (every batch item brings its own) is exported here.
     """
     pool = pool_mod.get_shared_pool(ex.workers)
     key = pool_mod.pool_key(kernel)
     pool.register_recipe(key, kernel.recipe)
-    threshold = resilience.shm_threshold()
-    exports = {
-        name: shm.export_tensor(t, threshold) for name, t in tensors.items()
-    }
     futures = []
     for st, dims in zip(shard_inputs, shard_dims):
         refs = {
-            name: shm.describe_tensor(t, exports.get(name))
+            name: shm.describe_tensor(
+                t, exports.get(name) or shm.export_tensor(t, threshold))
             for name, t in st.items()
         }
         futures.append(_submit(
@@ -230,6 +220,15 @@ def run_sharded(
             supervised=supervised, deadline=deadline,
         )
 
+    executor = _resolve_executor(kernel, executor)
+    ex = get_shared_executor(executor, n_workers)
+    # operands move to shared memory before anything reads them: shards
+    # sliced from here on are windows, fingerprints are taken once
+    threshold = resilience.shm_threshold()
+    exports = {
+        name: shm.export_tensor(t, threshold) for name, t in tensors.items()
+    } if ex.name == "pool" else {}
+
     if durable is None:
         durable = resume is not None or resilience.durable_enabled()
     budget_mb = resilience.mem_budget_mb()
@@ -273,7 +272,6 @@ def run_sharded(
             "journal", kernel.name, journal.job_id, len(skipped), plan.shards,
         )
 
-    executor = _resolve_executor(kernel, executor)
     out = kernel.output
     pending: List[int] = [i for i in range(plan.shards) if i not in skipped]
     shard_inputs: List[Mapping[str, Tensor]] = []
@@ -291,12 +289,9 @@ def run_sharded(
             shard_kernels.append(kernel)
 
     stats: Dict[int, ShardStat] = dict(skipped)
-    ex = get_shared_executor(executor, n_workers)
     if ex.name == "pool":
-        from repro.runtime import pool as pool_mod, shm
-
         futures = _pool_dispatch(
-            ex, pool_mod, shm, kernel, shard_inputs, shard_dims, tensors,
+            ex, exports, threshold, kernel, shard_inputs, shard_dims,
             capacity, auto_grow, max_capacity,
             _pool_deadline(kernel, supervised, deadline),
         )
@@ -359,7 +354,7 @@ def run_sharded(
         acc.add(i, result, journaled=journaled)
         stats[i] = ShardStat(
             index=i, lo=lo, hi=hi, seconds=seconds,
-            bytes_in=_operand_bytes(shard_inputs[k]),
+            bytes_in=sum(map(shm.tensor_bytes, shard_inputs[k].values())),
             worker=who, retried=retried, failover=failover,
         )
     for i in acc.spilled_indices():
@@ -415,23 +410,11 @@ def run_batch(
     ex = get_shared_executor(executor, n_workers)
     futures = []
     if ex.name == "pool":
-        from repro.runtime import pool as pool_mod, shm
-
-        pool = pool_mod.get_shared_pool(ex.workers)
-        key = pool_mod.pool_key(kernel)
-        pool.register_recipe(key, kernel.recipe)
-        threshold = resilience.shm_threshold()
         deadline = _pool_deadline(kernel, None, deadline)
-        for tensors in runs:
-            refs = {
-                name: shm.describe_tensor(
-                    t, shm.export_tensor(t, threshold))
-                for name, t in tensors.items()
-            }
-            futures.append(_submit(
-                ex, pool.run_call, key, refs, None, capacity, auto_grow,
-                max_capacity, deadline, threshold,
-            ))
+        futures = _pool_dispatch(
+            ex, {}, resilience.shm_threshold(), kernel, runs,
+            [None] * len(runs), capacity, auto_grow, max_capacity, deadline,
+        )
     else:
         for tensors in runs:
             if ex.name == "process":
@@ -466,7 +449,8 @@ def run_batch(
         results.append(result)
         stats.append(ShardStat(
             index=i, lo=0, hi=0, seconds=seconds,
-            bytes_in=_operand_bytes(tensors), worker=who, retried=retried,
+            bytes_in=sum(map(shm.tensor_bytes, tensors.values())),
+            worker=who, retried=retried,
         ))
     kernel.last_shard_stats = stats
     return results

@@ -4,15 +4,18 @@ A *job* is one ``run_sharded`` invocation, identified by a
 deterministic signature over everything that decides its result: the
 kernel's content-addressed cache key, the shard plan (split attribute,
 kind, ranges), and a fingerprint of every operand tensor's raw storage
-arrays.  Re-running the same contraction on the same inputs therefore
-computes the same ``job_id`` — which is the whole resume story: a
-process killed mid-job leaves its journal behind, and the next run with
-the same signature loads the journaled shard partials instead of
-re-executing them.
+arrays (hashed in place; once for an operand that lives read-only in
+shared memory).  Re-running the same contraction on the same inputs
+therefore computes the same ``job_id`` — which is the whole resume
+story: a process killed mid-job leaves its journal behind, and the next
+run with the same signature loads the journaled shard partials instead
+of re-executing them.
 
 Each completed shard partial is published with the PR 2 crash-safe
-primitives: serialized, framed with a SHA-256 checksum header, written
-via :func:`~repro.compiler.resilience.atomic_write_bytes` under a
+primitives: a pickle stream that only *refers* to the arrays, the
+arrays' own buffers and a closing SHA-256, each byte hashed and written
+from where it lies, via
+:func:`~repro.compiler.resilience.atomic_write_bytes` under a
 :func:`~repro.compiler.resilience.file_lock` — so a SIGKILL at any
 instant leaves either a fully verifiable shard file or nothing, never a
 torn write.  A shard file whose checksum fails on load is quarantined
@@ -23,9 +26,9 @@ directory degrades durability (the run completes from RAM exactly as a
 non-durable run would), it never fails the computation.
 
 Values round-trip bit-identically: a :class:`~repro.data.tensor.Tensor`
-is journaled as its raw ``pos``/``crd``/``vals`` numpy arrays, and
-numpy arrays pickle exactly — so a resumed merge sees the *same bytes*
-an uninterrupted run would have merged.
+is journaled as its raw ``pos``/``crd``/``vals`` numpy arrays, byte
+for byte — so a resumed merge sees the *same bytes* an uninterrupted
+run would have merged.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import pickle
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
+from typing import Any, Iterable, Iterator, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -52,9 +55,11 @@ from repro.compiler.resilience import (
     usable_cache_dir,
 )
 from repro.data.tensor import Tensor
+from repro.runtime import shm
 
 #: shard files use a fixed-width index so directory listings sort
 _SHARD_FMT = "shard_{:05d}.bin"
+_DIGEST = 32  #: bytes of SHA-256 closing a shard file
 #: journal directories untouched past this many seconds are GC'd
 DEFAULT_JOB_TTL = 7 * 24 * 3600.0
 
@@ -69,17 +74,18 @@ def job_root() -> Path:
 
 
 def fingerprint_tensor(t: Tensor) -> str:
-    """Content digest of one operand: structure plus raw array bytes."""
-    h = hashlib.sha256()
-    h.update(repr((t.attrs, t.formats, t.dims)).encode())
-    h.update(np.ascontiguousarray(t.vals).tobytes())
-    for k in sorted(t.pos):
-        h.update(b"pos%d" % k)
-        h.update(np.ascontiguousarray(t.pos[k]).tobytes())
-    for k in sorted(t.crd):
-        h.update(b"crd%d" % k)
-        h.update(np.ascontiguousarray(t.crd[k]).tobytes())
-    return h.hexdigest()
+    """Content digest of one operand: structure plus raw array bytes
+    (taken once for an exported tensor: its arrays are read-only)."""
+    def digest() -> str:
+        h = hashlib.sha256()
+        h.update(repr((t.attrs, t.formats, t.dims)).encode())
+        h.update(np.ascontiguousarray(t.vals))
+        for tag, arrays in ((b"pos%d", t.pos), (b"crd%d", t.crd)):
+            for k in sorted(arrays):
+                h.update(tag % k)
+                h.update(np.ascontiguousarray(arrays[k]))
+        return h.hexdigest()
+    return shm.memoized(t, "fingerprint", digest)
 
 
 def job_signature(kernel, plan, tensors: Mapping[str, Tensor]) -> str:
@@ -107,8 +113,9 @@ def job_signature(kernel, plan, tensors: Mapping[str, Tensor]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _encode_partial(result: Any) -> bytes:
-    """Serialize one shard partial (Tensor or semiring scalar)."""
+def _encode_partial(result: Any) -> List[memoryview]:
+    """One shard partial (Tensor or semiring scalar) as frames: the
+    pickle stream, then each array's own buffer, uncopied."""
     if isinstance(result, Tensor):
         payload = {
             "kind": "tensor",
@@ -121,11 +128,34 @@ def _encode_partial(result: Any) -> bytes:
         }
     else:
         payload = {"kind": "scalar", "value": result}
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    arrays: List[pickle.PickleBuffer] = []
+    stream = pickle.dumps(payload, protocol=5, buffer_callback=arrays.append)
+    return [memoryview(stream), *(a.raw() for a in arrays)]
 
 
-def _decode_partial(blob: bytes, semiring) -> Any:
-    payload = pickle.loads(blob)
+def _checksummed(frames: List[memoryview]) -> Iterator[bytes]:
+    """A shard file's pieces in writing order — frame lengths, frames,
+    the SHA-256 of both, fed as each piece is handed on to be written."""
+    h = hashlib.sha256()
+    header = json.dumps({"frames": [f.nbytes for f in frames]}).encode() + b"\n"
+    for piece in (header, *frames):
+        h.update(piece)
+        yield piece
+    yield h.digest()
+
+
+def _decode_partial(raw: bytearray, semiring) -> Any:
+    """Inverse of the two above; raises unless the checksum holds.
+    Arrays come back as writable views of ``raw``."""
+    body, digest = memoryview(raw)[:-_DIGEST], raw[-_DIGEST:]
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError("checksum mismatch")
+    at = raw.index(b"\n") + 1
+    frames = []
+    for n in json.loads(raw[:at])["frames"]:
+        frames.append(body[at:at + n])
+        at += n
+    payload = pickle.loads(frames[0], buffers=frames[1:])
     if payload["kind"] == "scalar":
         return payload["value"]
     return Tensor(
@@ -141,11 +171,13 @@ class JobJournal:
 
         <job root>/job_<sig[:24]>/
             manifest.json        # signature, plan geometry, timestamps
-            shard_00007.bin      # checksum header + pickled partial
+            shard_00007.bin      # frame lengths, frames, checksum
 
-    Shard files are framed as one JSON header line
-    (``{"sha256": ..., "len": ...}``) followed by the payload bytes, so
-    a reader can verify integrity before unpickling anything.
+    A shard file is one JSON line (``{"frames": [n0, n1, ...]}``), the
+    frames — a protocol-5 pickle stream, then the raw bytes of each
+    array it refers to — and the SHA-256 of everything before it, so a
+    reader verifies integrity before unpickling anything; a file in the
+    older ``{"sha256", "len"}`` framing fails that check and re-executes.
     """
 
     def __init__(self, signature: str, root: Optional[Path] = None) -> None:
@@ -213,12 +245,9 @@ class JobJournal:
             return False
         path = self._shard_path(index)
         try:
-            blob = _encode_partial(result)
-            header = json.dumps(
-                {"sha256": hashlib.sha256(blob).hexdigest(), "len": len(blob)}
-            ).encode() + b"\n"
+            frames = _encode_partial(result)
             with file_lock(path, timeout=10.0):
-                atomic_write_bytes(path, header + blob)
+                atomic_write_bytes(path, _checksummed(frames))
             return True
         except OSError as exc:
             logger.warning(
@@ -241,14 +270,7 @@ class JobJournal:
         except OSError:
             return None
         try:
-            nl = raw.index(b"\n")
-            header = json.loads(raw[:nl])
-            blob = raw[nl + 1:]
-            if len(blob) != header["len"]:
-                raise ValueError("length mismatch")
-            if hashlib.sha256(blob).hexdigest() != header["sha256"]:
-                raise ValueError("checksum mismatch")
-            return _decode_partial(blob, semiring)
+            return _decode_partial(bytearray(raw), semiring)
         except Exception as exc:
             logger.warning(
                 "journaled shard %d of %s is corrupt (%s); quarantining "

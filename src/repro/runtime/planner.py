@@ -26,14 +26,16 @@ An output attribute at an inner position admits neither merge and is
 rejected.
 
 Range boundaries are nnz-balanced: each sliced operand contributes its
-per-outer-coordinate leaf counts (:meth:`Tensor.outer_weights`); the
-planner cuts the cumulative weight into near-equal parts instead of
-cutting the coordinate range uniformly, so a power-law row distribution
-does not serialize behind one dense shard.
+per-outer-coordinate leaf counts (:meth:`Tensor.outer_weights`, their
+running total kept with an exported operand); the planner cuts the
+cumulative weight into near-equal parts instead of cutting the
+coordinate range uniformly, so a power-law row distribution does not
+serialize behind one dense shard.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -47,6 +49,7 @@ from repro.compiler.analysis.streamprops import (
 from repro.compiler.formats import FunctionInput, TensorInput
 from repro.compiler.resilience import logger
 from repro.data.tensor import Tensor
+from repro.runtime import shm
 
 
 @dataclass(frozen=True)
@@ -127,21 +130,20 @@ def _attr_dim(kernel, tensors: Mapping[str, Tensor], attr: str) -> Optional[int]
 
 
 def _balanced_ranges(
-    weights: np.ndarray, dim: int, shards: int
+    cum: np.ndarray, dim: int, shards: int
 ) -> Tuple[Tuple[int, int], ...]:
     """Cut ``[0, dim)`` into ≤ ``shards`` windows of near-equal weight.
 
-    Classic balanced-cut: cumulative weights, then ``searchsorted`` for
-    the k/n quantile boundaries.  Boundaries always fall between outer
-    coordinates (a single heavy row is never split), duplicate cuts and
-    empty windows are dropped.
+    Classic balanced-cut over the *cumulative* weights ``cum``:
+    ``searchsorted`` for the k/n quantile boundaries.  Boundaries
+    always fall between outer coordinates (a single heavy row is never
+    split), duplicate cuts and empty windows are dropped.
     """
     shards = max(1, min(int(shards), dim))
-    total = int(weights.sum())
+    total = int(cum[-1])
     if total == 0:
         bounds = np.linspace(0, dim, shards + 1).astype(np.int64)
     else:
-        cum = np.cumsum(weights)
         targets = (np.arange(1, shards) * total) / shards
         cuts = np.searchsorted(cum, targets, side="left") + 1
         bounds = np.concatenate(([0], cuts, [dim]))
@@ -152,6 +154,13 @@ def _balanced_ranges(
         if hi > lo
     ]
     return tuple(ranges)
+
+
+def _cum_weights(t: Tensor) -> np.ndarray:
+    """Running total of :meth:`Tensor.outer_weights` — computed once
+    for an exported operand, whose ``pos`` arrays can no longer change."""
+    return shm.memoized(
+        t, "cum_weights", lambda: np.cumsum(t.outer_weights()))
 
 
 def plan_shards(
@@ -182,11 +191,13 @@ def plan_shards(
         dim = _attr_dim(kernel, tensors, attr)
         if dim is None or dim <= 1:
             continue
-        weights = np.zeros(dim, dtype=np.int64)
-        for name, spec in kernel.input_specs.items():
-            if isinstance(spec, TensorInput) and spec.split_kind(attr) == "outer":
-                weights += tensors[name].outer_weights()
-        ranges = _balanced_ranges(weights, dim, shards)
+        # a sum of running totals is the running total of the sum
+        cum = functools.reduce(np.add, (
+            _cum_weights(tensors[name])
+            for name, spec in kernel.input_specs.items()
+            if isinstance(spec, TensorInput) and spec.split_kind(attr) == "outer"
+        ))
+        ranges = _balanced_ranges(cum, dim, shards)
         plan = ShardPlan(attr, cert.kind, dim, ranges, cert)
         logger.debug(
             "kernel %r: split on %r (%s), %d shard(s) over dim %d",

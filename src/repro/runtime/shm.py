@@ -6,13 +6,17 @@ deserialized fresh copies.  This module replaces that with
 :class:`multiprocessing.shared_memory.SharedMemory` segments plus small
 picklable *descriptors*:
 
-* the parent exports a tensor's backing arrays **once** into one
-  segment (:func:`export_tensor`, cached on the tensor object);
+* the parent *moves* a tensor's backing arrays into one segment
+  (:func:`export_tensor`, cached on the tensor object): they are copied
+  in once, the tensor's ``vals``/``pos``/``crd`` are rebound to
+  read-only views over the segment and the heap arrays are dropped —
+  an operand is resident once, and in-process runs, shards, the job
+  journal's fingerprint and pooled workers all read the same pages;
 * per-shard operand views are described, not copied —
-  :func:`describe_tensor` maps each numpy view onto a byte window of
-  the already-exported base segment (``slice_outer`` returns views of
-  the base arrays, so the window is just an offset shift); only the
-  O(shards) rebased outer ``pos``/``crd`` arrays travel inline;
+  :func:`describe_tensor` maps each numpy view that lies inside the
+  segment onto a byte window of it (``slice_outer`` returns views of
+  the tensor's arrays, so slice *after* exporting); only the rebased
+  outer ``pos``/``crd`` arrays travel inline;
 * the worker reconstructs the tensor as ``np.frombuffer`` views over
   the attached segment (:func:`open_ref`) — no copy on that side
   either;
@@ -29,7 +33,12 @@ Ownership rules (the reason no segment ever leaks):
   exit; result segments are unlinked by the parent immediately after
   attaching (POSIX keeps the mapping valid until the last ``close``),
   or on the error path by name;
-* workers only ever ``close`` their attachments, never unlink;
+* unlinking removes the name, not the memory: a tensor that outlives
+  its export's release keeps reading its (anonymous) mapping;
+* workers only ever ``close`` their attachments, never unlink; a fork
+  child inherits operand mappings ``MAP_SHARED`` — the parent's pages,
+  not a copy-on-write heap — and leaves by ``os._exit``, so the
+  parent's exit sweep never runs in it;
 * fork and spawn children share the parent's ``resource_tracker``
   (multiprocessing passes the tracker fd), so the create-side
   registration is balanced by the single parent-side unlink — a dying
@@ -67,6 +76,8 @@ _ATTACH_BOUND = 128
 
 _seq_lock = threading.Lock()
 _seq = 0
+#: one export per tensor, also when two threads ask at once
+_export_lock = threading.Lock()
 
 
 def _fresh_name(tag: str = "") -> str:
@@ -103,9 +114,7 @@ def _close_quiet(seg: shared_memory.SharedMemory) -> None:
 def _unlink_quiet(seg: shared_memory.SharedMemory) -> None:
     try:
         seg.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError:
+    except OSError:  # already gone (FileNotFoundError) or not ours to remove
         pass
 
 
@@ -137,74 +146,51 @@ class TensorRef:
     pos: Dict[int, ArrayRef] = field(default_factory=dict)
     crd: Dict[int, ArrayRef] = field(default_factory=dict)
 
+    def refs(self) -> List[ArrayRef]:
+        return [self.vals, *self.pos.values(), *self.crd.values()]
+
     def nbytes_window(self) -> int:
         """Bytes referenced through the segment (0 when fully inline)."""
-        total = 0
-        for ref in [self.vals, *self.pos.values(), *self.crd.values()]:
-            if ref.offset >= 0:
-                total += np.dtype(ref.dtype).itemsize * ref.length
-        return total
+        return sum(np.dtype(ref.dtype).itemsize * ref.length
+                   for ref in self.refs() if ref.offset >= 0)
 
 
 # ----------------------------------------------------------------------
 # parent side: export base tensors, describe shard views
 # ----------------------------------------------------------------------
-@dataclass
-class _Span:
-    """Where one source array was copied to: its original address range
-    (for window detection on views) and its offset in the segment."""
-
-    base_addr: int
-    nbytes: int
-    dtype: str
-    seg_offset: int
-
-
 class TensorExport:
-    """One tensor's arrays packed into one shared-memory segment.
+    """One tensor's arrays, moved into one shared-memory segment.
 
-    Created by :func:`export_tensor` and memoized on the tensor; the
+    Created by :func:`export_tensor` and memoized on the tensor, whose
+    ``vals``/``pos``/``crd`` are rebound to read-only views over the
+    segment (``memo``: what :func:`memoized` derived from them); the
     parent is the unlink owner (tensor finalizer + atexit sweep).
     """
 
     def __init__(self, tensor: Tensor) -> None:
-        arrays = _tensor_arrays(tensor)
-        offsets: List[int] = []
-        total = 0
-        for _key, arr in arrays:
-            total = _aligned(total)
-            offsets.append(total)
-            total += arr.nbytes
         self.name = _fresh_name()
-        self.segment = shared_memory.SharedMemory(
-            name=self.name, create=True, size=max(1, total)
-        )
-        self.spans: List[_Span] = []
-        for (key, arr), off in zip(arrays, offsets):
-            dst = np.frombuffer(
-                self.segment.buf, dtype=arr.dtype, count=arr.size, offset=off
-            )
-            dst[:] = arr
-            self.spans.append(_Span(
-                base_addr=_addr(arr), nbytes=arr.nbytes,
-                dtype=np.dtype(arr.dtype).str, seg_offset=off,
-            ))
+        self.segment, ref = _pack(tensor, self.name)
+        self._base = _addr(np.frombuffer(self.segment.buf, dtype=np.uint8))
+        self.memo: Dict[str, object] = {}
         self._released = False
+        moved = _views(ref, self.segment)
+        for view in _tensor_arrays(moved):
+            view.flags.writeable = False
+        tensor.vals, tensor.pos, tensor.crd = moved.vals, moved.pos, moved.crd
 
     def locate(self, arr: np.ndarray) -> Optional[int]:
-        """Segment offset of a view into one of the exported source
-        arrays, or None when ``arr`` is not such a view."""
+        """Segment offset of a view into the exported arrays, or None
+        when ``arr`` does not lie inside the segment."""
         if arr.size and not arr.flags["C_CONTIGUOUS"]:
             return None
-        addr, nbytes, dt = _addr(arr), arr.nbytes, np.dtype(arr.dtype).str
-        for span in self.spans:
-            if (span.dtype == dt and span.base_addr <= addr
-                    and addr + nbytes <= span.base_addr + span.nbytes):
-                return span.seg_offset + (addr - span.base_addr)
+        off = _addr(arr) - self._base
+        if 0 <= off and off + arr.nbytes <= self.segment.size:
+            return off
         return None
 
     def release(self) -> None:
-        """Unlink and close; idempotent."""
+        """Unlink and close; idempotent.  The tensor's views keep the
+        unlinked mapping alive for as long as they are."""
         if self._released:
             return
         self._released = True
@@ -213,13 +199,42 @@ class TensorExport:
         _close_quiet(self.segment)
 
 
-def _tensor_arrays(t: Tensor) -> List[Tuple[str, np.ndarray]]:
-    out: List[Tuple[str, np.ndarray]] = [("vals", t.vals)]
-    for k in sorted(t.pos):
-        out.append((f"pos{k}", t.pos[k]))
-    for k in sorted(t.crd):
-        out.append((f"crd{k}", t.crd[k]))
-    return out
+def _tensor_arrays(t: Tensor) -> List[np.ndarray]:
+    return [t.vals, *t.pos.values(), *t.crd.values()]
+
+
+def _pack(tensor: Tensor,
+          name: str) -> Tuple[shared_memory.SharedMemory, "TensorRef"]:
+    """Create segment ``name`` holding a copy of ``tensor``'s arrays
+    back to back (cache-line aligned), each described as a window."""
+    total = 0
+
+    def place(arr: np.ndarray) -> ArrayRef:
+        nonlocal total
+        off = _aligned(total)
+        total = off + arr.nbytes
+        return ArrayRef(np.dtype(arr.dtype).str, int(arr.size), off)
+    ref = _ref_each(tensor, name, place)
+    seg = shared_memory.SharedMemory(name=name, create=True,
+                                     size=max(1, total))
+    for aref, arr in zip(ref.refs(), _tensor_arrays(tensor)):
+        _window(seg, aref)[:] = arr
+    return seg, ref
+
+
+def _ref_each(tensor: Tensor, segment: Optional[str], each) -> "TensorRef":
+    """``tensor``'s ref, with ``each(array)`` describing every array."""
+    return TensorRef(
+        attrs=tensor.attrs, formats=tensor.formats, dims=tensor.dims,
+        semiring=tensor.semiring, segment=segment, vals=each(tensor.vals),
+        pos={k: each(a) for k, a in tensor.pos.items()},
+        crd={k: each(a) for k, a in tensor.crd.items()},
+    )
+
+
+def _window(seg: shared_memory.SharedMemory, aref: ArrayRef) -> np.ndarray:
+    return np.frombuffer(seg.buf, dtype=np.dtype(aref.dtype),
+                         count=aref.length, offset=aref.offset)
 
 
 def _aligned(off: int) -> int:
@@ -232,7 +247,7 @@ def _addr(arr: np.ndarray) -> int:
 
 def tensor_bytes(t: Tensor) -> int:
     """Total backing-array bytes of a tensor (the shm-threshold gauge)."""
-    return sum(int(a.nbytes) for _k, a in _tensor_arrays(t))
+    return sum(int(a.nbytes) for a in _tensor_arrays(t))
 
 
 #: live exports by segment name, for the atexit sweep
@@ -241,25 +256,38 @@ _EXPORTS: Dict[str, TensorExport] = {}
 
 def export_tensor(tensor: Tensor, threshold: Optional[int] = None,
                   ) -> Optional[TensorExport]:
-    """Export a tensor's arrays into one segment, memoized on the
-    tensor.
+    """Move a tensor's arrays into one segment, memoized on the tensor.
 
     Returns None when the tensor is smaller than the shm threshold
     (``REPRO_SHM_THRESHOLD``) — small operands pickle faster than they
-    map.  The export assumes the tensor's arrays are not mutated
-    afterwards, which holds for every tensor this package builds.
+    map.  Afterwards the tensor reads the segment's pages through
+    read-only views and the arrays it held before are dropped, so
+    slice a tensor (``slice_outer``) *after* exporting it: an earlier
+    slice still views, and keeps alive, the old arrays.
     """
-    cached = getattr(tensor, _EXPORT_ATTR, None)
-    if cached is not None and not cached._released:
-        return cached
-    threshold = resilience.shm_threshold() if threshold is None else threshold
-    if tensor_bytes(tensor) < threshold:
-        return None
-    export = TensorExport(tensor)
-    _EXPORTS[export.name] = export
-    setattr(tensor, _EXPORT_ATTR, export)
-    weakref.finalize(tensor, TensorExport.release, export)
-    return export
+    with _export_lock:
+        cached = getattr(tensor, _EXPORT_ATTR, None)
+        if cached is not None and not cached._released:
+            return cached
+        if tensor_bytes(tensor) < (
+                resilience.shm_threshold() if threshold is None else threshold):
+            return None
+        export = TensorExport(tensor)
+        _EXPORTS[export.name] = export
+        setattr(tensor, _EXPORT_ATTR, export)
+        weakref.finalize(tensor, TensorExport.release, export)
+        return export
+
+
+def memoized(tensor: Tensor, key: str, compute):
+    """``compute()`` — a function of ``tensor``'s arrays alone — cached
+    on its export; an unexported tensor is writable, so recomputed."""
+    export = getattr(tensor, _EXPORT_ATTR, None)
+    if export is None:
+        return compute()
+    if key not in export.memo:
+        export.memo[key] = compute()
+    return export.memo[key]
 
 
 def describe_tensor(tensor: Tensor,
@@ -267,31 +295,18 @@ def describe_tensor(tensor: Tensor,
     """A picklable ref for a tensor (typically a ``slice_outer`` shard
     view of an exported base tensor).
 
-    Arrays that are views into the export's source arrays become byte
-    windows; everything else (the small rebased outer ``pos``/``crd``,
-    or all arrays when ``export`` is None) travels inline.
+    Arrays that lie inside the export's segment become byte windows;
+    everything else (the small rebased outer ``pos``/``crd``, or all
+    arrays when ``export`` is None) travels inline.
     """
-    used_segment = False
-
     def ref(arr: np.ndarray) -> ArrayRef:
-        nonlocal used_segment
-        dt = np.dtype(arr.dtype).str
-        if export is not None:
-            off = export.locate(arr)
-            if off is not None:
-                used_segment = True
-                return ArrayRef(dtype=dt, length=int(arr.size), offset=off)
-        return ArrayRef(dtype=dt, length=int(arr.size),
-                        data=np.ascontiguousarray(arr))
-    vals = ref(tensor.vals)
-    pos = {k: ref(a) for k, a in tensor.pos.items()}
-    crd = {k: ref(a) for k, a in tensor.crd.items()}
-    return TensorRef(
-        attrs=tensor.attrs, formats=tensor.formats, dims=tensor.dims,
-        semiring=tensor.semiring,
-        segment=export.name if (export is not None and used_segment) else None,
-        vals=vals, pos=pos, crd=crd,
-    )
+        off = export.locate(arr) if export is not None else None
+        dt, n = np.dtype(arr.dtype).str, int(arr.size)
+        return ArrayRef(dt, n, data=arr) if off is None else ArrayRef(dt, n, off)
+    out = _ref_each(tensor, None, ref)
+    if any(r.offset >= 0 for r in out.refs()):
+        out.segment = export.name
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -314,24 +329,25 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         return seg
 
 
-def open_ref(ref: TensorRef) -> Tensor:
-    """Reconstruct a tensor from its ref — windows become views over
-    the attached segment, nothing is copied."""
-    seg = _attach(ref.segment) if ref.segment is not None else None
-
+def _views(ref: TensorRef,
+           seg: Optional[shared_memory.SharedMemory]) -> Tensor:
+    """The tensor ``ref`` describes: windows become views over ``seg``,
+    inline arrays are taken as they came — nothing is copied."""
     def arr(aref: ArrayRef) -> np.ndarray:
-        if aref.offset < 0:
-            return aref.data
-        return np.frombuffer(
-            seg.buf, dtype=np.dtype(aref.dtype), count=aref.length,
-            offset=aref.offset,
-        )
+        return aref.data if aref.offset < 0 else _window(seg, aref)
     return Tensor(
         ref.attrs, ref.formats, ref.dims,
         {k: arr(a) for k, a in ref.pos.items()},
         {k: arr(a) for k, a in ref.crd.items()},
         arr(ref.vals), ref.semiring,
     )
+
+
+def open_ref(ref: TensorRef) -> Tensor:
+    """Worker side: reconstruct a tensor from its ref over the attached
+    (and cached) segment."""
+    return _views(
+        ref, _attach(ref.segment) if ref.segment is not None else None)
 
 
 def close_attachments() -> None:
@@ -351,31 +367,9 @@ def export_result(result: object, name: str,
     segment ``name``; small results and scalars return inline."""
     if not isinstance(result, Tensor) or tensor_bytes(result) < threshold:
         return ("val", result)
-    arrays = _tensor_arrays(result)
-    offsets: List[int] = []
-    total = 0
-    for _key, arr in arrays:
-        total = _aligned(total)
-        offsets.append(total)
-        total += arr.nbytes
-    seg = shared_memory.SharedMemory(name=name, create=True,
-                                     size=max(1, total))
-    refs: Dict[str, ArrayRef] = {}
-    for (key, arr), off in zip(arrays, offsets):
-        dst = np.frombuffer(seg.buf, dtype=arr.dtype, count=arr.size,
-                            offset=off)
-        dst[:] = arr.ravel()
-        refs[key] = ArrayRef(dtype=np.dtype(arr.dtype).str,
-                             length=int(arr.size), offset=off)
+    seg, ref = _pack(result, name)
     _close_quiet(seg)  # the parent holds the unlink; our mapping is done
-    tref = TensorRef(
-        attrs=result.attrs, formats=result.formats, dims=result.dims,
-        semiring=result.semiring, segment=name,
-        vals=refs["vals"],
-        pos={k: refs[f"pos{k}"] for k in result.pos},
-        crd={k: refs[f"crd{k}"] for k in result.crd},
-    )
-    return ("ref", tref)
+    return ("ref", ref)
 
 
 def adopt_result(payload: ResultPayload) -> object:
@@ -392,20 +386,7 @@ def adopt_result(payload: ResultPayload) -> object:
     ref: TensorRef = value
     seg = shared_memory.SharedMemory(name=ref.segment)
     _unlink_quiet(seg)
-
-    def arr(aref: ArrayRef) -> np.ndarray:
-        if aref.offset < 0:
-            return aref.data
-        return np.frombuffer(
-            seg.buf, dtype=np.dtype(aref.dtype), count=aref.length,
-            offset=aref.offset,
-        )
-    tensor = Tensor(
-        ref.attrs, ref.formats, ref.dims,
-        {k: arr(a) for k, a in ref.pos.items()},
-        {k: arr(a) for k, a in ref.crd.items()},
-        arr(ref.vals), ref.semiring,
-    )
+    tensor = _views(ref, seg)
     weakref.finalize(tensor, _close_quiet, seg)
     return tensor
 
@@ -416,9 +397,7 @@ def unlink_by_name(name: str) -> bool:
     whether a segment existed."""
     try:
         seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    except OSError:
+    except OSError:  # FileNotFoundError: the worker never created it
         return False
     _unlink_quiet(seg)
     _close_quiet(seg)
@@ -454,6 +433,7 @@ __all__ = [
     "export_result",
     "export_tensor",
     "live_export_count",
+    "memoized",
     "open_ref",
     "release_all_exports",
     "result_name",

@@ -142,9 +142,12 @@ def test_probe_success_closes_and_erases_persisted_state():
     )
 
 
-def test_sibling_process_reloads_the_hammered_state():
+def test_sibling_process_reloads_the_hammered_state(monkeypatch):
     """A second breaker instance — fresh memory, same cache dir — must
     read the flock-persisted record the first wrote under contention."""
+    # the sibling must find the breaker still *open*: on a loaded box
+    # sixteen flocked writes outlast the suite's 50 ms backoff
+    monkeypatch.setenv("REPRO_BREAKER_BACKOFF", "0.5")
     first = CircuitBreaker()
     _hammer(THREADS, lambda i: first.record_failure(KEY))
 

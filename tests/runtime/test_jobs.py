@@ -98,6 +98,37 @@ def test_fingerprint_covers_raw_arrays():
     assert fingerprint_tensor(A) != fingerprint_tensor(tensors["x"])
 
 
+def test_fingerprint_is_pinned_and_taken_once_per_export(monkeypatch):
+    """The digest is a resume key shared with journals already on disk
+    (and serve's coalesce key): hashing in place must not move it, and
+    an exported operand — read-only from then on — is hashed once."""
+    import hashlib
+
+    from repro.data.tensor import Tensor
+    from repro.runtime import shm
+
+    A = Tensor(("i", "j"), ("dense", "sparse"), (3, 4), {1: [0, 2, 2, 5]},
+               {1: [0, 3, 1, 2, 3]}, [1.5, -2.0, 0.25, 4.0, 8.0])
+    x = Tensor(("j",), ("dense",), (4,), {}, {},
+               np.arange(4, dtype=np.float64))
+    pinned = {  # computed by the string-copying implementation
+        "A": "4adcd79f8e2e4eedb089729f7898a5da148c44c98c495521f61c551dbf365248",
+        "x": "81d15cff361ccf2699a0dbdbee294db5e9158aa04e5ca784e0c65f08e8466a39",
+    }
+    assert fingerprint_tensor(A) == pinned["A"]
+    assert fingerprint_tensor(x) == pinned["x"]
+    # an unexported tensor is writable, so it is read again every time
+    x.vals[0] = 7.0
+    assert fingerprint_tensor(x) != pinned["x"]
+    export = shm.export_tensor(A, threshold=0)
+    try:
+        assert fingerprint_tensor(A) == pinned["A"]
+        monkeypatch.setattr(hashlib, "sha256", None)  # a re-read would call it
+        assert fingerprint_tensor(A) == pinned["A"]
+    finally:
+        export.release()
+
+
 # ----------------------------------------------------------------------
 # shard files: round trip, corruption, quarantine
 # ----------------------------------------------------------------------
@@ -147,6 +178,24 @@ def test_truncated_shard_is_quarantined():
     path.write_bytes(path.read_bytes()[:-10])  # torn tail
     assert journal.load_shard(2, kernel.ops.semiring) is None
     assert list(journal.dir.glob("shard_*.bin.corrupt"))
+
+
+def test_older_framing_is_reexecuted_not_misread():
+    """A shard file left by a version that framed ``{"sha256", "len"}``
+    + one pickle blob is intact by its own rules and unreadable by
+    ours: it must cost a re-execution, never be taken for a partial."""
+    import hashlib
+    import pickle
+
+    kernel, tensors, plan = _planned()
+    journal = JobJournal(job_signature(kernel, plan, tensors))
+    journal.ensure(plan)
+    blob = pickle.dumps({"kind": "scalar", "value": 42.5})
+    header = json.dumps({"sha256": hashlib.sha256(blob).hexdigest(),
+                         "len": len(blob)}).encode() + b"\n"
+    journal._shard_path(0).write_bytes(header + blob)
+    assert journal.load_shard(0, kernel.ops.semiring) is None
+    assert list(journal.dir.glob("shard_00000.bin.corrupt"))
 
 
 def test_missing_shard_loads_none():

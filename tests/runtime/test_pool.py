@@ -219,6 +219,61 @@ def test_run_sharded_pool_contracted_split():
     assert serial == pooled
 
 
+def test_no_operand_array_travels_inline(monkeypatch):
+    """Operands move to shared memory before they are sliced, so every
+    shard of every call — the first included — ships byte windows; only
+    the small rebased outer ``pos`` arrays ride the pipe."""
+    threshold = 1024
+    monkeypatch.setenv(resilience.ENV_SHM_THRESHOLD, str(threshold))
+    sent = []
+    run_call = pool_mod.WorkerPool.run_call
+
+    def spy(self, key, refs, *args, **kw):
+        sent.extend(r for tref in refs.values() for r in tref.refs())
+        return run_call(self, key, refs, *args, **kw)
+    monkeypatch.setattr(pool_mod.WorkerPool, "run_call", spy)
+    kernel, tensors = spmv_kernel(n=64, name="pool_windows_spmv")
+    serial = kernel.run_sharded(tensors, executor="serial", shards=3)
+    for _call_no in range(2):
+        del sent[:]
+        pooled = kernel.run_sharded(tensors, executor="pool", shards=3,
+                                    workers=2)
+        assert np.array_equal(pooled.vals, serial.vals)
+        windows = [r for r in sent if r.offset >= 0]
+        assert len(windows) >= 3 * 2  # vals + crd of A per shard, and x
+        assert all(r.data.nbytes < threshold for r in sent if r.offset < 0)
+
+
+def test_exported_operands_agree_on_every_route(tmp_path, monkeypatch):
+    """In process, pooled, forked and durable runs all read an exported
+    operand from the segment's pages — bit for bit what the heap copy
+    gave — and ``/dev/shm`` is left as found."""
+    from repro.runtime.supervisor import run_supervised
+
+    def shm_entries():
+        return sorted(f for f in os.listdir("/dev/shm")
+                      if f.startswith("repro_"))
+    before = shm_entries()
+    monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "jobs"))
+    monkeypatch.setenv(resilience.ENV_POOL, "0")  # supervised = a fork
+    kernel, tensors = spmv_kernel(n=64, name="pool_moved_spmv")
+    want = kernel.run(tensors, parallel=False).vals.copy()
+    for t in tensors.values():
+        assert shm.export_tensor(t, 0) is not None
+    routes = {
+        "in process": kernel.run(tensors, parallel=False),
+        "pooled": pool_mod.run_pooled(kernel, tensors),
+        "forked": run_supervised(kernel, tensors),
+        "durable": kernel.run_sharded(tensors, executor="pool", shards=3,
+                                      workers=2, durable=True),
+    }
+    for route, got in routes.items():
+        assert np.array_equal(got.vals, want), route
+    pool_mod.shutdown_shared_pool()
+    shm.release_all_exports()
+    assert shm_entries() == before
+
+
 def test_run_batch_pool_executor():
     from repro.runtime.api import run_batch
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +127,41 @@ def test_export_is_memoized_on_the_tensor():
     e3 = shm.export_tensor(A, threshold=0)
     assert e3 is not e1
     e3.release()
+
+
+def test_export_moves_the_arrays_into_the_segment():
+    """Export is a move: the tensor reads the segment through read-only
+    views and nothing keeps the arrays it held before."""
+    A = big_matrix()
+    want = [a.copy() for a in shm._tensor_arrays(A)]
+    originals = [weakref.ref(a) for a in shm._tensor_arrays(A)]
+    export = shm.export_tensor(A, threshold=0)
+    assert all(ref() is None for ref in originals)
+    for arr, expected in zip(shm._tensor_arrays(A), want):
+        assert export.locate(arr) is not None
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, expected)
+    with pytest.raises(ValueError):
+        A.vals[0] = 1.0
+    # a shard cut from the moved tensor is a window, not a payload
+    shard = shm.describe_tensor(A.slice_outer(1, A.dims[0] - 1), export)
+    assert shard.vals.offset > 0 and shard.crd[1].offset > 0
+
+
+def test_released_export_leaves_the_tensor_readable():
+    """``release_all_exports`` unlinks names, not memory: a tensor that
+    is still alive keeps its (now anonymous) mapping, and exporting it
+    again moves it into a fresh segment."""
+    A = big_matrix()
+    want = A.vals.copy()
+    first = shm.export_tensor(A, threshold=0)
+    shm.release_all_exports()
+    assert first.name not in shm_entries()
+    np.testing.assert_array_equal(A.vals, want)
+    second = shm.export_tensor(A, threshold=0)
+    assert second is not first and second.name in shm_entries()
+    assert second.locate(A.vals) == 0 and first.locate(A.vals) is None
+    np.testing.assert_array_equal(A.vals, want)
 
 
 def test_release_is_idempotent_and_unlinks():
