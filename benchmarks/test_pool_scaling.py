@@ -1,19 +1,20 @@
-"""Pool runtime benchmark: zero-copy pooled execution vs its ancestors.
+"""Pool runtime benchmark: zero-copy pooled execution vs the fork.
 
 SpMV and sparse-dense matmul, timed:
 
 * unsharded in-process (the baseline every ratio is against);
-* sharded on the classic ``process`` executor (spawn + pickle per
-  call — the PR 4 shape);
 * sharded on the persistent ``pool`` executor (resident kernels +
-  shared-memory operands — this PR);
+  shared-memory operands);
 * fork-per-call supervised (the PR 5 shape);
 * warm pooled-supervised (``REPRO_POOL=1``'s routing: supervision
   amortized inside resident workers).
 
 All raw numbers go to ``BENCH_PR6.json`` at the repo root next to the
 PR 4/PR 5 reports; ``benchmarks/report.py --deltas`` renders the
-cross-PR comparison.  The report records ``os.cpu_count()`` honestly
+cross-PR comparison.  (The file as committed still holds the
+``process_2`` / ``pool_vs_process`` cells recorded before the
+spawn-per-call ``process`` executor was deleted: it lost to the pool
+2.4–3.8× there.)  The report records ``os.cpu_count()`` honestly
 and carries a ``representative`` flag — parallel *speedups* measured
 on a single-CPU container are dispatch-overhead measurements, not
 scaling results, and are asserted only on multi-core machines.  The
@@ -126,7 +127,6 @@ def _measure(name, kernel, tensors):
     def check(got):
         assert np.allclose(np.asarray(ref.vals), np.asarray(got.vals))
 
-    check(kernel.run_sharded(tensors, executor="process", workers=2, shards=2))
     check(kernel.run_sharded(tensors, executor="pool", workers=2, shards=2))
     check(run_supervised(kernel, tensors))
     # warm the pooled-supervised path before timing it: the first call
@@ -135,8 +135,6 @@ def _measure(name, kernel, tensors):
 
     timings = {
         "single": _best(lambda: kernel._run_single(tensors)),
-        "process_2": _best(lambda: kernel.run_sharded(
-            tensors, executor="process", workers=2, shards=2)),
         "pool_2": _best(lambda: kernel.run_sharded(
             tensors, executor="pool", workers=2, shards=2)),
         "fork_supervised": _best(lambda: run_supervised(kernel, tensors)),
@@ -146,15 +144,11 @@ def _measure(name, kernel, tensors):
     base = timings["single"]
     RESULTS[name] = {
         "seconds": timings,
-        "speedup": {
-            "process_2": base / timings["process_2"],
-            "pool_2": base / timings["pool_2"],
-        },
+        "speedup": {"pool_2": base / timings["pool_2"]},
         "supervised_slowdown": {
             "fork": timings["fork_supervised"] / base,
             "pool_warm": timings["pool_supervised_warm"] / base,
         },
-        "pool_vs_process": timings["process_2"] / timings["pool_2"],
     }
     return RESULTS[name]
 
@@ -162,8 +156,9 @@ def _measure(name, kernel, tensors):
 def test_spmv_pool_scaling():
     kernel, tensors = _spmv()
     result = _measure("spmv", kernel, tensors)
-    # the pooled dispatch must beat per-call process spawn + pickle
-    assert result["pool_vs_process"] > 1.0, result
+    # supervision amortized in resident workers must beat a fork per call
+    slow = result["supervised_slowdown"]
+    assert slow["pool_warm"] < slow["fork"], result
 
 
 def test_matmul_pool_scaling():
@@ -172,8 +167,6 @@ def test_matmul_pool_scaling():
     # the acceptance criterion that holds on any machine: with the
     # sandbox amortized, warm pooled supervision costs < 1.5x in-process
     assert result["supervised_slowdown"]["pool_warm"] < 1.5, result
-    # pooled dispatch beats per-call spawn regardless of core count
-    assert result["pool_vs_process"] > 1.0, result
     if MULTICORE:
-        # process-shard speedup > 1 is only meaningful with real cores
+        # a shard speedup > 1 is only meaningful with real cores
         assert result["speedup"]["pool_2"] > 1.0, result

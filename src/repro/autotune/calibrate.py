@@ -37,9 +37,8 @@ PROFILE_NAME = "atun_cal.json"
 #: conservative per-unit seconds when nothing was measured (rough
 #: orders of magnitude for a scalar C loop step vs interpreted Python)
 DEFAULT_PER_OP_S = {"c": 4e-9, "python": 4e-7, "interp": 2e-6}
-#: per-shard dispatch overhead guesses (thread spawn, fork, pool rpc)
-DEFAULT_DISPATCH_S = {"serial": 0.0, "thread": 3e-4,
-                      "process": 5e-2, "pool": 2e-3}
+#: per-shard dispatch overhead guesses (thread hand-off, pool rpc)
+DEFAULT_DISPATCH_S = {"serial": 0.0, "thread": 3e-4, "pool": 2e-3}
 
 
 def tune_cache_dir() -> Path:

@@ -49,20 +49,6 @@ C_DENSE_OUT = 0.25
 #: per-entry cost of appending through a sparse output destination
 C_SPARSE_OUT = 2.0
 
-#: multiplicative slowdown of lower opt levels, per backend (measured
-#: once against BENCH_PR3's opt ablation; only the *ratio* matters)
-OPT_PENALTY: Dict[str, Dict[int, float]] = {
-    "c": {0: 1.3, 1: 1.1, 2: 1.0},
-    "python": {0: 8.0, 1: 2.0, 2: 1.0},
-    "interp": {0: 1.0, 1: 1.0, 2: 1.0},
-}
-
-
-def opt_penalty(backend: str, opt_level: int) -> float:
-    table = OPT_PENALTY.get(backend, OPT_PENALTY["c"])
-    return table.get(int(opt_level), 1.0)
-
-
 @dataclass(frozen=True)
 class OperandStats:
     """Per-level structure statistics of one operand tensor."""
@@ -365,8 +351,6 @@ def output_units(
 __all__ = [
     "C_BINARY",
     "C_REPACK",
-    "OPT_PENALTY",
-    "opt_penalty",
     "OperandStats",
     "CostEstimate",
     "estimate",

@@ -1,8 +1,8 @@
 """Persistent decision cache + outcome feedback loop.
 
 A *decision* is everything the tuner chose for one workload signature:
-contraction ordering, output format stack, search strategy, opt level,
-executor and shard count, plus the cost prediction it was based on.
+contraction ordering, output format stack, search strategy, executor
+and shard count, plus the cost prediction it was based on.
 Decisions are keyed by a bucketed workload signature — operand
 shapes/formats and per-level density buckets plus the expression — so
 a warm server never re-searches for traffic it has seen before, across
@@ -34,7 +34,9 @@ from repro.compiler.resilience import logger
 
 from repro.autotune.calibrate import tune_cache_dir
 
-DECISION_VERSION = 1
+#: 2: a decision no longer names an opt level, and ``executor`` is one
+#: of thread/pool — records written under 1 are plain misses
+DECISION_VERSION = 2
 #: EWMA weight of the newest observation
 EWMA_ALPHA = 0.4
 #: prediction is "wrong" when the observed EWMA leaves this band
@@ -51,9 +53,8 @@ class Decision:
     order: Optional[Tuple[str, ...]] = None
     #: output format stack (None = caller default)
     output_formats: Optional[Tuple[str, ...]] = None
-    opt_level: Optional[int] = None
     search: str = "linear"
-    #: shard executor ("thread" | "process" | "pool"); None = serial
+    #: shard executor ("thread" | "pool"); None = serial
     executor: Optional[str] = None
     shards: Optional[int] = None
     #: sparse-output capacity to pre-allocate (skips auto-grow retries)
@@ -76,7 +77,6 @@ class Decision:
             output_formats=(
                 tuple(d["output_formats"]) if d.get("output_formats") else None
             ),
-            opt_level=d.get("opt_level"),
             search=d.get("search", "linear"),
             executor=d.get("executor"),
             shards=d.get("shards"),

@@ -4,8 +4,8 @@
 operand tensors) and searches the space the caller left open:
 contraction ordering (every permutation that keeps the requested
 output order, when the attribute count is small), output format stack,
-search strategy (linear vs galloping), opt level, and — priced by the
-measured calibration profile — shard executor and shard count.  The
+search strategy (linear vs galloping), and — priced by the measured
+calibration profile — shard executor and shard count.  The
 candidate set is bounded by the same static legality rules the
 compiler enforces: only orderings whose output stack the destination
 builder accepts (:func:`~repro.autotune.costmodel.output_order_ok`)
@@ -14,8 +14,8 @@ and only shard splits carrying a stream-property certificate
 
 :func:`tune_build` is the narrower builder-path variant for general ℒ
 expressions: the attribute ordering is fixed by the caller's
-:class:`~repro.lang.TypeContext`, so only search / opt level /
-executor / shards are searched.
+:class:`~repro.lang.TypeContext`, so only search / executor / shards
+are searched.
 
 Both return a :class:`TuneResult` whose :meth:`~TuneResult.explain`
 reports the chosen plan, the rejected candidates with their cost
@@ -104,10 +104,6 @@ class TuneResult:
             semiring=self.semiring,
             backend=self.backend,
             search=self.decision.search,
-            opt_level=(
-                self.decision.opt_level
-                if self.decision.opt_level is not None else 2
-            ),
             kernel_name=self.kernel_name,
         )
 
@@ -264,21 +260,17 @@ def tune_einsum(
             if not costmodel.output_order_ok(order, output, stack):
                 continue
             for search, e in (("linear", est), ("binary", est_bin)):
-                out_units = costmodel.output_units(
+                units = e.units + costmodel.output_units(
                     stack, output, dims, e.out_nnz
                 )
-                for opt in (2, 0):
-                    pen = costmodel.opt_penalty(backend, opt)
-                    units = e.units * pen + out_units
-                    scored.append({
-                        "order": order,
-                        "output_formats": stack,
-                        "search": search,
-                        "opt_level": opt,
-                        "units": units,
-                        "out_nnz": e.out_nnz,
-                        "serial_s": units * per_unit * correction,
-                    })
+                scored.append({
+                    "order": order,
+                    "output_formats": stack,
+                    "search": search,
+                    "units": units,
+                    "out_nnz": e.out_nnz,
+                    "serial_s": units * per_unit * correction,
+                })
     scored.sort(key=lambda c: c["units"])
     best = scored[0]
 
@@ -314,7 +306,6 @@ def tune_einsum(
     decision = Decision(
         order=order,
         output_formats=best["output_formats"] or None,
-        opt_level=best["opt_level"],
         search=best["search"],
         executor=executor,
         shards=shards,
@@ -329,7 +320,6 @@ def tune_einsum(
                 "order": list(c["order"]),
                 "output_formats": list(c["output_formats"]),
                 "search": c["search"],
-                "opt_level": c["opt_level"],
                 "units": round(c["units"], 1),
             }
             for c in scored[:6]
@@ -366,9 +356,8 @@ def tune_build(
 
     The attribute ordering is the context's schema order (general ℒ
     expressions are not reorderable without retyping), so the search
-    covers: linear vs binary search, opt level, executor and shard
-    count.  All inputs must be concrete tensors — the caller gates on
-    that.
+    covers: linear vs binary search, executor and shard count.  All
+    inputs must be concrete tensors — the caller gates on that.
     """
     from repro.compiler.formats import TensorInput
     from repro.compiler.scalars import scalar_ops_for
@@ -405,16 +394,12 @@ def tune_build(
     scored = []
     for search in ("linear", "binary"):
         e = costmodel.estimate(order, stats, out_attrs, dims, search=search)
-        out_units = costmodel.output_units(out_fmts, out_attrs, dims,
-                                           e.out_nnz)
-        for opt in (2, 0):
-            pen = costmodel.opt_penalty(backend, opt)
-            units = e.units * pen + out_units
-            scored.append({
-                "search": search, "opt_level": opt, "units": units,
-                "out_nnz": e.out_nnz,
-                "serial_s": units * per_unit * correction,
-            })
+        units = e.units + costmodel.output_units(out_fmts, out_attrs, dims,
+                                                 e.out_nnz)
+        scored.append({
+            "search": search, "units": units, "out_nnz": e.out_nnz,
+            "serial_s": units * per_unit * correction,
+        })
     scored.sort(key=lambda c: c["units"])
     best = scored[0]
 
@@ -427,16 +412,14 @@ def tune_build(
     )
 
     decision = Decision(
-        order=None, output_formats=None,
-        opt_level=best["opt_level"], search=best["search"],
+        order=None, output_formats=None, search=best["search"],
         executor=executor, shards=shards,
         predicted_s=predicted_s, predicted_units=best["units"],
     )
     explain = {
         "considered": len(scored),
         "candidates": [
-            {"search": c["search"], "opt_level": c["opt_level"],
-             "units": round(c["units"], 1)}
+            {"search": c["search"], "units": round(c["units"], 1)}
             for c in scored[:6]
         ],
     }

@@ -9,6 +9,7 @@ build, and wrap the result as a :class:`Kernel` that marshals
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import re
@@ -113,7 +114,7 @@ class KernelRecipe:
 
     Only kernels whose inputs are all :class:`TensorInput` get a recipe;
     :class:`FunctionInput` bindings hold arbitrary Python callables and
-    are flagged by ``KernelBuilder`` with ``recipe = None`` (the process
+    are flagged by ``KernelBuilder`` with ``recipe = None`` (the pool
     executor then downgrades to threads).
     """
 
@@ -147,6 +148,20 @@ class KernelRecipe:
         )
 
 
+#: :func:`repro.runtime.policy.resolve`, bound at the first
+#: :meth:`Kernel.run`: the runtime package imports this one, and an
+#: ``import`` statement per call is 1 µs of a 35 µs run
+_resolve_policy = None
+
+
+def _bind_resolve_policy():
+    global _resolve_policy
+    from repro.runtime.policy import resolve
+
+    _resolve_policy = resolve
+    return resolve
+
+
 class Kernel:
     """A compiled contraction kernel."""
 
@@ -177,26 +192,24 @@ class Kernel:
         #: capacity-managed output array (empty for dense/scalar
         #: outputs and for kernels restored from the disk cache)
         self.capacity_findings: list = []
-        #: picklable rebuild instructions for process workers, attached
+        #: picklable rebuild instructions for pool workers, attached
         #: by :class:`KernelBuilder` (None when an input is a
         #: :class:`FunctionInput`)
         self.recipe: Optional[KernelRecipe] = None
-        #: default executor for :meth:`run` ("serial" | "thread" |
-        #: "process"), set from ``compile_kernel(parallel=...)``; None
-        #: defers to the ``REPRO_PARALLEL`` environment knob
+        #: this handle's build-time execution defaults, between the call
+        #: argument and ``REPRO_*`` in :func:`repro.runtime.policy.resolve`.
+        #: The memoized kernel carries none: a build that asks for any
+        #: returns a :meth:`_view`, so one caller's defaults never reach
+        #: another holder of the same cached object.
         self.parallel: Optional[str] = None
         self.workers: Optional[int] = None
+        self.supervised: Optional[bool] = None
+        #: the autotuner's verdict when this handle was built through
+        #: ``tune="auto"`` (a :class:`repro.autotune.TuneResult`)
+        self.tune_decision = None
         #: the canonical build-cache key (None when caching is off);
         #: also keys the supervised-execution circuit breaker
         self.cache_key: Optional[str] = None
-        #: the autotuner's verdict when this kernel was built through
-        #: ``tune="auto"`` (a :class:`repro.autotune.TuneResult`); None
-        #: for untuned builds
-        self.tune_decision = None
-        #: per-kernel supervision default: True/False force it on/off
-        #: for every run; None defers to ``REPRO_SUPERVISE`` and then
-        #: the auto policy (C-backed ``needs_guard`` kernels)
-        self.supervised: Optional[bool] = None
         #: per-shard timing/volume stats from the last sharded run,
         #: behind a lock (see the ``last_shard_stats`` property)
         self._stats_lock = threading.Lock()
@@ -235,6 +248,12 @@ class Kernel:
         """The generated kernel source (C or Python, per backend)."""
         return self._kernel.source
 
+    @property
+    def c_backed(self) -> bool:
+        """Whether the loaded artifact is compiled C (a crash takes the
+        host down) rather than the Python or interpreter backend."""
+        return isinstance(self._kernel, codegen_c.CKernel)
+
     def run(
         self,
         tensors: Mapping[str, Tensor],
@@ -251,43 +270,18 @@ class Kernel:
         """Execute on concrete tensors; returns the output tensor (or a
         scalar for shape-∅ kernels).
 
-        ``deadline`` is a per-call wall-clock budget in seconds.  It is
-        honored wherever execution is crash-isolated — the fork
-        supervisor and the worker pool kill the child and raise
-        :class:`~repro.errors.KernelTimeoutError` when the budget runs
-        out — and overrides the ambient ``REPRO_KERNEL_DEADLINE``
-        default for this call only.  An unsupervised in-process run has
-        no one to enforce it, so there it is advisory (ignored).  The
-        serving layer threads each request's remaining budget through
-        here so a queue-delayed request never runs longer than its
-        client is still waiting.
-
-        ``supervised=True`` runs the kernel in an isolated,
-        resource-capped child process (see
-        :mod:`repro.runtime.supervisor`): a segfault or runaway loop
-        becomes a typed :class:`~repro.errors.KernelCrashError` /
-        :class:`~repro.errors.KernelTimeoutError` instead of taking the
-        host down, and a kernel that keeps failing is quarantined by a
-        circuit breaker that transparently serves the pure-Python
-        backend until a backoff re-probe succeeds.  ``None`` defers to
-        the kernel's own ``supervised`` stamp, then ``REPRO_SUPERVISE``,
-        then the auto policy: C-backed kernels whose output stores the
-        capacity lint could not prove safe (``needs_guard``) are
-        supervised automatically.
-
-        ``parallel`` selects a shard executor (``"serial"``,
-        ``"thread"``, ``"process"``, ``"pool"``); ``None`` defers first
-        to the kernel's compiled-in default and then to the
-        ``REPRO_PARALLEL`` environment knob, and ``False`` forces a
-        single-shard in-process run regardless of either.  Sharded
-        execution partitions the operands along one index, runs this
-        same kernel per shard, and ⊕-merges the partials (see
-        :mod:`repro.runtime`); when no index is splittable it quietly
-        degrades to the single run.  The ``pool`` executor keeps this
-        kernel resident in persistent workers and ships operand buffers
-        through shared memory instead of pickle (see
-        :mod:`repro.runtime.pool` / :mod:`repro.runtime.shm`) — the
-        fast path for repeated runs.
+        ``parallel`` (a shard executor: ``"serial"``, ``"thread"``,
+        ``"pool"``; ``False`` forces one unsharded run), ``workers``,
+        ``shards``, ``supervised`` (run in a crash-isolated child: a
+        segfault or runaway loop becomes a typed
+        :class:`~repro.errors.KernelCrashError` /
+        :class:`~repro.errors.KernelTimeoutError`) and ``deadline`` (a
+        wall-clock budget in seconds, enforced wherever the run is
+        isolated and advisory in process) are this call's execution
+        policy.  None defers to this handle's build-time default, then
+        ``REPRO_*``, then the built-in default —
+        :func:`repro.runtime.policy.resolve` is the one place that
+        decides, DESIGN.md "Execution policy" the account of it.
 
         With ``auto_grow=True`` an undersized sparse output no longer
         raises: the run is retried with geometrically doubled capacity
@@ -298,61 +292,37 @@ class Kernel:
         every write by the allocated capacity, so an overflowing run is
         safe — only its size counters run past the end.
         """
-        if parallel is None:
-            backend_choice = self.parallel or resilience.parallel_backend()
-        elif parallel is False:
-            backend_choice = None
-        else:
-            backend_choice = parallel
-        if backend_choice:
-            return self.run_sharded(
-                tensors,
-                capacity=capacity,
-                auto_grow=auto_grow,
-                max_capacity=max_capacity,
-                executor=backend_choice,
-                workers=workers if workers is not None else self.workers,
-                shards=shards,
-                supervised=supervised,
-                deadline=deadline,
-            )
-        return self._run_guarded(
-            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
+        policy = (_resolve_policy or _bind_resolve_policy())(
+            self, parallel=parallel, workers=workers, shards=shards,
             supervised=supervised, deadline=deadline,
+        )
+        if policy.executor is None:
+            return self._run_guarded(
+                tensors, capacity, policy, auto_grow=auto_grow,
+                max_capacity=max_capacity,
+            )
+        from repro.runtime.api import run_shards
+
+        return run_shards(
+            self, tensors, policy, capacity=capacity, auto_grow=auto_grow,
+            max_capacity=max_capacity,
         )
 
     # ------------------------------------------------------------------
     # supervised execution (repro.runtime.supervisor + breaker)
     # ------------------------------------------------------------------
-    def _resolve_supervised(self, supervised: Optional[bool] = None) -> bool:
-        """Call argument → kernel stamp → ``REPRO_SUPERVISE`` → auto
-        policy (supervise C-backed kernels the capacity lint could not
-        prove safe; the Python backend cannot corrupt the host)."""
-        if supervised is None:
-            supervised = self.supervised
-        if supervised is not None:
-            return bool(supervised)
-        env = resilience.supervise_mode()
-        if env is not None:
-            return env
-        return self.needs_guard and isinstance(self._kernel, codegen_c.CKernel)
-
     def _run_guarded(
         self,
         tensors: Mapping[str, Tensor],
-        capacity: Optional[int] = None,
+        capacity: Optional[int],
+        policy,
         *,
         auto_grow: bool = False,
         max_capacity: Optional[int] = None,
-        supervised: Optional[bool] = None,
-        deadline: Optional[float] = None,
     ) -> Union[Tensor, float, int, bool]:
-        """The single-run entry that applies the supervision policy.
-
-        ``deadline`` reaches the child only on the supervised path;
-        in-process runs cannot be interrupted, so it is dropped there.
-        """
-        if not self._resolve_supervised(supervised):
+        """One unsharded run (also each thread/serial shard's body)
+        under an already resolved ``policy``."""
+        if not policy.supervised:
             return self._run_single(
                 tensors, capacity, auto_grow=auto_grow,
                 max_capacity=max_capacity,
@@ -370,18 +340,18 @@ class Kernel:
                 max_capacity=max_capacity,
             )
         return self._run_supervised(
-            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
-            deadline=deadline,
+            tensors, capacity, policy, auto_grow=auto_grow,
+            max_capacity=max_capacity,
         )
 
     def _run_supervised(
         self,
         tensors: Mapping[str, Tensor],
         capacity: Optional[int],
+        policy,
         *,
         auto_grow: bool,
         max_capacity: Optional[int],
-        deadline: Optional[float] = None,
     ) -> Union[Tensor, float, int, bool]:
         """One supervised run, routed through the circuit breaker.
 
@@ -393,14 +363,11 @@ class Kernel:
         transparently — once callers have been getting fallback service,
         a probe failure is the breaker's business, not theirs.
 
-        Under ``REPRO_POOL=1`` the supervised run itself is served by
-        the persistent worker pool (rlimits paid once per worker, the
-        kernel resident, operands over shared memory) instead of a
-        fork-per-call child; the typed errors — and therefore the
-        breaker transitions driven here — are identical either way.
+        Whether the child is a fork or a resident pool worker
+        (``policy.pool_route``), the typed errors — and therefore the
+        breaker transitions driven here — are identical.
         """
-        from repro.runtime import breaker as breaker_mod
-        from repro.runtime.supervisor import run_supervised
+        from repro.runtime import breaker as breaker_mod, supervisor
 
         key = self.cache_key or f"uncached:{self.name}"
         brk = breaker_mod.breaker
@@ -418,9 +385,9 @@ class Kernel:
             )
         resolved = False
         try:
-            result = run_supervised(
-                self, tensors, capacity, auto_grow=auto_grow,
-                max_capacity=max_capacity, deadline=deadline,
+            result = supervisor.supervise(
+                self, tensors, capacity, policy, auto_grow=auto_grow,
+                max_capacity=max_capacity,
             )
             resolved = True
             brk.record_success(key, name=self.name, probe=probe)
@@ -456,15 +423,13 @@ class Kernel:
                     # crashing kernel as its own fallback is useless;
                     # force a fresh (memoized here) build instead
                     fb = recipe.build(cache=False)
-                # free-split shard clones carry shard-sized output dims
-                if (
-                    self.output is not None
-                    and fb.output is not None
-                    and tuple(fb.output.dims) != tuple(self.output.dims)
-                ):
-                    fb = fb.with_output_dims(self.output.dims)
-                fb.supervised = False  # the fallback must never recurse
-                self._fallback = fb
+                # a view, never a stamp on the twin the cache may have
+                # handed out elsewhere: free-split shard clones carry
+                # shard-sized output dims, and the fallback must never
+                # recurse into supervision
+                self._fallback = fb._view(
+                    output=self.output, supervised=False,
+                )
             return self._fallback
 
     def _run_fallback(
@@ -559,12 +524,26 @@ class Kernel:
     # ------------------------------------------------------------------
     # sharded execution (repro.runtime)
     # ------------------------------------------------------------------
+    def _view(self, **fields) -> "Kernel":
+        """A shallow view of this kernel with ``fields`` replaced.
+
+        Every other field is carried over and the backend kernel object
+        is shared — no recompilation.  What a run writes (shard stats,
+        the memoized fallback twin) starts empty and belongs to the view.
+        """
+        view = copy.copy(self)
+        view.__dict__.update(fields)
+        view._stats_lock = threading.Lock()
+        view._last_shard_stats = []
+        view._fallback_lock = threading.Lock()
+        view._fallback = None
+        return view
+
     def with_output_dims(self, dims: Sequence[int]) -> "Kernel":
-        """A shallow clone whose :class:`OutputSpec` has ``dims``.
+        """A view whose :class:`OutputSpec` has ``dims``.
 
         Every output dimension is a *runtime* parameter of the compiled
-        artifact (``out_dim*`` scalars / allocation sizes), so the clone
-        shares the backend kernel object — no recompilation.  The shard
+        artifact (``out_dim*`` scalars / allocation sizes).  The shard
         runtime uses this to give each free-split shard a shard-sized
         output window.
         """
@@ -575,17 +554,9 @@ class Kernel:
             raise ShapeError(
                 f"expected {len(self.output.dims)} output dims, got {len(dims)}"
             )
-        clone = Kernel(
-            self.name, self._kernel, self.params, self.input_specs,
-            OutputSpec(self.output.attrs, self.output.formats, dims),
-            self.ops, self.loop_ir, decls=self.decls,
+        return self._view(
+            output=OutputSpec(self.output.attrs, self.output.formats, dims)
         )
-        clone.ws_dim = self.ws_dim
-        clone.capacity_findings = self.capacity_findings
-        clone.recipe = self.recipe
-        clone.cache_key = self.cache_key
-        clone.supervised = self.supervised
-        return clone
 
     def run_sharded(
         self,
@@ -605,23 +576,11 @@ class Kernel:
         resume: Optional[str] = None,
         job_out: Optional[Dict[str, object]] = None,
     ) -> Union[Tensor, float, int, bool]:
-        """Partition the operands, execute per shard, ⊕-merge.
-
-        Delegates to :func:`repro.runtime.api.run_sharded`; falls back
-        to the single-shard path when no split index qualifies.  Under
-        supervision a crashing shard fails over to the pure-Python
-        backend *for that shard only*, visible in the stats as
-        ``worker="fallback"``.  ``stats_out`` (a caller-supplied list)
-        receives this call's own :class:`~repro.runtime.api.ShardStat`
-        records — the race-free alternative to ``last_shard_stats``
-        when several threads share one kernel.
-
-        ``durable=True`` (or ``REPRO_DURABLE=1``) checkpoints each
-        completed shard to an on-disk job journal so an identical
-        re-invocation after a crash resumes instead of restarting;
-        ``resume`` pins the expected job id.  ``REPRO_MEM_BUDGET_MB``
-        bounds resident partials by spilling to the same journal (see
-        :mod:`repro.runtime.jobs` / :mod:`repro.runtime.governor`).
+        """Partition the operands, execute per shard, ⊕-merge:
+        :func:`repro.runtime.api.run_sharded`, which documents every
+        argument (per-shard failover under supervision, ``stats_out``,
+        durable jobs and ``resume``, the memory budget).  Falls back to
+        the single run when no split index qualifies.
         """
         from repro.runtime.api import run_sharded as _run_sharded
 
@@ -872,10 +831,10 @@ class KernelBuilder:
     ``vectorize`` controls the Python backend's NumPy slice emitter
     (default: on whenever ``opt_level > 0``; ignored by other
     backends).  ``cache`` enables the two-tier build cache of
-    :mod:`repro.compiler.cache`.  ``parallel``/``workers`` stamp the
-    built kernel's default shard executor (a run-time property, not
-    part of the cache key: rebuilding a cached kernel with different
-    parallel settings re-stamps the shared object).
+    :mod:`repro.compiler.cache`.  ``parallel``/``workers`` are the
+    built handle's default shard executor (run-time properties, not
+    part of the cache key: the handle is then a view of the cached
+    kernel, which itself carries no execution policy).
     """
 
     def __init__(
@@ -986,9 +945,7 @@ class KernelBuilder:
             backend=self.backend,
             search=d.search,
             locate=self.locate,
-            opt_level=(
-                d.opt_level if d.opt_level is not None else self.opt_level
-            ),
+            opt_level=self.opt_level,
             cache=self.cache,
             verify=self.verify,
             parallel=self.parallel if self.parallel is not None else d.executor,
@@ -1110,9 +1067,7 @@ class KernelBuilder:
     ) -> Kernel:
         clone = self._tuned_clone(expr, inputs, output, name, tune)
         if clone is not None:
-            kernel = clone.build(expr, inputs, output, name, attr_dims)
-            kernel.tune_decision = clone._tune_result
-            return kernel
+            return clone.build(expr, inputs, output, name, attr_dims)
         specs, dims, key = self.prepare(expr, inputs, output, name, attr_dims)
         if key is not None:
             cached = kernel_cache.lookup(key)
@@ -1208,7 +1163,10 @@ class KernelBuilder:
         attr_dims: Dict[str, int],
         key: Optional[str] = None,
     ) -> Kernel:
-        """Stamp the rebuild recipe and shard-executor defaults.
+        """Give the kernel its rebuild recipe and cache key — functions
+        of the build, like the kernel itself — and return the handle:
+        a view carrying this builder's execution defaults when it has
+        any, else the shared object.
 
         Runs on every return path of :meth:`build` (memo hit, payload
         restore, fresh build) so cache-restored kernels are just as
@@ -1238,13 +1196,16 @@ class KernelBuilder:
             )
         if key is not None:
             kernel.cache_key = key
-        kernel.parallel = self.parallel
-        kernel.workers = self.workers
-        # like parallel/workers: the tune stamp reflects the *latest*
-        # build call (an untuned rebuild of a memoized kernel clears
-        # it; the tuned path re-sets it after this returns)
-        kernel.tune_decision = self._tune_result
-        return kernel
+        defaults = {
+            field: value
+            for field, value in (
+                ("parallel", self.parallel),
+                ("workers", self.workers),
+                ("tune_decision", self._tune_result),
+            )
+            if value is not None
+        }
+        return kernel._view(**defaults) if defaults else kernel
 
     # ------------------------------------------------------------------
     # disk tier (tier 2): emitted source + metadata, no re-lowering
@@ -1492,8 +1453,8 @@ def compile_kernel(
     """One-call convenience wrapper around :class:`KernelBuilder`.
 
     ``tune="auto"`` routes the build through :mod:`repro.autotune`
-    (search strategy, opt level, executor and shard count chosen by
-    the cost model); ``tune="off"`` never does; None defers to the
+    (search strategy, executor and shard count chosen by the cost
+    model); ``tune="off"`` never does; None defers to the
     ``REPRO_TUNE`` environment knob (unset = off).
     """
     if semiring is None:

@@ -220,7 +220,7 @@ def env_flag(name: str, default: bool) -> bool:
 KNOWN_SANITIZERS = ("address", "undefined")
 
 #: executor backends of :mod:`repro.runtime` selectable via REPRO_PARALLEL
-KNOWN_EXECUTORS = ("serial", "thread", "process", "pool")
+KNOWN_EXECUTORS = ("serial", "thread", "pool")
 
 
 def fallback_enabled() -> bool:
@@ -295,7 +295,7 @@ def sanitize_modes() -> tuple:
 def parallel_backend() -> Optional[str]:
     """The executor the sharded runtime should default to.
 
-    ``REPRO_PARALLEL`` selects one of ``serial``/``thread``/``process``
+    ``REPRO_PARALLEL`` selects one of ``serial``/``thread``/``pool``
     (``serial`` shards and merges but runs shards inline — the debug
     oracle).  Unset, empty, or falsey means "no sharding": every
     ``Kernel.run`` stays the single-shot fused kernel.  An unknown value
@@ -325,7 +325,7 @@ def worker_count(default: Optional[int] = None) -> int:
 
 
 def mp_start_method() -> str:
-    """The multiprocessing start method for process workers.
+    """The multiprocessing start method for pool workers.
 
     Defaults to ``spawn``: workers then genuinely rebuild their kernels
     from the on-disk cache tier (a forked worker would inherit the

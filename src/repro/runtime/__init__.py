@@ -9,14 +9,15 @@ package exploits that:
 
 - :mod:`repro.runtime.planner` picks a split index and nnz-balanced
   range boundaries from the operands' position arrays;
-- :mod:`repro.runtime.executor` runs shard tasks on one of four
-  backends (``serial`` | ``thread`` | ``process`` | ``pool``) behind a
-  single futures API with a bounded task queue;
+- :mod:`repro.runtime.executor` runs shard tasks on one of three
+  backends (``serial`` | ``thread`` | ``pool``) behind a single futures
+  API with a bounded task queue;
 - :mod:`repro.runtime.merge` combines the partial outputs
   semiring-correctly;
 - :mod:`repro.runtime.api` glues them under
-  :meth:`repro.compiler.kernel.Kernel.run_sharded` and the
-  ``REPRO_PARALLEL`` / ``REPRO_WORKERS`` environment knobs;
+  :meth:`repro.compiler.kernel.Kernel.run_sharded`;
+- :mod:`repro.runtime.policy` resolves, once per call, where and how
+  it runs (call argument → handle default → ``REPRO_*`` → built-in);
 - :mod:`repro.runtime.supervisor` contains one kernel invocation in a
   resource-capped child process (``REPRO_SUPERVISE``,
   ``REPRO_KERNEL_DEADLINE``, ``REPRO_KERNEL_MEM_MB``) so a segfault or
@@ -47,7 +48,6 @@ from repro.runtime.api import ShardStat, run_batch, run_sharded
 from repro.runtime.breaker import CircuitBreaker, breaker as circuit_breaker
 from repro.runtime.executor import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     discard_shared_executor,
@@ -89,7 +89,6 @@ __all__ = [
     "PoolExecutor",
     "PoolStats",
     "PoolUnavailableError",
-    "ProcessExecutor",
     "SerialExecutor",
     "ShardPlan",
     "ShardStat",

@@ -1,19 +1,21 @@
 """Sharded execution: plan → schedule → merge.
 
 :func:`run_sharded` is the engine behind
-:meth:`repro.compiler.kernel.Kernel.run_sharded` and the
-``REPRO_PARALLEL`` environment routing; :func:`run_batch` runs one
-kernel over many independent input bindings (the many-small-kernels
-case where sharding a single run is not worth it but the pool is).
+:meth:`repro.compiler.kernel.Kernel.run_sharded`; :func:`run_batch`
+runs one kernel over many independent input bindings (the
+many-small-kernels case where sharding a single run is not worth it but
+the pool is).  Both resolve the call's execution policy once
+(:mod:`repro.runtime.policy`; DESIGN.md "Execution policy") and pass it
+to every shard.
 
 Per-shard resilience mirrors the build-time story of
 :mod:`repro.compiler.resilience`: a shard that fails on its executor
-(a crashed worker process, an unpicklable surprise, a transient OS
-error) is retried once in the parent on the serial path, with a logged
-warning — the parallel runtime degrades toward the oracle rather than
-failing the whole run.  Genuine kernel errors (shape mismatches,
-capacity exhaustion with ``auto_grow`` off) reproduce identically on
-the retry and surface to the caller as they would on a serial run.
+(a crashed pool worker, a transient OS error) is retried once in the
+parent on the serial path, with a logged warning — the parallel runtime
+degrades toward the oracle rather than failing the whole run.  Genuine
+kernel errors (shape mismatches, capacity exhaustion with ``auto_grow``
+off) reproduce identically on the retry and surface to the caller as
+they would on a serial run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.compiler import resilience
@@ -32,11 +35,12 @@ from repro.errors import (
     ReproError,
     is_retryable,
 )
-from repro.runtime import pool as pool_mod, shm, worker as worker_mod
+from repro.runtime import pool as pool_mod, shm
 from repro.runtime.executor import discard_shared_executor, get_shared_executor
 from repro.runtime.governor import PartialAccumulator
 from repro.runtime.jobs import JobJournal, job_signature
 from repro.runtime.planner import plan_shards, slice_operands
+from repro.runtime.policy import ExecutionPolicy, resolve
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class ShardStat:
     hi: int
     seconds: float
     bytes_in: int
-    worker: Union[int, str]     # pid (process) or a backend tag
+    worker: Union[int, str]     # pool worker pid, or a backend tag
     retried: bool = False
     #: this shard's supervised run crashed/timed out and the result was
     #: served by the pure-Python fallback instead
@@ -59,12 +63,11 @@ class ShardStat:
     spilled: bool = False
 
 
-def _local_task(kernel, tensors, capacity, auto_grow, max_capacity,
-                supervised=None, deadline=None):
+def _local_task(kernel, tensors, capacity, auto_grow, max_capacity, policy):
     start = time.perf_counter()
     result = kernel._run_guarded(
-        tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
-        supervised=supervised, deadline=deadline,
+        tensors, capacity, policy, auto_grow=auto_grow,
+        max_capacity=max_capacity,
     )
     return result, time.perf_counter() - start, "local"
 
@@ -102,61 +105,6 @@ def _maybe_discard(ex, exc: Exception) -> None:
             "is built on next use)", ex.name,
         )
         discard_shared_executor(ex)
-
-
-def _resolve_executor(kernel, executor: str) -> str:
-    """Downgrade ``process``/``pool`` when the kernel cannot cross a
-    process boundary (no recipe: a FunctionInput binding holds an
-    arbitrary callable)."""
-    if executor in ("process", "pool") and kernel.recipe is None:
-        logger.warning(
-            "kernel %r has no rebuild recipe (function-valued input); "
-            "downgrading the %s executor to threads", kernel.name, executor,
-        )
-        return "thread"
-    return executor
-
-
-def _pool_deadline(kernel, supervised, deadline=None) -> Optional[float]:
-    """Wall deadline for pooled calls: pooled workers are always
-    crash-isolated, but the deadline kill is only armed when the
-    supervision policy asks for it (matching the fork supervisor).
-    An explicit caller ``deadline`` — a request budget handed down by
-    the serving layer — always arms the kill, supervised or not: the
-    worker is already isolated and the caller has a clock to keep."""
-    if deadline is not None:
-        return deadline
-    if kernel._resolve_supervised(supervised):
-        return resilience.kernel_deadline()
-    return None
-
-
-def _pool_dispatch(ex, exports, threshold, kernel, shard_inputs, shard_dims,
-                   capacity, auto_grow, max_capacity, deadline):
-    """Submit every shard (or batch item) to the worker pool as shm
-    descriptors.
-
-    ``exports`` holds the segments of operands that were exported
-    *before* they were sliced: a shard's arrays are views into them and
-    travel as byte windows, so the per-shard pipe payload is a few
-    hundred bytes of descriptor regardless of operand size.  An operand
-    it does not name (every batch item brings its own) is exported here.
-    """
-    pool = pool_mod.get_shared_pool(ex.workers)
-    key = pool_mod.pool_key(kernel)
-    pool.register_recipe(key, kernel.recipe)
-    futures = []
-    for st, dims in zip(shard_inputs, shard_dims):
-        refs = {
-            name: shm.describe_tensor(
-                t, exports.get(name) or shm.export_tensor(t, threshold))
-            for name, t in st.items()
-        }
-        futures.append(_submit(
-            ex, pool.run_call, key, refs, dims, capacity, auto_grow,
-            max_capacity, deadline, threshold,
-        ))
-    return futures
 
 
 def run_sharded(
@@ -206,9 +154,34 @@ def run_sharded(
     hold-everything-in-RAM behaviour.  ``job_out``, when given, is
     filled with ``job_id`` / ``resumed_shards`` / ``spills``.
     """
-    n_workers = resilience.worker_count(workers)
-    n_shards = int(shards) if shards is not None else n_workers
-    plan = plan_shards(kernel, tensors, n_shards, split_attr=split_attr)
+    policy = resolve(
+        kernel, parallel=executor, workers=workers, shards=shards,
+        supervised=supervised, deadline=deadline, durable=durable,
+        resume=resume,
+    )
+    return run_shards(
+        kernel, tensors, policy, capacity=capacity, auto_grow=auto_grow,
+        max_capacity=max_capacity, split_attr=split_attr,
+        stats_out=stats_out, resume=resume, job_out=job_out,
+    )
+
+
+def run_shards(
+    kernel,
+    tensors: Mapping[str, Tensor],
+    policy: ExecutionPolicy,
+    *,
+    capacity: Optional[int] = None,
+    auto_grow: bool = False,
+    max_capacity: Optional[int] = None,
+    split_attr: Optional[str] = None,
+    stats_out: Optional[List[ShardStat]] = None,
+    resume: Optional[str] = None,
+    job_out: Optional[Dict[str, object]] = None,
+):
+    """:func:`run_sharded` under an already resolved sharded ``policy``
+    (``Kernel.run`` arrives here with the one it resolved)."""
+    plan = plan_shards(kernel, tensors, policy.shards, split_attr=split_attr)
     if plan is None or plan.shards <= 1:
         logger.debug(
             "kernel %r: no multi-shard plan (%s); running unsharded",
@@ -216,22 +189,20 @@ def run_sharded(
             "no splittable index" if plan is None else "single shard",
         )
         return kernel._run_guarded(
-            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
-            supervised=supervised, deadline=deadline,
+            tensors, capacity, policy, auto_grow=auto_grow,
+            max_capacity=max_capacity,
         )
 
-    executor = _resolve_executor(kernel, executor)
-    ex = get_shared_executor(executor, n_workers)
+    executor = policy.executor
+    ex = get_shared_executor(executor, policy.workers)
     # operands move to shared memory before anything reads them: shards
     # sliced from here on are windows, fingerprints are taken once
-    threshold = resilience.shm_threshold()
     exports = {
-        name: shm.export_tensor(t, threshold) for name, t in tensors.items()
+        name: shm.export_tensor(t, policy.threshold)
+        for name, t in tensors.items()
     } if ex.name == "pool" else {}
 
-    if durable is None:
-        durable = resume is not None or resilience.durable_enabled()
-    budget_mb = resilience.mem_budget_mb()
+    durable, budget_mb = policy.durable, policy.budget_mb
     journal: Optional[JobJournal] = None
     if durable or budget_mb is not None:
         journal = JobJournal(job_signature(kernel, plan, tensors))
@@ -290,24 +261,17 @@ def run_sharded(
 
     stats: Dict[int, ShardStat] = dict(skipped)
     if ex.name == "pool":
-        futures = _pool_dispatch(
-            ex, exports, threshold, kernel, shard_inputs, shard_dims,
-            capacity, auto_grow, max_capacity,
-            _pool_deadline(kernel, supervised, deadline),
+        futures = pool_mod.dispatch(
+            kernel, shard_inputs, shard_dims, capacity, auto_grow,
+            max_capacity, policy, exports=exports, submit=partial(_submit, ex),
+            workers=ex.workers,
         )
     else:
-        futures = []
-        for sk, st, dims in zip(shard_kernels, shard_inputs, shard_dims):
-            if ex.name == "process":
-                futures.append(_submit(
-                    ex, worker_mod.run_shard_task, kernel.recipe, st, dims,
-                    capacity, auto_grow, max_capacity,
-                ))
-            else:
-                futures.append(_submit(
-                    ex, _local_task, sk, st, capacity, auto_grow, max_capacity,
-                    supervised, deadline,
-                ))
+        futures = [
+            _submit(ex, _local_task, sk, st, capacity, auto_grow,
+                    max_capacity, policy)
+            for sk, st in zip(shard_kernels, shard_inputs)
+        ]
     for k, (fut, i) in enumerate(zip(futures, pending)):
         lo, hi = plan.ranges[i]
         retried = False
@@ -342,7 +306,7 @@ def run_sharded(
             retried = True
             result, seconds, who = _local_task(
                 shard_kernels[k], shard_inputs[k],
-                capacity, auto_grow, max_capacity, supervised, deadline,
+                capacity, auto_grow, max_capacity, policy,
             )
         journaled = False
         if durable and journal is not None:
@@ -394,39 +358,31 @@ def run_batch(
 ) -> List[object]:
     """Run ``kernel`` over many independent input bindings, pool-parallel.
 
-    Results come back in input order.  ``executor=None`` follows
-    ``REPRO_PARALLEL`` and falls back to ``serial``.  ``deadline``
-    bounds each *item* (not the whole batch) wherever execution is
-    crash-isolated.
+    Results come back in input order.  ``executor=None`` follows the
+    kernel's default, then ``REPRO_PARALLEL``, and falls back to
+    ``serial``.  ``deadline`` bounds each *item* (not the whole batch)
+    wherever execution is crash-isolated.
     """
-    if executor is None:
-        executor = (
-            kernel.parallel or resilience.parallel_backend() or "serial"
-        )
-    executor = _resolve_executor(kernel, executor)
-    n_workers = resilience.worker_count(workers)
+    policy = resolve(
+        kernel, parallel=executor, workers=workers, deadline=deadline,
+    )
+    executor = policy.executor or "serial"
     results: List[object] = []
     stats: List[ShardStat] = []
-    ex = get_shared_executor(executor, n_workers)
-    futures = []
+    ex = get_shared_executor(executor, policy.workers)
     if ex.name == "pool":
-        deadline = _pool_deadline(kernel, None, deadline)
-        futures = _pool_dispatch(
-            ex, {}, resilience.shm_threshold(), kernel, runs,
-            [None] * len(runs), capacity, auto_grow, max_capacity, deadline,
+        # every item brings its own operands: nothing is pre-exported
+        futures = pool_mod.dispatch(
+            kernel, runs, [None] * len(runs), capacity, auto_grow,
+            max_capacity, policy, submit=partial(_submit, ex),
+            workers=ex.workers,
         )
     else:
-        for tensors in runs:
-            if ex.name == "process":
-                futures.append(_submit(
-                    ex, worker_mod.run_shard_task, kernel.recipe, tensors,
-                    None, capacity, auto_grow, max_capacity,
-                ))
-            else:
-                futures.append(_submit(
-                    ex, _local_task, kernel, tensors,
-                    capacity, auto_grow, max_capacity, None, deadline,
-                ))
+        futures = [
+            _submit(ex, _local_task, kernel, tensors, capacity, auto_grow,
+                    max_capacity, policy)
+            for tensors in runs
+        ]
     for i, (fut, tensors) in enumerate(zip(futures, runs)):
         retried = False
         try:
@@ -443,8 +399,7 @@ def run_batch(
             _maybe_discard(ex, exc)
             retried = True
             result, seconds, who = _local_task(
-                kernel, tensors, capacity, auto_grow, max_capacity,
-                None, deadline,
+                kernel, tensors, capacity, auto_grow, max_capacity, policy,
             )
         results.append(result)
         stats.append(ShardStat(

@@ -1,6 +1,7 @@
 """Executor backends behind one futures API.
 
-Four interchangeable backends run shard tasks:
+Three interchangeable backends run shard tasks (DESIGN.md "Execution
+policy" has the measurements each one stays for):
 
 ``serial``
     Runs every task inline at submit time.  The debug oracle: identical
@@ -15,19 +16,13 @@ Four interchangeable backends run shard tasks:
     the C backend at zero serialization cost (operands are shared, not
     pickled).
 
-``process``
-    A spawn-based :class:`~concurrent.futures.ProcessPoolExecutor` for
-    the Python backend (GIL-bound) or isolation-sensitive runs.  Tasks
-    must be picklable module-level callables; kernels cross the
-    boundary as :class:`~repro.compiler.kernel.KernelRecipe`, never as
-    compiled handles (see :mod:`repro.runtime.worker`).
-
 ``pool``
     The persistent pre-warmed :class:`~repro.runtime.pool.WorkerPool`
     behind a thread front-end: each submitted task is a blocking
     pipe round-trip to a resident worker (pipe waits release the GIL),
     kernels stay loaded in the workers across calls, and operands
     travel through the :mod:`repro.runtime.shm` zero-copy data plane.
+    The one backend for GIL-bound (Python-backend) kernels.
 
 All backends bound their task queue: ``submit`` blocks once
 ``queue_bound`` tasks are in flight, so a large batch cannot marshal
@@ -49,7 +44,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Optional
 
 from repro.compiler import resilience
@@ -132,40 +127,6 @@ class ThreadExecutor(Executor):
         self._pool.shutdown(wait=True)
 
 
-class ProcessExecutor(Executor):
-    """Spawn-based process pool; tasks and arguments must pickle.
-
-    Workers are handed the parent's kernel-cache directory explicitly
-    (via the pool initializer) so a rebuilt kernel lands on the same
-    on-disk payload/``.so`` tier the parent populated — the rebuild is
-    then a cache read, not a recompile, and concurrent rebuilds
-    serialize on the cache's per-key file locks.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int, queue_bound: Optional[int] = None) -> None:
-        super().__init__(workers, queue_bound)
-        from repro.compiler.cache import default_cache_dir
-        from repro.runtime import worker as worker_mod
-
-        ctx_name = resilience.mp_start_method()
-        import multiprocessing
-
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context(ctx_name),
-            initializer=worker_mod.init_worker,
-            initargs=(str(default_cache_dir()), dict(_repro_env())),
-        )
-
-    def _submit(self, fn: Callable, *args, **kwargs) -> Future:
-        return self._pool.submit(fn, *args, **kwargs)
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 class PoolExecutor(Executor):
     """Thread front-end over the shared persistent worker pool.
 
@@ -195,30 +156,17 @@ class PoolExecutor(Executor):
         self._threads.shutdown(wait=True)
 
 
-def _repro_env() -> dict:
-    """The ``REPRO_*`` knobs a worker must inherit verbatim.
-
-    ``spawn`` children do inherit ``os.environ``, but only the state at
-    ``Popen`` time — a pool worker respawned after a crash could see a
-    parent that has since mutated its environment.  Passing an explicit
-    snapshot through the initializer pins the configuration the pool
-    was created under.
-    """
-    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-
-
 def get_executor(
     name: str, workers: Optional[int] = None, queue_bound: Optional[int] = None
 ) -> Executor:
-    """Factory: executor by name, worker count from ``REPRO_WORKERS``
-    when not given."""
-    n = resilience.worker_count(workers)
+    """Factory: executor by name.  ``workers`` is a resolved count (the
+    runtime passes its policy's); None takes ``REPRO_WORKERS``, else
+    the CPU count."""
+    n = workers if workers is not None else resilience.worker_count()
     if name == "serial":
         return SerialExecutor(1, queue_bound)
     if name == "thread":
         return ThreadExecutor(n, queue_bound)
-    if name == "process":
-        return ProcessExecutor(n, queue_bound)
     if name == "pool":
         return PoolExecutor(n, queue_bound)
     logger.warning(
@@ -233,20 +181,18 @@ _SHARED_LOCK = threading.Lock()
 
 
 def get_shared_executor(name: str, workers: Optional[int] = None) -> Executor:
-    """A process-wide pool, created on first use and reused after.
+    """A process-wide pool per ``(name, workers)``, created on first use
+    and reused after.
 
-    ``run_sharded`` in a loop must not pay pool construction per call —
-    a spawn-based process pool costs interpreter startups, and reuse
-    also keeps the workers' in-memory kernel memos warm across calls.
+    ``run_sharded`` in a loop must not pay pool construction per call.
     Shared pools are shut down at interpreter exit; callers must not
     ``shutdown()`` them.
     """
-    n = resilience.worker_count(workers)
-    key = (name, n)
+    key = (name, workers)
     with _SHARED_LOCK:
         ex = _SHARED.get(key)
         if ex is None:
-            ex = get_executor(name, n)
+            ex = get_executor(name, workers)
             _SHARED[key] = ex
             register_runtime_shutdown()
         return ex

@@ -1,14 +1,12 @@
 """Persistent, pre-warmed kernel worker pool.
 
-The classic ``process`` executor pays a worker spawn plus a recipe +
-operand pickle on *every* call — BENCH_PR4/BENCH_PR5 measured that at
-3–30× the kernel's own runtime.  This pool keeps a fixed set of worker
-processes resident (pre-forked at construction), holds each compiled
-kernel loaded in the workers under its cache key (warmed once: the
-recipe crosses the pipe one time, the ``.so`` is dlopen'd one time,
-then reused for thousands of calls), and moves operand/result arrays
-through the :mod:`repro.runtime.shm` zero-copy data plane instead of
-pickle.
+The one way a kernel call leaves the process for a worker that
+outlives it: a fixed set of worker processes stays resident (started
+at construction), each compiled kernel stays loaded in the workers
+under its cache key (warmed once: the recipe crosses the pipe one time,
+the ``.so`` is dlopen'd one time, then reused for thousands of calls),
+and operand/result arrays move through the :mod:`repro.runtime.shm`
+zero-copy data plane instead of pickle.
 
 Supervision moves *inside* the pool: workers run under ``RLIMIT_AS``
 applied once at start, the parent enforces per-call wall deadlines on
@@ -50,6 +48,7 @@ from repro.compiler import resilience
 from repro.compiler.resilience import logger
 from repro.errors import KernelCrashError, KernelTimeoutError
 from repro.runtime import shm
+from repro.runtime.policy import ExecutionPolicy, resolve
 
 
 class PoolUnavailableError(RuntimeError):
@@ -328,15 +327,13 @@ class WorkerPool:
     ) -> Tuple[object, float, int]:
         """Run one warmed kernel call on a pool worker.
 
-        Returns ``(result, seconds, pid)`` like the classic shard task.
+        Returns ``(result, seconds, pid)``.
         Raises the worker's typed kernel error, or
         :class:`~repro.errors.KernelTimeoutError` /
         :class:`~repro.errors.KernelCrashError` after killing and
         replacing the worker.
         """
-        threshold = (
-            resilience.shm_threshold() if threshold is None else threshold
-        )
+        threshold = shm.threshold_or_default(threshold)
         t_enter = time.monotonic()
         w = self._acquire()
         self.stats.calls += 1
@@ -516,6 +513,69 @@ class WorkerPool:
             self._have_idle.notify_all()
 
 
+def _call_now(fn, *args):
+    return fn(*args)
+
+
+def dispatch(
+    kernel,
+    shard_inputs: Sequence[Mapping[str, object]],
+    shard_dims: Sequence[Optional[Sequence[int]]],
+    capacity: Optional[int],
+    auto_grow: bool,
+    max_capacity: Optional[int],
+    policy: ExecutionPolicy,
+    *,
+    exports: Optional[Mapping[str, Optional[shm.TensorExport]]] = None,
+    submit=_call_now,
+    workers: Optional[int] = None,
+) -> list:
+    """Send every shard (or batch item, or the one supervised run) to
+    the shared pool as shm descriptors; returns what ``submit`` returns
+    for each — :meth:`WorkerPool.run_call`'s ``(result, seconds, pid)``
+    when called directly, a future of it behind an executor.
+
+    ``exports`` holds the segments of operands that were exported
+    *before* they were sliced: a shard's arrays are views into them and
+    travel as byte windows, so the per-shard pipe payload is a few
+    hundred bytes of descriptor regardless of operand size.  An operand
+    it does not name is exported here.
+    """
+    if kernel.recipe is None:
+        raise PoolUnavailableError(
+            f"kernel {kernel.name!r} has no rebuild recipe"
+        )
+    pool = get_shared_pool(workers)
+    key = pool_key(kernel)
+    pool.register_recipe(key, kernel.recipe)
+    exports = exports or {}
+    calls = []
+    for tensors, dims in zip(shard_inputs, shard_dims):
+        refs = {
+            name: shm.describe_tensor(
+                t, exports.get(name) or shm.export_tensor(t, policy.threshold))
+            for name, t in tensors.items()
+        }
+        calls.append(submit(
+            pool.run_call, key, refs, dims, capacity, auto_grow,
+            max_capacity, policy.deadline, policy.threshold,
+        ))
+    return calls
+
+
+def pooled(kernel, tensors, capacity, policy: ExecutionPolicy, *,
+           auto_grow: bool, max_capacity: Optional[int]) -> object:
+    """One whole run on the pool under a resolved ``policy`` — the
+    one-shard case of :func:`dispatch`."""
+    # the handle may be a shard view; the worker's kernel has the
+    # recipe's dims
+    dims = tuple(kernel.output.dims) if kernel.output is not None else None
+    (result, _seconds, _pid), = dispatch(
+        kernel, [tensors], [dims], capacity, auto_grow, max_capacity, policy,
+    )
+    return result
+
+
 def run_pooled(
     kernel,
     tensors,
@@ -533,26 +593,12 @@ def run_pooled(
     errors re-raised), but the sandbox — resident worker, rlimits at
     spawn, warmed kernel, shm operands — is paid once, not per call.
     """
-    pool = get_shared_pool()
-    key = pool_key(kernel)
-    recipe = getattr(kernel, "recipe", None)
-    if recipe is None:
-        raise PoolUnavailableError(
-            f"kernel {kernel.name!r} has no rebuild recipe"
-        )
-    pool.register_recipe(key, recipe)
-    threshold = resilience.shm_threshold()
-    refs: Dict[str, shm.TensorRef] = {}
-    for name, t in tensors.items():
-        export = shm.export_tensor(t, threshold)
-        refs[name] = shm.describe_tensor(t, export)
-    dims = tuple(kernel.output.dims) if kernel.output is not None else None
-    deadline = resilience.kernel_deadline() if deadline is None else deadline
-    result, _seconds, _pid = pool.run_call(
-        key, refs, dims, capacity, auto_grow, max_capacity,
-        deadline=deadline, threshold=threshold,
+    policy = resolve(
+        kernel, parallel=False, supervised=True, deadline=deadline,
+        pool_route=True,
     )
-    return result
+    return pooled(kernel, tensors, capacity, policy, auto_grow=auto_grow,
+                  max_capacity=max_capacity)
 
 
 # ----------------------------------------------------------------------
@@ -594,6 +640,7 @@ __all__ = [
     "PoolStats",
     "PoolUnavailableError",
     "WorkerPool",
+    "dispatch",
     "get_shared_pool",
     "pool_key",
     "run_pooled",

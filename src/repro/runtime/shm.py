@@ -254,6 +254,12 @@ def tensor_bytes(t: Tensor) -> int:
 _EXPORTS: Dict[str, TensorExport] = {}
 
 
+def threshold_or_default(threshold: Optional[int]) -> int:
+    """``threshold``, else ``REPRO_SHM_THRESHOLD`` — for the entry
+    points a caller may reach without a resolved execution policy."""
+    return resilience.shm_threshold() if threshold is None else threshold
+
+
 def export_tensor(tensor: Tensor, threshold: Optional[int] = None,
                   ) -> Optional[TensorExport]:
     """Move a tensor's arrays into one segment, memoized on the tensor.
@@ -269,8 +275,7 @@ def export_tensor(tensor: Tensor, threshold: Optional[int] = None,
         cached = getattr(tensor, _EXPORT_ATTR, None)
         if cached is not None and not cached._released:
             return cached
-        if tensor_bytes(tensor) < (
-                resilience.shm_threshold() if threshold is None else threshold):
+        if tensor_bytes(tensor) < threshold_or_default(threshold):
             return None
         export = TensorExport(tensor)
         _EXPORTS[export.name] = export

@@ -11,13 +11,11 @@ typed error.
 
 Containment contract:
 
-* the child runs under POSIX rlimits — ``RLIMIT_AS`` from
-  ``REPRO_KERNEL_MEM_MB`` caps the address space, ``RLIMIT_CPU``
-  (derived from the deadline) backstops a busy loop even if the parent
-  is wedged;
-* the parent enforces a wall-clock deadline (``REPRO_KERNEL_DEADLINE``,
-  default 60 s) and kills the child when it is missed →
-  :class:`~repro.errors.KernelTimeoutError`;
+* the child runs under POSIX rlimits — ``RLIMIT_AS`` caps the address
+  space, ``RLIMIT_CPU`` (derived from the deadline) backstops a busy
+  loop even if the parent is wedged;
+* the parent enforces a wall-clock deadline and kills the child when it
+  is missed → :class:`~repro.errors.KernelTimeoutError`;
 * death by signal is decoded from the child's exit status →
   :class:`~repro.errors.KernelCrashError` carrying the signal number
   and name;
@@ -25,25 +23,16 @@ Containment contract:
   ``ShapeError``, ...) crosses the pipe and re-raises in the parent
   exactly as an in-process run would have raised it.
 
-Child start strategy: ``fork`` where available (POSIX) — the child
-inherits the already-loaded ctypes handle and runs immediately, no
-pickling of kernels and no rebuild.  Platforms without ``fork`` use a
-spawned child that rebuilds from the kernel's picklable
-:class:`~repro.compiler.kernel.KernelRecipe` through the two-tier disk
-cache (the same path as the process-pool workers), so the compiled
-artifact is a cache read, never a recompile.
-
-Amortized mode: under ``REPRO_POOL=1`` a recipe-carrying kernel routes
-through the persistent :mod:`repro.runtime.pool` instead of forking a
-fresh child per call — same typed-error contract, but the sandbox cost
-(process start, rlimits, kernel load) is paid once per worker, not per
-call.  The routing is opt-in because the semantics differ in one
-deliberate way: the fork child inherits the parent's **in-memory**
-kernel handle (including any in-process monkeypatching — the
-fault-injection suite depends on that), while a pooled worker rebuilds
-the genuine kernel from its recipe.  A per-call ``mem_mb`` override
-also pins the fork path, since pool workers apply their rlimit once at
-spawn.
+Deadline, memory cap and the fork-or-pool choice arrive resolved in the
+call's :class:`~repro.runtime.policy.ExecutionPolicy` (DESIGN.md
+"Execution policy" says why both children exist).  The fork child
+inherits the parent's **in-memory** kernel handle — no pickling, no
+rebuild, and any in-process monkeypatching, which the fault-injection
+suite depends on — while a pooled worker rebuilds the genuine kernel
+from its recipe.  Platforms without ``fork`` use a spawned child that
+rebuilds from the :class:`~repro.compiler.kernel.KernelRecipe` through
+the two-tier disk cache, so the compiled artifact is a cache read,
+never a recompile.
 """
 
 from __future__ import annotations
@@ -56,6 +45,7 @@ from typing import Mapping, Optional
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 from repro.errors import KernelCrashError, KernelTimeoutError
+from repro.runtime.policy import ExecutionPolicy, resolve
 
 try:  # POSIX-only; Windows children run uncapped (deadline still applies)
     import resource
@@ -176,17 +166,6 @@ def can_supervise(kernel) -> bool:
     return getattr(kernel, "recipe", None) is not None
 
 
-def _pool_route(kernel, mem_mb) -> bool:
-    """Whether this supervised call should be served by the persistent
-    pool: ``REPRO_POOL`` on, a recipe to rebuild from, and no per-call
-    memory override (pool rlimits are fixed at worker spawn)."""
-    return (
-        mem_mb is None
-        and resilience.pool_enabled()
-        and getattr(kernel, "recipe", None) is not None
-    )
-
-
 def run_supervised(
     kernel,
     tensors,
@@ -211,21 +190,31 @@ def run_supervised(
       (``CapacityError`` with its sizing metadata, ``ShapeError``, ...),
       re-raised in the parent.
     """
-    if _pool_route(kernel, mem_mb):
+    policy = resolve(
+        kernel, parallel=False, supervised=True, deadline=deadline,
+        mem_mb=mem_mb,
+    )
+    return supervise(kernel, tensors, capacity, policy, auto_grow=auto_grow,
+                     max_capacity=max_capacity)
+
+
+def supervise(kernel, tensors, capacity, policy: ExecutionPolicy, *,
+              auto_grow: bool, max_capacity: Optional[int]):
+    """:func:`run_supervised` under an already resolved ``policy``."""
+    if policy.pool_route:
         from repro.runtime import pool as pool_mod
 
         try:
-            return pool_mod.run_pooled(
-                kernel, tensors, capacity, auto_grow=auto_grow,
-                max_capacity=max_capacity, deadline=deadline,
+            return pool_mod.pooled(
+                kernel, tensors, capacity, policy, auto_grow=auto_grow,
+                max_capacity=max_capacity,
             )
         except pool_mod.PoolUnavailableError as exc:
             logger.warning(
                 "kernel %r: pool route unavailable (%s); falling back to "
                 "the fork-per-call supervisor", kernel.name, exc,
             )
-    deadline = deadline if deadline is not None else resilience.kernel_deadline()
-    mem_mb = mem_mb if mem_mb is not None else resilience.kernel_mem_mb()
+    deadline, mem_mb = policy.deadline, policy.mem_mb
     ctx = _supervise_context()
 
     recv, send = ctx.Pipe(duplex=False)
@@ -320,4 +309,4 @@ def _await_result(proc, recv, deadline: float, name: str):
     )
 
 
-__all__ = ["run_supervised", "can_supervise"]
+__all__ = ["run_supervised", "supervise", "can_supervise"]

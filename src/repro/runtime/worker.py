@@ -1,39 +1,31 @@
-"""Process-pool worker side of the sharded runtime.
+"""Worker side of the persistent pool.
 
 Everything here must be importable and picklable from a spawn-fresh
 interpreter: no closures, no compiled-kernel handles.  A worker
-receives a :class:`~repro.compiler.kernel.KernelRecipe` plus concrete
-shard tensors, rebuilds the kernel through the ordinary
-:class:`~repro.compiler.kernel.KernelBuilder` path — which lands on
-the two-tier cache: the worker's in-memory memo after the first task,
-the parent's on-disk payload/``.so`` tier before that — and runs the
-shard.  Concurrent first-touch rebuilds across workers serialize on
-the cache's per-key file locks, so exactly one worker compiles and the
-rest read its artifact.
+receives a :class:`~repro.compiler.kernel.KernelRecipe`, rebuilds the
+kernel through the ordinary :class:`~repro.compiler.kernel.KernelBuilder`
+path — which lands on the two-tier cache: the worker's in-memory memo
+after the first task, the parent's on-disk payload/``.so`` tier before
+that — and keeps it resident.  Concurrent first-touch rebuilds across
+workers serialize on the cache's per-key file locks, so exactly one
+worker compiles and the rest read its artifact.
 
-Two worker flavors live here:
-
-* :func:`run_shard_task` — the stateless task of the classic
-  ``ProcessPoolExecutor`` backend: recipe + pickled tensors per call.
-* :func:`pool_worker_main` — the resident message loop of the
-  persistent :class:`~repro.runtime.pool.WorkerPool`: kernels are
-  *warmed* once per cache key and kept resident, operands arrive as
-  :class:`~repro.runtime.shm.TensorRef` descriptors over shared
-  memory, and rlimits are applied once at worker start so the sandbox
-  cost is amortized across thousands of calls.
+:func:`pool_worker_main` is the resident message loop of
+:class:`~repro.runtime.pool.WorkerPool`: kernels are *warmed* once per
+cache key, operands arrive as :class:`~repro.runtime.shm.TensorRef`
+descriptors over shared memory, and rlimits are applied once at worker
+start so the sandbox cost is amortized across thousands of calls.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Mapping, Optional, Sequence, Tuple
-
-from repro.data.tensor import Tensor
+from typing import Mapping, Optional
 
 
 def init_worker(cache_dir: str, env: Mapping[str, str]) -> None:
-    """Pool initializer: pin the parent's ``REPRO_*`` configuration.
+    """Worker start-up: pin the parent's ``REPRO_*`` configuration.
 
     The kernel cache directory is the load-bearing knob — without it a
     worker would rebuild into its own default location and every shard
@@ -42,29 +34,6 @@ def init_worker(cache_dir: str, env: Mapping[str, str]) -> None:
     for key, value in env.items():
         os.environ.setdefault(key, value)
     os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
-
-
-def run_shard_task(
-    recipe,
-    tensors: Mapping[str, Tensor],
-    output_dims: Optional[Sequence[int]],
-    capacity: Optional[int],
-    auto_grow: bool,
-    max_capacity: Optional[int],
-) -> Tuple[object, float, int]:
-    """Rebuild the kernel from its recipe and run one shard.
-
-    Returns ``(result, seconds, pid)`` — the pid lets the caller's
-    per-shard stats show which worker ran what.
-    """
-    kernel = recipe.build()
-    if output_dims is not None:
-        kernel = kernel.with_output_dims(output_dims)
-    start = time.perf_counter()
-    result = kernel._run_single(
-        tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity
-    )
-    return result, time.perf_counter() - start, os.getpid()
 
 
 # ----------------------------------------------------------------------

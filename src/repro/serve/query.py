@@ -238,37 +238,31 @@ class PreparedQuery:
         capacity = self.capacity
         if capacity is None and d is not None and d.capacity_hint:
             capacity = d.capacity_hint
-        run_kwargs: Dict[str, Any] = dict(parallel=False)
-        if d is not None and d.executor:
-            run_kwargs = dict(
-                parallel=d.executor, workers=d.shards, shards=d.shards,
-            )
+        # the tuner's shard plan, when it chose one
+        executor = d.executor if d is not None and d.executor else None
+        shard_args: Dict[str, Any] = (
+            dict(workers=d.shards, shards=d.shards) if executor else {}
+        )
         import time as _time
 
-        from repro.compiler import resilience
+        from repro.runtime.policy import is_durable
 
         t0 = _time.perf_counter()
-        durable = (
-            self.durable if self.durable is not None
-            else resilience.durable_enabled()
-        )
-        if durable:
+        if is_durable(self.durable):
             # durable execution goes through the sharded runtime
             # directly: the journal is keyed by the run's deterministic
             # signature, so a client re-POSTing the identical query
             # after a crash resumes the dead worker's job
             result = kernel.run_sharded(
                 self.plan.inputs, capacity, auto_grow=True,
-                executor=(d.executor if d is not None and d.executor
-                          else "serial"),
-                workers=d.shards if d is not None and d.executor else None,
-                shards=d.shards if d is not None and d.executor else None,
-                deadline=remaining, durable=True, job_out=self.job_meta,
+                executor=executor or "serial", deadline=remaining,
+                durable=True, job_out=self.job_meta, **shard_args,
             )
         else:
             result = kernel.run(
                 self.plan.inputs, capacity=capacity, auto_grow=True,
-                supervised=True, deadline=remaining, **run_kwargs,
+                parallel=executor or False, supervised=True,
+                deadline=remaining, **shard_args,
             )
         if self.tune_sig is not None:
             try:

@@ -190,10 +190,3 @@ def test_supported_output_stacks_cover_kernel_builder():
     assert ("dense", "sparse") in supported_output_stacks(2)
     # rank > 2 falls back to all-dense (the only stack always legal)
     assert supported_output_stacks(3) == [("dense",) * 3]
-
-
-def test_opt_penalty_orders_levels():
-    for backend in ("c", "python"):
-        p = [costmodel.opt_penalty(backend, lvl) for lvl in (0, 1, 2)]
-        assert p[0] >= p[1] >= p[2] == 1.0
-    assert costmodel.opt_penalty("unknown_backend", 2) == 1.0

@@ -17,7 +17,7 @@ from repro.compiler.cache import _payload_digest
 def _decision(**over):
     base = dict(
         order=("i", "j"), output_formats=("dense", "sparse"),
-        opt_level=2, search="binary", executor=None, shards=None,
+        search="binary", executor=None, shards=None,
         capacity_hint=128, predicted_s=0.004, predicted_units=1000.0,
     )
     base.update(over)

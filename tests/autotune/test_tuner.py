@@ -140,8 +140,7 @@ def test_explain_payload_is_complete():
     assert info["considered"] == result.considered
     assert info["candidates"], "explain must list scored candidates"
     for c in info["candidates"]:
-        assert {"order", "output_formats", "search", "opt_level",
-                "units"} <= set(c)
+        assert {"order", "output_formats", "search", "units"} <= set(c)
     assert info["decision"]["search"] in ("linear", "binary")
 
 

@@ -22,6 +22,8 @@ from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var, denote
 from repro.workloads import nested_sum, sparse_matrix
 
+from tests.conftest import bench_kernel
+
 
 def test_c_expr_emission():
     x = EVar("x")
@@ -170,16 +172,6 @@ def _csr_add():
     return kernel, tensors
 
 
-def _lib_kernel_cell(cell):
-    """A ``lib_kernel`` program of the benchmark at its smoke size,
-    built without a toolchain."""
-    datagen = pytest.importorskip("bench.datagen")
-    lib_kernel = pytest.importorskip("bench.workloads.lib_kernel")
-    build, size = lib_kernel.SMOKE[cell]
-    program = build(datagen.rng_for(1, "budget", cell), **size)
-    return program.compile(f"lk_{cell}_cell", backend="interp")
-
-
 @pytest.mark.parametrize("cell,budget,searches,loops", [
     # two galloping skips per co-iteration are two calls of one helper
     # (smul was 4,261 B, filtered_spmv 2,527 B with the loops pasted in):
@@ -191,7 +183,7 @@ def _lib_kernel_cell(cell):
     ("mmul", 2_700, {}, 6),
 ])
 def test_skip_and_sort_kernels_fit_their_byte_budgets(cell, budget, searches, loops):
-    kernel = _lib_kernel_cell(cell)
+    kernel = bench_kernel(cell, f"lk_{cell}_cell")
     source = _c_source(kernel)
     assert len(source) <= budget
     assert "qsort" not in source and "<stdlib.h>" not in source

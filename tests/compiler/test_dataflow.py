@@ -44,6 +44,8 @@ from repro.compiler.ir import (
     ilit,
 )
 
+from tests.conftest import bench_kernel
+
 V = EVar
 LT = lambda a, b: EBinop("<", a, b, TBOOL)
 LE = lambda a, b: EBinop("<=", a, b, TBOOL)
@@ -285,17 +287,7 @@ PINNED_FINDINGS = {
 
 @pytest.mark.parametrize("cell", sorted(PINNED_FINDINGS))
 def test_benchmark_program_lint_verdicts_are_pinned(cell):
-    datagen = pytest.importorskip("bench.datagen")
-    programs = pytest.importorskip("bench.programs")
-    lib_kernel = pytest.importorskip("bench.workloads.lib_kernel")
-    if cell.startswith("tpch_"):
-        from repro.tpch import generate
-
-        program = programs.tpch(generate(0.001, seed=1), cell[len("tpch_"):])
-    else:
-        build, size = lib_kernel.SMOKE[cell]
-        program = build(datagen.rng_for(1, "lint", cell), **size)
-    kernel = program.compile(f"lint_{cell}", backend="interp")
+    kernel = bench_kernel(cell, f"lint_{cell}")
     assert not kernel.needs_guard
     assert [(f.array, f.index, f.proven)
             for f in kernel.capacity_findings] == PINNED_FINDINGS[cell]

@@ -1,11 +1,12 @@
 """Subprocess worker for the runtime cache-race test.
 
-Builds one SpMV kernel, then runs it sharded on the *process* executor
-with two spawn workers against the shared ``REPRO_KERNEL_CACHE_DIR``
-inherited from the parent.  Each spawn worker rebuilds the kernel from
-its recipe through the disk cache tier, taking the per-key file lock
-before any rebuild — the parent test launches two of these
-simultaneously, giving up to four processes racing on one cache key.
+Builds one SpMV kernel, then runs it sharded on the *pool* executor
+with two spawn-started workers against the shared
+``REPRO_KERNEL_CACHE_DIR`` inherited from the parent.  Each pool worker
+rebuilds the kernel from its recipe through the disk cache tier, taking
+the per-key file lock before any rebuild — the parent test launches two
+of these simultaneously, giving up to four processes racing on one
+cache key.
 
 Prints the result checksum, whether any shard needed the in-parent
 retry fallback, and the parent's cache counters.
@@ -33,7 +34,7 @@ def main() -> None:
         name="shard_race_k",
     )
     result = kernel.run_sharded(
-        {"A": A, "x": x}, executor="process", workers=2, shards=2
+        {"A": A, "x": x}, executor="pool", workers=2, shards=2
     )
     retried = sum(int(s.retried) for s in kernel.last_shard_stats)
     print(f"CHECK {np.asarray(result.vals).sum():.12f}")

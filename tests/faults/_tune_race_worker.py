@@ -25,7 +25,6 @@ def main() -> None:
         decision = Decision(
             order=("i", "j"),
             search="binary" if wid else "linear",
-            opt_level=2,
             predicted_s=1e-4 * (r + 1),
             predicted_units=float(100 * wid + r),
         )

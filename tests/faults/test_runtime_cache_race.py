@@ -1,12 +1,13 @@
-"""Process-executor workers racing on the kernel cache.
+"""Pool workers racing on the kernel cache.
 
-Two parent processes each run a sharded SpMV on the process executor
-(two spawn workers apiece) against one shared
-``REPRO_KERNEL_CACHE_DIR``.  Every spawn worker rebuilds the kernel
+Two parent processes each run a sharded SpMV on the pool executor
+(two spawn-started workers apiece) against one shared
+``REPRO_KERNEL_CACHE_DIR``.  Every pool worker rebuilds the kernel
 from its recipe, so up to four processes hit the same cache key at
 once; the per-key file locks must serialize the rebuilds and all
 parties must agree on the result, with no shard falling back to the
-in-parent retry path.
+in-parent retry path.  (Under ``REPRO_MP_START=fork`` the workers
+inherit the parent's memo instead and only the two parents race.)
 """
 
 from __future__ import annotations

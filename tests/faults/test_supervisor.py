@@ -179,24 +179,28 @@ def test_typed_child_error_crosses_the_pipe():
 # the supervision policy
 # ----------------------------------------------------------------------
 def test_policy_resolution(monkeypatch):
+    from repro.runtime.policy import resolve
+
+    def supervised(k, arg=None):
+        return resolve(k, parallel=False, supervised=arg).supervised
+
     kernel, _ = _build()
     # start from a clean slate (the chaos CI job exports REPRO_SUPERVISE=1)
     monkeypatch.delenv(resilience.ENV_SUPERVISE, raising=False)
     # python-backed, lint-clean: auto policy says in-process
-    assert kernel._resolve_supervised(None) is False
-    assert kernel._resolve_supervised(True) is True
+    assert supervised(kernel) is False
+    assert supervised(kernel, True) is True
     # environment forces it on / off
     monkeypatch.setenv(resilience.ENV_SUPERVISE, "1")
-    assert kernel._resolve_supervised(None) is True
+    assert supervised(kernel) is True
     monkeypatch.setenv(resilience.ENV_SUPERVISE, "0")
-    assert kernel._resolve_supervised(None) is False
+    assert supervised(kernel) is False
     monkeypatch.setenv(resilience.ENV_SUPERVISE, "1")
     # the call argument outranks the environment
-    assert kernel._resolve_supervised(False) is False
-    # the kernel stamp outranks the environment too
-    monkeypatch.delenv(resilience.ENV_SUPERVISE)
-    kernel.supervised = True
-    assert kernel._resolve_supervised(None) is True
+    assert supervised(kernel, False) is False
+    # the handle's default outranks the environment too
+    monkeypatch.setenv(resilience.ENV_SUPERVISE, "0")
+    assert supervised(kernel._view(supervised=True)) is True
 
 
 @requires_toolchain
@@ -211,13 +215,13 @@ def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
     calls = []
     import repro.runtime.supervisor as sup_mod
 
-    real = sup_mod.run_supervised
+    real = sup_mod.supervise
 
     def recording(*args, **kw):
         calls.append(1)
         return real(*args, **kw)
 
-    monkeypatch.setattr(sup_mod, "run_supervised", recording)
+    monkeypatch.setattr(sup_mod, "supervise", recording)
     kernel.run(tensors, parallel=False)
     assert calls, "needs_guard C kernel should have been supervised"
 

@@ -38,7 +38,7 @@ def tune_dir(tmp_path, monkeypatch):
 def _store_one(tune_dir) -> Path:
     cache = DecisionCache(cache_dir=tune_dir)
     cache.store(SIG, Decision(order=("i", "j"), search="binary",
-                              opt_level=2, predicted_s=0.001))
+                              predicted_s=0.001))
     files = list(tune_dir.glob("atun_fault_sig*.json"))
     assert len(files) == 1
     return files[0]

@@ -301,9 +301,9 @@ def test_pooled_supervised_routing(monkeypatch):
 def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
     """A per-call ``mem_mb`` override pins the fork path (pool rlimits
     are fixed at spawn) — the pool must NOT serve the call."""
-    from repro.runtime.supervisor import _pool_route
+    from repro.runtime.policy import resolve
 
     monkeypatch.setenv(resilience.ENV_POOL, "1")
     kernel, _tensors = spmv_kernel(name="pool_sup_mem")
-    assert _pool_route(kernel, None) is True
-    assert _pool_route(kernel, 256) is False
+    assert resolve(kernel, supervised=True).pool_route is True
+    assert resolve(kernel, supervised=True, mem_mb=256).pool_route is False

@@ -4,7 +4,9 @@ merge, environment routing, and per-shard fault fallback."""
 from __future__ import annotations
 
 import logging
+import os
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,20 +25,21 @@ from repro.runtime.executor import (
     get_executor,
 )
 from repro.runtime.planner import candidate_splits, plan_shards, slice_operands
+from repro.runtime.policy import IN_PROCESS, resolve
 from repro.semirings import FLOAT
 from repro.workloads import dense_vector, sparse_matrix, sparse_vector
 
 N = 24
 
 
-def spmv_kernel(n: int = N, seed: int = 7, backend: str = "python"):
+def spmv_kernel(n: int = N, seed: int = 7, backend: str = "python", **build):
     A = sparse_matrix(n, n, 0.3, attrs=("i", "j"), seed=seed)
     x = dense_vector(n, attr="j", seed=seed + 1)
     ctx = TypeContext(Schema.of(i=None, j=None), {"A": {"i", "j"}, "x": {"j"}})
     kernel = compile_kernel(
         Sum("j", Var("A") * Var("x")), ctx, {"A": A, "x": x},
         OutputSpec(("i",), ("dense",), (n,)),
-        semiring=FLOAT, backend=backend, name="rt_spmv",
+        semiring=FLOAT, backend=backend, name="rt_spmv", **build,
     )
     return kernel, {"A": A, "x": x}
 
@@ -224,23 +227,6 @@ class TestRunSharded:
         got = kernel.run_sharded(tensors, executor="thread", shards=4)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
 
-    def test_run_routes_via_env(self, monkeypatch):
-        kernel, tensors = spmv_kernel()
-        monkeypatch.setenv(resilience.ENV_PARALLEL, "serial")
-        monkeypatch.setenv(resilience.ENV_WORKERS, "2")
-        kernel.last_shard_stats = []
-        got = kernel.run(tensors)
-        assert len(kernel.last_shard_stats) > 1
-        ref = kernel._run_single(tensors)
-        assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
-
-    def test_run_parallel_false_overrides_env(self, monkeypatch):
-        kernel, tensors = spmv_kernel()
-        monkeypatch.setenv(resilience.ENV_PARALLEL, "serial")
-        kernel.last_shard_stats = []
-        kernel.run(tensors, parallel=False)
-        assert kernel.last_shard_stats == []
-
     def test_compile_kernel_parallel_default(self):
         n = N
         A = sparse_matrix(n, n, 0.3, attrs=("i", "j"), seed=7)
@@ -312,7 +298,7 @@ class TestRunSharded:
         fresh = ex_mod._SHARED.get(key)
         assert fresh is not None and fresh is not broken
 
-    def test_function_input_downgrades_process(self, caplog):
+    def test_function_input_downgrades_pool(self, caplog):
         ops = scalar_ops_for(FLOAT)
         even = Op(
             "even", (TINT,), TFLOAT,
@@ -331,10 +317,170 @@ class TestRunSharded:
         tensors = {"A": A}
         ref = kernel._run_single(tensors)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            got = kernel.run_sharded(tensors, executor="process", shards=2)
+            got = kernel.run_sharded(tensors, executor="pool", shards=2)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
-        assert any("downgrading the process executor" in r.message
+        assert any("downgrading the pool executor" in r.message
                    for r in caplog.records)
+        assert {s.worker for s in kernel.last_shard_stats} == {"local"}
+
+
+# ----------------------------------------------------------------------
+# execution policy: one value, one precedence
+# ----------------------------------------------------------------------
+E = resilience
+POLICY_KNOBS = (
+    E.ENV_PARALLEL, E.ENV_WORKERS, E.ENV_SUPERVISE, E.ENV_KERNEL_DEADLINE,
+    E.ENV_KERNEL_MEM_MB, E.ENV_DURABLE, E.ENV_MEM_BUDGET_MB,
+    E.ENV_SHM_THRESHOLD, E.ENV_POOL, E.ENV_POOL_WORKERS,
+)
+SHARD = dict(parallel="serial")
+SUP = dict(parallel=False, supervised=True)
+
+#: (field, call arguments, handle defaults, environment, expected):
+#: argument beats handle default beats REPRO_* beats built-in
+PRECEDENCE = [
+    ("executor", dict(parallel="thread"), dict(parallel="serial"),
+     {E.ENV_PARALLEL: "pool"}, "thread"),
+    ("executor", {}, dict(parallel="serial"), {E.ENV_PARALLEL: "thread"},
+     "serial"),
+    ("executor", {}, {}, {E.ENV_PARALLEL: "serial"}, "serial"),
+    ("executor", {}, {}, {}, None),
+    # parallel=False beats every default
+    ("executor", dict(parallel=False), dict(parallel="serial"),
+     {E.ENV_PARALLEL: "thread"}, None),
+    ("workers", dict(SHARD, workers=3), dict(workers=2), {}, 3),
+    ("workers", SHARD, dict(workers=2), {}, 2),
+    ("workers", SHARD, {}, {}, max(1, os.cpu_count() or 1)),
+    # the one inversion: REPRO_WORKERS caps over the argument
+    ("workers", dict(SHARD, workers=3), dict(workers=2),
+     {E.ENV_WORKERS: "5"}, 5),
+    ("shards", dict(SHARD, workers=3, shards=7), {}, {}, 7),
+    ("shards", dict(SHARD, workers=3), {}, {}, 3),
+    ("supervised", dict(SHARD, supervised=False), dict(supervised=True),
+     {E.ENV_SUPERVISE: "1"}, False),
+    ("supervised", SHARD, dict(supervised=True), {E.ENV_SUPERVISE: "0"},
+     True),
+    ("supervised", SHARD, {}, {E.ENV_SUPERVISE: "1"}, True),
+    ("supervised", SHARD, {}, {}, False),     # auto: Python-backed
+    ("deadline", dict(SUP, deadline=2.5), {}, {E.ENV_KERNEL_DEADLINE: "9"},
+     2.5),
+    ("deadline", SUP, {}, {E.ENV_KERNEL_DEADLINE: "9"}, 9.0),
+    ("deadline", SUP, {}, {}, resilience.DEFAULT_KERNEL_DEADLINE),
+    # an unsupervised route arms no kill of its own ...
+    ("deadline", dict(parallel="pool"), {}, {E.ENV_KERNEL_DEADLINE: "9"},
+     None),
+    # ... but carries the caller's
+    ("deadline", dict(parallel="pool", deadline=2.5), {}, {}, 2.5),
+    ("mem_mb", dict(SUP, mem_mb=256), {}, {E.ENV_KERNEL_MEM_MB: "512"}, 256),
+    ("mem_mb", SUP, {}, {E.ENV_KERNEL_MEM_MB: "512"}, 512),
+    ("mem_mb", SUP, {}, {}, None),
+    ("pool_route", dict(SUP, pool_route=True), {}, {}, True),
+    ("pool_route", SUP, {}, {E.ENV_POOL: "1"}, True),
+    # pool workers fix their rlimit at spawn: a per-call cap pins the fork
+    ("pool_route", dict(SUP, mem_mb=256), {}, {E.ENV_POOL: "1"}, False),
+    ("pool_route", SUP, {}, {}, False),
+    ("durable", dict(SHARD, durable=False), {}, {E.ENV_DURABLE: "1"}, False),
+    ("durable", dict(SHARD, resume="job_x"), {}, {}, True),
+    ("durable", SHARD, {}, {E.ENV_DURABLE: "1"}, True),
+    ("durable", SHARD, {}, {}, False),
+    ("budget_mb", SHARD, {}, {E.ENV_MEM_BUDGET_MB: "64"}, 64.0),
+    ("budget_mb", SHARD, {}, {}, None),
+    ("threshold", dict(parallel="pool"), {}, {E.ENV_SHM_THRESHOLD: "0"}, 0),
+    ("threshold", dict(parallel="pool"), {}, {},
+     resilience.DEFAULT_SHM_THRESHOLD),
+]
+
+
+class TestPolicy:
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        # CI jobs export several of these for the whole suite
+        for knob in POLICY_KNOBS:
+            monkeypatch.delenv(knob, raising=False)
+
+    @pytest.mark.parametrize(
+        "field,args,defaults,env,expected", PRECEDENCE,
+        ids=[f"{row[0]}-{k}" for k, row in enumerate(PRECEDENCE)],
+    )
+    def test_precedence(self, monkeypatch, field, args, defaults, env,
+                        expected):
+        kernel, tensors = spmv_kernel()
+        handle = kernel._view(**defaults) if defaults else kernel
+        for knob, value in env.items():
+            monkeypatch.setenv(knob, value)
+        assert getattr(resolve(handle, **args), field) == expected
+        if field == "executor":
+            # and Kernel.run goes where the policy says
+            got = handle.run(tensors, **args)
+            assert bool(handle.last_shard_stats) == (expected is not None)
+            assert np.array_equal(
+                np.asarray(got.vals),
+                np.asarray(kernel._run_single(tensors).vals))
+
+    def test_in_process_run_reads_two_variables(self, monkeypatch):
+        kernel, _ = spmv_kernel()
+        reads = self._count_reads(monkeypatch)
+        assert resolve(kernel) is IN_PROCESS
+        assert dict(reads) == {E.ENV_PARALLEL: 1, E.ENV_SUPERVISE: 1}
+
+    def test_sharded_supervised_run_reads_each_knob_once(self, monkeypatch):
+        # the policy is resolved at the top of the call and handed to
+        # every shard: four supervised shards, one read per knob
+        kernel, tensors = spmv_kernel()
+        ref = kernel._run_single(tensors)
+        reads = self._count_reads(monkeypatch)
+        got = kernel.run_sharded(
+            tensors, executor="serial", shards=4, supervised=True)
+        assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
+        assert len(kernel.last_shard_stats) == 4
+        assert reads[E.ENV_KERNEL_DEADLINE] == 1
+        assert max(reads.values()) == 1, dict(reads)
+
+    @staticmethod
+    def _count_reads(monkeypatch) -> Counter:
+        reads: Counter = Counter()
+
+        class CountingEnv(dict):
+            def get(self, key, default=None):
+                if key in POLICY_KNOBS:
+                    reads[key] += 1
+                return super().get(key, default)
+
+        monkeypatch.setattr(os, "environ", CountingEnv(os.environ))
+        return reads
+
+    def test_builds_keep_their_own_defaults(self):
+        # the build cache hands every caller of one expression the same
+        # kernel; what each asked for must not reach the others
+        from repro.autotune import decision_cache, reset_profile_cache
+
+        try:
+            k1, _ = spmv_kernel(parallel="thread", workers=2)
+            k2, _ = spmv_kernel()
+            k3, _ = spmv_kernel(tune="auto")
+            k4, _ = spmv_kernel(parallel="serial")
+        finally:
+            decision_cache.clear_memo()
+            reset_profile_cache()
+        assert k1._kernel is k2._kernel is k4._kernel    # one artifact
+        assert (k1.parallel, k1.workers) == ("thread", 2)
+        assert (k2.parallel, k2.workers, k2.tune_decision) == (None,) * 3
+        assert k3.tune_decision is not None and k1.tune_decision is None
+        assert (k4.parallel, k4.workers) == ("serial", None)
+        # a build that asks for nothing is the shared object itself
+        assert spmv_kernel()[0] is k2
+
+    def test_breaker_fallback_leaves_the_held_kernel_alone(self, monkeypatch):
+        # a C kernel's Python twin comes out of the same build cache as
+        # the Python-backed kernel a user holds; "the fallback never
+        # supervises" must not become that user's policy
+        held, tensors = spmv_kernel()
+        c_kernel, _ = spmv_kernel(backend="c")
+        twin = c_kernel._fallback_kernel()
+        assert twin._kernel is held._kernel and twin.supervised is False
+        assert held.supervised is None
+        monkeypatch.setenv(E.ENV_SUPERVISE, "1")
+        assert resolve(held, parallel=False).supervised is True
 
 
 class TestCBackend:
