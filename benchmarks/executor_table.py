@@ -47,10 +47,10 @@ def main() -> None:
 
     from bench import datagen, programs
     from bench.workloads import job_sharded
-    from repro.compiler import resilience
+    from repro import config
     from repro.runtime import shutdown_shared_runtime
 
-    executors = [e for e in resilience.KNOWN_EXECUTORS if e != "serial"]
+    executors = [e for e in config.EXECUTORS if e != "serial"]
     columns = ["single", "serial"] + executors
     print(f"{args.backend} backend, "
           f"{'smoke' if args.smoke else 'full'} size, "

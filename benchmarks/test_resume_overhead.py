@@ -115,13 +115,13 @@ def test_resume_saves_reexecution():
         tensors, executor="serial", shards=SHARDS, durable=True), reps=3)
 
     resilience.reset_fault_counters()
-    os.environ[resilience.ENV_FAULT] = "shard:raise:6"
+    os.environ["REPRO_FAULT"] = "shard:raise:6"
     try:
         with pytest.raises(InjectedFault):
             kernel.run_sharded(
                 tensors, executor="serial", shards=SHARDS, durable=True)
     finally:
-        os.environ.pop(resilience.ENV_FAULT, None)
+        os.environ.pop("REPRO_FAULT", None)
         resilience.reset_fault_counters()
 
     stats: list = []
@@ -150,13 +150,13 @@ def test_spill_merge_overhead():
     eager = _best(lambda: kernel.run_sharded(
         tensors, executor="serial", shards=SHARDS))
 
-    os.environ[resilience.ENV_MEM_BUDGET_MB] = "0.000001"
+    os.environ["REPRO_MEM_BUDGET_MB"] = "0.000001"
     try:
         job: dict = {}
         spilling = _best(lambda: kernel.run_sharded(
             tensors, executor="serial", shards=SHARDS, job_out=job))
     finally:
-        os.environ.pop(resilience.ENV_MEM_BUDGET_MB, None)
+        os.environ.pop("REPRO_MEM_BUDGET_MB", None)
     RESULTS["spill_merge"] = {
         "seconds": {"eager": eager, "spilling": spilling},
         "overhead_seconds": spilling - eager,

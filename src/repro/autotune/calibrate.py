@@ -9,12 +9,10 @@ exist.  So the profile is *measured* (a few micro-benchmarks, once per
 machine), persisted next to the kernel cache with the same
 checksummed-envelope + quarantine machinery, and loaded thereafter.
 
-Measurement is never implicit: an unset/``auto``
-``REPRO_TUNE_CALIBRATE`` loads a persisted profile or falls back to
-conservative defaults (``measured=False``, shard speedup 1.0 — the
-tuner will then never choose to shard, which is the safe default).
-Set ``REPRO_TUNE_CALIBRATE=1`` (measure once, reuse thereafter) or
-``force`` (re-measure), or call :func:`calibrate` explicitly.
+Measurement is never implicit: :func:`get_profile` loads a persisted
+profile or falls back to conservative defaults (``measured=False``,
+shard speedup 1.0 — the tuner will then never choose to shard, which
+is the safe default).  :func:`calibrate` is the one way to measure.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro import config
 from repro.compiler import resilience
 from repro.compiler.cache import _payload_digest, default_cache_dir
 from repro.compiler.resilience import logger
@@ -44,10 +43,8 @@ DEFAULT_DISPATCH_S = {"serial": 0.0, "thread": 3e-4, "pool": 2e-3}
 def tune_cache_dir() -> Path:
     """Where calibration + decision records live
     (``REPRO_TUNE_CACHE_DIR``, default: the kernel cache dir)."""
-    env = os.environ.get(resilience.ENV_TUNE_CACHE_DIR)
-    if env:
-        return Path(env)
-    return default_cache_dir()
+    env = config.get("REPRO_TUNE_CACHE_DIR")
+    return Path(env) if env else default_cache_dir()
 
 
 @dataclass
@@ -262,45 +259,12 @@ def measure_profile(executors=("thread", "pool")) -> CalibrationProfile:
 _active: Optional[CalibrationProfile] = None
 
 
-def _calibrate_requested() -> Optional[str]:
-    raw = os.environ.get(resilience.ENV_TUNE_CALIBRATE, "").strip().lower()
-    if not raw or raw == "auto":
-        return None
-    if raw in resilience._FALSEY:
-        return "off"
-    if raw == "force":
-        return "force"
-    return "on"
-
-
 def get_profile() -> CalibrationProfile:
-    """The process-wide calibration profile.
-
-    ``REPRO_TUNE_CALIBRATE`` unset/``auto``: persisted profile if one
-    exists, else conservative defaults — never measures implicitly.
-    Falsey: defaults only (ignores any persisted profile).  Truthy:
-    measure once and persist; ``force``: re-measure now.
-    """
+    """The process-wide calibration profile: the memo, else a persisted
+    profile, else conservative defaults — it never measures."""
     global _active
-    if _active is not None:
-        return _active
-    mode = _calibrate_requested()
-    if mode == "off":
-        _active = default_profile()
-        return _active
-    if mode == "force":
-        _active = measure_profile()
-        store_profile(_active)
-        return _active
-    loaded = load_profile()
-    if loaded is not None:
-        _active = loaded
-        return _active
-    if mode == "on":
-        _active = measure_profile()
-        store_profile(_active)
-        return _active
-    _active = default_profile()
+    if _active is None:
+        _active = load_profile() or default_profile()
     return _active
 
 

@@ -11,22 +11,13 @@ when you *intend* to commit fresh numbers.
 
 from __future__ import annotations
 
-import os
 import tempfile
 from pathlib import Path
 
-from repro.compiler.resilience import _FALSEY
-
-ENV_BENCH_RECORD = "REPRO_BENCH_RECORD"
+from repro import config
 
 #: the repository root (this file lives at src/repro/benchrecord.py)
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def recording_enabled() -> bool:
-    """True when ``REPRO_BENCH_RECORD`` is set to a truthy value."""
-    raw = os.environ.get(ENV_BENCH_RECORD, "").strip().lower()
-    return bool(raw) and raw not in _FALSEY
 
 
 def report_path(filename: str) -> Path:
@@ -35,11 +26,11 @@ def report_path(filename: str) -> Path:
     Repo root under ``REPRO_BENCH_RECORD=1`` (committing a fresh
     record); otherwise a scratch directory under the system tmpdir so
     routine runs never dirty the working tree."""
-    if recording_enabled():
+    if config.get("REPRO_BENCH_RECORD"):
         return REPO_ROOT / filename
     scratch = Path(tempfile.gettempdir()) / "repro_bench"
     scratch.mkdir(parents=True, exist_ok=True)
     return scratch / filename
 
 
-__all__ = ["ENV_BENCH_RECORD", "recording_enabled", "report_path"]
+__all__ = ["report_path"]

@@ -45,13 +45,7 @@ from repro.compiler.cache import (
     kernel_cache_key,
 )
 from repro.compiler.kernel import KernelBuilder, compile_kernel
-from repro.compiler.resilience import (
-    fallback_enabled,
-    gcc_timeout,
-    logger,
-    toolchain,
-    toolchain_available,
-)
+from repro.compiler.resilience import logger, toolchain_available
 from repro.errors import (
     BackendUnavailableError,
     CacheCorruptionError,
@@ -115,8 +109,5 @@ __all__ = [
     "CapacityError",
     "ShapeError",
     "logger",
-    "fallback_enabled",
-    "toolchain",
     "toolchain_available",
-    "gcc_timeout",
 ]

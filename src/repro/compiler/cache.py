@@ -43,32 +43,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro import config
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
 CACHE_VERSION = 5  # v5: skips are PSearch (a _skip_gal call when binary), PSort calls _sort_i64 and wants a list of 2 x dim
 
-ENV_CACHE_DIR = "REPRO_KERNEL_CACHE_DIR"
-ENV_CACHE = "REPRO_KERNEL_CACHE"
-
 
 def default_cache_dir() -> Path:
     """The disk-tier directory (also used for cached ``.so`` files)."""
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path(tempfile.gettempdir()) / "repro_kernels"
-
-
-def disk_cache_enabled() -> bool:
-    return os.environ.get(ENV_CACHE, "1").lower() not in ("0", "off", "no", "false")
+    env = config.get("REPRO_KERNEL_CACHE_DIR")
+    return Path(env) if env else Path(tempfile.gettempdir()) / "repro_kernels"
 
 
 @dataclass
@@ -129,7 +120,7 @@ class KernelCache:
         envelope fields) is quarantined and logged, then treated as a
         miss so the caller rebuilds.
         """
-        if not disk_cache_enabled():
+        if not config.get("REPRO_KERNEL_CACHE"):
             return None
         path = self._payload_path(key)
         try:
@@ -165,7 +156,7 @@ class KernelCache:
         return payload
 
     def store_payload(self, key: str, payload: Dict[str, Any]) -> None:
-        if not disk_cache_enabled():
+        if not config.get("REPRO_KERNEL_CACHE"):
             return
         payload = dict(payload, version=CACHE_VERSION, key=key)
         record = {"sha256": _payload_digest(payload), "payload": payload}

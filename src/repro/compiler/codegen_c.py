@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
+from repro import config
 from repro.compiler import resilience
 from repro.compiler.analysis.dataflow import stmt_exprs, subexprs, substatements
 from repro.compiler.cache import default_cache_dir
@@ -285,7 +286,7 @@ def _sanitizer_flags() -> List[str]:
     aborts on signed overflow, bad shifts, and friends instead of
     recovering silently."""
     flags: List[str] = []
-    for mode in resilience.sanitize_modes():
+    for mode in config.get("REPRO_SANITIZE"):
         if mode == "address":
             flags += ["-fsanitize=address", "-fno-omit-frame-pointer"]
         elif mode == "undefined":
@@ -297,7 +298,7 @@ def _compile(source: str, c_path: str, so_path: str) -> None:
     """Run the C toolchain: atomic source/artifact publication, probe
     for a missing compiler, configurable timeout, one retry on
     transient failures, stderr attached to the raised error."""
-    cc = resilience.toolchain()
+    cc = config.get("REPRO_GCC")
     if shutil.which(cc) is None:
         raise BackendUnavailableError("c", f"compiler {cc!r} not found on PATH")
     resilience.atomic_write_text(c_path, source)
@@ -306,7 +307,7 @@ def _compile(source: str, c_path: str, so_path: str) -> None:
     tmp_so = f"{so_path}.build{os.getpid()}"
     cmd = [cc, "-O3", "-march=native", "-shared", "-fPIC", *_sanitizer_flags(),
            c_path, "-o", tmp_so, "-lm"]
-    timeout = resilience.gcc_timeout()
+    timeout = config.get("REPRO_GCC_TIMEOUT")
     last_error: CompileError | None = None
     seen_signals: set[int] = set()
     repeated_kill = False
@@ -383,7 +384,7 @@ def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
     # with REPRO_SANITIZE set must never reuse an uninstrumented .so
     # (or vice versa).  Unsanitized builds keep the plain source hash
     # so existing cached artifacts stay valid.
-    tag = ",".join(resilience.sanitize_modes())
+    tag = ",".join(config.get("REPRO_SANITIZE"))
     keyed = f"sanitize={tag}\x00{source}" if tag else source
     key = hashlib.sha256(keyed.encode()).hexdigest()[:16]
     if key in _CACHE:

@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import config
 from repro.compiler import codegen_c, codegen_py, resilience
 from repro.compiler.analysis.dataflow import stmt_effects, stmt_reads
 from repro.compiler.analysis.intervals import lint_bounds
@@ -498,7 +499,7 @@ class Kernel:
                     raise CapacityError(
                         f"output needs {exc.needed} entries but the auto-grow "
                         f"bound is {bound}; raise max_capacity/"
-                        f"{resilience.ENV_MAX_CAPACITY}",
+                        "REPRO_MAX_CAPACITY",
                         needed=exc.needed,
                         capacity=current,
                     ) from exc
@@ -515,7 +516,7 @@ class Kernel:
         of the output (an undersized result can never need more)."""
         if max_capacity is not None:
             return int(max_capacity)
-        env_bound = resilience.max_auto_capacity()
+        env_bound = config.get("REPRO_MAX_CAPACITY")
         if env_bound is not None:
             return env_bound
         out = self.output
@@ -865,7 +866,7 @@ class KernelBuilder:
         self.search = search
         self.locate = locate
         self.opt_level = int(opt_level)
-        self.sanitize = resilience.sanitize_modes()
+        self.sanitize = config.get("REPRO_SANITIZE")
         # the checked Python emitter is scalar; vectorized slices would
         # bypass its per-subscript bounds checks
         self.vectorize = (
@@ -877,10 +878,10 @@ class KernelBuilder:
         #: run the IR verifier after every optimization pass (None =
         #: the ``REPRO_IR_VERIFY`` environment toggle)
         self.verify = verify
-        if parallel is not None and parallel not in resilience.KNOWN_EXECUTORS:
+        if parallel is not None and parallel not in config.EXECUTORS:
             raise ValueError(
                 f"unknown parallel executor {parallel!r}; expected one of "
-                f"{resilience.KNOWN_EXECUTORS}"
+                f"{config.EXECUTORS}"
             )
         self.parallel = parallel
         self.workers = workers
@@ -917,7 +918,7 @@ class KernelBuilder:
         """
         mode = tune if tune is not None else self.tune
         if mode is None:
-            mode = resilience.tune_mode() or "off"
+            mode = config.get("REPRO_TUNE") or "off"
         if mode != "auto":
             return None
         if not inputs or not all(
@@ -1029,7 +1030,7 @@ class KernelBuilder:
         active = (
             self.stream_verify
             if self.stream_verify is not None
-            else resilience.stream_verify_enabled()
+            else config.get("REPRO_STREAM_VERIFY")
         )
         if active and (key is None or key not in _VERIFIED_KEYS):
             verify_expr(
@@ -1122,12 +1123,12 @@ class KernelBuilder:
                 source = codegen_c.emit_kernel_source(name, params, decls, body)
                 backend_kernel = codegen_c.CKernel(source, name, params)
             except (BackendUnavailableError, CompileError) as exc:
-                if not resilience.fallback_enabled():
+                if not config.get("REPRO_BACKEND_FALLBACK"):
                     raise
                 logger.warning(
                     "C backend failed for kernel %r (%s); falling back to the "
-                    "Python backend (set %s=0 to fail instead)",
-                    name, exc, resilience.ENV_BACKEND_FALLBACK,
+                    "Python backend (set REPRO_BACKEND_FALLBACK=0 to fail "
+                    "instead)", name, exc,
                 )
                 backend_kernel = codegen_py.PyKernel(
                     name, params, decls, body,

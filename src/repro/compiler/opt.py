@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import config
 from repro.compiler.analysis.dataflow import (
     arrays_read,
     expr_key,
@@ -538,9 +539,7 @@ def optimize(
     environment; without ``params`` it is skipped.
     """
     if verify is None:
-        from repro.compiler import resilience
-
-        verify = resilience.ir_verify_enabled()
+        verify = config.get("REPRO_IR_VERIFY")
     checking = bool(verify) and params is not None
 
     def check(after: str) -> None:

@@ -83,11 +83,11 @@ def is_retryable(exc: BaseException) -> bool:
 class ConfigError(ReproError, ValueError):
     """An environment knob holds a value that cannot be parsed.
 
-    Raised at *read* time by the typed parsers of
-    :mod:`repro.compiler.resilience` (strict mode) and always by the
-    ``REPRO_SERVE_*`` configuration of :mod:`repro.serve.config`, so an
-    operator typo like ``REPRO_POOL_WORKERS=abc`` surfaces once, named,
-    at startup — never as a raw ``ValueError`` deep in the stack.
+    Raised at *read* time by :func:`repro.config.get` — for any row
+    under ``REPRO_STRICT_ENV``, and always for the ``REPRO_SERVE_*``
+    rows — so an operator typo like ``REPRO_POOL_WORKERS=abc`` surfaces
+    once, named, at startup — never as a raw ``ValueError`` deep in the
+    stack.
     """
 
     def __init__(self, variable: str, value: str, reason: str) -> None:

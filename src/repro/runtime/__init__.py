@@ -27,9 +27,8 @@ package exploits that:
   pure-Python backend until a backoff re-probe succeeds;
 - :mod:`repro.runtime.pool` keeps a persistent, pre-warmed set of
   worker processes holding compiled kernels resident
-  (``REPRO_POOL_WORKERS``, ``REPRO_POOL_WARM``,
-  ``REPRO_POOL_IDLE_TTL``), with supervision amortized inside the
-  workers (``REPRO_POOL``);
+  (``REPRO_POOL_WORKERS``, ``REPRO_POOL_IDLE_TTL``), with supervision
+  amortized inside the workers (``REPRO_POOL``);
 - :mod:`repro.runtime.shm` is the zero-copy data plane under it:
   operands and results cross the process boundary as shared-memory
   descriptors, not pickles (``REPRO_SHM_THRESHOLD``);
@@ -40,81 +39,50 @@ package exploits that:
 - :mod:`repro.runtime.governor` bounds resident partial memory
   (``REPRO_MEM_BUDGET_MB``) by spilling to the journal and merging
   with a streaming incremental ⊕-fold — larger-than-RAM contractions.
+
+The package is a lazy façade (PEP 562): a name below is imported from
+its submodule on first touch, so ``Kernel.run`` resolving its policy
+does not pay for ``multiprocessing`` and the pool.
 """
 
-from repro.runtime.api import ShardStat, run_batch, run_sharded
-# the process-wide instance is re-exported as `circuit_breaker`: the
-# plain name would shadow the `repro.runtime.breaker` submodule
-from repro.runtime.breaker import CircuitBreaker, breaker as circuit_breaker
-from repro.runtime.executor import (
-    Executor,
-    SerialExecutor,
-    ThreadExecutor,
-    discard_shared_executor,
-    get_executor,
-    get_shared_executor,
-    shutdown_shared_executors,
-)
-from repro.runtime.executor import (
-    PoolExecutor,
-    register_runtime_shutdown,
-    shutdown_shared_runtime,
-)
-from repro.runtime.governor import PartialAccumulator, partial_nbytes
-from repro.runtime.jobs import (
-    JobJournal,
-    fingerprint_tensor,
-    gc_jobs,
-    job_root,
-    job_signature,
-)
-from repro.runtime.merge import merge_partials
-from repro.runtime.planner import ShardPlan, plan_shards, slice_operands
-from repro.runtime.pool import (
-    PoolStats,
-    PoolUnavailableError,
-    WorkerPool,
-    get_shared_pool,
-    pool_key,
-    run_pooled,
-    shutdown_shared_pool,
-)
-from repro.runtime.supervisor import can_supervise, run_supervised
+import importlib
 
-__all__ = [
-    "CircuitBreaker",
-    "Executor",
-    "JobJournal",
-    "PartialAccumulator",
-    "PoolExecutor",
-    "PoolStats",
-    "PoolUnavailableError",
-    "SerialExecutor",
-    "ShardPlan",
-    "ShardStat",
-    "ThreadExecutor",
-    "WorkerPool",
-    "can_supervise",
-    "circuit_breaker",
-    "discard_shared_executor",
-    "fingerprint_tensor",
-    "gc_jobs",
-    "get_executor",
-    "get_shared_executor",
-    "get_shared_pool",
-    "job_root",
-    "job_signature",
-    "merge_partials",
-    "partial_nbytes",
-    "plan_shards",
-    "pool_key",
-    "register_runtime_shutdown",
-    "run_batch",
-    "run_pooled",
-    "run_sharded",
-    "run_supervised",
-    "shutdown_shared_executors",
-    "shutdown_shared_pool",
-    "shutdown_shared_runtime",
-    "slice_operands",
-]
+#: public name → the submodule that defines it
+_EXPORTS = {
+    "ShardStat": "api", "run_batch": "api", "run_sharded": "api",
+    "CircuitBreaker": "breaker",
+    # the process-wide instance: the plain name ``breaker`` would shadow
+    # the submodule
+    "circuit_breaker": "breaker",
+    "Executor": "executor", "PoolExecutor": "executor",
+    "SerialExecutor": "executor", "ThreadExecutor": "executor",
+    "discard_shared_executor": "executor", "get_executor": "executor",
+    "get_shared_executor": "executor",
+    "register_runtime_shutdown": "executor",
+    "shutdown_shared_executors": "executor",
+    "shutdown_shared_runtime": "executor",
+    "PartialAccumulator": "governor", "partial_nbytes": "governor",
+    "JobJournal": "jobs", "fingerprint_tensor": "jobs", "gc_jobs": "jobs",
+    "job_root": "jobs", "job_signature": "jobs",
+    "merge_partials": "merge",
+    "ShardPlan": "planner", "plan_shards": "planner",
+    "slice_operands": "planner",
+    "PoolStats": "pool", "PoolUnavailableError": "pool",
+    "WorkerPool": "pool", "get_shared_pool": "pool", "pool_key": "pool",
+    "run_pooled": "pool", "shutdown_shared_pool": "pool",
+    "can_supervise": "supervisor", "run_supervised": "supervisor",
+}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = getattr(module, "breaker" if name == "circuit_breaker" else name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

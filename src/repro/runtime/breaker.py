@@ -38,11 +38,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro import config
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
 #: ceiling for the exponential re-probe delay
 MAX_BACKOFF = 600.0
+#: closed, untouched breaker records older than this are swept (seconds)
+RECORD_TTL = 7 * 24 * 3600.0
 
 #: states reported by :meth:`CircuitBreaker.decide`
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -137,7 +140,8 @@ class CircuitBreaker:
                     "open, next probe in ~%.0fs",
                     name, rec.probes, self._backoff(rec),
                 )
-            elif not rec.is_open and rec.failures >= resilience.breaker_threshold():
+            elif (not rec.is_open and rec.failures
+                    >= config.get("REPRO_BREAKER_THRESHOLD")):
                 rec.opened_at = _now()
                 rec.probes = 0
                 opened = True
@@ -226,7 +230,8 @@ class CircuitBreaker:
     # -- timing --------------------------------------------------------
     def _backoff(self, rec: BreakerRecord) -> float:
         return min(
-            MAX_BACKOFF, resilience.breaker_backoff() * (2.0 ** rec.probes)
+            MAX_BACKOFF,
+            config.get("REPRO_BREAKER_BACKOFF") * (2.0 ** rec.probes),
         )
 
     def _reprobe_at(self, key: str, rec: BreakerRecord) -> float:
@@ -260,17 +265,13 @@ class CircuitBreaker:
         keys are content-addressed so old kernel versions never get
         theirs overwritten.  A record both *closed* (``opened_at`` is
         null — an open breaker is live state, never swept) and
-        untouched for ``REPRO_BREAKER_TTL`` seconds (default 7 days) is
-        deleted; an unreadable record past the TTL is junk and goes
-        too.  ``REPRO_BREAKER_TTL=0`` disables the sweep.
+        untouched for :data:`RECORD_TTL` (7 days) is deleted; an
+        unreadable record past the TTL is junk and goes too.
         """
         if directory in self._swept:
             return
         self._swept.add(directory)
-        ttl = resilience.breaker_ttl()
-        if ttl is None:
-            return
-        cutoff = _now() - ttl
+        cutoff = _now() - RECORD_TTL
         try:
             candidates = list(directory.glob("kbrk_*.json"))
         except OSError:

@@ -47,8 +47,9 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Optional
 
-from repro.compiler import resilience
+from repro import config
 from repro.compiler.resilience import logger
+from repro.runtime.policy import worker_count
 
 
 class Executor:
@@ -162,7 +163,7 @@ def get_executor(
     """Factory: executor by name.  ``workers`` is a resolved count (the
     runtime passes its policy's); None takes ``REPRO_WORKERS``, else
     the CPU count."""
-    n = workers if workers is not None else resilience.worker_count()
+    n = workers if workers is not None else worker_count()
     if name == "serial":
         return SerialExecutor(1, queue_bound)
     if name == "thread":
@@ -171,7 +172,7 @@ def get_executor(
         return PoolExecutor(n, queue_bound)
     logger.warning(
         "unknown executor %r (expected one of %s); using serial",
-        name, list(resilience.KNOWN_EXECUTORS),
+        name, list(config.EXECUTORS),
     )
     return SerialExecutor(1, queue_bound)
 

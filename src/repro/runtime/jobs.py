@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, List, Mapping, Optional, Set
 
 import numpy as np
 
-from repro.compiler import resilience
+from repro import config
 from repro.compiler.cache import default_cache_dir
 from repro.compiler.resilience import (
     atomic_write_bytes,
@@ -68,7 +68,7 @@ def job_root() -> Path:
     """The directory job journals live under (``REPRO_JOB_DIR``,
     default ``<kernel cache dir>/jobs``), created on demand with the
     same unusable-directory fallback as the kernel cache."""
-    env = resilience.job_dir_env()
+    env = config.get("REPRO_JOB_DIR")
     preferred = Path(env) if env else default_cache_dir() / "jobs"
     return Path(usable_cache_dir(preferred))
 

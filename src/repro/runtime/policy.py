@@ -10,9 +10,10 @@ the kernel handle's build-time default → ``REPRO_*`` → built-in default
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple, Optional, Union
 
-from repro.compiler import resilience
+from repro import config
 from repro.compiler.resilience import logger
 
 
@@ -48,13 +49,24 @@ class ExecutionPolicy(NamedTuple):
 IN_PROCESS = ExecutionPolicy()
 
 
+def worker_count(default: Optional[int] = None) -> int:
+    """Worker count for parallel executors (``REPRO_WORKERS`` override,
+    then ``default``, then the machine's CPU count)."""
+    value = config.get("REPRO_WORKERS")
+    if value is not None:
+        return value
+    if default is not None:
+        return int(default)
+    return max(1, os.cpu_count() or 1)
+
+
 def is_durable(durable: Optional[bool] = None,
                resume: Optional[str] = None) -> bool:
     """Whether a sharded run journals its partials: the argument, else
     a pinned ``resume`` job id, else ``REPRO_DURABLE``."""
     if durable is not None:
         return bool(durable)
-    return resume is not None or resilience.durable_enabled()
+    return resume is not None or config.get("REPRO_DURABLE")
 
 
 def resolve(
@@ -77,13 +89,13 @@ def resolve(
     over the argument (an operator's limit on a shared machine).
     """
     if parallel is None:
-        executor = kernel.parallel or resilience.parallel_backend()
+        executor = kernel.parallel or config.get("REPRO_PARALLEL")
     else:
         executor = parallel or None
     if supervised is None:
         supervised = kernel.supervised
     if supervised is None:
-        supervised = resilience.supervise_mode()
+        supervised = config.get("REPRO_SUPERVISE")
     if supervised is None:
         # auto: a C kernel with an output store the capacity lint could
         # not prove in bounds; the Python backend cannot corrupt the host
@@ -102,19 +114,19 @@ def resolve(
         # an explicit deadline — a request budget from the serving
         # layer — arms the kill on any isolated route, supervised or not
         if deadline is None:
-            deadline = resilience.kernel_deadline()
+            deadline = config.get("REPRO_KERNEL_DEADLINE")
         if pool_route is None:
             # pool workers fix their rlimit at spawn: a per-call cap
             # pins the fork
             pool_route = (
                 mem_mb is None
-                and resilience.pool_enabled()
+                and config.get("REPRO_POOL")
                 and kernel.recipe is not None
             )
         if mem_mb is None:
-            mem_mb = resilience.kernel_mem_mb()
+            mem_mb = config.get("REPRO_KERNEL_MEM_MB")
     threshold = (
-        resilience.shm_threshold() if executor == "pool" or pool_route
+        config.get("REPRO_SHM_THRESHOLD") if executor == "pool" or pool_route
         else None
     )
     if executor is None:
@@ -122,9 +134,7 @@ def resolve(
             supervised=True, deadline=deadline, mem_mb=mem_mb,
             pool_route=bool(pool_route), threshold=threshold,
         )
-    n = resilience.worker_count(
-        workers if workers is not None else kernel.workers
-    )
+    n = worker_count(workers if workers is not None else kernel.workers)
     return ExecutionPolicy(
         executor=executor,
         workers=n,
@@ -134,9 +144,10 @@ def resolve(
         mem_mb=mem_mb,
         pool_route=bool(pool_route),
         durable=is_durable(durable, resume),
-        budget_mb=resilience.mem_budget_mb(),
+        budget_mb=config.get("REPRO_MEM_BUDGET_MB"),
         threshold=threshold,
     )
 
 
-__all__ = ["ExecutionPolicy", "IN_PROCESS", "is_durable", "resolve"]
+__all__ = ["ExecutionPolicy", "IN_PROCESS", "is_durable", "resolve",
+           "worker_count"]

@@ -44,11 +44,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.compiler import resilience
+from repro import config
 from repro.compiler.resilience import logger
 from repro.errors import KernelCrashError, KernelTimeoutError
 from repro.runtime import shm
-from repro.runtime.policy import ExecutionPolicy, resolve
+from repro.runtime.policy import ExecutionPolicy, resolve, worker_count
 
 
 class PoolUnavailableError(RuntimeError):
@@ -131,18 +131,16 @@ class WorkerPool:
         *,
         start_method: Optional[str] = None,
         mem_mb: Optional[int] = None,
-        warm: Optional[bool] = None,
     ) -> None:
         # an explicit size wins; the env knobs only fill the default
-        self.max_workers = (
-            workers if workers is not None else resilience.pool_workers()
-        )
+        if workers is None:
+            workers = config.get("REPRO_POOL_WORKERS") or worker_count()
+        self.max_workers = workers
         self._ctx = multiprocessing.get_context(
-            start_method or resilience.mp_start_method()
+            start_method or config.get("REPRO_MP_START")
         )
-        self._mem_mb = mem_mb if mem_mb is not None else resilience.kernel_mem_mb()
-        self._warm = (
-            warm if warm is not None else resilience.pool_warm_enabled()
+        self._mem_mb = (
+            mem_mb if mem_mb is not None else config.get("REPRO_KERNEL_MEM_MB")
         )
         self._lock = threading.Lock()
         self._have_idle = threading.Condition(self._lock)
@@ -167,8 +165,8 @@ class WorkerPool:
     # worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
-        """Start one worker (caller holds the lock); re-warm it with
-        every recipe the pool has seen when warming is on."""
+        """Start one worker (caller holds the lock) and warm it with
+        every recipe the pool has seen."""
         from repro.runtime import worker as worker_mod
 
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -188,10 +186,9 @@ class WorkerPool:
         w = _Worker(proc, parent_conn, self._next_wid)
         self._next_wid += 1
         self.stats.spawned += 1
-        if self._warm:
-            for key, recipe in self._recipes.items():
-                if not self._warm_one(w, key, recipe):
-                    break
+        for key, recipe in self._recipes.items():
+            if not self._warm_one(w, key, recipe):
+                break
         return w
 
     def _warm_one(self, w: _Worker, key: str, recipe) -> bool:
@@ -274,7 +271,7 @@ class WorkerPool:
         """Drop idle workers beyond the TTL, always keeping one warm
         (caller holds the lock).  ``_idle`` is LIFO — the front of the
         list is the coldest worker."""
-        ttl = resilience.pool_idle_ttl()
+        ttl = config.get("REPRO_POOL_IDLE_TTL")
         if ttl is None:
             return
         now = time.monotonic()
@@ -302,14 +299,13 @@ class WorkerPool:
     # the public call surface
     # ------------------------------------------------------------------
     def register_recipe(self, key: str, recipe) -> None:
-        """Record a recipe for warm-up; broadcast it to idle workers
-        when proactive warming is on."""
+        """Record a recipe for warm-up and broadcast it to the idle
+        workers (a busy one gets it lazily, on its first call for the
+        key)."""
         with self._lock:
             if key in self._recipes:
                 return
             self._recipes[key] = recipe
-            if not self._warm:
-                return
             for w in list(self._idle):
                 if key not in w.warmed and not self._warm_one(w, key, recipe):
                     self._destroy(w, replace=True)

@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler import resilience
+from repro import config
 from repro.data.tensor import Tensor
 
 #: alignment of each packed array inside a segment (cache-line)
@@ -257,7 +257,9 @@ _EXPORTS: Dict[str, TensorExport] = {}
 def threshold_or_default(threshold: Optional[int]) -> int:
     """``threshold``, else ``REPRO_SHM_THRESHOLD`` — for the entry
     points a caller may reach without a resolved execution policy."""
-    return resilience.shm_threshold() if threshold is None else threshold
+    if threshold is None:
+        return config.get("REPRO_SHM_THRESHOLD")
+    return threshold
 
 
 def export_tensor(tensor: Tensor, threshold: Optional[int] = None,

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import config as knobs  # `config` names a ServeConfig here
 from repro.serve.config import ServeConfig
 from repro.serve.query import PreparedQuery
 
@@ -139,9 +140,7 @@ class AdmissionController:
         journal and the merge streams, keeping residency bounded.  No
         budget, or no footprint estimate, admits normally.
         """
-        from repro.compiler import resilience
-
-        budget_mb = resilience.mem_budget_mb()
+        budget_mb = knobs.get("REPRO_MEM_BUDGET_MB")
         if budget_mb is None or prepared.footprint_bytes is None:
             return None
         if prepared.footprint_bytes <= budget_mb * 1024 * 1024:

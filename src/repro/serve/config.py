@@ -11,29 +11,11 @@ wrote it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.compiler.resilience import env_flag, env_float, env_int, tune_mode
+from repro import config
 from repro.errors import ConfigError
-
-ENV_HOST = "REPRO_SERVE_HOST"
-ENV_PORT = "REPRO_SERVE_PORT"
-ENV_DEADLINE = "REPRO_SERVE_DEADLINE"
-ENV_MAX_INFLIGHT = "REPRO_SERVE_MAX_INFLIGHT"
-ENV_QPS = "REPRO_SERVE_QPS"
-ENV_BURST = "REPRO_SERVE_BURST"
-ENV_RETRIES = "REPRO_SERVE_RETRIES"
-ENV_RETRY_BASE = "REPRO_SERVE_RETRY_BASE"
-ENV_BATCH_WINDOW = "REPRO_SERVE_BATCH_WINDOW"
-ENV_BATCH_MAX = "REPRO_SERVE_BATCH_MAX"
-ENV_DRAIN = "REPRO_SERVE_DRAIN"
-ENV_WRITE_TIMEOUT = "REPRO_SERVE_WRITE_TIMEOUT"
-ENV_DEGRADE = "REPRO_SERVE_DEGRADE"
-ENV_WORKERS = "REPRO_SERVE_WORKERS"
-ENV_MAX_BODY = "REPRO_SERVE_MAX_BODY"
-ENV_STREAM_THRESHOLD = "REPRO_SERVE_STREAM_THRESHOLD"
 
 #: degraded-admission policies: ``reject`` sheds the request with
 #: 503 + Retry-After (the honest answer under quarantine or memory
@@ -43,7 +25,7 @@ ENV_STREAM_THRESHOLD = "REPRO_SERVE_STREAM_THRESHOLD"
 #: the merge streams — slower, disk-backed answers instead of 503s
 #: (open-breaker queries are still rejected under ``spill``: spilling
 #: does not make a crashing kernel safe)
-DEGRADE_MODES = ("reject", "fallback", "spill")
+DEGRADE_MODES = config.KNOBS["REPRO_SERVE_DEGRADE"].choices
 
 
 @dataclass
@@ -98,7 +80,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.degrade not in DEGRADE_MODES:
             raise ConfigError(
-                ENV_DEGRADE, str(self.degrade),
+                "REPRO_SERVE_DEGRADE", str(self.degrade),
                 f"expected one of {DEGRADE_MODES}",
             )
         if self.tune not in ("off", "auto"):
@@ -116,38 +98,12 @@ class ServeConfig:
         immediately — the server refuses to boot on a typo rather than
         running with a silently ignored knob.
         """
-        d = cls()
-        degrade = os.environ.get(ENV_DEGRADE, d.degrade).strip().lower()
-        return cls(
-            host=os.environ.get(ENV_HOST, d.host),
-            port=env_int(ENV_PORT, d.port, minimum=0, strict=True),
-            deadline=env_float(
-                ENV_DEADLINE, d.deadline, minimum=0.001, strict=True),
-            max_inflight=env_int(
-                ENV_MAX_INFLIGHT, d.max_inflight, minimum=1, strict=True),
-            qps=env_float(ENV_QPS, d.qps, minimum=0.0, strict=True),
-            burst=env_int(ENV_BURST, d.burst, minimum=0, strict=True),
-            retries=env_int(ENV_RETRIES, d.retries, minimum=0, strict=True),
-            retry_base=env_float(
-                ENV_RETRY_BASE, d.retry_base, minimum=0.0, strict=True),
-            batch_window=env_float(
-                ENV_BATCH_WINDOW, d.batch_window, minimum=0.0, strict=True),
-            batch_max=env_int(
-                ENV_BATCH_MAX, d.batch_max, minimum=1, strict=True),
-            drain=env_float(ENV_DRAIN, d.drain, minimum=0.0, strict=True),
-            write_timeout=env_float(
-                ENV_WRITE_TIMEOUT, d.write_timeout, minimum=0.1, strict=True),
-            degrade=degrade,
-            workers=env_int(ENV_WORKERS, d.workers, minimum=1, strict=True),
-            max_body=env_int(
-                ENV_MAX_BODY, d.max_body, minimum=1024, strict=True),
-            stream_threshold=env_int(
-                ENV_STREAM_THRESHOLD, d.stream_threshold, minimum=1,
-                strict=True),
-            tune=tune_mode() or d.tune,
-        )
+        prefix = "REPRO_SERVE_"
+        fields = {
+            name[len(prefix):].lower(): config.get(name)
+            for name in config.KNOBS if name.startswith(prefix)
+        }
+        return cls(tune=config.get("REPRO_TUNE") or cls.tune, **fields)
 
 
-__all__ = ["ServeConfig", "DEGRADE_MODES"] + [
-    n for n in dir() if n.startswith("ENV_")
-]
+__all__ = ["ServeConfig", "DEGRADE_MODES"]

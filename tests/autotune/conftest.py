@@ -13,10 +13,8 @@ import pytest
 
 from repro.autotune import reset_profile_cache
 from repro.autotune.decisions import decision_cache
-from repro.compiler import cache as cache_mod
 from repro.compiler import codegen_c
 from repro.compiler import kernel as kernel_mod
-from repro.compiler import resilience
 from repro.compiler.cache import KernelCache
 
 
@@ -24,10 +22,9 @@ from repro.compiler.cache import KernelCache
 def isolated_tune_state(tmp_path, monkeypatch):
     kcache_dir = tmp_path / "kcache"
     tune_dir = tmp_path / "tcache"
-    monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(kcache_dir))
-    monkeypatch.setenv(resilience.ENV_TUNE_CACHE_DIR, str(tune_dir))
-    monkeypatch.delenv(resilience.ENV_TUNE, raising=False)
-    monkeypatch.delenv(resilience.ENV_TUNE_CALIBRATE, raising=False)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(kcache_dir))
+    monkeypatch.setenv("REPRO_TUNE_CACHE_DIR", str(tune_dir))
+    monkeypatch.delenv("REPRO_TUNE", raising=False)
     monkeypatch.setattr(codegen_c, "_CACHE", {})
     monkeypatch.setattr(kernel_mod, "kernel_cache",
                         KernelCache(cache_dir=kcache_dir))

@@ -16,7 +16,6 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler import resilience
 from repro.data import Tensor
 from repro.semirings import INT
 from repro.tensor.einsum import einsum, parse_spec
@@ -76,7 +75,7 @@ def _as_dict(result):
 
 @pytest.fixture(autouse=True)
 def _tune_off(monkeypatch):
-    monkeypatch.setenv(resilience.ENV_TUNE, "off")
+    monkeypatch.setenv("REPRO_TUNE", "off")
 
 
 @pytest.mark.parametrize("which", sorted(SPECS))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.compiler import kernel as kernel_mod
-from repro.compiler import resilience
 from repro.compiler.kernel import KernelBuilder, OutputSpec, compile_kernel
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -62,14 +61,14 @@ def test_compile_kernel_tune_auto():
 def test_env_routing(monkeypatch):
     ctx, expr, out, tensors = _spmv()
     builder = KernelBuilder(ctx, FLOAT)  # tune=None defers to REPRO_TUNE
-    monkeypatch.setenv(resilience.ENV_TUNE, "auto")
+    monkeypatch.setenv("REPRO_TUNE", "auto")
     tuned = builder.build(expr, tensors, out, name="kt_c")
     assert tuned.tune_decision is not None
-    monkeypatch.setenv(resilience.ENV_TUNE, "off")
+    monkeypatch.setenv("REPRO_TUNE", "off")
     untuned = builder.build(expr, tensors, out, name="kt_c")
     assert untuned.tune_decision is None
     # unset means off: tuning is strictly opt-in for library builds
-    monkeypatch.delenv(resilience.ENV_TUNE)
+    monkeypatch.delenv("REPRO_TUNE")
     assert builder.build(expr, tensors, out,
                          name="kt_c").tune_decision is None
 

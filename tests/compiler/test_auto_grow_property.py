@@ -21,7 +21,6 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler import resilience
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.data import Tensor
 from repro.errors import CapacityError
@@ -91,13 +90,13 @@ def test_auto_grow_converges_to_oracle_within_bound(problem):
     oracle = kernel._run_single(tensors)  # ample default capacity
     bound = nnz + 3  # comfortably above need, far below n*m growth room
     caps = _spy_allocations(kernel)
-    os.environ[resilience.ENV_MAX_CAPACITY] = str(bound)
+    os.environ["REPRO_MAX_CAPACITY"] = str(bound)
     try:
         grown = kernel.run(
             tensors, capacity=1, auto_grow=True, parallel=False,
         )
     finally:
-        del os.environ[resilience.ENV_MAX_CAPACITY]
+        del os.environ["REPRO_MAX_CAPACITY"]
         del kernel.__dict__["_allocate_output"]
     assert _results_equal(kernel, oracle, grown)
     # geometric growth: capacities strictly increase, and not one
@@ -113,12 +112,12 @@ def test_auto_grow_ceiling_raises_typed_error(problem):
     kernel, tensors, nnz, semiring = problem
     bound = max(1, nnz - 1)  # strictly below the true need
     caps = _spy_allocations(kernel)
-    os.environ[resilience.ENV_MAX_CAPACITY] = str(bound)
+    os.environ["REPRO_MAX_CAPACITY"] = str(bound)
     try:
         with pytest.raises(CapacityError) as err:
             kernel.run(tensors, capacity=1, auto_grow=True, parallel=False)
     finally:
-        del os.environ[resilience.ENV_MAX_CAPACITY]
+        del os.environ["REPRO_MAX_CAPACITY"]
         del kernel.__dict__["_allocate_output"]
     assert err.value.needed is not None and err.value.needed > bound
     assert all(c <= bound for c in caps)

@@ -115,14 +115,14 @@ def test_disk_payload_round_trip(fresh_cache, tmp_path, monkeypatch):
 
 
 def test_disk_tier_can_be_disabled(fresh_cache, tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_CACHE, "0")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", "0")
     ctx, expr, out, tensors = _spmv()
     compile_kernel(expr, ctx, tensors, out, backend="python", name="nodisk_k")
     assert not list(tmp_path.glob("kmeta_*.json"))
 
 
 def test_cache_dir_env_var(monkeypatch, tmp_path):
-    monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(tmp_path / "alt"))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "alt"))
     assert cache_mod.default_cache_dir() == tmp_path / "alt"
     kc = KernelCache()
     assert kc.cache_dir() == tmp_path / "alt"

@@ -62,36 +62,13 @@ def test_capacity_error_sizing_attributes():
 
 
 # ----------------------------------------------------------------------
-# environment policy knobs
+# toolchain probe
 # ----------------------------------------------------------------------
-def test_fallback_enabled_parsing(monkeypatch):
-    monkeypatch.delenv(resilience.ENV_BACKEND_FALLBACK, raising=False)
-    assert resilience.fallback_enabled()  # default on
-    for off in ("0", "off", "no", "false", "OFF"):
-        monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, off)
-        assert not resilience.fallback_enabled()
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "1")
-    assert resilience.fallback_enabled()
-
-
-def test_gcc_timeout_parsing(monkeypatch, caplog):
-    monkeypatch.delenv(resilience.ENV_GCC_TIMEOUT, raising=False)
-    assert resilience.gcc_timeout() == resilience.DEFAULT_GCC_TIMEOUT
-    monkeypatch.setenv(resilience.ENV_GCC_TIMEOUT, "7.5")
-    assert resilience.gcc_timeout() == 7.5
-    with caplog.at_level(logging.WARNING, logger="repro"):
-        monkeypatch.setenv(resilience.ENV_GCC_TIMEOUT, "not-a-number")
-        assert resilience.gcc_timeout() == resilience.DEFAULT_GCC_TIMEOUT
-    assert any("non-numeric" in r.message for r in caplog.records)
-    monkeypatch.setenv(resilience.ENV_GCC_TIMEOUT, "-3")
-    assert resilience.gcc_timeout() == resilience.DEFAULT_GCC_TIMEOUT
-
-
 def test_toolchain_probe_cached_and_refreshable(monkeypatch):
-    monkeypatch.setenv(resilience.ENV_GCC, "/definitely/not/a/compiler")
+    monkeypatch.setenv("REPRO_GCC", "/definitely/not/a/compiler")
     resilience.reset_probe_cache()
     assert not resilience.toolchain_available()
-    monkeypatch.setenv(resilience.ENV_GCC, "sh")  # always on PATH
+    monkeypatch.setenv("REPRO_GCC", "sh")  # always on PATH
     assert resilience.toolchain_available(refresh=True)
     resilience.reset_probe_cache()
 

@@ -4,7 +4,8 @@ sanitizer build flags, and cache-key separation."""
 import numpy as np
 import pytest
 
-from repro.compiler import codegen_c, resilience
+from repro import config
+from repro.compiler import codegen_c
 from repro.compiler.cache import kernel_cache_key
 from repro.compiler.codegen_py import PyKernel, _CheckedArray, emit_kernel_source
 from repro.compiler.formats import Param
@@ -33,20 +34,20 @@ V = EVar
 # ------------------------------------------------------------ env parse
 class TestSanitizeModes:
     def test_default_empty(self, monkeypatch):
-        monkeypatch.delenv(resilience.ENV_SANITIZE, raising=False)
-        assert resilience.sanitize_modes() == ()
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert config.get("REPRO_SANITIZE") == ()
 
     def test_single(self, monkeypatch):
-        monkeypatch.setenv(resilience.ENV_SANITIZE, "address")
-        assert resilience.sanitize_modes() == ("address",)
+        monkeypatch.setenv("REPRO_SANITIZE", "address")
+        assert config.get("REPRO_SANITIZE") == ("address",)
 
     def test_both_sorted_and_deduped(self, monkeypatch):
-        monkeypatch.setenv(resilience.ENV_SANITIZE, "undefined,address,address")
-        assert resilience.sanitize_modes() == ("address", "undefined")
+        monkeypatch.setenv("REPRO_SANITIZE", "undefined,address,address")
+        assert config.get("REPRO_SANITIZE") == ("address", "undefined")
 
     def test_unknown_ignored(self, monkeypatch):
-        monkeypatch.setenv(resilience.ENV_SANITIZE, "address,tsan")
-        assert resilience.sanitize_modes() == ("address",)
+        monkeypatch.setenv("REPRO_SANITIZE", "address,tsan")
+        assert config.get("REPRO_SANITIZE") == ("address",)
 
 
 # -------------------------------------------------------- checked array
@@ -112,7 +113,7 @@ class TestCheckedBackend:
         assert env["a"][1] == 1.0
 
     def test_sanitize_env_builds_checked_python_kernel(self, monkeypatch):
-        monkeypatch.setenv(resilience.ENV_SANITIZE, "address")
+        monkeypatch.setenv("REPRO_SANITIZE", "address")
         n = 4
         schema = Schema.of(i=range(n), j=range(n))
         ctx = TypeContext(schema, {"A": {"i", "j"}, "v": {"j"}})
@@ -141,11 +142,11 @@ class TestCheckedBackend:
 # --------------------------------------------------------- build wiring
 class TestBuildWiring:
     def test_c_flags_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(resilience.ENV_SANITIZE, raising=False)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert codegen_c._sanitizer_flags() == []
 
     def test_c_flags_address_undefined(self, monkeypatch):
-        monkeypatch.setenv(resilience.ENV_SANITIZE, "address,undefined")
+        monkeypatch.setenv("REPRO_SANITIZE", "address,undefined")
         flags = codegen_c._sanitizer_flags()
         assert "-fsanitize=address" in flags
         assert "-fsanitize=undefined" in flags

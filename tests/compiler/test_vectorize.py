@@ -8,7 +8,7 @@ on integer semirings."""
 import numpy as np
 import pytest
 
-from repro.compiler import resilience
+from repro import config
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.data import Tensor
 from repro.krelation import Schema
@@ -16,7 +16,7 @@ from repro.lang import Sum, TypeContext, Var
 from repro.semirings import INT, MIN_PLUS
 
 pytestmark = pytest.mark.skipif(
-    bool(resilience.sanitize_modes()),
+    bool(config.get("REPRO_SANITIZE")),
     reason="REPRO_SANITIZE switches the Python backend to the checked "
     "scalar emitter; the vectorizer is deliberately disabled",
 )

@@ -17,7 +17,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.compiler import cache as cache_mod
+from repro import config
 from repro.compiler import codegen_c
 from repro.compiler import kernel as kernel_mod
 from repro.compiler import resilience
@@ -36,7 +36,7 @@ requires_gcc = pytest.mark.skipif(
 #: skip when the *configured* toolchain (REPRO_GCC override included)
 #: is absent — the no-toolchain CI job sets REPRO_GCC to a missing path
 requires_toolchain = pytest.mark.skipif(
-    shutil.which(resilience.toolchain()) is None,
+    shutil.which(config.get("REPRO_GCC")) is None,
     reason="configured C toolchain required",
 )
 
@@ -46,7 +46,7 @@ def isolated_build_state(tmp_path, monkeypatch):
     """Point every cache tier at a per-test directory and clear all
     process-wide memo state."""
     cache_dir = tmp_path / "kcache"
-    monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(cache_dir))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
     monkeypatch.setattr(codegen_c, "_CACHE", {})
     kc = KernelCache(cache_dir=cache_dir)
     monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
@@ -81,7 +81,7 @@ def fake_gcc(tmp_path, monkeypatch):
         path = tmp_path / "fake_gcc.sh"
         path.write_text(f"#!/bin/sh\n{body}\n")
         path.chmod(0o755)
-        monkeypatch.setenv(resilience.ENV_GCC, str(path))
+        monkeypatch.setenv("REPRO_GCC", str(path))
         resilience.reset_probe_cache()
         return str(path)
 

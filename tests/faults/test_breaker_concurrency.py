@@ -16,13 +16,16 @@ dispatch — so the invariants get their own adversarial suite:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
 from repro.compiler.cache import default_cache_dir
-from repro.runtime.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.runtime.breaker import (
+    CLOSED, HALF_OPEN, OPEN, RECORD_TTL, CircuitBreaker,
+)
 
 KEY = "cafebabe" * 8
 THREADS = 16
@@ -181,3 +184,27 @@ def test_mixed_readers_and_writers_stay_consistent():
 
     assert all(_hammer(THREADS, mixed))
     assert brk.snapshot()[KEY]["failures"] == THREADS * writes_per_thread
+
+
+def test_load_sweeps_only_stale_closed_records():
+    """The first load in a directory GCs records that are both closed
+    and untouched for ``RECORD_TTL``; an open breaker is live state
+    however old, and a fresh record is somebody's current count."""
+    directory = default_cache_dir()
+    directory.mkdir(parents=True, exist_ok=True)
+    closed = {"failures": 2, "opened_at": None, "probes": 0}
+    records = {
+        "stale_closed": (closed, True),
+        "stale_open": (dict(closed, opened_at=1.0), True),
+        "fresh_closed": (closed, False),
+    }
+    long_ago = time.time() - RECORD_TTL - 60.0
+    for tag, (payload, stale) in records.items():
+        path = directory / f"kbrk_{tag}.json"
+        path.write_text(json.dumps(payload))
+        if stale:
+            os.utime(path, (long_ago, long_ago))
+
+    assert CircuitBreaker().decide(KEY) == CLOSED     # loads, so sweeps
+    left = sorted(p.name for p in directory.glob("kbrk_*.json"))
+    assert left == ["kbrk_fresh_closed.json", "kbrk_stale_open.json"]

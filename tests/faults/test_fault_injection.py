@@ -52,8 +52,8 @@ def _build_spmv(backend="c", name="fault_k", **kw):
 # 1. missing toolchain
 # ----------------------------------------------------------------------
 def test_missing_gcc_typed_error_when_fallback_disabled(monkeypatch):
-    monkeypatch.setenv(resilience.ENV_GCC, "/nonexistent/bin/gcc")
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "0")
+    monkeypatch.setenv("REPRO_GCC", "/nonexistent/bin/gcc")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "0")
     resilience.reset_probe_cache()
     with pytest.raises(BackendUnavailableError) as ei:
         _build_spmv(name="nogcc_strict")
@@ -62,7 +62,7 @@ def test_missing_gcc_typed_error_when_fallback_disabled(monkeypatch):
 
 
 def test_missing_gcc_falls_back_to_python_with_log(monkeypatch, caplog):
-    monkeypatch.setenv(resilience.ENV_GCC, "/nonexistent/bin/gcc")
+    monkeypatch.setenv("REPRO_GCC", "/nonexistent/bin/gcc")
     resilience.reset_probe_cache()
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(name="nogcc_fb")
@@ -78,8 +78,8 @@ def test_missing_gcc_falls_back_to_python_with_log(monkeypatch, caplog):
 # ----------------------------------------------------------------------
 def test_gcc_timeout_typed_error(monkeypatch, fake_gcc):
     fake_gcc("sleep 10")
-    monkeypatch.setenv(resilience.ENV_GCC_TIMEOUT, "0.3")
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "0")
+    monkeypatch.setenv("REPRO_GCC_TIMEOUT", "0.3")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "0")
     with pytest.raises(CompileError) as ei:
         _build_spmv(name="slowgcc_strict")
     assert ei.value.timeout
@@ -88,7 +88,7 @@ def test_gcc_timeout_typed_error(monkeypatch, fake_gcc):
 
 def test_gcc_timeout_falls_back_with_log(monkeypatch, fake_gcc, caplog):
     fake_gcc("sleep 10")
-    monkeypatch.setenv(resilience.ENV_GCC_TIMEOUT, "0.3")
+    monkeypatch.setenv("REPRO_GCC_TIMEOUT", "0.3")
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(name="slowgcc_fb")
         result = kernel.run(tensors)
@@ -101,7 +101,7 @@ def test_gcc_timeout_falls_back_with_log(monkeypatch, fake_gcc, caplog):
 # ----------------------------------------------------------------------
 def test_gcc_failure_carries_stderr(monkeypatch, fake_gcc):
     fake_gcc('echo "fake-gcc: catastrophic internal error" 1>&2; exit 1')
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "0")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "0")
     with pytest.raises(CompileError) as ei:
         _build_spmv(name="badgcc")
     assert ei.value.returncode == 1
@@ -119,7 +119,7 @@ def test_transient_gcc_crash_retried(monkeypatch, tmp_path, fake_gcc, caplog):
         f'if [ ! -e "{marker}" ]; then touch "{marker}"; kill -9 $$; fi\n'
         'exec gcc "$@"'
     )
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "0")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "0")
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(name="flakygcc")
         result = kernel.run(tensors)
@@ -138,7 +138,7 @@ def test_repeated_sigkill_stops_after_one_retry(monkeypatch, tmp_path, fake_gcc)
         f'echo x >> "{attempts}"\n'
         'kill -9 $$'
     )
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "0")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "0")
     with pytest.raises(CompileError) as err:
         _build_spmv(name="oomedgcc")
     # exactly two invocations: the first kill earns one retry, the
@@ -156,7 +156,7 @@ def test_repeated_sigkill_falls_back_to_python(monkeypatch, tmp_path, fake_gcc, 
         f'echo x >> "{attempts}"\n'
         'kill -9 $$'
     )
-    monkeypatch.setenv(resilience.ENV_BACKEND_FALLBACK, "1")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "1")
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(name="oomedgcc_fb")
         result = kernel.run(tensors)
@@ -248,9 +248,7 @@ def test_truncated_so_quarantined_and_recompiled(cache_dir, caplog):
 def test_unusable_cache_dir_falls_back_to_tempdir(tmp_path, monkeypatch, caplog):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where a directory should be")
-    from repro.compiler import cache as cache_mod
-
-    monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(blocker / "sub"))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(blocker / "sub"))
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(name="rodir")
         result = kernel.run(tensors)
@@ -262,11 +260,10 @@ def test_unusable_cache_dir_payload_store_is_logged(tmp_path, monkeypatch, caplo
     """The JSON tier skips an unwritable directory — loudly, not silently."""
     blocker = tmp_path / "blocker2"
     blocker.write_text("still a file")
-    from repro.compiler import cache as cache_mod
     from repro.compiler import kernel as kernel_mod
     from repro.compiler.cache import KernelCache
 
-    monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(blocker / "sub"))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(blocker / "sub"))
     kernel_mod.kernel_cache = KernelCache()  # picks up the bad env dir
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(backend="python", name="rodir_py")
@@ -313,9 +310,9 @@ def test_auto_grow_respects_bound():
 def test_auto_grow_env_bound(monkeypatch):
     ctx, expr, out, tensors = copy_problem()
     kernel = compile_kernel(expr, ctx, tensors, out, backend="python", name="envb_k")
-    monkeypatch.setenv(resilience.ENV_MAX_CAPACITY, "2")
+    monkeypatch.setenv("REPRO_MAX_CAPACITY", "2")
     with pytest.raises(CapacityError):
         kernel.run(tensors, capacity=1, auto_grow=True)
-    monkeypatch.delenv(resilience.ENV_MAX_CAPACITY)
+    monkeypatch.delenv("REPRO_MAX_CAPACITY")
     result = kernel.run(tensors, capacity=1, auto_grow=True)
     assert np.allclose(np.asarray(result.vals), np.asarray(tensors["A"].vals))

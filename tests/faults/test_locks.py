@@ -50,11 +50,11 @@ def test_busy_lock_warns_and_continues(held_lock, caplog):
         r for r in repro_records(caplog) if r.levelno >= logging.WARNING
     ]
     assert any("busy past its" in r.message for r in warnings)
-    assert any(resilience.ENV_STRICT_LOCKS in r.message for r in warnings)
+    assert any("REPRO_STRICT_LOCKS" in r.message for r in warnings)
 
 
 def test_strict_mode_raises_typed_error(held_lock, monkeypatch):
-    monkeypatch.setenv(resilience.ENV_STRICT_LOCKS, "1")
+    monkeypatch.setenv("REPRO_STRICT_LOCKS", "1")
     with pytest.raises(LockTimeoutError) as err:
         with resilience.file_lock(held_lock, timeout=0.2):
             pytest.fail("strict mode must not enter the critical section")
@@ -64,14 +64,14 @@ def test_strict_mode_raises_typed_error(held_lock, monkeypatch):
 
 
 def test_strict_mode_falsey_values_stay_lenient(held_lock, monkeypatch):
-    monkeypatch.setenv(resilience.ENV_STRICT_LOCKS, "0")
+    monkeypatch.setenv("REPRO_STRICT_LOCKS", "0")
     with resilience.file_lock(held_lock, timeout=0.2):
         pass  # no raise
 
 
 def test_released_lock_is_waited_out(tmp_path, monkeypatch):
     """A briefly held lock delays the acquirer, not the policy."""
-    monkeypatch.setenv(resilience.ENV_STRICT_LOCKS, "1")
+    monkeypatch.setenv("REPRO_STRICT_LOCKS", "1")
     artifact = tmp_path / "artifact.bin"
     import os
 

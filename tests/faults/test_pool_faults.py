@@ -29,7 +29,6 @@ import gc
 
 import pytest
 
-from repro.compiler import resilience
 from repro.errors import CapacityError, KernelCrashError, KernelTimeoutError
 from repro.runtime import pool as pool_mod
 from repro.runtime import shm
@@ -170,7 +169,7 @@ def test_replacement_worker_is_rewarmed(pool):
 def test_pooled_supervised_crash_is_typed(monkeypatch):
     """``REPRO_POOL=1`` supervised routing: a worker death comes back
     as the same typed error the fork-per-call supervisor raises."""
-    monkeypatch.setenv(resilience.ENV_POOL, "1")
+    monkeypatch.setenv("REPRO_POOL", "1")
     with pytest.raises(KernelCrashError) as err:
         run_supervised(FaultKernel("sigsegv"), {})
     assert err.value.signal == signal.SIGSEGV

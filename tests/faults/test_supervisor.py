@@ -63,7 +63,7 @@ def pin_fork_supervision(monkeypatch):
     the genuine kernel from its recipe and never see the sabotage.  Pin
     the fork-per-call path regardless of the ambient ``REPRO_POOL``
     (the CI pool job sets it for the whole suite)."""
-    monkeypatch.setenv(resilience.ENV_POOL, "0")
+    monkeypatch.setenv("REPRO_POOL", "0")
 
 
 def _build(problem=spmv_problem, backend="python", **kw):
@@ -125,7 +125,7 @@ def test_memory_cap_kill_is_decoded(monkeypatch):
     the forked child (the env reaches the fork for free), modelling the
     OOM killer without a sabotage kernel.  The real-rlimit variant
     lives in :func:`test_rlimit_memory_cap_kill_is_decoded`."""
-    monkeypatch.setenv(resilience.ENV_FAULT, "supervised_child:sigkill")
+    monkeypatch.setenv("REPRO_FAULT", "supervised_child:sigkill")
     resilience.reset_fault_counters()
     kernel, tensors = _build()
     with pytest.raises(KernelCrashError) as err:
@@ -135,7 +135,7 @@ def test_memory_cap_kill_is_decoded(monkeypatch):
 
 
 def test_rlimit_memory_cap_kill_is_decoded(monkeypatch):
-    monkeypatch.setenv(resilience.ENV_KERNEL_MEM_MB, "1024")
+    monkeypatch.setenv("REPRO_KERNEL_MEM_MB", "1024")
     kernel, tensors = _build()
     sabotage(kernel, OomKernel())
     with pytest.raises(KernelCrashError) as err:
@@ -149,7 +149,7 @@ def test_injected_child_fault_raise_mode_is_contained(monkeypatch):
     reporting machinery (the fault fires before the try block), so the
     child exits nonzero — which the parent decodes to a typed
     KernelCrashError, not a hang or a silent success."""
-    monkeypatch.setenv(resilience.ENV_FAULT, "supervised_child:raise")
+    monkeypatch.setenv("REPRO_FAULT", "supervised_child:raise")
     resilience.reset_fault_counters()
     kernel, tensors = _build()
     with pytest.raises(KernelCrashError):
@@ -157,7 +157,7 @@ def test_injected_child_fault_raise_mode_is_contained(monkeypatch):
 
 
 def test_infinite_loop_misses_deadline(monkeypatch):
-    monkeypatch.setenv(resilience.ENV_KERNEL_DEADLINE, "1.0")
+    monkeypatch.setenv("REPRO_KERNEL_DEADLINE", "1.0")
     kernel, tensors = _build()
     sabotage(kernel, SpinKernel())
     with pytest.raises(KernelTimeoutError) as err:
@@ -186,20 +186,20 @@ def test_policy_resolution(monkeypatch):
 
     kernel, _ = _build()
     # start from a clean slate (the chaos CI job exports REPRO_SUPERVISE=1)
-    monkeypatch.delenv(resilience.ENV_SUPERVISE, raising=False)
+    monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     # python-backed, lint-clean: auto policy says in-process
     assert supervised(kernel) is False
     assert supervised(kernel, True) is True
     # environment forces it on / off
-    monkeypatch.setenv(resilience.ENV_SUPERVISE, "1")
+    monkeypatch.setenv("REPRO_SUPERVISE", "1")
     assert supervised(kernel) is True
-    monkeypatch.setenv(resilience.ENV_SUPERVISE, "0")
+    monkeypatch.setenv("REPRO_SUPERVISE", "0")
     assert supervised(kernel) is False
-    monkeypatch.setenv(resilience.ENV_SUPERVISE, "1")
+    monkeypatch.setenv("REPRO_SUPERVISE", "1")
     # the call argument outranks the environment
     assert supervised(kernel, False) is False
     # the handle's default outranks the environment too
-    monkeypatch.setenv(resilience.ENV_SUPERVISE, "0")
+    monkeypatch.setenv("REPRO_SUPERVISE", "0")
     assert supervised(kernel._view(supervised=True)) is True
 
 
@@ -230,7 +230,7 @@ def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
 # the circuit breaker
 # ----------------------------------------------------------------------
 def test_breaker_opens_and_serves_python_fallback(monkeypatch, caplog):
-    monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "2")
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
     kernel, tensors = _build()
     oracle = kernel._run_single(tensors)  # the healthy serial result
     sabotage(kernel, SegfaultKernel())
@@ -248,7 +248,7 @@ def test_breaker_opens_and_serves_python_fallback(monkeypatch, caplog):
 
 
 def test_probe_failure_degrades_transparently(monkeypatch, caplog):
-    monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1")
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
     oracle = kernel._run_single(tensors)
     sabotage(kernel, SegfaultKernel())
@@ -270,7 +270,7 @@ def test_probe_failure_degrades_transparently(monkeypatch, caplog):
 
 
 def test_probe_success_closes_the_breaker(monkeypatch, caplog):
-    monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1")
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
     oracle = kernel._run_single(tensors)
     healthy = sabotage(kernel, SegfaultKernel())
@@ -288,7 +288,7 @@ def test_probe_success_closes_the_breaker(monkeypatch, caplog):
 
 def test_breaker_state_survives_a_restart(monkeypatch):
     """The on-disk kbrk record re-quarantines without fresh crashes."""
-    monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1")
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
     sabotage(kernel, SegfaultKernel())
     with pytest.raises(KernelCrashError):
@@ -301,7 +301,7 @@ def test_breaker_state_survives_a_restart(monkeypatch):
 # sharded runs: per-shard failover
 # ----------------------------------------------------------------------
 def test_crashing_shard_fails_over_per_shard(monkeypatch):
-    monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1000")
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1000")
     kernel, tensors = _build()
     sabotage(kernel, SegfaultKernel())
     stats = []

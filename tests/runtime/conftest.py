@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compiler import cache as cache_mod
 from repro.compiler import codegen_c
 from repro.compiler import kernel as kernel_mod
 from repro.compiler import resilience
@@ -19,7 +18,7 @@ from repro.compiler.cache import KernelCache
 @pytest.fixture(autouse=True)
 def isolated_build_state(tmp_path, monkeypatch):
     cache_dir = tmp_path / "kcache"
-    monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(cache_dir))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
     monkeypatch.setattr(codegen_c, "_CACHE", {})
     kc = KernelCache(cache_dir=cache_dir)
     monkeypatch.setattr(kernel_mod, "kernel_cache", kc)

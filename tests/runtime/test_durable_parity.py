@@ -56,7 +56,7 @@ def test_resume_after_kill_matches_uninterrupted_run(problem):
     kernel, tensors, shards = problem
     expected = _plain(kernel, tensors, shards)
     resilience.reset_fault_counters()
-    os.environ[resilience.ENV_FAULT] = "shard:raise"
+    os.environ["REPRO_FAULT"] = "shard:raise"
     interrupted = False
     try:
         try:
@@ -65,7 +65,7 @@ def test_resume_after_kill_matches_uninterrupted_run(problem):
         except InjectedFault:
             interrupted = True  # died with >=1 shard journaled
     finally:
-        os.environ.pop(resilience.ENV_FAULT, None)
+        os.environ.pop("REPRO_FAULT", None)
         resilience.reset_fault_counters()
     stats, job = [], {}
     resumed = _canon(kernel.run_sharded(
@@ -84,12 +84,12 @@ def test_resume_after_kill_matches_uninterrupted_run(problem):
 def test_tiny_budget_spill_matches_unbudgeted_run(problem):
     kernel, tensors, shards = problem
     expected = _plain(kernel, tensors, shards)
-    os.environ[resilience.ENV_MEM_BUDGET_MB] = "0.000001"
+    os.environ["REPRO_MEM_BUDGET_MB"] = "0.000001"
     try:
         spilled = _canon(kernel.run_sharded(
             tensors, executor="serial", shards=shards))
     finally:
-        os.environ.pop(resilience.ENV_MEM_BUDGET_MB, None)
+        os.environ.pop("REPRO_MEM_BUDGET_MB", None)
     assert spilled == expected
 
 
@@ -101,8 +101,8 @@ def test_resume_under_budget_matches_uninterrupted_run(problem):
     kernel, tensors, shards = problem
     expected = _plain(kernel, tensors, shards)
     resilience.reset_fault_counters()
-    os.environ[resilience.ENV_FAULT] = "shard:raise"
-    os.environ[resilience.ENV_MEM_BUDGET_MB] = "0.000001"
+    os.environ["REPRO_FAULT"] = "shard:raise"
+    os.environ["REPRO_MEM_BUDGET_MB"] = "0.000001"
     try:
         try:
             kernel.run_sharded(
@@ -110,11 +110,11 @@ def test_resume_under_budget_matches_uninterrupted_run(problem):
         except InjectedFault:
             pass
         resilience.reset_fault_counters()
-        os.environ.pop(resilience.ENV_FAULT, None)
+        os.environ.pop("REPRO_FAULT", None)
         resumed = _canon(kernel.run_sharded(
             tensors, executor="serial", shards=shards, durable=True))
     finally:
-        os.environ.pop(resilience.ENV_FAULT, None)
-        os.environ.pop(resilience.ENV_MEM_BUDGET_MB, None)
+        os.environ.pop("REPRO_FAULT", None)
+        os.environ.pop("REPRO_MEM_BUDGET_MB", None)
         resilience.reset_fault_counters()
     assert resumed == expected

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.compiler.kernel import OutputSpec, compile_kernel
-from repro.compiler import resilience
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime import pool as pool_mod
@@ -139,7 +138,7 @@ def test_acquire_skips_and_replaces_dead_worker(small_pool):
 def test_idle_ttl_eviction(small_pool, monkeypatch):
     """Workers idle beyond the TTL are retired — but one always stays
     warm."""
-    monkeypatch.setenv(resilience.ENV_POOL_IDLE_TTL, "0.01")
+    monkeypatch.setenv("REPRO_POOL_IDLE_TTL", "0.01")
     kernel, tensors = spmv_kernel()
     _call(small_pool, kernel, tensors)
     time.sleep(0.05)
@@ -224,7 +223,7 @@ def test_no_operand_array_travels_inline(monkeypatch):
     shard of every call — the first included — ships byte windows; only
     the small rebased outer ``pos`` arrays ride the pipe."""
     threshold = 1024
-    monkeypatch.setenv(resilience.ENV_SHM_THRESHOLD, str(threshold))
+    monkeypatch.setenv("REPRO_SHM_THRESHOLD", str(threshold))
     sent = []
     run_call = pool_mod.WorkerPool.run_call
 
@@ -255,7 +254,7 @@ def test_exported_operands_agree_on_every_route(tmp_path, monkeypatch):
                       if f.startswith("repro_"))
     before = shm_entries()
     monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "jobs"))
-    monkeypatch.setenv(resilience.ENV_POOL, "0")  # supervised = a fork
+    monkeypatch.setenv("REPRO_POOL", "0")  # supervised = a fork
     kernel, tensors = spmv_kernel(n=64, name="pool_moved_spmv")
     want = kernel.run(tensors, parallel=False).vals.copy()
     for t in tensors.values():
@@ -289,7 +288,7 @@ def test_pooled_supervised_routing(monkeypatch):
     result matches the in-process run and the pool records the call."""
     from repro.runtime.supervisor import run_supervised
 
-    monkeypatch.setenv(resilience.ENV_POOL, "1")
+    monkeypatch.setenv("REPRO_POOL", "1")
     kernel, tensors = spmv_kernel(name="pool_sup_spmv")
     direct = kernel._run_single(tensors)
     pooled = run_supervised(kernel, tensors)
@@ -303,7 +302,7 @@ def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
     are fixed at spawn) — the pool must NOT serve the call."""
     from repro.runtime.policy import resolve
 
-    monkeypatch.setenv(resilience.ENV_POOL, "1")
+    monkeypatch.setenv("REPRO_POOL", "1")
     kernel, _tensors = spmv_kernel(name="pool_sup_mem")
     assert resolve(kernel, supervised=True).pool_route is True
     assert resolve(kernel, supervised=True, mem_mb=256).pool_route is False

@@ -15,7 +15,6 @@ from repro.compiler import Op, TFLOAT, TINT
 from repro.compiler.formats import FunctionInput
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.compiler.scalars import scalar_ops_for
-from repro.compiler import resilience
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime import api as api_mod
@@ -25,7 +24,7 @@ from repro.runtime.executor import (
     get_executor,
 )
 from repro.runtime.planner import candidate_splits, plan_shards, slice_operands
-from repro.runtime.policy import IN_PROCESS, resolve
+from repro.runtime.policy import IN_PROCESS, resolve, worker_count
 from repro.semirings import FLOAT
 from repro.workloads import dense_vector, sparse_matrix, sparse_vector
 
@@ -159,11 +158,11 @@ class TestExecutors:
         assert any("unknown executor" in r.message for r in caplog.records)
 
     def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv(resilience.ENV_WORKERS, "3")
-        assert resilience.worker_count() == 3
-        assert resilience.worker_count(5) == 3
-        monkeypatch.delenv(resilience.ENV_WORKERS)
-        assert resilience.worker_count(5) == 5
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert worker_count() == 3
+        assert worker_count(5) == 3
+        monkeypatch.delenv("REPRO_WORKERS")
+        assert worker_count(5) == 5
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +326,10 @@ class TestRunSharded:
 # ----------------------------------------------------------------------
 # execution policy: one value, one precedence
 # ----------------------------------------------------------------------
-E = resilience
 POLICY_KNOBS = (
-    E.ENV_PARALLEL, E.ENV_WORKERS, E.ENV_SUPERVISE, E.ENV_KERNEL_DEADLINE,
-    E.ENV_KERNEL_MEM_MB, E.ENV_DURABLE, E.ENV_MEM_BUDGET_MB,
-    E.ENV_SHM_THRESHOLD, E.ENV_POOL, E.ENV_POOL_WORKERS,
+    "REPRO_PARALLEL", "REPRO_WORKERS", "REPRO_SUPERVISE",
+    "REPRO_KERNEL_DEADLINE", "REPRO_KERNEL_MEM_MB", "REPRO_DURABLE", "REPRO_MEM_BUDGET_MB",
+    "REPRO_SHM_THRESHOLD", "REPRO_POOL", "REPRO_POOL_WORKERS",
 )
 SHARD = dict(parallel="serial")
 SUP = dict(parallel=False, supervised=True)
@@ -340,54 +338,54 @@ SUP = dict(parallel=False, supervised=True)
 #: argument beats handle default beats REPRO_* beats built-in
 PRECEDENCE = [
     ("executor", dict(parallel="thread"), dict(parallel="serial"),
-     {E.ENV_PARALLEL: "pool"}, "thread"),
-    ("executor", {}, dict(parallel="serial"), {E.ENV_PARALLEL: "thread"},
+     {"REPRO_PARALLEL": "pool"}, "thread"),
+    ("executor", {}, dict(parallel="serial"), {"REPRO_PARALLEL": "thread"},
      "serial"),
-    ("executor", {}, {}, {E.ENV_PARALLEL: "serial"}, "serial"),
+    ("executor", {}, {}, {"REPRO_PARALLEL": "serial"}, "serial"),
     ("executor", {}, {}, {}, None),
     # parallel=False beats every default
     ("executor", dict(parallel=False), dict(parallel="serial"),
-     {E.ENV_PARALLEL: "thread"}, None),
+     {"REPRO_PARALLEL": "thread"}, None),
     ("workers", dict(SHARD, workers=3), dict(workers=2), {}, 3),
     ("workers", SHARD, dict(workers=2), {}, 2),
     ("workers", SHARD, {}, {}, max(1, os.cpu_count() or 1)),
     # the one inversion: REPRO_WORKERS caps over the argument
     ("workers", dict(SHARD, workers=3), dict(workers=2),
-     {E.ENV_WORKERS: "5"}, 5),
+     {"REPRO_WORKERS": "5"}, 5),
     ("shards", dict(SHARD, workers=3, shards=7), {}, {}, 7),
     ("shards", dict(SHARD, workers=3), {}, {}, 3),
     ("supervised", dict(SHARD, supervised=False), dict(supervised=True),
-     {E.ENV_SUPERVISE: "1"}, False),
-    ("supervised", SHARD, dict(supervised=True), {E.ENV_SUPERVISE: "0"},
+     {"REPRO_SUPERVISE": "1"}, False),
+    ("supervised", SHARD, dict(supervised=True), {"REPRO_SUPERVISE": "0"},
      True),
-    ("supervised", SHARD, {}, {E.ENV_SUPERVISE: "1"}, True),
+    ("supervised", SHARD, {}, {"REPRO_SUPERVISE": "1"}, True),
     ("supervised", SHARD, {}, {}, False),     # auto: Python-backed
-    ("deadline", dict(SUP, deadline=2.5), {}, {E.ENV_KERNEL_DEADLINE: "9"},
+    ("deadline", dict(SUP, deadline=2.5), {}, {"REPRO_KERNEL_DEADLINE": "9"},
      2.5),
-    ("deadline", SUP, {}, {E.ENV_KERNEL_DEADLINE: "9"}, 9.0),
-    ("deadline", SUP, {}, {}, resilience.DEFAULT_KERNEL_DEADLINE),
+    ("deadline", SUP, {}, {"REPRO_KERNEL_DEADLINE": "9"}, 9.0),
+    ("deadline", SUP, {}, {}, 60.0),
     # an unsupervised route arms no kill of its own ...
-    ("deadline", dict(parallel="pool"), {}, {E.ENV_KERNEL_DEADLINE: "9"},
+    ("deadline", dict(parallel="pool"), {}, {"REPRO_KERNEL_DEADLINE": "9"},
      None),
     # ... but carries the caller's
     ("deadline", dict(parallel="pool", deadline=2.5), {}, {}, 2.5),
-    ("mem_mb", dict(SUP, mem_mb=256), {}, {E.ENV_KERNEL_MEM_MB: "512"}, 256),
-    ("mem_mb", SUP, {}, {E.ENV_KERNEL_MEM_MB: "512"}, 512),
+    ("mem_mb", dict(SUP, mem_mb=256), {}, {"REPRO_KERNEL_MEM_MB": "512"}, 256),
+    ("mem_mb", SUP, {}, {"REPRO_KERNEL_MEM_MB": "512"}, 512),
     ("mem_mb", SUP, {}, {}, None),
     ("pool_route", dict(SUP, pool_route=True), {}, {}, True),
-    ("pool_route", SUP, {}, {E.ENV_POOL: "1"}, True),
+    ("pool_route", SUP, {}, {"REPRO_POOL": "1"}, True),
     # pool workers fix their rlimit at spawn: a per-call cap pins the fork
-    ("pool_route", dict(SUP, mem_mb=256), {}, {E.ENV_POOL: "1"}, False),
+    ("pool_route", dict(SUP, mem_mb=256), {}, {"REPRO_POOL": "1"}, False),
     ("pool_route", SUP, {}, {}, False),
-    ("durable", dict(SHARD, durable=False), {}, {E.ENV_DURABLE: "1"}, False),
+    ("durable", dict(SHARD, durable=False), {}, {"REPRO_DURABLE": "1"}, False),
     ("durable", dict(SHARD, resume="job_x"), {}, {}, True),
-    ("durable", SHARD, {}, {E.ENV_DURABLE: "1"}, True),
+    ("durable", SHARD, {}, {"REPRO_DURABLE": "1"}, True),
     ("durable", SHARD, {}, {}, False),
-    ("budget_mb", SHARD, {}, {E.ENV_MEM_BUDGET_MB: "64"}, 64.0),
+    ("budget_mb", SHARD, {}, {"REPRO_MEM_BUDGET_MB": "64"}, 64.0),
     ("budget_mb", SHARD, {}, {}, None),
-    ("threshold", dict(parallel="pool"), {}, {E.ENV_SHM_THRESHOLD: "0"}, 0),
+    ("threshold", dict(parallel="pool"), {}, {"REPRO_SHM_THRESHOLD": "0"}, 0),
     ("threshold", dict(parallel="pool"), {}, {},
-     resilience.DEFAULT_SHM_THRESHOLD),
+     16384),
 ]
 
 
@@ -421,7 +419,7 @@ class TestPolicy:
         kernel, _ = spmv_kernel()
         reads = self._count_reads(monkeypatch)
         assert resolve(kernel) is IN_PROCESS
-        assert dict(reads) == {E.ENV_PARALLEL: 1, E.ENV_SUPERVISE: 1}
+        assert dict(reads) == {"REPRO_PARALLEL": 1, "REPRO_SUPERVISE": 1}
 
     def test_sharded_supervised_run_reads_each_knob_once(self, monkeypatch):
         # the policy is resolved at the top of the call and handed to
@@ -433,7 +431,7 @@ class TestPolicy:
             tensors, executor="serial", shards=4, supervised=True)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
         assert len(kernel.last_shard_stats) == 4
-        assert reads[E.ENV_KERNEL_DEADLINE] == 1
+        assert reads["REPRO_KERNEL_DEADLINE"] == 1
         assert max(reads.values()) == 1, dict(reads)
 
     @staticmethod
@@ -479,7 +477,7 @@ class TestPolicy:
         twin = c_kernel._fallback_kernel()
         assert twin._kernel is held._kernel and twin.supervised is False
         assert held.supervised is None
-        monkeypatch.setenv(E.ENV_SUPERVISE, "1")
+        monkeypatch.setenv("REPRO_SUPERVISE", "1")
         assert resolve(held, parallel=False).supervised is True
 
 

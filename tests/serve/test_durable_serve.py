@@ -66,13 +66,13 @@ def test_resume_across_server_restart(tmp_path, make_server, monkeypatch):
     # generation A dies mid-job: the injected fault fires after the
     # first shard partial is journaled and surfaces as a typed 500
     server_a = make_server(tune="off", retries=0)
-    monkeypatch.setenv(resilience.ENV_FAULT, "shard:raise")
+    monkeypatch.setenv("REPRO_FAULT", "shard:raise")
     resilience.reset_fault_counters()
     crashed = server_a.query(doc, timeout=60)
     assert crashed.status == 500
     assert crashed.json["type"] == "InjectedFault"
     assert _jobs(tmp_path), "the dead job must leave its journal behind"
-    monkeypatch.delenv(resilience.ENV_FAULT)
+    monkeypatch.delenv("REPRO_FAULT")
     resilience.reset_fault_counters()
     assert server_a.stop() is True
 
@@ -94,7 +94,7 @@ def test_resume_across_server_restart(tmp_path, make_server, monkeypatch):
 # memory-aware admission
 # ----------------------------------------------------------------------
 def test_footprint_over_budget_is_shed_with_503(make_server, monkeypatch):
-    monkeypatch.setenv(resilience.ENV_MEM_BUDGET_MB, "0.000001")
+    monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "0.000001")
     server = make_server(tune="off")
     resp = server.query(einsum_query(SPEC, n=N), timeout=30)
     assert resp.status == 503
@@ -104,7 +104,7 @@ def test_footprint_over_budget_is_shed_with_503(make_server, monkeypatch):
 
 def test_degrade_spill_admits_over_budget_as_durable(
         make_server, monkeypatch):
-    monkeypatch.setenv(resilience.ENV_MEM_BUDGET_MB, "0.000001")
+    monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "0.000001")
     server = make_server(tune="off", degrade="spill")
     resp = server.query(einsum_query(SPEC, n=N), timeout=60)
     assert resp.status == 200
@@ -114,7 +114,7 @@ def test_degrade_spill_admits_over_budget_as_durable(
 
 
 def test_under_budget_queries_admit_normally(make_server, monkeypatch):
-    monkeypatch.setenv(resilience.ENV_MEM_BUDGET_MB, "4096")
+    monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "4096")
     server = make_server(tune="off")
     resp = server.query(einsum_query(SPEC, n=N), timeout=60)
     assert resp.status == 200

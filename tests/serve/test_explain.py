@@ -8,15 +8,13 @@ import pytest
 
 from repro.autotune import reset_profile_cache
 from repro.autotune.decisions import decision_cache
-from repro.compiler import resilience
 
 from tests.serve.harness import einsum_query
 
 
 @pytest.fixture(autouse=True)
 def isolated_tune_state(tmp_path, monkeypatch):
-    monkeypatch.setenv(resilience.ENV_TUNE_CACHE_DIR, str(tmp_path / "tcache"))
-    monkeypatch.delenv(resilience.ENV_TUNE_CALIBRATE, raising=False)
+    monkeypatch.setenv("REPRO_TUNE_CACHE_DIR", str(tmp_path / "tcache"))
     reset_profile_cache()
     decision_cache.clear_memo()
     yield
