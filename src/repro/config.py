@@ -106,9 +106,11 @@ _ROWS = (
          "worker count and default shard count for the parallel runtime; an "
          "operator's cap — it outranks a `workers=` argument",
          shown="CPU count", minimum=1),
-    Knob("REPRO_MP_START", "choice", "spawn",
+    Knob("REPRO_MP_START", "choice", "fork",
          "multiprocessing start method for pool workers "
-         "(`spawn`/`fork`/`forkserver`)",
+         "(`fork`/`spawn`/`forkserver`): a forked worker is born with the "
+         "parent's imports, in-memory kernels and loaded `.so`s; a platform "
+         "without `fork` spawns",
          choices=("spawn", "fork", "forkserver")),
     Knob("REPRO_SUPERVISE", "flag", None,
          "`1` runs every kernel invocation in a resource-capped child "
@@ -123,14 +125,17 @@ _ROWS = (
          "address-space cap (`RLIMIT_AS`, MiB) for supervised children — an "
          "allocation blow-up dies in the child, not the host",
          shown="unlimited", minimum=1),
-    Knob("REPRO_POOL", "flag", False,
+    Knob("REPRO_POOL", "flag", None,
          "`1` routes supervised runs through the persistent worker pool: "
          "kernels stay resident in pre-warmed workers, operands/results "
          "travel over shared memory, and the sandbox cost (process start, "
-         "rlimits, kernel load) is paid once per worker instead of per call"),
+         "rlimits, kernel load) is paid once per worker instead of per call; "
+         "`0` forks a fresh child per call; unset, a process that already "
+         "owns an open pool (the server, a `pool`-executor job) uses it and "
+         "any other forks", shown="auto"),
     Knob("REPRO_POOL_WORKERS", "int", None,
-         "size of the persistent worker pool (the `pool` executor and "
-         "`REPRO_POOL=1` supervised routing)",
+         "size of the persistent worker pool (the `pool` executor, the "
+         "server's workers, pooled supervised runs)",
          shown="`REPRO_WORKERS`", minimum=1),
     Knob("REPRO_POOL_IDLE_TTL", "float", 300.0,
          "seconds a pool worker may sit idle before eviction (one worker "

@@ -28,7 +28,8 @@ package exploits that:
 - :mod:`repro.runtime.pool` keeps a persistent, pre-warmed set of
   worker processes holding compiled kernels resident
   (``REPRO_POOL_WORKERS``, ``REPRO_POOL_IDLE_TTL``), with supervision
-  amortized inside the workers (``REPRO_POOL``);
+  amortized inside the workers: a supervised run goes there whenever
+  the process already owns an open pool (``REPRO_POOL`` overrides);
 - :mod:`repro.runtime.shm` is the zero-copy data plane under it:
   operands and results cross the process boundary as shared-memory
   descriptors, not pickles (``REPRO_SHM_THRESHOLD``);

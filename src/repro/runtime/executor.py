@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Optional
@@ -261,7 +262,8 @@ def register_runtime_shutdown() -> None:
     creation, i.e. after ``concurrent.futures`` registered its own
     hook at import, so ours runs first.  Registered once per process —
     a fork child that builds its own shared pools registers afresh
-    (its inherited registration is disarmed by the owner-pid check).
+    (its inherited registration is disarmed by the owner-pid check: the
+    child keeps its parent's pid there until it does).
     """
     global _runtime_owner_pid
     if _runtime_owner_pid == os.getpid():
@@ -275,22 +277,40 @@ def register_runtime_shutdown() -> None:
         pass
 
 
+#: module → the module-level locks a fork child must not inherit: one
+#: held by another thread at fork time (or by the forking thread itself:
+#: workers are forked inside :func:`get_shared_executor` and
+#: ``get_shared_pool``) stays held for ever in the child
+_FORK_LOCKS = {
+    "repro.runtime.executor": ("_SHARED_LOCK",),
+    "repro.runtime.pool": ("_shared_lock",),
+    "repro.runtime.shm": ("_seq_lock", "_export_lock", "_attach_lock"),
+    "repro.compiler.resilience": ("_fault_lock", "_probe_lock"),
+}
+
+
 def _forget_inherited_runtime() -> None:
     """Drop shared-runtime state inherited across a ``fork``.
 
     The child must neither reuse nor tear down the parent's pools (the
     parent still owns their processes and manager threads); clearing the
     registries means a child that wants parallelism builds its own.
+    ``_runtime_owner_pid`` keeps the parent's pid, which is what leaves
+    the inherited exit hook disarmed here.  Every lock the child can
+    reach is made afresh (the kernel cache's too: a forked pool worker
+    builds through it).
     """
-    global _runtime_owner_pid
-    _runtime_owner_pid = None
     _SHARED.clear()
-    try:
-        from repro.runtime import pool as pool_mod
-
+    for module, names in _FORK_LOCKS.items():
+        if module in sys.modules:
+            for name in names:
+                setattr(sys.modules[module], name, threading.Lock())
+    pool_mod = sys.modules.get("repro.runtime.pool")
+    if pool_mod is not None:
         pool_mod._shared = None
-    except Exception:  # pragma: no cover - import cycles at fork time
-        pass
+    kernel_mod = sys.modules.get("repro.compiler.kernel")
+    if kernel_mod is not None:
+        kernel_mod.kernel_cache._lock = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_inherited_runtime)

@@ -11,6 +11,7 @@ the kernel handle's build-time default → ``REPRO_*`` → built-in default
 from __future__ import annotations
 
 import os
+import sys
 from typing import NamedTuple, Optional, Union
 
 from repro import config
@@ -116,13 +117,22 @@ def resolve(
         if deadline is None:
             deadline = config.get("REPRO_KERNEL_DEADLINE")
         if pool_route is None:
-            # pool workers fix their rlimit at spawn: a per-call cap
-            # pins the fork
-            pool_route = (
-                mem_mb is None
-                and config.get("REPRO_POOL")
-                and kernel.recipe is not None
-            )
+            # three things pin the fork-per-call child: a per-call cap
+            # (pool workers fix their rlimit at start), a kernel no
+            # worker can rebuild (no recipe), and a handle that says so
+            # (serve's ``fault_hook`` sabotages the in-memory kernel,
+            # which only a fork child inherits)
+            if mem_mb is not None or kernel.recipe is None:
+                pool_route = False
+            else:
+                pool_route = kernel.pool_route
+            if pool_route is None:
+                pool_route = config.get("REPRO_POOL")
+            if pool_route is None:
+                # auto: a process that already owns a pool uses it; one
+                # that does not keeps nothing resident for a one-off run
+                pool_mod = sys.modules.get("repro.runtime.pool")
+                pool_route = pool_mod is not None and pool_mod.shared_pool_open()
         if mem_mb is None:
             mem_mb = config.get("REPRO_KERNEL_MEM_MB")
     threshold = (

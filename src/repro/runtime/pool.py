@@ -36,19 +36,24 @@ per-key counters next to the breaker's state snapshot.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import config
 from repro.compiler.resilience import logger
 from repro.errors import KernelCrashError, KernelTimeoutError
-from repro.runtime import shm
+from repro.runtime import executor as executor_mod, shm
 from repro.runtime.policy import ExecutionPolicy, resolve, worker_count
+from repro.runtime.supervisor import mp_context
+
+#: seconds past the compiler's own timeout a worker's warm-up may take
+#: before the worker counts as wedged
+_WARM_SLACK = 5.0
 
 
 class PoolUnavailableError(RuntimeError):
@@ -121,8 +126,11 @@ class WorkerPool:
 
     ``workers`` defaults to ``REPRO_POOL_WORKERS`` (else
     ``REPRO_WORKERS``, else the CPU count); the start method follows
-    ``REPRO_MP_START``; ``mem_mb`` (default ``REPRO_KERNEL_MEM_MB``)
-    caps each worker's address space once, at spawn.
+    ``REPRO_MP_START`` — ``fork`` where the platform has it, so a worker
+    starts with everything the parent had imported, built and loaded,
+    and rebuilding a kernel the parent held at fork time is a memory
+    hit; ``mem_mb`` (default ``REPRO_KERNEL_MEM_MB``) caps each
+    worker's address space once, at start.
     """
 
     def __init__(
@@ -136,9 +144,7 @@ class WorkerPool:
         if workers is None:
             workers = config.get("REPRO_POOL_WORKERS") or worker_count()
         self.max_workers = workers
-        self._ctx = multiprocessing.get_context(
-            start_method or config.get("REPRO_MP_START")
-        )
+        self._ctx = mp_context(start_method or config.get("REPRO_MP_START"))
         self._mem_mb = (
             mem_mb if mem_mb is not None else config.get("REPRO_KERNEL_MEM_MB")
         )
@@ -156,6 +162,10 @@ class WorkerPool:
         self._env = {
             k: v for k, v in os.environ.items() if k.startswith("REPRO_")
         }
+        # one tracker, started before any worker exists: a forked worker
+        # that had to start its own on first attach would have it
+        # "clean up" the parent's live segments when the worker exits
+        resource_tracker.ensure_running()
         # pre-fork the full complement so first calls find warm pipes
         with self._lock:
             for _ in range(self.max_workers):
@@ -186,15 +196,32 @@ class WorkerPool:
         w = _Worker(proc, parent_conn, self._next_wid)
         self._next_wid += 1
         self.stats.spawned += 1
-        for key, recipe in self._recipes.items():
+        for key, recipe in list(self._recipes.items()):
             if not self._warm_one(w, key, recipe):
                 break
         return w
 
-    def _warm_one(self, w: _Worker, key: str, recipe) -> bool:
-        """Ship one recipe to one worker and await the ack."""
+    def _warm_one(self, w: _Worker, key: str, recipe,
+                  deadline: Optional[float] = None) -> bool:
+        """Ship one recipe to one worker and await the ack; False when
+        the worker is gone (the caller replaces it).
+
+        The caller holds the pool lock, so the wait is bounded — by the
+        call's ``deadline``, else by what a cold build may take: a
+        worker that has not answered by then is killed and the recipe
+        forgotten (warming it again would wedge the replacement too).
+        """
+        limit = deadline
+        if limit is None:
+            limit = config.get("REPRO_GCC_TIMEOUT") + _WARM_SLACK
         try:
             w.conn.send(("warm", key, recipe))
+            if not w.conn.poll(limit):
+                self._recipes.pop(key, None)
+                self.stats.record_failure(key, timeout=True)
+                w.proc.kill()
+                w.proc.join(5.0)
+                return False
             reply = w.conn.recv()
         except (EOFError, OSError, BrokenPipeError):
             return False
@@ -298,17 +325,27 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # the public call surface
     # ------------------------------------------------------------------
-    def register_recipe(self, key: str, recipe) -> None:
+    def register_recipe(self, key: str, recipe,
+                        deadline: Optional[float] = None) -> None:
         """Record a recipe for warm-up and broadcast it to the idle
         workers (a busy one gets it lazily, on its first call for the
-        key)."""
+        key).  A worker whose build outlasts ``deadline`` (default: the
+        compiler's timeout and some slack) is killed and replaced, and
+        the call raises as a run that missed its deadline does."""
         with self._lock:
             if key in self._recipes:
                 return
             self._recipes[key] = recipe
             for w in list(self._idle):
-                if key not in w.warmed and not self._warm_one(w, key, recipe):
-                    self._destroy(w, replace=True)
+                if key in w.warmed or self._warm_one(w, key, recipe, deadline):
+                    continue
+                self._destroy(w, replace=True)
+                if key not in self._recipes:
+                    raise KernelTimeoutError(
+                        f"pool worker {w.wid} did not finish building kernel "
+                        f"key {key:.24}… in time; it was killed and replaced",
+                        deadline=deadline,
+                    )
 
     def run_call(
         self,
@@ -543,7 +580,7 @@ def dispatch(
         )
     pool = get_shared_pool(workers)
     key = pool_key(kernel)
-    pool.register_recipe(key, kernel.recipe)
+    pool.register_recipe(key, kernel.recipe, policy.deadline)
     exports = exports or {}
     calls = []
     for tensors, dims in zip(shard_inputs, shard_dims):
@@ -612,8 +649,6 @@ def get_shared_pool(workers: Optional[int] = None) -> WorkerPool:
     one pool concentrates the warmth.
     """
     global _shared
-    from repro.runtime import executor as executor_mod
-
     with _shared_lock:
         if _shared is None or _shared.closed:
             _shared = WorkerPool(workers)
@@ -621,6 +656,13 @@ def get_shared_pool(workers: Optional[int] = None) -> WorkerPool:
         elif workers is not None and workers > _shared.max_workers:
             _shared.grow(workers)
         return _shared
+
+
+def shared_pool_open() -> bool:
+    """Whether this process owns an open shared pool — what the auto
+    route of :func:`repro.runtime.policy.resolve` asks."""
+    pool = _shared
+    return pool is not None and not pool.closed
 
 
 def shutdown_shared_pool() -> None:
@@ -640,5 +682,6 @@ __all__ = [
     "get_shared_pool",
     "pool_key",
     "run_pooled",
+    "shared_pool_open",
     "shutdown_shared_pool",
 ]

@@ -38,11 +38,15 @@ Ownership rules (the reason no segment ever leaks):
 * workers only ever ``close`` their attachments, never unlink; a fork
   child inherits operand mappings ``MAP_SHARED`` — the parent's pages,
   not a copy-on-write heap — and leaves by ``os._exit``, so the
-  parent's exit sweep never runs in it;
-* fork and spawn children share the parent's ``resource_tracker``
-  (multiprocessing passes the tracker fd), so the create-side
-  registration is balanced by the single parent-side unlink — a dying
-  worker cannot trigger a tracker sweep of live segments.
+  parent's exit sweep never runs in it, and an export it inherited is
+  not its to release (:meth:`TensorExport.release` does nothing outside
+  the exporting process);
+* every child shares the parent's ``resource_tracker`` (multiprocessing
+  passes the tracker fd to a spawned child; a forked one inherits it,
+  which is why :class:`~repro.runtime.pool.WorkerPool` starts the
+  tracker *before* its first worker), so the create-side registration
+  is balanced by the single parent-side unlink — a dying worker cannot
+  trigger a tracker sweep of live segments.
 
 ``close()`` raises :class:`BufferError` while numpy views still export
 the mapped buffer; every close in this module tolerates that — the
@@ -173,6 +177,7 @@ class TensorExport:
         self._base = _addr(np.frombuffer(self.segment.buf, dtype=np.uint8))
         self.memo: Dict[str, object] = {}
         self._released = False
+        self._owner = os.getpid()
         moved = _views(ref, self.segment)
         for view in _tensor_arrays(moved):
             view.flags.writeable = False
@@ -190,8 +195,9 @@ class TensorExport:
 
     def release(self) -> None:
         """Unlink and close; idempotent.  The tensor's views keep the
-        unlinked mapping alive for as long as they are."""
-        if self._released:
+        unlinked mapping alive for as long as they are.  A fork child
+        that inherited the export leaves the parent's segment alone."""
+        if self._released or self._owner != os.getpid():
             return
         self._released = True
         _EXPORTS.pop(self.name, None)

@@ -152,16 +152,20 @@ def _spawn_entry(
     )
 
 
-def _supervise_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+def mp_context(method: str = "fork") -> multiprocessing.context.BaseContext:
+    """The context a child process starts from — the fork supervisor's
+    and the worker pool's (``REPRO_MP_START``) alike: ``method`` where
+    the platform has it, else ``spawn``, which every platform has."""
+    if method not in multiprocessing.get_all_start_methods():
+        method = "spawn"
+    return multiprocessing.get_context(method)
 
 
 def can_supervise(kernel) -> bool:
     """Whether this kernel can run supervised on this platform: always
     under ``fork``; under ``spawn`` only recipe-carrying kernels (a
     ``FunctionInput`` callable cannot cross a spawn boundary)."""
-    if "fork" in multiprocessing.get_all_start_methods():
+    if mp_context().get_start_method() == "fork":
         return True
     return getattr(kernel, "recipe", None) is not None
 
@@ -215,7 +219,7 @@ def supervise(kernel, tensors, capacity, policy: ExecutionPolicy, *,
                 "the fork-per-call supervisor", kernel.name, exc,
             )
     deadline, mem_mb = policy.deadline, policy.mem_mb
-    ctx = _supervise_context()
+    ctx = mp_context()
 
     recv, send = ctx.Pipe(duplex=False)
     if ctx.get_start_method() == "fork":
@@ -309,4 +313,4 @@ def _await_result(proc, recv, deadline: float, name: str):
     )
 
 
-__all__ = ["run_supervised", "supervise", "can_supervise"]
+__all__ = ["run_supervised", "supervise", "can_supervise", "mp_context"]

@@ -1,14 +1,17 @@
 """Worker side of the persistent pool.
 
-Everything here must be importable and picklable from a spawn-fresh
-interpreter: no closures, no compiled-kernel handles.  A worker
-receives a :class:`~repro.compiler.kernel.KernelRecipe`, rebuilds the
-kernel through the ordinary :class:`~repro.compiler.kernel.KernelBuilder`
-path — which lands on the two-tier cache: the worker's in-memory memo
-after the first task, the parent's on-disk payload/``.so`` tier before
-that — and keeps it resident.  Concurrent first-touch rebuilds across
-workers serialize on the cache's per-key file locks, so exactly one
-worker compiles and the rest read its artifact.
+A worker is forked from the pool's owner where the platform can fork
+(``REPRO_MP_START``) and spawned otherwise, so everything here must
+also be importable and picklable from a fresh interpreter: no closures,
+no compiled-kernel handles.  A worker receives a
+:class:`~repro.compiler.kernel.KernelRecipe`, rebuilds the kernel
+through the ordinary :class:`~repro.compiler.kernel.KernelBuilder` path
+— which lands on the two-tier cache: the in-memory memo (a forked
+worker is born with the parent's; a spawned one fills its own from the
+first task on), else the parent's on-disk payload/``.so`` tier — and
+keeps it resident.  Concurrent first-touch rebuilds across workers
+serialize on the cache's per-key file locks, so exactly one worker
+compiles and the rest read its artifact.
 
 :func:`pool_worker_main` is the resident message loop of
 :class:`~repro.runtime.pool.WorkerPool`: kernels are *warmed* once per
@@ -19,8 +22,12 @@ start so the sandbox cost is amortized across thousands of calls.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import stat
 import time
+from multiprocessing import resource_tracker
 from typing import Mapping, Optional
 
 
@@ -34,6 +41,33 @@ def init_worker(cache_dir: str, env: Mapping[str, str]) -> None:
     for key, value in env.items():
         os.environ.setdefault(key, value)
     os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
+
+
+def _shed_inherited(conn) -> None:
+    """Drop what a forked worker inherited and must not keep (a spawned
+    one has none of it): the parent's signal handlers and wakeup fd — a
+    signal sent here is not the server loop's to see — and every pipe
+    end and socket but its own.  A sibling's parent-side end held here
+    keeps that sibling from reading EOF when the parent dies; a
+    server's listening or client socket would stay open as long as this
+    worker lives.  DESIGN.md "Execution policy" has the whole contract.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    keep = {0, 1, 2, conn.fileno(), resource_tracker._resource_tracker._fd,
+            multiprocessing.parent_process().sentinel}
+    try:
+        fds = set(map(int, os.listdir("/proc/self/fd"))) - keep
+    except OSError:  # no procfs to walk
+        return
+    for fd in fds:
+        try:
+            mode = os.fstat(fd).st_mode
+            if stat.S_ISSOCK(mode) or stat.S_ISFIFO(mode):
+                os.close(fd)
+        except OSError:
+            pass  # the listing's own descriptor, already closed
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +124,7 @@ def pool_worker_main(
         faulthandler.disable()  # worker crashes are decoded by the parent
     except Exception:  # pragma: no cover - faulthandler always importable
         pass
+    _shed_inherited(conn)
     init_worker(cache_dir, env)
     from repro.runtime import shm
     from repro.runtime.supervisor import _apply_rlimits

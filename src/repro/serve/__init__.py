@@ -3,7 +3,7 @@
 ``repro.serve`` turns the compiled-kernel library into a long-running
 HTTP/JSON service: clients POST einsum or SQL queries, the server
 canonicalizes them into the kernel build-cache key, executes on the
-supervised runtime (the PR 6 worker pool under ``REPRO_POOL=1``), and
+supervised runtime (the worker pool the server boots with), and
 wraps the whole path in a resilience stack —
 
 * per-request **deadline budgets** propagated down to the supervised

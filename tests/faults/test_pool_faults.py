@@ -67,6 +67,8 @@ class FaultRecipe:
     mode: str
 
     def build(self):
+        while self.mode == "hang":      # a build that never returns
+            time.sleep(0.005)
         return FaultKernel(self.mode)
 
 
@@ -74,6 +76,7 @@ class FaultKernel:
     """Duck-typed kernel whose run dies (or raises) on demand."""
 
     output = None
+    pool_route = None
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
@@ -142,6 +145,24 @@ def test_wedged_worker_misses_deadline(pool):
     assert result == 42.0
 
 
+def test_hung_warm_up_is_bounded_and_replaces_the_worker(pool):
+    """Warm-up waits under the pool lock, so it is bounded: a worker
+    whose build never returns is killed and replaced, the call gets the
+    typed error of a missed deadline, the recipe is dropped (it would
+    wedge the replacement too), and the pool serves the next key."""
+    t0 = time.monotonic()
+    with pytest.raises(KernelTimeoutError) as err:
+        pool.register_recipe("fault:hang", FaultRecipe("hang"), deadline=0.3)
+    assert err.value.deadline == pytest.approx(0.3)
+    assert time.monotonic() - t0 < 5.0
+    assert pool.stats.timeouts == 1
+    assert pool.stats.failures["fault:hang"] == 1
+    assert pool.stats.replaced == 1
+    assert "fault:hang" not in pool._recipes
+    result, _s, _p = _call(pool, FaultKernel("ok"))
+    assert result == 42.0
+
+
 def test_typed_error_crosses_the_pipe_with_metadata(pool):
     with pytest.raises(CapacityError) as err:
         _call(pool, FaultKernel("capacity"))
@@ -190,35 +211,44 @@ def test_crash_unlinks_the_result_segment(pool, tmp_path):
 # ----------------------------------------------------------------------
 # interpreter-exit hygiene (the teardown-ordering satellite)
 # ----------------------------------------------------------------------
+def _script(tmp_path, name: str, body: str):
+    """A driver file for a fresh interpreter.  The ``__main__`` guard
+    matters: spawn workers re-import the file."""
+    import textwrap
+
+    path = tmp_path / name
+    path.write_text(
+        "import sys\n"
+        f"sys.path[:0] = {[str(p) for p in sys.path]!r}\n"
+        "if __name__ == '__main__':\n"
+        + textwrap.indent(textwrap.dedent(body), "    "))
+    return [sys.executable, str(path)]
+
+
+def _env(tmp_path, **extra):
+    return dict(os.environ, REPRO_KERNEL_CACHE_DIR=str(tmp_path / "kcache"),
+                **extra)
+
+
 def test_interpreter_exit_leaves_no_warnings_or_segments(tmp_path):
     """A script that uses shared pools/executors and simply exits must
     not print BrokenProcessPool / leaked-semaphore warnings, and must
     leave /dev/shm clean — the atexit-managed drain joins everything
     before interpreter teardown."""
-    script = tmp_path / "exit_script.py"
-    script.write_text(
-        "import sys\n"
-        f"sys.path[:0] = {[str(p) for p in sys.path]!r}\n"
-        # the __main__ guard matters: spawn workers re-import this file
-        "if __name__ == '__main__':\n"
-        "    from tests.faults.test_pool_faults import FaultKernel\n"
-        "    from repro.runtime import pool as pool_mod\n"
-        "    from repro.runtime.api import run_sharded  # noqa: F401\n"
-        "    pool = pool_mod.get_shared_pool(2)\n"
-        "    key = pool_mod.pool_key(FaultKernel('ok'))\n"
-        "    pool.register_recipe(key, FaultKernel('ok').recipe)\n"
-        "    r, _s, _p = pool.run_call(key, {}, None, None, False, None)\n"
-        "    assert r == 42.0\n"
-        "    print('done')\n"
-        # no shutdown on purpose: atexit must handle it
-    )
+    script = _script(tmp_path, "exit_script.py", """
+        from tests.faults.test_pool_faults import FaultKernel
+        from repro.runtime import pool as pool_mod
+        from repro.runtime.api import run_sharded  # noqa: F401
+        pool = pool_mod.get_shared_pool(2)
+        key = pool_mod.pool_key(FaultKernel('ok'))
+        pool.register_recipe(key, FaultKernel('ok').recipe)
+        r, _s, _p = pool.run_call(key, {}, None, None, False, None)
+        assert r == 42.0
+        print('done')
+        """)   # no shutdown on purpose: atexit must handle it
     before = shm_entries()
-    env = dict(os.environ)
-    env["REPRO_KERNEL_CACHE_DIR"] = str(tmp_path / "kcache")
-    proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True,
-        timeout=120, env=env, cwd="/root/repo",
-    )
+    proc = subprocess.run(script, capture_output=True, text=True,
+                          timeout=120, env=_env(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "done" in proc.stdout
     for marker in ("BrokenProcessPool", "leaked semaphore",
@@ -226,3 +256,76 @@ def test_interpreter_exit_leaves_no_warnings_or_segments(tmp_path):
                    "Traceback"):
         assert marker not in proc.stderr, proc.stderr
     assert shm_entries() == before
+
+
+def test_fresh_process_forked_pools_share_one_tracker(tmp_path):
+    """The first pooled call of a fresh process forks its workers before
+    any segment (hence any resource tracker) exists.  Were each worker
+    to start a tracker of its own on first attach, that tracker would
+    unlink the parent's live operand segments when the worker exits —
+    and every shard of the second pool would fail over in-process."""
+    script = _script(tmp_path, "fresh_pool.py", """
+        import os
+        from repro.runtime import shutdown_shared_runtime
+        from tests.runtime.test_pool import spmv_kernel
+        kernel, tensors = spmv_kernel(n=64)
+        for _round in range(2):
+            stats = []
+            kernel.run_sharded(tensors, executor='pool', workers=2,
+                               shards=4, stats_out=stats)
+            print(os.getpid(), *[f'{s.worker}:{s.retried}' for s in stats])
+            shutdown_shared_runtime()
+        """)
+    proc = subprocess.run(
+        script, capture_output=True, text=True, timeout=120,
+        env=_env(tmp_path, REPRO_MP_START="fork", REPRO_SHM_THRESHOLD="0"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rounds = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rounds) == 2
+    for parent, *shards in rounds:
+        assert len(shards) == 4
+        for shard in shards:
+            worker, retried = shard.split(":")
+            assert retried == "False" and worker not in ("local", parent)
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_workers_do_not_outlive_a_killed_parent(tmp_path, start_method):
+    """SIGKILL the pool's owner: each worker must read EOF on its pipe
+    and leave — which it cannot while a sibling forked after it still
+    holds a copy of the parent's end."""
+    script = _script(tmp_path, "owner.py", """
+        import time
+        from repro.runtime.pool import WorkerPool
+        pool = WorkerPool(2)
+        assert all(pool.health_check().values())
+        print(*[w.proc.pid for w in pool._idle], flush=True)
+        time.sleep(60)
+        """)
+    owner = subprocess.Popen(
+        script, stdout=subprocess.PIPE, text=True,
+        env=_env(tmp_path, REPRO_MP_START=start_method))
+    pids = [int(pid) for pid in owner.stdout.readline().split()]
+    try:
+        assert len(pids) == 2 and all(map(_running, pids))
+        owner.kill()
+        owner.wait(10)
+        limit = time.monotonic() + 2.0
+        while any(map(_running, pids)) and time.monotonic() < limit:
+            time.sleep(0.02)
+        assert not any(map(_running, pids))
+    finally:
+        owner.kill()
+        owner.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

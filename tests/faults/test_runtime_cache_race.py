@@ -6,8 +6,9 @@ Two parent processes each run a sharded SpMV on the pool executor
 from its recipe, so up to four processes hit the same cache key at
 once; the per-key file locks must serialize the rebuilds and all
 parties must agree on the result, with no shard falling back to the
-in-parent retry path.  (Under ``REPRO_MP_START=fork`` the workers
-inherit the parent's memo instead and only the two parents race.)
+in-parent retry path.  The start method is pinned: forked workers (the
+default) inherit the parent's memo and only the two parents would
+race — cold workers on the disk tier are the point here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ WORKER = Path(__file__).with_name("_shard_race_worker.py")
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
+def _env(tmp_path) -> dict:
+    env = dict(os.environ, REPRO_MP_START="spawn")
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_KERNEL_CACHE_DIR"] = str(tmp_path / "shared_cache")
+    return env
+
+
 def _launch(env: dict) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, str(WORKER)],
@@ -32,9 +40,7 @@ def _launch(env: dict) -> subprocess.Popen:
 
 
 def test_process_workers_race_on_shared_cache(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_KERNEL_CACHE_DIR"] = str(tmp_path / "shared_cache")
+    env = _env(tmp_path)
     procs = [_launch(env), _launch(env)]
     outs = []
     for p in procs:
@@ -57,9 +63,7 @@ def test_process_workers_race_on_shared_cache(tmp_path):
 def test_spawn_worker_rebuild_hits_disk_tier(tmp_path):
     """A second run against the now-warm cache must still agree (its
     spawn workers are served entirely by the disk tier)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_KERNEL_CACHE_DIR"] = str(tmp_path / "shared_cache")
+    env = _env(tmp_path)
     first = subprocess.run(
         [sys.executable, str(WORKER)], capture_output=True, text=True,
         env=env, timeout=300,

@@ -306,3 +306,82 @@ def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
     kernel, _tensors = spmv_kernel(name="pool_sup_mem")
     assert resolve(kernel, supervised=True).pool_route is True
     assert resolve(kernel, supervised=True, mem_mb=256).pool_route is False
+
+
+# ----------------------------------------------------------------------
+# fork-started workers (the default wherever the platform can fork)
+# ----------------------------------------------------------------------
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="needs a fork-capable platform")
+
+
+from repro.runtime.executor import _FORK_LOCKS  # noqa: E402
+
+FORK_LOCKS = [f"{module}:{name}" for module, names in _FORK_LOCKS.items()
+              for name in names] + ["repro.compiler.kernel:kernel_cache._lock"]
+
+
+@needs_fork
+@pytest.mark.parametrize("lock", FORK_LOCKS)
+def test_forked_worker_gets_fresh_locks(lock):
+    """A module-level lock another thread holds at fork time would stay
+    held for ever in the worker: each one is made afresh there, so the
+    worker warms, runs (operands attached from shared memory) and
+    leaves without ever waiting for it."""
+    import importlib
+    import threading
+
+    module, _, path = lock.partition(":")
+    owner = importlib.import_module(module)
+    *attrs, name = path.split(".")
+    for attr in attrs:
+        owner = getattr(owner, attr)
+    forked, held = threading.Event(), threading.Event()
+
+    def hold():
+        with getattr(owner, name):
+            held.set()
+            forked.wait(20)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(5)
+        pool = pool_mod.WorkerPool(1, start_method="fork")
+    finally:
+        forked.set()
+        holder.join(5)
+    try:
+        (w,) = pool._idle
+        kernel, tensors = spmv_kernel(name="pool_lock_spmv")
+        result, _s, pid = _call(pool, kernel, tensors, deadline=5.0,
+                                threshold=0)
+        assert pid == w.proc.pid
+        np.testing.assert_allclose(np.asarray(result.vals), expected(tensors))
+    finally:
+        t0 = time.monotonic()
+        pool.shutdown()
+        assert time.monotonic() - t0 < 0.5
+    assert w.proc.exitcode == 0
+
+
+@needs_fork
+def test_second_forked_pool_shuts_down_at_once(monkeypatch):
+    """The second shared pool of a process is forked inside
+    ``get_shared_executor`` — under ``_SHARED_LOCK``, with the runtime's
+    exit hook registered: its workers must neither inherit the lock
+    held nor run the parent's hook when they leave."""
+    from repro.runtime.executor import (
+        get_shared_executor, shutdown_shared_runtime,
+    )
+
+    monkeypatch.setenv("REPRO_MP_START", "fork")
+    shutdown_shared_runtime()   # an executor an earlier test left cached
+    for _round in range(2):
+        ex = get_shared_executor("pool", 2)
+        procs = [w.proc for w in ex.pool._idle]
+        assert len(procs) == 2
+        t0 = time.monotonic()
+        shutdown_shared_runtime()
+        assert time.monotonic() - t0 < 0.5
+        assert [p.exitcode for p in procs] == [0, 0]

@@ -386,7 +386,25 @@ PRECEDENCE = [
     ("threshold", dict(parallel="pool"), {}, {"REPRO_SHM_THRESHOLD": "0"}, 0),
     ("threshold", dict(parallel="pool"), {}, {},
      16384),
+    ("pool_route", SUP, {}, {"REPRO_POOL": "0"}, False),
+    # a handle can pin the fork (serve's fault_hook does), a kernel
+    # without a recipe always does
+    ("pool_route", SUP, dict(pool_route=False), {"REPRO_POOL": "1"}, False),
+    ("pool_route", SUP, dict(recipe=None), {"REPRO_POOL": "1"}, False),
 ]
+#: the same, in a process that owns an open shared pool: unset
+#: REPRO_POOL means "use it"
+OWNS_POOL = [
+    ("pool_route", SUP, {}, {}, True),
+    ("pool_route", SUP, {}, {"REPRO_POOL": "0"}, False),
+    ("pool_route", SUP, {}, {"REPRO_POOL": "1"}, True),
+    ("pool_route", dict(SUP, mem_mb=256), {}, {}, False),
+    ("pool_route", SUP, dict(recipe=None), {}, False),
+    ("pool_route", SUP, dict(pool_route=False), {}, False),
+    ("pool_route", dict(SUP, pool_route=False), {}, {}, False),
+]
+POLICY_ROWS = ([(*row, False) for row in PRECEDENCE]
+               + [(*row, True) for row in OWNS_POOL])
 
 
 class TestPolicy:
@@ -397,15 +415,20 @@ class TestPolicy:
             monkeypatch.delenv(knob, raising=False)
 
     @pytest.mark.parametrize(
-        "field,args,defaults,env,expected", PRECEDENCE,
-        ids=[f"{row[0]}-{k}" for k, row in enumerate(PRECEDENCE)],
+        "field,args,defaults,env,expected,owns_pool", POLICY_ROWS,
+        ids=[f"{row[0]}-{k}" for k, row in enumerate(POLICY_ROWS)],
     )
     def test_precedence(self, monkeypatch, field, args, defaults, env,
-                        expected):
+                        expected, owns_pool):
+        from repro.runtime import pool as pool_mod
+
         kernel, tensors = spmv_kernel()
         handle = kernel._view(**defaults) if defaults else kernel
         for knob, value in env.items():
             monkeypatch.setenv(knob, value)
+        if owns_pool:
+            pool_mod.get_shared_pool(1)     # the fixture shuts it down
+        assert pool_mod.shared_pool_open() == owns_pool
         assert getattr(resolve(handle, **args), field) == expected
         if field == "executor":
             # and Kernel.run goes where the policy says

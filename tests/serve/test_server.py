@@ -14,7 +14,15 @@ from tests.serve.harness import einsum_query, http_request
 
 
 def test_health_ready_stats(make_server):
+    from repro.runtime import pool as pool_mod
+
     server = make_server()
+    # the server owns its workers from boot: up before the first query,
+    # which is what routes every supervised run to them
+    assert pool_mod.shared_pool_open()
+    pool = pool_mod.get_shared_pool()
+    assert len(pool._idle) == pool.max_workers
+    assert all(w.proc.is_alive() for w in pool._idle)
     assert server.request("GET", "/healthz").json == {"ok": True}
     assert server.request("GET", "/readyz").json == {"ready": True}
     stats = server.request("GET", "/stats").json
@@ -22,6 +30,8 @@ def test_health_ready_stats(make_server):
     assert stats["inflight"] == 0
     assert server.request("GET", "/nope").status == 404
     assert server.request("PUT", "/query").status == 405
+    assert server.stop() is True
+    assert pool.closed and not pool_mod.shared_pool_open()
 
 
 def test_einsum_query_roundtrip(make_server):
@@ -35,6 +45,10 @@ def test_einsum_query_roundtrip(make_server):
     # the second identical query hits the build cache: same key, faster
     again = server.query(einsum_query())
     assert again.json["result"] == body["result"]
+    # both ran in a resident worker, not in a fork of this process
+    from repro.runtime import pool as pool_mod
+
+    assert pool_mod.get_shared_pool().stats.calls == 2
 
 
 def test_sql_query_roundtrip(make_server):
