@@ -205,10 +205,6 @@ class Kernel:
         self.parallel: Optional[str] = None
         self.workers: Optional[int] = None
         self.supervised: Optional[bool] = None
-        #: False pins a supervised run of this handle to the fork child,
-        #: which inherits the handle as it is in memory (a pool worker
-        #: rebuilds the kernel from its recipe)
-        self.pool_route: Optional[bool] = None
         #: the autotuner's verdict when this handle was built through
         #: ``tune="auto"`` (a :class:`repro.autotune.TuneResult`)
         self.tune_decision = None

@@ -42,6 +42,7 @@ the ordinary ``atexit`` hook kept as an idempotent fallback.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import sys
 import threading
@@ -277,15 +278,16 @@ def register_runtime_shutdown() -> None:
         pass
 
 
-#: module → the module-level locks a fork child must not inherit: one
-#: held by another thread at fork time (or by the forking thread itself:
-#: workers are forked inside :func:`get_shared_executor` and
-#: ``get_shared_pool``) stays held for ever in the child
+#: module → every module-level lock in ``src/`` (tests/runtime/test_pool
+#: checks the sources against it): one held at fork time — by another
+#: thread, or by the forking one, since workers are forked inside
+#: ``get_shared_executor`` / ``get_shared_pool`` — stays held in the child
 _FORK_LOCKS = {
     "repro.runtime.executor": ("_SHARED_LOCK",),
     "repro.runtime.pool": ("_shared_lock",),
     "repro.runtime.shm": ("_seq_lock", "_export_lock", "_attach_lock"),
     "repro.compiler.resilience": ("_fault_lock", "_probe_lock"),
+    "repro.compiler.cache": ("kernel_cache._lock",),
 }
 
 
@@ -296,21 +298,17 @@ def _forget_inherited_runtime() -> None:
     parent still owns their processes and manager threads); clearing the
     registries means a child that wants parallelism builds its own.
     ``_runtime_owner_pid`` keeps the parent's pid, which is what leaves
-    the inherited exit hook disarmed here.  Every lock the child can
-    reach is made afresh (the kernel cache's too: a forked pool worker
-    builds through it).
+    the inherited exit hook disarmed here, and every lock in
+    :data:`_FORK_LOCKS` is made afresh.
     """
     _SHARED.clear()
-    for module, names in _FORK_LOCKS.items():
-        if module in sys.modules:
-            for name in names:
-                setattr(sys.modules[module], name, threading.Lock())
-    pool_mod = sys.modules.get("repro.runtime.pool")
-    if pool_mod is not None:
-        pool_mod._shared = None
-    kernel_mod = sys.modules.get("repro.compiler.kernel")
-    if kernel_mod is not None:
-        kernel_mod.kernel_cache._lock = threading.Lock()
+    for module, paths in _FORK_LOCKS.items():
+        for path in paths if module in sys.modules else ():
+            *owners, name = path.split(".")
+            owner = functools.reduce(getattr, owners, sys.modules[module])
+            setattr(owner, name, threading.Lock())
+    if "repro.runtime.pool" in sys.modules:
+        sys.modules["repro.runtime.pool"]._shared = None
 
 
 os.register_at_fork(after_in_child=_forget_inherited_runtime)

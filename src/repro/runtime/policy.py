@@ -117,20 +117,16 @@ def resolve(
         if deadline is None:
             deadline = config.get("REPRO_KERNEL_DEADLINE")
         if pool_route is None:
-            # three things pin the fork-per-call child: a per-call cap
-            # (pool workers fix their rlimit at start), a kernel no
-            # worker can rebuild (no recipe), and a handle that says so
-            # (serve's ``fault_hook`` sabotages the in-memory kernel,
-            # which only a fork child inherits)
+            # a per-call cap (pool workers fix their rlimit at start)
+            # and a kernel no worker can rebuild pin the fork-per-call
+            # child; else REPRO_POOL; else auto: a process that owns a
+            # pool uses it, any other keeps nothing resident (a server
+            # with a ``fault_hook`` opens none — see ``serve.app``)
             if mem_mb is not None or kernel.recipe is None:
                 pool_route = False
             else:
-                pool_route = kernel.pool_route
-            if pool_route is None:
                 pool_route = config.get("REPRO_POOL")
             if pool_route is None:
-                # auto: a process that already owns a pool uses it; one
-                # that does not keeps nothing resident for a one-off run
                 pool_mod = sys.modules.get("repro.runtime.pool")
                 pool_route = pool_mod is not None and pool_mod.shared_pool_open()
         if mem_mb is None:

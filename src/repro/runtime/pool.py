@@ -51,10 +51,6 @@ from repro.runtime import executor as executor_mod, shm
 from repro.runtime.policy import ExecutionPolicy, resolve, worker_count
 from repro.runtime.supervisor import mp_context
 
-#: seconds past the compiler's own timeout a worker's warm-up may take
-#: before the worker counts as wedged
-_WARM_SLACK = 5.0
-
 
 class PoolUnavailableError(RuntimeError):
     """The pool cannot serve calls (failed spawn, closed pool) — the
@@ -126,11 +122,9 @@ class WorkerPool:
 
     ``workers`` defaults to ``REPRO_POOL_WORKERS`` (else
     ``REPRO_WORKERS``, else the CPU count); the start method follows
-    ``REPRO_MP_START`` — ``fork`` where the platform has it, so a worker
-    starts with everything the parent had imported, built and loaded,
-    and rebuilding a kernel the parent held at fork time is a memory
-    hit; ``mem_mb`` (default ``REPRO_KERNEL_MEM_MB``) caps each
-    worker's address space once, at start.
+    ``REPRO_MP_START`` (``fork``: a worker starts with everything the
+    parent had imported, built and loaded); ``mem_mb`` (default
+    ``REPRO_KERNEL_MEM_MB``) caps each worker's address space, at start.
     """
 
     def __init__(
@@ -162,9 +156,8 @@ class WorkerPool:
         self._env = {
             k: v for k, v in os.environ.items() if k.startswith("REPRO_")
         }
-        # one tracker, started before any worker exists: a forked worker
-        # that had to start its own on first attach would have it
-        # "clean up" the parent's live segments when the worker exits
+        # before any fork: a worker that started a tracker of its own on
+        # first attach would have it unlink the parent's live segments
         resource_tracker.ensure_running()
         # pre-fork the full complement so first calls find warm pipes
         with self._lock:
@@ -204,23 +197,19 @@ class WorkerPool:
     def _warm_one(self, w: _Worker, key: str, recipe,
                   deadline: Optional[float] = None) -> bool:
         """Ship one recipe to one worker and await the ack; False when
-        the worker is gone (the caller replaces it).
-
-        The caller holds the pool lock, so the wait is bounded — by the
-        call's ``deadline``, else by what a cold build may take: a
-        worker that has not answered by then is killed and the recipe
-        forgotten (warming it again would wedge the replacement too).
+        the worker is gone (the caller replaces it).  The caller holds
+        the pool lock, so the wait is bounded — by ``deadline``, else by
+        what a cold build may take: a worker still silent then is killed
+        and the recipe forgotten (it would wedge the replacement too).
         """
-        limit = deadline
-        if limit is None:
-            limit = config.get("REPRO_GCC_TIMEOUT") + _WARM_SLACK
+        if deadline is None:
+            deadline = config.get("REPRO_GCC_TIMEOUT") + 5.0
         try:
             w.conn.send(("warm", key, recipe))
-            if not w.conn.poll(limit):
+            if not w.conn.poll(deadline):
                 self._recipes.pop(key, None)
                 self.stats.record_failure(key, timeout=True)
                 w.proc.kill()
-                w.proc.join(5.0)
                 return False
             reply = w.conn.recv()
         except (EOFError, OSError, BrokenPipeError):
@@ -329,9 +318,8 @@ class WorkerPool:
                         deadline: Optional[float] = None) -> None:
         """Record a recipe for warm-up and broadcast it to the idle
         workers (a busy one gets it lazily, on its first call for the
-        key).  A worker whose build outlasts ``deadline`` (default: the
-        compiler's timeout and some slack) is killed and replaced, and
-        the call raises as a run that missed its deadline does."""
+        key).  A worker whose build outlasts ``deadline`` is killed and
+        replaced, and the call raises as a run past its deadline does."""
         with self._lock:
             if key in self._recipes:
                 return

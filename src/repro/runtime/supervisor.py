@@ -29,18 +29,16 @@ call's :class:`~repro.runtime.policy.ExecutionPolicy` (DESIGN.md
 inherits the parent's **in-memory** kernel handle — no pickling, no
 rebuild, and any in-process monkeypatching, which the fault-injection
 suite depends on — while a pooled worker rebuilds the genuine kernel
-from its recipe.  Platforms without ``fork`` use a spawned child that
-rebuilds from the :class:`~repro.compiler.kernel.KernelRecipe` through
-the two-tier disk cache, so the compiled artifact is a cache read,
-never a recompile.
+from its recipe.  A platform without ``fork`` has the pooled route
+alone: its workers are spawned and rebuild from the recipe through the
+disk cache, once per worker rather than once per call.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
@@ -127,31 +125,6 @@ def _child_entry(
         conn.close()
 
 
-def _spawn_entry(
-    conn,
-    recipe,
-    env: Mapping[str, str],
-    cache_dir: str,
-    tensors,
-    capacity,
-    auto_grow,
-    max_capacity,
-    mem_mb,
-    cpu_seconds,
-) -> None:  # pragma: no cover - exercised only on fork-less platforms
-    """Spawned-child body: pin the parent's configuration, rebuild the
-    kernel from its recipe (a warm-cache read), then run like
-    :func:`_child_entry`."""
-    from repro.runtime.worker import init_worker
-
-    init_worker(cache_dir, env)
-    kernel = recipe.build()
-    _child_entry(
-        conn, kernel, tensors, capacity, auto_grow, max_capacity,
-        mem_mb, cpu_seconds,
-    )
-
-
 def mp_context(method: str = "fork") -> multiprocessing.context.BaseContext:
     """The context a child process starts from — the fork supervisor's
     and the worker pool's (``REPRO_MP_START``) alike: ``method`` where
@@ -205,7 +178,9 @@ def run_supervised(
 def supervise(kernel, tensors, capacity, policy: ExecutionPolicy, *,
               auto_grow: bool, max_capacity: Optional[int]):
     """:func:`run_supervised` under an already resolved ``policy``."""
-    if policy.pool_route:
+    ctx = mp_context()
+    forks = ctx.get_start_method() == "fork"
+    if policy.pool_route or not forks:
         from repro.runtime import pool as pool_mod
 
         try:
@@ -214,38 +189,20 @@ def supervise(kernel, tensors, capacity, policy: ExecutionPolicy, *,
                 max_capacity=max_capacity,
             )
         except pool_mod.PoolUnavailableError as exc:
+            if not forks:
+                raise
             logger.warning(
                 "kernel %r: pool route unavailable (%s); falling back to "
                 "the fork-per-call supervisor", kernel.name, exc,
             )
-    deadline, mem_mb = policy.deadline, policy.mem_mb
-    ctx = mp_context()
-
+    deadline = policy.deadline
     recv, send = ctx.Pipe(duplex=False)
-    if ctx.get_start_method() == "fork":
-        proc = ctx.Process(
-            target=_child_entry,
-            args=(send, kernel, tensors, capacity, auto_grow, max_capacity,
-                  mem_mb, deadline),
-            daemon=True,
-        )
-    else:  # pragma: no cover - exercised only on fork-less platforms
-        recipe = getattr(kernel, "recipe", None)
-        if recipe is None:
-            raise KernelCrashError(
-                f"kernel {kernel.name!r} cannot run supervised: no fork on "
-                "this platform and no picklable rebuild recipe "
-                "(function-valued input)"
-            )
-        from repro.compiler.cache import default_cache_dir
-
-        env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-        proc = ctx.Process(
-            target=_spawn_entry,
-            args=(send, recipe, env, str(default_cache_dir()), tensors,
-                  capacity, auto_grow, max_capacity, mem_mb, deadline),
-            daemon=True,
-        )
+    proc = ctx.Process(
+        target=_child_entry,
+        args=(send, kernel, tensors, capacity, auto_grow, max_capacity,
+              policy.mem_mb, deadline),
+        daemon=True,
+    )
     start = time.monotonic()
     proc.start()
     send.close()  # the child's end lives on in the child

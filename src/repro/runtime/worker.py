@@ -22,52 +22,36 @@ start so the sandbox cost is amortized across thousands of calls.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import stat
 import time
-from multiprocessing import resource_tracker
 from typing import Mapping, Optional
-
-
-def init_worker(cache_dir: str, env: Mapping[str, str]) -> None:
-    """Worker start-up: pin the parent's ``REPRO_*`` configuration.
-
-    The kernel cache directory is the load-bearing knob — without it a
-    worker would rebuild into its own default location and every shard
-    would recompile from scratch.
-    """
-    for key, value in env.items():
-        os.environ.setdefault(key, value)
-    os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
 
 
 def _shed_inherited(conn) -> None:
     """Drop what a forked worker inherited and must not keep (a spawned
-    one has none of it): the parent's signal handlers and wakeup fd — a
-    signal sent here is not the server loop's to see — and every pipe
-    end and socket but its own.  A sibling's parent-side end held here
-    keeps that sibling from reading EOF when the parent dies; a
-    server's listening or client socket would stay open as long as this
-    worker lives.  DESIGN.md "Execution policy" has the whole contract.
+    one has none of it): the parent's signal handlers and wakeup fd, and
+    every socket but its own — a sibling's parent-side end held here
+    keeps that sibling from reading EOF when the parent dies, a server's
+    listening or client socket stays open as long as this worker lives.
+    Sockets only — the pipes are multiprocessing's (the sentinel the
+    parent's ``join(timeout)`` watches, the tracker) — and re-pointed at
+    the null device, not freed, so the inherited object that still owns
+    a number can close nothing this worker opens later.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
-    keep = {0, 1, 2, conn.fileno(), resource_tracker._resource_tracker._fd,
-            multiprocessing.parent_process().sentinel}
-    try:
-        fds = set(map(int, os.listdir("/proc/self/fd"))) - keep
-    except OSError:  # no procfs to walk
-        return
-    for fd in fds:
+    null = os.open(os.devnull, os.O_RDWR)
+    fds = os.listdir("/dev/fd") if os.path.isdir("/dev/fd") else ()
+    for fd in map(int, fds):
         try:
-            mode = os.fstat(fd).st_mode
-            if stat.S_ISSOCK(mode) or stat.S_ISFIFO(mode):
-                os.close(fd)
+            if fd != conn.fileno() and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd, inheritable=False)
         except OSError:
             pass  # the listing's own descriptor, already closed
+    os.close(null)
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +109,11 @@ def pool_worker_main(
     except Exception:  # pragma: no cover - faulthandler always importable
         pass
     _shed_inherited(conn)
-    init_worker(cache_dir, env)
+    # pin the parent's configuration; without its cache directory every
+    # worker would rebuild into its own and every shard recompile
+    for key, value in env.items():
+        os.environ.setdefault(key, value)
+    os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
     from repro.runtime import shm
     from repro.runtime.supervisor import _apply_rlimits
 

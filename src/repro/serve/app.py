@@ -123,12 +123,15 @@ class ContractionServer:
                     "serve: swept %d stale job journal(s)", len(swept))
         except Exception as exc:
             logger.warning("serve: job-journal sweep failed (%s)", exc)
-        from repro.runtime.pool import get_shared_pool
+        if self.config.fault_hook is None:
+            # the workers every /query runs in, forked while this process
+            # has one thread and no socket; owning an open pool is what
+            # routes supervised runs to it (runtime.policy.resolve) — and
+            # what a chaos hook does to a kernel exists in this process's
+            # memory alone, so its runs stay on the fork-per-call child
+            from repro.runtime.pool import get_shared_pool
 
-        # the workers every /query runs in, forked while this process has
-        # one thread and no socket; owning an open pool is what routes
-        # supervised runs to it (runtime.policy.resolve)
-        get_shared_pool()
+            get_shared_pool()
         self._server = await asyncio.start_server(
             self._client, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]

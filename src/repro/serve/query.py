@@ -281,10 +281,6 @@ class PreparedQuery:
         kernel = self.plan.build()
         if fault_hook is not None:
             fault_hook(kernel)
-            # what the hook did to the handle exists in this process's
-            # memory only: a fork child inherits it, a pool worker
-            # would rebuild the genuine kernel from the recipe
-            kernel = kernel._view(pool_route=False)
         return kernel
 
     def _execute_sql(self) -> Dict[str, Any]:

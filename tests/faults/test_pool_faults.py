@@ -69,6 +69,10 @@ class FaultRecipe:
     def build(self):
         while self.mode == "hang":      # a build that never returns
             time.sleep(0.005)
+        if self.mode == "linger":       # a worker that never finishes exiting
+            import threading
+
+            threading.Thread(target=time.sleep, args=(3600,)).start()
         return FaultKernel(self.mode)
 
 
@@ -76,7 +80,6 @@ class FaultKernel:
     """Duck-typed kernel whose run dies (or raises) on demand."""
 
     output = None
-    pool_route = None
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
@@ -161,6 +164,21 @@ def test_hung_warm_up_is_bounded_and_replaces_the_worker(pool):
     assert "fault:hang" not in pool._recipes
     result, _s, _p = _call(pool, FaultKernel("ok"))
     assert result == 42.0
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_worker_wedged_at_exit_is_killed_within_the_join_bound(start_method):
+    """``_retire`` waits 2 s for a polite exit and then kills: the wait
+    is a bound only while the parent's view of the process sentinel is
+    intact (a worker that closed its end of it reads as already gone,
+    and the join behind that never returns)."""
+    pool = pool_mod.WorkerPool(1, start_method=start_method)
+    pool.register_recipe("fault:linger", FaultRecipe("linger"))
+    proc = pool._idle[0].proc
+    t0 = time.monotonic()
+    pool.shutdown()
+    assert 1.5 < time.monotonic() - t0 < 4.0
+    assert proc.exitcode == -signal.SIGKILL
 
 
 def test_typed_error_crosses_the_pipe_with_metadata(pool):

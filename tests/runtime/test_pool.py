@@ -283,18 +283,35 @@ def test_run_batch_pool_executor():
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
 
 
-def test_pooled_supervised_routing(monkeypatch):
+def test_pooled_supervised_routing(monkeypatch, forkless=False):
     """``REPRO_POOL=1`` routes supervised runs through the pool; the
     result matches the in-process run and the pool records the call."""
-    from repro.runtime.supervisor import run_supervised
+    import multiprocessing
 
-    monkeypatch.setenv("REPRO_POOL", "1")
+    from repro.runtime.supervisor import can_supervise, run_supervised
+
+    monkeypatch.setenv("REPRO_POOL", "0" if forkless else "1")
+    if forkless:
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert not can_supervise(object())
+    pool_mod.shutdown_shared_pool()
     kernel, tensors = spmv_kernel(name="pool_sup_spmv")
+    assert can_supervise(kernel)
     direct = kernel._run_single(tensors)
     pooled = run_supervised(kernel, tensors)
     assert direct.to_dict() == pooled.to_dict()
-    assert pool_mod.get_shared_pool().stats.calls >= 1
+    pool = pool_mod.get_shared_pool()
+    assert pool.stats.calls >= 1
+    if forkless:
+        assert pool._ctx.get_start_method() == "spawn"
     pool_mod.shutdown_shared_pool()
+
+
+def test_forkless_platform_supervises_in_the_pool(monkeypatch):
+    """A platform that cannot fork has no other supervised route:
+    whatever ``REPRO_POOL`` says, the run goes to (spawned) workers."""
+    test_pooled_supervised_routing(monkeypatch, forkless=True)
 
 
 def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
@@ -318,7 +335,24 @@ needs_fork = pytest.mark.skipif(
 from repro.runtime.executor import _FORK_LOCKS  # noqa: E402
 
 FORK_LOCKS = [f"{module}:{name}" for module, names in _FORK_LOCKS.items()
-              for name in names] + ["repro.compiler.kernel:kernel_cache._lock"]
+              for name in names]
+
+
+def test_every_module_level_lock_is_in_the_fork_table():
+    """The at-fork handler can only re-create the locks it is told of."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    found = {
+        f"repro.{'.'.join(path.relative_to(root).with_suffix('').parts)}:{name}"
+        for path in root.rglob("*.py")
+        for name in re.findall(r"^(\w+) = threading\.R?Lock\(\)",
+                               path.read_text(), re.M)
+    }
+    assert len(found) >= 7 and found <= set(FORK_LOCKS)
 
 
 @needs_fork

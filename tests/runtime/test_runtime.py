@@ -387,9 +387,7 @@ PRECEDENCE = [
     ("threshold", dict(parallel="pool"), {}, {},
      16384),
     ("pool_route", SUP, {}, {"REPRO_POOL": "0"}, False),
-    # a handle can pin the fork (serve's fault_hook does), a kernel
-    # without a recipe always does
-    ("pool_route", SUP, dict(pool_route=False), {"REPRO_POOL": "1"}, False),
+    # a kernel without a recipe always forks
     ("pool_route", SUP, dict(recipe=None), {"REPRO_POOL": "1"}, False),
 ]
 #: the same, in a process that owns an open shared pool: unset
@@ -400,7 +398,6 @@ OWNS_POOL = [
     ("pool_route", SUP, {}, {"REPRO_POOL": "1"}, True),
     ("pool_route", dict(SUP, mem_mb=256), {}, {}, False),
     ("pool_route", SUP, dict(recipe=None), {}, False),
-    ("pool_route", SUP, dict(pool_route=False), {}, False),
     ("pool_route", dict(SUP, pool_route=False), {}, {}, False),
 ]
 POLICY_ROWS = ([(*row, False) for row in PRECEDENCE]

@@ -9,6 +9,10 @@ request 2: crash → breaker trips at the threshold → the in-flight
            retry transparently serves the pure-Python fallback → 200
 request 3+: rejected at admission — 503 + Retry-After, no compile,
            no fork (the breaker gate fires on the cache key alone)
+
+A server with a ``fault_hook`` opens no worker pool, so its supervised
+runs stay on the fork-per-call child — the one that inherits the
+sabotaged handle (a pool worker would rebuild the genuine kernel).
 """
 
 from __future__ import annotations

@@ -164,7 +164,12 @@ def test_deadline_budget_times_out_spinning_kernel(make_server):
         if not isinstance(kernel._kernel, SpinKernel):
             kernel._kernel = SpinKernel()
 
+    from repro.runtime import pool as pool_mod
+
     server = make_server(fault_hook=sabotage, deadline=8.0, retries=0)
+    # a chaos hook's sabotage lives in this process's memory, which only
+    # a fork child inherits: such a server opens no pool
+    assert not pool_mod.shared_pool_open()
     t0 = time.monotonic()
     resp = server.query(einsum_query(deadline_ms=900), timeout=30)
     elapsed = time.monotonic() - t0
