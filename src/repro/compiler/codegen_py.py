@@ -414,14 +414,19 @@ class _CheckedArray:
     against the allocation.  Out-of-bounds access (including negative
     indices, which NumPy would silently wrap) raises ``IndexError``
     naming the kernel, array, index, and length — the Python analogue
-    of an ASan report, with the same fail-loudly contract."""
+    of an ASan report, with the same fail-loudly contract.
 
-    __slots__ = ("kernel", "name", "data")
+    An array the kernel wrapper ``reserved`` uninitialised also keeps
+    a mask of the slots stored in this call, and a load touching any
+    other slot raises ``ValueError`` — the analogue of MSan."""
 
-    def __init__(self, kernel: str, name: str, data) -> None:
+    __slots__ = ("kernel", "name", "data", "written")
+
+    def __init__(self, kernel: str, name: str, data, reserved: bool = False) -> None:
         self.kernel = kernel
         self.name = name
         self.data = data
+        self.written = np.zeros(len(data), dtype=bool) if reserved else None
 
     def _fail(self, index: object) -> None:
         raise IndexError(
@@ -444,19 +449,27 @@ class _CheckedArray:
 
     def __getitem__(self, index):
         self._check(index)
+        if self.written is not None and not self.written[index].all():
+            raise ValueError(
+                f"kernel {self.kernel!r}: read of unwritten {self.name}"
+                f"[{index}] (reserved uninitialised, not stored this call)"
+            )
         return self.data[index]
 
     def __setitem__(self, index, value) -> None:
         self._check(index)
         self.data[index] = value
+        if self.written is not None:
+            self.written[index] = True
 
     def __len__(self) -> int:
         return len(self.data)
 
 
-def _checked_preamble(name: str, params: Sequence[Param]) -> str:
+def _checked_preamble(name: str, params: Sequence[Param], reserved: Sequence[str]) -> str:
     return "\n".join(
-        f"    {p.name} = _chk({name!r}, {p.name!r}, {p.name})"
+        f"    {p.name} = _chk({name!r}, {p.name!r}, {p.name}"
+        f"{', True' if p.name in reserved else ''})"
         for p in params
         if p.kind == "array"
     )
@@ -485,7 +498,11 @@ def emit_kernel_source(
     body: P,
     vectorize: bool = False,
     checked: bool = False,
+    reserved: Sequence[str] = (),
 ) -> str:
+    """The kernel as Python source; ``checked`` wraps every array in a
+    :class:`_CheckedArray`, tracking the stores into those named in
+    ``reserved`` (the ones the caller allocates uninitialised)."""
     arg_list = ", ".join(p.name for p in params)
     decl_lines = "\n".join(
         f"    {v.name} = " + ("0.0" if v.type == TFLOAT else "False" if v.type == TBOOL else "0")
@@ -495,7 +512,7 @@ def emit_kernel_source(
         # the checked emitter is scalar: vectorized slice expressions
         # would bypass the per-subscript bounds checks
         vectorize = False
-        preamble = _checked_preamble(name, params)
+        preamble = _checked_preamble(name, params, reserved)
         if preamble:
             decl_lines = preamble + ("\n" + decl_lines if decl_lines else "")
     return f"def {name}({arg_list}):\n{decl_lines}\n{emit_stmt(body, 1, vectorize)}\n"
@@ -512,9 +529,11 @@ class PyKernel:
         body: P,
         vectorize: bool = False,
         checked: bool = False,
+        reserved: Sequence[str] = (),
     ) -> None:
         source = emit_kernel_source(
-            name, params, decls, body, vectorize=vectorize, checked=checked
+            name, params, decls, body, vectorize=vectorize, checked=checked,
+            reserved=reserved,
         )
         ops: Dict[str, object] = {}
         _collect_ops(body, ops)

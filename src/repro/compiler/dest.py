@@ -156,6 +156,11 @@ class SparseLeafDest(Dest):
     corrupting memory.  Note the count includes *candidate* entries:
     like TACO's assembly, a slot is appended whenever the output level
     is reached, even if the accumulated value ends up zero.
+
+    Every slot is stored before it is read — ``push`` stores ⊕-zero
+    before the value accumulates, ``append`` stores the value — so the
+    wrapper reserves ``crd``/``vals`` uninitialised (DESIGN.md "Output
+    storage").
     """
 
     def __init__(self, ops: ScalarOps, crd: str, vals: str, counter: EVar, cap: E) -> None:
@@ -205,6 +210,8 @@ class SparseInnerDest(Dest):
     Appends its coordinate (and the child's pos entry) only when the
     recursively compiled slice produced output, so empty slices leave
     no trace — the same assembly discipline as TACO's compressed mode.
+    ``setup`` stores ``pos[0]`` and each closed slice its entry; none
+    is read, so the wrapper reserves ``crd``/``pos`` uninitialised.
     """
 
     def __init__(
@@ -268,7 +275,8 @@ class DensePosDest(Dest):
     """A dense output level above a compressed one (CSR's row level).
 
     Fills the child's pos array for every row, including rows the
-    iteration skipped."""
+    iteration skipped: every entry is stored, none is read, so the
+    wrapper reserves it uninitialised."""
 
     def __init__(
         self,
@@ -340,7 +348,10 @@ class WorkspaceLeafDest(Dest):
 
     Scratch arrays (``ws_vals``, ``ws_mask``, and ``ws_list``, of twice
     the size: its upper half is the sort's scratch) are sized by the
-    level dimension and supplied by the kernel wrapper.
+    level dimension and supplied by the kernel wrapper.  ``ws_mask`` is
+    tested before it is stored, so it starts zeroed; ``ws_vals[c]`` is
+    zeroed at ``c``'s first touch and ``ws_list`` is stored before it
+    is read, so those two are reserved uninitialised.
     """
 
     def __init__(

@@ -489,7 +489,7 @@ class Kernel:
             self._allocate_output(env, cap)
             self._kernel(env)
             try:
-                return self._assemble_output(env, {})
+                return self._assemble_output(env)
             except CapacityError as exc:
                 if not auto_grow:
                     raise
@@ -664,57 +664,61 @@ class Kernel:
         """Pre-marshal the inputs and pre-allocate the outputs, returning
         a zero-overhead callable.  This matches the evaluation
         methodology of Section 8.2: data loaded and laid out in memory
-        once, the prepared query executed repeatedly."""
+        once, the prepared query executed repeatedly.  A compressed
+        output's ``capacity`` is reserved, not initialised: the bound
+        kernel commits only the pages its runs write."""
         env = self._marshal_inputs(tensors)
         self._allocate_output(env, capacity)
         return BoundKernel(self, env)
 
     # ------------------------------------------------------------------
-    def _allocate_output(self, env: Dict[str, object], capacity: Optional[int]):
+    def _allocate_output(self, env: Dict[str, object], capacity: Optional[int]) -> None:
+        """Put the output's storage into ``env``: a compressed output's
+        capacity-sized arrays and the workspace's values and list come
+        from :func:`_reserve` uninitialised, because every destination
+        stores a slot before it reads it (DESIGN.md "Output storage");
+        what generated code reads first is initialised, with its reason."""
         dtype = codegen_c.np_dtype(self.ops.type)
         zero = self.ops.semiring.zero
         out = self.output
         if out is None:
+            # the scalar's one slot, refilled per call like a dense output
             env["out_vals"] = np.full(1, zero, dtype=dtype)
-            return {}
+            return
         if all(f == "dense" for f in out.formats):
+            # DenseDest accumulates into every slot; BoundKernel refills it
             size = int(np.prod(out.dims)) if out.dims else 1
             env["out_vals"] = np.full(size, zero, dtype=dtype)
             for k, d in enumerate(out.dims):
                 env[f"out_dim{k}"] = int(d)
-            return {}
+            return
         cap = capacity if capacity is not None else _default_capacity(out)
+        dcsr = out.formats == ("sparse", "sparse")
+        env["out_cap"] = cap
+        env["out_vals"] = _reserve(cap, dtype)
+        # a few bytes the wrapper reads back: a size is never garbage
+        env["out_size"] = np.zeros(2 if dcsr else 1, dtype=np.int64)
         if out.formats == ("sparse",):
-            env["out_crd0"] = np.zeros(cap, dtype=np.int64)
-            env["out_vals"] = np.full(cap, zero, dtype=dtype)
-            env["out_size"] = np.zeros(1, dtype=np.int64)
-            env["out_cap"] = cap
-        elif out.formats == ("dense", "sparse"):
+            env["out_crd0"] = _reserve(cap, np.int64)
+        elif dcsr:
+            rows = env["out_row_cap"] = min(out.dims[0], cap)
+            env["out_crd0"] = _reserve(rows, np.int64)
+            env["out_pos1"] = _reserve(rows + 1, np.int64)
+            env["out_crd1"] = _reserve(cap, np.int64)
+        else:
             env["out_dim0"] = int(out.dims[0])
-            env["out_pos1"] = np.zeros(out.dims[0] + 1, dtype=np.int64)
-            env["out_crd1"] = np.zeros(cap, dtype=np.int64)
-            env["out_vals"] = np.full(cap, zero, dtype=dtype)
-            env["out_size"] = np.zeros(1, dtype=np.int64)
-            env["out_cap"] = cap
-        elif out.formats == ("sparse", "sparse"):
-            row_cap = min(out.dims[0], cap)
-            env["out_crd0"] = np.zeros(row_cap, dtype=np.int64)
-            env["out_pos1"] = np.zeros(row_cap + 1, dtype=np.int64)
-            env["out_crd1"] = np.zeros(cap, dtype=np.int64)
-            env["out_vals"] = np.full(cap, zero, dtype=dtype)
-            env["out_size"] = np.zeros(2, dtype=np.int64)
-            env["out_cap"] = cap
-            env["out_row_cap"] = row_cap
-        else:  # pragma: no cover - rejected by OutputSpec
-            raise ShapeError(f"unsupported output formats {out.formats}")
+            env["out_pos1"] = _reserve(out.dims[0] + 1, np.int64)
+            env["out_crd1"] = _reserve(cap, np.int64)
         if self.ws_dim is not None:
-            env["out_ws_vals"] = np.full(self.ws_dim, zero, dtype=dtype)
+            env["out_ws_vals"] = _reserve(self.ws_dim, dtype)
+            # tested against 0 before a coordinate's first touch
             env["out_ws_mask"] = np.zeros(self.ws_dim, dtype=np.int64)
             # touched coordinates below, the sort's scratch above
-            env["out_ws_list"] = np.zeros(2 * self.ws_dim, dtype=np.int64)
-        return {}
+            env["out_ws_list"] = _reserve(2 * self.ws_dim, np.int64)
 
-    def _assemble_output(self, env: Dict[str, object], _marker):
+    def _assemble_output(self, env: Dict[str, object]):
+        """The result as views of the output storage (a sparse one
+        views its capacity buffers, resident only where written)."""
         out = self.output
         if out is None:
             return env["out_vals"][0].item()
@@ -722,60 +726,30 @@ class Kernel:
         if all(f == "dense" for f in out.formats):
             return Tensor(out.attrs, out.formats, out.dims, {}, {}, env["out_vals"], sr)
         sizes = env["out_size"]
-        if "out_cap" in env:
-            leaf_size = int(sizes[-1]) if out.formats == ("sparse", "sparse") else int(sizes[0])
-            if leaf_size > env["out_cap"]:
+        n = int(sizes[-1])
+        if n > env["out_cap"]:
+            raise CapacityError(
+                f"output needs {n} entries but capacity is "
+                f"{env['out_cap']}; re-run with a larger capacity=",
+                needed=n,
+                capacity=int(env["out_cap"]),
+            )
+        if out.formats == ("sparse",):
+            pos, crd = {0: np.array([0, n], dtype=np.int64)}, {0: env["out_crd0"][:n]}
+        elif out.formats == ("dense", "sparse"):
+            pos, crd = {1: env["out_pos1"]}, {1: env["out_crd1"][:n]}
+        else:
+            n0 = int(sizes[0])
+            if n0 > env["out_row_cap"]:
                 raise CapacityError(
-                    f"output needs {leaf_size} entries but capacity is "
-                    f"{env['out_cap']}; re-run with a larger capacity=",
-                    needed=leaf_size,
-                    capacity=int(env["out_cap"]),
-                )
-        if "out_row_cap" in env and out.formats == ("sparse", "sparse"):
-            if int(sizes[0]) > env["out_row_cap"]:
-                raise CapacityError(
-                    f"output needs {int(sizes[0])} rows but row capacity is "
+                    f"output needs {n0} rows but row capacity is "
                     f"{env['out_row_cap']}; re-run with a larger capacity=",
-                    needed=int(sizes[0]),
+                    needed=n0,
                     capacity=int(env["out_row_cap"]),
                 )
-        if out.formats == ("sparse",):
-            n = int(sizes[0])
-            return Tensor(
-                out.attrs,
-                out.formats,
-                out.dims,
-                {0: np.array([0, n], dtype=np.int64)},
-                {0: env["out_crd0"][:n]},
-                env["out_vals"][:n],
-                sr,
-            )
-        if out.formats == ("dense", "sparse"):
-            n = int(sizes[0])
-            return Tensor(
-                out.attrs,
-                out.formats,
-                out.dims,
-                {1: env["out_pos1"]},
-                {1: env["out_crd1"][:n]},
-                env["out_vals"][:n],
-                sr,
-            )
-        if out.formats == ("sparse", "sparse"):
-            n0, n1 = int(sizes[0]), int(sizes[1])
-            return Tensor(
-                out.attrs,
-                out.formats,
-                out.dims,
-                {
-                    0: np.array([0, n0], dtype=np.int64),
-                    1: env["out_pos1"][: n0 + 1],
-                },
-                {0: env["out_crd0"][:n0], 1: env["out_crd1"][:n1]},
-                env["out_vals"][:n1],
-                sr,
-            )
-        raise ShapeError(f"unsupported output formats {out.formats}")
+            pos = {0: np.array([0, n0], dtype=np.int64), 1: env["out_pos1"][: n0 + 1]}
+            crd = {0: env["out_crd0"][:n0], 1: env["out_crd1"][:n]}
+        return Tensor(out.attrs, out.formats, out.dims, pos, crd, env["out_vals"][:n], sr)
 
 
 class BoundKernel:
@@ -796,10 +770,8 @@ class BoundKernel:
         self._zero = kernel.ops.semiring.zero
 
     def __call__(self):
-        if self._dense_out is not None:
-            self._dense_out.fill(self._zero)
-        self.kernel._kernel(self.env)
-        return self.kernel._assemble_output(self.env, {})
+        self.run_only()
+        return self.result()
 
     def run_only(self) -> None:
         """Execute without assembling a result object (pure kernel time)."""
@@ -808,12 +780,25 @@ class BoundKernel:
         self.kernel._kernel(self.env)
 
     def result(self):
-        return self.kernel._assemble_output(self.env, {})
+        return self.kernel._assemble_output(self.env)
 
 
 def _default_capacity(out: OutputSpec) -> int:
     total = int(np.prod(out.dims)) if out.dims else 1
     return max(16, min(total, 1 << 22))
+
+
+def _reserve(n: int, dtype) -> np.ndarray:
+    """Output storage the kernel stores into before it reads it: left
+    uninitialised, so only written pages become resident.  One helper,
+    so a test can poison what it returns."""
+    return np.empty(n, dtype=dtype)
+
+
+#: the arrays a compressed output gets from :func:`_reserve` — the
+#: checked Python backend tracks which of their slots a call has stored
+_RESERVED = ("out_crd0", "out_pos1", "out_crd1", "out_vals", "out_ws_vals",
+             "out_ws_list")
 
 
 def _check_tensor(name: str, spec: TensorInput, tensor: Tensor) -> None:
@@ -1118,6 +1103,8 @@ class KernelBuilder:
         )
 
         backend_used = self.backend
+        sparse = output is not None and "sparse" in output.formats
+        reserved = _RESERVED if sparse else ()
         if self.backend == "c":
             try:
                 source = codegen_c.emit_kernel_source(name, params, decls, body)
@@ -1133,13 +1120,13 @@ class KernelBuilder:
                 backend_kernel = codegen_py.PyKernel(
                     name, params, decls, body,
                     vectorize=self.opt_level > 0 and not self.sanitize,
-                    checked=bool(self.sanitize),
+                    checked=bool(self.sanitize), reserved=reserved,
                 )
                 backend_used = "python"
         elif self.backend == "python":
             backend_kernel = codegen_py.PyKernel(
                 name, params, decls, body, vectorize=self.vectorize,
-                checked=bool(self.sanitize),
+                checked=bool(self.sanitize), reserved=reserved,
             )
         else:
             backend_kernel = InterpKernel(name, params, decls, body)

@@ -265,8 +265,9 @@ class WorkerPool:
                     None if deadline is None else deadline - time.monotonic()
                 )
                 if remaining is not None and remaining <= 0:
-                    raise PoolUnavailableError(
-                        "no pool worker became available in time"
+                    raise KernelTimeoutError(
+                        f"no pool worker became free within the call's "
+                        f"{timeout:.1f}s deadline", deadline=timeout,
                     )
                 self._have_idle.wait(
                     0.1 if remaining is None else min(remaining, 0.1)
@@ -352,11 +353,12 @@ class WorkerPool:
         Raises the worker's typed kernel error, or
         :class:`~repro.errors.KernelTimeoutError` /
         :class:`~repro.errors.KernelCrashError` after killing and
-        replacing the worker.
+        replacing the worker.  ``deadline`` covers the wait for a free
+        worker too.
         """
         threshold = shm.threshold_or_default(threshold)
         t_enter = time.monotonic()
-        w = self._acquire()
+        w = self._acquire(deadline)
         self.stats.calls += 1
         rname = shm.result_name()
         dead = False
@@ -371,7 +373,7 @@ class WorkerPool:
                 dead = True
                 raise self._worker_died(w, key, rname, cause=str(exc))
             try:
-                reply = self._await_reply(w, deadline, key, rname)
+                reply = self._await_reply(w, deadline, t_enter, key, rname)
             except (KernelCrashError, KernelTimeoutError):
                 dead = True
                 raise
@@ -391,10 +393,11 @@ class WorkerPool:
                 self._release(w)
 
     def _await_reply(self, w: _Worker, deadline: Optional[float],
-                     key: str, rname: str):
-        """Poll the worker's pipe; decode deadline/crash exactly like
-        the fork-per-call supervisor, then kill + replace."""
-        limit = None if deadline is None else time.monotonic() + deadline
+                     start: float, key: str, rname: str):
+        """Poll the worker's pipe until ``start + deadline``; decode
+        deadline/crash exactly like the fork-per-call supervisor, then
+        kill + replace."""
+        limit = None if deadline is None else start + deadline
         while True:
             if limit is not None and time.monotonic() >= limit:
                 with self._lock:

@@ -8,12 +8,14 @@ from repro import config
 from repro.compiler import codegen_c
 from repro.compiler.cache import kernel_cache_key
 from repro.compiler.codegen_py import PyKernel, _CheckedArray, emit_kernel_source
+from repro.compiler.dest import SparseLeafDest
 from repro.compiler.formats import Param
 from repro.compiler.ir import (
     EBinop,
     ELit,
     EVar,
     PAssign,
+    PIf,
     PSeq,
     PStore,
     PWhile,
@@ -27,6 +29,7 @@ from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.semirings import FLOAT
+from repro.workloads import sparse_matrix
 
 V = EVar
 
@@ -77,6 +80,16 @@ class TestCheckedArray:
     def test_oob_slice_raises(self):
         with pytest.raises(IndexError):
             self.arr()[2:9]
+
+    def test_reserved_array_reads_only_what_this_call_stored(self):
+        a = _CheckedArray("k", "a", np.full(4, np.nan), reserved=True)
+        with pytest.raises(ValueError, match=r"kernel 'k': read of unwritten a\[1\]"):
+            a[1]
+        a[0] = 2.0
+        a[1] = 3.0
+        assert a[1] == 3.0 and list(a[:2]) == [2.0, 3.0]
+        with pytest.raises(ValueError, match="unwritten"):
+            a[1:3]
 
 
 # ------------------------------------------------- checked kernel source
@@ -177,3 +190,61 @@ class TestBuildWiring:
                                  vectorize=True, checked=True)
         assert "_chk(" in chk
         assert "while " in chk  # the scalar loop survives
+
+
+# ------------------------------------------------ unwritten-slot detector
+def _inner_order_matmul():
+    """C(i,k) = Σ_j A(i,j)·B(k,j): the contraction sits below the
+    output's last level, so its sparse leaf pushes ⊕-zero into a fresh
+    slot and then accumulates into it."""
+    n = 6
+    ctx = TypeContext(Schema.of(i=range(n), k=range(n), j=range(n)),
+                      {"A": {"i", "j"}, "B": {"k", "j"}})
+    tensors = {
+        "A": sparse_matrix(n, n, 0.5, attrs=("i", "j"), seed=1),
+        "B": sparse_matrix(n, n, 0.5, attrs=("k", "j"), seed=2),
+    }
+    kernel = compile_kernel(
+        Sum("j", Var("A") * Var("B")), ctx, tensors,
+        OutputSpec(("i", "k"), ("dense", "sparse"), (n, n)),
+        backend="python", cache=False, name="san_inner_mmul",
+    )
+    return kernel, tensors
+
+
+def _dense(t):
+    out = np.zeros(t.dims)
+    for idx, val in t.to_dict().items():
+        out[idx] = val
+    return out
+
+
+class TestUnwrittenSlots:
+    def test_reserved_output_starts_poisoned(self):
+        # the session fixture in tests/conftest.py is active
+        kernel, tensors = _inner_order_matmul()
+        assert np.isnan(kernel.bind(tensors).env["out_vals"]).all()
+
+    def test_checked_kernel_tracks_reserved_outputs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "address")
+        kernel, tensors = _inner_order_matmul()
+        assert "_chk('san_inner_mmul', 'out_vals', out_vals, True)" in kernel.source
+        assert "_chk('san_inner_mmul', 'A_vals', A_vals)" in kernel.source
+        got = _dense(kernel.run(tensors))
+        assert np.allclose(got, _dense(tensors["A"]) @ _dense(tensors["B"]).T)
+
+    def test_dropped_zero_store_is_caught(self, monkeypatch):
+        """Mutation: without ``SparseLeafDest.push``'s ⊕-zero store the
+        first accumulation reads a slot nothing stored this call."""
+        push = SparseLeafDest.push
+
+        def push_without_zero(self, index):
+            pre, sub, post = push(self, index)
+            crd_store, _vals_store = pre.then.items
+            return PIf(pre.cond, crd_store), sub, post
+
+        monkeypatch.setattr(SparseLeafDest, "push", push_without_zero)
+        monkeypatch.setenv("REPRO_SANITIZE", "address")
+        kernel, tensors = _inner_order_matmul()
+        with pytest.raises(ValueError, match=r"'san_inner_mmul'.*unwritten out_vals\["):
+            kernel.run(tensors)

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.compiler import kernel as kernel_mod
 from repro.krelation import KRelation, Schema
 from repro.semirings import BOOL, FLOAT, INT, MAX_PLUS, MIN_PLUS, NAT
+
+#: what a reserved output slot holds until the kernel stores it, by dtype kind
+POISON = {"f": np.nan, "i": np.iinfo(np.int64).min, "b": True}
+
+
+@pytest.fixture(autouse=True, scope="session")
+def poisoned_output_storage():
+    """Output storage the kernel wrapper reserves uninitialised starts
+    poisoned for the whole run, so every suite that runs a kernel also
+    checks that it stores each slot before reading it."""
+    reserve = kernel_mod._reserve
+    kernel_mod._reserve = lambda n, dtype: np.full(
+        n, POISON[np.dtype(dtype).kind], dtype=dtype)
+    yield
+    kernel_mod._reserve = reserve
 
 
 @pytest.fixture

@@ -148,6 +148,28 @@ def test_wedged_worker_misses_deadline(pool):
     assert result == 42.0
 
 
+def test_wait_for_a_busy_pool_honours_the_deadline(pool):
+    """With the one worker held by a wedged call, a second call's
+    deadline runs out while it waits for a worker: a typed timeout, and
+    no worker is killed for it."""
+    import threading
+
+    held = threading.Thread(target=lambda: pytest.raises(
+        KernelTimeoutError, _call, pool, FaultKernel("sleep"), deadline=1.0))
+    held.start()
+    while not pool._busy:
+        time.sleep(0.005)
+    t0 = time.monotonic()
+    with pytest.raises(KernelTimeoutError) as err:
+        _call(pool, FaultKernel("ok"), deadline=0.3)
+    assert time.monotonic() - t0 < 0.6
+    assert err.value.deadline == pytest.approx(0.3)
+    assert pool.stats.replaced == 0
+    held.join(10)
+    assert not held.is_alive()
+    assert pool.stats.replaced == 1  # the wedged call's own deadline
+
+
 def test_hung_warm_up_is_bounded_and_replaces_the_worker(pool):
     """Warm-up waits under the pool lock, so it is bounded: a worker
     whose build never returns is killed and replaced, the call gets the
