@@ -4,7 +4,10 @@ Tier 1 is an in-memory memo from a canonical build key to the finished
 :class:`~repro.compiler.kernel.Kernel`, so loops that rebuild an
 identical kernel (benchmark harnesses, repeated ``compile_kernel``
 calls) get the compiled artifact back without re-running
-lower → compile → optimize → codegen.
+lower → compile → optimize → codegen.  It is a least-recently-used
+table of :data:`MEMO_ENTRIES` kernels: a process keeps the kernels it
+uses, not every kernel it ever built.  A miss past the bound costs a
+tier-2 restore, not a compile (DESIGN.md "Optimizer & kernel cache").
 
 Tier 2 generalizes the shared-object cache in ``codegen_c._build`` to
 every source-emitting backend: the emitted source plus the metadata
@@ -45,6 +48,7 @@ import hashlib
 import json
 import tempfile
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -53,7 +57,12 @@ from repro import config
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
-CACHE_VERSION = 5  # v5: skips are PSearch (a _skip_gal call when binary), PSort calls _sort_i64 and wants a list of 2 x dim
+CACHE_VERSION = 6  # v6: a payload carries the capacity lint's findings
+
+#: tier 1's bound: about twice the largest working set a benchmark
+#: workload has (30 keys: ``lib_dispatch`` / ``lib_kernel``'s three
+#: set-up repetitions of ten kernels)
+MEMO_ENTRIES = 64
 
 
 def default_cache_dir() -> Path:
@@ -85,21 +94,25 @@ class KernelCache:
 
     def __init__(self, cache_dir: Optional[Path] = None) -> None:
         self._lock = threading.Lock()
-        self._memo: Dict[str, Any] = {}
+        self._memo: "OrderedDict[str, Any]" = OrderedDict()
         self._cache_dir = cache_dir
         self.stats = CacheStats()
 
-    # -- tier 1: in-memory -------------------------------------------------
+    # -- tier 1: in-memory, the least recently used entry goes first -------
     def lookup(self, key: str) -> Any:
         with self._lock:
             kernel = self._memo.get(key)
             if kernel is not None:
+                self._memo.move_to_end(key)
                 self.stats.memory_hits += 1
             return kernel
 
     def store(self, key: str, kernel: Any) -> None:
         with self._lock:
             self._memo[key] = kernel
+            self._memo.move_to_end(key)
+            if len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
 
     def record_miss(self) -> None:
         with self._lock:

@@ -8,12 +8,14 @@ pipeline shape as the paper's Lean → C → Clang -O3 evaluation.
 
 from __future__ import annotations
 
+import _ctypes
 import hashlib
 import math
 import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from ctypes import CDLL, POINTER, c_bool, c_double, c_int64
 from typing import Dict, List, Sequence, Set
 
@@ -274,7 +276,12 @@ class CKernel:
         )
 
 
-_CACHE: Dict[str, CDLL] = {}
+#: the loaded shared object of each source hash, while a kernel can
+#: call it.  A ``CDLL`` and the function pointer it caches refer to each
+#: other, so a handle is closed at the collection that frees its last
+#: ``CKernel`` — never while anything that can call into it is alive,
+#: and never at exit, where a daemon thread may still be inside a kernel
+_CACHE: "weakref.WeakValueDictionary[str, CDLL]" = weakref.WeakValueDictionary()
 
 
 def _sanitizer_flags() -> List[str]:
@@ -387,8 +394,9 @@ def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
     tag = ",".join(config.get("REPRO_SANITIZE"))
     keyed = f"sanitize={tag}\x00{source}" if tag else source
     key = hashlib.sha256(keyed.encode()).hexdigest()[:16]
-    if key in _CACHE:
-        return _CACHE[key]
+    lib = _CACHE.get(key)
+    if lib is not None:
+        return lib
     cache_dir = resilience.usable_cache_dir(cache_dir or str(default_cache_dir()))
     c_path = os.path.join(cache_dir, f"{name}_{key}.c")
     so_path = os.path.join(cache_dir, f"{name}_{key}.so")
@@ -422,5 +430,6 @@ def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
                 f"shared object {so_path} unloadable even after rebuild: {exc2}",
                 path=so_path,
             ) from exc2
+    weakref.finalize(lib, _ctypes.dlclose, lib._handle).atexit = False
     _CACHE[key] = lib
     return lib

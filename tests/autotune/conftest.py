@@ -9,6 +9,8 @@ rest of the suite.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.autotune import reset_profile_cache
@@ -25,7 +27,7 @@ def isolated_tune_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(kcache_dir))
     monkeypatch.setenv("REPRO_TUNE_CACHE_DIR", str(tune_dir))
     monkeypatch.delenv("REPRO_TUNE", raising=False)
-    monkeypatch.setattr(codegen_c, "_CACHE", {})
+    monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     monkeypatch.setattr(kernel_mod, "kernel_cache",
                         KernelCache(cache_dir=kcache_dir))
     reset_profile_cache()

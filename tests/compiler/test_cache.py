@@ -4,22 +4,36 @@ Each test swaps in a fresh :class:`KernelCache` (pointed at a tmp dir)
 for the process-wide singleton so counters are deterministic and no
 state leaks between tests."""
 
+import gc
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+from repro import config
 from repro.compiler import cache as cache_mod
 from repro.compiler import kernel as kernel_mod
-from repro.compiler.cache import KernelCache, kernel_cache_key
+from repro.compiler.analysis.intervals import BoundsFinding
+from repro.compiler.cache import MEMO_ENTRIES, KernelCache, kernel_cache_key
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
+from repro.runtime.policy import resolve
 from repro.semirings import INT
 
 N = 12
 SCHEMA = Schema.of(i=range(N), j=range(N))
+
+requires_cc = pytest.mark.skipif(
+    shutil.which(config.get("REPRO_GCC")) is None,
+    reason="configured C toolchain required",
+)
 
 
 @pytest.fixture
@@ -148,3 +162,118 @@ def test_key_is_canonical():
     assert k1 == k2
     k3 = kernel_cache_key(expr, specs, out, **{**kwargs, "opt_level": 0})
     assert k3 != k1
+
+
+# ----------------------------------------------------------------------
+# tier 1 is bounded; a shared object lives as long as a kernel can call it
+# ----------------------------------------------------------------------
+def _mapped(name):
+    """The kernel ``name``'s shared objects mapped into this process."""
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-1] for line in maps
+                if f"/{name}_" in line and line.rstrip().endswith(".so")}
+
+
+def test_memo_keeps_the_most_recent_entries(fresh_cache):
+    ctx, expr, out, tensors = _spmv()
+    for i in range(MEMO_ENTRIES + 8):
+        compile_kernel(expr, ctx, tensors, out, backend="python", name=f"lru_{i}")
+    assert len(fresh_cache._memo) == MEMO_ENTRIES
+    assert fresh_cache.stats.misses == MEMO_ENTRIES + 8
+    # past the bound a miss is a disk-tier restore, not a compile
+    compile_kernel(expr, ctx, tensors, out, backend="python", name="lru_0")
+    assert fresh_cache.stats.disk_hits == 1
+    assert fresh_cache.stats.misses == MEMO_ENTRIES + 8
+
+
+def test_lookup_protects_an_entry_from_eviction(tmp_path):
+    kc = KernelCache(cache_dir=tmp_path)
+    for i in range(MEMO_ENTRIES):
+        kc.store(f"k{i}", f"kernel {i}")
+    assert kc.lookup("k0") == "kernel 0"
+    kc.store("new", "kernel new")
+    assert len(kc._memo) == MEMO_ENTRIES
+    assert kc.lookup("k0") == "kernel 0"
+    assert kc.lookup("k1") is None
+
+
+@requires_cc
+def test_evicted_c_kernel_a_caller_holds_still_runs(fresh_cache):
+    ctx, expr, out, tensors = _spmv()
+    held = compile_kernel(expr, ctx, tensors, out, backend="c", name="held_c")
+    for i in range(MEMO_ENTRIES):
+        fresh_cache.store(f"filler{i}", object())
+    assert fresh_cache.lookup(held.cache_key) is None
+    gc.collect()
+    twin = compile_kernel(expr, ctx, tensors, out, backend="python", name="held_c")
+    assert np.array_equal(held.run(tensors).vals, twin.run(tensors).vals)
+
+
+@requires_cc
+def test_shared_object_is_unloaded_with_its_last_kernel(fresh_cache):
+    ctx, expr, out, tensors = _spmv()
+    held = compile_kernel(expr, ctx, tensors, out, backend="c", name="so_held")
+    dropped = compile_kernel(expr, ctx, tensors, out, backend="c", name="so_dropped")
+    assert _mapped("so_held") and _mapped("so_dropped")
+    fresh_cache.clear()
+    del dropped
+    gc.collect()
+    assert not _mapped("so_dropped")
+    assert _mapped("so_held")
+    assert held.run(tensors).vals.any()
+
+
+_EXIT_INSIDE_A_KERNEL = textwrap.dedent("""
+    import threading, time
+    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.krelation import Schema
+    from repro.lang import Sum, TypeContext, Var
+    from repro.workloads import dense_matrix
+
+    n = 240
+    tensors = {"A": dense_matrix(n, n, ("i", "j"), seed=1),
+               "B": dense_matrix(n, n, ("j", "k"), seed=2)}
+    ctx = TypeContext(Schema.of(i=None, j=None, k=None),
+                      {"A": {"i", "j"}, "B": {"j", "k"}})
+    kernel = compile_kernel(Sum("j", Var("A") * Var("B")), ctx, tensors,
+                            OutputSpec(("i", "k"), ("dense", "dense"), (n, n)),
+                            backend="c", name="exit_mid_call")
+    calling = threading.Event()
+
+    def spin():
+        calling.set()
+        while True:
+            kernel.run(tensors, parallel=False, supervised=False)
+
+    threading.Thread(target=spin, daemon=True).start()
+    calling.wait()
+    time.sleep(0.2)
+""")
+
+
+@requires_cc
+def test_exit_while_a_daemon_thread_is_inside_a_kernel(tmp_path):
+    """The interpreter exits while a daemon thread runs C code of a
+    loaded kernel: its shared object must stay mapped to the end."""
+    env = dict(os.environ, REPRO_KERNEL_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _EXIT_INSIDE_A_KERNEL],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
+@requires_cc
+def test_restored_kernel_keeps_its_lint_verdict(fresh_cache, monkeypatch):
+    unproven = BoundsFinding("out_vals", "p", "out_vals[p] = v", False,
+                             "upper bound unproven")
+    monkeypatch.setattr(kernel_mod, "lint_bounds", lambda *a, **kw: [unproven])
+    monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+    ctx, expr, out, tensors = _spmv()
+    built = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")
+    assert built.needs_guard
+    fresh_cache.clear()
+    restored = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")
+    assert fresh_cache.stats.disk_hits == 1 and restored is not built
+    assert restored.needs_guard
+    assert restored.capacity_findings == [unproven]
+    assert resolve(restored).supervised

@@ -261,3 +261,19 @@ def test_bound_kernel_sparse_output_rerun():
     kernel = compile_kernel(Var("x") + Var("y"), ctx, tensors, out, name="e2e_bound3")
     bound = kernel.bind(tensors, capacity=2 * N)
     assert bound().to_dict() == bound().to_dict()
+
+
+@pytest.mark.parametrize("formats, dims", [(("dense",), (1024,)),
+                                           (("dense", "dense"), (32, 32))])
+def test_bound_dense_output_is_cache_line_aligned(formats, dims):
+    """A dense output of 512 items or more starts on a 64-B line."""
+    attrs = ("i", "j")[:len(formats)]
+    ctx = TypeContext(Schema.of(i=None, j=None), {"x": set(attrs)})
+    x = (sparse_vector(dims[0], 0.3, seed=40) if len(dims) == 1
+         else sparse_matrix(*dims, 0.3, attrs=attrs, seed=40))
+    kernel = compile_kernel(Var("x") * Lit(2.0), ctx, {"x": x},
+                            OutputSpec(attrs, formats, dims), backend="interp",
+                            name="e2e_align")
+    vals = kernel.bind({"x": x}).env["out_vals"]
+    assert vals.size == int(np.prod(dims))
+    assert vals.ctypes.data % 64 == 0

@@ -17,10 +17,17 @@ POISON = {"f": np.nan, "i": np.iinfo(np.int64).min, "b": True}
 def poisoned_output_storage():
     """Output storage the kernel wrapper reserves uninitialised starts
     poisoned for the whole run, so every suite that runs a kernel also
-    checks that it stores each slot before reading it."""
+    checks that it stores each slot before reading it.  It wraps the
+    real allocation, so tests run on the storage a kernel gets outside
+    them."""
     reserve = kernel_mod._reserve
-    kernel_mod._reserve = lambda n, dtype: np.full(
-        n, POISON[np.dtype(dtype).kind], dtype=dtype)
+
+    def poisoned(n, dtype):
+        arr = reserve(n, dtype)
+        arr.fill(POISON[arr.dtype.kind])
+        return arr
+
+    kernel_mod._reserve = poisoned
     yield
     kernel_mod._reserve = reserve
 

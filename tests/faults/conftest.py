@@ -13,6 +13,7 @@ artifacts.
 from __future__ import annotations
 
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def isolated_build_state(tmp_path, monkeypatch):
     process-wide memo state."""
     cache_dir = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
-    monkeypatch.setattr(codegen_c, "_CACHE", {})
+    monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     kc = KernelCache(cache_dir=cache_dir)
     monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
     resilience.reset_probe_cache()

@@ -7,6 +7,8 @@ cannot collide with, or warm up from, other tests' artifacts.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.compiler import codegen_c
@@ -19,7 +21,7 @@ from repro.compiler.cache import KernelCache
 def isolated_build_state(tmp_path, monkeypatch):
     cache_dir = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
-    monkeypatch.setattr(codegen_c, "_CACHE", {})
+    monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     kc = KernelCache(cache_dir=cache_dir)
     monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
     resilience.reset_probe_cache()

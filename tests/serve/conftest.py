@@ -7,6 +7,8 @@ guarantees every booted server is drained before the test ends.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.compiler import codegen_c
@@ -22,7 +24,7 @@ from tests.serve.harness import ServerHarness
 def isolated_build_state(tmp_path, monkeypatch):
     cache_dir = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
-    monkeypatch.setattr(codegen_c, "_CACHE", {})
+    monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     kc = KernelCache(cache_dir=cache_dir)
     monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
     resilience.reset_probe_cache()
