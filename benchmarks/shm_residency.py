@@ -1,16 +1,17 @@
-"""EXPERIMENTS.md E15's two side tables, for whichever tree it is run in
-(``cd <checkout> && python <this file> [--trim]``):
+"""EXPERIMENTS.md E15's two side tables and E21's phase table, for
+whichever tree it is run in (``cd <checkout> && python <this file>
+[--trim]``):
 
-* the phase trace — ``RssAnon`` / ``RssShmem`` / peak of this process
-  after each phase of ``bench``'s ``job_sharded`` workload (generate →
-  set-up → one round of every cell).  ``--trim`` calls
-  ``malloc_trim(0)`` before every reading, which shows what the heap
-  holds rather than what glibc has kept of it;
+* the phase trace — ``RssAnon`` / ``RssShmem`` / peak (``VmHWM``) of
+  this process, and of each pool worker once the pool is open, after
+  each phase of ``bench``'s ``job_sharded`` workload (generate → set-up
+  → one round of every cell).  ``--trim`` calls ``malloc_trim(0)`` in
+  this process before every reading, which shows what its heap holds
+  rather than what glibc has kept of it (the runtime itself trims only
+  around an export, a merge and a fork: ``shm._give_back``);
 * the journal split — what one durable ``add`` job pays, by part:
   operand fingerprints, framing the partials, their SHA-256, and the
   rest of ``write_shard`` (temp file, page-cache copy, rename).
-
-Measuring script only: nothing in ``src/`` trims the heap.
 """
 
 from __future__ import annotations
@@ -28,10 +29,19 @@ import time
 sys.path[:0] = [os.getcwd(), os.path.join(os.getcwd(), "src")]
 
 
-def status_mb(*fields: str):
-    with open("/proc/self/status") as f:
+def status_mb(*fields: str, pid="self"):
+    with open(f"/proc/{pid}/status") as f:
         rows = dict(line.split(":", 1) for line in f)
     return [int(rows[k].split()[0]) / 1024.0 for k in fields]
+
+
+def worker_pids():
+    from repro.runtime import pool
+
+    shared = pool._shared
+    if shared is None or shared.closed:
+        return []
+    return sorted(w.proc.pid for w in [*shared._idle, *shared._busy])
 
 
 def median_ms(fn, reps: int = 30) -> float:
@@ -59,13 +69,18 @@ def main() -> None:
     def reading(phase: str) -> None:
         if args.trim:
             libc.malloc_trim(0)
-        anon, shmem, peak = status_mb("RssAnon", "RssShmem", "VmHWM")
-        print(f"{phase:<12}{anon:>10.1f}{shmem:>10.1f}{peak:>10.1f}")
+        for who, pid in [("parent", "self"), *(
+                (f"worker {i}", p) for i, p in enumerate(worker_pids()))]:
+            anon, shmem, peak = status_mb(
+                "RssAnon", "RssShmem", "VmHWM", pid=pid)
+            print(f"{phase:<12}{who:<10}{anon:>10.1f}{shmem:>10.1f}"
+                  f"{peak:>10.1f}")
 
     from bench.workloads import load
 
     workload = load("job_sharded")
-    print(f"{'phase':<12}{'RssAnon':>10}{'RssShmem':>10}{'VmHWM':>10}   (MB)")
+    print(f"{'phase':<12}{'process':<10}{'RssAnon':>10}{'RssShmem':>10}"
+          f"{'VmHWM':>10}   (MB)")
     reading("import")
     workload.generate(args.seed, smoke=False)
     reading("generate")

@@ -144,9 +144,9 @@ _ROWS = (
     Knob("REPRO_SHM_THRESHOLD", "int", 16384,
          "minimum tensor size (bytes) for shared-memory transport — smaller "
          "operands/results pickle faster than they map. An operand at or "
-         "above it is *moved* on its first pooled call: its `vals`/`pos`/"
-         "`crd` become read-only views of the segment, the heap copies are "
-         "dropped, and it stays resident once (`0` moves everything)",
+         "above it is *moved* on its first pooled call, before a worker forks: "
+         "its arrays become read-only segment views, their heap copies go — "
+         "from 1 MB, pages too (`0` moves everything; full `/dev/shm`: inline)",
          minimum=0),
     Knob("REPRO_BREAKER_THRESHOLD", "int", 3,
          "consecutive supervised crashes/timeouts before the circuit breaker "

@@ -194,13 +194,13 @@ def run_shards(
         )
 
     executor = policy.executor
-    ex = get_shared_executor(executor, policy.workers)
-    # operands move to shared memory before anything reads them: shards
-    # sliced from here on are windows, fingerprints are taken once
+    # operands move to shared memory before anything reads them or the
+    # pool forks: shards are windows, fingerprints taken once, no heap copy
     exports = {
         name: shm.export_tensor(t, policy.threshold)
         for name, t in tensors.items()
-    } if ex.name == "pool" else {}
+    } if executor == "pool" else {}
+    ex = get_shared_executor(executor, policy.workers)
 
     durable, budget_mb = policy.durable, policy.budget_mb
     journal: Optional[JobJournal] = None

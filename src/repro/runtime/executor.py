@@ -51,6 +51,7 @@ from typing import Callable, Optional
 
 from repro import config
 from repro.compiler.resilience import logger
+from repro.runtime import shm
 from repro.runtime.policy import worker_count
 
 
@@ -311,5 +312,6 @@ def _forget_inherited_runtime() -> None:
         sys.modules["repro.runtime.pool"]._shared = None
 
 
-os.register_at_fork(after_in_child=_forget_inherited_runtime)
+os.register_at_fork(before=shm._give_back,
+                    after_in_child=_forget_inherited_runtime)
 atexit.register(shutdown_shared_runtime)

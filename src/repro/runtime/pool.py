@@ -563,28 +563,27 @@ def dispatch(
     *before* they were sliced: a shard's arrays are views into them and
     travel as byte windows, so the per-shard pipe payload is a few
     hundred bytes of descriptor regardless of operand size.  An operand
-    it does not name is exported here.
+    it does not name is exported here, before the pool forks.
     """
     if kernel.recipe is None:
         raise PoolUnavailableError(
             f"kernel {kernel.name!r} has no rebuild recipe"
         )
+    exports = exports or {}
+    refs = [
+        {name: shm.describe_tensor(
+            t, exports.get(name) or shm.export_tensor(t, policy.threshold))
+         for name, t in tensors.items()}
+        for tensors in shard_inputs
+    ]
     pool = get_shared_pool(workers)
     key = pool_key(kernel)
     pool.register_recipe(key, kernel.recipe, policy.deadline)
-    exports = exports or {}
-    calls = []
-    for tensors, dims in zip(shard_inputs, shard_dims):
-        refs = {
-            name: shm.describe_tensor(
-                t, exports.get(name) or shm.export_tensor(t, policy.threshold))
-            for name, t in tensors.items()
-        }
-        calls.append(submit(
-            pool.run_call, key, refs, dims, capacity, auto_grow,
-            max_capacity, policy.deadline, policy.threshold,
-        ))
-    return calls
+    return [
+        submit(pool.run_call, key, r, dims, capacity, auto_grow,
+               max_capacity, policy.deadline, policy.threshold)
+        for r, dims in zip(refs, shard_dims)
+    ]
 
 
 def pooled(kernel, tensors, capacity, policy: ExecutionPolicy, *,

@@ -7,11 +7,13 @@ deserialized fresh copies.  This module replaces that with
 picklable *descriptors*:
 
 * the parent *moves* a tensor's backing arrays into one segment
-  (:func:`export_tensor`, cached on the tensor object): they are copied
-  in once, the tensor's ``vals``/``pos``/``crd`` are rebound to
-  read-only views over the segment and the heap arrays are dropped —
-  an operand is resident once, and in-process runs, shards, the job
-  journal's fingerprint and pooled workers all read the same pages;
+  (:func:`export_tensor`, cached on the tensor object), array by array,
+  dropping each heap copy — from ``_TRIM_BYTES``, its pages too (glibc
+  keeps freed heap resident: :func:`_give_back`) — so an operand is
+  resident once: in-process runs, shards, the journal's fingerprint and
+  pooled workers read the same pages.  Export, then fork: a forked
+  worker maps the parent's heap for life, so operands move before the
+  pool opens and every ``os.fork`` starts from a trimmed heap;
 * per-shard operand views are described, not copied —
   :func:`describe_tensor` maps each numpy view that lies inside the
   segment onto a byte window of it (``slice_outer`` returns views of
@@ -56,6 +58,7 @@ mapping then lives exactly as long as the views, which is the point.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import os
 import threading
 import weakref
@@ -66,10 +69,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import config
+from repro.compiler.resilience import logger
 from repro.data.tensor import Tensor
 
 #: alignment of each packed array inside a segment (cache-line)
 _ALIGN = 64
+
+#: dropped bytes from which a trim pays: below, the freed chunks are reused
+#: by the next allocation (a served operand, 80–270 KB, is never trimmed)
+_TRIM_BYTES = 1 << 20
 
 #: attribute under which a tensor memoizes its export
 _EXPORT_ATTR = "_repro_shm_export"
@@ -82,6 +90,7 @@ _seq_lock = threading.Lock()
 _seq = 0
 #: one export per tensor, also when two threads ask at once
 _export_lock = threading.Lock()
+_warned_full = False  # a full /dev/shm is logged once per process
 
 
 def _fresh_name(tag: str = "") -> str:
@@ -120,6 +129,19 @@ def _unlink_quiet(seg: shared_memory.SharedMemory) -> None:
         seg.unlink()
     except OSError:  # already gone (FileNotFoundError) or not ours to remove
         pass
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # not glibc: musl, macOS
+    _malloc_trim = None
+
+
+def _give_back(freed: int = _TRIM_BYTES) -> None:
+    """Give the heap's free pages (never live data) back to the OS."""
+    if freed >= _TRIM_BYTES and _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 # ----------------------------------------------------------------------
@@ -171,17 +193,12 @@ class TensorExport:
     parent is the unlink owner (tensor finalizer + atexit sweep).
     """
 
-    def __init__(self, tensor: Tensor) -> None:
-        self.name = _fresh_name()
-        self.segment, ref = _pack(tensor, self.name)
+    def __init__(self, segment: shared_memory.SharedMemory) -> None:
+        self.name, self.segment = segment.name, segment
         self._base = _addr(np.frombuffer(self.segment.buf, dtype=np.uint8))
         self.memo: Dict[str, object] = {}
         self._released = False
         self._owner = os.getpid()
-        moved = _views(ref, self.segment)
-        for view in _tensor_arrays(moved):
-            view.flags.writeable = False
-        tensor.vals, tensor.pos, tensor.crd = moved.vals, moved.pos, moved.crd
 
     def locate(self, arr: np.ndarray) -> Optional[int]:
         """Segment offset of a view into the exported arrays, or None
@@ -209,10 +226,16 @@ def _tensor_arrays(t: Tensor) -> List[np.ndarray]:
     return [t.vals, *t.pos.values(), *t.crd.values()]
 
 
-def _pack(tensor: Tensor,
-          name: str) -> Tuple[shared_memory.SharedMemory, "TensorRef"]:
+def _pack(tensor: Tensor, name: str, move: bool = False,
+          ) -> Optional[Tuple[shared_memory.SharedMemory, "TensorRef"]]:
     """Create segment ``name`` holding a copy of ``tensor``'s arrays
-    back to back (cache-line aligned), each described as a window."""
+    back to back (cache-line aligned), each described as a window —
+    the one place a segment is created.  ``move`` rebinds each array to
+    its read-only window once copied, into new ``pos``/``crd`` dicts (a
+    slice or copy may share the old ones), and gives the free heap back
+    before the first copy and after the last drop.  None, the segment
+    removed and the tensor untouched, when ``/dev/shm`` cannot back it."""
+    global _warned_full
     total = 0
 
     def place(arr: np.ndarray) -> ArrayRef:
@@ -223,9 +246,38 @@ def _pack(tensor: Tensor,
     ref = _ref_each(tensor, name, place)
     seg = shared_memory.SharedMemory(name=name, create=True,
                                      size=max(1, total))
-    for aref, arr in zip(ref.refs(), _tensor_arrays(tensor)):
-        _window(seg, aref)[:] = arr
-    return seg, ref
+
+    def copy(aref: ArrayRef, arr: np.ndarray) -> np.ndarray:
+        view = _window(seg, aref)
+        view[:] = arr
+        view.flags.writeable = not move
+        return view
+    try:
+        # tmpfs backs a page at its first write (SIGBUS when full): reserve
+        if hasattr(os, "posix_fallocate"):  # not on macOS
+            os.posix_fallocate(seg._fd, 0, seg.size)
+        if not move:
+            for aref, arr in zip(ref.refs(), _tensor_arrays(tensor)):
+                copy(aref, arr)
+            return seg, ref
+        _give_back(total)
+        tensor.vals = copy(ref.vals, tensor.vals)
+        for k, aref in ref.pos.items():
+            tensor.pos = {**tensor.pos, k: copy(aref, tensor.pos[k])}
+        for k, aref in ref.crd.items():
+            tensor.crd = {**tensor.crd, k: copy(aref, tensor.crd[k])}
+        _give_back(total)
+        return seg, ref
+    except BaseException as exc:
+        _unlink_quiet(seg)
+        _close_quiet(seg)
+        if not isinstance(exc, OSError):  # ENOSPC, EFBIG
+            raise
+        if not _warned_full:
+            _warned_full = True
+            logger.warning("shared memory is full (%s): operands and "
+                           "results that do not fit travel inline", exc)
+        return None
 
 
 def _ref_each(tensor: Tensor, segment: Optional[str], each) -> "TensorRef":
@@ -274,10 +326,10 @@ def export_tensor(tensor: Tensor, threshold: Optional[int] = None,
 
     Returns None when the tensor is smaller than the shm threshold
     (``REPRO_SHM_THRESHOLD``) — small operands pickle faster than they
-    map.  Afterwards the tensor reads the segment's pages through
-    read-only views and the arrays it held before are dropped, so
-    slice a tensor (``slice_outer``) *after* exporting it: an earlier
-    slice still views, and keeps alive, the old arrays.
+    map — or when ``/dev/shm`` is full.  Afterwards the tensor reads the
+    segment through read-only views and its old arrays are dropped
+    (from ``_TRIM_BYTES``, their pages too), so slice a tensor or fork
+    a pool *after* exporting it: an earlier slice or worker keeps them.
     """
     with _export_lock:
         cached = getattr(tensor, _EXPORT_ATTR, None)
@@ -285,7 +337,10 @@ def export_tensor(tensor: Tensor, threshold: Optional[int] = None,
             return cached
         if tensor_bytes(tensor) < threshold_or_default(threshold):
             return None
-        export = TensorExport(tensor)
+        packed = _pack(tensor, _fresh_name(), move=True)
+        if packed is None:
+            return None
+        export = TensorExport(packed[0])
         _EXPORTS[export.name] = export
         setattr(tensor, _EXPORT_ATTR, export)
         weakref.finalize(tensor, TensorExport.release, export)
@@ -380,9 +435,11 @@ def export_result(result: object, name: str,
     segment ``name``; small results and scalars return inline."""
     if not isinstance(result, Tensor) or tensor_bytes(result) < threshold:
         return ("val", result)
-    seg, ref = _pack(result, name)
-    _close_quiet(seg)  # the parent holds the unlink; our mapping is done
-    return ("ref", ref)
+    packed = _pack(result, name)
+    if packed is None:
+        return ("val", result)
+    _close_quiet(packed[0])  # the parent unlinks; our mapping is done
+    return ("ref", packed[1])
 
 
 def adopt_result(payload: ResultPayload) -> object:

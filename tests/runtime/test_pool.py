@@ -273,6 +273,33 @@ def test_exported_operands_agree_on_every_route(tmp_path, monkeypatch):
     assert shm_entries() == before
 
 
+@pytest.mark.parametrize("route", ["run_sharded", "run_pooled"])
+def test_operands_are_exported_before_the_pool_forks(monkeypatch, route):
+    """A worker forked before an operand moved would map its heap copy
+    for life: the first pooled call exports, then opens the pool."""
+    from repro.runtime.executor import shutdown_shared_runtime
+
+    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
+    shutdown_shared_runtime()   # no pool, no cached pool executor
+    kernel, tensors = spmv_kernel(name=f"pool_export_first_{route}")
+    seen = []
+    init = pool_mod.WorkerPool.__init__
+
+    def spy(self, *args, **kw):
+        seen.append([getattr(t, shm._EXPORT_ATTR, None)
+                     for t in tensors.values()])
+        init(self, *args, **kw)
+    monkeypatch.setattr(pool_mod.WorkerPool, "__init__", spy)
+    if route == "run_sharded":
+        got = kernel.run_sharded(tensors, executor="pool", shards=3,
+                                 workers=2)
+    else:
+        got = pool_mod.run_pooled(kernel, tensors)
+    np.testing.assert_allclose(np.asarray(got.vals), expected(tensors))
+    assert len(seen) == 1 and all(e is not None for e in seen[0])
+    shutdown_shared_runtime()
+
+
 def test_run_batch_pool_executor():
     from repro.runtime.api import run_batch
 
@@ -419,3 +446,17 @@ def test_second_forked_pool_shuts_down_at_once(monkeypatch):
         shutdown_shared_runtime()
         assert time.monotonic() - t0 < 0.5
         assert [p.exitcode for p in procs] == [0, 0]
+
+
+@needs_fork
+def test_fork_starts_from_a_trimmed_heap(monkeypatch):
+    """Every ``os.fork`` gives the parent's free heap back first: a child
+    maps the heap as it is at the fork, and a later trim in the parent
+    cannot free a page the child still maps."""
+    trims = []
+    monkeypatch.setattr(shm, "_malloc_trim", trims.append)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert trims == [0]

@@ -9,6 +9,8 @@ The invariants under test mirror the ownership rules documented in
 
 from __future__ import annotations
 
+import copy
+import errno
 import gc
 import os
 import weakref
@@ -16,8 +18,9 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.data.tensor import Tensor
 from repro.runtime import shm
-from repro.workloads import sparse_matrix
+from repro.workloads import dense_vector, sparse_matrix
 
 
 def shm_entries():
@@ -146,6 +149,91 @@ def test_export_moves_the_arrays_into_the_segment():
     # a shard cut from the moved tensor is a window, not a payload
     shard = shm.describe_tensor(A.slice_outer(1, A.dims[0] - 1), export)
     assert shard.vals.offset > 0 and shard.crd[1].offset > 0
+
+
+def test_export_leaves_an_earlier_slice_and_shared_dicts_alone():
+    """The move rebinds the tensor to new ``pos``/``crd`` dicts, array by
+    array: a slice cut before the export keeps viewing its heap arrays,
+    and a copy that shares the old dicts still finds them unchanged."""
+    A = big_matrix()
+    shard = A.slice_outer(1, A.dims[0] - 1)
+    alias = copy.copy(A)
+    pos, crd = A.pos, A.crd
+    held = [*pos.values(), *crd.values()]
+    want = [a.copy() for a in shm._tensor_arrays(shard)]
+    export = shm.export_tensor(A, threshold=0)
+    assert A.pos is not pos and A.crd is not crd
+    assert alias.pos is pos and alias.crd is crd
+    assert all(a is b for a, b in zip([*pos.values(), *crd.values()], held))
+    assert all(export.locate(a) is None for a in held)
+    for arr, expected in zip(shm._tensor_arrays(shard), want):
+        assert export.locate(arr) is None and arr.flags.writeable
+        np.testing.assert_array_equal(arr, expected)
+
+
+def rss_anon_bytes():
+    with open("/proc/self/status") as f:
+        rows = dict(line.split(":", 1) for line in f)
+    return int(rows["RssAnon"].split()[0]) * 1024
+
+
+@pytest.mark.skipif(shm._malloc_trim is None,
+                    reason="needs glibc's malloc_trim")
+def test_export_gives_the_heap_copy_back():
+    """An operand built the way ``bench/datagen`` builds one — after a
+    larger temporary was freed, which raises glibc's mmap threshold —
+    lives in heap chunks, and glibc keeps freed chunks resident.  The
+    export gives them back, so the operand is resident once."""
+    rows, per_row = 1000, 2000
+    temporary = np.ones(3 * rows * per_row // 2)   # 24 MB, mmapped
+    del temporary
+    A = Tensor(("i", "j"), ("dense", "sparse"), (rows, 2 * per_row),
+               {1: np.arange(0, rows * per_row + 1, per_row)},
+               {1: np.tile(np.arange(0, 2 * per_row, 2), rows)},
+               np.full(rows * per_row, 1.5))          # 2 × 16 MB on the heap
+    shm._give_back()   # what earlier tests freed is not this export's
+    before = rss_anon_bytes()
+    assert shm.export_tensor(A, threshold=0) is not None
+    assert before - rss_anon_bytes() >= 0.9 * shm.tensor_bytes(A)
+
+
+def test_full_dev_shm_sends_operands_inline(monkeypatch, caplog):
+    """tmpfs backs a segment's pages only when they are written, so a
+    full ``/dev/shm`` used to be a SIGBUS at the first copy.  The pages
+    are reserved first; when that fails the segment is removed again,
+    the operand stays on the heap untouched, and a pooled run still
+    equals the serial one."""
+    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.krelation import Schema
+    from repro.lang import Sum, TypeContext, Var
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    A = big_matrix()
+    x = dense_vector(A.dims[1], attr="j", seed=4)
+    tensors = {"A": A, "x": x}
+    ctx = TypeContext(Schema.of(i=None, j=None),
+                      {"A": {"i", "j"}, "x": {"j"}})
+    kernel = compile_kernel(
+        Sum("j", Var("A") * Var("x")), ctx, tensors,
+        OutputSpec(("i",), ("dense",), (A.dims[0],)),
+        backend="python", name="shm_full_spmv")
+    want = kernel.run_sharded(tensors, executor="serial", shards=3)
+    originals = [*shm._tensor_arrays(A), *shm._tensor_arrays(x)]
+    before, exports = shm_entries(), shm.live_export_count()
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    monkeypatch.setattr(shm, "_warned_full", False)
+    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
+    with caplog.at_level("WARNING", logger="repro"):
+        got = kernel.run_sharded(tensors, executor="pool", shards=3,
+                                 workers=2)
+        assert shm.export_result(want, shm.result_name(), 0) == ("val", want)
+    assert np.array_equal(got.vals, want.vals)
+    assert shm_entries() == before and shm.live_export_count() == exports
+    now = [*shm._tensor_arrays(A), *shm._tensor_arrays(x)]
+    assert all(a is b for a, b in zip(now, originals)) and A.vals.flags.writeable
+    assert sum("shared memory is full" in r.getMessage()
+               for r in caplog.records) == 1
 
 
 def test_released_export_leaves_the_tensor_readable():
