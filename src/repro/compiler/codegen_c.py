@@ -1,17 +1,21 @@
 """C code generation for the imperative IR **P** (Figure 2's output).
 
-Emits a single self-contained kernel function; arrays become typed
+Emits one kernel function per translation unit; arrays become typed
 pointers and scalar parameters ``int64_t`` values.  Compiled with
 ``gcc -O3`` into a shared object and invoked through ctypes — the same
-pipeline shape as the paper's Lean → C → Clang -O3 evaluation.
+pipeline shape as the paper's Lean → C → Clang -O3 evaluation.  A
+kernel that sorts calls ``_sort_i64`` from the runtime, a second shared
+object built once per cache directory beside it (:func:`_build`).
 """
 
 from __future__ import annotations
 
 import _ctypes
+import functools
 import hashlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -133,8 +137,9 @@ def emit_stmt(p: P, indent: int = 1) -> str:
     raise TypeError(f"cannot emit statement {p!r}")
 
 
-# The two hand-written helpers, emitted — like an ``Op``'s ``c_header``
-# — once per file and only into kernels that use them.
+# The two hand-written helpers: the skip is emitted — like an ``Op``'s
+# ``c_header`` — once per file and only into kernels that use it; a
+# kernel that sorts gets the sort's prototype, and links the runtime.
 
 #: a binary ``PSearch``: gallop from ``q`` in doubling steps while the
 #: probe is below ``t``, then bisect the last step; always inlined, so a
@@ -156,13 +161,19 @@ _SKIP_GAL = """static inline __attribute__((always_inline)) int64_t _skip_gal(co
   return q;
 }"""
 
-#: ``PSort``: insertion sort for short lists, else LSD radix sort, 8
-#: bits per pass through ``tmp`` (the array's upper half) and back.
-#: The keys are non-negative
-#: (the precondition), so the passes stop at the highest set byte of
-#: their OR: coordinates below 65,536 take two.  Built at -O2: nothing
-#: here vectorises, and -O3's attempt is half of what the helper costs gcc
-_SORT_I64 = """static __attribute__((optimize("O2"))) void _sort_i64(int64_t* a, int64_t n, int64_t* tmp) {
+#: ``PSort``, the runtime's one function: insertion sort for short
+#: lists, else LSD radix sort, 8 bits per pass through ``tmp`` (the
+#: array's upper half) and back.  The keys are non-negative (the
+#: precondition), so the passes stop at the highest set byte of their
+#: OR: coordinates below 65,536 take two.  Built at -O2, which
+#: vectorises only a loop without a remainder: -O3's attempts on the
+#: others are half of what the sort costs gcc.  ``at`` is zeroed by such
+#: a loop and one store — ``= {0}`` is a ``memset`` call, and the
+#: runtime links no libc; a scalar loop of 257 made sorts up to 1.9×
+#: slower
+_SORT_I64 = """#include <stdint.h>
+
+void _sort_i64(int64_t* a, int64_t n, int64_t* tmp) {
   int64_t i, j, x, all = 0;
   if (n <= 24) {
     for (i = 1; i < n; a[j] = x, i++)
@@ -171,13 +182,19 @@ _SORT_I64 = """static __attribute__((optimize("O2"))) void _sort_i64(int64_t* a,
   }
   for (i = 0; i < n; i++) all |= a[i];
   for (int s = 0; s < 64 && all >> s; s += 8) {
-    int64_t at[257] = {0};
+    int64_t at[257];
+    for (i = 0; i < 256; i++) at[i] = 0;
+    at[256] = 0;
     for (i = 0; i < n; i++) at[(a[i] >> s & 255) + 1]++;
     for (i = 1; i < 256; i++) at[i] += at[i - 1];
     for (i = 0; i < n; i++) tmp[at[a[i] >> s & 255]++] = a[i];
     for (i = 0; i < n; i++) a[i] = tmp[i];
   }
-}"""
+}
+"""
+
+#: what a kernel that sorts holds in place of the sort
+_SORT_PROTO = "void _sort_i64(int64_t*, int64_t, int64_t*);"
 
 
 #: an ``Op``'s ``c_expr``/``c_header`` is C text from outside the
@@ -187,9 +204,9 @@ _OP_INCLUDES = ("math.h", "stdlib.h", "string.h")
 
 def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
     """What ``p`` needs ahead of the kernel function: ``<math.h>`` for
-    an infinite literal (``INFINITY``), the helper a ``PSort`` or a
-    galloping ``PSearch`` calls, and for a user ``Op`` its ``c_header``
-    and :data:`_OP_INCLUDES`."""
+    an infinite literal (``INFINITY``), the sort's prototype for a
+    ``PSort``, the skip for a galloping ``PSearch``, and for a user
+    ``Op`` its ``c_header`` and :data:`_OP_INCLUDES`."""
 
     def walk_e(e: E) -> None:
         if isinstance(e, ELit):
@@ -207,7 +224,7 @@ def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
     for sub in substatements(p):
         _collect_prelude(sub, includes, helpers)
     if isinstance(p, PSort):
-        helpers["_sort_i64"] = _SORT_I64
+        helpers["_sort_i64"] = _SORT_PROTO
     elif isinstance(p, PSearch) and p.strategy == "binary":
         helpers["_skip_gal"] = _SKIP_GAL
 
@@ -301,7 +318,8 @@ def _sanitizer_flags() -> List[str]:
     return flags
 
 
-def _compile(source: str, c_path: str, so_path: str) -> None:
+def _compile(source: str, c_path: str, so_path: str, opt: str = "-O3",
+             link: Sequence[str] = ()) -> None:
     """Run the C toolchain: atomic source/artifact publication, probe
     for a missing compiler, configurable timeout, one retry on
     transient failures, stderr attached to the raised error."""
@@ -312,8 +330,14 @@ def _compile(source: str, c_path: str, so_path: str) -> None:
     # compile into a temp name and publish with os.replace so a
     # concurrent (or crashed) builder never exposes a truncated .so
     tmp_so = f"{so_path}.build{os.getpid()}"
-    cmd = [cc, "-O3", "-march=native", "-shared", "-fPIC", *_sanitizer_flags(),
-           c_path, "-o", tmp_so, "-lm"]
+    # a source that includes only the two type headers calls no libc,
+    # so it links none, and gcc may not turn its loops into memset
+    # calls; an Op's C text, <math.h> and a sanitized build link it all
+    includes = set(re.findall(r"^#include <(.+)>$", source, re.M))
+    lean = includes <= {"stdint.h", "stdbool.h"} and not config.get("REPRO_SANITIZE")
+    libs = ["-nostdlib", "-fno-tree-loop-distribute-patterns"] if lean else ["-lm"]
+    cmd = [cc, opt, "-march=native", "-shared", "-fPIC", *_sanitizer_flags(),
+           c_path, "-o", tmp_so, *link, *libs]
     timeout = config.get("REPRO_GCC_TIMEOUT")
     last_error: CompileError | None = None
     seen_signals: set[int] = set()
@@ -386,43 +410,71 @@ def _compile(source: str, c_path: str, so_path: str) -> None:
                 pass
 
 
-def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
-    # the sanitizer flags are part of the artifact identity: a build
-    # with REPRO_SANITIZE set must never reuse an uninstrumented .so
-    # (or vice versa).  Unsanitized builds keep the plain source hash
-    # so existing cached artifacts stay valid.
+def _key(source: str) -> str:
+    """The artifact hash of ``source``.  The sanitizer flags are part of
+    the identity: a build with REPRO_SANITIZE set must never reuse an
+    uninstrumented .so (or vice versa).  Unsanitized builds keep the
+    plain source hash so existing cached artifacts stay valid."""
     tag = ",".join(config.get("REPRO_SANITIZE"))
     keyed = f"sanitize={tag}\x00{source}" if tag else source
-    key = hashlib.sha256(keyed.encode()).hexdigest()[:16]
-    lib = _CACHE.get(key)
-    if lib is not None:
-        return lib
-    cache_dir = resilience.usable_cache_dir(cache_dir or str(default_cache_dir()))
-    c_path = os.path.join(cache_dir, f"{name}_{key}.c")
-    so_path = os.path.join(cache_dir, f"{name}_{key}.so")
+    return hashlib.sha256(keyed.encode()).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def _scratch_dir() -> str:
+    """The process's one directory for artifacts the cache dir cannot
+    take: a corrupt .so in a read-only cache is rebuilt here once and
+    found here by every later load."""
+    return tempfile.mkdtemp(prefix="repro_so_")
+
+
+def _publish(source: str, directory: str, stem: str, runtime: str | None,
+             opt: str = "-O3") -> str:
+    """``<directory>/<stem>.so``, compiled unless it is there.  A kernel
+    that sorts links ``runtime`` — built into the same directory first
+    if missing — and finds it at load time through ``$ORIGIN``."""
+    link: List[str] = []
+    if runtime is not None:
+        _publish(_SORT_I64, directory, runtime, None, "-O2")
+        link = [f"-L{directory}", f"-l:{runtime}.so", "-Wl,-rpath,$ORIGIN"]
+    so_path = os.path.join(directory, f"{stem}.so")
     if not os.path.exists(so_path):
         # per-key lock: two processes building the same kernel compile
         # once (or harmlessly twice on lock failure — publication is
         # atomic either way)
         with resilience.file_lock(so_path):
             if not os.path.exists(so_path):
-                _compile(source, c_path, so_path)
+                _compile(source, so_path[:-3] + ".c", so_path, opt, link)
+    return so_path
+
+
+def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
+    # the runtime's hash is part of a sorting kernel's identity, so a
+    # changed sort relinks every kernel that calls it
+    runtime = f"repro_rt_{_key(_SORT_I64)}" if _SORT_PROTO in source else None
+    key = _key(f"runtime={runtime}\x00{source}" if runtime else source)
+    lib = _CACHE.get(key)
+    if lib is not None:
+        return lib
+    directory = resilience.usable_cache_dir(cache_dir or str(default_cache_dir()))
+    stem = f"{name}_{key}"
+    so_path = _publish(source, directory, stem, runtime)
     try:
         lib = CDLL(so_path)
     except OSError as exc:
-        # truncated or clobbered .so from a crashed writer: quarantine
-        # the bad artifact and rebuild (in a scratch dir if the cache
-        # dir is not writable)
+        # truncated, clobbered or vanished .so — the runtime's when the
+        # loader names it: quarantine the bad artifact and rebuild (in
+        # the scratch dir if the cache dir is not writable).  Logged as
+        # text: a kept record must not pin this frame and the library
         logger.warning(
-            "cached shared object %s failed to load (%s); rebuilding", so_path, exc
+            "cached shared object %s failed to load (%s); rebuilding", so_path, str(exc)
         )
-        if resilience.quarantine(so_path) is None:
-            scratch = tempfile.mkdtemp(prefix="repro_so_")
-            c_path = os.path.join(scratch, f"{name}_{key}.c")
-            so_path = os.path.join(scratch, f"{name}_{key}.so")
-        with resilience.file_lock(so_path):
-            if not os.path.exists(so_path):
-                _compile(source, c_path, so_path)
+        bad = so_path
+        if runtime is not None and runtime in str(exc):
+            bad = os.path.join(directory, f"{runtime}.so")
+        if os.path.exists(bad) and resilience.quarantine(bad) is None:
+            directory = _scratch_dir()
+        so_path = _publish(source, directory, stem, runtime)
         try:
             lib = CDLL(so_path)
         except OSError as exc2:

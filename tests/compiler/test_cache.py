@@ -5,27 +5,34 @@ for the process-wide singleton so counters are deterministic and no
 state leaks between tests."""
 
 import gc
+import json
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import config
 from repro.compiler import cache as cache_mod
+from repro.compiler import codegen_c
 from repro.compiler import kernel as kernel_mod
 from repro.compiler.analysis.intervals import BoundsFinding
 from repro.compiler.cache import MEMO_ENTRIES, KernelCache, kernel_cache_key
+from repro.compiler.formats import Param
+from repro.compiler.ir import TINT, EVar, PSort
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime.policy import resolve
 from repro.semirings import INT
+
+from tests.conftest import sorting_programs
 
 N = 12
 SCHEMA = Schema.of(i=range(N), j=range(N))
@@ -260,6 +267,87 @@ def test_exit_while_a_daemon_thread_is_inside_a_kernel(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _EXIT_INSIDE_A_KERNEL],
                           env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
+# ----------------------------------------------------------------------
+# the sort runtime: one per cache dir, linked by every kernel that sorts
+# ----------------------------------------------------------------------
+def run_sorting_kernels():
+    """Build both :func:`sorting_programs` on the C backend and run them;
+    their outputs as JSON-ready entry lists."""
+    results = []
+    for name, expr, ctx, tensors, out in sorting_programs():
+        kernel = compile_kernel(expr, ctx, tensors, out, backend="c", name=f"rt_{name}")
+        entries = kernel.run(tensors, parallel=False, supervised=False).to_dict()
+        results.append([[[int(c) for c in idx], float(v)] for idx, v in sorted(entries.items())])
+    return results
+
+
+_RESTORE_SORTING_KERNELS = textwrap.dedent("""
+    import json, subprocess
+    from repro import config
+    gcc, run = [], subprocess.run
+    def counted(cmd, *args, **kw):
+        gcc.extend(cmd[:1] if cmd[0] == config.get("REPRO_GCC") else [])
+        return run(cmd, *args, **kw)
+    subprocess.run = counted
+    from repro.compiler.cache import kernel_cache
+    from tests.compiler.test_cache import run_sorting_kernels
+    results = run_sorting_kernels()
+    print(json.dumps({"gcc": len(gcc), "disk_hits": kernel_cache.stats.disk_hits,
+                      "results": results}))
+""")
+
+
+@requires_cc
+def test_sorting_kernels_share_one_runtime_per_cache_dir(fresh_cache, tmp_path,
+                                                         monkeypatch, gcc_runs):
+    """Two kernels that sort, built into one fresh directory, run gcc
+    three times — the runtime once, then each kernel — and leave one
+    runtime beside them.  A fresh process restores both without gcc,
+    and rebuilds a deleted runtime without quarantining a kernel."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
+    want = run_sorting_kernels()
+    assert len(gcc_runs) == 3
+    [runtime] = tmp_path.glob("repro_rt_*.c")
+    assert "void _sort_i64(int64_t* a" in runtime.read_text()
+    kernels = list(tmp_path.glob("rt_*.c"))
+    assert len(kernels) == 2
+    assert all(codegen_c._SORT_PROTO in k.read_text() and "at[" not in k.read_text()
+               for k in kernels)
+
+    env = dict(os.environ, REPRO_KERNEL_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
+
+    def restore():
+        proc = subprocess.run([sys.executable, "-c", _RESTORE_SORTING_KERNELS],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert restore() == {"gcc": 0, "disk_hits": 2, "results": want}
+    runtime.with_suffix(".so").unlink()
+    assert restore() == {"gcc": 1, "disk_hits": 2, "results": want}
+    assert runtime.with_suffix(".so").exists()
+    assert not list(tmp_path.glob("*.corrupt"))
+
+
+@requires_cc
+def test_sanitized_build_links_its_own_runtime(tmp_path, monkeypatch):
+    """``REPRO_SANITIZE`` is part of the runtime's identity as it is of
+    a kernel's: an instrumented kernel links an instrumented sort."""
+    params = [Param("n", "scalar", TINT), Param("a", "array", TINT)]
+    source = codegen_c.emit_kernel_source("san_sort", params, [], PSort("a", EVar("n")))
+    built = [codegen_c.CKernel(source, "san_sort", params, cache_dir=str(tmp_path))]
+    monkeypatch.setenv("REPRO_SANITIZE", "undefined")
+    built.append(codegen_c.CKernel(source, "san_sort", params, cache_dir=str(tmp_path)))
+    assert len(list(tmp_path.glob("repro_rt_*.so"))) == 2
+    assert len(list(tmp_path.glob("san_sort_*.so"))) == 2
+    for kernel in built:
+        env = {"n": 40, "a": np.concatenate([np.arange(40)[::-1], np.zeros(40)]).astype(np.int64)}
+        kernel(env)
+        assert env["a"][:40].tolist() == list(range(40))
 
 
 @requires_cc

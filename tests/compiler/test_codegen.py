@@ -2,11 +2,14 @@
 
 import math
 import re
+import shutil
+import subprocess
 from bisect import bisect_left
 
 import numpy as np
 import pytest
 
+from repro import config
 from repro.compiler import (
     EAccess, EBinop, ECall, ECond, ELit, EUnop, EVar, Op,
     PAssign, PIf, PSeq, PSkip, PStore, PWhile, TBOOL, TFLOAT, TINT,
@@ -247,15 +250,56 @@ def test_c_prologue_includes_only_what_the_body_needs():
         "k", params, [], PStore("out", ilit(0), ELit(math.inf, TFLOAT)))
     assert "<math.h>" in inf and "<stdlib.h>" not in inf
     sort = codegen_c.emit_kernel_source("k", params, [], PSort("lst", ilit(2)))
-    assert "void _sort_i64(" in sort and "_skip_gal" not in sort
-    # a sort is an emitted helper, not libc's: no header comes with it
+    assert codegen_c._SORT_PROTO in sort and "_skip_gal" not in sort
+    # a sort is a call into the runtime, not libc's: no header comes
+    # with it, and the body is the runtime's, not the kernel's
     assert sort.count("#include") == 2 and "qsort" not in sort
+    body = codegen_c._SORT_I64.split("{", 1)[1]
+    assert body not in sort and "at[257]" not in sort and "at[257]" in body
     q = EVar("_tq0")
     for strategy, helper in (("linear", False), ("binary", True)):
         skip = codegen_c.emit_kernel_source(
             "k", params, [q], PSearch(q, "lst", ilit(2), ilit(7), strategy))
         assert ("static inline" in skip) == helper
         assert skip.count("#include") == 2 and "_sort_i64" not in skip
+
+
+def _tool_lines(*cmd):
+    return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+@pytest.mark.skipif(shutil.which("nm") is None or shutil.which("readelf") is None,
+                    reason="binutils required")
+@pytest.mark.skipif(shutil.which(config.get("REPRO_GCC")) is None,
+                    reason="C toolchain required")
+@pytest.mark.skipif(bool(config.get("REPRO_SANITIZE")),
+                    reason="a sanitized build links the sanitizer runtimes")
+@pytest.mark.parametrize("cell", [
+    "spmv", "add", "inner", "mmul", "smul", "mttkrp", "filtered_spmv",
+    "triangle", "tpch_q5", "tpch_q9",
+])
+def test_bench_kernel_links_only_what_it_calls(cell, tmp_path):
+    """A kernel that includes nothing past ``<stdint.h>`` and
+    ``<stdbool.h>`` links no libc: its one possible undefined symbol is
+    the runtime's sort, and it names the runtime as needed exactly when
+    it sorts."""
+    kernel = bench_kernel(cell, f"lean_{cell}")
+    source = _c_source(kernel)
+    codegen_c.CKernel(source, kernel.name, kernel.params, cache_dir=str(tmp_path))
+    [so] = tmp_path.glob(f"lean_{cell}_*.so")
+    undefined = {line.split()[-1] for line in _tool_lines("nm", "-D", "--undefined-only", str(so))}
+    assert undefined <= {"_sort_i64"}
+    needed = [line.split("[")[-1].rstrip("]")
+              for line in _tool_lines("readelf", "-d", str(so)) if "(NEEDED)" in line]
+    runtimes = [p.name for p in tmp_path.glob("repro_rt_*.so")]
+    assert needed == runtimes
+    assert bool(runtimes) == (codegen_c._SORT_PROTO in source)
+    # the runtime calls nothing either (no memset for its counts); a
+    # toolchain that adds stack canaries by default adds their handler
+    for runtime in runtimes:
+        undefined = {line.split()[-1] for line in
+                     _tool_lines("nm", "-D", "--undefined-only", str(tmp_path / runtime))}
+        assert undefined <= {"__stack_chk_fail"}
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +372,9 @@ def test_sort_meets_its_specification_on_every_backend():
     lists.append(np.arange(300)[::-1])      # one radix pass and a bit
     params = [Param("n", "scalar", TINT), Param("a", "array", TINT)]
     body = PSort("a", EVar("n"))
+    # the C leg calls the runtime's sort: its kernel holds the prototype
+    source = codegen_c.emit_kernel_source("sort_table", params, [], body)
+    assert codegen_c._SORT_PROTO in source and "at[" not in source
     for keys in lists:
         n = len(keys)
         env = {"n": n, "a": np.concatenate([keys, np.zeros(n), [-7, -7]]).astype(np.int64)}

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import subprocess
+
 import numpy as np
 import pytest
 
+from repro import config
 from repro.compiler import kernel as kernel_mod
 from repro.krelation import KRelation, Schema
 from repro.semirings import BOOL, FLOAT, INT, MAX_PLUS, MIN_PLUS, NAT
@@ -33,6 +36,20 @@ def poisoned_output_storage():
 
 
 @pytest.fixture
+def gcc_runs(monkeypatch):
+    """The compiler invocations of this test, counted on ``subprocess.run``."""
+    runs = []
+    run = subprocess.run
+
+    def counted(cmd, *args, **kw):
+        if cmd[0] == config.get("REPRO_GCC"):
+            runs.append(cmd)
+        return run(cmd, *args, **kw)
+    monkeypatch.setattr(subprocess, "run", counted)
+    return runs
+
+
+@pytest.fixture
 def small_schema() -> Schema:
     """A 3-attribute schema with small finite domains (for ground truth)."""
     return Schema.of(a=range(4), b=range(4), c=range(4))
@@ -50,6 +67,27 @@ def assert_krel_equal(got: KRelation, want: KRelation, msg: str = "") -> None:
     assert got.equal(want), (
         f"{msg}\n got: {sorted(got.support.items())}\nwant: {sorted(want.support.items())}"
     )
+
+
+def sorting_programs(n: int = 12):
+    """Two programs whose sparse outputs drain a workspace through
+    ``PSort`` — a CSR × CSR matmul and the column sums of a DCSR
+    matrix — as ``(name, expr, ctx, tensors, output)``."""
+    from repro.compiler.kernel import OutputSpec
+    from repro.lang import Sum, TypeContext, Var
+    from repro.workloads import sparse_matrix
+
+    schema = Schema.of(i=range(n), j=range(n), k=range(n))
+    A = sparse_matrix(n, n, 0.4, attrs=("i", "j"), seed=10)
+    B = sparse_matrix(n, n, 0.4, attrs=("j", "k"), seed=11)
+    X = sparse_matrix(n, n, 0.3, attrs=("i", "j"), formats=("sparse", "sparse"), seed=7)
+    return [
+        ("mmul", Sum("j", Var("A") * Var("B")),
+         TypeContext(schema, {"A": {"i", "j"}, "B": {"j", "k"}}), {"A": A, "B": B},
+         OutputSpec(("i", "k"), ("dense", "sparse"), (n, n))),
+        ("colsum", Sum("i", Var("X")), TypeContext(schema, {"X": {"i", "j"}}), {"X": X},
+         OutputSpec(("j",), ("sparse",), (n,))),
+    ]
 
 
 def bench_kernel(cell: str, name: str):

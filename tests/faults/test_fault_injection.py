@@ -241,6 +241,39 @@ def test_truncated_so_quarantined_and_recompiled(cache_dir, caplog):
     assert any("failed to load" in r.message for r in repro_records(caplog))
 
 
+@requires_toolchain
+def test_corrupt_so_in_a_read_only_cache_is_rebuilt_once(cache_dir, tmp_path, monkeypatch,
+                                                         gcc_runs):
+    """A truncated ``.so`` that cannot be quarantined is rebuilt into
+    the process's one scratch dir, and found there by the next load of
+    the same kernel, after the first was collected: one gcc run, one
+    scratch dir."""
+    import gc
+    import tempfile
+
+    from repro.compiler import codegen_c
+
+    source = "#include <stdint.h>\nint64_t ro_probe(void) { return 77; }\n"
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    (cache_dir / f"ro_probe_{codegen_c._key(source)}.so").write_bytes(b"\x7fELF truncated")
+    monkeypatch.setattr(resilience, "quarantine", lambda path: None)
+    scratch_root = tmp_path / "tmp"
+    scratch_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch_root))
+    codegen_c._scratch_dir.cache_clear()
+    try:
+        for _ in range(2):
+            lib = codegen_c._build(source, "ro_probe")
+            got = lib.ro_probe()
+            del lib
+            gc.collect()
+            assert got == 77 and not codegen_c._CACHE
+    finally:
+        codegen_c._scratch_dir.cache_clear()
+    assert len(gcc_runs) == 1
+    assert [p.name[:8] for p in scratch_root.iterdir()] == ["repro_so"]
+
+
 # ----------------------------------------------------------------------
 # 8. unusable cache directory
 # ----------------------------------------------------------------------

@@ -9,11 +9,13 @@ the happy-path lifecycle and the zero-copy dispatch plumbing.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 
 import numpy as np
 import pytest
 
+from repro import config
 from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -21,6 +23,8 @@ from repro.runtime import pool as pool_mod
 from repro.runtime import shm
 from repro.semirings import FLOAT
 from repro.workloads import dense_vector, sparse_matrix
+
+from tests.conftest import sorting_programs
 
 N = 32
 
@@ -339,6 +343,28 @@ def test_forkless_platform_supervises_in_the_pool(monkeypatch):
     """A platform that cannot fork has no other supervised route:
     whatever ``REPRO_POOL`` says, the run goes to (spawned) workers."""
     test_pooled_supervised_routing(monkeypatch, forkless=True)
+
+
+@pytest.mark.skipif(shutil.which(config.get("REPRO_GCC")) is None,
+                    reason="C toolchain required")
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_sorting_kernel_runs_pooled_as_in_process(start_method):
+    """A kernel that sorts links the sort runtime: a forked worker
+    inherits it loaded, a spawned one loads it from beside the kernel's
+    ``.so`` — either way bit-equal to the in-process run."""
+    name, expr, ctx, tensors, out = sorting_programs()[0]
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="c", name=f"pool_sort_{name}")
+    assert kernel.c_backed
+    want = kernel.run(tensors, parallel=False, supervised=False)
+    pool = pool_mod.WorkerPool(1, start_method=start_method)
+    try:
+        got, _seconds, pid = _call(pool, kernel, tensors)
+    finally:
+        pool.shutdown()
+    assert pid != os.getpid()
+    assert np.array_equal(got.pos[1], want.pos[1])
+    assert np.array_equal(got.crd[1], want.crd[1])
+    assert np.array_equal(got.vals, want.vals)
 
 
 def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
