@@ -17,7 +17,8 @@ import glob
 import os
 
 from repro.compiler.cache import MEMO_ENTRIES, default_cache_dir, kernel_cache
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.workloads import dense_vector, sparse_matrix

@@ -18,7 +18,7 @@ OPERANDS = (2, 3, 4)
 
 
 def build(depth: int, n_operands: int):
-    from repro.compiler.kernel import compile_kernel
+    from repro.compiler.build import compile_kernel
     from repro.workloads import nested_sum
 
     expr, ctx, tensors, total = nested_sum(depth, n_operands)

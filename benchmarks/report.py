@@ -36,7 +36,8 @@ def header(title: str) -> None:
 # ----------------------------------------------------------------------
 def fig17(quick: bool) -> None:
     from repro.baselines import taco
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.workloads import dense_matrix, dense_vector, sparse_matrix, sparse_tensor3
@@ -144,7 +145,8 @@ def fig17(quick: bool) -> None:
 
 # ----------------------------------------------------------------------
 def sec81(quick: bool) -> None:
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.tensor import repack
@@ -211,7 +213,7 @@ def fig19(quick: bool) -> None:
 def fig20(quick: bool) -> None:
     from repro.baselines.pairwise import triangle_count_pairwise
     from repro.baselines.sqlite_bridge import SqliteDB
-    from repro.compiler.kernel import compile_kernel
+    from repro.compiler.build import compile_kernel
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.semirings import INT
@@ -262,7 +264,8 @@ def fig20(quick: bool) -> None:
 
 # ----------------------------------------------------------------------
 def fig21(quick: bool) -> None:
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.data import Tensor
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
@@ -304,7 +307,8 @@ def _pred(n, selectivity, seed=7):
 
 # ----------------------------------------------------------------------
 def ablations(quick: bool) -> None:
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.workloads import sparse_matrix, sparse_vector
@@ -358,7 +362,8 @@ def ablations(quick: bool) -> None:
 def parallel(quick: bool) -> None:
     import os
 
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.runtime import pool as pool_mod
@@ -383,7 +388,7 @@ def parallel(quick: bool) -> None:
         name="report_par_matmul",
     )
     tensors = {"A": A, "B": B}
-    base = timeit(lambda: kernel._run_single(tensors))
+    base = timeit(lambda: kernel.execute(tensors))
     print(f"{'configuration':<28}{'ms':>10}{'speedup':>10}")
     print(f"{'unsharded':<28}{base*1e3:>10.2f}{1.0:>10.2f}")
     for executor in ("serial", "thread", "pool"):

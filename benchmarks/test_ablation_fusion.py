@@ -7,7 +7,8 @@ sparser than x·y (prematurely computing x·y is wasted work)."""
 
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.workloads import sparse_vector

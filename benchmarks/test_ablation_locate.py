@@ -8,7 +8,8 @@ the same kernels fall back to generic max-index merge loops.
 
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.workloads import dense_matrix, dense_vector, sparse_matrix, sparse_tensor3

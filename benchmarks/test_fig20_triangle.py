@@ -7,7 +7,7 @@ are the reproduction target: ~1 for Etch, ~2 for the baselines.
 
 import pytest
 
-from repro.compiler.kernel import compile_kernel
+from repro.compiler.build import compile_kernel
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.semirings import INT

@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler import kernel as kernel_mod
+from repro.compiler import build as build_mod
 from repro.benchrecord import report_path
 from repro.compiler.cache import KernelCache
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.workloads import dense_matrix, dense_vector, sparse_matrix
@@ -68,7 +69,7 @@ def _spmv_workload(n=1000, density=0.05):
 
 def test_cold_vs_warm_build(monkeypatch, tmp_path):
     kc = KernelCache(cache_dir=tmp_path)
-    monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
+    monkeypatch.setattr(build_mod, "kernel_cache", kc)
     ctx, expr, out, tensors = _spmv_workload(n=200)
 
     t0 = time.perf_counter()

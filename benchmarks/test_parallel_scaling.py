@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.benchrecord import report_path
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -95,9 +96,9 @@ def _matmul():
 
 
 def _measure(name, kernel, tensors):
-    ref = kernel._run_single(tensors)
+    ref = kernel.execute(tensors)
     timings = {
-        "single": _best(lambda: kernel._run_single(tensors)),
+        "single": _best(lambda: kernel.execute(tensors)),
         "sharded_serial_4": _best(lambda: kernel.run_sharded(
             tensors, executor="serial", shards=4)),
     }

@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.benchrecord import report_path
 from repro.lang import Sum, TypeContext, Var
@@ -122,7 +123,7 @@ def _matmul():
 
 
 def _measure(name, kernel, tensors):
-    ref = kernel._run_single(tensors)
+    ref = kernel.execute(tensors)
 
     def check(got):
         assert np.allclose(np.asarray(ref.vals), np.asarray(got.vals))
@@ -134,7 +135,7 @@ def _measure(name, kernel, tensors):
     check(pool_mod.run_pooled(kernel, tensors))
 
     timings = {
-        "single": _best(lambda: kernel._run_single(tensors)),
+        "single": _best(lambda: kernel.execute(tensors)),
         "pool_2": _best(lambda: kernel.run_sharded(
             tensors, executor="pool", workers=2, shards=2)),
         "fork_supervised": _best(lambda: run_supervised(kernel, tensors)),

@@ -28,7 +28,8 @@ import pytest
 
 from repro.benchrecord import report_path
 from repro.compiler import resilience
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.errors import InjectedFault
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var

@@ -7,7 +7,8 @@ separation (O(n²k) vs O(nk²) stream transitions)."""
 
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.tensor import repack

@@ -1,6 +1,6 @@
 """Supervision overhead: in-process vs resource-capped child execution.
 
-SpMV and sparse-dense matmul, timed in-process (``_run_single``) and
+SpMV and sparse-dense matmul, timed in-process (``Kernel.execute``) and
 under :func:`repro.runtime.supervisor.run_supervised` (fork + rlimits +
 result pickled back over a pipe).  All raw numbers go to
 ``BENCH_PR5.json`` at the repo root, alongside PR 4's scaling report.
@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.benchrecord import report_path
@@ -101,13 +102,13 @@ def _matmul():
 
 
 def _measure(name, kernel, tensors):
-    ref = kernel._run_single(tensors)
+    ref = kernel.execute(tensors)
     got = run_supervised(kernel, tensors)
     assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals)), (
         "supervised result must be bit-identical to the in-process run"
     )
     timings = {
-        "in_process": _best(lambda: kernel._run_single(tensors)),
+        "in_process": _best(lambda: kernel.execute(tensors)),
         "supervised": _best(lambda: run_supervised(kernel, tensors)),
     }
     RESULTS[name] = {

@@ -32,7 +32,8 @@ import numpy as np
 import pytest
 
 from repro.compiler.analysis.streamprops import verify_expr
-from repro.compiler.kernel import KernelBuilder, OutputSpec, compile_kernel
+from repro.compiler.build import KernelBuilder, compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.compiler.scalars import scalar_ops_for
 from repro.compiler.formats import TensorInput
 from repro.krelation import Schema

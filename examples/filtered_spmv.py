@@ -13,7 +13,8 @@ import time
 
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
-from repro.compiler.kernel import compile_kernel, OutputSpec
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.semirings import FLOAT
 from repro.data import Tensor
 from repro.workloads import dense_vector, sparse_matrix

@@ -12,7 +12,7 @@ from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var, denote
 from repro.lang.stream_semantics import interpret
 from repro.streams import evaluate, from_krelation
-from repro.compiler.kernel import compile_kernel
+from repro.compiler.build import compile_kernel
 from repro.data import tensor_to_krelation
 from repro.workloads import sparse_vector
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
-from repro.compiler.kernel import compile_kernel, OutputSpec
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.semirings import MIN_PLUS
 from repro.data import Tensor
 

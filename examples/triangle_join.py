@@ -14,7 +14,7 @@ import time
 
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
-from repro.compiler.kernel import compile_kernel
+from repro.compiler.build import compile_kernel
 from repro.semirings import INT
 from repro.baselines.pairwise import triangle_count_pairwise
 from repro.baselines.sqlite_bridge import SqliteDB

@@ -34,6 +34,8 @@ Quickstart::
 
 __version__ = "1.0.0"
 
+import importlib
+
 from repro.errors import (
     BackendUnavailableError,
     CacheCorruptionError,
@@ -46,8 +48,27 @@ from repro.semirings import BOOL, FLOAT, INT, MAX_PLUS, MIN_PLUS, NAT
 from repro.krelation import Attribute, KRelation, Schema
 from repro.lang import Expr, Lit, Sum, TypeContext, Var, denote, sum_over
 from repro.data import Tensor
-from repro.compiler.kernel import KernelBuilder, OutputSpec, compile_kernel
+from repro.compiler import build as _build, kernel as _kernel
+from repro.compiler.build import KernelBuilder, compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.tensor import einsum
+
+
+# The compiler imports neither the runtime above it nor the tuner beside
+# its builder (DESIGN.md §4).  This module, which every ``import repro``
+# runs first, is the one that knows both sides: it binds the compiler's
+# two late-bound names to stand-ins that import their layer at the first
+# call, so importing ``repro`` and building a kernel load neither.
+class _Runtime:
+    def __getattr__(self, name: str):  # the first call puts the real one
+        _kernel.runtime = importlib.import_module("repro.runtime")
+        return getattr(_kernel.runtime, name)
+
+
+_kernel.runtime = _Runtime()
+# looked up per call: tuning is the slow path, and a test may replace it
+_build.tune_build = lambda *args, **kwargs: importlib.import_module(
+    "repro.autotune").tune_build(*args, **kwargs)
 
 __all__ = [
     "__version__",

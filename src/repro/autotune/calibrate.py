@@ -178,7 +178,8 @@ def measure_profile(executors=("thread", "pool")) -> CalibrationProfile:
     broken executor simply keeps its conservative default).
     """
     from repro.autotune.costmodel import OperandStats, estimate
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.semirings import FLOAT

@@ -44,7 +44,7 @@ from repro.compiler.cache import (
     kernel_cache,
     kernel_cache_key,
 )
-from repro.compiler.kernel import KernelBuilder, compile_kernel
+from repro.compiler.build import KernelBuilder, compile_kernel
 from repro.compiler.resilience import logger, toolchain_available
 from repro.errors import (
     BackendUnavailableError,

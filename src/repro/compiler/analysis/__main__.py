@@ -29,8 +29,9 @@ from repro.compiler import codegen_c
 from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.analysis.streamprops import analyze_expr
 from repro.compiler.analysis.verifier import verify_kernel
+from repro.compiler.build import compile_kernel
 from repro.compiler.formats import TensorInput
-from repro.compiler.kernel import Kernel, OutputSpec, compile_kernel
+from repro.compiler.kernel import Kernel, OutputSpec
 from repro.data.tensor import Tensor
 from repro.krelation.schema import Schema
 from repro.lang.ast import Sum, Var

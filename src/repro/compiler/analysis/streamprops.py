@@ -9,7 +9,7 @@ over two syntaxes:
 
 * ℒ expressions (:mod:`repro.lang.ast`), the compiler's front door —
   :func:`infer_expr` / :func:`verify_expr`, wired into
-  :meth:`~repro.compiler.kernel.KernelBuilder.prepare` behind
+  :meth:`~repro.compiler.build.KernelBuilder.prepare` behind
   ``REPRO_STREAM_VERIFY`` (default on);
 * runtime stream graphs (:mod:`repro.streams.combinators` over the
   sources of :mod:`repro.streams.sources`) — :func:`infer_stream` /

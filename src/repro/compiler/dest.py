@@ -13,9 +13,10 @@ outputs whose upper levels append coordinates only for non-empty slices
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.compiler.analysis.intervals import ArrayContract
+from repro.compiler.formats import Param
 from repro.compiler.ir import (
     E,
     EAccess,
@@ -38,6 +39,12 @@ from repro.compiler.ir import (
     ilit,
 )
 from repro.compiler.scalars import ScalarOps
+from repro.compiler.sstream import is_sstream
+from repro.errors import ShapeError
+from repro.streams.base import STAR
+
+if TYPE_CHECKING:
+    from repro.compiler.kernel import OutputSpec
 
 
 class Dest:
@@ -433,3 +440,114 @@ class WorkspaceLeafDest(Dest):
             ArrayContract(self.crd, self.cap),
             ArrayContract(self.vals, self.cap),
         ]
+
+
+def workspace_needed(stream, output: Optional[OutputSpec]) -> bool:
+    """Whether the last output level is revisited out of order.
+
+    An output level receives in-order pushes as long as no contracted
+    (dummy) level sits between it and the previous output level in the
+    compiled loop nest; a dummy level in between re-runs the inner loop
+    for the same slice (e.g. Σ_j above the k loop in matmul).  Dense
+    outputs accumulate by random access and never need a workspace.
+    """
+    if output is None or all(f == "dense" for f in output.formats):
+        return False
+    seq = []  # the loop nest's level labels, dummy levels included
+    while is_sstream(stream):
+        seq.append(stream.attr)
+        stream = stream.value
+    prev = -1
+    revisited = []
+    for attr in output.attrs:
+        p = seq.index(attr)
+        revisited.append(any(seq[k] is STAR for k in range(prev + 1, p)))
+        prev = p
+    if any(revisited[:-1]):
+        k = revisited.index(True)
+        raise ShapeError(
+            f"output level {output.attrs[k]!r} ({output.formats[k]}) of a "
+            "compressed output sits under a contracted level, which revisits "
+            f"it out of order (loop nest {seq}); only the innermost output "
+            "level has a workspace — materialize a temporary or choose an "
+            "all-dense output"
+        )
+    return revisited[-1]
+
+
+def build_dest(output: Optional[OutputSpec], ops: ScalarOps, ng: NameGen, workspace: bool = False):
+    """Destination + output params + size bookkeeping for an OutputSpec."""
+    vtype = ops.type
+    if output is None:
+        acc = ng.fresh("acc", vtype)
+        dest = ScalarDest(ops, acc, out_array="out_vals")
+        return dest, [Param("out_vals", "array", vtype)], PSeq()
+    fmts = tuple(output.formats)
+    if all(f == "dense" for f in fmts):
+        dims = [EVar(f"out_dim{k}", TINT) for k in range(len(fmts))]
+        dest = DenseDest(ops, "out_vals", dims)
+        params = [Param(f"out_dim{k}", "scalar", TINT) for k in range(len(fmts))]
+        params.append(Param("out_vals", "array", vtype))
+        return dest, params, PSeq()
+
+    ws_params = [
+        Param("out_ws_vals", "array", vtype),
+        Param("out_ws_mask", "array", TINT),
+        Param("out_ws_list", "array", TINT),
+    ]
+
+    cap = EVar("out_cap", TINT)
+    cap_params = [Param("out_cap", "scalar", TINT)]
+
+    def leaf_dest(crd: str, counter):
+        if workspace:
+            return WorkspaceLeafDest(
+                ops, ng, crd, "out_vals", counter,
+                "out_ws_vals", "out_ws_mask", "out_ws_list", cap,
+            )
+        return SparseLeafDest(ops, crd, "out_vals", counter, cap)
+
+    if fmts == ("sparse",):
+        n = ng.fresh("on", TINT)
+        dest = leaf_dest("out_crd0", n)
+        params = [
+            Param("out_crd0", "array", TINT),
+            Param("out_vals", "array", vtype),
+            Param("out_size", "array", TINT),
+        ] + cap_params + (ws_params if workspace else [])
+        return dest, params, PStore("out_size", ilit(0), n)
+    if fmts == ("dense", "sparse"):
+        n1 = ng.fresh("on", TINT)
+        leaf = leaf_dest("out_crd1", n1)
+        dest = DensePosDest(ops, ng, EVar("out_dim0", TINT), "out_pos1", leaf, n1)
+        params = [
+            Param("out_dim0", "scalar", TINT),
+            Param("out_pos1", "array", TINT),
+            Param("out_crd1", "array", TINT),
+            Param("out_vals", "array", vtype),
+            Param("out_size", "array", TINT),
+        ] + cap_params + (ws_params if workspace else [])
+        return dest, params, PStore("out_size", ilit(0), n1)
+    if fmts == ("sparse", "sparse"):
+        n1 = ng.fresh("on", TINT)
+        n0 = ng.fresh("on", TINT)
+        leaf = leaf_dest("out_crd1", n1)
+        dest = SparseInnerDest(
+            ops, ng, "out_crd0", n0, "out_pos1", leaf, n1,
+            EVar("out_row_cap", TINT),
+        )
+        params = [
+            Param("out_crd0", "array", TINT),
+            Param("out_pos1", "array", TINT),
+            Param("out_crd1", "array", TINT),
+            Param("out_vals", "array", vtype),
+            Param("out_size", "array", TINT),
+        ] + cap_params + [Param("out_row_cap", "scalar", TINT)] + (
+            ws_params if workspace else []
+        )
+        sizes = PSeq(
+            PStore("out_size", ilit(0), n0),
+            PStore("out_size", ilit(1), n1),
+        )
+        return dest, params, sizes
+    raise ShapeError(f"unsupported output formats {fmts}")

@@ -481,7 +481,7 @@ class NameGen:
     Every generated temporary carries the reserved prefix
     :data:`RESERVED_PREFIX` (``_t`` by default), so compiler-introduced
     names live in a namespace user/source variables can never occupy —
-    :class:`~repro.compiler.kernel.KernelBuilder` rejects user variable
+    :class:`~repro.compiler.build.KernelBuilder` rejects user variable
     names starting with ``_``.  This closes a latent CSE/LICM hazard:
     a fresh ``cse0``/``inv0`` temporary could previously collide with
     (and silently shadow) a like-named kernel parameter.

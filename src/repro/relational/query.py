@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.compiler.formats import FunctionInput
-from repro.compiler.kernel import KernelBuilder, OutputSpec
+from repro.compiler.build import KernelBuilder
+from repro.compiler.kernel import OutputSpec
 from repro.data.tensor import Tensor
 from repro.krelation.schema import Attribute, Schema
 from repro.lang.ast import Expr

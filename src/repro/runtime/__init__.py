@@ -14,10 +14,12 @@ package exploits that:
   API with a bounded task queue;
 - :mod:`repro.runtime.merge` combines the partial outputs
   semiring-correctly;
-- :mod:`repro.runtime.api` glues them under
-  :meth:`repro.compiler.kernel.Kernel.run_sharded`;
+- :mod:`repro.runtime.api` glues them into :func:`run_sharded` and
+  :func:`run_batch`;
 - :mod:`repro.runtime.policy` resolves, once per call, where and how
   it runs (call argument → handle default → ``REPRO_*`` → built-in);
+- :mod:`repro.runtime.route` is :func:`run`, where ``Kernel.run``
+  forwards: sharded, or guard → breaker → supervise-or-fallback;
 - :mod:`repro.runtime.supervisor` contains one kernel invocation in a
   resource-capped child process (``REPRO_SUPERVISE``,
   ``REPRO_KERNEL_DEADLINE``, ``REPRO_KERNEL_MEM_MB``) so a segfault or
@@ -41,9 +43,10 @@ package exploits that:
   (``REPRO_MEM_BUDGET_MB``) by spilling to the journal and merging
   with a streaming incremental ⊕-fold — larger-than-RAM contractions.
 
-The package is a lazy façade (PEP 562): a name below is imported from
-its submodule on first touch, so ``Kernel.run`` resolving its policy
-does not pay for ``multiprocessing`` and the pool.
+The compiler never imports this package (``repro/__init__.py`` binds
+it, DESIGN.md §4).  It is a lazy façade (PEP 562): a name below is
+imported from its submodule on first touch, so an in-process
+``Kernel.run`` does not pay for ``multiprocessing`` and the pool.
 """
 
 import importlib
@@ -71,6 +74,7 @@ _EXPORTS = {
     "PoolStats": "pool", "PoolUnavailableError": "pool",
     "WorkerPool": "pool", "get_shared_pool": "pool", "pool_key": "pool",
     "run_pooled": "pool", "shutdown_shared_pool": "pool",
+    "run": "route",
     "can_supervise": "supervisor", "run_supervised": "supervisor",
 }
 __all__ = sorted(_EXPORTS)

@@ -1,7 +1,7 @@
 """Sharded execution: plan → schedule → merge.
 
-:func:`run_sharded` is the engine behind
-:meth:`repro.compiler.kernel.Kernel.run_sharded`; :func:`run_batch`
+:func:`run_sharded` is the engine behind ``Kernel.run_sharded`` and
+:func:`run_shards` behind a sharded ``Kernel.run``; :func:`run_batch`
 runs one kernel over many independent input bindings (the
 many-small-kernels case where sharding a single run is not worth it but
 the pool is).  Both resolve the call's execution policy once
@@ -41,6 +41,7 @@ from repro.runtime.governor import PartialAccumulator
 from repro.runtime.jobs import JobJournal, job_signature
 from repro.runtime.planner import plan_shards, slice_operands
 from repro.runtime.policy import ExecutionPolicy, resolve
+from repro.runtime.route import run_fallback, run_guarded
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,11 @@ class ShardStat:
 
 def _local_task(kernel, tensors, capacity, auto_grow, max_capacity, policy):
     start = time.perf_counter()
-    result = kernel._run_guarded(
-        tensors, capacity, policy, auto_grow=auto_grow,
+    result = run_guarded(
+        kernel, tensors, capacity, policy, auto_grow=auto_grow,
         max_capacity=max_capacity,
     )
     return result, time.perf_counter() - start, "local"
-
-
-def _failover_task(kernel, tensors, capacity, auto_grow, max_capacity, cause):
-    """Serve one crashed/timed-out shard from the Python fallback."""
-    start = time.perf_counter()
-    result = kernel._run_fallback(
-        tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
-        cause=cause,
-    )
-    return result, time.perf_counter() - start, "fallback"
 
 
 def _submit(ex, fn, *args) -> Future:
@@ -188,8 +179,8 @@ def run_shards(
             kernel.name,
             "no splittable index" if plan is None else "single shard",
         )
-        return kernel._run_guarded(
-            tensors, capacity, policy, auto_grow=auto_grow,
+        return run_guarded(
+            kernel, tensors, capacity, policy, auto_grow=auto_grow,
             max_capacity=max_capacity,
         )
 
@@ -285,10 +276,12 @@ def run_shards(
                 i + 1, plan.shards, kernel.name, type(exc).__name__, exc,
             )
             retried = failover = True
-            result, seconds, who = _failover_task(
-                shard_kernels[k], shard_inputs[k],
-                capacity, auto_grow, max_capacity, exc,
+            start = time.perf_counter()
+            result = run_fallback(
+                shard_kernels[k], shard_inputs[k], capacity,
+                auto_grow=auto_grow, max_capacity=max_capacity, cause=exc,
             )
+            seconds, who = time.perf_counter() - start, "fallback"
         except Exception as exc:
             if isinstance(exc, ReproError) and not is_retryable(exc):
                 # deterministic kernel errors (shape mismatch, capacity

@@ -1,0 +1,203 @@
+"""How one kernel call runs: the runtime's entry for ``Kernel.run``.
+
+:func:`run` resolves the call's execution policy once
+(:mod:`repro.runtime.policy`) and routes it: a sharded policy to
+:func:`repro.runtime.api.run_shards`, anything else through
+:func:`run_guarded`, which each thread/serial shard takes too — in
+process by :meth:`~repro.compiler.kernel.Kernel.execute`, or supervised
+behind the circuit breaker, whose open state serves the kernel's
+pure-Python twin (:func:`run_fallback`).
+
+The policy is the only other runtime module imported here: an
+in-process run loads no supervisor, breaker or pool.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import weakref
+from typing import Mapping, Optional, Union
+
+from repro.compiler.resilience import logger
+from repro.data.tensor import Tensor
+from repro.errors import KernelCrashError, KernelTimeoutError
+from repro.runtime.policy import ExecutionPolicy, resolve
+
+#: kernel handle → its pure-Python twin, built by the first call that
+#: needs it and dropped with the handle
+_twins: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def run(
+    kernel,
+    tensors: Mapping[str, Tensor],
+    *,
+    capacity: Optional[int] = None,
+    auto_grow: bool = False,
+    max_capacity: Optional[int] = None,
+    parallel: Optional[Union[str, bool]] = None,
+    workers: Optional[int] = None,
+    shards: Optional[int] = None,
+    supervised: Optional[bool] = None,
+    deadline: Optional[float] = None,
+) -> Union[Tensor, float, int, bool]:
+    """Execute ``kernel`` on concrete tensors; returns the output tensor
+    (or a scalar for shape-∅ kernels).
+
+    ``parallel`` (a shard executor: ``"serial"``, ``"thread"``,
+    ``"pool"``; ``False`` forces one unsharded run), ``workers``,
+    ``shards``, ``supervised`` (run in a crash-isolated child: a
+    segfault or runaway loop becomes a typed
+    :class:`~repro.errors.KernelCrashError` /
+    :class:`~repro.errors.KernelTimeoutError`) and ``deadline`` (a
+    wall-clock budget in seconds, enforced wherever the run is isolated
+    and advisory in process) are this call's execution policy.  None
+    defers to the handle's build-time default, then ``REPRO_*``, then
+    the built-in default — :func:`repro.runtime.policy.resolve` is the
+    one place that decides, DESIGN.md "Execution policy" the account of
+    it.  ``capacity``, ``auto_grow`` and ``max_capacity`` are
+    :meth:`~repro.compiler.kernel.Kernel.execute`'s.
+    """
+    policy = resolve(
+        kernel, parallel=parallel, workers=workers, shards=shards,
+        supervised=supervised, deadline=deadline,
+    )
+    if policy.executor is None:
+        return run_guarded(
+            kernel, tensors, capacity, policy, auto_grow=auto_grow,
+            max_capacity=max_capacity,
+        )
+    from repro.runtime.api import run_shards
+
+    return run_shards(
+        kernel, tensors, policy, capacity=capacity, auto_grow=auto_grow,
+        max_capacity=max_capacity,
+    )
+
+
+def run_guarded(
+    kernel,
+    tensors: Mapping[str, Tensor],
+    capacity: Optional[int],
+    policy: ExecutionPolicy,
+    *,
+    auto_grow: bool = False,
+    max_capacity: Optional[int] = None,
+) -> Union[Tensor, float, int, bool]:
+    """One unsharded run (also each thread/serial shard's body) under an
+    already resolved ``policy``: in process, or supervised behind the
+    circuit breaker.
+
+    closed → run supervised; a crash/timeout raises its typed error and
+    counts toward the breaker threshold.  open → serve the pure-Python
+    fallback without forking at all.  half-open → this call is the
+    re-probe; success closes the breaker, failure re-opens it (with
+    doubled backoff) and degrades to the fallback transparently — once
+    callers have been getting fallback service, a probe failure is the
+    breaker's business, not theirs.  Whether the child is a fork or a
+    resident pool worker (``policy.pool_route``), the typed errors — and
+    therefore the breaker transitions driven here — are identical.
+    """
+    if not policy.supervised:
+        return kernel.execute(
+            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
+        )
+    from repro.runtime import breaker as breaker_mod, supervisor
+
+    if not supervisor.can_supervise(kernel):
+        logger.warning(
+            "kernel %r: supervision requested but unavailable here "
+            "(no fork and no rebuild recipe); running in-process",
+            kernel.name,
+        )
+        return kernel.execute(
+            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
+        )
+    key = kernel.cache_key or f"uncached:{kernel.name}"
+    brk = breaker_mod.breaker
+    state = brk.try_probe(key)
+    if state == breaker_mod.OPEN:
+        return run_fallback(
+            kernel, tensors, capacity, auto_grow=auto_grow,
+            max_capacity=max_capacity,
+        )
+    probe = state == breaker_mod.HALF_OPEN
+    if probe:
+        logger.warning(
+            "kernel %r: circuit breaker half-open; re-probing the "
+            "supervised kernel", kernel.name,
+        )
+    resolved = False
+    try:
+        result = supervisor.supervise(
+            kernel, tensors, capacity, policy, auto_grow=auto_grow,
+            max_capacity=max_capacity,
+        )
+        resolved = True
+        brk.record_success(key, name=kernel.name, probe=probe)
+        return result
+    except (KernelCrashError, KernelTimeoutError) as exc:
+        resolved = True
+        brk.record_failure(key, name=kernel.name, probe=probe)
+        if probe:
+            return run_fallback(
+                kernel, tensors, capacity, auto_grow=auto_grow,
+                max_capacity=max_capacity, cause=exc,
+            )
+        raise
+    finally:
+        if probe and not resolved:
+            # a typed child error (CapacityError, ShapeError, ...)
+            # neither closes nor re-opens the breaker, but the probe
+            # claim must not stay wedged in flight
+            brk.release_probe(key)
+
+
+def fallback_kernel(kernel):
+    """The memoized pure-Python twin of ``kernel`` (None when there is no
+    rebuild recipe to build it from).  It is only ever executed, so it
+    carries no execution policy of its own."""
+    twin = _twins.get(kernel)
+    if twin is None and kernel.recipe is not None:
+        recipe = dataclasses.replace(
+            kernel.recipe, backend="python", vectorize=None
+        )
+        twin = recipe.build()
+        if twin.cache_key == kernel.cache_key:
+            # this kernel was already Python-backed, so the rebuild
+            # aliased it through the cache — serving a crashing kernel
+            # as its own fallback is useless; build a fresh one instead
+            twin = recipe.build(cache=False)
+        out = kernel.output
+        if out is not None and twin.output.dims != out.dims:
+            # a free-split shard's view carries shard-sized output dims
+            twin = twin.with_output_dims(out.dims)
+        twin = _twins.setdefault(kernel, twin)
+    return twin
+
+
+def run_fallback(
+    kernel,
+    tensors: Mapping[str, Tensor],
+    capacity: Optional[int],
+    *,
+    auto_grow: bool,
+    max_capacity: Optional[int],
+    cause: Optional[BaseException] = None,
+) -> Union[Tensor, float, int, bool]:
+    """Serve one run from the pure-Python twin (breaker open)."""
+    twin = fallback_kernel(kernel)
+    if twin is None:
+        if cause is not None:
+            raise cause
+        raise KernelCrashError(
+            f"kernel {kernel.name!r}: circuit breaker is open and no "
+            "Python fallback can be built (no rebuild recipe)"
+        )
+    logger.info(
+        "kernel %r: serving the pure-Python fallback result "
+        "(circuit breaker open)", kernel.name,
+    )
+    return twin.execute(
+        tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity
+    )

@@ -111,7 +111,7 @@ def _child_entry(
     # child for free, no crash kernel required
     resilience.fault_point("supervised_child")
     try:
-        result = kernel._run_single(
+        result = kernel.execute(
             tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity
         )
         conn.send(("ok", result))

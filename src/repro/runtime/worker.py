@@ -4,8 +4,8 @@ A worker is forked from the pool's owner where the platform can fork
 (``REPRO_MP_START``) and spawned otherwise, so everything here must
 also be importable and picklable from a fresh interpreter: no closures,
 no compiled-kernel handles.  A worker receives a
-:class:`~repro.compiler.kernel.KernelRecipe`, rebuilds the kernel
-through the ordinary :class:`~repro.compiler.kernel.KernelBuilder` path
+:class:`~repro.compiler.build.KernelRecipe`, rebuilds the kernel
+through the ordinary :class:`~repro.compiler.build.KernelBuilder` path
 — which lands on the two-tier cache: the in-memory memo (a forked
 worker is born with the parent's; a spawned one fills its own from the
 first task on), else the parent's on-disk payload/``.so`` tier — and
@@ -158,7 +158,7 @@ def pool_worker_main(
                     ):
                         kernel = kernel.with_output_dims(output_dims)
                     tensors = {n: shm.open_ref(r) for n, r in refs.items()}
-                    result = kernel._run_single(
+                    result = kernel.execute(
                         tensors, capacity, auto_grow=auto_grow,
                         max_capacity=max_capacity,
                     )

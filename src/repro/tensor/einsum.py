@@ -15,7 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.compiler.kernel import DEFAULT_OPT_LEVEL, KernelBuilder, OutputSpec
+from repro.compiler.build import KernelBuilder
+from repro.compiler.kernel import OutputSpec
+from repro.compiler.opt import DEFAULT_OPT_LEVEL
 from repro.data.tensor import Tensor
 from repro.krelation.schema import Attribute, Schema, ShapeError
 from repro.lang.ast import Expr, Var, sum_over
@@ -72,7 +74,7 @@ class EinsumPlan:
 
     Splitting planning from building lets a caller — the serving layer
     above all — canonicalize a query, compute the kernel cache key via
-    :meth:`~repro.compiler.kernel.KernelBuilder.cache_key`, and make
+    :meth:`~repro.compiler.build.KernelBuilder.cache_key`, and make
     admission decisions (coalescing, circuit-breaker rejection) without
     paying for a compile.  ``inputs`` carries the operand tensors
     relabeled to the canonical ``t0, t1, …`` names.

@@ -16,7 +16,7 @@ import pytest
 from repro.autotune import reset_profile_cache
 from repro.autotune.decisions import decision_cache
 from repro.compiler import codegen_c
-from repro.compiler import kernel as kernel_mod
+from repro.compiler import build as build_mod
 from repro.compiler.cache import KernelCache
 
 
@@ -28,7 +28,7 @@ def isolated_tune_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TUNE_CACHE_DIR", str(tune_dir))
     monkeypatch.delenv("REPRO_TUNE", raising=False)
     monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
-    monkeypatch.setattr(kernel_mod, "kernel_cache",
+    monkeypatch.setattr(build_mod, "kernel_cache",
                         KernelCache(cache_dir=kcache_dir))
     reset_profile_cache()
     decision_cache.clear_memo()

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler import kernel as kernel_mod
-from repro.compiler.kernel import KernelBuilder, OutputSpec, compile_kernel
+from repro.compiler import build as build_mod
+from repro.compiler.build import KernelBuilder, compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.semirings import FLOAT
@@ -138,14 +139,14 @@ def test_tuned_and_untuned_builds_do_not_collide_in_the_cache():
     key_off = builder.cache_key(expr, tensors, out, name="kt_h")
     key_auto = KernelBuilder(ctx, FLOAT, tune="auto").cache_key(
         expr, tensors, out, name="kt_h")
-    decision = kernel_mod  # noqa: F841  (readability anchor)
+    decision = build_mod  # noqa: F841  (readability anchor)
     # the keys agree exactly when the tuner picked the default knobs;
     # either way a tuned build() must be servable from the cache the
     # prepare() key points at
     tuned = KernelBuilder(ctx, FLOAT, tune="auto").build(
         expr, tensors, out, name="kt_h")
     assert key_auto is not None and key_off is not None
-    assert kernel_mod.kernel_cache.lookup(key_auto) is not None
+    assert build_mod.kernel_cache.lookup(key_auto) is not None
     d = tuned.tune_decision.decision
     if d.search == "linear":
         assert key_auto == key_off

@@ -21,7 +21,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor
 from repro.errors import CapacityError
 from repro.krelation import Schema
@@ -87,7 +88,7 @@ def _results_equal(kernel, a, b) -> bool:
 @given(problem=grow_problems())
 def test_auto_grow_converges_to_oracle_within_bound(problem):
     kernel, tensors, nnz, semiring = problem
-    oracle = kernel._run_single(tensors)  # ample default capacity
+    oracle = kernel.execute(tensors)  # ample default capacity
     bound = nnz + 3  # comfortably above need, far below n*m growth room
     caps = _spy_allocations(kernel)
     os.environ["REPRO_MAX_CAPACITY"] = str(bound)

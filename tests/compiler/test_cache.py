@@ -20,12 +20,13 @@ import pytest
 from repro import config
 from repro.compiler import cache as cache_mod
 from repro.compiler import codegen_c
-from repro.compiler import kernel as kernel_mod
+from repro.compiler import build as build_mod
 from repro.compiler.analysis.intervals import BoundsFinding
 from repro.compiler.cache import MEMO_ENTRIES, KernelCache, kernel_cache_key
 from repro.compiler.formats import Param
 from repro.compiler.ir import TINT, EVar, PSort
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -46,7 +47,7 @@ requires_cc = pytest.mark.skipif(
 @pytest.fixture
 def fresh_cache(tmp_path, monkeypatch):
     kc = KernelCache(cache_dir=tmp_path)
-    monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
+    monkeypatch.setattr(build_mod, "kernel_cache", kc)
     return kc
 
 
@@ -120,7 +121,7 @@ def test_disk_payload_round_trip(fresh_cache, tmp_path, monkeypatch):
     # a second cache over the same directory simulates a fresh process:
     # the in-memory memo is empty, the payload must be found on disk
     kc2 = KernelCache(cache_dir=tmp_path)
-    monkeypatch.setattr(kernel_mod, "kernel_cache", kc2)
+    monkeypatch.setattr(build_mod, "kernel_cache", kc2)
     k2 = compile_kernel(expr, ctx, tensors, out, backend="python", name="disk_k")
     assert kc2.stats.disk_hits == 1 and kc2.stats.misses == 0
     assert k2.source == k1.source
@@ -129,7 +130,7 @@ def test_disk_payload_round_trip(fresh_cache, tmp_path, monkeypatch):
     # a process of another format version rebuilds, it does not load:
     # what was stored under one CACHE_VERSION is invisible to the next
     kc3 = KernelCache(cache_dir=tmp_path)
-    monkeypatch.setattr(kernel_mod, "kernel_cache", kc3)
+    monkeypatch.setattr(build_mod, "kernel_cache", kc3)
     monkeypatch.setattr(cache_mod, "CACHE_VERSION", cache_mod.CACHE_VERSION - 1)
     compile_kernel(expr, ctx, tensors, out, backend="python", name="disk_k")
     assert kc3.stats.disk_hits == 0 and kc3.stats.misses == 1
@@ -232,7 +233,8 @@ def test_shared_object_is_unloaded_with_its_last_kernel(fresh_cache):
 
 _EXIT_INSIDE_A_KERNEL = textwrap.dedent("""
     import threading, time
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
     from repro.workloads import dense_matrix
@@ -354,7 +356,7 @@ def test_sanitized_build_links_its_own_runtime(tmp_path, monkeypatch):
 def test_restored_kernel_keeps_its_lint_verdict(fresh_cache, monkeypatch):
     unproven = BoundsFinding("out_vals", "p", "out_vals[p] = v", False,
                              "upper bound unproven")
-    monkeypatch.setattr(kernel_mod, "lint_bounds", lambda *a, **kw: [unproven])
+    monkeypatch.setattr(build_mod, "lint_bounds", lambda *a, **kw: [unproven])
     monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     ctx, expr, out, tensors = _spmv()
     built = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")

@@ -19,7 +19,8 @@ from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.formats import Param
 from repro.compiler.interp import InterpKernel
 from repro.compiler.ir import PSearch, PSort, blit, ilit
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import tensor_to_krelation
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var, denote

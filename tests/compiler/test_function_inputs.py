@@ -6,7 +6,8 @@ import pytest
 
 from repro.compiler import Op, TBOOL, TFLOAT, TINT
 from repro.compiler.formats import FunctionInput
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.compiler.scalars import scalar_ops_for
 from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import Schema

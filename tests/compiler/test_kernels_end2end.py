@@ -9,7 +9,8 @@ standing in for the stream semantics.
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import CapacityError, OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import CapacityError, OutputSpec
 from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import KRelation, Schema, ShapeError
 from repro.lang import Lit, Sum, TypeContext, Var, denote

@@ -7,7 +7,8 @@ with the optimization on and off."""
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import Schema, ShapeError
 from repro.lang import Sum, TypeContext, Var, denote

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.analysis.verifier import verify_kernel
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var, denote

@@ -12,7 +12,8 @@ from repro.compiler.analysis.streamprops import (
 )
 from repro.compiler.formats import FunctionInput, TensorInput
 from repro.compiler.ir import Op, TFLOAT, TINT
-from repro.compiler.kernel import KernelBuilder, OutputSpec
+from repro.compiler.build import KernelBuilder
+from repro.compiler.kernel import OutputSpec
 from repro.compiler.scalars import scalar_ops_for
 from repro.errors import StreamPropertyError
 from repro.krelation.schema import Schema
@@ -218,7 +219,7 @@ class TestMemoization:
         """With the cache on, a second prepare of the same kernel must
         not re-run the analysis (the key is memoized process-locally)."""
         import repro.compiler.analysis.streamprops as sp
-        import repro.compiler.kernel as kmod
+        import repro.compiler.build as build_mod
 
         calls = {"n": 0}
         real = sp.verify_expr
@@ -227,7 +228,7 @@ class TestMemoization:
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(kmod, "verify_expr", counting)
+        monkeypatch.setattr(build_mod, "verify_expr", counting)
         expr, ctx, specs = _spmv()
         builder = KernelBuilder(ctx, FLOAT, backend="interp", cache=True)
         out = OutputSpec(("i",), ("dense",), (N,))

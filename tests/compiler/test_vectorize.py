@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var

@@ -42,7 +42,8 @@ from repro.compiler.ir import (
     c_type,
     ilit,
 )
-from repro.compiler.kernel import OutputSpec, _check_no_shadowing, compile_kernel
+from repro.compiler.build import _check_no_shadowing, compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor
 from repro.errors import IRVerifyError
 from repro.krelation import Schema

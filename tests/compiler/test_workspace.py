@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.compiler.kernel import OutputSpec, _workspace_needed, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.dest import workspace_needed
+from repro.compiler.kernel import OutputSpec
 from repro.compiler.lower import lower
 from repro.compiler.ir import NameGen
 from repro.compiler.scalars import scalar_ops_for
@@ -34,7 +36,7 @@ def test_matmul_needs_workspace():
     }
     stream = lowered(Sum("j", Var("x") * Var("y")), ctx, inputs)
     out = OutputSpec(("i", "k"), ("dense", "sparse"), (N, N))
-    assert _workspace_needed(stream, out)
+    assert workspace_needed(stream, out)
 
 
 def test_elementwise_does_not_need_workspace():
@@ -45,7 +47,7 @@ def test_elementwise_does_not_need_workspace():
     }
     stream = lowered(Var("x") + Var("y"), ctx, inputs)
     out = OutputSpec(("i", "j"), ("dense", "sparse"), (N, N))
-    assert not _workspace_needed(stream, out)
+    assert not workspace_needed(stream, out)
 
 
 def test_dense_output_never_needs_workspace():
@@ -56,7 +58,7 @@ def test_dense_output_never_needs_workspace():
     }
     stream = lowered(Sum("j", Var("x") * Var("y")), ctx, inputs)
     out = OutputSpec(("i", "k"), ("dense", "dense"), (N, N))
-    assert not _workspace_needed(stream, out)
+    assert not workspace_needed(stream, out)
 
 
 def test_column_sum_needs_workspace():
@@ -66,7 +68,7 @@ def test_column_sum_needs_workspace():
                                  formats=("sparse", "sparse"), seed=7)}
     stream = lowered(Sum("i", Var("x")), ctx, inputs)
     out = OutputSpec(("j",), ("sparse",), (N,))
-    assert _workspace_needed(stream, out)
+    assert workspace_needed(stream, out)
 
 
 def test_upper_level_out_of_order_rejected():
@@ -81,7 +83,7 @@ def test_upper_level_out_of_order_rejected():
     stream = lowered(Sum("i", Var("x") * Var("y")), ctx, inputs)
     out = OutputSpec(("j", "k"), ("sparse", "sparse"), (N, N))
     with pytest.raises(ShapeError):
-        _workspace_needed(stream, out)
+        workspace_needed(stream, out)
 
 
 def test_workspace_output_is_sorted_and_deduped():

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from repro.compiler.cache import kernel_cache
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.workloads import dense_vector, sparse_matrix

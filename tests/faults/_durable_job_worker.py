@@ -20,7 +20,8 @@ import sys
 
 import numpy as np
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var

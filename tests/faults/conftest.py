@@ -20,7 +20,7 @@ import pytest
 
 from repro import config
 from repro.compiler import codegen_c
-from repro.compiler import kernel as kernel_mod
+from repro.compiler import build as build_mod
 from repro.compiler import resilience
 from repro.compiler.cache import KernelCache
 from repro.compiler.kernel import OutputSpec
@@ -50,7 +50,7 @@ def isolated_build_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
     monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     kc = KernelCache(cache_dir=cache_dir)
-    monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
+    monkeypatch.setattr(build_mod, "kernel_cache", kc)
     resilience.reset_probe_cache()
     resilience.reset_fault_counters()
     yield
@@ -66,7 +66,7 @@ def isolated_build_state(tmp_path, monkeypatch):
 @pytest.fixture
 def fresh_cache(tmp_path):
     """The per-test KernelCache installed by ``isolated_build_state``."""
-    return kernel_mod.kernel_cache
+    return build_mod.kernel_cache
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import resilience
-from repro.compiler.kernel import compile_kernel
+from repro.compiler.build import compile_kernel
 from repro.errors import (
     BackendUnavailableError,
     CapacityError,
@@ -173,11 +173,11 @@ def test_corrupted_payload_quarantined_and_rebuilt(cache_dir, caplog):
     [payload] = list(cache_dir.glob("kmeta_*.json"))
     payload.write_bytes(b"\x00garbage{{{not json")
 
-    from repro.compiler import kernel as kernel_mod
+    from repro.compiler import build as build_mod
     from repro.compiler.cache import KernelCache
 
     kc2 = KernelCache(cache_dir=cache_dir)  # fresh process simulation
-    kernel_mod.kernel_cache = kc2
+    build_mod.kernel_cache = kc2
     with caplog.at_level(logging.WARNING, logger="repro"):
         k2, _ = _build_spmv(backend="python", name="corrupt_json")
         result = k2.run(tensors)
@@ -197,10 +197,10 @@ def test_tampered_payload_fails_checksum(cache_dir, caplog):
     record["payload"]["source"] = "raise RuntimeError('pwned')"
     payload_file.write_text(json.dumps(record))  # checksum now stale
 
-    from repro.compiler import kernel as kernel_mod
+    from repro.compiler import build as build_mod
     from repro.compiler.cache import KernelCache
 
-    kernel_mod.kernel_cache = KernelCache(cache_dir=cache_dir)
+    build_mod.kernel_cache = KernelCache(cache_dir=cache_dir)
     with caplog.at_level(logging.WARNING, logger="repro"):
         k2, _ = _build_spmv(backend="python", name="tampered")
         result = k2.run(tensors)
@@ -293,11 +293,11 @@ def test_unusable_cache_dir_payload_store_is_logged(tmp_path, monkeypatch, caplo
     """The JSON tier skips an unwritable directory — loudly, not silently."""
     blocker = tmp_path / "blocker2"
     blocker.write_text("still a file")
-    from repro.compiler import kernel as kernel_mod
+    from repro.compiler import build as build_mod
     from repro.compiler.cache import KernelCache
 
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(blocker / "sub"))
-    kernel_mod.kernel_cache = KernelCache()  # picks up the bad env dir
+    build_mod.kernel_cache = KernelCache()  # picks up the bad env dir
     with caplog.at_level(logging.WARNING, logger="repro"):
         kernel, tensors = _build_spmv(backend="python", name="rodir_py")
         result = kernel.run(tensors)

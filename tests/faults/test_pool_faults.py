@@ -87,8 +87,8 @@ class FaultKernel:
         self.recipe = FaultRecipe(mode)
         self.cache_key = f"fault:{mode}"
 
-    def _run_single(self, tensors, capacity=None, *, auto_grow=False,
-                    max_capacity=None):
+    def execute(self, tensors, capacity=None, *, auto_grow=False,
+                max_capacity=None):
         if self.mode == "sigsegv":
             ctypes.memset(8, 0, 1)  # store through the null page
         if self.mode == "sigkill":

@@ -15,7 +15,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import compile_kernel
+from repro.compiler.build import compile_kernel
 from repro.compiler import resilience
 from repro.errors import (
     CapacityError,
@@ -232,7 +232,7 @@ def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
 def test_breaker_opens_and_serves_python_fallback(monkeypatch, caplog):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
     kernel, tensors = _build()
-    oracle = kernel._run_single(tensors)  # the healthy serial result
+    oracle = kernel.execute(tensors)  # the healthy serial result
     sabotage(kernel, SegfaultKernel())
     with caplog.at_level("WARNING", logger="repro"):
         for _ in range(2):
@@ -250,7 +250,7 @@ def test_breaker_opens_and_serves_python_fallback(monkeypatch, caplog):
 def test_probe_failure_degrades_transparently(monkeypatch, caplog):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
-    oracle = kernel._run_single(tensors)
+    oracle = kernel.execute(tensors)
     sabotage(kernel, SegfaultKernel())
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
@@ -272,7 +272,7 @@ def test_probe_failure_degrades_transparently(monkeypatch, caplog):
 def test_probe_success_closes_the_breaker(monkeypatch, caplog):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
-    oracle = kernel._run_single(tensors)
+    oracle = kernel.execute(tensors)
     healthy = sabotage(kernel, SegfaultKernel())
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import tensor_from_krelation, tensor_to_krelation
 from repro.krelation import KRelation, Schema
 from repro.lang import Sum, TypeContext, Var, denote

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.compiler.analysis.streamprops import certify_split, refusal_reason
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data.tensor import Tensor
 from repro.errors import StreamPropertyError
 from repro.krelation.schema import Schema

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data.tensor import Tensor
 from repro.errors import CacheCorruptionError
 from repro.krelation import Schema
@@ -49,7 +50,7 @@ def _partials(kernel, tensors, plan):
     out = []
     for lo, hi in plan.ranges:
         sliced = slice_operands(kernel, tensors, plan, lo, hi)
-        out.append(kernel._run_single(sliced))
+        out.append(kernel.execute(sliced))
     return out
 
 

@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime.jobs import (
@@ -136,7 +137,7 @@ def test_tensor_partial_roundtrips_bit_identically():
     kernel, tensors, plan = _planned()
     journal = JobJournal(job_signature(kernel, plan, tensors))
     journal.ensure(plan)
-    partial = kernel._run_single(tensors)
+    partial = kernel.execute(tensors)
     assert journal.write_shard(3, partial)
     assert journal.completed() == {3}
     loaded = journal.load_shard(3, kernel.ops.semiring)
@@ -158,7 +159,7 @@ def test_corrupt_shard_is_quarantined(caplog):
     kernel, tensors, plan = _planned()
     journal = JobJournal(job_signature(kernel, plan, tensors))
     journal.ensure(plan)
-    journal.write_shard(1, kernel._run_single(tensors))
+    journal.write_shard(1, kernel.execute(tensors))
     path = journal._shard_path(1)
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF  # flip one payload bit: checksum must catch it
@@ -173,7 +174,7 @@ def test_truncated_shard_is_quarantined():
     kernel, tensors, plan = _planned()
     journal = JobJournal(job_signature(kernel, plan, tensors))
     journal.ensure(plan)
-    journal.write_shard(2, kernel._run_single(tensors))
+    journal.write_shard(2, kernel.execute(tensors))
     path = journal._shard_path(2)
     path.write_bytes(path.read_bytes()[:-10])  # torn tail
     assert journal.load_shard(2, kernel.ops.semiring) is None
@@ -226,7 +227,7 @@ def test_unwritable_root_degrades_durability(tmp_path):
         job_signature(kernel, plan, tensors), root=blocker / "sub")
     journal.ensure(plan)
     assert journal.writable is False
-    assert journal.write_shard(0, kernel._run_single(tensors)) is False
+    assert journal.write_shard(0, kernel.execute(tensors)) is False
     assert journal.completed() == set()
 
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime import pool as pool_mod
@@ -329,7 +330,7 @@ def test_pooled_supervised_routing(monkeypatch, forkless=False):
     pool_mod.shutdown_shared_pool()
     kernel, tensors = spmv_kernel(name="pool_sup_spmv")
     assert can_supervise(kernel)
-    direct = kernel._run_single(tensors)
+    direct = kernel.execute(tensors)
     pooled = run_supervised(kernel, tensors)
     assert direct.to_dict() == pooled.to_dict()
     pool = pool_mod.get_shared_pool()

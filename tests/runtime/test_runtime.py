@@ -13,7 +13,8 @@ import pytest
 
 from repro.compiler import Op, TFLOAT, TINT
 from repro.compiler.formats import FunctionInput
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.compiler.scalars import scalar_ops_for
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -171,7 +172,7 @@ class TestExecutors:
 class TestRunSharded:
     def test_free_split_matches_oracle(self):
         kernel, tensors = spmv_kernel()
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         got = kernel.run_sharded(tensors, executor="thread", shards=4, workers=2)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
         assert len(kernel.last_shard_stats) == 4
@@ -180,7 +181,7 @@ class TestRunSharded:
 
     def test_contracted_scalar_matches_oracle(self):
         kernel, tensors = dot_kernel()
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         got = kernel.run_sharded(tensors, executor="serial", shards=5)
         assert got == pytest.approx(ref)
 
@@ -197,7 +198,7 @@ class TestRunSharded:
             semiring=FLOAT, backend="python", name="rt_colmix",
         )
         tensors = {"A": A, "u": u}
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         got = kernel.run_sharded(tensors, executor="serial", shards=4)
         assert ref.to_dict() == pytest.approx(got.to_dict())
 
@@ -212,7 +213,7 @@ class TestRunSharded:
             semiring=FLOAT, backend="python", name="rt_emul",
         )
         tensors = {"A": A, "B": B}
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         got = kernel.run_sharded(tensors, executor="serial", shards=3)
         assert ref.to_dict() == got.to_dict()
         assert np.array_equal(ref.pos[1], got.pos[1])
@@ -222,7 +223,7 @@ class TestRunSharded:
         # x(i) alone is splittable, so pick a 1-long dim to force the
         # no-plan path instead
         kernel, tensors = spmv_kernel(n=1)
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         got = kernel.run_sharded(tensors, executor="thread", shards=4)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
 
@@ -243,7 +244,7 @@ class TestRunSharded:
 
     def test_shard_failure_retries_in_process(self, monkeypatch, caplog):
         kernel, tensors = spmv_kernel()
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         real = api_mod._local_task
         calls = {"n": 0}
 
@@ -272,7 +273,7 @@ class TestRunSharded:
         from repro.runtime import executor as ex_mod
 
         kernel, tensors = spmv_kernel()
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
 
         class BrokenPool(ex_mod.Executor):
             name = "thread"
@@ -314,7 +315,7 @@ class TestRunSharded:
         )
         assert kernel.recipe is None
         tensors = {"A": A}
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         with caplog.at_level(logging.WARNING, logger="repro"):
             got = kernel.run_sharded(tensors, executor="pool", shards=2)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
@@ -433,7 +434,7 @@ class TestPolicy:
             assert bool(handle.last_shard_stats) == (expected is not None)
             assert np.array_equal(
                 np.asarray(got.vals),
-                np.asarray(kernel._run_single(tensors).vals))
+                np.asarray(kernel.execute(tensors).vals))
 
     def test_in_process_run_reads_two_variables(self, monkeypatch):
         kernel, _ = spmv_kernel()
@@ -445,7 +446,7 @@ class TestPolicy:
         # the policy is resolved at the top of the call and handed to
         # every shard: four supervised shards, one read per knob
         kernel, tensors = spmv_kernel()
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         reads = self._count_reads(monkeypatch)
         got = kernel.run_sharded(
             tensors, executor="serial", shards=4, supervised=True)
@@ -453,6 +454,50 @@ class TestPolicy:
         assert len(kernel.last_shard_stats) == 4
         assert reads["REPRO_KERNEL_DEADLINE"] == 1
         assert max(reads.values()) == 1, dict(reads)
+
+    def test_in_process_run_imports_the_policy_alone(self):
+        # the compiler imports no layer above it, and a first in-process
+        # Kernel.run pays for the policy and its own entry, not for
+        # multiprocessing and the pool (DESIGN.md §4)
+        script = """if True:
+            import json, sys
+            from repro import FLOAT, Schema, Sum, TypeContext, Var, compile_kernel
+            from repro.compiler.kernel import OutputSpec
+            from repro.workloads import dense_vector, sparse_matrix
+
+            def loaded():
+                return sorted(m for m in sys.modules if m.startswith(
+                    ("repro.runtime", "repro.autotune", "multiprocessing")))
+
+            A = sparse_matrix(8, 8, 0.3, attrs=("i", "j"), seed=1)
+            x = dense_vector(8, attr="j", seed=2)
+            ctx = TypeContext(Schema.of(i=None, j=None),
+                              {"A": {"i", "j"}, "x": {"j"}})
+            kernel = compile_kernel(
+                Sum("j", Var("A") * Var("x")), ctx, {"A": A, "x": x},
+                OutputSpec(("i",), ("dense",), (8,)), semiring=FLOAT,
+                backend="python", cache=False, name="rt_arrow")
+            built = loaded()
+            kernel.run({"A": A, "x": x})
+            print(json.dumps([built, loaded()]))
+        """
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        built, ran = json.loads(out.stdout)
+        assert built == []
+        assert ran == ["repro.runtime", "repro.runtime.policy",
+                       "repro.runtime.route"]
 
     @staticmethod
     def _count_reads(monkeypatch) -> Counter:
@@ -490,12 +535,14 @@ class TestPolicy:
 
     def test_breaker_fallback_leaves_the_held_kernel_alone(self, monkeypatch):
         # a C kernel's Python twin comes out of the same build cache as
-        # the Python-backed kernel a user holds; "the fallback never
-        # supervises" must not become that user's policy
+        # the Python-backed kernel a user holds; serving it as the
+        # fallback must not become that user's policy
+        from repro.runtime.route import fallback_kernel
+
         held, tensors = spmv_kernel()
         c_kernel, _ = spmv_kernel(backend="c")
-        twin = c_kernel._fallback_kernel()
-        assert twin._kernel is held._kernel and twin.supervised is False
+        twin = fallback_kernel(c_kernel)
+        assert twin._kernel is held._kernel and fallback_kernel(c_kernel) is twin
         assert held.supervised is None
         monkeypatch.setenv("REPRO_SUPERVISE", "1")
         assert resolve(held, parallel=False).supervised is True
@@ -509,7 +556,7 @@ class TestCBackend:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_c_backend_sharded_matches_oracle(self, executor):
         kernel, tensors = spmv_kernel(backend="c")
-        ref = kernel._run_single(tensors)
+        ref = kernel.execute(tensors)
         got = kernel.run_sharded(tensors, executor=executor, shards=4, workers=2)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
 
@@ -522,7 +569,7 @@ class TestBatch:
             A = sparse_matrix(N, N, 0.3, attrs=("i", "j"), seed=seed)
             x = dense_vector(N, attr="j", seed=seed + 100)
             runs.append({"A": A, "x": x})
-        expected = [kernel._run_single(r).vals for r in runs]
+        expected = [kernel.execute(r).vals for r in runs]
         got = kernel.run_batch(runs, executor="thread", workers=2)
         for want, have in zip(expected, got):
             assert np.array_equal(np.asarray(want), np.asarray(have.vals))
@@ -534,8 +581,8 @@ class TestRecipe:
         kernel, tensors = spmv_kernel()
         assert kernel.recipe is not None
         clone = pickle.loads(pickle.dumps(kernel.recipe)).build()
-        ref = kernel._run_single(tensors)
-        got = clone._run_single(tensors)
+        ref = kernel.execute(tensors)
+        got = clone.execute(tensors)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
 
     def test_restored_kernel_keeps_recipe(self):

@@ -19,7 +19,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
@@ -139,7 +140,7 @@ def _canon(result):
 @given(problem=shard_problems())
 def test_sharded_equals_serial_exactly(problem):
     kernel, tensors, shards = problem
-    expected = _canon(kernel._run_single(tensors))
+    expected = _canon(kernel.execute(tensors))
     sharded = _canon(kernel.run_sharded(
         tensors, executor="serial", shards=shards))
     assert sharded == expected

@@ -203,7 +203,8 @@ def test_full_dev_shm_sends_operands_inline(monkeypatch, caplog):
     are reserved first; when that fails the segment is removed again,
     the operand stays on the heap untouched, and a pooled run still
     equals the serial one."""
-    from repro.compiler.kernel import OutputSpec, compile_kernel
+    from repro.compiler.build import compile_kernel
+    from repro.compiler.kernel import OutputSpec
     from repro.krelation import Schema
     from repro.lang import Sum, TypeContext, Var
 

@@ -14,7 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import OutputSpec, compile_kernel
+from repro.compiler.build import compile_kernel
+from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime.api import ShardStat
@@ -39,7 +40,7 @@ def spmv():
 
 def test_concurrent_sharded_runs_never_tear_stats(spmv):
     kernel, tensors = spmv
-    oracle = kernel._run_single(tensors)
+    oracle = kernel.execute(tensors)
     snapshots = []
     errors = []
     stop = threading.Event()

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from repro.compiler import codegen_c
-from repro.compiler import kernel as kernel_mod
+from repro.compiler import build as build_mod
 from repro.compiler import resilience
 from repro.compiler.cache import KernelCache
 from repro.runtime import breaker as breaker_mod
@@ -26,7 +26,7 @@ def isolated_build_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(cache_dir))
     monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     kc = KernelCache(cache_dir=cache_dir)
-    monkeypatch.setattr(kernel_mod, "kernel_cache", kc)
+    monkeypatch.setattr(build_mod, "kernel_cache", kc)
     resilience.reset_probe_cache()
     breaker_mod.breaker.reset()
     yield

@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler import kernel as kernel_mod
+from repro.compiler import build as build_mod
 from repro.compiler.cache import MEMO_ENTRIES
 from repro.serve.deadline import Budget
 from repro.serve.query import QueryError, _encode_result, prepare_request
@@ -192,13 +192,13 @@ def test_semiring_changes_kernel_key():
 def test_requests_with_new_dims_keep_the_kernel_memory_bounded():
     """A server that sees new dims keeps at most ``MEMO_ENTRIES``
     kernels, and one loaded shared object for their one source."""
-    cache_dir = str(kernel_mod.kernel_cache.cache_dir())
+    cache_dir = str(build_mod.kernel_cache.cache_dir())
     for i in range(3 * MEMO_ENTRIES):
         prepared = prepare_request(einsum_query(n=4 + i, seed=i))
         prepared.execute(Budget(30.0))
     c_backed = prepared.build().c_backed
     gc.collect()
-    assert len(kernel_mod.kernel_cache._memo) <= MEMO_ENTRIES
+    assert len(build_mod.kernel_cache._memo) <= MEMO_ENTRIES
     with open("/proc/self/maps") as maps:
         mapped = {line.split()[-1] for line in maps
                   if cache_dir in line and line.rstrip().endswith(".so")}
