@@ -397,7 +397,7 @@ def parallel(quick: bool) -> None:
                 tensors, executor=executor, workers=w, shards=w))
             print(f"{executor + ' x' + str(w):<28}{t*1e3:>10.2f}"
                   f"{base/t:>10.2f}")
-    t_warm = timeit(lambda: pool_mod.run_pooled(kernel, tensors))
+    t_warm = timeit(lambda: pool_mod.run_supervised(kernel, tensors))
     print(f"{'pooled supervised (warm)':<28}{t_warm*1e3:>10.2f}"
           f"{base/t_warm:>10.2f}")
     pool_mod.shutdown_shared_pool()

@@ -1,23 +1,23 @@
-"""Pool runtime benchmark: zero-copy pooled execution vs the fork.
+"""Pool runtime benchmark: zero-copy pooled execution vs in process.
 
 SpMV and sparse-dense matmul, timed:
 
 * unsharded in-process (the baseline every ratio is against);
 * sharded on the persistent ``pool`` executor (resident kernels +
   shared-memory operands);
-* fork-per-call supervised (the PR 5 shape);
-* warm pooled-supervised (``REPRO_POOL=1``'s routing: supervision
-  amortized inside resident workers).
+* warm supervised (supervision amortized inside resident workers).
 
 All raw numbers go to ``BENCH_PR6.json`` at the repo root next to the
 PR 4/PR 5 reports; ``benchmarks/report.py --deltas`` renders the
 cross-PR comparison.  (The file as committed still holds the
 ``process_2`` / ``pool_vs_process`` cells recorded before the
 spawn-per-call ``process`` executor was deleted: it lost to the pool
-2.4–3.8× there.)  The report records ``os.cpu_count()`` honestly
-and carries a ``representative`` flag — parallel *speedups* measured
-on a single-CPU container are dispatch-overhead measurements, not
-scaling results, and are asserted only on multi-core machines.  The
+2.4–3.8× there; and ``fork_supervised`` cells from before the
+fork-per-call supervisor was deleted.)  The report records
+``os.cpu_count()`` honestly and carries a ``representative`` flag —
+parallel *speedups* measured on a single-CPU container are
+dispatch-overhead measurements, not scaling results, and are asserted
+only on multi-core machines.  The
 warm pooled-supervised slowdown is the criterion that is meaningful on
 any machine: it is pure per-call overhead amortization, independent of
 core count.
@@ -42,7 +42,6 @@ from repro.krelation import Schema
 from repro.benchrecord import report_path
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime import pool as pool_mod
-from repro.runtime.supervisor import can_supervise, run_supervised
 from repro.workloads import dense_matrix, dense_vector, sparse_matrix
 
 REPORT_PATH = report_path("BENCH_PR6.json")
@@ -52,11 +51,6 @@ CPUS = os.cpu_count() or 1
 MULTICORE = CPUS >= 2
 HAVE_GCC = shutil.which("gcc") is not None
 BACKEND = "c" if HAVE_GCC else "python"
-
-pytestmark = pytest.mark.skipif(
-    not can_supervise(object()),
-    reason="no fork on this platform; the supervised comparisons need it",
-)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -129,25 +123,22 @@ def _measure(name, kernel, tensors):
         assert np.allclose(np.asarray(ref.vals), np.asarray(got.vals))
 
     check(kernel.run_sharded(tensors, executor="pool", workers=2, shards=2))
-    check(run_supervised(kernel, tensors))
-    # warm the pooled-supervised path before timing it: the first call
-    # ships the recipe and builds the kernel in each worker
-    check(pool_mod.run_pooled(kernel, tensors))
+    # warm the supervised path before timing it: the first call ships
+    # the recipe and builds the kernel in each worker
+    check(pool_mod.run_supervised(kernel, tensors))
 
     timings = {
         "single": _best(lambda: kernel.execute(tensors)),
         "pool_2": _best(lambda: kernel.run_sharded(
             tensors, executor="pool", workers=2, shards=2)),
-        "fork_supervised": _best(lambda: run_supervised(kernel, tensors)),
         "pool_supervised_warm": _best(
-            lambda: pool_mod.run_pooled(kernel, tensors)),
+            lambda: pool_mod.run_supervised(kernel, tensors)),
     }
     base = timings["single"]
     RESULTS[name] = {
         "seconds": timings,
         "speedup": {"pool_2": base / timings["pool_2"]},
         "supervised_slowdown": {
-            "fork": timings["fork_supervised"] / base,
             "pool_warm": timings["pool_supervised_warm"] / base,
         },
     }
@@ -157,9 +148,9 @@ def _measure(name, kernel, tensors):
 def test_spmv_pool_scaling():
     kernel, tensors = _spmv()
     result = _measure("spmv", kernel, tensors)
-    # supervision amortized in resident workers must beat a fork per call
-    slow = result["supervised_slowdown"]
-    assert slow["pool_warm"] < slow["fork"], result
+    # an spmv is too short for a slowdown bound: its every route is
+    # checked against the in-process result in _measure, and recorded
+    assert result["seconds"]["pool_supervised_warm"] > 0, result
 
 
 def test_matmul_pool_scaling():

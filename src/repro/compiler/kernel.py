@@ -106,7 +106,6 @@ class Kernel:
         #: another holder of the same cached object.
         self.parallel: Optional[str] = None
         self.workers: Optional[int] = None
-        self.supervised: Optional[bool] = None
         #: the autotuner's verdict when this handle was built through
         #: ``tune="auto"`` (a :class:`repro.autotune.TuneResult`)
         self.tune_decision = None
@@ -176,7 +175,7 @@ class Kernel:
     ) -> Union[Tensor, float, int, bool]:
         """One in-process run on concrete tensors; returns the output
         tensor (or a scalar for shape-∅ kernels).  Every route a call
-        takes — in process, a shard, a pool worker, a fork child, the
+        takes — in process, a shard, a pool worker, the
         breaker's fallback — ends here.
 
         With ``auto_grow=True`` an undersized sparse output no longer

@@ -145,8 +145,8 @@ def fault_point(site: str) -> None:
 
     Production code calls this at the handful of places chaos tests
     need to kill: after a shard partial is journaled (``shard``),
-    before the merge (``merge``), and at the top of the supervised
-    child (``supervised_child``).
+    before the merge (``merge``), and at the top of a pool worker's
+    ``run`` message, before the kernel runs (``supervised_child``).
     """
     raw = config.get("REPRO_FAULT")
     if not raw:

@@ -113,29 +113,22 @@ _ROWS = (
          "without `fork` spawns",
          choices=("spawn", "fork", "forkserver")),
     Knob("REPRO_SUPERVISE", "flag", None,
-         "`1` runs every kernel invocation in a resource-capped child "
+         "`1` runs every kernel invocation on a resource-capped pool worker "
          "(crashes become typed `KernelCrashError`/`KernelTimeoutError`); "
          "`0` disables even the auto policy (C kernels flagged `needs_guard` "
          "supervise themselves by default)", shown="auto"),
     Knob("REPRO_KERNEL_DEADLINE", "float", 60.0,
          "wall-clock seconds a supervised kernel may run before the parent "
-         "kills it (`KernelTimeoutError`); also derives the child's "
-         "`RLIMIT_CPU` backstop", minimum=0.0, zero="default"),
+         "kills and replaces its pool worker (`KernelTimeoutError`); the "
+         "parent's clock is the only CPU bound", minimum=0.0, zero="default"),
     Knob("REPRO_KERNEL_MEM_MB", "int", None,
-         "address-space cap (`RLIMIT_AS`, MiB) for supervised children — an "
-         "allocation blow-up dies in the child, not the host",
+         "address-space cap (`RLIMIT_AS`, MiB) of each pool worker, applied "
+         "when the worker starts — an allocation blow-up dies in the worker, "
+         "not the host",
          shown="unlimited", minimum=1),
-    Knob("REPRO_POOL", "flag", None,
-         "`1` routes supervised runs through the persistent worker pool: "
-         "kernels stay resident in pre-warmed workers, operands/results "
-         "travel over shared memory, and the sandbox cost (process start, "
-         "rlimits, kernel load) is paid once per worker instead of per call; "
-         "`0` forks a fresh child per call; unset, a process that already "
-         "owns an open pool (the server, a `pool`-executor job) uses it and "
-         "any other forks", shown="auto"),
     Knob("REPRO_POOL_WORKERS", "int", None,
-         "size of the persistent worker pool (the `pool` executor, the "
-         "server's workers, pooled supervised runs)",
+         "size of the persistent worker pool (the `pool` executor and every "
+         "supervised run; the first such call of a process opens it)",
          shown="`REPRO_WORKERS`", minimum=1),
     Knob("REPRO_POOL_IDLE_TTL", "float", 300.0,
          "seconds a pool worker may sit idle before eviction (one worker "

@@ -196,15 +196,15 @@ def _signal_name(signum: int) -> str:
 class KernelRuntimeError(ReproError):
     """Base class for failures of a *supervised* kernel execution.
 
-    Raised only on the supervised path (:mod:`repro.runtime.supervisor`)
+    Raised only on the supervised path (:mod:`repro.runtime.pool`)
     — an unsupervised in-process run has no one to catch a segfault.
     """
 
 
 class KernelCrashError(Retryable, KernelRuntimeError):
-    """A supervised kernel child died by signal (segfault from an
-    out-of-contract write, SIGKILL from the OOM killer or a resource
-    cap, SIGXCPU from ``RLIMIT_CPU``, ...).
+    """A supervised kernel's pool worker died by signal (segfault from
+    an out-of-contract write, SIGKILL from the OOM killer or a resource
+    cap, ...).
 
     Retryable — but *once*: a crash may be environmental (memory
     pressure on a shared worker, a poisoned pool slot already replaced

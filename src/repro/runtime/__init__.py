@@ -19,19 +19,18 @@ package exploits that:
 - :mod:`repro.runtime.policy` resolves, once per call, where and how
   it runs (call argument → handle default → ``REPRO_*`` → built-in);
 - :mod:`repro.runtime.route` is :func:`run`, where ``Kernel.run``
-  forwards: sharded, or guard → breaker → supervise-or-fallback;
-- :mod:`repro.runtime.supervisor` contains one kernel invocation in a
-  resource-capped child process (``REPRO_SUPERVISE``,
-  ``REPRO_KERNEL_DEADLINE``, ``REPRO_KERNEL_MEM_MB``) so a segfault or
-  runaway loop becomes a typed error instead of host death;
+  forwards: sharded, or guard → breaker → pool-or-fallback;
+- :mod:`repro.runtime.pool` keeps a persistent, pre-warmed set of
+  worker processes holding compiled kernels resident
+  (``REPRO_POOL_WORKERS``, ``REPRO_POOL_IDLE_TTL``), and is the one
+  supervised route: a worker runs under ``RLIMIT_AS``
+  (``REPRO_KERNEL_MEM_MB``) and a wall-clock deadline
+  (``REPRO_KERNEL_DEADLINE``), so a segfault or runaway loop becomes a
+  typed error instead of host death (``REPRO_SUPERVISE``); the first
+  supervised call of a process opens the pool;
 - :mod:`repro.runtime.breaker` quarantines kernels that keep dying
   under supervision behind a circuit breaker that serves the
   pure-Python backend until a backoff re-probe succeeds;
-- :mod:`repro.runtime.pool` keeps a persistent, pre-warmed set of
-  worker processes holding compiled kernels resident
-  (``REPRO_POOL_WORKERS``, ``REPRO_POOL_IDLE_TTL``), with supervision
-  amortized inside the workers: a supervised run goes there whenever
-  the process already owns an open pool (``REPRO_POOL`` overrides);
 - :mod:`repro.runtime.shm` is the zero-copy data plane under it:
   operands and results cross the process boundary as shared-memory
   descriptors, not pickles (``REPRO_SHM_THRESHOLD``);
@@ -73,9 +72,9 @@ _EXPORTS = {
     "slice_operands": "planner",
     "PoolStats": "pool", "PoolUnavailableError": "pool",
     "WorkerPool": "pool", "get_shared_pool": "pool", "pool_key": "pool",
-    "run_pooled": "pool", "shutdown_shared_pool": "pool",
+    "run_pooled": "pool", "run_supervised": "pool",
+    "shutdown_shared_pool": "pool",
     "run": "route",
-    "can_supervise": "supervisor", "run_supervised": "supervisor",
 }
 __all__ = sorted(_EXPORTS)
 

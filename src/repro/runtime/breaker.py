@@ -172,7 +172,7 @@ class CircuitBreaker:
     def release_probe(self, key: str) -> None:
         """Hand back an unused probe claim.
 
-        A claimed probe that neither crashed nor succeeded (the child
+        A claimed probe that neither crashed nor succeeded (the worker
         raised a typed kernel error — a :class:`CapacityError`, say —
         which says nothing about crash-worthiness) must not leave the
         key wedged in its in-flight state forever.

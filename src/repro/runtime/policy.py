@@ -1,7 +1,7 @@
 """Execution policy: where and how one kernel call runs, as one value.
 
 Every public run entry point (``Kernel.run`` / ``run_sharded`` /
-``run_batch``, ``run_supervised``, ``run_pooled``) calls :func:`resolve`
+``run_batch``, ``run_supervised``) calls :func:`resolve`
 once and hands the result down; nothing below re-reads the environment
 or re-derives a field.  Each field has one precedence — call argument →
 the kernel handle's build-time default → ``REPRO_*`` → built-in default
@@ -11,7 +11,6 @@ the kernel handle's build-time default → ``REPRO_*`` → built-in default
 from __future__ import annotations
 
 import os
-import sys
 from typing import NamedTuple, Optional, Union
 
 from repro import config
@@ -31,14 +30,10 @@ class ExecutionPolicy(NamedTuple):
     executor: Optional[str] = None
     workers: Optional[int] = None
     shards: Optional[int] = None
-    #: run in a crash-isolated child (fork supervisor or pool worker)
+    #: run in a crash-isolated pool worker
     supervised: bool = False
     #: wall-clock kill budget in seconds, wherever the run is isolated
     deadline: Optional[float] = None
-    #: ``RLIMIT_AS`` of a fork child, MiB
-    mem_mb: Optional[int] = None
-    #: serve a supervised run from the resident pool, not a fresh fork
-    pool_route: bool = False
     #: journal completed shard partials
     durable: bool = False
     #: resident-partial budget before the governor spills, MiB
@@ -78,8 +73,6 @@ def resolve(
     shards: Optional[int] = None,
     supervised: Optional[bool] = None,
     deadline: Optional[float] = None,
-    mem_mb: Optional[int] = None,
-    pool_route: Optional[bool] = None,
     durable: Optional[bool] = None,
     resume: Optional[str] = None,
 ) -> ExecutionPolicy:
@@ -93,8 +86,6 @@ def resolve(
         executor = kernel.parallel or config.get("REPRO_PARALLEL")
     else:
         executor = parallel or None
-    if supervised is None:
-        supervised = kernel.supervised
     if supervised is None:
         supervised = config.get("REPRO_SUPERVISE")
     if supervised is None:
@@ -111,34 +102,17 @@ def resolve(
             "downgrading the %s executor to threads", kernel.name, executor,
         )
         executor = "thread"
-    if supervised:
-        # an explicit deadline — a request budget from the serving
-        # layer — arms the kill on any isolated route, supervised or not
-        if deadline is None:
-            deadline = config.get("REPRO_KERNEL_DEADLINE")
-        if pool_route is None:
-            # a per-call cap (pool workers fix their rlimit at start)
-            # and a kernel no worker can rebuild pin the fork-per-call
-            # child; else REPRO_POOL; else auto: a process that owns a
-            # pool uses it, any other keeps nothing resident (a server
-            # with a ``fault_hook`` opens none — see ``serve.app``)
-            if mem_mb is not None or kernel.recipe is None:
-                pool_route = False
-            else:
-                pool_route = config.get("REPRO_POOL")
-            if pool_route is None:
-                pool_mod = sys.modules.get("repro.runtime.pool")
-                pool_route = pool_mod is not None and pool_mod.shared_pool_open()
-        if mem_mb is None:
-            mem_mb = config.get("REPRO_KERNEL_MEM_MB")
+    # an explicit deadline — a request budget from the serving layer —
+    # arms the kill on any isolated route, supervised or not
+    if supervised and deadline is None:
+        deadline = config.get("REPRO_KERNEL_DEADLINE")
     threshold = (
-        config.get("REPRO_SHM_THRESHOLD") if executor == "pool" or pool_route
+        config.get("REPRO_SHM_THRESHOLD") if executor == "pool" or supervised
         else None
     )
     if executor is None:
         return ExecutionPolicy(
-            supervised=True, deadline=deadline, mem_mb=mem_mb,
-            pool_route=bool(pool_route), threshold=threshold,
+            supervised=True, deadline=deadline, threshold=threshold,
         )
     n = worker_count(workers if workers is not None else kernel.workers)
     return ExecutionPolicy(
@@ -147,8 +121,6 @@ def resolve(
         shards=int(shards) if shards is not None else n,
         supervised=bool(supervised),
         deadline=deadline,
-        mem_mb=mem_mb,
-        pool_route=bool(pool_route),
         durable=is_durable(durable, resume),
         budget_mb=config.get("REPRO_MEM_BUDGET_MB"),
         threshold=threshold,

@@ -1,18 +1,20 @@
 """Persistent, pre-warmed kernel worker pool.
 
-The one way a kernel call leaves the process for a worker that
-outlives it: a fixed set of worker processes stays resident (started
-at construction), each compiled kernel stays loaded in the workers
-under its cache key (warmed once: the recipe crosses the pipe one time,
-the ``.so`` is dlopen'd one time, then reused for thousands of calls),
-and operand/result arrays move through the :mod:`repro.runtime.shm`
-zero-copy data plane instead of pickle.
+The one way a kernel call leaves the process — every supervised run
+and every ``pool``-executor shard lands here: a fixed set of worker
+processes stays resident (started at construction), each compiled
+kernel stays loaded in the workers under its cache key (warmed once:
+the recipe crosses the pipe one time, the ``.so`` is dlopen'd one time,
+then reused for thousands of calls), and operand/result arrays move
+through the :mod:`repro.runtime.shm` zero-copy data plane instead of
+pickle.
 
-Supervision moves *inside* the pool: workers run under ``RLIMIT_AS``
+Supervision lives *inside* the pool: workers run under ``RLIMIT_AS``
 applied once at start, the parent enforces per-call wall deadlines on
-the reply pipe, and death-by-signal is decoded from the exit status —
-the same typed-error contract as :mod:`repro.runtime.supervisor`, at a
-fraction of the per-call cost.  A dead worker never kills the pool:
+the reply pipe, and death-by-signal is decoded from the exit status,
+so a kernel that segfaults, spins or blows its memory cap comes back as
+a typed error instead of killing the host.  A dead worker never kills
+the pool:
 the call that observed the death raises its typed error and a fresh
 replacement (re-warmed with every recipe the pool has seen) takes the
 dead worker's slot.
@@ -36,6 +38,7 @@ per-key counters next to the breaker's state snapshot.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import threading
@@ -49,12 +52,19 @@ from repro.compiler.resilience import logger
 from repro.errors import KernelCrashError, KernelTimeoutError
 from repro.runtime import executor as executor_mod, shm
 from repro.runtime.policy import ExecutionPolicy, resolve, worker_count
-from repro.runtime.supervisor import mp_context
 
 
 class PoolUnavailableError(RuntimeError):
-    """The pool cannot serve calls (failed spawn, closed pool) — the
-    caller should degrade to a non-pooled path."""
+    """The pool cannot serve calls (failed spawn, closed pool)."""
+
+
+def mp_context(method: str) -> multiprocessing.context.BaseContext:
+    """The context a worker starts from (``REPRO_MP_START``):
+    ``method`` where the platform has it, else ``spawn``, which every
+    platform has."""
+    if method not in multiprocessing.get_all_start_methods():
+        method = "spawn"
+    return multiprocessing.get_context(method)
 
 
 def pool_key(kernel) -> str:
@@ -123,8 +133,8 @@ class WorkerPool:
     ``workers`` defaults to ``REPRO_POOL_WORKERS`` (else
     ``REPRO_WORKERS``, else the CPU count); the start method follows
     ``REPRO_MP_START`` (``fork``: a worker starts with everything the
-    parent had imported, built and loaded); ``mem_mb`` (default
-    ``REPRO_KERNEL_MEM_MB``) caps each worker's address space, at start.
+    parent had imported, built and loaded); ``REPRO_KERNEL_MEM_MB``
+    caps each worker's address space, applied when the worker starts.
     """
 
     def __init__(
@@ -132,16 +142,12 @@ class WorkerPool:
         workers: Optional[int] = None,
         *,
         start_method: Optional[str] = None,
-        mem_mb: Optional[int] = None,
     ) -> None:
         # an explicit size wins; the env knobs only fill the default
         if workers is None:
             workers = config.get("REPRO_POOL_WORKERS") or worker_count()
         self.max_workers = workers
         self._ctx = mp_context(start_method or config.get("REPRO_MP_START"))
-        self._mem_mb = (
-            mem_mb if mem_mb is not None else config.get("REPRO_KERNEL_MEM_MB")
-        )
         self._lock = threading.Lock()
         self._have_idle = threading.Condition(self._lock)
         self._idle: List[_Worker] = []
@@ -176,7 +182,7 @@ class WorkerPool:
         try:
             proc = self._ctx.Process(
                 target=worker_mod.pool_worker_main,
-                args=(child_conn, self._cache_dir, self._env, self._mem_mb),
+                args=(child_conn, self._cache_dir, self._env),
                 daemon=True,
                 name=f"repro-pool-{self._next_wid}",
             )
@@ -394,9 +400,9 @@ class WorkerPool:
 
     def _await_reply(self, w: _Worker, deadline: Optional[float],
                      start: float, key: str, rname: str):
-        """Poll the worker's pipe until ``start + deadline``; decode
-        deadline/crash exactly like the fork-per-call supervisor, then
-        kill + replace."""
+        """Poll the worker's pipe until ``start + deadline``; decode a
+        missed deadline or a death into a typed error, then kill +
+        replace."""
         limit = None if deadline is None else start + deadline
         while True:
             if limit is not None and time.monotonic() >= limit:
@@ -570,6 +576,10 @@ def dispatch(
             f"kernel {kernel.name!r} has no rebuild recipe"
         )
     exports = exports or {}
+    if auto_grow and max_capacity is None:
+        # the bound is this call's: a worker's environment is the one it
+        # started with, so it never reads REPRO_MAX_CAPACITY itself
+        max_capacity = config.get("REPRO_MAX_CAPACITY")
     refs = [
         {name: shm.describe_tensor(
             t, exports.get(name) or shm.export_tensor(t, policy.threshold))
@@ -599,7 +609,7 @@ def pooled(kernel, tensors, capacity, policy: ExecutionPolicy, *,
     return result
 
 
-def run_pooled(
+def run_supervised(
     kernel,
     tensors,
     capacity: Optional[int] = None,
@@ -608,20 +618,30 @@ def run_pooled(
     max_capacity: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> object:
-    """One supervised kernel run on the shared pool — the amortized
-    twin of :func:`repro.runtime.supervisor.run_supervised`.
+    """Run one kernel invocation on a worker of the shared pool, which
+    this call opens if the process has none.
 
-    Same typed-error contract (``KernelTimeoutError`` on the deadline,
-    ``KernelCrashError`` on death by signal, the kernel's own typed
-    errors re-raised), but the sandbox — resident worker, rlimits at
-    spawn, warmed kernel, shm operands — is paid once, not per call.
+    Returns the worker's result.  Raises:
+
+    * :class:`~repro.errors.KernelTimeoutError` — the wall-clock
+      ``deadline`` (default ``REPRO_KERNEL_DEADLINE``) passed and the
+      worker was killed and replaced;
+    * :class:`~repro.errors.KernelCrashError` — the worker died by
+      signal (or exited without reporting a result);
+    * whatever typed error the kernel itself raised in the worker
+      (``CapacityError`` with its sizing metadata, ``ShapeError``, ...);
+    * :class:`PoolUnavailableError` — no worker could be started, or
+      the kernel has no rebuild recipe.
     """
-    policy = resolve(
-        kernel, parallel=False, supervised=True, deadline=deadline,
-        pool_route=True,
-    )
+    policy = resolve(kernel, parallel=False, supervised=True,
+                     deadline=deadline)
     return pooled(kernel, tensors, capacity, policy, auto_grow=auto_grow,
                   max_capacity=max_capacity)
+
+
+#: the name ``bench/`` still imports beside ``run_supervised``; it goes
+#: with the benchmark's next change (ROADMAP item 7)
+run_pooled = run_supervised
 
 
 # ----------------------------------------------------------------------
@@ -649,8 +669,7 @@ def get_shared_pool(workers: Optional[int] = None) -> WorkerPool:
 
 
 def shared_pool_open() -> bool:
-    """Whether this process owns an open shared pool — what the auto
-    route of :func:`repro.runtime.policy.resolve` asks."""
+    """Whether this process owns an open shared pool."""
     pool = _shared
     return pool is not None and not pool.closed
 
@@ -672,6 +691,7 @@ __all__ = [
     "get_shared_pool",
     "pool_key",
     "run_pooled",
+    "run_supervised",
     "shared_pool_open",
     "shutdown_shared_pool",
 ]

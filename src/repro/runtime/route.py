@@ -5,11 +5,11 @@
 :func:`repro.runtime.api.run_shards`, anything else through
 :func:`run_guarded`, which each thread/serial shard takes too — in
 process by :meth:`~repro.compiler.kernel.Kernel.execute`, or supervised
-behind the circuit breaker, whose open state serves the kernel's
-pure-Python twin (:func:`run_fallback`).
+on a pool worker behind the circuit breaker, whose open state serves
+the kernel's pure-Python twin (:func:`run_fallback`).
 
 The policy is the only other runtime module imported here: an
-in-process run loads no supervisor, breaker or pool.
+in-process run loads no breaker or pool.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def run(
 
     ``parallel`` (a shard executor: ``"serial"``, ``"thread"``,
     ``"pool"``; ``False`` forces one unsharded run), ``workers``,
-    ``shards``, ``supervised`` (run in a crash-isolated child: a
+    ``shards``, ``supervised`` (run on a crash-isolated pool worker: a
     segfault or runaway loop becomes a typed
     :class:`~repro.errors.KernelCrashError` /
     :class:`~repro.errors.KernelTimeoutError`) and ``deadline`` (a
@@ -90,29 +90,29 @@ def run_guarded(
 
     closed → run supervised; a crash/timeout raises its typed error and
     counts toward the breaker threshold.  open → serve the pure-Python
-    fallback without forking at all.  half-open → this call is the
+    fallback without touching the pool.  half-open → this call is the
     re-probe; success closes the breaker, failure re-opens it (with
     doubled backoff) and degrades to the fallback transparently — once
     callers have been getting fallback service, a probe failure is the
-    breaker's business, not theirs.  Whether the child is a fork or a
-    resident pool worker (``policy.pool_route``), the typed errors — and
-    therefore the breaker transitions driven here — are identical.
+    breaker's business, not theirs.  A kernel with no rebuild recipe
+    (a ``FunctionInput`` callable) cannot cross to a worker and runs in
+    process, with a warning.
     """
     if not policy.supervised:
         return kernel.execute(
             tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
         )
-    from repro.runtime import breaker as breaker_mod, supervisor
-
-    if not supervisor.can_supervise(kernel):
+    if kernel.recipe is None:
         logger.warning(
-            "kernel %r: supervision requested but unavailable here "
-            "(no fork and no rebuild recipe); running in-process",
+            "kernel %r: supervision requested but the kernel has no "
+            "rebuild recipe (function-valued input); running in-process",
             kernel.name,
         )
         return kernel.execute(
             tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
         )
+    from repro.runtime import breaker as breaker_mod, pool
+
     key = kernel.cache_key or f"uncached:{kernel.name}"
     brk = breaker_mod.breaker
     state = brk.try_probe(key)
@@ -129,7 +129,7 @@ def run_guarded(
         )
     resolved = False
     try:
-        result = supervisor.supervise(
+        result = pool.pooled(
             kernel, tensors, capacity, policy, auto_grow=auto_grow,
             max_capacity=max_capacity,
         )
@@ -147,7 +147,7 @@ def run_guarded(
         raise
     finally:
         if probe and not resolved:
-            # a typed child error (CapacityError, ShapeError, ...)
+            # a typed worker error (CapacityError, ShapeError, ...)
             # neither closes nor re-opens the breaker, but the probe
             # claim must not stay wedged in flight
             brk.release_probe(key)

@@ -26,7 +26,12 @@ import os
 import signal
 import stat
 import time
-from typing import Mapping, Optional
+from typing import Mapping
+
+try:  # POSIX-only; elsewhere a worker runs uncapped (deadlines still apply)
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platform
+    resource = None  # type: ignore[assignment]
 
 
 def _shed_inherited(conn) -> None:
@@ -54,6 +59,23 @@ def _shed_inherited(conn) -> None:
     os.close(null)
 
 
+def _cap_address_space() -> None:
+    """Apply ``REPRO_KERNEL_MEM_MB`` as this worker's ``RLIMIT_AS``.  A
+    limit that cannot be set is logged, not fatal: the parent still
+    decodes signals and enforces the wall-clock deadline."""
+    from repro import config
+    from repro.compiler.resilience import logger
+
+    mem_mb = config.get("REPRO_KERNEL_MEM_MB")
+    if resource is None or mem_mb is None:
+        return
+    limit = int(mem_mb) << 20
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    except (OSError, ValueError) as exc:  # pragma: no cover - exotic env
+        logger.warning("could not set RLIMIT_AS=%dMiB (%s)", mem_mb, exc)
+
+
 # ----------------------------------------------------------------------
 # persistent pool worker: warm once, run many
 # ----------------------------------------------------------------------
@@ -73,7 +95,6 @@ def pool_worker_main(
     conn,
     cache_dir: str,
     env: Mapping[str, str],
-    mem_mb: Optional[int],
 ) -> None:
     """Resident worker loop of :class:`~repro.runtime.pool.WorkerPool`.
 
@@ -96,11 +117,11 @@ def pool_worker_main(
 
     Typed kernel errors reply ``("err", exc, seconds)``; anything that
     escapes the interpreter (segfault, rlimit kill) is decoded by the
-    parent from the exit status.  ``RLIMIT_AS`` is applied **once**
-    here, not per call — that is the amortization the pool exists for.
-    ``RLIMIT_CPU`` is deliberately not set: a resident worker's CPU
-    time accumulates across calls, so a per-call budget must come from
-    the parent's wall-clock deadline instead.
+    parent from the exit status.  ``RLIMIT_AS`` (``REPRO_KERNEL_MEM_MB``)
+    is applied **once** here, not per call — that is the amortization
+    the pool exists for.  There is no ``RLIMIT_CPU``: a resident
+    worker's CPU time accumulates across calls, so a per-call budget
+    comes from the parent's wall-clock deadline alone.
     """
     try:
         import faulthandler
@@ -114,10 +135,12 @@ def pool_worker_main(
     for key, value in env.items():
         os.environ.setdefault(key, value)
     os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
+    # a call's auto-grow bound arrives with the call (pool.dispatch)
+    os.environ.pop("REPRO_MAX_CAPACITY", None)
+    from repro.compiler import resilience
     from repro.runtime import shm
-    from repro.runtime.supervisor import _apply_rlimits
 
-    _apply_rlimits(mem_mb, None)
+    _cap_address_space()
     kernels: dict = {}
     try:
         while True:
@@ -142,6 +165,11 @@ def pool_worker_main(
             if kind == "run":
                 (_, key, recipe, refs, output_dims, capacity, auto_grow,
                  max_capacity, rname, threshold) = msg
+                # chaos hook: REPRO_FAULT=supervised_child:sigkill models
+                # a worker OOM-killed before it produced anything; a
+                # raise here escapes the loop, and the worker exits
+                # without a reply — decoded as a crash either way
+                resilience.fault_point("supervised_child")
                 start = time.perf_counter()
                 try:
                     kernel = kernels.get(key)

@@ -7,7 +7,7 @@ supervised runtime (the worker pool the server boots with), and
 wraps the whole path in a resilience stack —
 
 * per-request **deadline budgets** propagated down to the supervised
-  child's wall-clock kill (:mod:`repro.serve.deadline`),
+  run's wall-clock kill (:mod:`repro.serve.deadline`),
 * **admission control** and load shedding: a token-bucket rate limit,
   an in-flight cap, and circuit-breaker rejection *before* any compile
   happens (:mod:`repro.serve.admission`),

@@ -2,8 +2,8 @@
 
 One event loop owns admission, coalescing, and all socket I/O; the
 blocking work (query canonicalization, kernel builds, supervised runs)
-happens on a bounded thread-pool executor, and the supervised child
-processes under it enforce the real deadlines.  The request path::
+happens on a bounded thread-pool executor, and the pool workers under
+it enforce the real deadlines.  The request path::
 
     POST /query
       │ parse JSON, canonicalize (executor)        → 400 on bad input
@@ -97,7 +97,7 @@ class ContractionServer:
         if self.config.batch_window > 0:
             self.batcher = Batcher(
                 self.config.batch_window, self.config.batch_max,
-                self._in_executor, fault_hook=self.config.fault_hook,
+                self._in_executor,
             )
         self._policy = RetryPolicy(self.config.retries, self.config.retry_base)
         self._rng = random.Random()
@@ -123,15 +123,11 @@ class ContractionServer:
                     "serve: swept %d stale job journal(s)", len(swept))
         except Exception as exc:
             logger.warning("serve: job-journal sweep failed (%s)", exc)
-        if self.config.fault_hook is None:
-            # the workers every /query runs in, forked while this process
-            # has one thread and no socket; owning an open pool is what
-            # routes supervised runs to it (runtime.policy.resolve) — and
-            # what a chaos hook does to a kernel exists in this process's
-            # memory alone, so its runs stay on the fork-per-call child
-            from repro.runtime.pool import get_shared_pool
+        # the workers every /query runs in, forked while this process
+        # has one thread and no socket
+        from repro.runtime.pool import get_shared_pool
 
-            get_shared_pool()
+        get_shared_pool()
         self._server = await asyncio.start_server(
             self._client, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -348,7 +344,7 @@ class ContractionServer:
     def _execute_sync(self, prepared, budget) -> Dict[str, Any]:
         """Blocking execution with the bounded retry loop (executor)."""
         return run_with_retry(
-            lambda: prepared.execute(budget, self.config.fault_hook),
+            lambda: prepared.execute(budget),
             budget=budget, policy=self._policy, rng=self._rng,
             what=f"query {prepared.coalesce_key[:16]}",
         )

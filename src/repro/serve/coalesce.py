@@ -78,12 +78,10 @@ class Batcher:
         window: float,
         max_items: int,
         run_in_executor: Callable[..., Awaitable[Any]],
-        fault_hook=None,
     ) -> None:
         self.window = window
         self.max_items = max(1, max_items)
         self._run_in_executor = run_in_executor
-        self._fault_hook = fault_hook
         self._groups: Dict[str, _Group] = {}
         self.batches = 0
         self.batched_items = 0
@@ -136,7 +134,7 @@ class Batcher:
     def _execute(self, items) -> List[Any]:
         """Blocking batch dispatch (executor thread)."""
         leader, _, _ = items[0]
-        kernel = leader.build(self._fault_hook)
+        kernel = leader.build()
         # the batch can only run as long as its most impatient member
         deadline = min(b.remaining() for _, b, _ in items)
         runs = [p.plan.inputs for p, _, _ in items]

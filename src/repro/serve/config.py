@@ -11,8 +11,7 @@ wrote it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 from repro import config
 from repro.errors import ConfigError
@@ -30,12 +29,7 @@ DEGRADE_MODES = config.KNOBS["REPRO_SERVE_DEGRADE"].choices
 
 @dataclass
 class ServeConfig:
-    """Everything the server reads from the environment, parsed once.
-
-    ``fault_hook`` is programmatic-only (no environment spelling): the
-    chaos tests install a callable that sabotages freshly built
-    kernels, exercising the crash/timeout paths end to end.
-    """
+    """Everything the server reads from the environment, parsed once."""
 
     host: str = "127.0.0.1"
     port: int = 8774
@@ -74,8 +68,6 @@ class ServeConfig:
     #: the machine allows — while library builds default to off.
     #: ``REPRO_TUNE`` overrides.
     tune: str = "auto"
-    #: chaos seam: called with every freshly built kernel (tests only)
-    fault_hook: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.degrade not in DEGRADE_MODES:

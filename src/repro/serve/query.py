@@ -223,11 +223,11 @@ class PreparedQuery:
         return f"{self.kernel_key}:cap={self.capacity}"
 
     # -- execution (blocking; runs in the server's executor) -----------
-    def execute(self, budget: Budget, fault_hook=None) -> Dict[str, Any]:
+    def execute(self, budget: Budget) -> Dict[str, Any]:
         """Build (or cache-hit) and run, spending ``budget``."""
         if self.kind == "sql":
             return self._execute_sql()
-        kernel = self.build(fault_hook)
+        kernel = self.build()
         remaining = budget.remaining()
         if remaining <= 0:
             raise KernelTimeoutError(
@@ -275,13 +275,9 @@ class PreparedQuery:
                 pass
         return _encode_result(result)
 
-    def build(self, fault_hook=None):
-        """Compile (or restore) the kernel; the chaos hook sees every
-        instance the build cache hands back."""
-        kernel = self.plan.build()
-        if fault_hook is not None:
-            fault_hook(kernel)
-        return kernel
+    def build(self):
+        """Compile (or restore) the kernel."""
+        return self.plan.build()
 
     def _execute_sql(self) -> Dict[str, Any]:
         from repro.relational.sql import run

@@ -217,9 +217,9 @@ def check_supervised_parity(kernel, tensors: Any) -> bool:
     """A supervised run equals the in-process oracle, value for value.
 
     Supervision only relocates execution — same compiled artifact, same
-    inputs, a child process instead of the host — so the result must be
-    *identical*, not merely tolerance-close: the output crosses the
-    pipe as the very arrays the child assembled.  The same holds for
+    inputs, a pool worker instead of the host — so the result must be
+    *identical*, not merely tolerance-close: the output crosses back as
+    the very arrays the worker assembled.  The same holds for
     the circuit breaker's pure-Python fallback by PR 1's cross-backend
     parity, so this checker is the supervised leg of that argument.
     """

@@ -349,3 +349,11 @@ def test_auto_grow_env_bound(monkeypatch):
     monkeypatch.delenv("REPRO_MAX_CAPACITY")
     result = kernel.run(tensors, capacity=1, auto_grow=True)
     assert np.allclose(np.asarray(result.vals), np.asarray(tensors["A"].vals))
+    # supervised, the bound is the call's, not the one the pool's
+    # workers started with
+    monkeypatch.setenv("REPRO_MAX_CAPACITY", "2")
+    with pytest.raises(CapacityError):
+        kernel.run(tensors, capacity=1, auto_grow=True, supervised=True)
+    monkeypatch.delenv("REPRO_MAX_CAPACITY")
+    result = kernel.run(tensors, capacity=1, auto_grow=True, supervised=True)
+    assert np.allclose(np.asarray(result.vals), np.asarray(tensors["A"].vals))

@@ -1,12 +1,11 @@
 """Fault injection against the persistent worker pool.
 
 The pool rebuilds kernels from their *recipes* inside the workers, so
-the in-memory sabotage of ``crash_kernels`` never crosses the boundary
-(that is a feature — see ``pin_fork_supervision`` in
-``test_supervisor.py``).  The honest injection vector here is the
-recipe itself: :class:`FaultRecipe` builds a kernel that dies — or
-raises — in a specific way *inside the worker*, exactly where a real
-miscompiled kernel would.
+a sabotaged handle in this process never crosses the boundary.  The
+injection vector here is the recipe itself: :class:`FaultRecipe` builds
+a kernel that dies — or raises — in a specific way *inside the worker*,
+exactly where a real miscompiled kernel would (``crash_kernels`` does
+the same to a real kernel by patching the recipe's build).
 
 The contract under test: a dead worker never kills the pool (the call
 that observed the death gets its typed error, a replacement takes the
@@ -32,11 +31,7 @@ import pytest
 from repro.errors import CapacityError, KernelCrashError, KernelTimeoutError
 from repro.runtime import pool as pool_mod
 from repro.runtime import shm
-from repro.runtime.supervisor import can_supervise, run_supervised
-
-pytestmark = pytest.mark.skipif(
-    not can_supervise(object()), reason="needs a fork-capable platform"
-)
+from repro.runtime.pool import run_supervised
 
 
 def shm_entries():
@@ -227,10 +222,9 @@ def test_replacement_worker_is_rewarmed(pool):
     assert ok_key in pool._idle[0].warmed
 
 
-def test_pooled_supervised_crash_is_typed(monkeypatch):
-    """``REPRO_POOL=1`` supervised routing: a worker death comes back
-    as the same typed error the fork-per-call supervisor raises."""
-    monkeypatch.setenv("REPRO_POOL", "1")
+def test_pooled_supervised_crash_is_typed():
+    """A supervised run's worker death comes back as a typed error, and
+    the replacement worker serves the next supervised run."""
     with pytest.raises(KernelCrashError) as err:
         run_supervised(FaultKernel("sigsegv"), {})
     assert err.value.signal == signal.SIGSEGV

@@ -1,11 +1,12 @@
 """Supervised execution: crash containment, deadline, circuit breaker.
 
-These tests sabotage built kernels with the injected-crash backends of
-:mod:`tests.faults.crash_kernels` and assert the containment contract
-of :mod:`repro.runtime.supervisor`: the host survives, the failure
-comes back as a typed error with its metadata, and kernels that keep
-dying are quarantined behind the circuit breaker, which serves the
-pure-Python fallback until a backoff re-probe succeeds.
+These tests swap the injected-crash backends of
+:mod:`tests.faults.crash_kernels` into the pool workers that run
+supervised calls and assert the containment contract of
+:mod:`repro.runtime.pool`: the host survives, the failure comes back as
+a typed error with its metadata, and kernels that keep dying are
+quarantined behind the circuit breaker, which serves the pure-Python
+fallback until a backoff re-probe succeeds.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from repro.errors import (
     KernelTimeoutError,
 )
 from repro.runtime import breaker as breaker_mod
-from repro.runtime.supervisor import can_supervise, run_supervised
+from repro.runtime import pool as pool_mod
+from repro.runtime.pool import run_supervised
 from repro.verification import check_supervised_parity
 
 from tests.faults.conftest import (
@@ -39,11 +41,7 @@ from tests.faults.crash_kernels import (
     SegfaultKernel,
     SpinKernel,
     c_segfault_kernel,
-    sabotage,
-)
-
-pytestmark = pytest.mark.skipif(
-    not can_supervise(object()), reason="needs a fork-capable platform"
+    sabotage_in_workers,
 )
 
 
@@ -57,13 +55,10 @@ def clean_breaker():
 
 
 @pytest.fixture(autouse=True)
-def pin_fork_supervision(monkeypatch):
-    """These tests sabotage the *in-memory* kernel handle and rely on
-    the fork child inheriting it; the pooled supervisor would rebuild
-    the genuine kernel from its recipe and never see the sabotage.  Pin
-    the fork-per-call path regardless of the ambient ``REPRO_POOL``
-    (the CI pool job sets it for the whole suite)."""
-    monkeypatch.setenv("REPRO_POOL", "0")
+def no_pool_yet():
+    """Each test opens its own pool on its first supervised call, after
+    the environment it sets (workers pin it when they start)."""
+    pool_mod.shutdown_shared_pool()
 
 
 def _build(problem=spmv_problem, backend="python", **kw):
@@ -97,9 +92,9 @@ def test_supervised_sparse_output_parity():
 # ----------------------------------------------------------------------
 # crash decoding: SIGSEGV, memory cap, deadline
 # ----------------------------------------------------------------------
-def test_sigsegv_becomes_typed_error():
+def test_sigsegv_becomes_typed_error(monkeypatch):
     kernel, tensors = _build()
-    sabotage(kernel, SegfaultKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, SegfaultKernel())
     with pytest.raises(KernelCrashError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.signal == signal.SIGSEGV
@@ -109,21 +104,21 @@ def test_sigsegv_becomes_typed_error():
 
 
 @requires_toolchain
-def test_compiled_c_out_of_bounds_store_is_contained():
+def test_compiled_c_out_of_bounds_store_is_contained(monkeypatch):
     kernel, tensors = _build(backend="c")
-    sabotage(kernel, c_segfault_kernel(kernel))
+    sabotage_in_workers(monkeypatch, kernel.name, c_segfault_kernel(kernel))
     with pytest.raises(KernelCrashError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.signal == signal.SIGSEGV
 
 
 def test_memory_cap_kill_is_decoded(monkeypatch):
-    """An OOM-killed child is decoded to a typed error naming SIGKILL.
+    """An OOM-killed worker is decoded to a typed error naming SIGKILL.
 
-    Ported onto the consolidated ``REPRO_FAULT`` hook: the
-    ``supervised_child`` site delivers a genuine SIGKILL at the top of
-    the forked child (the env reaches the fork for free), modelling the
-    OOM killer without a sabotage kernel.  The real-rlimit variant
+    The consolidated ``REPRO_FAULT`` hook's ``supervised_child`` site
+    delivers a genuine SIGKILL at the top of the worker's ``run``
+    message (workers pin the environment when they start), modelling
+    the OOM killer without a sabotage kernel.  The real-rlimit variant
     lives in :func:`test_rlimit_memory_cap_kill_is_decoded`."""
     monkeypatch.setenv("REPRO_FAULT", "supervised_child:sigkill")
     resilience.reset_fault_counters()
@@ -137,7 +132,7 @@ def test_memory_cap_kill_is_decoded(monkeypatch):
 def test_rlimit_memory_cap_kill_is_decoded(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_MEM_MB", "1024")
     kernel, tensors = _build()
-    sabotage(kernel, OomKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, OomKernel())
     with pytest.raises(KernelCrashError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.signal == signal.SIGKILL
@@ -145,9 +140,9 @@ def test_rlimit_memory_cap_kill_is_decoded(monkeypatch):
 
 
 def test_injected_child_fault_raise_mode_is_contained(monkeypatch):
-    """``raise`` mode at the supervised_child site escapes the child's
+    """``raise`` mode at the supervised_child site escapes the worker's
     reporting machinery (the fault fires before the try block), so the
-    child exits nonzero — which the parent decodes to a typed
+    worker exits nonzero — which the parent decodes to a typed
     KernelCrashError, not a hang or a silent success."""
     monkeypatch.setenv("REPRO_FAULT", "supervised_child:raise")
     resilience.reset_fault_counters()
@@ -159,14 +154,14 @@ def test_injected_child_fault_raise_mode_is_contained(monkeypatch):
 def test_infinite_loop_misses_deadline(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_DEADLINE", "1.0")
     kernel, tensors = _build()
-    sabotage(kernel, SpinKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, SpinKernel())
     with pytest.raises(KernelTimeoutError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.deadline == pytest.approx(1.0)
 
 
 def test_typed_child_error_crosses_the_pipe():
-    """A CapacityError raised inside the child re-raises in the parent
+    """A CapacityError raised inside the worker re-raises in the parent
     with its sizing metadata intact (pickling keeps __dict__)."""
     kernel, tensors = _build(copy_problem)
     with pytest.raises(CapacityError) as err:
@@ -198,30 +193,27 @@ def test_policy_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_SUPERVISE", "1")
     # the call argument outranks the environment
     assert supervised(kernel, False) is False
-    # the handle's default outranks the environment too
     monkeypatch.setenv("REPRO_SUPERVISE", "0")
-    assert supervised(kernel._view(supervised=True)) is True
+    assert supervised(kernel, True) is True
 
 
 @requires_toolchain
 def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
     """The auto policy: a C-backed kernel with unproven output stores
-    routes through the supervisor with no opt-in at all."""
+    routes to a pool worker with no opt-in at all."""
     kernel, tensors = _build(copy_problem, backend="c")
     if not kernel.needs_guard:  # force the lint verdict if it proved all
         class _Unproven:
             proven = False
         kernel.capacity_findings = [_Unproven()]
     calls = []
-    import repro.runtime.supervisor as sup_mod
-
-    real = sup_mod.supervise
+    real = pool_mod.pooled
 
     def recording(*args, **kw):
         calls.append(1)
         return real(*args, **kw)
 
-    monkeypatch.setattr(sup_mod, "supervise", recording)
+    monkeypatch.setattr(pool_mod, "pooled", recording)
     kernel.run(tensors, parallel=False)
     assert calls, "needs_guard C kernel should have been supervised"
 
@@ -233,7 +225,7 @@ def test_breaker_opens_and_serves_python_fallback(monkeypatch, caplog):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
     kernel, tensors = _build()
     oracle = kernel.execute(tensors)  # the healthy serial result
-    sabotage(kernel, SegfaultKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, SegfaultKernel())
     with caplog.at_level("WARNING", logger="repro"):
         for _ in range(2):
             with pytest.raises(KernelCrashError):
@@ -251,7 +243,7 @@ def test_probe_failure_degrades_transparently(monkeypatch, caplog):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
     oracle = kernel.execute(tensors)
-    sabotage(kernel, SegfaultKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, SegfaultKernel())
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
     key = kernel.cache_key
@@ -273,11 +265,11 @@ def test_probe_success_closes_the_breaker(monkeypatch, caplog):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
     oracle = kernel.execute(tensors)
-    healthy = sabotage(kernel, SegfaultKernel())
+    heal = sabotage_in_workers(monkeypatch, kernel.name, SegfaultKernel())
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
     key = kernel.cache_key
-    sabotage(kernel, healthy)  # the kernel recovers
+    heal()  # the kernel recovers
     breaker_mod.breaker._records[key].opened_at -= 1e6
     with caplog.at_level("WARNING", logger="repro"):
         result = kernel.run(tensors, parallel=False, supervised=True)
@@ -290,7 +282,7 @@ def test_breaker_state_survives_a_restart(monkeypatch):
     """The on-disk kbrk record re-quarantines without fresh crashes."""
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
     kernel, tensors = _build()
-    sabotage(kernel, SegfaultKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, SegfaultKernel())
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
     fresh = breaker_mod.CircuitBreaker()  # simulates a new process
@@ -303,7 +295,7 @@ def test_breaker_state_survives_a_restart(monkeypatch):
 def test_crashing_shard_fails_over_per_shard(monkeypatch):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1000")
     kernel, tensors = _build()
-    sabotage(kernel, SegfaultKernel())
+    sabotage_in_workers(monkeypatch, kernel.name, SegfaultKernel())
     stats = []
     result = kernel.run_sharded(
         tensors, executor="thread", shards=2, supervised=True,

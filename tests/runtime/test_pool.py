@@ -249,25 +249,21 @@ def test_no_operand_array_travels_inline(monkeypatch):
 
 
 def test_exported_operands_agree_on_every_route(tmp_path, monkeypatch):
-    """In process, pooled, forked and durable runs all read an exported
-    operand from the segment's pages — bit for bit what the heap copy
-    gave — and ``/dev/shm`` is left as found."""
-    from repro.runtime.supervisor import run_supervised
-
+    """In process, pooled and durable runs all read an exported operand
+    from the segment's pages — bit for bit what the heap copy gave — and
+    ``/dev/shm`` is left as found."""
     def shm_entries():
         return sorted(f for f in os.listdir("/dev/shm")
                       if f.startswith("repro_"))
     before = shm_entries()
     monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "jobs"))
-    monkeypatch.setenv("REPRO_POOL", "0")  # supervised = a fork
     kernel, tensors = spmv_kernel(n=64, name="pool_moved_spmv")
     want = kernel.run(tensors, parallel=False).vals.copy()
     for t in tensors.values():
         assert shm.export_tensor(t, 0) is not None
     routes = {
         "in process": kernel.run(tensors, parallel=False),
-        "pooled": pool_mod.run_pooled(kernel, tensors),
-        "forked": run_supervised(kernel, tensors),
+        "pooled": pool_mod.run_supervised(kernel, tensors),
         "durable": kernel.run_sharded(tensors, executor="pool", shards=3,
                                       workers=2, durable=True),
     }
@@ -316,33 +312,34 @@ def test_run_batch_pool_executor():
 
 
 def test_pooled_supervised_routing(monkeypatch, forkless=False):
-    """``REPRO_POOL=1`` routes supervised runs through the pool; the
-    result matches the in-process run and the pool records the call."""
+    """A supervised run goes to the pool — the first one of a process
+    that owns none opens it; the result matches the in-process run and
+    the pool records the call."""
     import multiprocessing
 
-    from repro.runtime.supervisor import can_supervise, run_supervised
-
-    monkeypatch.setenv("REPRO_POOL", "0" if forkless else "1")
     if forkless:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert not can_supervise(object())
     pool_mod.shutdown_shared_pool()
     kernel, tensors = spmv_kernel(name="pool_sup_spmv")
-    assert can_supervise(kernel)
     direct = kernel.execute(tensors)
-    pooled = run_supervised(kernel, tensors)
-    assert direct.to_dict() == pooled.to_dict()
+    assert not pool_mod.shared_pool_open()
+    supervised = kernel.run(tensors, parallel=False, supervised=True)
+    assert direct.to_dict() == supervised.to_dict()
+    assert pool_mod.shared_pool_open()
     pool = pool_mod.get_shared_pool()
-    assert pool.stats.calls >= 1
+    assert pool.stats.calls == 1
+    pooled = pool_mod.run_supervised(kernel, tensors)
+    assert direct.to_dict() == pooled.to_dict()
+    assert pool.stats.calls == 2
     if forkless:
         assert pool._ctx.get_start_method() == "spawn"
     pool_mod.shutdown_shared_pool()
 
 
 def test_forkless_platform_supervises_in_the_pool(monkeypatch):
-    """A platform that cannot fork has no other supervised route:
-    whatever ``REPRO_POOL`` says, the run goes to (spawned) workers."""
+    """A platform that cannot fork supervises on spawned workers, which
+    rebuild the kernel from its recipe."""
     test_pooled_supervised_routing(monkeypatch, forkless=True)
 
 
@@ -366,17 +363,6 @@ def test_sorting_kernel_runs_pooled_as_in_process(start_method):
     assert np.array_equal(got.pos[1], want.pos[1])
     assert np.array_equal(got.crd[1], want.crd[1])
     assert np.array_equal(got.vals, want.vals)
-
-
-def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
-    """A per-call ``mem_mb`` override pins the fork path (pool rlimits
-    are fixed at spawn) — the pool must NOT serve the call."""
-    from repro.runtime.policy import resolve
-
-    monkeypatch.setenv("REPRO_POOL", "1")
-    kernel, _tensors = spmv_kernel(name="pool_sup_mem")
-    assert resolve(kernel, supervised=True).pool_route is True
-    assert resolve(kernel, supervised=True, mem_mb=256).pool_route is False
 
 
 # ----------------------------------------------------------------------

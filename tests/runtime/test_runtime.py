@@ -322,6 +322,19 @@ class TestRunSharded:
         assert any("downgrading the pool executor" in r.message
                    for r in caplog.records)
         assert {s.worker for s in kernel.last_shard_stats} == {"local"}
+        # supervised, it cannot cross to a worker on any start method:
+        # it runs here, with one warning, and opens no pool
+        from repro.runtime import pool as pool_mod
+
+        pool_mod.shutdown_shared_pool()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            got = kernel.run(tensors, parallel=False, supervised=True)
+        assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
+        assert [r.message for r in caplog.records
+                if "no rebuild recipe" in r.message] != []
+        assert len(caplog.records) == 1
+        assert not pool_mod.shared_pool_open()
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +342,8 @@ class TestRunSharded:
 # ----------------------------------------------------------------------
 POLICY_KNOBS = (
     "REPRO_PARALLEL", "REPRO_WORKERS", "REPRO_SUPERVISE",
-    "REPRO_KERNEL_DEADLINE", "REPRO_KERNEL_MEM_MB", "REPRO_DURABLE", "REPRO_MEM_BUDGET_MB",
-    "REPRO_SHM_THRESHOLD", "REPRO_POOL", "REPRO_POOL_WORKERS",
+    "REPRO_KERNEL_DEADLINE", "REPRO_DURABLE", "REPRO_MEM_BUDGET_MB",
+    "REPRO_SHM_THRESHOLD", "REPRO_POOL_WORKERS",
 )
 SHARD = dict(parallel="serial")
 SUP = dict(parallel=False, supervised=True)
@@ -355,9 +368,9 @@ PRECEDENCE = [
      {"REPRO_WORKERS": "5"}, 5),
     ("shards", dict(SHARD, workers=3, shards=7), {}, {}, 7),
     ("shards", dict(SHARD, workers=3), {}, {}, 3),
-    ("supervised", dict(SHARD, supervised=False), dict(supervised=True),
+    ("supervised", dict(SHARD, supervised=False), {},
      {"REPRO_SUPERVISE": "1"}, False),
-    ("supervised", SHARD, dict(supervised=True), {"REPRO_SUPERVISE": "0"},
+    ("supervised", dict(SHARD, supervised=True), {}, {"REPRO_SUPERVISE": "0"},
      True),
     ("supervised", SHARD, {}, {"REPRO_SUPERVISE": "1"}, True),
     ("supervised", SHARD, {}, {}, False),     # auto: Python-backed
@@ -370,14 +383,19 @@ PRECEDENCE = [
      None),
     # ... but carries the caller's
     ("deadline", dict(parallel="pool", deadline=2.5), {}, {}, 2.5),
-    ("mem_mb", dict(SUP, mem_mb=256), {}, {"REPRO_KERNEL_MEM_MB": "512"}, 256),
-    ("mem_mb", SUP, {}, {"REPRO_KERNEL_MEM_MB": "512"}, 512),
-    ("mem_mb", SUP, {}, {}, None),
-    ("pool_route", dict(SUP, pool_route=True), {}, {}, True),
-    ("pool_route", SUP, {}, {"REPRO_POOL": "1"}, True),
-    # pool workers fix their rlimit at spawn: a per-call cap pins the fork
-    ("pool_route", dict(SUP, mem_mb=256), {}, {"REPRO_POOL": "1"}, False),
-    ("pool_route", SUP, {}, {}, False),
+    # every supervised run is pooled, so it carries the shm threshold ...
+    ("threshold", SUP, {}, {"REPRO_SHM_THRESHOLD": "0"}, 0),
+    ("threshold", SUP, {}, {}, 16384),
+    ("threshold", dict(SHARD, supervised=True), {},
+     {"REPRO_SHM_THRESHOLD": "0"}, 0),
+    # ... and an in-process shard moves nothing
+    ("threshold", SHARD, {}, {"REPRO_SHM_THRESHOLD": "0"}, None),
+    ("deadline", dict(SHARD, supervised=True), {},
+     {"REPRO_KERNEL_DEADLINE": "9"}, 9.0),
+    ("supervised", SHARD, {}, {"REPRO_SUPERVISE": "0"}, False),
+    # the policy never asks for a recipe: the route runs a kernel
+    # without one in process
+    ("supervised", SUP, dict(recipe=None), {}, True),
     ("durable", dict(SHARD, durable=False), {}, {"REPRO_DURABLE": "1"}, False),
     ("durable", dict(SHARD, resume="job_x"), {}, {}, True),
     ("durable", SHARD, {}, {"REPRO_DURABLE": "1"}, True),
@@ -387,22 +405,7 @@ PRECEDENCE = [
     ("threshold", dict(parallel="pool"), {}, {"REPRO_SHM_THRESHOLD": "0"}, 0),
     ("threshold", dict(parallel="pool"), {}, {},
      16384),
-    ("pool_route", SUP, {}, {"REPRO_POOL": "0"}, False),
-    # a kernel without a recipe always forks
-    ("pool_route", SUP, dict(recipe=None), {"REPRO_POOL": "1"}, False),
 ]
-#: the same, in a process that owns an open shared pool: unset
-#: REPRO_POOL means "use it"
-OWNS_POOL = [
-    ("pool_route", SUP, {}, {}, True),
-    ("pool_route", SUP, {}, {"REPRO_POOL": "0"}, False),
-    ("pool_route", SUP, {}, {"REPRO_POOL": "1"}, True),
-    ("pool_route", dict(SUP, mem_mb=256), {}, {}, False),
-    ("pool_route", SUP, dict(recipe=None), {}, False),
-    ("pool_route", dict(SUP, pool_route=False), {}, {}, False),
-]
-POLICY_ROWS = ([(*row, False) for row in PRECEDENCE]
-               + [(*row, True) for row in OWNS_POOL])
 
 
 class TestPolicy:
@@ -413,20 +416,15 @@ class TestPolicy:
             monkeypatch.delenv(knob, raising=False)
 
     @pytest.mark.parametrize(
-        "field,args,defaults,env,expected,owns_pool", POLICY_ROWS,
-        ids=[f"{row[0]}-{k}" for k, row in enumerate(POLICY_ROWS)],
+        "field,args,defaults,env,expected", PRECEDENCE,
+        ids=[f"{row[0]}-{k}" for k, row in enumerate(PRECEDENCE)],
     )
     def test_precedence(self, monkeypatch, field, args, defaults, env,
-                        expected, owns_pool):
-        from repro.runtime import pool as pool_mod
-
+                        expected):
         kernel, tensors = spmv_kernel()
         handle = kernel._view(**defaults) if defaults else kernel
         for knob, value in env.items():
             monkeypatch.setenv(knob, value)
-        if owns_pool:
-            pool_mod.get_shared_pool(1)     # the fixture shuts it down
-        assert pool_mod.shared_pool_open() == owns_pool
         assert getattr(resolve(handle, **args), field) == expected
         if field == "executor":
             # and Kernel.run goes where the policy says
@@ -445,8 +443,12 @@ class TestPolicy:
     def test_sharded_supervised_run_reads_each_knob_once(self, monkeypatch):
         # the policy is resolved at the top of the call and handed to
         # every shard: four supervised shards, one read per knob
+        from repro.runtime import pool as pool_mod
+
         kernel, tensors = spmv_kernel()
         ref = kernel.execute(tensors)
+        # opened first: the pool's boot reads its size, once per process
+        pool_mod.get_shared_pool()
         reads = self._count_reads(monkeypatch)
         got = kernel.run_sharded(
             tensors, executor="serial", shards=4, supervised=True)
@@ -543,7 +545,6 @@ class TestPolicy:
         c_kernel, _ = spmv_kernel(backend="c")
         twin = fallback_kernel(c_kernel)
         assert twin._kernel is held._kernel and fallback_kernel(c_kernel) is twin
-        assert held.supervised is None
         monkeypatch.setenv("REPRO_SUPERVISE", "1")
         assert resolve(held, parallel=False).supervised is True
 

@@ -1,42 +1,39 @@
 """Chaos: crashing kernels behind the full serving stack.
 
-The fault hook sabotages the native kernel handle of every *einsum*
-kernel the server builds for the poisoned spec, so supervised children
-genuinely segfault.  The expected ladder:
+The server's pool workers are started with the *einsum* kernel of the
+poisoned spec sabotaged (``crash_kernels.sabotage_in_workers``), so its
+supervised runs genuinely segfault while the server's own copy — the
+source of the pure-Python fallback — stays healthy.  The expected
+ladder:
 
 request 1: crash → one replay on the retry loop → crash → 500
 request 2: crash → breaker trips at the threshold → the in-flight
            retry transparently serves the pure-Python fallback → 200
 request 3+: rejected at admission — 503 + Retry-After, no compile,
-           no fork (the breaker gate fires on the cache key alone)
-
-A server with a ``fault_hook`` opens no worker pool, so its supervised
-runs stay on the fork-per-call child — the one that inherits the
-sabotaged handle (a pool worker would rebuild the genuine kernel).
+           no dispatch (the breaker gate fires on the cache key alone)
 """
 
 from __future__ import annotations
 
 import time
 
-from tests.faults.crash_kernels import SegfaultKernel
+from tests.faults.crash_kernels import SegfaultKernel, sabotage_in_workers
 from tests.serve.harness import einsum_query
 
 POISON_SPEC = "ij,jk->ik"
 HEALTHY_SPEC = "i,i->"
 
 
-def _poison_hook(kernel):
-    if kernel.name.startswith("einsum_ij_jk") and not isinstance(
-            kernel._kernel, SegfaultKernel):
-        kernel._kernel = SegfaultKernel()
+def _poison(monkeypatch):
+    """Before the server boots: its workers will segfault on the
+    poisoned spec's kernel."""
+    sabotage_in_workers(monkeypatch, "einsum_ij_jk", SegfaultKernel())
 
 
 def test_crash_ladder_to_breaker_rejection(make_server, monkeypatch):
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "3")
-    server = make_server(
-        fault_hook=_poison_hook, deadline=10.0, retries=2, qps=0.0,
-    )
+    _poison(monkeypatch)
+    server = make_server(deadline=10.0, retries=2, qps=0.0)
 
     # request 1: crash + one replay = two crashes, then a typed 500
     first = server.query(einsum_query(POISON_SPEC), timeout=30)
@@ -56,7 +53,7 @@ def test_crash_ladder_to_breaker_rejection(make_server, monkeypatch):
     assert third.status == 503
     assert third.retry_after is not None and third.retry_after >= 1
     assert "breaker" in third.json["error"]
-    # rejection happens pre-compile/pre-fork: it must be near-instant
+    # rejection happens pre-compile/pre-dispatch: it must be near-instant
     assert shed_ms < 500
 
     # a different kernel is unaffected by the quarantined one
@@ -71,9 +68,8 @@ def test_degrade_fallback_serves_python_twin(make_server, monkeypatch):
     """REPRO_SERVE_DEGRADE=fallback admits quarantined kernels and lets
     Kernel.run serve the memory-safe twin instead of shedding."""
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
-    server = make_server(
-        fault_hook=_poison_hook, degrade="fallback", retries=1,
-    )
+    _poison(monkeypatch)
+    server = make_server(degrade="fallback", retries=1)
     first = server.query(einsum_query(POISON_SPEC), timeout=30)
     assert first.status == 200      # crash trips breaker; replay → fallback
     follow = server.query(einsum_query(POISON_SPEC), timeout=30)
@@ -94,7 +90,8 @@ def test_crashes_do_not_leak_processes_or_shm(make_server, monkeypatch):
 
     before = shm_litter()
     monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-    server = make_server(fault_hook=_poison_hook, retries=1)
+    _poison(monkeypatch)
+    server = make_server(retries=1)
     for _ in range(3):
         server.query(einsum_query(POISON_SPEC), timeout=30)
     clean = server.stop()

@@ -157,19 +157,13 @@ def test_compatible_queries_batch(make_server):
         assert oracle.json["result"] == resp.json["result"]
 
 
-def test_deadline_budget_times_out_spinning_kernel(make_server):
-    from tests.faults.crash_kernels import SpinKernel
-
-    def sabotage(kernel):
-        if not isinstance(kernel._kernel, SpinKernel):
-            kernel._kernel = SpinKernel()
-
+def test_deadline_budget_times_out_spinning_kernel(make_server, monkeypatch):
     from repro.runtime import pool as pool_mod
+    from tests.faults.crash_kernels import SpinKernel, sabotage_in_workers
 
-    server = make_server(fault_hook=sabotage, deadline=8.0, retries=0)
-    # a chaos hook's sabotage lives in this process's memory, which only
-    # a fork child inherits: such a server opens no pool
-    assert not pool_mod.shared_pool_open()
+    sabotage_in_workers(monkeypatch, "einsum", SpinKernel())
+    server = make_server(deadline=8.0, retries=0)
+    assert pool_mod.shared_pool_open()
     t0 = time.monotonic()
     resp = server.query(einsum_query(deadline_ms=900), timeout=30)
     elapsed = time.monotonic() - t0
