@@ -147,10 +147,9 @@ def _measure(name, kernel, tensors):
 
 def test_spmv_pool_scaling():
     kernel, tensors = _spmv()
-    result = _measure("spmv", kernel, tensors)
-    # an spmv is too short for a slowdown bound: its every route is
-    # checked against the in-process result in _measure, and recorded
-    assert result["seconds"]["pool_supervised_warm"] > 0, result
+    # an spmv is too short for a slowdown bound: _measure checks its
+    # every route against the in-process result and records the times
+    _measure("spmv", kernel, tensors)
 
 
 def test_matmul_pool_scaling():

@@ -146,7 +146,9 @@ def fault_point(site: str) -> None:
     Production code calls this at the handful of places chaos tests
     need to kill: after a shard partial is journaled (``shard``),
     before the merge (``merge``), and at the top of a pool worker's
-    ``run`` message, before the kernel runs (``supervised_child``).
+    ``run`` message, before the kernel runs (``supervised_child``; the
+    worker cannot tell a supervised run from a ``pool``-executor shard,
+    so the site fires on either).
     """
     raw = config.get("REPRO_FAULT")
     if not raw:

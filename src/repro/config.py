@@ -127,8 +127,8 @@ _ROWS = (
          "not the host",
          shown="unlimited", minimum=1),
     Knob("REPRO_POOL_WORKERS", "int", None,
-         "size of the persistent worker pool (the `pool` executor and every "
-         "supervised run; the first such call of a process opens it)",
+         "size of the shared worker pool (the `pool` executor, the server, "
+         "and every supervised run of a process that has opened it)",
          shown="`REPRO_WORKERS`", minimum=1),
     Knob("REPRO_POOL_IDLE_TTL", "float", 300.0,
          "seconds a pool worker may sit idle before eviction (one worker "
@@ -165,7 +165,8 @@ _ROWS = (
     Knob("REPRO_FAULT", "str", None,
          "consolidated fault-injection hook: `<site>[:raise\\|sigkill[:n]]` "
          "fires a typed `InjectedFault` or a real SIGKILL at a named site "
-         "(`shard`, `merge`, `supervised_child`) on the n-th hit — the chaos "
+         "(`shard`, `merge`, `supervised_child`: any pool worker's `run` "
+         "message, supervised or sharded) on the n-th hit — the chaos "
          "suite's crash lever", shown="off"),
     Knob("REPRO_STRICT_LOCKS", "flag", False,
          "`1` turns a build-lock timeout into a typed `LockTimeoutError` "

@@ -26,8 +26,9 @@ package exploits that:
   supervised route: a worker runs under ``RLIMIT_AS``
   (``REPRO_KERNEL_MEM_MB``) and a wall-clock deadline
   (``REPRO_KERNEL_DEADLINE``), so a segfault or runaway loop becomes a
-  typed error instead of host death (``REPRO_SUPERVISE``); the first
-  supervised call of a process opens the pool;
+  typed error instead of host death (``REPRO_SUPERVISE``); a process
+  that owns no pool runs a supervised call on a one-worker pool that
+  lives for the call;
 - :mod:`repro.runtime.breaker` quarantines kernels that keep dying
   under supervision behind a circuit breaker that serves the
   pure-Python backend until a backoff re-probe succeeds;

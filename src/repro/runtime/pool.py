@@ -559,11 +559,14 @@ def dispatch(
     exports: Optional[Mapping[str, Optional[shm.TensorExport]]] = None,
     submit=_call_now,
     workers: Optional[int] = None,
+    scoped: bool = False,
 ) -> list:
     """Send every shard (or batch item, or the one supervised run) to
     the shared pool as shm descriptors; returns what ``submit`` returns
     for each — :meth:`WorkerPool.run_call`'s ``(result, seconds, pid)``
     when called directly, a future of it behind an executor.
+    ``scoped`` runs the calls on a one-worker pool of their own that is
+    shut down before this returns (only with the direct ``submit``).
 
     ``exports`` holds the segments of operands that were exported
     *before* they were sliced: a shard's arrays are views into them and
@@ -586,25 +589,38 @@ def dispatch(
          for name, t in tensors.items()}
         for tensors in shard_inputs
     ]
-    pool = get_shared_pool(workers)
-    key = pool_key(kernel)
-    pool.register_recipe(key, kernel.recipe, policy.deadline)
-    return [
-        submit(pool.run_call, key, r, dims, capacity, auto_grow,
-               max_capacity, policy.deadline, policy.threshold)
-        for r, dims in zip(refs, shard_dims)
-    ]
+    # after the exports: a worker forked before them maps the heap copies
+    pool = WorkerPool(1) if scoped else get_shared_pool(workers)
+    try:
+        key = pool_key(kernel)
+        pool.register_recipe(key, kernel.recipe, policy.deadline)
+        return [
+            submit(pool.run_call, key, r, dims, capacity, auto_grow,
+                   max_capacity, policy.deadline, policy.threshold)
+            for r, dims in zip(refs, shard_dims)
+        ]
+    finally:
+        if scoped:
+            pool.shutdown()
 
 
 def pooled(kernel, tensors, capacity, policy: ExecutionPolicy, *,
            auto_grow: bool, max_capacity: Optional[int]) -> object:
-    """One whole run on the pool under a resolved ``policy`` — the
-    one-shard case of :func:`dispatch`."""
+    """One whole run on a pool worker under a resolved ``policy`` — the
+    one-shard case of :func:`dispatch`.  It takes the shared pool when
+    the process owns one.  A process that owns none keeps nothing
+    resident: under ``fork`` the run gets a one-worker pool that is shut
+    down when it returns (≈ 10 ms, E24); where workers are spawned
+    (0.3 s each) it opens the shared pool at one worker instead, which a
+    sharded run or the server grows."""
     # the handle may be a shard view; the worker's kernel has the
     # recipe's dims
     dims = tuple(kernel.output.dims) if kernel.output is not None else None
+    scoped = not shared_pool_open() and mp_context(
+        config.get("REPRO_MP_START")).get_start_method() == "fork"
     (result, _seconds, _pid), = dispatch(
         kernel, [tensors], [dims], capacity, auto_grow, max_capacity, policy,
+        workers=1, scoped=scoped,
     )
     return result
 
@@ -618,8 +634,8 @@ def run_supervised(
     max_capacity: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> object:
-    """Run one kernel invocation on a worker of the shared pool, which
-    this call opens if the process has none.
+    """Run one kernel invocation on a pool worker (see :func:`pooled`
+    for which pool).
 
     Returns the worker's result.  Raises:
 

@@ -166,9 +166,10 @@ def pool_worker_main(
                 (_, key, recipe, refs, output_dims, capacity, auto_grow,
                  max_capacity, rname, threshold) = msg
                 # chaos hook: REPRO_FAULT=supervised_child:sigkill models
-                # a worker OOM-killed before it produced anything; a
-                # raise here escapes the loop, and the worker exits
-                # without a reply — decoded as a crash either way
+                # a worker OOM-killed before it produced anything (on a
+                # supervised run or a pool shard alike); a raise here
+                # escapes the loop, and the worker exits without a
+                # reply — decoded as a crash either way
                 resilience.fault_point("supervised_child")
                 start = time.perf_counter()
                 try:

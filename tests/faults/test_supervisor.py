@@ -56,8 +56,8 @@ def clean_breaker():
 
 @pytest.fixture(autouse=True)
 def no_pool_yet():
-    """Each test opens its own pool on its first supervised call, after
-    the environment it sets (workers pin it when they start)."""
+    """No shared pool: each supervised call starts its worker after the
+    environment the test sets (workers pin it when they start)."""
     pool_mod.shutdown_shared_pool()
 
 

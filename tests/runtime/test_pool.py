@@ -312,28 +312,47 @@ def test_run_batch_pool_executor():
 
 
 def test_pooled_supervised_routing(monkeypatch, forkless=False):
-    """A supervised run goes to the pool — the first one of a process
-    that owns none opens it; the result matches the in-process run and
-    the pool records the call."""
+    """A supervised run goes to a pool worker.  A process that owns no
+    pool keeps nothing resident: under fork the run gets a one-worker
+    pool that is gone when it returns; a platform that must spawn opens
+    the shared pool at one worker instead.  Once the shared pool is
+    open, supervised runs use it.  Every result matches the in-process
+    run."""
     import multiprocessing
 
     if forkless:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+    pids = []
+    run_call = pool_mod.WorkerPool.run_call
+
+    def recording(self, *args, **kw):
+        reply = run_call(self, *args, **kw)
+        pids.append(reply[2])
+        return reply
+
+    monkeypatch.setattr(pool_mod.WorkerPool, "run_call", recording)
     pool_mod.shutdown_shared_pool()
     kernel, tensors = spmv_kernel(name="pool_sup_spmv")
     direct = kernel.execute(tensors)
-    assert not pool_mod.shared_pool_open()
     supervised = kernel.run(tensors, parallel=False, supervised=True)
     assert direct.to_dict() == supervised.to_dict()
-    assert pool_mod.shared_pool_open()
+    assert len(pids) == 1 and pids[0] != os.getpid()
+    assert pool_mod.shared_pool_open() is forkless
+    if not forkless:
+        with pytest.raises(ProcessLookupError):  # joined on return
+            os.kill(pids[0], 0)
     pool = pool_mod.get_shared_pool()
-    assert pool.stats.calls == 1
+    calls = pool.stats.calls
     pooled = pool_mod.run_supervised(kernel, tensors)
     assert direct.to_dict() == pooled.to_dict()
-    assert pool.stats.calls == 2
+    assert pool.stats.calls == calls + 1
     if forkless:
+        # sized from the call, not the CPU count
         assert pool._ctx.get_start_method() == "spawn"
+        assert pool.max_workers == 1
     pool_mod.shutdown_shared_pool()
 
 
