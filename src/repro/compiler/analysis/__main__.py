@@ -7,12 +7,13 @@ Usage::
 
 Each named kernel (``spmv``, ``matmul``, ``smul``, ``dot``, ``vadd``,
 ``madd3``, ``sddmm``) is compiled with the interpreter backend (no
-toolchain needed), then the report prints the size of what was
-generated (bytes of C source, **P** statements, **E** nodes — a
+toolchain needed), then the report prints the size of the program a C
+build emits (bytes of C source, **P** statements, **E** nodes — a
 three-operand sum like ``madd3`` is where these used to blow up — and
 how many of the statements are the ``PSearch``/``PSort`` primitives),
-the typed-IR verification issues, the capacity
-lint's verdict on every store into a capacity-managed output array,
+the typed-IR verification issues of the interpreter's program, the
+capacity lint's verdict on every store into a capacity-managed output
+array,
 and the stream-level property signature (lawfulness, monotonicity,
 boundedness, ⊕-law obligations) inferred by
 :mod:`repro.compiler.analysis.streamprops` — the IR-level and
@@ -25,11 +26,10 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.compiler import codegen_c
 from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.analysis.streamprops import analyze_expr
 from repro.compiler.analysis.verifier import verify_kernel
-from repro.compiler.build import compile_kernel
+from repro.compiler.build import c_program, compile_kernel
 from repro.compiler.formats import TensorInput
 from repro.compiler.kernel import Kernel, OutputSpec
 from repro.data.tensor import Tensor
@@ -149,10 +149,8 @@ def report(name: str, kernel: Kernel) -> int:
     print(f"== kernel {name!r} ({kernel.name}) " + "=" * max(0, 40 - len(name)))
     print(f"   params: {', '.join(f'{p.name}:{p.ctype}' for p in kernel.params)}")
     print(f"   locals: {len(kernel.decls)} compiler temporaries")
-    c_source = codegen_c.emit_kernel_source(
-        kernel.name, kernel.params, kernel.decls, kernel.loop_ir
-    )
-    size = program_size(kernel.loop_ir)
+    c_body, c_source = c_program(kernel)
+    size = program_size(c_body)
     print(f"   size: {len(c_source)} bytes of C, {size['statements']} P statements "
           f"({size['search.linear']} linear + {size['search.binary']} binary "
           f"PSearch, {size['sort']} PSort), {size['nodes']} E nodes")

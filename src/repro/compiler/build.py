@@ -24,10 +24,10 @@ from repro.compiler.compile_fn import compile_stream
 from repro.compiler.dest import build_dest, workspace_needed
 from repro.compiler.formats import FunctionInput, Param, TensorInput
 from repro.compiler.interp import InterpKernel
-from repro.compiler.ir import NameGen, PSeq
+from repro.compiler.ir import P, NameGen, PSeq
 from repro.compiler.kernel import _RESERVED, Kernel, OutputSpec
 from repro.compiler.lower import lower
-from repro.compiler.opt import DEFAULT_OPT_LEVEL, optimize
+from repro.compiler.opt import DEFAULT_OPT_LEVEL, check_level, optimize
 from repro.compiler.resilience import logger
 from repro.compiler.scalars import scalar_ops_for
 from repro.data.tensor import Tensor
@@ -108,8 +108,8 @@ class KernelRecipe:
 class KernelBuilder:
     """Configurable front door to the compiler.
 
-    ``opt_level`` selects the :mod:`repro.compiler.opt` pass pipeline
-    (0 = off, the seed behavior, for ablation; 2 = full, the default).
+    ``opt_level`` turns the :mod:`repro.compiler.opt` pipeline for the
+    backend on (the default) or off (0, the seed behavior, for ablation).
     ``vectorize`` controls the Python backend's NumPy slice emitter
     (default: on whenever ``opt_level > 0``; ignored by other
     backends).  ``cache`` enables the two-tier build cache of
@@ -146,7 +146,7 @@ class KernelBuilder:
         self.backend = backend
         self.search = search
         self.locate = locate
-        self.opt_level = int(opt_level)
+        self.opt_level = check_level(opt_level)
         self.sanitize = config.get("REPRO_SANITIZE")
         # the checked Python emitter is scalar; vectorized slices would
         # bypass its per-subscript bounds checks
@@ -365,7 +365,7 @@ class KernelBuilder:
 
         workspace = workspace_needed(stream, output)
         dest, out_params, size_stores = build_dest(output, self.ops, ng, workspace)
-        body = PSeq(
+        raw = PSeq(
             dest.setup(),
             compile_stream(dest, stream, ng),
             dest.finalize(),
@@ -377,24 +377,15 @@ class KernelBuilder:
             params.extend(specs[var].params())
         params.extend(out_params)
 
-        body = optimize(body, ng, self.opt_level,
-                        verify=self.verify, params=params)
+        def optimized(target: str):
+            body = optimize(raw, ng, self.opt_level, target=target,
+                            verify=self.verify, params=params)
+            return body, _declared(body, ng.allocated)
+
+        body, decls = optimized(self.backend)
         _check_no_shadowing(name, params, ng)
-        # the name generator hands out temporaries that lowering and the
-        # optimiser then never use; a kernel declares the ones its body names
-        named = stmt_reads(body) | stmt_effects(body)[0]
-        decls = [v for v in ng.allocated if v.name in named]
 
-        findings = lint_bounds(
-            body,
-            dest.contracts(),
-            params=[p.name for p in params],
-            decls=[v.name for v in decls],
-        )
-
-        backend_used = self.backend
-        sparse = output is not None and "sparse" in output.formats
-        reserved = _RESERVED if sparse else ()
+        backend_used, vectorize = self.backend, self.vectorize
         if self.backend == "c":
             try:
                 source = codegen_c.emit_kernel_source(name, params, decls, body)
@@ -407,19 +398,20 @@ class KernelBuilder:
                     "Python backend (set REPRO_BACKEND_FALLBACK=0 to fail "
                     "instead)", name, exc,
                 )
-                backend_kernel = codegen_py.PyKernel(
-                    name, params, decls, body,
-                    vectorize=self.opt_level > 0 and not self.sanitize,
-                    checked=bool(self.sanitize), reserved=reserved,
-                )
                 backend_used = "python"
-        elif self.backend == "python":
+                vectorize = self.opt_level > 0 and not self.sanitize
+                # the Python backend runs the passes gcc would have done
+                body, decls = optimized("python")
+        if backend_used == "python":
+            sparse = output is not None and "sparse" in output.formats
             backend_kernel = codegen_py.PyKernel(
-                name, params, decls, body, vectorize=self.vectorize,
-                checked=bool(self.sanitize), reserved=reserved,
+                name, params, decls, body, vectorize=vectorize,
+                checked=bool(self.sanitize), reserved=_RESERVED if sparse else (),
             )
-        else:
+        elif backend_used == "interp":
             backend_kernel = InterpKernel(name, params, decls, body)
+        findings = lint_bounds(body, dest.contracts(), params=[p.name for p in params],
+                               decls=[v.name for v in decls])
         kernel = Kernel(name, backend_kernel, params, specs, output, self.ops,
                         body, decls=decls)
         kernel.ws_dim = output.dims[-1] if workspace else None
@@ -567,6 +559,22 @@ class KernelBuilder:
                     dataclasses.asdict(f) for f in kernel.capacity_findings],
             },
         )
+
+
+def _declared(body: P, allocated: Sequence) -> list:
+    """The temporaries ``body`` names: a kernel declares no others."""
+    named = stmt_reads(body) | stmt_effects(body)[0]
+    return [v for v in allocated if v.name in named]
+
+
+def c_program(kernel: Kernel) -> Tuple[P, str]:
+    """The loop program and C source a C build of ``kernel``'s recipe
+    emits, without a toolchain: the recipe lowered unoptimised, then
+    optimised for C."""
+    raw = dataclasses.replace(kernel.recipe, backend="interp", opt_level=0).build(cache=False)
+    body = optimize(raw.loop_ir, NameGen(), kernel.recipe.opt_level, target="c")
+    return body, codegen_c.emit_kernel_source(
+        kernel.name, raw.params, _declared(body, raw.decls), body)
 
 
 def _check_no_shadowing(name: str, params: Sequence[Param], ng: NameGen) -> None:

@@ -1,35 +1,25 @@
-"""Optimization passes over the imperative IR **P** / **E**.
+"""Optimization passes over the imperative IR **P** / **E**, run between
+the destination-passing ``compile`` function and code generation (the
+seed compiler's only transform was :func:`~repro.compiler.ir.fold` at
+emission time).  ``PIPELINE`` lists each pass with the backends it serves:
 
-The seed compiler's only transform was the constant :func:`~repro.compiler.ir.fold`
-applied at emission time.  This module is a real (if small) optimizer run
-between the destination-passing ``compile`` function and code generation:
-
-* :func:`simplify` — extended constant folding plus branch pruning
-  (``PIf``/``PWhile`` with literal conditions);
-* :func:`propagate_copies` — forward propagation of variable-to-variable
-  and literal copies through straight-line code, branches, and loops;
-* :func:`hoist_loop_invariants` — hoists loop-invariant subexpressions
-  of ``PWhile`` conditions (the always-evaluated part only, so a
-  guarded array access is never made eager) into temporaries defined
-  before the loop, replacing every occurrence in the condition and body;
-* :func:`eliminate_common_subexprs` — common-subexpression elimination
-  of repeated ``EAccess``/``EBinop``/``ECall`` reads within straight-line
-  blocks;
-* :func:`eliminate_dead_stores` — liveness-based removal of assignments
-  to local variables that are never read again.
+* every backend: :func:`simplify` (constant folding, branch pruning),
+  :func:`propagate_copies`, :func:`eliminate_dead_stores` (assignments
+  never read again) and a final :func:`simplify`;
+* only where Python executes the loop nest (``python``, ``interp``):
+  :func:`hoist_loop_invariants` (the always-evaluated part of a
+  ``PWhile`` condition, so a guarded access never turns eager) and
+  :func:`eliminate_common_subexprs` (repeated reads in straight-line
+  code).  A C kernel leaves both to gcc -O3, whose loop-invariant motion
+  and partial redundancy elimination derive the same temporaries.
 
 Every pass is semantics-preserving for *any* scalar semiring: passes
 only restructure index arithmetic and pure reads — semiring values are
 only ever combined by the ops the lowering already chose, and literal
 folding touches ``TINT``/``TBOOL`` expressions whose meaning is fixed.
 All **E** expressions are pure (``Op`` specs are functional by the
-paper's Figure 12 contract), which the passes rely on.
-
-The pipeline is selected with ``opt_level``:
-
-* ``0`` — identity (the seed behavior, for ablation);
-* ``1`` — :func:`simplify` only;
-* ``2`` (default) — the full pipeline.
+paper's Figure 12 contract), which the passes rely on.  ``opt_level``
+is on/off: ``0`` is the identity (the seed behavior, for ablation).
 """
 
 from __future__ import annotations
@@ -505,18 +495,26 @@ def hoist_loop_invariants(p: P, ng: NameGen) -> P:
 # ----------------------------------------------------------------------
 # the pipeline
 # ----------------------------------------------------------------------
-# Each entry is (pass name, min opt level, runner).  The runners look
-# the pass function up through the module namespace at call time, so
-# tests can monkeypatch an individual pass (fault injection) and the
+# Each entry is (pass name, targets it serves, runner).  The runners
+# look the pass function up through the module namespace at call time,
+# so tests can monkeypatch an individual pass (fault injection) and the
 # pipeline — and the verifier's blame assignment — picks it up.
-PIPELINE: List[Tuple[str, int, Callable[[P, NameGen], P]]] = [
-    ("simplify", 1, lambda b, ng: simplify(b)),
-    ("copy-prop", 2, lambda b, ng: propagate_copies(b)),
-    ("licm", 2, lambda b, ng: hoist_loop_invariants(b, ng)),
-    ("cse", 2, lambda b, ng: eliminate_common_subexprs(b, ng)),
-    ("dse", 2, lambda b, ng: eliminate_dead_stores(b)),
-    ("final-simplify", 2, lambda b, ng: simplify(b)),
+EVERY_TARGET = ("c", "python", "interp")
+PIPELINE: List[Tuple[str, Tuple[str, ...], Callable[[P, NameGen], P]]] = [
+    ("simplify", EVERY_TARGET, lambda b, ng: simplify(b)),
+    ("copy-prop", EVERY_TARGET, lambda b, ng: propagate_copies(b)),
+    ("licm", ("python", "interp"), lambda b, ng: hoist_loop_invariants(b, ng)),
+    ("cse", ("python", "interp"), lambda b, ng: eliminate_common_subexprs(b, ng)),
+    ("dse", EVERY_TARGET, lambda b, ng: eliminate_dead_stores(b)),
+    ("final-simplify", EVERY_TARGET, lambda b, ng: simplify(b)),
 ]
+
+
+def check_level(level: int) -> int:
+    """``level``, which must be 0 (off) or ``DEFAULT_OPT_LEVEL`` (on)."""
+    if level not in (0, DEFAULT_OPT_LEVEL):
+        raise ValueError(f"opt_level is 0 or {DEFAULT_OPT_LEVEL}, not {level!r}")
+    return int(level)
 
 
 def optimize(
@@ -524,10 +522,12 @@ def optimize(
     ng: NameGen,
     level: int = DEFAULT_OPT_LEVEL,
     *,
+    target: str = "python",
     verify: Optional[bool] = None,
     params: Optional[Sequence[object]] = None,
 ) -> P:
-    """Run the pass pipeline selected by ``level`` (see module docs).
+    """Run the passes ``PIPELINE`` lists for ``target`` (a backend
+    name), or none at ``level=0`` (see module docs).
 
     With ``verify=True`` (default: the ``REPRO_IR_VERIFY`` environment
     toggle) and the kernel's ``params``, the typed IR verifier runs on
@@ -538,6 +538,7 @@ def optimize(
     Verification needs the parameter list to know the typing
     environment; without ``params`` it is skipped.
     """
+    check_level(level)
     if verify is None:
         verify = config.get("REPRO_IR_VERIFY")
     checking = bool(verify) and params is not None
@@ -549,9 +550,8 @@ def optimize(
         check_program(body, ctx, pass_name=after, strict=True)
 
     check("input")
-    for name, min_level, run in PIPELINE:
-        if level < min_level:
-            continue
-        body = run(body, ng)
-        check(name)
+    for name, targets, run in PIPELINE:
+        if level and target in targets:
+            body = run(body, ng)
+            check(name)
     return body

@@ -38,10 +38,6 @@ class ScalarOps:
     add: Callable[[E, E], E]
     mul: Callable[[E, E], E]
 
-    @property
-    def numpy_dtype(self) -> str:
-        return {"int": "int64", "float": "float64", "bool": "bool_"}[self.type]
-
 
 def _binop(op: str, type_: str) -> Callable[[E, E], E]:
     def build(a: E, b: E) -> E:

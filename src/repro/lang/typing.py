@@ -133,8 +133,3 @@ def _expand_to(expr: Expr, have: Shape, want: Shape, ctx: TypeContext) -> Expr:
     for attr in sorted(want - have, key=ctx.schema.position, reverse=True):
         expr = Expand(attr, expr)
     return expr
-
-
-def free_attributes(expr: Expr, ctx: TypeContext) -> Shape:
-    """Alias for :func:`shape_of`, named for readability at call sites."""
-    return shape_of(expr, ctx)

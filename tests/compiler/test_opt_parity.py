@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.compiler.analysis.verifier import verify_kernel
 from repro.compiler.build import compile_kernel
 from repro.compiler.kernel import OutputSpec
+from repro.compiler.opt import DEFAULT_OPT_LEVEL
 from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var, denote
@@ -118,7 +119,7 @@ SUM_SEMIRINGS = {"float": FLOAT, "nat": NAT, "bool": BOOL, "min_plus": MIN_PLUS}
 
 
 def _check_sum_program(prog, semiring, sr_name, backend, search,
-                       opt_levels=(0, 1, 2)):
+                       opt_levels=(0, DEFAULT_OPT_LEVEL)):
     truth = denote(prog.expr, prog.ctx, prog.krels)
     rank = len(prog.out_attrs)
     out = (
@@ -145,8 +146,8 @@ def _check_sum_program(prog, semiring, sr_name, backend, search,
 @settings(max_examples=6, deadline=None)
 def test_nested_sums_match_denotation(sr_name, backend, data):
     """2–3-operand sums and sums of products, up to three levels deep,
-    agree with 𝒯 at opt 0/1/2 — with the IR verifier (binding-temporary
-    invariant included) run after every pass."""
+    agree with 𝒯 with the passes off and on — with the IR verifier
+    (binding-temporary invariant included) run after every pass."""
     semiring = SUM_SEMIRINGS[sr_name]
     prog = data.draw(sum_programs(semiring))
     _check_sum_program(prog, semiring, sr_name, backend, "linear")
@@ -154,7 +155,7 @@ def test_nested_sums_match_denotation(sr_name, backend, data):
 
 @pytest.mark.parametrize("sr_name", sorted(SUM_SEMIRINGS))
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("opt_level", (0, 1, 2))
+@pytest.mark.parametrize("opt_level", (0, DEFAULT_OPT_LEVEL))
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_galloping_nested_sums_match_denotation(sr_name, backend, opt_level, data):
@@ -187,7 +188,7 @@ def _fixed_tensors(which, semiring):
                  "y": _tensor(("i",), dict(data), semiring)}
 
 
-@pytest.mark.parametrize("opt_level", (0, 1, 2))
+@pytest.mark.parametrize("opt_level", (0, DEFAULT_OPT_LEVEL))
 @pytest.mark.parametrize("which", sorted(EXPRS))
 def test_every_opt_level_verifies_clean(which, opt_level):
     """The typed IR verifier as a static oracle: the IR the pipeline
@@ -200,3 +201,12 @@ def test_every_opt_level_verifies_clean(which, opt_level):
         cache=False, name=f"ver{opt_level}_{which}",
     )
     assert verify_kernel(kernel) == []
+
+
+def test_opt_level_is_on_or_off():
+    """``opt_level`` is 0 (off) or the default (on); no level between."""
+    expr, out, _ = EXPRS["spmv"]
+    ctx, tensors = _fixed_tensors("spmv", FLOAT)
+    with pytest.raises(ValueError, match="opt_level"):
+        compile_kernel(expr, ctx, tensors, out, backend="interp", opt_level=1,
+                       cache=False, name="opt1_spmv")

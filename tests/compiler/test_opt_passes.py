@@ -5,6 +5,7 @@ semantically (running the IR through the reference interpreter before
 and after yields identical machine states)."""
 
 import numpy as np
+import pytest
 
 from repro.compiler.interp import run_stmt
 from repro.compiler.ir import (
@@ -347,7 +348,12 @@ def test_optimize_pipeline_preserves_semantics():
     assert "_tinv0" in repr(q)
 
 
-def test_optimize_level1_only_simplifies():
-    p = PSeq(PIf(blit(False), PAssign(V("x"), ilit(1))), PAssign(V("y"), ADD(V("t"), ilit(0))))
-    q = optimize(p, NameGen(), 1)
-    assert repr(q) == "y = t"
+def test_optimize_for_c_leaves_licm_and_cse_to_gcc():
+    p = _mini_program()
+    q = optimize(p, NameGen(), target="c")
+    s1, s2 = run(p, _mini_state()), run(q, _mini_state())
+    assert np.array_equal(s1["o"], s2["o"])
+    assert "dead" not in repr(q)
+    assert "_tinv" not in repr(q) and "_tcse" not in repr(q)
+    with pytest.raises(ValueError, match="opt_level"):
+        optimize(p, NameGen(), 1)

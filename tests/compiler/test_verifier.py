@@ -8,9 +8,10 @@ raises :class:`IRVerifyError` *naming that pass* — the property that
 makes ``REPRO_IR_VERIFY=1`` a useful blame assigner.
 """
 
+import numpy as np
 import pytest
 
-from repro.compiler import opt
+from repro.compiler import opt, resilience
 from repro.compiler.analysis.verifier import (
     VerifyContext,
     check_program,
@@ -303,12 +304,12 @@ def _spmv_inputs():
     return {"A": A, "v": v}
 
 
-def _compile_spmv(name):
+def _compile_spmv(name, backend="interp"):
     ctx = TypeContext(SCHEMA, {"A": {"i", "j"}, "v": {"j"}})
     return compile_kernel(
         Sum("j", Var("A") * Var("v")), ctx, _spmv_inputs(),
         OutputSpec(("i",), ("dense",), (N,)),
-        backend="interp", cache=False, verify=True, name=name,
+        backend=backend, cache=False, verify=True, name=name,
     )
 
 
@@ -335,6 +336,18 @@ def test_mutated_pass_is_blamed(monkeypatch, attr, pass_name):
     with pytest.raises(IRVerifyError) as exc:
         _compile_spmv(f"mut_{pass_name.replace('-', '_')}")
     assert exc.value.pass_name == pass_name
+
+
+@pytest.mark.skipif(not resilience.toolchain_available(), reason="C toolchain required")
+def test_mutated_licm_leaves_a_c_build_untouched(monkeypatch):
+    """LICM runs only where Python executes the loop nest: a C build
+    never calls it, so a broken one changes nothing there."""
+    clean = _compile_spmv("mut_licm_c", backend="c")
+    monkeypatch.setattr(opt, "hoist_loop_invariants", lambda body, ng: PSeq(
+        body, PStore("__no_such_array", ilit(0), ilit(0))))
+    kernel = _compile_spmv("mut_licm_c", backend="c")
+    assert kernel.source == clean.source
+    assert np.array_equal(kernel.run(_spmv_inputs()).vals, clean.run(_spmv_inputs()).vals)
 
 
 def test_unmutated_build_verifies_clean():

@@ -90,10 +90,10 @@ def sorting_programs(n: int = 12):
     ]
 
 
-def bench_kernel(cell: str, name: str):
+def bench_kernel(cell: str, name: str, backend: str = "interp"):
     """A program of the benchmark (``bench/``: the ``lib_kernel`` cells
     and ``tpch_q5`` / ``tpch_q9``) at its smoke size, built without a
-    toolchain.  Skips when ``bench`` is not importable."""
+    toolchain by default.  Skips when ``bench`` is not importable."""
     datagen = pytest.importorskip("bench.datagen")
     programs = pytest.importorskip("bench.programs")
     lib_kernel = pytest.importorskip("bench.workloads.lib_kernel")
@@ -104,4 +104,4 @@ def bench_kernel(cell: str, name: str):
     else:
         build, size = lib_kernel.SMOKE[cell]
         program = build(datagen.rng_for(1, "tests", cell), **size)
-    return program.compile(name, backend="interp")
+    return program.compile(name, backend=backend)

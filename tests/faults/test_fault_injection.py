@@ -32,6 +32,7 @@ from repro.errors import (
     CompileError,
     ReproError,
 )
+from tests.conftest import bench_kernel
 from tests.faults.conftest import (
     copy_problem,
     expected_spmv,
@@ -163,6 +164,23 @@ def test_repeated_sigkill_falls_back_to_python(monkeypatch, tmp_path, fake_gcc, 
     assert attempts.read_text().count("x") == 2
     assert np.allclose(np.asarray(result.vals), expected_spmv(tensors))
     assert any("falling back" in r.message for r in repro_records(caplog))
+
+
+@pytest.mark.parametrize("cell", ["spmv", "smul"])
+def test_fallback_keeps_the_python_pipeline(monkeypatch, cell):
+    """A C build that falls back emits what a direct Python build does:
+    the body is optimised again for Python, LICM and CSE included.  So
+    is the breaker's twin, rebuilt from the recipe on Python."""
+    from repro.runtime.route import fallback_kernel
+
+    monkeypatch.setenv("REPRO_GCC", "/nonexistent/bin/gcc")
+    monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "1")
+    resilience.reset_probe_cache()
+    fallback = bench_kernel(cell, f"fb_{cell}", backend="c")
+    direct = bench_kernel(cell, f"fb_{cell}", backend="python")
+    assert fallback.source == direct.source
+    assert "_tinv" in fallback.source
+    assert "_tinv" in fallback_kernel(fallback).source
 
 
 # ----------------------------------------------------------------------
