@@ -57,7 +57,7 @@ from repro import config
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
-CACHE_VERSION = 7  # v7: C kernels are emitted without LICM and CSE temporaries
+CACHE_VERSION = 8  # v8: sums of dense levels and densely driven CSR rows lose their merge and fills
 
 #: tier 1's bound: about twice the largest working set a benchmark
 #: workload has (30 keys: ``lib_dispatch`` / ``lib_kernel``'s three

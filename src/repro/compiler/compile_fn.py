@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from repro.compiler.dest import Dest
 from repro.compiler.ir import NameGen, P, PAssign, PIf, PSeq, PSkip, PWhile
-from repro.compiler.sstream import SStream, always_ready, is_sstream
+from repro.compiler.sstream import SStream, always_ready, checked_dim, is_sstream
 from repro.errors import CompileError
 from repro.streams.base import STAR
 
@@ -70,7 +70,8 @@ def compile_stream(dest: Dest, s, ng: NameGen) -> P:
         i = ng.fresh(f"ix_{s.attr}")
         save = PAssign(i, s.index)
         if is_sstream(s.value):
-            pre, sub, post = dest.push(i)
+            push = dest.push_every if checked_dim(s.dim) else dest.push
+            pre, sub, post = push(i)
             emit = PSeq(pre, compile_stream(sub, s.value, ng), post)
         else:
             emit = dest.append(i, s.value)

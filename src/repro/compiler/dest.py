@@ -60,6 +60,11 @@ class Dest:
         post after it."""
         raise NotImplementedError
 
+    def push_every(self, index: E) -> Tuple[P, "Dest", P]:
+        """``push`` from a level that pushes every index of its checked
+        dimension, in order (one driven by a tensor's dense level)."""
+        return self.push(index)
+
     def append(self, index: E, value: E) -> P:
         """``push(index)`` followed by the store of a scalar ``value``:
         what a stream's innermost level does at every index."""
@@ -282,8 +287,9 @@ class DensePosDest(Dest):
     """A dense output level above a compressed one (CSR's row level).
 
     Fills the child's pos array for every row, including rows the
-    iteration skipped: every entry is stored, none is read, so the
-    wrapper reserves it uninitialised."""
+    iteration skipped (a level pushed by ``push_every`` skips none):
+    every entry is stored, none is read, so the wrapper reserves it
+    uninitialised."""
 
     def __init__(
         self,
@@ -301,6 +307,7 @@ class DensePosDest(Dest):
         self.child = child
         self.child_counter = child_counter
         self.row = ng.fresh("row")
+        self.gaps = True
 
     def _fill_to(self, bound: E) -> P:
         return PWhile(
@@ -322,6 +329,12 @@ class DensePosDest(Dest):
         )
         return pre, self.child, post
 
+    def push_every(self, index: E) -> Tuple[P, Dest, P]:
+        # no row is skipped: none to close before `index`, nor after the last
+        self.gaps = False
+        _, sub, post = self.push(index)
+        return PSkip(), sub, post
+
     def setup(self) -> P:
         return PSeq(
             PAssign(self.row, ilit(0)),
@@ -332,7 +345,7 @@ class DensePosDest(Dest):
     def finalize(self) -> P:
         # the child has nothing left to do: the last row's push closed
         # its slice, like every row's
-        return self._fill_to(self.dim)
+        return self._fill_to(self.dim) if self.gaps else PSkip()
 
     def contracts(self) -> List[ArrayContract]:
         # child_pos is sized by the level dimension, not a capacity

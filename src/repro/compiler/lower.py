@@ -57,7 +57,7 @@ def lower(
     ``attr_dims`` supplies dimensions for attributes introduced by ⇑
     that must be iterated finitely (those appearing in the output).
     ``locate=False`` disables the random-access optimization in
-    products (pure co-iteration, for ablation).
+    products and sums (pure co-iteration, for ablation).
     """
     core = elaborate(expr, ctx)
     attr_dims = dict(attr_dims or {})
@@ -96,6 +96,7 @@ def _lower(expr, ctx, inputs, ops, ng, search, attr_dims, locate=True) -> Value:
             _lower(expr.right, ctx, inputs, ops, ng, search, attr_dims, locate),
             ops,
             ng,
+            locate,
         )
     if isinstance(expr, Sum):
         return deep_contract(
@@ -142,4 +143,6 @@ def _srename(s: Value, mapping: Mapping[str, str], schema: Schema) -> Value:
         shape=new_shape,
         value=_srename(s.value, mapping, schema),
         locate=locate,
+        # a tensor's dim was checked under its old attribute, not this one
+        dim=s.dim if attr == s.attr else None,
     )

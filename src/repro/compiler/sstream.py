@@ -399,8 +399,25 @@ def _try_locate(a: SStream, b: SStream, ops: ScalarOps, ng: NameGen) -> Optional
 # ----------------------------------------------------------------------
 # addition
 # ----------------------------------------------------------------------
-def sadd(a: Value, b: Value, ops: ScalarOps, ng: NameGen) -> Value:
-    """Sum of syntactic streams (the min-merge of Section 5.1.1)."""
+def checked_dim(dim: Optional[E]) -> bool:
+    """Whether ``dim`` is a tensor's dimension parameter (``X_dimK``),
+    which ``Kernel._validate_dims`` checks per attribute — unlike the
+    literal dims of a ``FunctionInput`` or of ⇑."""
+    return isinstance(dim, EVar)
+
+
+def _same_extent(a: SStream, b: SStream) -> bool:
+    """Both dims are tensor dimension parameters, or the same literal."""
+    if checked_dim(a.dim) and checked_dim(b.dim):
+        return True
+    return isinstance(a.dim, ELit) and isinstance(b.dim, ELit) and a.dim.value == b.dim.value
+
+
+def sadd(a: Value, b: Value, ops: ScalarOps, ng: NameGen, locate: bool = True) -> Value:
+    """Sum of syntactic streams (the min-merge of Section 5.1.1).  A sum
+    of two locatable levels of one provable extent is itself a dense
+    level, ``(a ⊕ b)(i) = a(i) ⊕ b(i)``, and merges nothing
+    (``locate=False`` keeps the merge, for ablation)."""
     if not is_sstream(a) and not is_sstream(b):
         return ops.add(a, b)
     a_star = is_sstream(a) and a.attr is STAR
@@ -411,6 +428,11 @@ def sadd(a: Value, b: Value, ops: ScalarOps, ng: NameGen) -> Value:
         return _sadd_streams(singleton_contract(ng, a, ops), b, ops, ng)
     if not is_sstream(a) or not is_sstream(b):
         raise ValueError("cannot add a scalar to a non-contracted stream")
+    if locate and a.locatable and b.locatable and a.attr == b.attr and _same_extent(a, b):
+        return function_level(
+            ng, a.attr, lambda i: sadd(a.locate(i), b.locate(i), ops, ng, locate),
+            a.shape, dim=a.dim,
+        )
     return _sadd_streams(a, b, ops, ng)
 
 

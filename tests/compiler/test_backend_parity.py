@@ -15,7 +15,10 @@ from repro.data import Tensor
 from repro.krelation import Schema, ShapeError
 from repro.lang import Sum, TypeContext, Var, denote
 from repro.semirings import INT
-from tests.strategies import SUM_N, sparse_data, sum_programs
+from tests.strategies import (
+    CSR_KERNELS, ROW_PATTERNS, SUM_N, assert_same_csr, csr_program, csr_truth,
+    sparse_data, sum_programs,
+)
 
 N = 8
 SCHEMA = Schema.of(i=range(N), j=range(N))
@@ -111,3 +114,23 @@ def test_nested_sum_kernels_agree(prog):
         result = kernel.run(prog.tensors, capacity=SUM_N ** 3 + 1)
         got = result.to_dict() if rank else result
         assert got == want, f"{prog.expr!r} on {backend}"
+
+
+@pytest.mark.parametrize("pattern", ROW_PATTERNS)
+@pytest.mark.parametrize("which", CSR_KERNELS)
+def test_csr_kernels_agree_on_empty_rows(which, pattern):
+    """CSR ``add``, ``mmul`` and ``sddmm`` on operands with leading or
+    trailing empty rows, or one operand empty: every backend at both
+    opt levels stores 𝒯's ``pos``, ``crd`` and ``vals`` exactly — the
+    row level is a dense counter that stores every ``pos`` entry
+    itself, with no fill before or after it."""
+    prog = csr_program(which, pattern)
+    want = csr_truth(prog)
+    out = OutputSpec(prog.out_attrs, ("dense", "sparse"), (8, 8))
+    for backend in ("interp", "python", "c"):
+        for opt_level in (0, 2):
+            kernel = compile_kernel(prog.expr, prog.ctx, prog.tensors, out,
+                                    backend=backend, opt_level=opt_level,
+                                    name=f"parity_csr_{which}")
+            got = kernel.run(prog.tensors, capacity=64)
+            assert_same_csr(got, want, f"{backend} O{opt_level}")

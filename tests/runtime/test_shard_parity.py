@@ -25,7 +25,11 @@ from repro.data import Tensor
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.semirings import BOOL, FLOAT, MIN_PLUS, NAT
+from repro.runtime.planner import plan_shards
 from repro.verification import check_shard_parity
+from tests.strategies import (
+    CSR_KERNELS, ROW_PATTERNS, assert_same_csr, csr_program, csr_truth,
+)
 
 SEMIRINGS = {
     "float": (FLOAT, st.integers(min_value=-9, max_value=9)
@@ -191,3 +195,28 @@ def test_pool_executor_matches_serial_oracle(problem):
         else:
             os.environ["REPRO_SHM_THRESHOLD"] = prior
     assert pooled == oracle
+
+
+@pytest.mark.parametrize("pattern", ROW_PATTERNS)
+@pytest.mark.parametrize("which", CSR_KERNELS)
+def test_csr_shards_on_empty_rows_match_truth(which, pattern, monkeypatch):
+    """CSR ``add``, ``mmul`` and ``sddmm`` split four ways, serial,
+    pooled (every operand through shared memory) and durable: each
+    shard's row loop visits every row of its window, so a window that
+    starts or ends on empty rows (``trailing``: the last one always
+    does) still stores every ``pos`` entry — 𝒯's, element for element."""
+    prog = csr_program(which, pattern)
+    want = csr_truth(prog)
+    kernel = compile_kernel(
+        prog.expr, prog.ctx, prog.tensors,
+        OutputSpec(prog.out_attrs, ("dense", "sparse"), (8, 8)),
+        backend="python", name=f"parity_csr_{which}")
+    plan = plan_shards(kernel, prog.tensors, 4)
+    assert plan.shards == 4
+    if pattern == "trailing":
+        assert want.pos[1][-2] == want.pos[1][-1]
+    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
+    for route in ({"executor": "serial"}, {"executor": "pool", "workers": 2},
+                  {"executor": "serial", "durable": True}):
+        got = kernel.run_sharded(prog.tensors, shards=4, capacity=64, **route)
+        assert_same_csr(got, want, str(route))

@@ -136,3 +136,71 @@ def sum_programs(draw, semiring) -> SumProgram:
     ])
     out_attrs = tuple(a for a in attrs if a not in contracted)
     return SumProgram(expr, ctx, krels, tensors, out_attrs, tag)
+
+
+# ----------------------------------------------------------------------
+# CSR-output kernels on operands with empty rows (checked against 𝒯)
+# ----------------------------------------------------------------------
+#: Fig. 17's ``add``, the linear-combination ``mmul`` and the analysis
+#: CLI's ``sddmm``: the kernels whose CSR row level is a dense level
+CSR_KERNELS = ("add", "mmul", "sddmm")
+#: which rows of the compressed operands hold entries: none of the first
+#: three, none of the last three, or none at all in the first operand
+ROW_PATTERNS = ("leading", "trailing", "empty")
+CSR = ("dense", "sparse")
+
+
+def csr_program(kernel: str, pattern: str, n: int = 8) -> SumProgram:
+    """One of :data:`CSR_KERNELS` over ``n × n`` INT operands whose
+    compressed rows follow ``pattern``; dense operands are full."""
+    import random
+
+    from repro.data import tensor_from_krelation
+    from repro.krelation import KRelation, Schema
+    from repro.lang import Sum, TypeContext, Var
+    from repro.semirings import INT
+
+    rng = random.Random(f"{kernel}/{pattern}")
+    rows = {"leading": range(3, n), "trailing": range(n - 3)}.get(pattern, range(n))
+
+    def data(first, dense=False):
+        if dense:
+            return {(i, j): rng.randint(1, 9) for i in range(n) for j in range(n)}
+        if first and pattern == "empty":
+            return {}
+        return {(i, j): rng.randint(1, 9) for i in rows for j in range(n)
+                if rng.random() < 0.4}
+
+    if kernel == "add":
+        attrs, order = {"A": ("i", "j"), "B": ("i", "j")}, "ij"
+        expr, dense = Var("A") + Var("B"), ()
+    elif kernel == "mmul":
+        attrs, order = {"A": ("i", "k"), "B": ("k", "j")}, "ikj"
+        expr, dense = Sum("k", Var("A") * Var("B")), ()
+    else:
+        attrs, order = {"S": ("i", "j"), "A": ("i", "k"), "B": ("j", "k")}, "ijk"
+        expr, dense = Sum("k", Var("S") * Var("A") * Var("B")), ("A", "B")
+    schema = Schema.of(**{a: range(n) for a in order})
+    ctx = TypeContext(schema, {v: set(a) for v, a in attrs.items()})
+    krels, tensors = {}, {}
+    for k, (v, a) in enumerate(attrs.items()):
+        krels[v] = KRelation(schema, INT, a, data(k == 0, v in dense))
+        tensors[v] = tensor_from_krelation(
+            krels[v], ("dense", "dense") if v in dense else CSR, (n, n))
+    return SumProgram(expr, ctx, krels, tensors, ("i", "j"), f"{kernel}_{pattern}")
+
+
+def csr_truth(prog: SumProgram, n: int = 8):
+    """𝒯 of a :func:`csr_program`, packed as the CSR tensor a kernel
+    must produce element for element."""
+    from repro.data import tensor_from_krelation
+    from repro.lang import denote
+
+    return tensor_from_krelation(denote(prog.expr, prog.ctx, prog.krels), CSR, (n, n))
+
+
+def assert_same_csr(got, want, where=""):
+    """``pos``, ``crd`` and ``vals`` equal, element for element."""
+    assert got.pos[1].tolist() == want.pos[1].tolist(), where
+    assert got.crd[1].tolist() == want.crd[1].tolist(), where
+    assert got.vals.tolist() == want.vals.tolist(), where
