@@ -1,19 +1,19 @@
-"""Adaptive query planning: cost model, calibration, decision cache.
+"""Adaptive query planning: cost model, decision cache, tuner.
 
-``repro.autotune`` turns the library's caller-chosen performance knobs
-— contraction ordering, per-level output formats, search strategy,
-opt level, shard executor and count — into planner decisions:
+``repro.autotune`` turns the library's caller-chosen plan knobs —
+contraction ordering, per-level output formats and search strategy —
+into planner decisions:
 
 * :mod:`~repro.autotune.costmodel` predicts abstract work units per
   candidate plan from per-level tensor statistics;
-* :mod:`~repro.autotune.calibrate` measures (once per machine, then
-  persists) the constants that turn units into seconds and price
-  shard dispatch honestly;
 * :mod:`~repro.autotune.decisions` caches decisions by workload
-  signature with the kernel cache's crash-safety machinery and folds
-  observed runtimes back in (stale decisions are re-searched);
-* :mod:`~repro.autotune.tuner` enumerates the legal candidates —
-  bounded by the stream-property certificates — and picks.
+  signature with the kernel cache's crash-safety machinery;
+* :mod:`~repro.autotune.tuner` enumerates the legal candidates and
+  picks the one with the fewest units.
+
+A decision is a pure function of its workload signature: nothing is
+measured, and how a call runs (serial, threads, the pool) stays the
+caller's choice.
 
 Routing: ``compile_kernel(..., tune="auto")`` /
 ``KernelBuilder(tune=...)`` / the ``REPRO_TUNE`` environment knob for
@@ -21,35 +21,25 @@ the library, ``ServeConfig.tune`` (default on) for the server.  With
 tuning off, none of this package's code runs.
 """
 
-from repro.autotune.calibrate import (
-    CalibrationProfile,
-    calibrate,
-    get_profile,
-    reset_profile_cache,
-    tune_cache_dir,
-)
 from repro.autotune.costmodel import CostEstimate, OperandStats, estimate
 from repro.autotune.decisions import (
     Decision,
     DecisionCache,
     DecisionRecord,
     decision_cache,
+    tune_cache_dir,
 )
 from repro.autotune.tuner import TuneResult, tune_build, tune_einsum
 
 __all__ = [
-    "CalibrationProfile",
     "CostEstimate",
     "Decision",
     "DecisionCache",
     "DecisionRecord",
     "OperandStats",
     "TuneResult",
-    "calibrate",
     "decision_cache",
     "estimate",
-    "get_profile",
-    "reset_profile_cache",
     "tune_build",
     "tune_einsum",
     "tune_cache_dir",

@@ -3,10 +3,9 @@
 The model predicts *abstract work units* for one fused loop nest from
 the same per-level statistics the shard planner already reads off a
 :class:`~repro.data.tensor.Tensor` (slot counts per level, hence
-average fanout and density per level).  Units are converted to seconds
-by the measured per-unit throughput in
-:mod:`repro.autotune.calibrate` — the model only has to rank plans,
-not predict wall time in isolation.
+average fanout and density per level).  The model only has to rank
+plans: :data:`PER_OP_S` turns units into the forecast a decision
+reports, one fixed constant per backend, never a measured one.
 
 The estimator walks a candidate attribute ordering outermost-in and
 propagates two quantities:
@@ -48,6 +47,10 @@ C_REPACK = 60.0
 C_DENSE_OUT = 0.25
 #: per-entry cost of appending through a sparse output destination
 C_SPARSE_OUT = 2.0
+#: seconds per unit, per backend, for a decision's ``predicted_s``
+#: (rough orders of magnitude for a scalar C loop step vs interpreted
+#: Python); a forecast to report, never an input to a decision
+PER_OP_S = {"c": 4e-9, "python": 4e-7, "interp": 2e-6}
 
 @dataclass(frozen=True)
 class OperandStats:
@@ -351,6 +354,7 @@ def output_units(
 __all__ = [
     "C_BINARY",
     "C_REPACK",
+    "PER_OP_S",
     "OperandStats",
     "CostEstimate",
     "estimate",

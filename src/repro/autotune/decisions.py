@@ -1,8 +1,8 @@
-"""Persistent decision cache + outcome feedback loop.
+"""Persistent decision cache.
 
 A *decision* is everything the tuner chose for one workload signature:
-contraction ordering, output format stack, search strategy, executor
-and shard count, plus the cost prediction it was based on.
+contraction ordering, output format stack and search strategy, plus
+the cost-model forecast it was ranked by.
 Decisions are keyed by a bucketed workload signature — operand
 shapes/formats and per-level density buckets plus the expression — so
 a warm server never re-searches for traffic it has seen before, across
@@ -13,11 +13,9 @@ signature) and use the same crash-safety machinery: per-key flock,
 write-temp-and-rename publication, a sha256 checksum over the
 canonical body, and quarantine-and-rebuild on any corruption.
 
-Feedback: the serving layer reports each query's observed runtime via
-:meth:`DecisionCache.record_outcome`.  An EWMA of observations is kept
-with the record; when it drifts outside a 3× band around the
-prediction the record is marked *stale* and carries a correction
-factor, and the next lookup re-searches instead of trusting it.
+A decision is a pure function of its signature: nothing observed at
+run time feeds back into it, so a record is written once, when the
+signature is first searched, and only read after that.
 """
 
 from __future__ import annotations
@@ -28,21 +26,21 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro import config
 from repro.compiler import resilience
-from repro.compiler.cache import _payload_digest
+from repro.compiler.cache import _payload_digest, default_cache_dir
 from repro.compiler.resilience import logger
 
-from repro.autotune.calibrate import tune_cache_dir
+#: 3: a decision names no executor or shard count and a record carries
+#: no outcome statistics — records written under 1 or 2 are plain misses
+DECISION_VERSION = 3
 
-#: 2: a decision no longer names an opt level, and ``executor`` is one
-#: of thread/pool — records written under 1 are plain misses
-DECISION_VERSION = 2
-#: EWMA weight of the newest observation
-EWMA_ALPHA = 0.4
-#: prediction is "wrong" when the observed EWMA leaves this band
-STALE_RATIO = 3.0
-#: observations before staleness can trigger at all
-STALE_MIN_COUNT = 3
+
+def tune_cache_dir() -> Path:
+    """Where decision records live (``REPRO_TUNE_CACHE_DIR``, default:
+    the kernel cache dir)."""
+    env = config.get("REPRO_TUNE_CACHE_DIR")
+    return Path(env) if env else default_cache_dir()
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,6 @@ class Decision:
     #: output format stack (None = caller default)
     output_formats: Optional[Tuple[str, ...]] = None
     search: str = "linear"
-    #: shard executor ("thread" | "pool"); None = serial
-    executor: Optional[str] = None
-    shards: Optional[int] = None
     #: sparse-output capacity to pre-allocate (skips auto-grow retries)
     capacity_hint: Optional[int] = None
     predicted_s: float = 0.0
@@ -78,8 +73,6 @@ class Decision:
                 tuple(d["output_formats"]) if d.get("output_formats") else None
             ),
             search=d.get("search", "linear"),
-            executor=d.get("executor"),
-            shards=d.get("shards"),
             capacity_hint=d.get("capacity_hint"),
             predicted_s=float(d.get("predicted_s", 0.0)),
             predicted_units=float(d.get("predicted_units", 0.0)),
@@ -88,15 +81,11 @@ class Decision:
 
 @dataclass
 class DecisionRecord:
-    """A cached decision plus its observed-outcome statistics."""
+    """A cached decision plus the search summary ``explain`` shows."""
 
     signature: str
     decision: Decision
     explain: Dict[str, Any] = field(default_factory=dict)
-    count: int = 0
-    ewma_s: float = 0.0
-    stale: bool = False
-    correction: float = 1.0
 
 
 class DecisionCache:
@@ -117,10 +106,7 @@ class DecisionCache:
 
     # ------------------------------------------------------------------
     def lookup(self, signature: str) -> Optional[DecisionRecord]:
-        """The cached record for ``signature``, or None.  Stale records
-        (observed runtime drifted out of the prediction band) are
-        returned too — callers check ``record.stale`` and re-search,
-        reusing ``record.correction`` to debias the next prediction."""
+        """The cached record for ``signature``, or None."""
         with self._lock:
             rec = self._memo.get(signature)
         if rec is None:
@@ -140,49 +126,12 @@ class DecisionCache:
         signature: str,
         decision: Decision,
         explain: Optional[Dict[str, Any]] = None,
-        correction: float = 1.0,
     ) -> DecisionRecord:
-        rec = DecisionRecord(signature, decision, explain or {},
-                             correction=correction)
+        rec = DecisionRecord(signature, decision, explain or {})
         with self._lock:
             self._memo[signature] = rec
         self._persist(rec)
         return rec
-
-    def record_outcome(self, signature: str, observed_s: float) -> None:
-        """Fold one observed runtime into the record's EWMA; mark the
-        record stale when the EWMA leaves the prediction band.  Disk
-        writes are throttled (first few observations, then every 16th)
-        so a hot query does not rewrite its record per request."""
-        with self._lock:
-            rec = self._memo.get(signature)
-        if rec is None:
-            rec = self._load(signature)
-            if rec is None:
-                return
-            with self._lock:
-                self._memo[signature] = rec
-        with self._lock:
-            rec.count += 1
-            rec.ewma_s = (
-                observed_s if rec.count == 1
-                else (1 - EWMA_ALPHA) * rec.ewma_s + EWMA_ALPHA * observed_s
-            )
-            predicted = rec.decision.predicted_s
-            if (
-                rec.count >= STALE_MIN_COUNT
-                and predicted > 0
-                and not (
-                    predicted / STALE_RATIO
-                    <= rec.ewma_s
-                    <= predicted * STALE_RATIO
-                )
-            ):
-                rec.stale = True
-                rec.correction = rec.ewma_s / predicted
-            persist = rec.count <= STALE_MIN_COUNT or rec.count % 16 == 0
-        if persist or rec.stale:
-            self._persist(rec)
 
     def invalidate(self, signature: str) -> None:
         with self._lock:
@@ -206,10 +155,6 @@ class DecisionCache:
             "signature": rec.signature,
             "decision": rec.decision.as_dict(),
             "explain": rec.explain,
-            "count": rec.count,
-            "ewma_s": rec.ewma_s,
-            "stale": rec.stale,
-            "correction": rec.correction,
         }
         record = {"sha256": _payload_digest(payload), "payload": payload}
         path = self._path(rec.signature)
@@ -254,10 +199,6 @@ class DecisionCache:
                 signature=signature,
                 decision=Decision.from_dict(payload["decision"]),
                 explain=dict(payload.get("explain", {})),
-                count=int(payload.get("count", 0)),
-                ewma_s=float(payload.get("ewma_s", 0.0)),
-                stale=bool(payload.get("stale", False)),
-                correction=float(payload.get("correction", 1.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             logger.warning("decision record %s malformed (%s); quarantining",
@@ -275,7 +216,5 @@ __all__ = [
     "DecisionRecord",
     "DecisionCache",
     "decision_cache",
-    "EWMA_ALPHA",
-    "STALE_RATIO",
-    "STALE_MIN_COUNT",
+    "tune_cache_dir",
 ]

@@ -3,19 +3,19 @@
 :func:`tune_einsum` takes the *workload* (an einsum spec plus concrete
 operand tensors) and searches the space the caller left open:
 contraction ordering (every permutation that keeps the requested
-output order, when the attribute count is small), output format stack,
-search strategy (linear vs galloping), and — priced by the measured
-calibration profile — shard executor and shard count.  The
-candidate set is bounded by the same static legality rules the
-compiler enforces: only orderings whose output stack the destination
-builder accepts (:func:`~repro.autotune.costmodel.output_order_ok`)
-and only shard splits carrying a stream-property certificate
-(:func:`~repro.runtime.planner.probe_splits`).
+output order, when the attribute count is small), output format stack
+and search strategy (linear vs galloping).  The candidate set is
+bounded by the same static legality rule the compiler enforces: only
+orderings whose output stack the destination builder accepts
+(:func:`~repro.autotune.costmodel.output_order_ok`).  Candidates are
+ranked by cost-model units alone, so a decision is a pure function of
+its workload signature; how a call runs (serial, threads, the pool)
+stays the caller's choice.
 
 :func:`tune_build` is the narrower builder-path variant for general ℒ
 expressions: the attribute ordering is fixed by the caller's
-:class:`~repro.lang.TypeContext`, so only search / executor / shards
-are searched.
+:class:`~repro.lang.TypeContext`, so only the search strategy is
+searched.
 
 Both return a :class:`TuneResult` whose :meth:`~TuneResult.explain`
 reports the chosen plan, the rejected candidates with their cost
@@ -31,25 +31,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.autotune import costmodel
-from repro.autotune.calibrate import CalibrationProfile, get_profile
 from repro.autotune.costmodel import OperandStats
 from repro.autotune.decisions import (
     Decision,
     DecisionCache,
     decision_cache,
 )
-from repro.compiler.resilience import logger
 from repro.data.tensor import Tensor
 
 #: orderings are enumerated exhaustively up to this many attributes
 #: (5! = 120 candidate orders; beyond that only the caller's order)
 MAX_ENUM_ATTRS = 5
-#: shard counts the executor search prices
-SHARD_CANDIDATES = (2, 4)
-#: sharding must be predicted to save at least this fraction
-SHARD_MIN_GAIN = 0.05
-#: and the serial work must be at least this long to bother
-SHARD_MIN_WORK_S = 5e-3
 
 
 @dataclass
@@ -58,11 +50,10 @@ class TuneResult:
 
     decision: Decision
     signature: str
-    cache: str                      # "hit" | "miss" | "stale"
+    cache: str                      # "hit" | "miss"
     predicted_s: float
     considered: int = 0
     candidates: List[Dict[str, Any]] = field(default_factory=list)
-    profile_measured: bool = False
     # einsum-path payload for .plan()
     spec: Optional[str] = None
     tensors: Tuple[Tensor, ...] = ()
@@ -115,7 +106,6 @@ class TuneResult:
             "predicted_s": self.predicted_s,
             "considered": self.considered,
             "candidates": self.candidates[:6],
-            "profile_measured": self.profile_measured,
         }
 
 
@@ -164,38 +154,19 @@ def _candidate_orders(
     return orders
 
 
-def _executor_choice(
-    work_s: float,
-    specs: Dict[str, Any],
-    out_spec,
-    ops,
-    profile: CalibrationProfile,
-    name: str,
-) -> Tuple[Optional[str], Optional[int], float]:
-    """Pick (executor, shards) for ``work_s`` of serial work, or keep
-    serial.  Only certificate-legal splits are candidates, and only
-    executors whose *measured* 2-shard speedup beats 1 — the unmeasured
-    default profile therefore never shards."""
-    best = (None, None, work_s)
-    if work_s < SHARD_MIN_WORK_S or not profile.speedup2:
-        return best
-    try:
-        from repro.runtime.planner import probe_splits
+def _hit(record, signature: str, **payload) -> TuneResult:
+    """The result of a warm lookup: the stored decision, unchanged."""
+    return TuneResult(
+        decision=record.decision, signature=signature, cache="hit",
+        predicted_s=record.decision.predicted_s,
+        considered=int(record.explain.get("considered", 0)),
+        candidates=list(record.explain.get("candidates", [])),
+        **payload,
+    )
 
-        if not probe_splits(specs, out_spec, ops, name=name):
-            return best
-    except Exception as exc:
-        logger.warning("autotune: split probe failed (%s); staying serial",
-                       exc)
-        return best
-    for executor, gain in profile.speedup2.items():
-        if gain <= 1.02:
-            continue
-        for shards in SHARD_CANDIDATES:
-            t = profile.executor_time(work_s, executor, shards)
-            if t < best[2] * (1.0 - SHARD_MIN_GAIN):
-                best = (executor, shards, t)
-    return best
+
+def _seconds(units: float, backend: str) -> float:
+    return units * costmodel.PER_OP_S.get(backend, costmodel.PER_OP_S["c"])
 
 
 def tune_einsum(
@@ -204,17 +175,13 @@ def tune_einsum(
     semiring=None,
     backend: str = "c",
     cache: Optional[DecisionCache] = None,
-    profile: Optional[CalibrationProfile] = None,
     kernel_name: Optional[str] = None,
 ) -> TuneResult:
     """Search the open plan space of one einsum workload.
 
-    Returns the cached decision when the workload signature is warm
-    and not stale; otherwise enumerates, scores, stores, and returns
-    the winner.
+    Returns the cached decision when the workload signature is warm;
+    otherwise enumerates, scores, stores, and returns the winner.
     """
-    from repro.compiler.kernel import OutputSpec
-    from repro.compiler.scalars import scalar_ops_for
     from repro.tensor.einsum import parse_spec
 
     operands, output = parse_spec(spec)
@@ -225,8 +192,8 @@ def tune_einsum(
     if semiring is None:
         semiring = tensors[0].semiring
     cache = cache if cache is not None else decision_cache
-    profile = profile if profile is not None else get_profile()
-    ops = scalar_ops_for(semiring)
+    payload = dict(spec=spec, tensors=tensors, semiring=semiring,
+                   backend=backend, kernel_name=kernel_name)
 
     stats = [
         OperandStats.from_tensor(f"t{k}", t) for k, t in enumerate(tensors)
@@ -238,19 +205,9 @@ def tune_einsum(
 
     signature = einsum_signature(spec, stats, semiring, backend)
     record = cache.lookup(signature)
-    if record is not None and not record.stale:
-        return TuneResult(
-            decision=record.decision, signature=signature, cache="hit",
-            predicted_s=record.decision.predicted_s,
-            considered=int(record.explain.get("considered", 0)),
-            candidates=list(record.explain.get("candidates", [])),
-            profile_measured=profile.measured,
-            spec=spec, tensors=tensors, semiring=semiring,
-            backend=backend, kernel_name=kernel_name,
-        )
-    correction = record.correction if record is not None else 1.0
+    if record is not None:
+        return _hit(record, signature, **payload)
 
-    per_unit = profile.per_unit(backend)
     scored: List[Dict[str, Any]] = []
     for order in _candidate_orders(operands, output):
         est = costmodel.estimate(order, stats, output, dims, search="linear")
@@ -269,30 +226,9 @@ def tune_einsum(
                     "search": search,
                     "units": units,
                     "out_nnz": e.out_nnz,
-                    "serial_s": units * per_unit * correction,
                 })
     scored.sort(key=lambda c: c["units"])
     best = scored[0]
-
-    # price the shard options for the winning serial plan
-    from repro.compiler.formats import TensorInput
-
-    order = best["order"]
-    specs = {}
-    for k, (letters, t) in enumerate(zip(operands, tensors)):
-        want = tuple(a for a in order if a in letters)
-        fmts = tuple(t.formats[t.attrs.index(a)] for a in want)
-        specs[f"t{k}"] = TensorInput(f"t{k}", want, fmts, ops)
-    out_spec = None
-    if output:
-        out_spec = OutputSpec(
-            output, best["output_formats"],
-            tuple(dims[a] for a in output),
-        )
-    executor, shards, predicted_s = _executor_choice(
-        best["serial_s"], specs, out_spec, ops, profile,
-        kernel_name or "einsum",
-    )
 
     capacity_hint = None
     if best["output_formats"] and any(
@@ -304,13 +240,11 @@ def tune_einsum(
         capacity_hint = min(int(best["out_nnz"] * 1.3) + 16, dense_size)
 
     decision = Decision(
-        order=order,
+        order=best["order"],
         output_formats=best["output_formats"] or None,
         search=best["search"],
-        executor=executor,
-        shards=shards,
         capacity_hint=capacity_hint,
-        predicted_s=predicted_s,
+        predicted_s=_seconds(best["units"], backend),
         predicted_units=best["units"],
     )
     explain = {
@@ -325,15 +259,11 @@ def tune_einsum(
             for c in scored[:6]
         ],
     }
-    cache.store(signature, decision, explain, correction=correction)
+    cache.store(signature, decision, explain)
     return TuneResult(
-        decision=decision, signature=signature,
-        cache="stale" if record is not None else "miss",
-        predicted_s=predicted_s, considered=len(scored),
-        candidates=explain["candidates"],
-        profile_measured=profile.measured,
-        spec=spec, tensors=tensors, semiring=semiring,
-        backend=backend, kernel_name=kernel_name,
+        decision=decision, signature=signature, cache="miss",
+        predicted_s=decision.predicted_s, considered=len(scored),
+        candidates=explain["candidates"], **payload,
     )
 
 
@@ -348,23 +278,16 @@ def tune_build(
     *,
     semiring,
     backend: str = "c",
-    name: str = "kernel",
     cache: Optional[DecisionCache] = None,
-    profile: Optional[CalibrationProfile] = None,
 ) -> TuneResult:
-    """Tune the knobs a :class:`KernelBuilder` build leaves open.
+    """Tune the knob a :class:`KernelBuilder` build leaves open.
 
     The attribute ordering is the context's schema order (general ℒ
     expressions are not reorderable without retyping), so the search
-    covers: linear vs binary search, executor and shard count.  All
-    inputs must be concrete tensors — the caller gates on that.
+    covers linear vs binary search.  All inputs must be concrete
+    tensors — the caller gates on that.
     """
-    from repro.compiler.formats import TensorInput
-    from repro.compiler.scalars import scalar_ops_for
-
     cache = cache if cache is not None else decision_cache
-    profile = profile if profile is not None else get_profile()
-    ops = scalar_ops_for(semiring)
 
     stats = [
         OperandStats.from_tensor(var, t) for var, t in sorted(inputs.items())
@@ -378,43 +301,24 @@ def tune_build(
 
     signature = build_signature(expr, order, stats, output, semiring, backend)
     record = cache.lookup(signature)
-    if record is not None and not record.stale:
-        return TuneResult(
-            decision=record.decision, signature=signature, cache="hit",
-            predicted_s=record.decision.predicted_s,
-            considered=int(record.explain.get("considered", 0)),
-            candidates=list(record.explain.get("candidates", [])),
-            profile_measured=profile.measured,
-        )
-    correction = record.correction if record is not None else 1.0
+    if record is not None:
+        return _hit(record, signature)
 
     out_attrs = tuple(output.attrs) if output is not None else ()
     out_fmts = tuple(output.formats) if output is not None else ()
-    per_unit = profile.per_unit(backend)
     scored = []
     for search in ("linear", "binary"):
         e = costmodel.estimate(order, stats, out_attrs, dims, search=search)
         units = e.units + costmodel.output_units(out_fmts, out_attrs, dims,
                                                  e.out_nnz)
-        scored.append({
-            "search": search, "units": units, "out_nnz": e.out_nnz,
-            "serial_s": units * per_unit * correction,
-        })
+        scored.append({"search": search, "units": units})
     scored.sort(key=lambda c: c["units"])
     best = scored[0]
 
-    specs = {
-        var: TensorInput(var, t.attrs, t.formats, ops)
-        for var, t in inputs.items()
-    }
-    executor, shards, predicted_s = _executor_choice(
-        best["serial_s"], specs, output, ops, profile, name,
-    )
-
     decision = Decision(
         order=None, output_formats=None, search=best["search"],
-        executor=executor, shards=shards,
-        predicted_s=predicted_s, predicted_units=best["units"],
+        predicted_s=_seconds(best["units"], backend),
+        predicted_units=best["units"],
     )
     explain = {
         "considered": len(scored),
@@ -423,13 +327,11 @@ def tune_build(
             for c in scored[:6]
         ],
     }
-    cache.store(signature, decision, explain, correction=correction)
+    cache.store(signature, decision, explain)
     return TuneResult(
-        decision=decision, signature=signature,
-        cache="stale" if record is not None else "miss",
-        predicted_s=predicted_s, considered=len(scored),
+        decision=decision, signature=signature, cache="miss",
+        predicted_s=decision.predicted_s, considered=len(scored),
         candidates=explain["candidates"],
-        profile_measured=profile.measured,
     )
 
 

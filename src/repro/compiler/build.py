@@ -193,9 +193,9 @@ class KernelBuilder:
         an input is not a concrete :class:`Tensor` (no statistics to
         model), or the tuner itself failed — tuning is an optimization
         and must never turn a buildable kernel into an error.  The
-        clone carries ``tune="off"`` so it cannot recurse, and the
-        caller's explicit ``parallel``/``workers`` settings win over
-        the tuned executor choice.
+        clone carries ``tune="off"`` so it cannot recurse, and keeps
+        the caller's ``parallel``/``workers``: the tuner picks a plan,
+        never how it runs.
         """
         mode = tune if tune is not None else self.tune
         if mode is None:
@@ -210,7 +210,6 @@ class KernelBuilder:
             result = tune_build(
                 expr, self.ctx, dict(inputs), output,
                 semiring=self.ops.semiring, backend=self.backend,
-                name=name,
             )
         except Exception as exc:
             logger.warning(
@@ -228,8 +227,8 @@ class KernelBuilder:
             opt_level=self.opt_level,
             cache=self.cache,
             verify=self.verify,
-            parallel=self.parallel if self.parallel is not None else d.executor,
-            workers=self.workers if self.workers is not None else d.shards,
+            parallel=self.parallel,
+            workers=self.workers,
             stream_verify=self.stream_verify,
             tune="off",
         )
@@ -627,9 +626,9 @@ def compile_kernel(
     """One-call convenience wrapper around :class:`KernelBuilder`.
 
     ``tune="auto"`` routes the build through :mod:`repro.autotune`
-    (search strategy, executor and shard count chosen by the cost
-    model); ``tune="off"`` never does; None defers to the
-    ``REPRO_TUNE`` environment knob (unset = off).
+    (search strategy chosen by the cost model); ``tune="off"`` never
+    does; None defers to the ``REPRO_TUNE`` environment knob (unset =
+    off).
     """
     if semiring is None:
         for binding in inputs.values():

@@ -230,17 +230,16 @@ _ROWS = (
          "NDJSON streaming", minimum=1, strict=True),
     Knob("REPRO_TUNE", "choice", None,
          "`auto` routes open-knob builds through the `repro.autotune` "
-         "planner (cost-model-chosen ordering, output formats, search, "
-         "executor); `off` is bit-for-bit the untuned serial semantics — the "
+         "planner (cost-model-chosen ordering, output formats and search); "
+         "`off` is bit-for-bit the untuned serial semantics — the "
          "server consults the tuner at admission and surfaces the verdict in "
          "`meta.tune` (full payload under `\"explain\": true`)",
          shown="off (library) / `auto` (server)", choices=("off", "auto"),
          aliases={"0": "off", "no": "off", "false": "off",
                   "1": "auto", "on": "auto", "true": "auto", "yes": "auto"}),
     Knob("REPRO_TUNE_CACHE_DIR", "str", None,
-         "directory for persisted tuning state: the calibration profile "
-         "(written by an explicit `calibrate()`) and per-signature decision "
-         "records (checksummed, flocked, quarantined on corruption)",
+         "directory for the per-signature decision records (checksummed, "
+         "flocked, quarantined on corruption)",
          shown="kernel cache dir"),
     Knob("REPRO_BENCH_RECORD", "flag", False,
          "`1` lets `benchmarks/` and the serve load test write their "

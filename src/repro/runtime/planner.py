@@ -97,30 +97,6 @@ def candidate_splits(kernel) -> List[Tuple[str, SplitCertificate]]:
     return cands
 
 
-@dataclass
-class _SplitProbe:
-    """The minimal kernel-shaped view :func:`certify_split` inspects.
-
-    The autotuner needs split legality *before* any kernel exists — the
-    certificate analysis only reads ``input_specs``, ``output``, and
-    ``ops.semiring`` (plus ``name`` for log lines), so a plain probe
-    carrying those fields answers the question without a compile.
-    """
-
-    input_specs: Dict[str, object]
-    output: object
-    ops: object
-    name: str = "probe"
-
-
-def probe_splits(
-    specs: Mapping[str, object], output, ops, name: str = "tuned"
-) -> List[Tuple[str, SplitCertificate]]:
-    """Certified split candidates for a *planned* (uncompiled) kernel."""
-    probe = _SplitProbe(dict(specs), output, ops, name)
-    return candidate_splits(probe)
-
-
 def _attr_dim(kernel, tensors: Mapping[str, Tensor], attr: str) -> Optional[int]:
     for name, spec in kernel.input_specs.items():
         if isinstance(spec, TensorInput) and attr in spec.attrs:

@@ -94,9 +94,8 @@ class PoolStats:
     timeouts: int = 0
     #: cumulative pool machinery overhead: wall time inside
     #: :meth:`WorkerPool.run_call` minus the worker-reported kernel
-    #: seconds (worker acquisition, pipe round-trip, shm adoption) —
-    #: the *measured* per-dispatch cost the autotuner's calibration
-    #: prices shard plans with
+    #: seconds (worker acquisition, pipe round-trip, shm adoption);
+    #: :meth:`WorkerPool.snapshot` reports its per-call mean
     overhead_s: float = 0.0
     #: typed failures per pool key — same keying as the circuit breaker
     failures: Dict[str, int] = field(default_factory=dict)

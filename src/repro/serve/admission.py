@@ -5,23 +5,17 @@ Order of checks, each with an honest ``Retry-After``:
 1. lifecycle — a draining server admits nothing (503);
 2. in-flight cap — backpressure on concurrency (429);
 3. token bucket — backpressure on sustained rate (429);
-4. cost prediction — a query the autotuner predicts to run far past
-   its own deadline is rejected (429) up front instead of being
-   admitted, executed, and killed at the deadline anyway.  Applied
-   only when the prediction rests on a *measured* calibration profile
-   (unmeasured default constants are not evidence to shed load on)
-   and only beyond a generous 3× margin;
-5. memory governor — under ``REPRO_MEM_BUDGET_MB``, a query whose
+4. memory governor — under ``REPRO_MEM_BUDGET_MB``, a query whose
    cost-model result footprint exceeds the budget is rejected (503)
    with a one-deadline Retry-After, or — under
    ``REPRO_SERVE_DEGRADE=spill`` — admitted with durable execution
    forced, so its partials spill to the job journal instead of RAM;
-6. circuit breaker — a query whose kernel is quarantined is rejected
+5. circuit breaker — a query whose kernel is quarantined is rejected
    (503) with the breaker's own re-probe ETA, *before compiling
    anything*: the prepared query carries its kernel cache key, and the
    breaker is keyed by exactly that key.
 
-Under ``REPRO_SERVE_DEGRADE=fallback`` check 4 is skipped: the query
+Under ``REPRO_SERVE_DEGRADE=fallback`` check 5 is skipped: the query
 is admitted and ``Kernel.run`` transparently serves the pure-Python
 twin — slower, memory-safe answers instead of 503s.
 """
@@ -101,9 +95,6 @@ class AdmissionController:
         wait = self.bucket.try_acquire()
         if wait is not None:
             return Rejection(429, "rate limited", max(0.05, wait))
-        rejection = self._reject_hopeless(prepared)
-        if rejection is not None:
-            return rejection
         rejection = self._govern_memory(prepared)
         if rejection is not None:
             return rejection
@@ -121,11 +112,6 @@ class AdmissionController:
                     max(0.5, eta),
                 )
         return None
-
-    #: reject only when predicted runtime exceeds this multiple of the
-    #: effective deadline — the model ranks plans well but its absolute
-    #: seconds deserve a wide error bar
-    PREDICTION_MARGIN = 3.0
 
     def _govern_memory(
         self, prepared: PreparedQuery
@@ -155,36 +141,6 @@ class AdmissionController:
             f"{budget_mb:.0f}MiB memory budget",
             max(1.0, self.config.deadline),
         )
-
-    def _reject_hopeless(
-        self, prepared: PreparedQuery
-    ) -> Optional[Rejection]:
-        """Shed a query whose *tuned best plan* still cannot finish.
-
-        Requires a measured calibration profile: the tuner stamps
-        ``predicted_s`` from real per-unit throughput only then, and
-        guessing at load shedding is worse than not shedding."""
-        predicted = prepared.predicted_s
-        if predicted is None or predicted <= 0:
-            return None
-        try:
-            from repro.autotune import get_profile
-
-            if not get_profile().measured:
-                return None
-        except Exception:
-            return None
-        deadline = self.config.deadline
-        if prepared.deadline_ms is not None:
-            deadline = min(deadline, prepared.deadline_ms / 1e3)
-        if predicted > deadline * self.PREDICTION_MARGIN:
-            return Rejection(
-                429,
-                f"predicted runtime {predicted:.1f}s exceeds the "
-                f"{deadline:.1f}s deadline",
-                max(1.0, deadline),
-            )
-        return None
 
 
 __all__ = ["AdmissionController", "Rejection", "TokenBucket"]

@@ -190,17 +190,12 @@ class PreparedQuery:
     sql_text: Optional[str] = None
     sql_tables: Dict[str, Any] = field(default_factory=dict)
     #: autotuner verdict (None when tuning was off / not applicable)
-    tune_sig: Optional[str] = None
     tune_decision: Any = None
     #: small per-response summary (decision-cache hit/miss, predicted
     #: cost) — surfaced in the response ``meta``
     tune_meta: Optional[Dict[str, Any]] = None
     #: the full explain() payload, included only for ``explain=true``
     explanation: Optional[Dict[str, Any]] = None
-    #: tuner-predicted runtime in seconds (admission may reject a
-    #: query predicted to blow its deadline — only when the prediction
-    #: rests on a *measured* calibration profile)
-    predicted_s: Optional[float] = None
     #: client/admission request for durable (journaled, resumable)
     #: execution; None defers to ``REPRO_DURABLE``.  Memory-aware
     #: admission under ``REPRO_SERVE_DEGRADE=spill`` forces this True
@@ -238,16 +233,8 @@ class PreparedQuery:
         capacity = self.capacity
         if capacity is None and d is not None and d.capacity_hint:
             capacity = d.capacity_hint
-        # the tuner's shard plan, when it chose one
-        executor = d.executor if d is not None and d.executor else None
-        shard_args: Dict[str, Any] = (
-            dict(workers=d.shards, shards=d.shards) if executor else {}
-        )
-        import time as _time
-
         from repro.runtime.policy import is_durable
 
-        t0 = _time.perf_counter()
         if is_durable(self.durable):
             # durable execution goes through the sharded runtime
             # directly: the journal is keyed by the run's deterministic
@@ -255,24 +242,14 @@ class PreparedQuery:
             # after a crash resumes the dead worker's job
             result = kernel.run_sharded(
                 self.plan.inputs, capacity, auto_grow=True,
-                executor=executor or "serial", deadline=remaining,
-                durable=True, job_out=self.job_meta, **shard_args,
+                executor="serial", deadline=remaining,
+                durable=True, job_out=self.job_meta,
             )
         else:
             result = kernel.run(
                 self.plan.inputs, capacity=capacity, auto_grow=True,
-                parallel=executor or False, supervised=True,
-                deadline=remaining, **shard_args,
+                parallel=False, supervised=True, deadline=remaining,
             )
-        if self.tune_sig is not None:
-            try:
-                from repro.autotune import decision_cache
-
-                decision_cache.record_outcome(
-                    self.tune_sig, _time.perf_counter() - t0
-                )
-            except Exception:  # feedback must never fail a query
-                pass
         return _encode_result(result)
 
     def build(self):
@@ -319,9 +296,9 @@ def _estimate_footprint(plan: EinsumPlan) -> Optional[float]:
 def _tune_plan(spec, tensors, semiring):
     """Consult the autotuner for an open-knob einsum query.
 
-    Returns ``(plan, sig, decision, meta, explanation, predicted_s)``
-    or None — tuning is advisory, any failure falls back to the
-    untuned plan (and is logged, never raised)."""
+    Returns ``(plan, decision, meta, explanation)`` or None — tuning is
+    advisory, any failure falls back to the untuned plan (and is
+    logged, never raised)."""
     try:
         from repro.autotune import tune_einsum
 
@@ -331,12 +308,11 @@ def _tune_plan(spec, tensors, semiring):
             "cache": result.cache,
             "order": list(result.decision.order or ()),
             "search": result.decision.search,
-            "executor": result.decision.executor,
-            "shards": result.decision.shards,
-            "predicted_ms": round(result.predicted_s * 1e3, 3),
+            # significant digits, not decimals: a forecast under 0.5 µs
+            # is small, not zero
+            "predicted_ms": float(f"{result.predicted_s * 1e3:.4g}"),
         }
-        return (plan, result.signature, result.decision, meta,
-                result.explain(), result.predicted_s)
+        return plan, result.decision, meta, result.explain()
     except Exception as exc:
         from repro.compiler.resilience import logger
 
@@ -420,9 +396,9 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
         tuned = _tune_plan(spec, tensors, semiring)
 
     if tuned is not None:
-        plan, tune_sig, decision, tune_meta, explanation, predicted_s = tuned
+        plan, decision, tune_meta, explanation = tuned
     else:
-        tune_sig = decision = tune_meta = explanation = predicted_s = None
+        decision = tune_meta = explanation = None
         try:
             plan = plan_einsum(
                 spec, *tensors,
@@ -443,11 +419,9 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
         deadline_ms=deadline_ms,
         plan=plan,
         capacity=capacity,
-        tune_sig=tune_sig,
         tune_decision=decision,
         tune_meta=tune_meta,
         explanation=explanation,
-        predicted_s=predicted_s,
         durable=durable,
         footprint_bytes=_estimate_footprint(plan),
     )

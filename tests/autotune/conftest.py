@@ -1,9 +1,8 @@
 """Fixtures for the autotune suite.
 
 Every test runs against an isolated tune-cache directory (decision
-records + calibration profile), a cleared process-wide profile memo,
-and a cleared shared decision-cache memo, plus the usual per-test
-kernel cache — tuning state must never leak between tests or into the
+records) and a cleared shared decision-cache memo, plus the usual
+per-test kernel cache — tuning state must never leak between tests or into the
 rest of the suite.
 """
 
@@ -13,7 +12,6 @@ import weakref
 
 import pytest
 
-from repro.autotune import reset_profile_cache
 from repro.autotune.decisions import decision_cache
 from repro.compiler import codegen_c
 from repro.compiler import build as build_mod
@@ -30,10 +28,8 @@ def isolated_tune_state(tmp_path, monkeypatch):
     monkeypatch.setattr(codegen_c, "_CACHE", weakref.WeakValueDictionary())
     monkeypatch.setattr(build_mod, "kernel_cache",
                         KernelCache(cache_dir=kcache_dir))
-    reset_profile_cache()
     decision_cache.clear_memo()
     yield
-    reset_profile_cache()
     decision_cache.clear_memo()
 
 

@@ -1,24 +1,19 @@
 """The decision cache: persistence round-trips, checksummed envelopes,
-and the outcome-feedback staleness loop.
+and a decision that stays put once it is made.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.autotune.decisions import (
-    Decision,
-    DecisionCache,
-    STALE_MIN_COUNT,
-)
+from repro.autotune.decisions import Decision, DecisionCache
 from repro.compiler.cache import _payload_digest
 
 
 def _decision(**over):
     base = dict(
         order=("i", "j"), output_formats=("dense", "sparse"),
-        search="binary", executor=None, shards=None,
-        capacity_hint=128, predicted_s=0.004, predicted_units=1000.0,
+        search="binary", capacity_hint=128, predicted_s=0.004, predicted_units=1000.0,
     )
     base.update(over)
     return Decision(**base)
@@ -57,31 +52,51 @@ def test_persisted_record_carries_valid_checksum(tune_dir):
     assert record["payload"]["signature"] == "sig_c" * 8
 
 
-def test_outcome_feedback_marks_drifted_records_stale(tune_dir):
+def test_a_version_2_record_is_a_plain_miss(tune_dir):
     cache = DecisionCache(cache_dir=tune_dir)
-    sig = "sig_d" * 8
-    cache.store(sig, _decision(predicted_s=0.001))
-    # observations inside the 3x band: healthy
-    for _ in range(STALE_MIN_COUNT):
-        cache.record_outcome(sig, 0.002)
-    rec = cache.lookup(sig)
-    assert not rec.stale
-    assert rec.ewma_s > 0
-    # runtime drifts an order of magnitude past the prediction
-    for _ in range(STALE_MIN_COUNT + 2):
-        cache.record_outcome(sig, 0.05)
-    rec = cache.lookup(sig)
-    assert rec.stale
-    assert rec.correction > 1.0
-    # staleness survives a restart (it is what triggers the re-search)
-    cold = DecisionCache(cache_dir=tune_dir)
-    assert cold.lookup(sig).stale
+    sig = "sig_v" * 8
+    cache.store(sig, _decision())
+    path = next(tune_dir.glob("atun_sig_v*.json"))
+    record = json.loads(path.read_text())
+    # a record as version 2 wrote it: executor, shards and the outcome
+    # statistics, under a checksum that still holds
+    payload = dict(record["payload"], version=2, count=5, ewma_s=0.05,
+                   stale=True, correction=12.5)
+    payload["decision"] = dict(payload["decision"], executor="thread",
+                               shards=2)
+    path.write_text(json.dumps(
+        {"sha256": _payload_digest(payload), "payload": payload}))
+    assert DecisionCache(cache_dir=tune_dir).lookup(sig) is None
+    assert path.exists() and not list(tune_dir.glob("*.corrupt"))
 
 
-def test_outcome_for_unknown_signature_is_a_noop(tune_dir):
-    cache = DecisionCache(cache_dir=tune_dir)
-    cache.record_outcome("sig_e" * 8, 1.0)  # must not raise or create files
-    assert not list(tune_dir.glob("atun_*.json"))
+def test_a_served_decision_never_moves(tune_dir):
+    """Twenty runs of one served body: the first searches and stores,
+    every later one is a hit on the same decision and forecast, and
+    no run writes the record again."""
+    from repro.serve.deadline import Budget
+    from repro.serve.query import prepare_request
+
+    from tests.serve.harness import einsum_query
+
+    body = einsum_query("ij,j->i", n=6, seed=3)
+    metas, stamps = [], None
+    for _ in range(20):
+        prepared = prepare_request(body, tune="auto")
+        prepared.execute(Budget(30.0))
+        metas.append((prepared.tune_meta, prepared.tune_decision))
+        files = sorted(tune_dir.glob("atun_*.json"))
+        now = {f: (f.stat().st_mtime_ns, f.read_bytes()) for f in files}
+        if stamps is None:
+            stamps = now
+            assert len(stamps) == 1
+        assert now == stamps
+    first_meta, first_decision = metas[0]
+    assert first_meta["cache"] == "miss"
+    for meta, decision in metas[1:]:
+        assert meta["cache"] == "hit"
+        assert decision == first_decision
+        assert meta["predicted_ms"] == first_meta["predicted_ms"] > 0
 
 
 def test_invalidate_quarantines_the_record(tune_dir):

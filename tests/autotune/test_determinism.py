@@ -107,7 +107,7 @@ def test_tune_off_matches_serial_oracle(which, d1, d2):
 def test_tuner_preserves_semantics(dm, dv):
     """tune="auto" may transpose operands, flip formats, change search
     — the values must not move."""
-    from repro.autotune import reset_profile_cache, tune_einsum
+    from repro.autotune import tune_einsum
     from repro.autotune.decisions import DecisionCache
 
     datasets = [dm, dv]
@@ -119,4 +119,3 @@ def test_tuner_preserves_semantics(dm, dv):
     tuned = kernel.run(plan.inputs, capacity=result.decision.capacity_hint,
                        auto_grow=True)
     assert _as_dict(tuned) == _oracle("ij,j->i", datasets)
-    reset_profile_cache()

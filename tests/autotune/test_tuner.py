@@ -1,6 +1,6 @@
-"""The tuner front door: candidate enumeration, decision caching,
-stale re-search, and — most importantly — that a tuned plan computes
-exactly what the untuned plan computes.
+"""The tuner front door: candidate enumeration, decision caching, and —
+most importantly — that a tuned plan computes exactly what the untuned
+plan computes.
 """
 
 from __future__ import annotations
@@ -8,8 +8,6 @@ from __future__ import annotations
 import pytest
 
 from repro.autotune import tune_build, tune_einsum
-from repro.autotune.calibrate import CalibrationProfile
-from repro.autotune.decisions import decision_cache
 from repro.autotune.tuner import MAX_ENUM_ATTRS, _candidate_orders
 from repro.compiler.kernel import OutputSpec
 from repro.krelation import Schema
@@ -28,12 +26,8 @@ def _nonzeros(result):
 def _run_tuned(result):
     plan = result.plan()
     kernel = plan.build()
-    d = result.decision
-    kwargs = {}
-    if d.executor:
-        kwargs = dict(parallel=d.executor, workers=d.shards, shards=d.shards)
-    return kernel.run(plan.inputs, capacity=d.capacity_hint,
-                      auto_grow=True, **kwargs)
+    return kernel.run(plan.inputs, capacity=result.decision.capacity_hint,
+                      auto_grow=True)
 
 
 # ----------------------------------------------------------------------
@@ -116,21 +110,6 @@ def test_signature_buckets_fresh_data_of_same_shape():
     assert second.cache == "hit"
 
 
-def test_stale_record_triggers_a_research():
-    A = sparse_matrix(40, 40, 0.2, attrs=("i", "j"), seed=13)
-    x = dense_vector(40, attr="j", seed=14)
-    first = tune_einsum("ij,j->i", A, x)
-    assert first.decision.predicted_s > 0
-    # observed runtime two orders of magnitude past the prediction
-    for _ in range(6):
-        decision_cache.record_outcome(
-            first.signature, first.decision.predicted_s * 100)
-    redo = tune_einsum("ij,j->i", A, x)
-    assert redo.cache == "stale"
-    # the re-search debiases its prediction with the observed ratio
-    assert redo.decision.predicted_s > first.decision.predicted_s
-
-
 def test_explain_payload_is_complete():
     A = sparse_matrix(40, 40, 0.2, attrs=("i", "j"), seed=15)
     x = dense_vector(40, attr="j", seed=16)
@@ -142,38 +121,6 @@ def test_explain_payload_is_complete():
     for c in info["candidates"]:
         assert {"order", "output_formats", "search", "units"} <= set(c)
     assert info["decision"]["search"] in ("linear", "binary")
-
-
-# ----------------------------------------------------------------------
-# executor choice
-# ----------------------------------------------------------------------
-def test_unmeasured_profile_never_shards():
-    # the conservative default profile has no measured 2-shard speedup;
-    # the tuner must stay serial no matter the predicted work
-    A = sparse_matrix(80, 80, 0.3, attrs=("i", "j"), seed=17)
-    x = dense_vector(80, attr="j", seed=18)
-    profile = CalibrationProfile()  # measured=False, speedup2={}
-    result = tune_einsum("ij,j->i", A, x, profile=profile)
-    assert result.decision.executor is None
-    assert result.decision.shards is None
-
-
-def test_measured_speedup_enables_sharding():
-    A = sparse_matrix(80, 80, 0.3, attrs=("i", "j"), seed=19)
-    x = dense_vector(80, attr="j", seed=20)
-    profile = CalibrationProfile(
-        per_op_s={"c": 1e-5, "python": 1e-5, "interp": 1e-5},
-        speedup2={"thread": 1.8},
-        cpus=4,
-        measured=True,
-    )
-    result = tune_einsum("ij,j->i", A, x, profile=profile)
-    assert result.decision.executor == "thread"
-    assert result.decision.shards in (2, 4)
-    # and the sharded plan still computes the right answer
-    tuned = _run_tuned(result)
-    reference = einsum("ij,j->i", A, x)
-    assert _nonzeros(tuned) == pytest.approx(_nonzeros(reference))
 
 
 # ----------------------------------------------------------------------

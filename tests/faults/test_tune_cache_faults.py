@@ -1,6 +1,5 @@
 """Fault injection against the autotuner's persistent state: corrupt
-or truncated decision records and calibration profiles must be
-quarantined and rebuilt — never crash, never serve garbage — and
+or truncated decision records must be quarantined and rebuilt — never crash, never serve garbage — and
 concurrent writers must never publish a torn record.
 """
 
@@ -14,11 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.autotune.calibrate import (
-    PROFILE_NAME,
-    get_profile,
-    reset_profile_cache,
-)
 from repro.autotune.decisions import Decision, DecisionCache
 from repro.compiler.cache import _payload_digest
 
@@ -30,9 +24,7 @@ SIG = "fault_sig" * 7
 def tune_dir(tmp_path, monkeypatch):
     d = tmp_path / "tcache"
     monkeypatch.setenv("REPRO_TUNE_CACHE_DIR", str(d))
-    reset_profile_cache()
-    yield d
-    reset_profile_cache()
+    return d
 
 
 def _store_one(tune_dir) -> Path:
@@ -81,38 +73,6 @@ def test_version_skew_is_a_plain_miss_not_a_quarantine(tune_dir):
     assert DecisionCache(cache_dir=tune_dir).lookup(SIG) is None
     assert path.exists()                     # future formats are not "corrupt"
     assert not list(tune_dir.glob("*.corrupt"))
-
-
-# ----------------------------------------------------------------------
-# calibration profile
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("corruption", ["garbage", "tampered"])
-def test_corrupt_calibration_profile_falls_back_to_defaults(
-        tune_dir, corruption):
-    from repro.autotune.calibrate import (
-        CalibrationProfile, load_profile, store_profile,
-    )
-
-    store_profile(CalibrationProfile(per_op_s={"c": 1e-8}, speedup2={},
-                                     measured=True, cpus=2))
-    path = tune_dir / PROFILE_NAME
-    assert path.exists()
-    if corruption == "garbage":
-        path.write_text("\x7fELF not a profile")
-    else:
-        record = json.loads(path.read_text())
-        record["payload"]["per_op_s"]["c"] = 1e-2  # poisoned constant
-        path.write_text(json.dumps(record))
-
-    assert load_profile() is None
-    assert not path.exists()
-    assert path.with_name(path.name + ".corrupt").exists()
-
-    # the tuner keeps working on the conservative defaults
-    reset_profile_cache()
-    profile = get_profile()
-    assert profile.measured is False
-    assert profile.speedup2 == {}           # defaults never shard
 
 
 # ----------------------------------------------------------------------

@@ -517,7 +517,7 @@ class TestPolicy:
     def test_builds_keep_their_own_defaults(self):
         # the build cache hands every caller of one expression the same
         # kernel; what each asked for must not reach the others
-        from repro.autotune import decision_cache, reset_profile_cache
+        from repro.autotune import decision_cache
 
         try:
             k1, _ = spmv_kernel(parallel="thread", workers=2)
@@ -526,7 +526,6 @@ class TestPolicy:
             k4, _ = spmv_kernel(parallel="serial")
         finally:
             decision_cache.clear_memo()
-            reset_profile_cache()
         assert k1._kernel is k2._kernel is k4._kernel    # one artifact
         assert (k1.parallel, k1.workers) == ("thread", 2)
         assert (k2.parallel, k2.workers, k2.tune_decision) == (None,) * 3
