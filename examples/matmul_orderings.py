@@ -36,23 +36,19 @@ def main() -> None:
     Y = sparse_matrix(n, n, density, attrs=("k", "j"),
                       formats=("sparse", "sparse"), seed=2)
     Yt = repack(Y, ("j", "k"))   # transposed layout for the inner-product order
-    capacity = max(16, 8 * X.nnz * args.nnz_per_row)
 
     # linear combination of rows: loops i, k, j
     t0 = time.perf_counter()
     rows = einsum("ik,kj->ij", X, Y,
                   output_formats=("sparse", "sparse"),
-                  order=("i", "k", "j"),
-                  capacity=capacity, kernel_name="mm_rows")
+                  order=("i", "k", "j"), kernel_name="mm_rows")
     t_rows = time.perf_counter() - t0
 
-    # inner product: loops i, j, k — every candidate (i, j) is visited,
-    # so the output may contain explicit zeros and needs n² capacity
+    # inner product: loops i, j, k — every candidate (i, j) is visited
     t0 = time.perf_counter()
     inner = einsum("ik,jk->ij", X, Yt,
                    output_formats=("sparse", "sparse"),
-                   order=("i", "j", "k"),
-                   capacity=n * n + 16, kernel_name="mm_inner")
+                   order=("i", "j", "k"), kernel_name="mm_inner")
     t_inner = time.perf_counter() - t0
 
     same = inner.to_dict() == rows.to_dict() or all(

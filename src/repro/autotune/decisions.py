@@ -52,8 +52,6 @@ class Decision:
     #: output format stack (None = caller default)
     output_formats: Optional[Tuple[str, ...]] = None
     search: str = "linear"
-    #: sparse-output capacity to pre-allocate (skips auto-grow retries)
-    capacity_hint: Optional[int] = None
     predicted_s: float = 0.0
     predicted_units: float = 0.0
 
@@ -73,7 +71,6 @@ class Decision:
                 tuple(d["output_formats"]) if d.get("output_formats") else None
             ),
             search=d.get("search", "linear"),
-            capacity_hint=d.get("capacity_hint"),
             predicted_s=float(d.get("predicted_s", 0.0)),
             predicted_units=float(d.get("predicted_units", 0.0)),
         )

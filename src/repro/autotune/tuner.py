@@ -225,25 +225,13 @@ def tune_einsum(
                     "output_formats": stack,
                     "search": search,
                     "units": units,
-                    "out_nnz": e.out_nnz,
                 })
     scored.sort(key=lambda c: c["units"])
     best = scored[0]
-
-    capacity_hint = None
-    if best["output_formats"] and any(
-        f == "sparse" for f in best["output_formats"]
-    ):
-        dense_size = 1
-        for a in output:
-            dense_size *= dims[a]
-        capacity_hint = min(int(best["out_nnz"] * 1.3) + 16, dense_size)
-
     decision = Decision(
         order=best["order"],
         output_formats=best["output_formats"] or None,
         search=best["search"],
-        capacity_hint=capacity_hint,
         predicted_s=_seconds(best["units"], backend),
         predicted_units=best["units"],
     )

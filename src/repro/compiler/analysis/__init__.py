@@ -21,8 +21,8 @@ adds the static half of that story:
 * :mod:`~repro.compiler.analysis.intervals` — interval analysis for
   array subscripts and the bounds/capacity lint that checks stores
   against the destination capacity contracts declared in
-  :mod:`repro.compiler.dest`, feeding ``Kernel.run(auto_grow=True)``
-  a static "overflow-safe / needs guard" signal.
+  :mod:`repro.compiler.dest`: the static proof that an overflowing
+  run — :meth:`Kernel.execute`'s count pass — clamps every store.
 * :mod:`~repro.compiler.analysis.streamprops` — the *stream*-level
   analysis, one abstraction level above the IR: the paper's §6
   preservation lemmas as transfer rules assigning every ℒ node and

@@ -2,9 +2,10 @@
 
 The generated kernels bound every append into a sparse output by a
 capacity guard (``counter < cap`` / ``counter <= cap`` — see
-:mod:`repro.compiler.dest`), which is what makes ``run(auto_grow=True)``
-safe: an overflowing run clamps its writes and only the size counters
-run past the end.  :func:`lint_bounds` checks that property *statically*
+:mod:`repro.compiler.dest`), which is what lets an overflowing run be
+:meth:`Kernel.execute <repro.compiler.kernel.Kernel.execute>`'s count
+pass: it clamps its writes and only the size counters run past the
+end.  :func:`lint_bounds` checks that property *statically*
 on the optimized IR:
 
 * an :class:`IntervalAnalysis` (an instance of the generic
@@ -20,9 +21,8 @@ on the optimized IR:
   against each array's :class:`ArrayContract`.
 
 Stores that cannot be proven in bounds come back as ``proven=False``
-:class:`BoundsFinding`\\ s — the static "needs guard" signal consumed
-by :meth:`Kernel.run(auto_grow=True) <repro.compiler.kernel.Kernel.run>`
-and printed by ``python -m repro.compiler.analysis``.
+:class:`BoundsFinding`\\ s, kept on ``Kernel.capacity_findings`` and
+printed by ``python -m repro.compiler.analysis``.
 
 Capacity parameters are assumed ``>= 1`` (the kernel wrapper never
 allocates an empty output buffer); the entry state gives them the
@@ -569,8 +569,7 @@ def lint_bounds(
 ) -> List[BoundsFinding]:
     """Check every store into a contracted array; returns one
     :class:`BoundsFinding` per store (``proven=False`` means the store
-    relies on runtime behavior the lint cannot see — the "needs guard"
-    signal)."""
+    relies on runtime behavior the lint cannot see)."""
     if not contracts:
         return []
     positive: Set[str] = set()

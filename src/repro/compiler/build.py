@@ -553,7 +553,7 @@ class KernelBuilder:
                 "params": [[p.name, p.kind, p.ctype] for p in kernel.params],
                 "source": kernel.source,
                 "ws_dim": kernel.ws_dim,
-                # the lint verdict decides auto-supervision (policy.resolve)
+                # the lint verdict, which a restored kernel reports too
                 "capacity_findings": [
                     dataclasses.asdict(f) for f in kernel.capacity_findings],
             },

@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import config
 from repro.compiler import codegen_c
 from repro.compiler.formats import FunctionInput, Param, TensorInput
 from repro.compiler.ir import EVar
@@ -135,13 +134,6 @@ class Kernel:
             self._last_shard_stats = list(stats)
 
     @property
-    def needs_guard(self) -> bool:
-        """Whether some output store could not be statically proven
-        within its capacity contract — the signal that
-        ``run(auto_grow=True)`` must rely on runtime guards alone."""
-        return any(not f.proven for f in self.capacity_findings)
-
-    @property
     def source(self) -> str:
         """The generated kernel source (C or Python, per backend)."""
         return self._kernel.source
@@ -169,77 +161,34 @@ class Kernel:
         self,
         tensors: Mapping[str, Tensor],
         capacity: Optional[int] = None,
-        *,
-        auto_grow: bool = False,
-        max_capacity: Optional[int] = None,
     ) -> Union[Tensor, float, int, bool]:
         """One in-process run on concrete tensors; returns the output
         tensor (or a scalar for shape-∅ kernels).  Every route a call
         takes — in process, a shard, a pool worker, the
         breaker's fallback — ends here.
 
-        With ``auto_grow=True`` an undersized sparse output no longer
-        raises: the run is retried with geometrically doubled capacity
-        (jumping straight to the reported need when it is larger) up to
-        ``max_capacity`` — default ``REPRO_MAX_CAPACITY`` or the dense
-        size of the output, whichever the caller supplies.  Each retry
-        is logged via the ``repro`` logger.  Generated kernels bound
-        every write by the allocated capacity, so an overflowing run is
-        safe — only its size counters run past the end.
+        A compressed output reserves ``capacity`` entries (default:
+        :func:`_default_capacity`).  An output sizes itself: generated
+        kernels guard every append by the reservation and keep counting
+        past it, so a run that overflowed is a count pass — it reports
+        the exact size, and one rerun at that size, logged via the
+        ``repro`` logger, is the result.  A rerun that overflows again
+        breaks that invariant and raises :class:`CapacityError`.
         """
-        if auto_grow and self.capacity_findings:
-            if self.needs_guard:
-                unproven = [f for f in self.capacity_findings if not f.proven]
-                logger.debug(
-                    "kernel %r: %d output store(s) not statically proven "
-                    "within capacity (first: %s); auto-grow relies on the "
-                    "runtime guards alone",
-                    self.name, len(unproven), unproven[0],
-                )
-            else:
-                logger.debug(
-                    "kernel %r: all %d output stores statically proven "
-                    "within capacity; auto-grow retries are overflow-safe",
-                    self.name, len(self.capacity_findings),
-                )
-        cap = capacity
-        while True:
-            env = self._marshal_inputs(tensors)
-            self._allocate_output(env, cap)
-            self._kernel(env)
-            try:
-                return self._assemble_output(env)
-            except CapacityError as exc:
-                if not auto_grow:
-                    raise
-                current = int(env.get("out_cap", 0))
-                bound = self._grow_bound(max_capacity)
-                if current >= bound:
-                    raise CapacityError(
-                        f"output needs {exc.needed} entries but the auto-grow "
-                        f"bound is {bound}; raise max_capacity/"
-                        "REPRO_MAX_CAPACITY",
-                        needed=exc.needed,
-                        capacity=current,
-                    ) from exc
-                cap = min(bound, max(current * 2, exc.needed or 0))
-                logger.info(
-                    "kernel %r: output capacity %d too small (needs >= %s); "
-                    "retrying with capacity %d",
-                    self.name, current, exc.needed, cap,
-                )
-
-    def _grow_bound(self, max_capacity: Optional[int]) -> int:
-        """The auto-grow ceiling: caller argument, then the
-        ``REPRO_MAX_CAPACITY`` environment override, then the dense size
-        of the output (an undersized result can never need more)."""
-        if max_capacity is not None:
-            return int(max_capacity)
-        env_bound = config.get("REPRO_MAX_CAPACITY")
-        if env_bound is not None:
-            return env_bound
-        out = self.output
-        return int(np.prod(out.dims)) if out is not None and out.dims else 1
+        env = self._marshal_inputs(tensors)
+        self._allocate_output(env, capacity)
+        self._kernel(env)
+        try:
+            return self._assemble_output(env)
+        except CapacityError as exc:
+            needed, reserved = exc.needed, exc.capacity
+        logger.info(
+            "kernel %r: output needs %d entries, %d were reserved; "
+            "rerunning at that size", self.name, needed, reserved,
+        )
+        self._allocate_output(env, needed)
+        self._kernel(env)
+        return self._assemble_output(env)
 
     # ------------------------------------------------------------------
     # views: one artifact, per-handle defaults and output dims
@@ -339,7 +288,13 @@ class Kernel:
         capacity-sized arrays and the workspace's values and list come
         from :func:`_reserve` uninitialised, because every destination
         stores a slot before it reads it (DESIGN.md "Output storage");
-        what generated code reads first is initialised, with its reason."""
+        what generated code reads first is initialised, with its reason.
+        A reservation past the output's dense size can never be needed
+        and is cut to it."""
+        if capacity is not None and capacity < 1:
+            raise ValueError(
+                f"capacity={capacity!r}: an output reserves at least one entry"
+            )
         dtype = codegen_c.np_dtype(self.ops.type)
         zero = self.ops.semiring.zero
         out = self.output
@@ -357,7 +312,9 @@ class Kernel:
             for k, d in enumerate(out.dims):
                 env[f"out_dim{k}"] = int(d)
             return
-        cap = capacity if capacity is not None else _default_capacity(out)
+        size = int(np.prod(out.dims))
+        cap = _default_capacity(size) if capacity is None else max(
+            1, min(capacity, size))
         dcsr = out.formats == ("sparse", "sparse")
         env["out_cap"] = cap
         env["out_vals"] = _reserve(cap, dtype)
@@ -448,9 +405,9 @@ class BoundKernel:
         return self.kernel._assemble_output(self.env)
 
 
-def _default_capacity(out: OutputSpec) -> int:
-    total = int(np.prod(out.dims)) if out.dims else 1
-    return max(16, min(total, 1 << 22))
+def _default_capacity(size: int) -> int:
+    """The first reservation of an output of dense ``size``."""
+    return max(16, min(size, 1 << 22))
 
 
 def _aligned(n: int, dtype) -> np.ndarray:

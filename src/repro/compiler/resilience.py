@@ -82,7 +82,7 @@ def parallel_backend() -> Optional[str]:
     return config.get("REPRO_PARALLEL")
 
 
-def supervise_mode() -> Optional[bool]:
+def supervise_mode() -> bool:
     return config.get("REPRO_SUPERVISE")
 
 

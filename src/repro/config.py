@@ -76,9 +76,6 @@ _ROWS = (
     Knob("REPRO_GCC_TIMEOUT", "float", 120.0,
          "wall-clock seconds allowed per compiler invocation before "
          "`CompileError(timeout=True)`", minimum=0.0, zero="default"),
-    Knob("REPRO_MAX_CAPACITY", "int", None,
-         "global ceiling for `run(auto_grow=True)` capacity doubling",
-         shown="output's dense size", minimum=1),
     Knob("REPRO_IR_VERIFY", "flag", False,
          "re-run the typed IR verifier after every optimizer pass on every "
          "kernel build; violations raise `IRVerifyError` naming the "
@@ -112,11 +109,10 @@ _ROWS = (
          "parent's imports, in-memory kernels and loaded `.so`s; a platform "
          "without `fork` spawns",
          choices=("spawn", "fork", "forkserver")),
-    Knob("REPRO_SUPERVISE", "flag", None,
+    Knob("REPRO_SUPERVISE", "flag", False,
          "`1` runs every kernel invocation on a resource-capped pool worker "
          "(crashes become typed `KernelCrashError`/`KernelTimeoutError`); "
-         "`0` disables even the auto policy (C kernels flagged `needs_guard` "
-         "supervise themselves by default)", shown="auto"),
+         "a call's `supervised=` outranks it"),
     Knob("REPRO_KERNEL_DEADLINE", "float", 60.0,
          "wall-clock seconds a supervised kernel may run before the parent "
          "kills and replaces its pool worker (`KernelTimeoutError`); the "

@@ -33,7 +33,7 @@ keep their original bases (``RuntimeError`` / ``TypeError``) so
 existing ``except`` clauses continue to work.
 
 Fallback behavior (backend downgrade, cache quarantine-and-rebuild,
-capacity auto-growth) is never silent: every recovery path logs through
+an output's rerun at its counted size) is never silent: every recovery path logs through
 the package-wide ``repro`` logger (see
 :mod:`repro.compiler.resilience`).
 """
@@ -164,10 +164,14 @@ class CacheCorruptionError(Retryable, ReproError):
 
 
 class CapacityError(ReproError, RuntimeError):
-    """The preallocated sparse output was too small for the result.
+    """A compressed output overflowed its reservation.
 
-    ``needed`` and ``capacity`` (when known) let callers — and
-    ``Kernel.run(auto_grow=True)`` — size the retry allocation.
+    ``needed`` and ``capacity`` (when known) size the rerun.
+    :meth:`~repro.compiler.kernel.Kernel.execute` reruns once at
+    ``needed`` by itself, so from a call this means the rerun
+    overflowed too (a broken invariant); a
+    :class:`~repro.compiler.kernel.BoundKernel`'s ``result()`` raises
+    it for the caller to size.
     """
 
     def __init__(

@@ -13,8 +13,8 @@ Per-shard resilience mirrors the build-time story of
 (a crashed pool worker, a transient OS error) is retried once in the
 parent on the serial path, with a logged warning — the parallel runtime
 degrades toward the oracle rather than failing the whole run.  Genuine
-kernel errors (shape mismatches, capacity exhaustion with ``auto_grow``
-off) reproduce identically on the retry and surface to the caller as
+kernel errors (shape mismatches, an output that overflows its own
+rerun) reproduce identically on the retry and surface to the caller as
 they would on a serial run.
 """
 
@@ -64,12 +64,9 @@ class ShardStat:
     spilled: bool = False
 
 
-def _local_task(kernel, tensors, capacity, auto_grow, max_capacity, policy):
+def _local_task(kernel, tensors, capacity, policy):
     start = time.perf_counter()
-    result = run_guarded(
-        kernel, tensors, capacity, policy, auto_grow=auto_grow,
-        max_capacity=max_capacity,
-    )
+    result = run_guarded(kernel, tensors, capacity, policy)
     return result, time.perf_counter() - start, "local"
 
 
@@ -103,8 +100,6 @@ def run_sharded(
     tensors: Mapping[str, Tensor],
     *,
     capacity: Optional[int] = None,
-    auto_grow: bool = False,
-    max_capacity: Optional[int] = None,
     executor: str = "serial",
     workers: Optional[int] = None,
     shards: Optional[int] = None,
@@ -151,8 +146,7 @@ def run_sharded(
         resume=resume,
     )
     return run_shards(
-        kernel, tensors, policy, capacity=capacity, auto_grow=auto_grow,
-        max_capacity=max_capacity, split_attr=split_attr,
+        kernel, tensors, policy, capacity=capacity, split_attr=split_attr,
         stats_out=stats_out, resume=resume, job_out=job_out,
     )
 
@@ -163,8 +157,6 @@ def run_shards(
     policy: ExecutionPolicy,
     *,
     capacity: Optional[int] = None,
-    auto_grow: bool = False,
-    max_capacity: Optional[int] = None,
     split_attr: Optional[str] = None,
     stats_out: Optional[List[ShardStat]] = None,
     resume: Optional[str] = None,
@@ -179,10 +171,7 @@ def run_shards(
             kernel.name,
             "no splittable index" if plan is None else "single shard",
         )
-        return run_guarded(
-            kernel, tensors, capacity, policy, auto_grow=auto_grow,
-            max_capacity=max_capacity,
-        )
+        return run_guarded(kernel, tensors, capacity, policy)
 
     executor = policy.executor
     # operands move to shared memory before anything reads them or the
@@ -253,14 +242,12 @@ def run_shards(
     stats: Dict[int, ShardStat] = dict(skipped)
     if ex.name == "pool":
         futures = pool_mod.dispatch(
-            kernel, shard_inputs, shard_dims, capacity, auto_grow,
-            max_capacity, policy, exports=exports, submit=partial(_submit, ex),
-            workers=ex.workers,
+            kernel, shard_inputs, shard_dims, capacity, policy,
+            exports=exports, submit=partial(_submit, ex), workers=ex.workers,
         )
     else:
         futures = [
-            _submit(ex, _local_task, sk, st, capacity, auto_grow,
-                    max_capacity, policy)
+            _submit(ex, _local_task, sk, st, capacity, policy)
             for sk, st in zip(shard_kernels, shard_inputs)
         ]
     for k, (fut, i) in enumerate(zip(futures, pending)):
@@ -278,8 +265,7 @@ def run_shards(
             retried = failover = True
             start = time.perf_counter()
             result = run_fallback(
-                shard_kernels[k], shard_inputs[k], capacity,
-                auto_grow=auto_grow, max_capacity=max_capacity, cause=exc,
+                shard_kernels[k], shard_inputs[k], capacity, cause=exc,
             )
             seconds, who = time.perf_counter() - start, "fallback"
         except Exception as exc:
@@ -298,8 +284,7 @@ def run_shards(
             _maybe_discard(ex, exc)
             retried = True
             result, seconds, who = _local_task(
-                shard_kernels[k], shard_inputs[k],
-                capacity, auto_grow, max_capacity, policy,
+                shard_kernels[k], shard_inputs[k], capacity, policy,
             )
         journaled = False
         if durable and journal is not None:
@@ -343,8 +328,6 @@ def run_batch(
     runs: Sequence[Mapping[str, Tensor]],
     *,
     capacity: Optional[int] = None,
-    auto_grow: bool = False,
-    max_capacity: Optional[int] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     deadline: Optional[float] = None,
@@ -366,14 +349,12 @@ def run_batch(
     if ex.name == "pool":
         # every item brings its own operands: nothing is pre-exported
         futures = pool_mod.dispatch(
-            kernel, runs, [None] * len(runs), capacity, auto_grow,
-            max_capacity, policy, submit=partial(_submit, ex),
-            workers=ex.workers,
+            kernel, runs, [None] * len(runs), capacity, policy,
+            submit=partial(_submit, ex), workers=ex.workers,
         )
     else:
         futures = [
-            _submit(ex, _local_task, kernel, tensors, capacity, auto_grow,
-                    max_capacity, policy)
+            _submit(ex, _local_task, kernel, tensors, capacity, policy)
             for tensors in runs
         ]
     for i, (fut, tensors) in enumerate(zip(futures, runs)):
@@ -392,7 +373,7 @@ def run_batch(
             _maybe_discard(ex, exc)
             retried = True
             result, seconds, who = _local_task(
-                kernel, tensors, capacity, auto_grow, max_capacity, policy,
+                kernel, tensors, capacity, policy,
             )
         results.append(result)
         stats.append(ShardStat(

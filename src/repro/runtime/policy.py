@@ -88,10 +88,6 @@ def resolve(
         executor = parallel or None
     if supervised is None:
         supervised = config.get("REPRO_SUPERVISE")
-    if supervised is None:
-        # auto: a C kernel with an output store the capacity lint could
-        # not prove in bounds; the Python backend cannot corrupt the host
-        supervised = kernel.needs_guard and kernel.c_backed
     if executor is None and not supervised:
         return IN_PROCESS
 

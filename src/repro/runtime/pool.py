@@ -44,6 +44,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import resource_tracker
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -347,8 +348,11 @@ class WorkerPool:
         refs: Mapping[str, shm.TensorRef],
         output_dims: Optional[Sequence[int]],
         capacity: Optional[int],
-        auto_grow: bool,
-        max_capacity: Optional[int],
+        # dead slots: bench/workloads/job_sharded.py passes all eight
+        # arguments by position; they go with the benchmark's next
+        # change (ROADMAP item 6)
+        _auto_grow: bool = False,
+        _max_capacity: Optional[int] = None,
         deadline: Optional[float] = None,
         threshold: Optional[int] = None,
     ) -> Tuple[object, float, int]:
@@ -372,7 +376,7 @@ class WorkerPool:
             try:
                 w.conn.send((
                     "run", key, recipe, dict(refs), output_dims, capacity,
-                    auto_grow, max_capacity, rname, threshold,
+                    rname, threshold,
                 ))
             except (OSError, BrokenPipeError) as exc:
                 dead = True
@@ -551,8 +555,6 @@ def dispatch(
     shard_inputs: Sequence[Mapping[str, object]],
     shard_dims: Sequence[Optional[Sequence[int]]],
     capacity: Optional[int],
-    auto_grow: bool,
-    max_capacity: Optional[int],
     policy: ExecutionPolicy,
     *,
     exports: Optional[Mapping[str, Optional[shm.TensorExport]]] = None,
@@ -578,10 +580,6 @@ def dispatch(
             f"kernel {kernel.name!r} has no rebuild recipe"
         )
     exports = exports or {}
-    if auto_grow and max_capacity is None:
-        # the bound is this call's: a worker's environment is the one it
-        # started with, so it never reads REPRO_MAX_CAPACITY itself
-        max_capacity = config.get("REPRO_MAX_CAPACITY")
     refs = [
         {name: shm.describe_tensor(
             t, exports.get(name) or shm.export_tensor(t, policy.threshold))
@@ -593,18 +591,16 @@ def dispatch(
     try:
         key = pool_key(kernel)
         pool.register_recipe(key, kernel.recipe, policy.deadline)
-        return [
-            submit(pool.run_call, key, r, dims, capacity, auto_grow,
-                   max_capacity, policy.deadline, policy.threshold)
-            for r, dims in zip(refs, shard_dims)
-        ]
+        call = partial(pool.run_call, deadline=policy.deadline,
+                       threshold=policy.threshold)
+        return [submit(call, key, r, dims, capacity)
+                for r, dims in zip(refs, shard_dims)]
     finally:
         if scoped:
             pool.shutdown()
 
 
-def pooled(kernel, tensors, capacity, policy: ExecutionPolicy, *,
-           auto_grow: bool, max_capacity: Optional[int]) -> object:
+def pooled(kernel, tensors, capacity, policy: ExecutionPolicy) -> object:
     """One whole run on a pool worker under a resolved ``policy`` — the
     one-shard case of :func:`dispatch`.  It takes the shared pool when
     the process owns one.  A process that owns none keeps nothing
@@ -618,8 +614,7 @@ def pooled(kernel, tensors, capacity, policy: ExecutionPolicy, *,
     scoped = not shared_pool_open() and mp_context(
         config.get("REPRO_MP_START")).get_start_method() == "fork"
     (result, _seconds, _pid), = dispatch(
-        kernel, [tensors], [dims], capacity, auto_grow, max_capacity, policy,
-        workers=1, scoped=scoped,
+        kernel, [tensors], [dims], capacity, policy, workers=1, scoped=scoped,
     )
     return result
 
@@ -629,8 +624,6 @@ def run_supervised(
     tensors,
     capacity: Optional[int] = None,
     *,
-    auto_grow: bool = False,
-    max_capacity: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> object:
     """Run one kernel invocation on a pool worker (see :func:`pooled`
@@ -650,8 +643,7 @@ def run_supervised(
     """
     policy = resolve(kernel, parallel=False, supervised=True,
                      deadline=deadline)
-    return pooled(kernel, tensors, capacity, policy, auto_grow=auto_grow,
-                  max_capacity=max_capacity)
+    return pooled(kernel, tensors, capacity, policy)
 
 
 #: the name ``bench/`` still imports beside ``run_supervised``; it goes

@@ -33,8 +33,6 @@ def run(
     tensors: Mapping[str, Tensor],
     *,
     capacity: Optional[int] = None,
-    auto_grow: bool = False,
-    max_capacity: Optional[int] = None,
     parallel: Optional[Union[str, bool]] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
@@ -55,24 +53,18 @@ def run(
     defers to the handle's build-time default, then ``REPRO_*``, then
     the built-in default — :func:`repro.runtime.policy.resolve` is the
     one place that decides, DESIGN.md "Execution policy" the account of
-    it.  ``capacity``, ``auto_grow`` and ``max_capacity`` are
-    :meth:`~repro.compiler.kernel.Kernel.execute`'s.
+    it.  ``capacity`` is :meth:`~repro.compiler.kernel.Kernel.execute`'s
+    first reservation.
     """
     policy = resolve(
         kernel, parallel=parallel, workers=workers, shards=shards,
         supervised=supervised, deadline=deadline,
     )
     if policy.executor is None:
-        return run_guarded(
-            kernel, tensors, capacity, policy, auto_grow=auto_grow,
-            max_capacity=max_capacity,
-        )
+        return run_guarded(kernel, tensors, capacity, policy)
     from repro.runtime.api import run_shards
 
-    return run_shards(
-        kernel, tensors, policy, capacity=capacity, auto_grow=auto_grow,
-        max_capacity=max_capacity,
-    )
+    return run_shards(kernel, tensors, policy, capacity=capacity)
 
 
 def run_guarded(
@@ -80,9 +72,6 @@ def run_guarded(
     tensors: Mapping[str, Tensor],
     capacity: Optional[int],
     policy: ExecutionPolicy,
-    *,
-    auto_grow: bool = False,
-    max_capacity: Optional[int] = None,
 ) -> Union[Tensor, float, int, bool]:
     """One unsharded run (also each thread/serial shard's body) under an
     already resolved ``policy``: in process, or supervised behind the
@@ -99,28 +88,21 @@ def run_guarded(
     process, with a warning.
     """
     if not policy.supervised:
-        return kernel.execute(
-            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
-        )
+        return kernel.execute(tensors, capacity)
     if kernel.recipe is None:
         logger.warning(
             "kernel %r: supervision requested but the kernel has no "
             "rebuild recipe (function-valued input); running in-process",
             kernel.name,
         )
-        return kernel.execute(
-            tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity,
-        )
+        return kernel.execute(tensors, capacity)
     from repro.runtime import breaker as breaker_mod, pool
 
     key = kernel.cache_key or f"uncached:{kernel.name}"
     brk = breaker_mod.breaker
     state = brk.try_probe(key)
     if state == breaker_mod.OPEN:
-        return run_fallback(
-            kernel, tensors, capacity, auto_grow=auto_grow,
-            max_capacity=max_capacity,
-        )
+        return run_fallback(kernel, tensors, capacity)
     probe = state == breaker_mod.HALF_OPEN
     if probe:
         logger.warning(
@@ -129,10 +111,7 @@ def run_guarded(
         )
     resolved = False
     try:
-        result = pool.pooled(
-            kernel, tensors, capacity, policy, auto_grow=auto_grow,
-            max_capacity=max_capacity,
-        )
+        result = pool.pooled(kernel, tensors, capacity, policy)
         resolved = True
         brk.record_success(key, name=kernel.name, probe=probe)
         return result
@@ -140,10 +119,7 @@ def run_guarded(
         resolved = True
         brk.record_failure(key, name=kernel.name, probe=probe)
         if probe:
-            return run_fallback(
-                kernel, tensors, capacity, auto_grow=auto_grow,
-                max_capacity=max_capacity, cause=exc,
-            )
+            return run_fallback(kernel, tensors, capacity, cause=exc)
         raise
     finally:
         if probe and not resolved:
@@ -181,8 +157,6 @@ def run_fallback(
     tensors: Mapping[str, Tensor],
     capacity: Optional[int],
     *,
-    auto_grow: bool,
-    max_capacity: Optional[int],
     cause: Optional[BaseException] = None,
 ) -> Union[Tensor, float, int, bool]:
     """Serve one run from the pure-Python twin (breaker open)."""
@@ -198,6 +172,4 @@ def run_fallback(
         "kernel %r: serving the pure-Python fallback result "
         "(circuit breaker open)", kernel.name,
     )
-    return twin.execute(
-        tensors, capacity, auto_grow=auto_grow, max_capacity=max_capacity
-    )
+    return twin.execute(tensors, capacity)

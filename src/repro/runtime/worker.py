@@ -104,8 +104,8 @@ def pool_worker_main(
     * ``("warm", key, recipe)`` → ``("warmed", key)``: build the kernel
       (a disk-cache read in the common case) and keep it resident under
       its cache key.
-    * ``("run", key, recipe?, refs, output_dims, capacity, auto_grow,
-      max_capacity, result_name, threshold)`` →
+    * ``("run", key, recipe?, refs, output_dims, capacity, result_name,
+      threshold)`` →
       ``("ok", payload, seconds, pid)``: reconstruct operand tensors as
       shared-memory views, run the resident kernel, and return the
       result inline or packed into the parent-named ``result_name``
@@ -135,8 +135,6 @@ def pool_worker_main(
     for key, value in env.items():
         os.environ.setdefault(key, value)
     os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
-    # a call's auto-grow bound arrives with the call (pool.dispatch)
-    os.environ.pop("REPRO_MAX_CAPACITY", None)
     from repro.compiler import resilience
     from repro.runtime import shm
 
@@ -163,8 +161,8 @@ def pool_worker_main(
                     conn.send(("err", _picklable(exc), 0.0))
                 continue
             if kind == "run":
-                (_, key, recipe, refs, output_dims, capacity, auto_grow,
-                 max_capacity, rname, threshold) = msg
+                (_, key, recipe, refs, output_dims, capacity, rname,
+                 threshold) = msg
                 # chaos hook: REPRO_FAULT=supervised_child:sigkill models
                 # a worker OOM-killed before it produced anything (on a
                 # supervised run or a pool shard alike); a raise here
@@ -187,10 +185,7 @@ def pool_worker_main(
                     ):
                         kernel = kernel.with_output_dims(output_dims)
                     tensors = {n: shm.open_ref(r) for n, r in refs.items()}
-                    result = kernel.execute(
-                        tensors, capacity, auto_grow=auto_grow,
-                        max_capacity=max_capacity,
-                    )
+                    result = kernel.execute(tensors, capacity)
                     payload = shm.export_result(result, rname, threshold)
                     conn.send(
                         ("ok", payload, time.perf_counter() - start,

@@ -144,8 +144,7 @@ class Batcher:
                 len(items), kernel.name,
             )
         outs = kernel.run_batch(
-            runs, capacity=leader.capacity, auto_grow=True,
-            deadline=max(0.001, deadline),
+            runs, capacity=leader.capacity, deadline=max(0.001, deadline),
         )
         return [_encode_result(out) for out in outs]
 

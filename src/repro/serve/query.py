@@ -189,8 +189,6 @@ class PreparedQuery:
     capacity: Optional[int] = None
     sql_text: Optional[str] = None
     sql_tables: Dict[str, Any] = field(default_factory=dict)
-    #: autotuner verdict (None when tuning was off / not applicable)
-    tune_decision: Any = None
     #: small per-response summary (decision-cache hit/miss, predicted
     #: cost) — surfaced in the response ``meta``
     tune_meta: Optional[Dict[str, Any]] = None
@@ -229,10 +227,6 @@ class PreparedQuery:
                 "request budget exhausted before dispatch",
                 deadline=budget.total,
             )
-        d = self.tune_decision
-        capacity = self.capacity
-        if capacity is None and d is not None and d.capacity_hint:
-            capacity = d.capacity_hint
         from repro.runtime.policy import is_durable
 
         if is_durable(self.durable):
@@ -241,14 +235,13 @@ class PreparedQuery:
             # signature, so a client re-POSTing the identical query
             # after a crash resumes the dead worker's job
             result = kernel.run_sharded(
-                self.plan.inputs, capacity, auto_grow=True,
-                executor="serial", deadline=remaining,
-                durable=True, job_out=self.job_meta,
+                self.plan.inputs, self.capacity, executor="serial",
+                deadline=remaining, durable=True, job_out=self.job_meta,
             )
         else:
             result = kernel.run(
-                self.plan.inputs, capacity=capacity, auto_grow=True,
-                parallel=False, supervised=True, deadline=remaining,
+                self.plan.inputs, capacity=self.capacity, parallel=False,
+                supervised=True, deadline=remaining,
             )
         return _encode_result(result)
 
@@ -296,7 +289,7 @@ def _estimate_footprint(plan: EinsumPlan) -> Optional[float]:
 def _tune_plan(spec, tensors, semiring):
     """Consult the autotuner for an open-knob einsum query.
 
-    Returns ``(plan, decision, meta, explanation)`` or None — tuning is
+    Returns ``(plan, meta, explanation)`` or None — tuning is
     advisory, any failure falls back to the untuned plan (and is
     logged, never raised)."""
     try:
@@ -312,7 +305,7 @@ def _tune_plan(spec, tensors, semiring):
             # is small, not zero
             "predicted_ms": float(f"{result.predicted_s * 1e3:.4g}"),
         }
-        return plan, result.decision, meta, result.explain()
+        return plan, meta, result.explain()
     except Exception as exc:
         from repro.compiler.resilience import logger
 
@@ -382,8 +375,9 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
             f"{sorted(SEMIRINGS)}"
         )
     capacity = body.get("capacity")
-    if capacity is not None and not isinstance(capacity, int):
-        raise QueryError("capacity must be an integer")
+    # ``type(...) is int``: a JSON ``true`` reads as a Python int
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
+        raise QueryError("capacity must be a positive integer")
     durable = body.get("durable")
     if durable is not None and not isinstance(durable, bool):
         raise QueryError("durable must be a boolean")
@@ -396,9 +390,9 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
         tuned = _tune_plan(spec, tensors, semiring)
 
     if tuned is not None:
-        plan, decision, tune_meta, explanation = tuned
+        plan, tune_meta, explanation = tuned
     else:
-        decision = tune_meta = explanation = None
+        tune_meta = explanation = None
         try:
             plan = plan_einsum(
                 spec, *tensors,
@@ -419,7 +413,6 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
         deadline_ms=deadline_ms,
         plan=plan,
         capacity=capacity,
-        tune_decision=decision,
         tune_meta=tune_meta,
         explanation=explanation,
         durable=durable,

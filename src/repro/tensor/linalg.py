@@ -3,9 +3,11 @@
 Thin, well-typed wrappers over :func:`repro.tensor.einsum` for the
 kernels the paper's evaluation exercises (SpMV, matmul, inner product)
 plus the classic fused kernels the TACO line of work popularized
-(SDDMM, residuals).  Each wrapper picks sensible formats and capacity
-and caches nothing — kernel caching happens at the C level by source
-hash.
+(SDDMM, residuals).  Each wrapper picks sensible formats and caches
+nothing — kernel caching happens at the C level by source hash.  A
+compressed output sizes itself
+(:meth:`~repro.compiler.kernel.Kernel.execute`), so no wrapper guesses
+a capacity.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ def matmul(
     """C = A·B by linear combination of rows (the fast §5.4.1 order)."""
     A2 = _relabel(A, ("i", "k"))
     B2 = _relabel(B, ("k", "j"))
-    if capacity is None:
-        capacity = min(A.dims[0] * B.dims[1], max(1024, 64 * max(A.nnz, 1)))
     return einsum("ik,kj->ij", A2, B2, output_formats=output_formats,
                   order=("i", "k", "j"), capacity=capacity, backend=backend,
                   kernel_name="la_matmul")
@@ -89,8 +89,6 @@ def sddmm(
     A2 = _relabel(A, ("i", "k"))
     # the j loop nests above k, so B must be presented j-major
     Bt = repack(_relabel(B, ("k", "j")), ("j", "k"), B.formats)
-    if capacity is None:
-        capacity = max(16, 2 * S.nnz)
     return einsum("ij,ik,jk->ij", S2, A2, Bt,
                   output_formats=S.formats,
                   order=("i", "j", "k"),

@@ -13,7 +13,7 @@ from repro.compiler.cache import _payload_digest
 def _decision(**over):
     base = dict(
         order=("i", "j"), output_formats=("dense", "sparse"),
-        search="binary", capacity_hint=128, predicted_s=0.004, predicted_units=1000.0,
+        search="binary", predicted_s=0.004, predicted_units=1000.0,
     )
     base.update(over)
     return Decision(**base)
@@ -84,18 +84,19 @@ def test_a_served_decision_never_moves(tune_dir):
     for _ in range(20):
         prepared = prepare_request(body, tune="auto")
         prepared.execute(Budget(30.0))
-        metas.append((prepared.tune_meta, prepared.tune_decision))
+        # the decision is the plan, and the plan is the kernel key
+        metas.append((prepared.tune_meta, prepared.kernel_key))
         files = sorted(tune_dir.glob("atun_*.json"))
         now = {f: (f.stat().st_mtime_ns, f.read_bytes()) for f in files}
         if stamps is None:
             stamps = now
             assert len(stamps) == 1
         assert now == stamps
-    first_meta, first_decision = metas[0]
+    first_meta, first_key = metas[0]
     assert first_meta["cache"] == "miss"
-    for meta, decision in metas[1:]:
+    for meta, key in metas[1:]:
         assert meta["cache"] == "hit"
-        assert decision == first_decision
+        assert key == first_key
         assert meta["predicted_ms"] == first_meta["predicted_ms"] > 0
 
 

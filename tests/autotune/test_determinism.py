@@ -116,6 +116,5 @@ def test_tuner_preserves_semantics(dm, dv):
                          backend="python", cache=DecisionCache())
     plan = result.plan()
     kernel = plan.build()
-    tuned = kernel.run(plan.inputs, capacity=result.decision.capacity_hint,
-                       auto_grow=True)
+    tuned = kernel.run(plan.inputs)
     assert _as_dict(tuned) == _oracle("ij,j->i", datasets)

@@ -26,8 +26,7 @@ def _nonzeros(result):
 def _run_tuned(result):
     plan = result.plan()
     kernel = plan.build()
-    return kernel.run(plan.inputs, capacity=result.decision.capacity_hint,
-                      auto_grow=True)
+    return kernel.run(plan.inputs)
 
 
 # ----------------------------------------------------------------------

@@ -360,10 +360,11 @@ def test_restored_kernel_keeps_its_lint_verdict(fresh_cache, monkeypatch):
     monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     ctx, expr, out, tensors = _spmv()
     built = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")
-    assert built.needs_guard
+    assert built.capacity_findings == [unproven]
     fresh_cache.clear()
     restored = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")
     assert fresh_cache.stats.disk_hits == 1 and restored is not built
-    assert restored.needs_guard
     assert restored.capacity_findings == [unproven]
-    assert resolve(restored).supervised
+    # the verdict is a report: supervision is the caller's to ask for
+    assert not resolve(restored).supervised
+    assert resolve(restored, supervised=True).supervised

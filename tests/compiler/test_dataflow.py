@@ -263,8 +263,7 @@ class TestBoundsLint:
 # ------------------------------------------- the lint on whole kernels
 #: the capacity lint's verdict on the benchmark's programs (Fig. 17 /
 #: 19 / 20 / 21), as (array, subscript, proven) per store.  A lost
-#: refinement would flip a store to unproven and silently route the C
-#: kernel through the supervised fork (``needs_guard``).
+#: refinement would flip a store to unproven.
 PINNED_FINDINGS = {
     "spmv": [],
     # a scalar under a compressed leaf is appended directly: no clamped
@@ -288,6 +287,5 @@ PINNED_FINDINGS = {
 @pytest.mark.parametrize("cell", sorted(PINNED_FINDINGS))
 def test_benchmark_program_lint_verdicts_are_pinned(cell):
     kernel = bench_kernel(cell, f"lint_{cell}")
-    assert not kernel.needs_guard
     assert [(f.array, f.index, f.proven)
             for f in kernel.capacity_findings] == PINNED_FINDINGS[cell]

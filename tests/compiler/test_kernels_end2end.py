@@ -166,8 +166,13 @@ def test_capacity_error_raised():
     tensors = {"x": sparse_vector(N, 0.9, seed=21), "y": sparse_vector(N, 0.9, seed=22)}
     out = OutputSpec(("i",), ("sparse",), (N,))
     kernel = compile_kernel(Var("x") + Var("y"), ctx, tensors, out, name="e2e_cap")
-    with pytest.raises(CapacityError):
-        kernel.run(tensors, capacity=2)
+    # a bound kernel reruns nothing: its result says how much it needs
+    bound = kernel.bind(tensors, capacity=2)
+    bound.run_only()
+    with pytest.raises(CapacityError) as err:
+        bound.result()
+    assert err.value.capacity == 2
+    assert err.value.needed == kernel.run(tensors, capacity=2).nnz
 
 
 def test_output_spec_validation():

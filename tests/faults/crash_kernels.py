@@ -2,7 +2,8 @@
 
 Each class below is a drop-in stand-in for a compiled backend kernel
 (the ``kernel._kernel`` callable): a kernel whose backend is swapped
-for one of these dies in a specific, reproducible way on its next run.
+for one of these dies (or, :class:`OverrunKernel`, fails typed) in a
+specific, reproducible way on its next run.
 Supervised runs execute on pool workers, which rebuild each kernel from
 its recipe, so :func:`sabotage_in_workers` does the swap *inside* the
 workers: the worker dies exactly as a genuinely faulty compiled kernel
@@ -69,6 +70,16 @@ class SpinKernel:
     def __call__(self, env) -> None:
         while True:
             time.sleep(0.005)
+
+
+class OverrunKernel:
+    """Counts one output entry past any reservation, so even the rerun
+    at the counted size overflows: raises ``CapacityError``."""
+
+    source = "/* injected fault: an output size past every reservation */"
+
+    def __call__(self, env) -> None:
+        env["out_size"][-1] = env["out_cap"] + 1
 
 
 def c_segfault_kernel(kernel) -> codegen_c.CKernel:

@@ -12,7 +12,9 @@ Covered modes:
 6. tampered payload (checksum) → quarantine + logged rebuild
 7. truncated ``.so``           → quarantine + logged recompile
 8. unusable cache dir          → logged temp-dir fallback
-9. undersized sparse output    → ``CapacityError`` / logged auto-growth
+9. undersized sparse output    → one logged rerun at the counted size, on
+                                 every route; an overflowed rerun is a
+                                 ``CapacityError``
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from tests.faults.conftest import (
     requires_toolchain,
     spmv_problem,
 )
+from tests.faults.crash_kernels import OverrunKernel
 
 
 def _build_spmv(backend="c", name="fault_k", **kw):
@@ -326,52 +329,88 @@ def test_unusable_cache_dir_payload_store_is_logged(tmp_path, monkeypatch, caplo
 # ----------------------------------------------------------------------
 # 9. undersized sparse output
 # ----------------------------------------------------------------------
-def test_undersized_output_typed_error():
+def test_undersized_output_typed_error(monkeypatch):
+    """A rerun that overflows again breaks the count-pass invariant: a
+    typed error with both sizes, after exactly one rerun."""
     ctx, expr, out, tensors = copy_problem()
     kernel = compile_kernel(expr, ctx, tensors, out, backend="python", name="under_k")
-    nnz = len(tensors["A"].vals)
+    allocations = []
+    real = kernel._allocate_output
+
+    def counted(env, capacity):
+        allocations.append(capacity)
+        real(env, capacity)
+
+    monkeypatch.setattr(kernel, "_allocate_output", counted)
+    monkeypatch.setattr(kernel, "_kernel", OverrunKernel())
     with pytest.raises(CapacityError) as ei:
-        kernel.run(tensors, capacity=1)
-    assert ei.value.needed == nnz and ei.value.capacity == 1
+        kernel.execute(tensors, capacity=1)
+    assert allocations == [1, 2]
+    assert ei.value.needed == 3 and ei.value.capacity == 2
+
+
+def test_capacity_below_one_is_a_value_error():
+    ctx, expr, out, tensors = copy_problem()
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="python", name="cap0_k")
+    for capacity in (0, -1):
+        with pytest.raises(ValueError, match="capacity"):
+            kernel.run(tensors, capacity=capacity)
 
 
 def test_undersized_output_auto_grows_with_log(caplog):
     ctx, expr, out, tensors = copy_problem()
     kernel = compile_kernel(expr, ctx, tensors, out, backend="python", name="grow_k")
+    nnz = len(tensors["A"].vals)
     with caplog.at_level(logging.INFO, logger="repro"):
-        # in-process: under supervision the growth retries (and their
-        # log records) happen in the child, invisible to caplog
-        result = kernel.run(tensors, capacity=1, auto_grow=True,
-                            supervised=False)
+        result = kernel.run(tensors, capacity=1, supervised=False)
     A = tensors["A"]
     assert np.allclose(np.asarray(result.vals), np.asarray(A.vals))
     assert np.array_equal(np.asarray(result.crd[1]), np.asarray(A.crd[1]))
-    grows = [r for r in repro_records(caplog) if "retrying with capacity" in r.message]
-    assert grows, "capacity auto-growth must be logged"
+    reruns = [r.getMessage() for r in repro_records(caplog)
+              if "rerunning" in r.getMessage()]
+    assert len(reruns) == 1 and f"needs {nnz} entries" in reruns[0]
 
 
-def test_auto_grow_respects_bound():
+#: every route a call can take, each at a reservation of one entry
+UNDERSIZED_ROUTES = {
+    "in_process": lambda k, t: k.run(t, capacity=1, parallel=False),
+    "serial": lambda k, t: k.run_sharded(t, capacity=1, shards=3),
+    "thread": lambda k, t: k.run_sharded(
+        t, capacity=1, executor="thread", workers=2, shards=3),
+    "pool": lambda k, t: k.run_sharded(
+        t, capacity=1, executor="pool", workers=2, shards=3),
+    "batch": lambda k, t: k.run_batch([t, t], capacity=1)[1],
+    "durable": lambda k, t: k.run_sharded(
+        t, capacity=1, shards=3, durable=True),
+    "supervised": lambda k, t: k.run(
+        t, capacity=1, parallel=False, supervised=True),
+}
+
+
+@pytest.mark.parametrize("route", sorted(UNDERSIZED_ROUTES))
+def test_undersized_output_reruns_on_every_route(route, tmp_path, monkeypatch):
+    """Whichever route a call takes, an output reserved at one entry
+    comes back equal to the default-capacity run, each execution having
+    rerun at most once (in a worker, where the spy cannot count, the
+    second overflow would raise instead)."""
+    from repro.compiler.kernel import Kernel
+
+    monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "jobs"))
+    # each route is what its name says (the chaos CI job supervises all)
+    monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     ctx, expr, out, tensors = copy_problem()
-    kernel = compile_kernel(expr, ctx, tensors, out, backend="python", name="bound_k")
-    with pytest.raises(CapacityError) as ei:
-        kernel.run(tensors, capacity=1, auto_grow=True, max_capacity=2)
-    assert "auto-grow bound" in str(ei.value)
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="python",
+                            name=f"routes_k_{route}")
+    want = kernel.execute(tensors).to_dict()
+    capacities = []
+    real = Kernel._allocate_output
 
+    def counted(self, env, capacity):
+        capacities.append(capacity)
+        real(self, env, capacity)
 
-def test_auto_grow_env_bound(monkeypatch):
-    ctx, expr, out, tensors = copy_problem()
-    kernel = compile_kernel(expr, ctx, tensors, out, backend="python", name="envb_k")
-    monkeypatch.setenv("REPRO_MAX_CAPACITY", "2")
-    with pytest.raises(CapacityError):
-        kernel.run(tensors, capacity=1, auto_grow=True)
-    monkeypatch.delenv("REPRO_MAX_CAPACITY")
-    result = kernel.run(tensors, capacity=1, auto_grow=True)
-    assert np.allclose(np.asarray(result.vals), np.asarray(tensors["A"].vals))
-    # supervised, the bound is the call's, not the one the pool's
-    # workers started with
-    monkeypatch.setenv("REPRO_MAX_CAPACITY", "2")
-    with pytest.raises(CapacityError):
-        kernel.run(tensors, capacity=1, auto_grow=True, supervised=True)
-    monkeypatch.delenv("REPRO_MAX_CAPACITY")
-    result = kernel.run(tensors, capacity=1, auto_grow=True, supervised=True)
-    assert np.allclose(np.asarray(result.vals), np.asarray(tensors["A"].vals))
+    monkeypatch.setattr(Kernel, "_allocate_output", counted)
+    assert UNDERSIZED_ROUTES[route](kernel, tensors).to_dict() == want
+    runs, reruns = capacities.count(1), len(capacities) - capacities.count(1)
+    assert reruns <= runs
+    assert runs > 0 or route in ("pool", "supervised")

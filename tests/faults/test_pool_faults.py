@@ -82,8 +82,7 @@ class FaultKernel:
         self.recipe = FaultRecipe(mode)
         self.cache_key = f"fault:{mode}"
 
-    def execute(self, tensors, capacity=None, *, auto_grow=False,
-                max_capacity=None):
+    def execute(self, tensors, capacity=None):
         if self.mode == "sigsegv":
             ctypes.memset(8, 0, 1)  # store through the null page
         if self.mode == "sigkill":
@@ -100,7 +99,7 @@ class FaultKernel:
 def _call(pool, kernel, **kw):
     key = pool_mod.pool_key(kernel)
     pool.register_recipe(key, kernel.recipe)
-    return pool.run_call(key, {}, None, None, False, None, **kw)
+    return pool.run_call(key, {}, None, None, **kw)
 
 
 @pytest.fixture
@@ -276,7 +275,7 @@ def test_interpreter_exit_leaves_no_warnings_or_segments(tmp_path):
         pool = pool_mod.get_shared_pool(2)
         key = pool_mod.pool_key(FaultKernel('ok'))
         pool.register_recipe(key, FaultKernel('ok').recipe)
-        r, _s, _p = pool.run_call(key, {}, None, None, False, None)
+        r, _s, _p = pool.run_call(key, {}, None, None)
         assert r == 42.0
         print('done')
         """)   # no shutdown on purpose: atexit must handle it

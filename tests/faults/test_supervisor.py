@@ -38,6 +38,7 @@ from tests.faults.conftest import (
 )
 from tests.faults.crash_kernels import (
     OomKernel,
+    OverrunKernel,
     SegfaultKernel,
     SpinKernel,
     c_segfault_kernel,
@@ -160,14 +161,16 @@ def test_infinite_loop_misses_deadline(monkeypatch):
     assert err.value.deadline == pytest.approx(1.0)
 
 
-def test_typed_child_error_crosses_the_pipe():
+def test_typed_child_error_crosses_the_pipe(monkeypatch):
     """A CapacityError raised inside the worker re-raises in the parent
-    with its sizing metadata intact (pickling keeps __dict__)."""
+    with its sizing metadata intact (pickling keeps __dict__).  The
+    worker's kernel counts past every reservation, so its one rerun
+    overflows too."""
     kernel, tensors = _build(copy_problem)
+    sabotage_in_workers(monkeypatch, kernel.name, OverrunKernel())
     with pytest.raises(CapacityError) as err:
         run_supervised(kernel, tensors, capacity=1)
-    assert err.value.needed is not None and err.value.needed > 1
-    assert err.value.capacity == 1
+    assert err.value.capacity == 2 and err.value.needed == 3
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +185,7 @@ def test_policy_resolution(monkeypatch):
     kernel, _ = _build()
     # start from a clean slate (the chaos CI job exports REPRO_SUPERVISE=1)
     monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
-    # python-backed, lint-clean: auto policy says in-process
+    # off unless asked for
     assert supervised(kernel) is False
     assert supervised(kernel, True) is True
     # environment forces it on / off
@@ -198,14 +201,17 @@ def test_policy_resolution(monkeypatch):
 
 
 @requires_toolchain
-def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
-    """The auto policy: a C-backed kernel with unproven output stores
-    routes to a pool worker with no opt-in at all."""
+def test_supervised_c_kernels_run_on_the_pool(monkeypatch):
+    """Supervision is asked for: a C kernel with an unproven output
+    store runs in process by default, and on a pool worker under
+    ``supervised=True``."""
+    monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     kernel, tensors = _build(copy_problem, backend="c")
-    if not kernel.needs_guard:  # force the lint verdict if it proved all
-        class _Unproven:
-            proven = False
-        kernel.capacity_findings = [_Unproven()]
+
+    class _Unproven:
+        proven = False
+
+    monkeypatch.setattr(kernel, "capacity_findings", [_Unproven()])
     calls = []
     real = pool_mod.pooled
 
@@ -214,8 +220,10 @@ def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
         return real(*args, **kw)
 
     monkeypatch.setattr(pool_mod, "pooled", recording)
-    kernel.run(tensors, parallel=False)
-    assert calls, "needs_guard C kernel should have been supervised"
+    want = kernel.run(tensors, parallel=False).to_dict()
+    assert not calls, "no lint verdict supervises a call by itself"
+    assert kernel.run(tensors, parallel=False, supervised=True).to_dict() == want
+    assert calls, "supervised=True should have run on a pool worker"
 
 
 # ----------------------------------------------------------------------

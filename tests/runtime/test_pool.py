@@ -65,7 +65,7 @@ def _call(pool, kernel, tensors, **kw):
     refs = {name: shm.describe_tensor(t, shm.export_tensor(t, 0))
             for name, t in tensors.items()}
     dims = tuple(kernel.output.dims)
-    return pool.run_call(key, refs, dims, None, False, None, **kw)
+    return pool.run_call(key, refs, dims, None, **kw)
 
 
 def test_run_call_returns_correct_result(small_pool):

@@ -373,7 +373,7 @@ PRECEDENCE = [
     ("supervised", dict(SHARD, supervised=True), {}, {"REPRO_SUPERVISE": "0"},
      True),
     ("supervised", SHARD, {}, {"REPRO_SUPERVISE": "1"}, True),
-    ("supervised", SHARD, {}, {}, False),     # auto: Python-backed
+    ("supervised", SHARD, {}, {}, False),
     ("deadline", dict(SUP, deadline=2.5), {}, {"REPRO_KERNEL_DEADLINE": "9"},
      2.5),
     ("deadline", SUP, {}, {"REPRO_KERNEL_DEADLINE": "9"}, 9.0),

@@ -112,6 +112,10 @@ def test_dims_default_to_coordinate_hull():
     (lambda d: d.update(semiring="imaginary"), "unknown semiring"),
     (lambda d: d.update(operands=[]), "operands"),
     (lambda d: d.update(capacity="lots"), "capacity"),
+    # JSON ``true`` is a Python int; a reservation holds at least one entry
+    (lambda d: d.update(capacity=True), "capacity must be a positive integer"),
+    (lambda d: d.update(capacity=-1), "capacity must be a positive integer"),
+    (lambda d: d.update(capacity=0), "capacity must be a positive integer"),
     (lambda d: d.update(deadline_ms="soon"), "deadline_ms"),
     (lambda d: d["operands"][0]["entries"].append([[1], 2.0]), "rank"),
     # the entry list is client input: nothing in it is coerced
@@ -160,6 +164,17 @@ def test_malformed_einsum_raises_query_error(mutate, fragment):
     with pytest.raises((QueryError, ValueError)) as info:
         prepare_request(doc)
     assert fragment.lower() in str(info.value).lower()
+
+
+def test_any_positive_capacity_returns_the_default_result():
+    """A reservation sizes only the first run: one entry reruns at the
+    counted size, and 10**13 is cut to the output's dense size."""
+    csr = dict(seed=5, output_formats=["dense", "sparse"])
+    want = prepare_request(einsum_query(**csr)).execute(Budget(30.0))
+    assert want["nnz"] > 1
+    for capacity in (1, 10**13):
+        doc = einsum_query(capacity=capacity, **csr)
+        assert prepare_request(doc).execute(Budget(30.0)) == want
 
 
 def test_sql_prepare_and_execute():

@@ -50,6 +50,21 @@ def test_matmul(A):
                        to_dense(A, (N, N)) @ to_dense(B, (N, N)))
 
 
+def test_matmul_output_past_the_old_capacity_guess():
+    """1,200 output entries: more than the 1,024 a capacity guess from
+    nnz(A) once reserved, and the default reservation holds them."""
+    rows, n = 4, 300
+    A = Tensor.from_entries(("i", "k"), ("dense", "sparse"), (rows, n),
+                            {(i, 7 * i): 1.0 + i for i in range(rows)}, FLOAT)
+    B = Tensor.from_entries(("k", "j"), ("dense", "sparse"), (n, n),
+                            {(7 * i, j): float(j % 5 + 1)
+                             for i in range(rows) for j in range(n)}, FLOAT)
+    C = linalg.matmul(A, B)
+    assert C.nnz == rows * n
+    assert np.allclose(to_dense(C, (rows, n)),
+                       to_dense(A, (rows, n)) @ to_dense(B, (n, n)))
+
+
 def test_inner_and_frobenius(A):
     B = sparse_matrix(N, N, 0.25, attrs=("i", "j"), seed=6)
     got = linalg.inner(A, B)
