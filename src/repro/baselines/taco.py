@@ -6,19 +6,21 @@ per-row two-pointer merge loops for co-iteration (TACO skips by
 incrementing, not binary search) and dense row workspaces for matmul
 assembly [Kjolstad et al. 2019].  The C sources are compiled with the
 same gcc pipeline as Etch kernels, so comparisons measure loop
-strategy, not toolchain differences.
+strategy, not toolchain differences.  Like TACO's, each kernel reads
+a ``crd`` at the width its tensor stores (32 bits when the dimension
+fits), and writes its output's at the width of the output dimension.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.compiler.codegen_c import CKernel
-from repro.compiler.formats import Param
+from repro.compiler.codegen_c import CKernel, c_name
+from repro.compiler.formats import Param, crd_ctype
 from repro.compiler.ir import TFLOAT, TINT
-from repro.data.tensor import Tensor
+from repro.data.tensor import Tensor, crd_dtype
 from repro.semirings.instances import FLOAT
 
 _PRELUDE = """#include <stdint.h>
@@ -33,19 +35,31 @@ static int _cmp_i64(const void* a, const void* b) {
 """
 
 
+#: each kernel, built on first use for each combination of crd widths
+_KERNELS: Dict[Tuple[str, Tuple[str, ...]], CKernel] = {}
+
+
 def _kernel(name: str, params, body: str) -> CKernel:
-    sig = ", ".join(
-        (f"int64_t* {p.name}" if p.ctype == TINT else f"double* {p.name}")
-        if p.kind == "array"
-        else f"int64_t {p.name}"
-        for p in params
-    )
-    source = f"{_PRELUDE}\nvoid {name}({sig}) {{\n{body}\n}}\n"
-    return CKernel(source, name, params)
+    key = (name, tuple(p.ctype for p in params))
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        sig = ", ".join(
+            f"{c_name(p.ctype)}* {p.name}" if p.kind == "array"
+            else f"int64_t {p.name}"
+            for p in params
+        )
+        source = f"{_PRELUDE}\nvoid {name}({sig}) {{\n{body}\n}}\n"
+        kernel = _KERNELS[key] = CKernel(source, name, params)
+    return kernel
 
 
 def _arr(name, t=TINT):
     return Param(name, "array", t)
+
+
+def _crd(name, crd: np.ndarray):
+    """A ``crd`` parameter at the width of the array passed for it."""
+    return Param(name, "array", crd_ctype(crd.dtype))
 
 
 def _scl(name):
@@ -55,17 +69,12 @@ def _scl(name):
 # ----------------------------------------------------------------------
 # SpMV: y(i) = Σ_j A(i,j) x(j), A in CSR, x/y dense
 # ----------------------------------------------------------------------
-_spmv_kernel = None
-
-
 def spmv(A: Tensor, x: np.ndarray) -> np.ndarray:
-    global _spmv_kernel
-    if _spmv_kernel is None:
-        _spmv_kernel = _kernel(
-            "taco_spmv",
-            [_arr("A_pos"), _arr("A_crd"), _arr("A_vals", TFLOAT),
-             _arr("x", TFLOAT), _arr("y", TFLOAT), _scl("n")],
-            """
+    kernel = _kernel(
+        "taco_spmv",
+        [_arr("A_pos"), _crd("A_crd", A.crd[1]), _arr("A_vals", TFLOAT),
+         _arr("x", TFLOAT), _arr("y", TFLOAT), _scl("n")],
+        """
   for (int64_t i = 0; i < n; i++) {
     double t = 0.0;
     for (int64_t p = A_pos[i]; p < A_pos[i+1]; p++)
@@ -73,10 +82,10 @@ def spmv(A: Tensor, x: np.ndarray) -> np.ndarray:
     y[i] = t;
   }
 """,
-        )
+    )
     n = A.dims[0]
     y = np.zeros(n, dtype=np.float64)
-    _spmv_kernel({
+    kernel({
         "A_pos": A.pos[1], "A_crd": A.crd[1],
         "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
         "x": np.ascontiguousarray(x, dtype=np.float64), "y": y, "n": n,
@@ -87,19 +96,20 @@ def spmv(A: Tensor, x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # add: C(i,j) = A(i,j) + B(i,j), all CSR — TACO's two-way merge loop
 # ----------------------------------------------------------------------
-_add_kernel = None
-
-
 def add(A: Tensor, B: Tensor) -> Tensor:
-    global _add_kernel
-    if _add_kernel is None:
-        _add_kernel = _kernel(
-            "taco_add",
-            [_arr("A_pos"), _arr("A_crd"), _arr("A_vals", TFLOAT),
-             _arr("B_pos"), _arr("B_crd"), _arr("B_vals", TFLOAT),
-             _arr("C_pos"), _arr("C_crd"), _arr("C_vals", TFLOAT),
-             _arr("out_size"), _scl("n")],
-            """
+    n = A.dims[0]
+    cap = len(A.vals) + len(B.vals)
+    C_pos = np.zeros(n + 1, dtype=np.int64)
+    C_crd = np.zeros(max(cap, 1), dtype=crd_dtype(A.dims[1]))
+    C_vals = np.zeros(max(cap, 1), dtype=np.float64)
+    size = np.zeros(1, dtype=np.int64)
+    kernel = _kernel(
+        "taco_add",
+        [_arr("A_pos"), _crd("A_crd", A.crd[1]), _arr("A_vals", TFLOAT),
+         _arr("B_pos"), _crd("B_crd", B.crd[1]), _arr("B_vals", TFLOAT),
+         _arr("C_pos"), _crd("C_crd", C_crd), _arr("C_vals", TFLOAT),
+         _arr("out_size"), _scl("n")],
+        """
   int64_t nnz = 0;
   C_pos[0] = 0;
   for (int64_t i = 0; i < n; i++) {
@@ -121,14 +131,8 @@ def add(A: Tensor, B: Tensor) -> Tensor:
   }
   out_size[0] = nnz;
 """,
-        )
-    n = A.dims[0]
-    cap = len(A.vals) + len(B.vals)
-    C_pos = np.zeros(n + 1, dtype=np.int64)
-    C_crd = np.zeros(max(cap, 1), dtype=np.int64)
-    C_vals = np.zeros(max(cap, 1), dtype=np.float64)
-    size = np.zeros(1, dtype=np.int64)
-    _add_kernel({
+    )
+    kernel({
         "A_pos": A.pos[1], "A_crd": A.crd[1],
         "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
         "B_pos": B.pos[1], "B_crd": B.crd[1],
@@ -138,24 +142,19 @@ def add(A: Tensor, B: Tensor) -> Tensor:
     })
     nnz = int(size[0])
     return Tensor(A.attrs, ("dense", "sparse"), A.dims,
-                  {1: C_pos}, {1: C_crd[:nnz]}, C_vals[:nnz], FLOAT)
+                  {1: C_pos}, {1: C_crd[:nnz]}, C_vals[:nnz], FLOAT, check=False)
 
 
 # ----------------------------------------------------------------------
 # inner: Σ_ij A(i,j) B(i,j), both CSR — per-row two-pointer merge
 # ----------------------------------------------------------------------
-_inner_kernel = None
-
-
 def inner(A: Tensor, B: Tensor) -> float:
-    global _inner_kernel
-    if _inner_kernel is None:
-        _inner_kernel = _kernel(
-            "taco_inner",
-            [_arr("A_pos"), _arr("A_crd"), _arr("A_vals", TFLOAT),
-             _arr("B_pos"), _arr("B_crd"), _arr("B_vals", TFLOAT),
-             _arr("out", TFLOAT), _scl("n")],
-            """
+    kernel = _kernel(
+        "taco_inner",
+        [_arr("A_pos"), _crd("A_crd", A.crd[1]), _arr("A_vals", TFLOAT),
+         _arr("B_pos"), _crd("B_crd", B.crd[1]), _arr("B_vals", TFLOAT),
+         _arr("out", TFLOAT), _scl("n")],
+        """
   double acc = 0.0;
   for (int64_t i = 0; i < n; i++) {
     int64_t pa = A_pos[i], pb = B_pos[i];
@@ -168,9 +167,9 @@ def inner(A: Tensor, B: Tensor) -> float:
   }
   out[0] = acc;
 """,
-        )
+    )
     out = np.zeros(1, dtype=np.float64)
-    _inner_kernel({
+    kernel({
         "A_pos": A.pos[1], "A_crd": A.crd[1],
         "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
         "B_pos": B.pos[1], "B_crd": B.crd[1],
@@ -184,20 +183,32 @@ def inner(A: Tensor, B: Tensor) -> float:
 # mmul: C = A·B, all CSR — linear combination of rows with a dense
 # workspace per row (the TACO workspaces kernel)
 # ----------------------------------------------------------------------
-_mmul_kernel = None
-
-
 def mmul(A: Tensor, B: Tensor) -> Tensor:
-    global _mmul_kernel
-    if _mmul_kernel is None:
-        _mmul_kernel = _kernel(
-            "taco_mmul",
-            [_arr("A_pos"), _arr("A_crd"), _arr("A_vals", TFLOAT),
-             _arr("B_pos"), _arr("B_crd"), _arr("B_vals", TFLOAT),
-             _arr("C_pos"), _arr("C_crd"), _arr("C_vals", TFLOAT),
-             _arr("w", TFLOAT), _arr("wlist"), _arr("wmask"),
-             _arr("out_size"), _scl("n")],
-            """
+    n = A.dims[0]
+    m = B.dims[1]
+    cap = n * m if n * m < (1 << 24) else (1 << 24)
+    env = {
+        "A_pos": A.pos[1], "A_crd": A.crd[1],
+        "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
+        "B_pos": B.pos[1], "B_crd": B.crd[1],
+        "B_vals": np.ascontiguousarray(B.vals, dtype=np.float64),
+        "C_pos": np.zeros(n + 1, dtype=np.int64),
+        "C_crd": np.zeros(cap, dtype=crd_dtype(m)),
+        "C_vals": np.zeros(cap, dtype=np.float64),
+        "w": np.zeros(m, dtype=np.float64),
+        "wlist": np.zeros(m, dtype=np.int64),
+        "wmask": np.zeros(m, dtype=np.int64),
+        "out_size": np.zeros(1, dtype=np.int64),
+        "n": n,
+    }
+    kernel = _kernel(
+        "taco_mmul",
+        [_arr("A_pos"), _crd("A_crd", A.crd[1]), _arr("A_vals", TFLOAT),
+         _arr("B_pos"), _crd("B_crd", B.crd[1]), _arr("B_vals", TFLOAT),
+         _arr("C_pos"), _crd("C_crd", env["C_crd"]), _arr("C_vals", TFLOAT),
+         _arr("w", TFLOAT), _arr("wlist"), _arr("wmask"),
+         _arr("out_size"), _scl("n")],
+        """
   int64_t nnz = 0;
   C_pos[0] = 0;
   for (int64_t i = 0; i < n; i++) {
@@ -220,29 +231,12 @@ def mmul(A: Tensor, B: Tensor) -> Tensor:
   }
   out_size[0] = nnz;
 """,
-        )
-    n = A.dims[0]
-    m = B.dims[1]
-    cap = n * m if n * m < (1 << 24) else (1 << 24)
-    env = {
-        "A_pos": A.pos[1], "A_crd": A.crd[1],
-        "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
-        "B_pos": B.pos[1], "B_crd": B.crd[1],
-        "B_vals": np.ascontiguousarray(B.vals, dtype=np.float64),
-        "C_pos": np.zeros(n + 1, dtype=np.int64),
-        "C_crd": np.zeros(cap, dtype=np.int64),
-        "C_vals": np.zeros(cap, dtype=np.float64),
-        "w": np.zeros(m, dtype=np.float64),
-        "wlist": np.zeros(m, dtype=np.int64),
-        "wmask": np.zeros(m, dtype=np.int64),
-        "out_size": np.zeros(1, dtype=np.int64),
-        "n": n,
-    }
-    _mmul_kernel(env)
+    )
+    kernel(env)
     nnz = int(env["out_size"][0])
     return Tensor(("i", "k"), ("dense", "sparse"), (n, m),
                   {1: env["C_pos"]}, {1: env["C_crd"][:nnz]},
-                  env["C_vals"][:nnz], FLOAT)
+                  env["C_vals"][:nnz], FLOAT, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -250,22 +244,38 @@ def mmul(A: Tensor, B: Tensor) -> Tensor:
 # row list by a two-pointer (linear) merge; Etch's binary-search skip
 # is the asymptotic improvement Section 8.1 reports
 # ----------------------------------------------------------------------
-_smul_kernel = None
-
-
 def smul(A: Tensor, B: Tensor) -> Tensor:
-    global _smul_kernel
-    if _smul_kernel is None:
-        _smul_kernel = _kernel(
-            "taco_smul",
-            [_arr("A_pos0"), _arr("A_crd0"), _arr("A_pos1"), _arr("A_crd1"),
-             _arr("A_vals", TFLOAT),
-             _arr("B_pos0"), _arr("B_crd0"), _arr("B_pos1"), _arr("B_crd1"),
-             _arr("B_vals", TFLOAT),
-             _arr("C_crd0"), _arr("C_pos1"), _arr("C_crd1"), _arr("C_vals", TFLOAT),
-             _arr("w", TFLOAT), _arr("wlist"), _arr("wmask"),
-             _arr("out_size")],
-            """
+    n = A.dims[0]
+    m = B.dims[1]
+    cap = min(n * m, 1 << 24)
+    row_cap = min(n, cap)
+    env = {
+        "A_pos0": A.pos[0], "A_crd0": A.crd[0], "A_pos1": A.pos[1],
+        "A_crd1": A.crd[1],
+        "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
+        "B_pos0": B.pos[0], "B_crd0": B.crd[0], "B_pos1": B.pos[1],
+        "B_crd1": B.crd[1],
+        "B_vals": np.ascontiguousarray(B.vals, dtype=np.float64),
+        "C_crd0": np.zeros(row_cap, dtype=crd_dtype(n)),
+        "C_pos1": np.zeros(row_cap + 1, dtype=np.int64),
+        "C_crd1": np.zeros(cap, dtype=crd_dtype(m)),
+        "C_vals": np.zeros(cap, dtype=np.float64),
+        "w": np.zeros(m, dtype=np.float64),
+        "wlist": np.zeros(m, dtype=np.int64),
+        "wmask": np.zeros(m, dtype=np.int64),
+        "out_size": np.zeros(2, dtype=np.int64),
+    }
+    kernel = _kernel(
+        "taco_smul",
+        [_arr("A_pos0"), _crd("A_crd0", A.crd[0]), _arr("A_pos1"),
+         _crd("A_crd1", A.crd[1]), _arr("A_vals", TFLOAT),
+         _arr("B_pos0"), _crd("B_crd0", B.crd[0]), _arr("B_pos1"),
+         _crd("B_crd1", B.crd[1]), _arr("B_vals", TFLOAT),
+         _crd("C_crd0", env["C_crd0"]), _arr("C_pos1"),
+         _crd("C_crd1", env["C_crd1"]), _arr("C_vals", TFLOAT),
+         _arr("w", TFLOAT), _arr("wlist"), _arr("wmask"),
+         _arr("out_size")],
+        """
   int64_t n0 = 0, nnz = 0;
   C_pos1[0] = 0;
   int64_t a_rows = A_pos0[1];
@@ -301,52 +311,28 @@ def smul(A: Tensor, B: Tensor) -> Tensor:
   out_size[0] = n0;
   out_size[1] = nnz;
 """,
-        )
-    n = A.dims[0]
-    m = B.dims[1]
-    cap = min(n * m, 1 << 24)
-    row_cap = min(n, cap)
-    env = {
-        "A_pos0": A.pos[0], "A_crd0": A.crd[0], "A_pos1": A.pos[1],
-        "A_crd1": A.crd[1],
-        "A_vals": np.ascontiguousarray(A.vals, dtype=np.float64),
-        "B_pos0": B.pos[0], "B_crd0": B.crd[0], "B_pos1": B.pos[1],
-        "B_crd1": B.crd[1],
-        "B_vals": np.ascontiguousarray(B.vals, dtype=np.float64),
-        "C_crd0": np.zeros(row_cap, dtype=np.int64),
-        "C_pos1": np.zeros(row_cap + 1, dtype=np.int64),
-        "C_crd1": np.zeros(cap, dtype=np.int64),
-        "C_vals": np.zeros(cap, dtype=np.float64),
-        "w": np.zeros(m, dtype=np.float64),
-        "wlist": np.zeros(m, dtype=np.int64),
-        "wmask": np.zeros(m, dtype=np.int64),
-        "out_size": np.zeros(2, dtype=np.int64),
-    }
-    _smul_kernel(env)
+    )
+    kernel(env)
     n0 = int(env["out_size"][0])
     nnz = int(env["out_size"][1])
     return Tensor(("i", "k"), ("sparse", "sparse"), (n, m),
                   {0: np.array([0, n0], dtype=np.int64), 1: env["C_pos1"][: n0 + 1]},
                   {0: env["C_crd0"][:n0], 1: env["C_crd1"][:nnz]},
-                  env["C_vals"][:nnz], FLOAT)
+                  env["C_vals"][:nnz], FLOAT, check=False)
 
 
 # ----------------------------------------------------------------------
 # MTTKRP: A(i,j) = Σ_kl B(i,k,l) C(k,j) D(l,j), B in CSF, C/D/A dense
 # ----------------------------------------------------------------------
-_mttkrp_kernel = None
-
-
 def mttkrp(B: Tensor, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    global _mttkrp_kernel
-    if _mttkrp_kernel is None:
-        _mttkrp_kernel = _kernel(
-            "taco_mttkrp",
-            [_arr("B_pos0"), _arr("B_crd0"), _arr("B_pos1"), _arr("B_crd1"),
-             _arr("B_pos2"), _arr("B_crd2"), _arr("B_vals", TFLOAT),
-             _arr("C", TFLOAT), _arr("D", TFLOAT), _arr("A", TFLOAT),
-             _scl("r")],
-            """
+    kernel = _kernel(
+        "taco_mttkrp",
+        [_arr("B_pos0"), _crd("B_crd0", B.crd[0]), _arr("B_pos1"),
+         _crd("B_crd1", B.crd[1]), _arr("B_pos2"), _crd("B_crd2", B.crd[2]),
+         _arr("B_vals", TFLOAT),
+         _arr("C", TFLOAT), _arr("D", TFLOAT), _arr("A", TFLOAT),
+         _scl("r")],
+        """
   for (int64_t q0 = 0; q0 < B_pos0[1]; q0++) {
     int64_t i = B_crd0[q0];
     for (int64_t q1 = B_pos1[q0]; q1 < B_pos1[q0+1]; q1++) {
@@ -360,11 +346,11 @@ def mttkrp(B: Tensor, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     }
   }
 """,
-        )
+    )
     r = C.shape[1]
     n = B.dims[0]
     A = np.zeros((n, r), dtype=np.float64)
-    _mttkrp_kernel({
+    kernel({
         "B_pos0": B.pos[0], "B_crd0": B.crd[0],
         "B_pos1": B.pos[1], "B_crd1": B.crd[1],
         "B_pos2": B.pos[2], "B_crd2": B.crd[2],

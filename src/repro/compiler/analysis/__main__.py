@@ -176,8 +176,8 @@ def report(name: str, kernel: Kernel) -> int:
         print("   stream properties: (no recipe; not analyzable post-hoc)")
     else:
         specs = {
-            var: TensorInput(var, attrs, formats, kernel.ops)
-            for var, attrs, formats in recipe.input_structure
+            var: TensorInput(var, attrs, formats, kernel.ops, crd_types)
+            for var, attrs, formats, crd_types in recipe.input_structure
         }
         sig, stream_findings = analyze_expr(
             recipe.expr, recipe.ctx, specs, recipe.semiring,

@@ -75,6 +75,7 @@ from repro.compiler.ir import (
     PWhile,
     TBOOL,
     TFLOAT,
+    TI32,
     TINT,
 )
 from repro.errors import IRVerifyError
@@ -119,14 +120,16 @@ class VerifyContext:
         cls, params: Sequence[object], decls: Sequence[EVar]
     ) -> "VerifyContext":
         """Build a context from kernel ``Param`` objects (anything with
-        ``name``/``kind``/``ctype``) plus the NameGen-declared locals."""
+        ``name``/``kind``/``ctype``) plus the NameGen-declared locals.
+        A 32-bit ``crd`` holds ``TINT`` values, which **P** reads and
+        stores at that type."""
         arrays: Dict[str, str] = {}
         scalars: Dict[str, str] = {}
         for p in params:
             name = getattr(p, "name")
             ctype = getattr(p, "ctype")
             if getattr(p, "kind") == "array":
-                arrays[name] = ctype
+                arrays[name] = TINT if ctype == TI32 else ctype
             else:
                 scalars[name] = ctype
         locals_: Dict[str, str] = {v.name: v.type for v in decls}

@@ -77,7 +77,9 @@ class KernelRecipe:
 
     expr: Expr
     ctx: TypeContext
-    input_structure: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...]
+    #: ``(var, attrs, formats, crd_types)`` per input
+    input_structure: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...],
+                                 Tuple[Optional[str], ...]], ...]
     output: Optional[OutputSpec]
     semiring: Semiring
     backend: str
@@ -96,8 +98,8 @@ class KernelRecipe:
             vectorize=self.vectorize, cache=cache,
         )
         specs: Dict[str, Union[TensorInput, FunctionInput]] = {
-            var: TensorInput(var, attrs, formats, builder.ops)
-            for var, attrs, formats in self.input_structure
+            var: TensorInput(var, attrs, formats, builder.ops, crd_types)
+            for var, attrs, formats, crd_types in self.input_structure
         }
         return builder.build(
             self.expr, specs, self.output, name=self.name,
@@ -271,7 +273,7 @@ class KernelBuilder:
                 )
         for var, binding in inputs.items():
             if isinstance(binding, Tensor):
-                specs[var] = TensorInput(var, binding.attrs, binding.formats, self.ops)
+                specs[var] = TensorInput.of(var, binding, self.ops)
             else:
                 specs[var] = binding
 
@@ -450,7 +452,8 @@ class KernelBuilder:
                 expr=expr,
                 ctx=self.ctx,
                 input_structure=tuple(
-                    (var, specs[var].attrs, specs[var].formats)
+                    (var, specs[var].attrs, specs[var].formats,
+                     specs[var].crd_types)
                     for var in sorted(specs)
                 ),
                 output=output,

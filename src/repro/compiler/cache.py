@@ -57,7 +57,7 @@ from repro import config
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
-CACHE_VERSION = 8  # v8: sums of dense levels and densely driven CSR rows lose their merge and fills
+CACHE_VERSION = 9  # v9: a crd array is 32-bit when its dimension fits
 
 #: tier 1's bound: about twice the largest working set a benchmark
 #: workload has (30 keys: ``lib_dispatch`` / ``lib_kernel``'s three
@@ -237,6 +237,7 @@ def _spec_signature(spec: Any) -> tuple:
             tuple(spec.formats),
             spec.ops.semiring.name,
             spec.ops.type,
+            spec.crd_types,
         )
     return ("opaque", repr(spec))
 

@@ -1,7 +1,8 @@
 """C code generation for the imperative IR **P** (Figure 2's output).
 
 Emits one kernel function per translation unit; arrays become typed
-pointers and scalar parameters ``int64_t`` values.  Compiled with
+pointers (a ``crd`` at the width its tensor stores) and scalar
+parameters ``int64_t`` values.  Compiled with
 ``gcc -O3`` into a shared object and invoked through ctypes — the same
 pipeline shape as the paper's Lean → C → Clang -O3 evaluation.  A
 kernel that sorts calls ``_sort_i64`` from the runtime, a second shared
@@ -20,8 +21,8 @@ import shutil
 import subprocess
 import tempfile
 import weakref
-from ctypes import CDLL, POINTER, c_bool, c_double, c_int64
-from typing import Dict, List, Sequence, Set
+from ctypes import CDLL, POINTER, c_bool, c_double, c_int32, c_int64
+from typing import Dict, List, Mapping, Sequence, Set
 
 import numpy as np
 
@@ -54,24 +55,39 @@ from repro.compiler.ir import (
     PWhile,
     TBOOL,
     TFLOAT,
+    TI32,
     TINT,
     c_type,
     eand,
 )
 
-_CTYPES = {TINT: c_int64, TFLOAT: c_double, TBOOL: c_bool}
-_NP_DTYPES = {TINT: np.int64, TFLOAT: np.float64, TBOOL: np.bool_}
+# a Param's element type: an IR type, or a 32-bit crd (TI32)
+_CTYPES = {TINT: c_int64, TI32: c_int32, TFLOAT: c_double, TBOOL: c_bool}
+_NP_DTYPES = {TINT: np.int64, TI32: np.int32, TFLOAT: np.float64, TBOOL: np.bool_}
+_C_NAMES = {TI32: "int32_t"}
 
 
 def np_dtype(t: str):
     return _NP_DTYPES[t]
 
 
-def emit_expr(e: E) -> str:
-    return _emit_expr(fold(e))
+def c_name(t: str) -> str:
+    """The C spelling of a ``Param``'s element type."""
+    return _C_NAMES.get(t) or c_type(t)
 
 
-def _emit_expr(e: E) -> str:
+def _gallop(t: str) -> str:
+    """The skip helper for a ``crd`` of element type ``t``."""
+    return f"_gallop{8 * np.dtype(_NP_DTYPES[t]).itemsize}"
+
+
+def emit_expr(e: E, widths: Mapping[str, str] = {}) -> str:
+    """``e`` as C; ``widths`` maps an array parameter to its element
+    type, for the loads that are narrower than the ``TINT`` they are."""
+    return _emit_expr(fold(e), widths)
+
+
+def _emit_expr(e: E, widths: Mapping[str, str]) -> str:
     if isinstance(e, EVar):
         return e.name
     if isinstance(e, ELit):
@@ -83,40 +99,50 @@ def _emit_expr(e: E) -> str:
             return repr(float(e.value))
         return str(int(e.value))
     if isinstance(e, EAccess):
-        return f"{e.array}[{_emit_expr(e.index)}]"
+        return f"{e.array}[{_emit_expr(e.index, widths)}]"
     if isinstance(e, EBinop):
-        a, b = _emit_expr(e.left), _emit_expr(e.right)
+        a, b = _emit_expr(e.left, widths), _emit_expr(e.right, widths)
         if e.op == "min":
             return f"(({a}) < ({b}) ? ({a}) : ({b}))"
         if e.op == "max":
             return f"(({a}) > ({b}) ? ({a}) : ({b}))"
         return f"({a} {e.op} {b})"
     if isinstance(e, EUnop):
-        return f"({e.op}{_emit_expr(e.operand)})"
+        return f"({e.op}{_emit_expr(e.operand, widths)})"
     if isinstance(e, ECond):
-        return f"({_emit_expr(e.cond)} ? {_emit_expr(e.then)} : {_emit_expr(e.els)})"
+        c, a, b = (_emit_expr(x, widths) for x in (e.cond, e.then, e.els))
+        return f"({c} ? {a} : {b})"
     if isinstance(e, ECall):
-        return e.op.c_expr(*[_emit_expr(a) for a in e.args])
+        # an Op takes the type it declares: a 32-bit crd load widens
+        return e.op.c_expr(*[
+            f"({c_type(t)}){_emit_expr(a, widths)}"
+            if isinstance(a, EAccess) and widths.get(a.array) == TI32
+            else _emit_expr(a, widths)
+            for a, t in zip(e.args, e.op.arg_types)
+        ])
     raise TypeError(f"cannot emit expression {e!r}")
 
 
-def emit_stmt(p: P, indent: int = 1) -> str:
+def emit_stmt(p: P, indent: int = 1, widths: Mapping[str, str] = {}) -> str:
+    """``p`` as C; ``widths`` as for :func:`emit_expr` (a binary
+    ``PSearch`` skips through its ``crd`` at that width)."""
     pad = "  " * indent
     if isinstance(p, PSkip):
         return ""
     if isinstance(p, PSeq):
-        return "\n".join(s for s in (emit_stmt(x, indent) for x in p.items) if s)
+        return "\n".join(s for s in (emit_stmt(x, indent, widths) for x in p.items) if s)
     if isinstance(p, PAssign):
-        return f"{pad}{p.var.name} = {emit_expr(p.expr)};"
+        return f"{pad}{p.var.name} = {emit_expr(p.expr, widths)};"
     if isinstance(p, PStore):
-        return f"{pad}{p.array}[{emit_expr(p.index)}] = {emit_expr(p.expr)};"
+        return f"{pad}{p.array}[{emit_expr(p.index, widths)}] = {emit_expr(p.expr, widths)};"
     if isinstance(p, PWhile):
-        body = emit_stmt(p.body, indent + 1)
-        return f"{pad}while ({emit_expr(p.cond)}) {{\n{body}\n{pad}}}"
+        body = emit_stmt(p.body, indent + 1, widths)
+        return f"{pad}while ({emit_expr(p.cond, widths)}) {{\n{body}\n{pad}}}"
     if isinstance(p, PIf):
-        out = f"{pad}if ({emit_expr(p.cond)}) {{\n{emit_stmt(p.then, indent + 1)}\n{pad}}}"
+        then = emit_stmt(p.then, indent + 1, widths)
+        out = f"{pad}if ({emit_expr(p.cond, widths)}) {{\n{then}\n{pad}}}"
         if p.els is not None and not isinstance(p.els, PSkip):
-            out += f" else {{\n{emit_stmt(p.els, indent + 1)}\n{pad}}}"
+            out += f" else {{\n{emit_stmt(p.els, indent + 1, widths)}\n{pad}}}"
         return out
     if isinstance(p, PComment):
         return f"{pad}/* {p.text} */"
@@ -127,12 +153,12 @@ def emit_stmt(p: P, indent: int = 1) -> str:
                 eand(EBinop("<", p.var, p.hi, TBOOL),
                      EBinop("<", EAccess(p.array, p.var, TINT), p.target, TBOOL)),
                 PAssign(p.var, EBinop("+", p.var, ELit(1, TINT), TINT)),
-            ), indent)
+            ), indent, widths)
         q = p.var.name
-        return (f"{pad}{q} = _skip_gal({p.array}, {q}, {emit_expr(p.hi)}, "
-                f"{emit_expr(p.target)});")
+        return (f"{pad}{q} = {_gallop(widths.get(p.array, TINT))}({p.array}, {q}, "
+                f"{emit_expr(p.hi, widths)}, {emit_expr(p.target, widths)});")
     if isinstance(p, PSort):
-        n = emit_expr(p.count)
+        n = emit_expr(p.count, widths)
         return f"{pad}_sort_i64({p.array}, {n}, {p.array} + {n});"
     raise TypeError(f"cannot emit statement {p!r}")
 
@@ -143,23 +169,24 @@ def emit_stmt(p: P, indent: int = 1) -> str:
 
 #: a binary ``PSearch``: gallop from ``q`` in doubling steps while the
 #: probe is below ``t``, then bisect the last step; always inlined, so a
-#: call costs what the pasted loops did
-_SKIP_GAL = """static inline __attribute__((always_inline)) int64_t _skip_gal(const int64_t* crd, int64_t q, int64_t hi, int64_t t) {
-  if (q < hi && crd[q] < t) {
+#: call costs what the pasted loops did.  One per ``crd`` width a kernel
+#: skips through, named by :func:`_gallop`
+_SKIP_GAL = """static inline __attribute__((always_inline)) int64_t {name}(const {crd}* crd, int64_t q, int64_t hi, int64_t t) {{
+  if (q < hi && crd[q] < t) {{
     int64_t step = 1;
-    while (q + step < hi && crd[q + step] < t) {
+    while (q + step < hi && crd[q + step] < t) {{
       q += step;
       step *= 2;
-    }
+    }}
     if (q + step < hi) hi = q + step;
     q++;
-    while (q < hi) {
+    while (q < hi) {{
       int64_t mid = (q + hi) / 2;
       if (crd[mid] < t) q = mid + 1; else hi = mid;
-    }
-  }
+    }}
+  }}
   return q;
-}"""
+}}"""
 
 #: ``PSort``, the runtime's one function: insertion sort for short
 #: lists, else LSD radix sort, 8 bits per pass through ``tmp`` (the
@@ -202,11 +229,13 @@ _SORT_PROTO = "void _sort_i64(int64_t*, int64_t, int64_t*);"
 _OP_INCLUDES = ("math.h", "stdlib.h", "string.h")
 
 
-def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
+def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str],
+                     widths: Mapping[str, str]) -> None:
     """What ``p`` needs ahead of the kernel function: ``<math.h>`` for
     an infinite literal (``INFINITY``), the sort's prototype for a
-    ``PSort``, the skip for a galloping ``PSearch``, and for a user
-    ``Op`` its ``c_header`` and :data:`_OP_INCLUDES`."""
+    ``PSort``, the skip at its ``crd``'s width for a galloping
+    ``PSearch``, and for a user ``Op`` its ``c_header`` and
+    :data:`_OP_INCLUDES`."""
 
     def walk_e(e: E) -> None:
         if isinstance(e, ELit):
@@ -222,11 +251,12 @@ def _collect_prelude(p: P, includes: Set[str], helpers: Dict[str, str]) -> None:
     for e in stmt_exprs(p):
         walk_e(e)
     for sub in substatements(p):
-        _collect_prelude(sub, includes, helpers)
+        _collect_prelude(sub, includes, helpers, widths)
     if isinstance(p, PSort):
         helpers["_sort_i64"] = _SORT_PROTO
     elif isinstance(p, PSearch) and p.strategy == "binary":
-        helpers["_skip_gal"] = _SKIP_GAL
+        t = widths.get(p.array, TINT)
+        helpers[_gallop(t)] = _SKIP_GAL.format(name=_gallop(t), crd=c_name(t))
 
 
 def emit_kernel_source(
@@ -239,17 +269,18 @@ def emit_kernel_source(
     is included only if a statement of ``body`` needs it."""
     includes: Set[str] = set()
     helpers: Dict[str, str] = {}
-    _collect_prelude(body, includes, helpers)
+    widths = {p.name: p.ctype for p in params if p.kind == "array"}
+    _collect_prelude(body, includes, helpers, widths)
     sig_parts = []
     for param in params:
         if param.kind == "array":
-            sig_parts.append(f"{c_type(param.ctype)}* {param.name}")
+            sig_parts.append(f"{c_name(param.ctype)}* {param.name}")
         else:
-            sig_parts.append(f"{c_type(param.ctype)} {param.name}")
+            sig_parts.append(f"{c_name(param.ctype)} {param.name}")
     function = "\n".join(
         [f"void {name}({', '.join(sig_parts)}) {{"]
         + [f"  {c_type(v.type)} {v.name} = 0;" for v in decls]
-        + [emit_stmt(body), "}"]
+        + [emit_stmt(body, 1, widths), "}"]
     )
     include_lines = "\n".join(
         f"#include <{h}>" for h in ["stdint.h", "stdbool.h", *sorted(includes)]

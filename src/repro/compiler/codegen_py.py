@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from repro.compiler.formats import Param
+from repro.compiler.formats import Param, widened
 from repro.errors import CompileError
 from repro.compiler.ir import (
     E,
@@ -554,6 +554,7 @@ class PyKernel:
         self.name = name
         self.params = list(params)
         self._param_names = [p.name for p in self.params]
+        self._widen = widened(self.params)
         namespace: Dict[str, object] = {
             "_inf": math.inf, "_np": np, "_chk": _CheckedArray,
             "_bisect": bisect_left,
@@ -572,4 +573,9 @@ class PyKernel:
             ) from exc
 
     def __call__(self, env: Dict[str, object]) -> None:
-        self._fn(*map(env.__getitem__, self._param_names))
+        args = map(env.__getitem__, self._param_names)
+        if self._widen:
+            args = list(args)
+            for i in self._widen:
+                args[i] = args[i].astype(np.int64)
+        self._fn(*args)

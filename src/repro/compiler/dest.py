@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.compiler.analysis.intervals import ArrayContract
-from repro.compiler.formats import Param
+from repro.compiler.formats import Param, crd_ctype
 from repro.compiler.ir import (
     E,
     EAccess,
@@ -40,6 +40,7 @@ from repro.compiler.ir import (
 )
 from repro.compiler.scalars import ScalarOps
 from repro.compiler.sstream import is_sstream
+from repro.data.tensor import crd_dtype
 from repro.errors import ShapeError
 from repro.streams.base import STAR
 
@@ -512,6 +513,11 @@ def build_dest(output: Optional[OutputSpec], ops: ScalarOps, ng: NameGen, worksp
     cap = EVar("out_cap", TINT)
     cap_params = [Param("out_cap", "scalar", TINT)]
 
+    def crd_param(k: int) -> Param:
+        # the width of the compiled dimension: a shard's output window
+        # is narrower, so it writes the same arrays the merge joins
+        return Param(f"out_crd{k}", "array", crd_ctype(crd_dtype(output.dims[k])))
+
     def leaf_dest(crd: str, counter):
         if workspace:
             return WorkspaceLeafDest(
@@ -524,7 +530,7 @@ def build_dest(output: Optional[OutputSpec], ops: ScalarOps, ng: NameGen, worksp
         n = ng.fresh("on", TINT)
         dest = leaf_dest("out_crd0", n)
         params = [
-            Param("out_crd0", "array", TINT),
+            crd_param(0),
             Param("out_vals", "array", vtype),
             Param("out_size", "array", TINT),
         ] + cap_params + (ws_params if workspace else [])
@@ -536,7 +542,7 @@ def build_dest(output: Optional[OutputSpec], ops: ScalarOps, ng: NameGen, worksp
         params = [
             Param("out_dim0", "scalar", TINT),
             Param("out_pos1", "array", TINT),
-            Param("out_crd1", "array", TINT),
+            crd_param(1),
             Param("out_vals", "array", vtype),
             Param("out_size", "array", TINT),
         ] + cap_params + (ws_params if workspace else [])
@@ -550,9 +556,9 @@ def build_dest(output: Optional[OutputSpec], ops: ScalarOps, ng: NameGen, worksp
             EVar("out_row_cap", TINT),
         )
         params = [
-            Param("out_crd0", "array", TINT),
+            crd_param(0),
             Param("out_pos1", "array", TINT),
-            Param("out_crd1", "array", TINT),
+            crd_param(1),
             Param("out_vals", "array", vtype),
             Param("out_size", "array", TINT),
         ] + cap_params + [Param("out_row_cap", "scalar", TINT)] + (

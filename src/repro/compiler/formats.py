@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.compiler.ir import (
     E,
     EAccess,
@@ -21,6 +23,7 @@ from repro.compiler.ir import (
     EVar,
     NameGen,
     Op,
+    TI32,
     TINT,
     ilit,
 )
@@ -43,11 +46,30 @@ class Param:
     ctype: str      # element type for arrays, value type for scalars
 
 
+def crd_ctype(dtype) -> str:
+    """The ``Param`` element type of a ``crd`` array of numpy ``dtype``,
+    whose width :func:`repro.data.tensor.crd_dtype` chose."""
+    return TI32 if np.dtype(dtype).itemsize == 4 else TINT
+
+
+def widened(params: Sequence[Param]) -> List[int]:
+    """The positions of the 32-bit ``crd`` operands a Python-run kernel
+    reads as an int64 copy: NumPy keeps an int32 scalar's width through
+    arithmetic (``k * dim`` would wrap where C promotes), so the
+    Python backend and the interpreter compute on the width **P**
+    declares.  An output ``crd`` is only stored into, in place."""
+    return [i for i, p in enumerate(params)
+            if p.ctype == TI32 and not p.name.startswith("out_")]
+
+
 class TensorInput:
     """A tensor-shaped variable binding (formats, not data).
 
-    Only the *structure* (attrs, formats, value type) is needed to
-    build the kernel; the actual arrays are supplied at run time.
+    Only the *structure* (attrs, formats, value type, the width of
+    each ``crd``) is needed to build the kernel; the actual arrays are
+    supplied at run time.  ``crd_types`` holds each level's ``crd``
+    element type (None at a dense level); left out, every sparse level
+    is 32-bit, the width of any dimension below 2**31.
     """
 
     def __init__(
@@ -56,11 +78,24 @@ class TensorInput:
         attrs: Sequence[str],
         formats: Sequence[str],
         ops: ScalarOps,
+        crd_types: Optional[Sequence[Optional[str]]] = None,
     ) -> None:
         self.name = name
         self.attrs = tuple(attrs)
         self.formats = tuple(formats)
         self.ops = ops
+        self.crd_types = tuple(
+            crd_types if crd_types is not None
+            else (TI32 if f == "sparse" else None for f in self.formats)
+        )
+
+    @classmethod
+    def of(cls, name: str, tensor, ops: ScalarOps) -> "TensorInput":
+        """The binding of ``tensor``, at the width of each of its ``crd``."""
+        return cls(name, tensor.attrs, tensor.formats, ops, tuple(
+            crd_ctype(tensor.crd[k].dtype) if f == "sparse" else None
+            for k, f in enumerate(tensor.formats)
+        ))
 
     @property
     def rank(self) -> int:
@@ -88,7 +123,7 @@ class TensorInput:
         for k, fmt in enumerate(self.formats):
             if fmt == "sparse":
                 out.append(Param(f"{self.name}_pos{k}", "array", TINT))
-                out.append(Param(f"{self.name}_crd{k}", "array", TINT))
+                out.append(Param(f"{self.name}_crd{k}", "array", self.crd_types[k]))
             else:
                 out.append(Param(f"{self.name}_dim{k}", "scalar", TINT))
         out.append(Param(f"{self.name}_vals", "array", self.ops.type))

@@ -13,6 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict
 
+import numpy as np
+
 from repro.compiler.ir import (
     E,
     EAccess,
@@ -34,6 +36,7 @@ from repro.compiler.ir import (
     PWhile,
     TINT,
 )
+from repro.compiler.formats import widened
 
 MachineState = Dict[str, Any]
 
@@ -152,9 +155,12 @@ class InterpKernel:
         # 0 and the parameter-name list never changes
         self._base_state: MachineState = {v.name: 0 for v in self.decls}
         self._param_names = [p.name for p in self.params]
+        self._widen = [self._param_names[i] for i in widened(self.params)]
 
     def __call__(self, env: Dict[str, Any]) -> None:
         state = dict(self._base_state)
         for name in self._param_names:
             state[name] = env[name]
+        for name in self._widen:
+            state[name] = state[name].astype(np.int64)
         run_stmt(self.body, state)

@@ -25,6 +25,10 @@ TBOOL = "bool"
 #: every valid IR scalar type
 IR_TYPES = (TINT, TFLOAT, TBOOL)
 
+#: the element type of a 32-bit ``crd`` array — a ``Param`` ctype, not
+#: an IR type: a load from such an array is a ``TINT`` like any other
+TI32 = "int32"
+
 _C_TYPES = {TINT: "int64_t", TFLOAT: "double", TBOOL: "bool"}
 
 

@@ -25,7 +25,7 @@ from repro.compiler.formats import FunctionInput, Param, TensorInput
 from repro.compiler.ir import EVar
 from repro.compiler.resilience import logger
 from repro.compiler.scalars import ScalarOps
-from repro.data.tensor import Tensor
+from repro.data.tensor import Tensor, crd_dtype
 from repro.errors import CapacityError, ShapeError
 
 
@@ -81,6 +81,10 @@ class Kernel:
         self.name = name
         self._kernel = backend_kernel
         self.params = list(params)
+        #: the element type of each array parameter (a ``crd`` is at
+        #: the width it was compiled for)
+        self._dtypes = {p.name: np.dtype(codegen_c.np_dtype(p.ctype))
+                        for p in self.params if p.kind == "array"}
         self.input_specs = input_specs
         self.output = output
         self.ops = ops
@@ -221,6 +225,13 @@ class Kernel:
             raise ShapeError(
                 f"expected {len(self.output.dims)} output dims, got {len(dims)}"
             )
+        for k, d in enumerate(dims):
+            width = self._dtypes.get(f"out_crd{k}")
+            if width is not None and crd_dtype(d).itemsize > width.itemsize:
+                raise ShapeError(
+                    f"output level {k} of dimension {d} needs a wider crd "
+                    f"than the {width} the kernel was compiled for"
+                )
         return self._view(
             output=OutputSpec(self.output.attrs, self.output.formats, dims)
         )
@@ -240,7 +251,14 @@ class Kernel:
             for k, fmt in enumerate(spec.formats):
                 if fmt == "sparse":
                     env[f"{name}_pos{k}"] = np.ascontiguousarray(tensor.pos[k], dtype=np.int64)
-                    env[f"{name}_crd{k}"] = np.ascontiguousarray(tensor.crd[k], dtype=np.int64)
+                    # read in place at the width compiled for, never cast
+                    crd, want = tensor.crd[k], self._dtypes[f"{name}_crd{k}"]
+                    if crd.dtype != want:
+                        raise ShapeError(
+                            f"tensor for {name!r} stores crd{k} as {crd.dtype}, "
+                            f"the kernel reads {want}: build it for this tensor"
+                        )
+                    env[f"{name}_crd{k}"] = np.ascontiguousarray(crd)
                 else:
                     env[f"{name}_dim{k}"] = int(tensor.dims[k])
             env[f"{name}_vals"] = np.ascontiguousarray(
@@ -320,17 +338,19 @@ class Kernel:
         env["out_vals"] = _reserve(cap, dtype)
         # a few bytes the wrapper reads back: a size is never garbage
         env["out_size"] = np.zeros(2 if dcsr else 1, dtype=np.int64)
+        # each crd at the width of the compiled dimension
+        crd = self._dtypes
         if out.formats == ("sparse",):
-            env["out_crd0"] = _reserve(cap, np.int64)
+            env["out_crd0"] = _reserve(cap, crd["out_crd0"])
         elif dcsr:
             rows = env["out_row_cap"] = min(out.dims[0], cap)
-            env["out_crd0"] = _reserve(rows, np.int64)
+            env["out_crd0"] = _reserve(rows, crd["out_crd0"])
             env["out_pos1"] = _reserve(rows + 1, np.int64)
-            env["out_crd1"] = _reserve(cap, np.int64)
+            env["out_crd1"] = _reserve(cap, crd["out_crd1"])
         else:
             env["out_dim0"] = int(out.dims[0])
             env["out_pos1"] = _reserve(out.dims[0] + 1, np.int64)
-            env["out_crd1"] = _reserve(cap, np.int64)
+            env["out_crd1"] = _reserve(cap, crd["out_crd1"])
         if self.ws_dim is not None:
             env["out_ws_vals"] = _reserve(self.ws_dim, dtype)
             # tested against 0 before a coordinate's first touch
@@ -371,7 +391,8 @@ class Kernel:
                 )
             pos = {0: np.array([0, n0], dtype=np.int64), 1: env["out_pos1"][: n0 + 1]}
             crd = {0: env["out_crd0"][:n0], 1: env["out_crd1"][:n]}
-        return Tensor(out.attrs, out.formats, out.dims, pos, crd, env["out_vals"][:n], sr)
+        return Tensor(out.attrs, out.formats, out.dims, pos, crd,
+                      env["out_vals"][:n], sr, check=False)
 
 
 class BoundKernel:

@@ -3,6 +3,9 @@
 The construction algorithm is the standard one: sort the coordinates
 lexicographically in level order, then derive each level's pos/crd
 arrays by run detection — fully vectorized with numpy.
+
+A level's ``crd`` is 32 bits wide when its dimension fits and 64 bits
+otherwise (:func:`crd_dtype`, the one place the width is decided).
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ class Tensor:
     formats:
         ``"dense"`` or ``"sparse"`` per level.
     dims:
-        Dimension per level (needed by dense levels; informative for
-        sparse ones).
+        Dimension per level: a dense level's extent, a sparse level's
+        coordinate bound (every ``crd[k]`` lies in ``[0, dims[k])``).
     pos, crd:
         Per sparse level ``k``: ``pos[k]`` (int64, one entry per parent
-        slot + 1) and ``crd[k]`` (int64).
+        slot + 1) and ``crd[k]``, of :func:`crd_dtype` ``(dims[k])`` —
+        int32 when the dimension is below 2**31, else int64.
     vals:
         The value array (one entry per leaf slot).
     """
@@ -51,13 +55,25 @@ class Tensor:
         crd: Mapping[int, np.ndarray],
         vals: np.ndarray,
         semiring: Semiring = FLOAT,
+        *,
+        check: bool = True,
     ) -> None:
+        """``crd`` is where coordinates enter: each level's is checked
+        against its dimension (a ``ValueError`` naming the level) and
+        stored at :func:`crd_dtype` — an array already at that width is
+        taken without a copy.  ``check=False`` is for arrays derived
+        from checked ones (a kernel's output, a slice, a merge of
+        partials, a shared-memory import): they are taken as they are,
+        at the width their coordinates were entered at."""
         _check_levels(attrs, formats, dims)
         self.attrs = tuple(attrs)
         self.formats = tuple(formats)
         self.dims = tuple(int(d) for d in dims)
         self.pos = {k: np.asarray(p, dtype=np.int64) for k, p in pos.items()}
-        self.crd = {k: np.asarray(c, dtype=np.int64) for k, c in crd.items()}
+        self.crd = {
+            k: _entered(c, self.dims[k], k) if check else np.asarray(c)
+            for k, c in crd.items()
+        }
         self.vals = np.asarray(vals)
         self.semiring = semiring
 
@@ -119,7 +135,7 @@ class Tensor:
             else:
                 new_run = np.ones(n, dtype=bool)
                 new_run[1:] = (slots[1:] != slots[:-1]) | (ck[1:] != ck[:-1])
-                crd[k] = ck[new_run]
+                crd[k] = ck[new_run].astype(crd_dtype(dims[k]))
                 counts = np.bincount(slots[new_run], minlength=parent_count)
                 pos[k] = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
                 slots = np.cumsum(new_run) - 1
@@ -137,7 +153,7 @@ class Tensor:
                 semiring.np_add.at(vals, slots[again], values[again])
             else:
                 _acc_generic(vals, slots[again], values[again], semiring)
-        return cls(attrs, formats, dims, pos, crd, vals, semiring)
+        return cls(attrs, formats, dims, pos, crd, vals, semiring, check=False)
 
     @classmethod
     def from_entries(
@@ -198,7 +214,8 @@ class Tensor:
                 s_lo, s_hi = base, int(pk[s_hi])
                 crd[k] = self.crd[k][s_lo:s_hi]
         vals = self.vals[s_lo:s_hi]
-        return Tensor(self.attrs, self.formats, dims, pos, crd, vals, self.semiring)
+        return Tensor(self.attrs, self.formats, dims, pos, crd, vals,
+                      self.semiring, check=False)
 
     def outer_weights(self) -> np.ndarray:
         """Leaf-slot count per outer *coordinate* (length ``dims[0]``).
@@ -250,6 +267,26 @@ class Tensor:
     def __repr__(self) -> str:
         fmts = ",".join(f"{a}:{f}" for a, f in zip(self.attrs, self.formats))
         return f"Tensor[{fmts}](dims={self.dims}, slots={self.nnz})"
+
+
+def crd_dtype(dim: int) -> np.dtype:
+    """The element type of a sparse level's ``crd`` over ``dim``
+    coordinates: int32 when every coordinate fits, else int64.  Decided
+    here and nowhere else; a kernel is compiled for the width of each
+    ``crd`` it reads and of each it writes (DESIGN.md "Data plane")."""
+    return np.dtype(np.int32 if dim < 2**31 else np.int64)
+
+
+def _entered(crd: Any, dim: int, level: int) -> np.ndarray:
+    """Level ``level``'s coordinates, checked against ``dim`` before
+    they are narrowed (a cast would wrap an out-of-range one)."""
+    crd = np.asarray(crd)
+    if crd.size and (crd.min() < 0 or crd.max() >= dim):
+        raise ValueError(
+            f"coordinate out of range at level {level}: crd[{level}] spans "
+            f"[{crd.min()}, {crd.max()}], the dimension is {dim}"
+        )
+    return crd.astype(crd_dtype(dim), copy=False)
 
 
 def _check_levels(attrs, formats, dims) -> None:

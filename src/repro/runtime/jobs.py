@@ -160,7 +160,7 @@ def _decode_partial(raw: bytearray, semiring) -> Any:
         return payload["value"]
     return Tensor(
         payload["attrs"], payload["formats"], payload["dims"],
-        payload["pos"], payload["crd"], payload["vals"], semiring,
+        payload["pos"], payload["crd"], payload["vals"], semiring, check=False,
     )
 
 

@@ -75,7 +75,7 @@ def _merge_free(kernel, plan: ShardPlan, partials: Sequence[Tensor]) -> Tensor:
         )
         vals = np.concatenate([p.vals for p in partials])
         pos = {0: np.array([0, len(crd)], dtype=np.int64)}
-        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd}, vals, sr)
+        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd}, vals, sr, check=False)
     if fmts == ("dense", "sparse"):
         pos1 = [np.zeros(1, dtype=np.int64)]
         offset = 0
@@ -86,7 +86,7 @@ def _merge_free(kernel, plan: ShardPlan, partials: Sequence[Tensor]) -> Tensor:
         vals = np.concatenate([p.vals for p in partials])
         return Tensor(
             out.attrs, fmts, out.dims,
-            {1: np.concatenate(pos1)}, {1: crd1}, vals, sr,
+            {1: np.concatenate(pos1)}, {1: crd1}, vals, sr, check=False,
         )
     if fmts == ("sparse", "sparse"):
         crd0 = np.concatenate(
@@ -103,7 +103,8 @@ def _merge_free(kernel, plan: ShardPlan, partials: Sequence[Tensor]) -> Tensor:
             0: np.array([0, len(crd0)], dtype=np.int64),
             1: np.concatenate(pos1),
         }
-        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd0, 1: crd1}, vals, sr)
+        return Tensor(out.attrs, fmts, out.dims, pos, {0: crd0, 1: crd1}, vals, sr,
+                      check=False)
     raise ShapeError(f"unsupported output formats {fmts} for shard merge")
 
 

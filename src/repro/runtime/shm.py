@@ -407,7 +407,7 @@ def _views(ref: TensorRef,
         ref.attrs, ref.formats, ref.dims,
         {k: arr(a) for k, a in ref.pos.items()},
         {k: arr(a) for k, a in ref.crd.items()},
-        arr(ref.vals), ref.semiring,
+        arr(ref.vals), ref.semiring, check=False,
     )
 
 

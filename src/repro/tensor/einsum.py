@@ -162,7 +162,7 @@ def plan_einsum(
             )
         relabeled = Tensor(
             want, tensor.formats, tensor.dims, tensor.pos, tensor.crd,
-            tensor.vals, tensor.semiring,
+            tensor.vals, tensor.semiring, check=False,
         )
         inputs[f"t{k}"] = relabeled
 

@@ -28,7 +28,8 @@ def _as_vector(x, attr: str, semiring: Semiring = FLOAT) -> Tensor:
         if x.order != 1:
             raise ShapeError(f"expected a vector, got {x!r}")
         if x.attrs != (attr,):
-            return Tensor((attr,), x.formats, x.dims, x.pos, x.crd, x.vals, x.semiring)
+            return Tensor((attr,), x.formats, x.dims, x.pos, x.crd, x.vals,
+                          x.semiring, check=False)
         return x
     arr = np.asarray(x, dtype=np.float64)
     return Tensor.from_coo(
@@ -38,7 +39,8 @@ def _as_vector(x, attr: str, semiring: Semiring = FLOAT) -> Tensor:
 def _relabel(t: Tensor, attrs: Sequence[str]) -> Tensor:
     if t.order != len(attrs):
         raise ShapeError(f"tensor {t!r} is not rank {len(attrs)}")
-    return Tensor(tuple(attrs), t.formats, t.dims, t.pos, t.crd, t.vals, t.semiring)
+    return Tensor(tuple(attrs), t.formats, t.dims, t.pos, t.crd, t.vals,
+                  t.semiring, check=False)
 
 
 def spmv(A: Tensor, x, backend: str = "c") -> Tensor:

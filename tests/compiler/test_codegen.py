@@ -18,7 +18,7 @@ from repro.compiler import codegen_c, codegen_py
 from repro.compiler.analysis.dataflow import program_size
 from repro.compiler.formats import Param
 from repro.compiler.interp import InterpKernel
-from repro.compiler.ir import PSearch, PSort, blit, ilit
+from repro.compiler.ir import TI32, PSearch, PSort, blit, ilit
 from repro.compiler.build import c_program, compile_kernel
 from repro.compiler.kernel import OutputSpec
 from repro.data import tensor_to_krelation
@@ -345,14 +345,17 @@ def _on_every_backend(name, params, decls, body, env):
     return envs
 
 
+@pytest.mark.parametrize("width", [TI32, TINT], ids=["int32", "int64"])
 @pytest.mark.parametrize("strategy", ["linear", "binary"])
-def test_search_meets_its_specification_on_every_backend(strategy):
+def test_search_meets_its_specification_on_every_backend(strategy, width):
     """``PSearch`` against ``bisect_left``: empty and inverted ranges,
     a variable already at or past the target, targets before the first
     element, at every element, between elements and past ``hi``, from
     starts that make the gallop stop on its first, a middle and its
-    last doubling."""
-    crd = np.cumsum(np.arange(1, 34) % 4 + 1).astype(np.int64)   # strictly increasing
+    last doubling — through a ``crd`` of either width (the skip is
+    emitted for the width it reads; a target past 2**31 compares as
+    the ``TINT`` it is)."""
+    crd = np.cumsum(np.arange(1, 34) % 4 + 1).astype(codegen_c.np_dtype(width))
     n = len(crd)
     targets = sorted({0, 10**12, *(int(c) + d for c in crd for d in (-1, 0, 1))})
     cases = [(q, hi, t) for q in (0, 1, 7, n - 2, n - 1, n)
@@ -372,8 +375,8 @@ def test_search_meets_its_specification_on_every_backend(strategy):
             PAssign(k, EBinop("+", k, ilit(1), TINT)),
         )),
     )
-    params = [Param("ncases", "scalar", TINT)] + [
-        Param(a, "array", TINT) for a in ("crd", "starts", "his", "targets", "out")]
+    params = [Param("ncases", "scalar", TINT), Param("crd", "array", width)] + [
+        Param(a, "array", TINT) for a in ("starts", "his", "targets", "out")]
     env = {"ncases": len(cases), "crd": crd, "starts": columns[0],
            "his": columns[1], "targets": columns[2],
            "out": np.full(len(cases), -1, dtype=np.int64)}

@@ -12,7 +12,7 @@ from repro.compiler.scalars import scalar_ops_for
 from repro.data import Tensor, tensor_to_krelation
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
-from repro.semirings import FLOAT
+from repro.semirings import FLOAT, INT
 from repro.workloads import sparse_matrix, sparse_vector
 
 N = 16
@@ -61,6 +61,28 @@ def test_function_input_two_attributes():
     got = kernel.run({"A": A})
     want = sum(v * (i * 10 + j) for (i, j), v in A.to_dict().items())
     assert abs(got - want) < 1e-9
+
+
+@pytest.mark.parametrize("backend", ["c", "python", "interp"])
+def test_op_arguments_are_the_int_they_declare(backend):
+    """An op takes 64-bit ``TINT`` arguments even where the crd they are
+    loaded from is 32-bit: ``i * j`` past 2**31 does not wrap (C casts
+    the load, the Python backend and the interpreter read a widened
+    copy)."""
+    ops = scalar_ops_for(INT)
+    prod = Op("prod", (TINT, TINT), TINT, spec=lambda i, j: i * j,
+              c_expr=lambda i, j: f"(({i}) * ({j}))")
+    g = FunctionInput("g", ("i", "j"), prod, ops)
+    n = 100_000
+    A = Tensor.from_coo(("i", "j"), ("sparse", "sparse"), (n, n),
+                        [[3, 5], [70_000, 90_000]], [1, 2], INT)
+    assert A.crd[0].dtype == A.crd[1].dtype == np.int32
+    ctx = TypeContext(Schema.of(i=None, j=None), {"A": {"i", "j"}, "g": {"i", "j"}})
+    kernel = compile_kernel(
+        Sum("i", Sum("j", Var("A") * Var("g"))), ctx, {"A": A, "g": g},
+        semiring=INT, backend=backend, name="fi_prod",
+    )
+    assert kernel.run({"A": A}) == 1 * 3 * 5 + 2 * 70_000 * 90_000
 
 
 def test_function_input_bounded_is_finite():

@@ -283,3 +283,84 @@ def test_bound_dense_output_is_cache_line_aligned(formats, dims):
     vals = kernel.bind({"x": x}).env["out_vals"]
     assert vals.size == int(np.prod(dims))
     assert vals.ctypes.data % 64 == 0
+
+
+# ----------------------------------------------------------------------
+# a crd is 32-bit when its dimension fits, 64-bit when it does not
+# ----------------------------------------------------------------------
+WIDE = 2**33
+WIDE_SCHEMA = Schema.of(i=None, j=None)
+
+
+def wide_vector(coords, vals):
+    return Tensor.from_coo(("j",), ("sparse",), (WIDE,), [[c] for c in coords],
+                           vals, INT)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("search", SEARCHES)
+def test_wide_coordinates_agree_with_truth(backend, search):
+    """A level of dimension 2**33 stores 64-bit coordinates, read and
+    written at that width: coordinates past 2**31 and 2**32 meet, merge
+    and come back unwrapped, in a scalar and a sparse output."""
+    x = wide_vector([0, 5, 2**32 + 7, WIDE - 2], [1, 2, 3, 4])
+    y = wide_vector([1, 5, 2**31, 2**32 + 7, WIDE - 1], [7, 11, 13, 17, 19])
+    assert x.crd[0].dtype == np.int64
+    ctx = TypeContext(WIDE_SCHEMA, {"x": {"j"}, "y": {"j"}})
+    tensors = {"x": x, "y": y}
+    bindings = {n: tensor_to_krelation(t, WIDE_SCHEMA) for n, t in tensors.items()}
+    dot = Sum("j", Var("x") * Var("y"))
+    kernel = compile_kernel(dot, ctx, tensors, backend=backend, search=search,
+                            name="e2e_wide_dot")
+    assert kernel.run(tensors) == denote(dot, ctx, bindings).total() == 73
+    out = OutputSpec(("j",), ("sparse",), (WIDE,))
+    kernel = compile_kernel(Var("x") + Var("y"), ctx, tensors, out,
+                            backend=backend, search=search, name="e2e_wide_add")
+    result = kernel.run(tensors, capacity=16)
+    assert result.crd[0].dtype == np.int64
+    assert tensor_to_krelation(result, WIDE_SCHEMA).equal(
+        denote(Var("x") + Var("y"), ctx, bindings))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_narrow_and_wide_levels_in_one_galloping_kernel(backend):
+    """``z`` is 32-bit, ``y`` 64-bit, and ``A`` one of each: the C
+    kernel skips through each at its own width."""
+    z = Tensor.from_coo(("i",), ("sparse",), (4,), [[0], [2], [3]], [2, 3, 5], INT)
+    A = Tensor.from_coo(("i", "j"), ("sparse", "sparse"), (4, WIDE),
+                        [[0, 1], [0, 2**32 + 7], [2, 5], [2, WIDE - 1], [3, 2**31]],
+                        [1, 2, 3, 4, 5], INT)
+    y = wide_vector([1, 5, 2**31, 2**32 + 7, WIDE - 1], [7, 11, 13, 17, 19])
+    assert (z.crd[0].dtype, A.crd[0].dtype, A.crd[1].dtype) == (np.int32, np.int32, np.int64)
+    ctx = TypeContext(WIDE_SCHEMA, {"z": {"i"}, "A": {"i", "j"}, "y": {"j"}})
+    tensors = {"z": z, "A": A, "y": y}
+    kernel = compile_kernel(Sum("i", Sum("j", Var("z") * Var("A") * Var("y"))), ctx,
+                            tensors, backend=backend, search="binary",
+                            name="e2e_mixed_widths")
+    want = sum(z.to_dict()[(i,)] * v * y.to_dict()[(j,)]
+               for (i, j), v in A.to_dict().items())
+    assert kernel.run(tensors) == want == 734
+    if backend == "c":
+        assert "_gallop32(A_crd0" in kernel.source and "_gallop64(A_crd1" in kernel.source
+
+
+def test_bind_reads_a_crd_in_place_at_its_width():
+    """``bind`` passes each ``crd`` uncopied; a tensor whose ``crd`` is
+    not at the compiled width is a ``ShapeError``, never a cast, and so
+    is an output window wider than the compiled one."""
+    ctx = TypeContext(SCHEMA, {"x": {"i"}, "y": {"i"}})
+    tensors = {"x": sparse_vector(N, 0.5, seed=35), "y": sparse_vector(N, 0.5, seed=36)}
+    out = OutputSpec(("i",), ("sparse",), (N,))
+    kernel = compile_kernel(Var("x") + Var("y"), ctx, tensors, out, name="e2e_inplace")
+    bound = kernel.bind(tensors)
+    for name, t in tensors.items():
+        assert t.crd[0].dtype == np.int32
+        assert np.shares_memory(bound.env[f"{name}_crd0"], t.crd[0])
+    assert bound.env["out_crd0"].dtype == np.int32
+    x = tensors["x"]
+    wide = Tensor(x.attrs, x.formats, x.dims, x.pos, {0: x.crd[0].astype(np.int64)},
+                  x.vals, x.semiring, check=False)
+    with pytest.raises(ShapeError, match="crd0"):
+        kernel.run({"x": wide, "y": tensors["y"]})
+    with pytest.raises(ShapeError, match="wider crd"):
+        kernel.with_output_dims((WIDE,))

@@ -12,8 +12,9 @@ from repro.compiler import kernel as kernel_mod
 from repro.krelation import KRelation, Schema
 from repro.semirings import BOOL, FLOAT, INT, MAX_PLUS, MIN_PLUS, NAT
 
-#: what a reserved output slot holds until the kernel stores it, by dtype kind
-POISON = {"f": np.nan, "i": np.iinfo(np.int64).min, "b": True}
+#: what a reserved output slot holds until the kernel stores it, by
+#: dtype kind (an integer one holds its type's minimum)
+POISON = {"f": np.nan, "b": True}
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -27,7 +28,8 @@ def poisoned_output_storage():
 
     def poisoned(n, dtype):
         arr = reserve(n, dtype)
-        arr.fill(POISON[arr.dtype.kind])
+        arr.fill(np.iinfo(arr.dtype).min if arr.dtype.kind == "i"
+                 else POISON[arr.dtype.kind])
         return arr
 
     kernel_mod._reserve = poisoned

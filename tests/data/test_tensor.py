@@ -82,6 +82,27 @@ def test_out_of_range_rejected():
         Tensor.from_entries(("i",), ("sparse",), (4,), {(4,): 1.0})
     with pytest.raises(ValueError):
         Tensor.from_entries(("i",), ("sparse",), (4,), {(-1,): 1.0})
+    # level arrays are checked where they enter, before they are
+    # narrowed (2**32 would wrap to 0): a CSR row's 7 in a 4-wide matrix
+    # once made Σj A·x read past x in C
+    for bad in ([0, 7], [-1, 2], [0, 2**32]):
+        with pytest.raises(ValueError, match="at level 1"):
+            Tensor(("i", "j"), ("dense", "sparse"), (4, 4),
+                   {1: [0, 2, 2, 2, 2]}, {1: bad}, [1.0, 0.5])
+
+
+def test_crd_width_follows_the_dimension():
+    """A crd is int32 below 2**31 coordinates and int64 from there; an
+    array already at its width is taken as it is, another is narrowed."""
+    for dim, width in ((4, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)):
+        t = Tensor.from_entries(("i",), ("sparse",), (dim,), {(dim - 1,): 1.0})
+        assert t.crd[0].dtype == width and t.to_dict() == {(dim - 1,): 1.0}
+    crd = np.array([1, 3], dtype=np.int32)
+    t = Tensor(("i",), ("sparse",), (4,), {0: [0, 2]}, {0: crd}, [1.0, 2.0])
+    assert t.crd[0] is crd
+    t = Tensor(("i",), ("sparse",), (4,), {0: [0, 2]}, {0: crd.astype(np.int64)},
+               [1.0, 2.0])
+    assert t.crd[0].dtype == np.int32
 
 
 def test_validation():

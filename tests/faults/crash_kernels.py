@@ -87,7 +87,7 @@ def c_segfault_kernel(kernel) -> codegen_c.CKernel:
     body performs an out-of-contract store (requires a toolchain)."""
     sig_parts = []
     for param in kernel.params:
-        ctype = codegen_c.c_type(param.ctype)
+        ctype = codegen_c.c_name(param.ctype)
         if param.kind == "array":
             sig_parts.append(f"{ctype}* {param.name}")
         else:

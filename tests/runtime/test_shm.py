@@ -65,6 +65,10 @@ def test_roundtrip_is_bit_identical():
     for k in A.crd:
         np.testing.assert_array_equal(np.asarray(B.crd[k]),
                                       np.asarray(A.crd[k]))
+        # a 32-bit crd is imported at its width as a window of the one
+        # attachment: a second import reads the same bytes, uncopied
+        assert B.crd[k].dtype == A.crd[k].dtype == np.int32
+        assert np.shares_memory(B.crd[k], shm.open_ref(ref).crd[k])
     shm.close_attachments()
     export.release()
 

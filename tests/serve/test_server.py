@@ -49,6 +49,16 @@ def test_einsum_query_roundtrip(make_server):
     from repro.runtime import pool as pool_mod
 
     assert pool_mod.get_shared_pool().stats.calls == 2
+    # coordinates past 2**31 make their level 64-bit; the worker builds
+    # the kernel for that width from the recipe and returns them intact
+    big = [3, 2**31 + 5, 2**32 + 9]
+    wide = {"kind": "einsum", "spec": "i,i->i", "output_formats": ["sparse"],
+            "operands": [{"entries": [[[c], 2.0] for c in big]},
+                         {"entries": [[[c], 0.5] for c in big[1:]]}]}
+    resp = server.query(wide)
+    assert resp.status == 200, resp.json
+    assert resp.json["result"]["entries"] == [[2**31 + 5, 1.0], [2**32 + 9, 1.0]]
+    assert pool_mod.get_shared_pool().stats.calls == 3
 
 
 def test_sql_query_roundtrip(make_server):
