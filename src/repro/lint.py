@@ -75,31 +75,13 @@ def _simple(
 def _tpch_q5() -> Tuple[Expr, TypeContext, Mapping[str, Sequence[str]]]:
     from repro.tpch import q5
 
-    shapes = {
-        "orders": ("o", "c"),
-        "odate": ("o",),
-        "customer": ("c", "n"),
-        "nation": ("n", "r"),
-        "region_asia": ("r",),
-        "supplier": ("n", "s"),
-        "lineitem": ("o", "s", "ln"),
-    }
-    return _simple(q5.ATTR_ORDER, shapes, q5.expression())
+    return _simple(q5.ATTR_ORDER, q5.SHAPES, q5.expression())
 
 
 def _tpch_q9() -> Tuple[Expr, TypeContext, Mapping[str, Sequence[str]]]:
     from repro.tpch import q9
 
-    shapes = {
-        "supplier": ("n", "s"),
-        "green": ("p",),
-        "ps_one": ("s", "p"),
-        "ps_cost": ("s", "p"),
-        "line_rev": ("s", "p", "o", "ln"),
-        "line_qty": ("s", "p", "o", "ln"),
-        "oyear": ("o", "y"),
-    }
-    return _simple(q9.ATTR_ORDER, shapes, q9.expression())
+    return _simple(q9.ATTR_ORDER, q9.SHAPES, q9.expression())
 
 
 TARGETS: Tuple[LintTarget, ...] = (

@@ -4,12 +4,17 @@ Columns with arbitrary ordered values are dictionary-encoded (order
 preserved), then the relation becomes a tensor over its key columns.
 The tensor's value is 1 (boolean/bag presence) or a designated
 *measure* column — the K-relation view where ``SUM(measure) GROUP BY
-keys`` is just Σ over the non-output attributes.
+keys`` is just Σ over the non-output attributes — or a vector of
+measures stacked on one more dense attribute.  Keys and values enter
+:meth:`Tensor.from_coo` as columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+import numbers
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.data.dictionary import Dictionary
 from repro.data.tensor import Tensor
@@ -62,6 +67,8 @@ def relation_to_tensor(
     semiring: Optional[Semiring] = None,
     dims: Optional[Mapping[str, int]] = None,
     attr_names: Optional[Mapping[str, str]] = None,
+    *,
+    measures: Optional[Tuple[str, Sequence[Callable[[Dict[str, Any]], float]]]] = None,
 ) -> Tensor:
     """Pack a relation into a tensor over its key columns.
 
@@ -71,53 +78,78 @@ def relation_to_tensor(
       (default: 1, i.e. presence).  Rows with equal keys have their
       measures summed, which is the correct K-relation semantics for
       SUM aggregates.
+    * ``measures=(attr, (f0, …, f_{m-1}))`` — instead of one measure,
+      m of them stacked on one more trailing dense level ``attr`` of
+      extent m: slice k is the tensor ``measure=f_k`` would give (a
+      relation annotated with a vector is the same relation over one
+      more attribute).
     * ``attr_names`` — rename columns to schema attributes.
     """
+    if measure is not None and measures is not None:
+        raise ValueError("give measure= or measures=, not both")
     attr_names = dict(attr_names or {})
     keys = list(key_columns)
     attrs = [attr_names.get(c, c) for c in keys]
+    fns = [measure] if measure is not None else []
+    if measures is not None:
+        stack_attr, fns = measures[0], list(measures[1])
+        if not fns:
+            raise ValueError("measures= needs at least one row function")
     if semiring is None:
-        semiring = FLOAT if measure is not None else BOOL
+        semiring = FLOAT if fns else BOOL
     if formats is None:
         formats = ["sparse"] * len(keys)
 
-    def code_of(attr: str, col: str, value: Any) -> int:
-        if encoder is not None:
-            try:
-                return encoder.encode(attr, value)
-            except KeyError:
-                pass
-        if isinstance(value, (int,)) and not isinstance(value, bool):
-            return value
-        raise TypeError(
-            f"column {col!r} value {value!r} needs a dictionary encoding"
-        )
-
-    entries: Dict[Tuple[int, ...], Any] = {}
-    one = semiring.one
-    for row in rel.rows:
-        rowd = dict(zip(rel.columns, row))
-        key = tuple(code_of(a, c, rowd[c]) for a, c in zip(attrs, keys))
-        val = measure(rowd) if measure is not None else one
-        if key in entries:
-            entries[key] = semiring.add(entries[key], val)
-        else:
-            entries[key] = val
-
+    n = len(rel.rows)
+    columns = (dict(zip(rel.columns, zip(*rel.rows))) if n
+               else dict.fromkeys(rel.columns, ()))
+    coords = np.empty((n, len(keys)), dtype=np.int64)
     sizes = []
-    for pos, (a, c) in enumerate(zip(attrs, keys)):
+    for k, (a, c) in enumerate(zip(attrs, keys)):
+        book = _dictionary(encoder, a)
+        coords[:, k] = _codes(columns[c], book, c)
         if dims is not None and a in dims:
             sizes.append(dims[a])
-        elif encoder is not None and _has_dict(encoder, a):
-            sizes.append(encoder.dim(a))
+        elif book is not None:
+            sizes.append(len(book))
         else:
-            sizes.append(1 + max((k[pos] for k in entries), default=0))
-    return Tensor.from_entries(attrs, formats, sizes, entries, semiring)
+            sizes.append(1 + int(coords[:, k].max(initial=0)))
+    if fns:
+        rows = (dict(zip(rel.columns, row)) for row in rel.rows)
+        values = [f(row) for row in rows for f in fns]
+    else:
+        values = [semiring.one] * n
+    if measures is None:
+        return Tensor.from_coo(attrs, formats, sizes, coords, values, semiring)
+    # row r's measure k is the entry (key_r, k): keys repeat m times
+    m = len(fns)
+    stacked = np.empty((n * m, len(keys) + 1), dtype=np.int64)
+    stacked[:, :-1] = np.repeat(coords, m, axis=0)
+    stacked[:, -1] = np.tile(np.arange(m), n)
+    return Tensor.from_coo(attrs + [stack_attr], list(formats) + ["dense"],
+                           sizes + [m], stacked, values, semiring)
 
 
-def _has_dict(encoder: ColumnEncoder, attr: str) -> bool:
+def _dictionary(encoder: Optional[ColumnEncoder], attr: str) -> Optional[Dictionary]:
+    if encoder is None:
+        return None
     try:
-        encoder.dictionary(attr)
-        return True
+        return encoder.dictionary(attr)
     except KeyError:
-        return False
+        return None
+
+
+def _codes(values: Sequence[Any], book: Optional[Dictionary], col: str) -> List[int]:
+    """A key column's codes: a value's dictionary code where ``book``
+    has it, else the value itself when it is an integer (a ``bool`` is
+    not one)."""
+    if book is not None:
+        values = [book.encode(v) if v in book else v for v in values]
+    for t in set(map(type, values)):
+        if not issubclass(t, (numbers.Integral, np.integer)) or issubclass(t, bool):
+            bad = next(v for v in values if type(v) is t)
+            raise TypeError(
+                f"column {col!r} value {bad!r} needs a dictionary encoding"
+            )
+    return values
+

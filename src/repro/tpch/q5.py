@@ -32,6 +32,18 @@ from repro.baselines.sqlite_bridge import SqliteDB
 
 ATTR_ORDER = ("o", "c", "n", "r", "s", "ln")
 
+# each operand's attributes, outermost first: what build_tensors packs
+# and what ``python -m repro.lint`` checks expression() against
+SHAPES = {
+    "orders": ("o", "c"),
+    "odate": ("o",),
+    "customer": ("c", "n"),
+    "nation": ("n", "r"),
+    "region_asia": ("r",),
+    "supplier": ("n", "s"),
+    "lineitem": ("o", "s", "ln"),
+}
+
 DATE_LO = 19940101
 DATE_HI = 19950101
 
@@ -66,56 +78,40 @@ def build_tensors(data: TpchData) -> Dict[str, Tensor]:
         "s": len(data.supplier),
         "ln": 8,
     }
-    orders = relation_to_tensor(
-        data.orders, ("o_orderkey", "o_custkey"),
-        formats=("dense", "sparse"),
-        measure=one, semiring=FLOAT,
-        attr_names={"o_orderkey": "o", "o_custkey": "c"}, dims=dims,
-    )
-    # the date selection as a boolean-valued stream over orderkey
-    odate = relation_to_tensor(
-        data.orders.select(lambda row: DATE_LO <= row["o_orderdate"] < DATE_HI),
-        ("o_orderkey",), measure=one, semiring=FLOAT,
-        attr_names={"o_orderkey": "o"}, dims=dims,
-    )
-    customer = relation_to_tensor(
-        data.customer, ("c_custkey", "c_nationkey"),
-        formats=("dense", "sparse"),
-        measure=one, semiring=FLOAT,
-        attr_names={"c_custkey": "c", "c_nationkey": "n"}, dims=dims,
-    )
-    nation = relation_to_tensor(
-        data.nation, ("n_nationkey", "n_regionkey"),
-        formats=("dense", "sparse"),
-        measure=one, semiring=FLOAT,
-        attr_names={"n_nationkey": "n", "n_regionkey": "r"}, dims=dims,
-    )
-    region_asia = relation_to_tensor(
-        data.region.select(lambda row: row["r_name"] == "ASIA"),
-        ("r_regionkey",), measure=one, semiring=FLOAT,
-        attr_names={"r_regionkey": "r"}, dims=dims,
-    )
-    supplier = relation_to_tensor(
-        data.supplier, ("s_nationkey", "s_suppkey"),
-        measure=one, semiring=FLOAT,
-        attr_names={"s_nationkey": "n", "s_suppkey": "s"}, dims=dims,
-    )
-    lineitem = relation_to_tensor(
-        data.lineitem, ("l_orderkey", "l_suppkey", "l_linenumber"),
-        formats=("dense", "sparse", "sparse"),
-        measure=lambda row: row["l_extendedprice"] * (1.0 - row["l_discount"]),
-        semiring=FLOAT,
-        attr_names={"l_orderkey": "o", "l_suppkey": "s", "l_linenumber": "ln"},
-        dims=dims,
-    )
+
+    def pack(name, rel, keys, measure=one, formats=None):
+        return relation_to_tensor(
+            rel, keys, formats=formats, measure=measure, semiring=FLOAT,
+            attr_names=dict(zip(keys, SHAPES[name])), dims=dims,
+        )
+
     return {
-        "orders": orders,
-        "odate": odate,
-        "customer": customer,
-        "nation": nation,
-        "region_asia": region_asia,
-        "supplier": supplier,
-        "lineitem": lineitem,
+        "orders": pack("orders", data.orders, ("o_orderkey", "o_custkey"),
+                       formats=("dense", "sparse")),
+        # the date selection as a boolean-valued stream over orderkey
+        "odate": pack(
+            "odate",
+            data.orders.select(lambda row: DATE_LO <= row["o_orderdate"] < DATE_HI),
+            ("o_orderkey",),
+        ),
+        "customer": pack("customer", data.customer,
+                         ("c_custkey", "c_nationkey"),
+                         formats=("dense", "sparse")),
+        "nation": pack("nation", data.nation, ("n_nationkey", "n_regionkey"),
+                       formats=("dense", "sparse")),
+        "region_asia": pack(
+            "region_asia",
+            data.region.select(lambda row: row["r_name"] == "ASIA"),
+            ("r_regionkey",),
+        ),
+        "supplier": pack("supplier", data.supplier,
+                         ("s_nationkey", "s_suppkey")),
+        "lineitem": pack(
+            "lineitem", data.lineitem,
+            ("l_orderkey", "l_suppkey", "l_linenumber"),
+            measure=lambda row: row["l_extendedprice"] * (1.0 - row["l_discount"]),
+            formats=("dense", "sparse", "sparse"),
+        ),
     }
 
 
@@ -145,12 +141,9 @@ def prepare_etch(data: TpchData, backend: str = "c", search: str = "linear") -> 
 
 
 def run_etch(kernel: Kernel, tensors: Dict[str, Tensor], data: TpchData) -> Dict[str, float]:
-    out = kernel.run(tensors)
+    coords, vals = kernel.run(tensors).to_coo()
     names = {k: name for k, name, _reg in data.nation.rows}
-    result = {}
-    for (n,), v in out.to_dict().items():
-        result[names[n]] = v
-    return result
+    return {names[n]: v for (n,), v in zip(coords.tolist(), vals.tolist())}
 
 
 def load_sqlite(data: TpchData) -> SqliteDB:

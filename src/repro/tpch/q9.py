@@ -4,17 +4,20 @@ profit(nation, year) = Σ over suppliers/parts/orders/lineitems of
 
     l_extendedprice·(1−l_discount) − ps_supplycost·l_quantity
 
-restricted to parts whose name contains "green".  As a contraction
-expression the subtraction splits into two fused terms (floats form a
-ring, so the second term is scaled by the literal −1)::
+restricted to parts whose name contains "green".  The amount is a dot
+product of two vectors that ride on rows the join already pairs:
+partsupp carries ``(1, −ps_supplycost)`` and lineitem ``(revenue,
+l_quantity)``, each stacked on one more dense attribute ``c`` of extent
+2 (``relation_to_tensor(measures=...)``).  So the query is one fused
+contraction, not a sum of two::
 
-    Σ_{s,p,o,ln}  supplier(n,s)·green(p)·ps_one(s,p)·line_rev(s,p,o,ln)·oyear(o,y)
-  + (−1) · Σ_{s,p,o,ln}  supplier(n,s)·green(p)·ps_cost(s,p)·line_qty(s,p,o,ln)·oyear(o,y)
+    Σ_{s,p,o,ln,c}  supplier(n,s)·green(p)·ps(s,p,c)·line(s,p,o,ln,c)·oyear(o,y)
 
-with attribute ordering n < s < p < o < y < ln.  The substring
-predicate is a boolean-valued stream over partkey (exactly the paper's
-encoding) and year extraction is the integer op YYYYMMDD / 10000 —
-the paper's custom timestamp-to-year operator.
+with attribute ordering n < s < p < o < y < ln < c.  The kernel walks
+each relation's levels once and ends in a two-step dot product over
+``c``.  The substring predicate is a boolean-valued stream over partkey
+(exactly the paper's encoding) and year extraction is the integer op
+YYYYMMDD / 10000 — the paper's custom timestamp-to-year operator.
 """
 
 from __future__ import annotations
@@ -23,15 +26,26 @@ from typing import Dict, Tuple
 
 from repro.compiler.kernel import Kernel, OutputSpec
 from repro.data.tensor import Tensor
-from repro.lang.ast import Lit, Var, sum_over
+from repro.lang.ast import Var, sum_over
 from repro.relational.encode import relation_to_tensor
 from repro.relational.query import Query
+from repro.relational.relation import Relation
 from repro.semirings.instances import FLOAT
 from repro.tpch.datagen import TpchData
 from repro.baselines import pairwise
 from repro.baselines.sqlite_bridge import SqliteDB
 
-ATTR_ORDER = ("n", "s", "p", "o", "y", "ln")
+ATTR_ORDER = ("n", "s", "p", "o", "y", "ln", "c")
+
+# each operand's attributes, outermost first: what build_tensors packs
+# and what ``python -m repro.lint`` checks expression() against
+SHAPES = {
+    "supplier": ("n", "s"),
+    "green": ("p",),
+    "ps": ("s", "p", "c"),
+    "line": ("s", "p", "o", "ln", "c"),
+    "oyear": ("o", "y"),
+}
 
 YEAR_BASE = 1992
 N_YEARS = 7
@@ -69,77 +83,45 @@ def build_tensors(data: TpchData) -> Dict[str, Tensor]:
         "y": N_YEARS,
         "ln": 8,
     }
-    supplier = relation_to_tensor(
-        data.supplier, ("s_nationkey", "s_suppkey"),
-        measure=one, semiring=FLOAT,
-        attr_names={"s_nationkey": "n", "s_suppkey": "s"}, dims=dims,
-    )
-    # substring selection as a boolean-valued indexed stream (Section 8.2)
-    green = relation_to_tensor(
-        data.part.select(lambda row: "green" in row["p_name"]),
-        ("p_partkey",), measure=one, semiring=FLOAT,
-        attr_names={"p_partkey": "p"}, dims=dims,
-    )
-    ps_one = relation_to_tensor(
-        data.partsupp, ("ps_suppkey", "ps_partkey"),
-        measure=one, semiring=FLOAT,
-        attr_names={"ps_suppkey": "s", "ps_partkey": "p"}, dims=dims,
-    )
-    ps_cost = relation_to_tensor(
-        data.partsupp, ("ps_suppkey", "ps_partkey"),
-        measure=lambda row: row["ps_supplycost"], semiring=FLOAT,
-        attr_names={"ps_suppkey": "s", "ps_partkey": "p"}, dims=dims,
-    )
-    line_keys = ("l_suppkey", "l_partkey", "l_orderkey", "l_linenumber")
-    line_attrs = {"l_suppkey": "s", "l_partkey": "p", "l_orderkey": "o",
-                  "l_linenumber": "ln"}
-    line_rev = relation_to_tensor(
-        data.lineitem, line_keys,
-        measure=lambda row: row["l_extendedprice"] * (1.0 - row["l_discount"]),
-        semiring=FLOAT, attr_names=line_attrs, dims=dims,
-    )
-    line_qty = relation_to_tensor(
-        data.lineitem, line_keys,
-        measure=lambda row: row["l_quantity"],
-        semiring=FLOAT, attr_names=line_attrs, dims=dims,
-    )
-    # apply the custom year-extraction operator while building the
-    # (orderkey, year) boolean stream
-    from repro.relational.relation import Relation
 
-    oyear_rel = Relation(
+    def pack(name, rel, keys, **measured):
+        return relation_to_tensor(
+            rel, keys, semiring=FLOAT, dims=dims,
+            attr_names=dict(zip(keys, SHAPES[name])), **measured,
+        )
+
+    # the year-extraction operator applied while building the
+    # (orderkey, year) boolean stream
+    oyear = Relation(
         ("o_orderkey", "o_yearcode"),
-        [
-            (row[0], year_of(row[2]) - YEAR_BASE)
-            for row in data.orders.rows
-        ],
-    )
-    oyear = relation_to_tensor(
-        oyear_rel, ("o_orderkey", "o_yearcode"),
-        measure=one, semiring=FLOAT,
-        attr_names={"o_orderkey": "o", "o_yearcode": "y"},
-        dims=dims,
+        [(row[0], year_of(row[2]) - YEAR_BASE) for row in data.orders.rows],
     )
     return {
-        "supplier": supplier,
-        "green": green,
-        "ps_one": ps_one,
-        "ps_cost": ps_cost,
-        "line_rev": line_rev,
-        "line_qty": line_qty,
-        "oyear": oyear,
+        "supplier": pack("supplier", data.supplier,
+                         ("s_nationkey", "s_suppkey"), measure=one),
+        # substring selection as a boolean-valued indexed stream (§8.2)
+        "green": pack("green",
+                      data.part.select(lambda row: "green" in row["p_name"]),
+                      ("p_partkey",), measure=one),
+        "ps": pack("ps", data.partsupp, ("ps_suppkey", "ps_partkey"),
+                   measures=("c", (one, lambda row: -row["ps_supplycost"]))),
+        "line": pack(
+            "line", data.lineitem,
+            ("l_suppkey", "l_partkey", "l_orderkey", "l_linenumber"),
+            measures=("c", (
+                lambda row: row["l_extendedprice"] * (1.0 - row["l_discount"]),
+                lambda row: row["l_quantity"],
+            )),
+        ),
+        "oyear": pack("oyear", oyear, ("o_orderkey", "o_yearcode"),
+                      measure=one),
     }
 
 
 def expression():
-    # the subtraction is pushed inside the shared joins (distributivity),
-    # so supplier/green/oyear are traversed once and only the
-    # partsupp×lineitem amount computation is two-sided
-    amount = Var("ps_one") * Var("line_rev") + Lit(-1.0) * (
-        Var("ps_cost") * Var("line_qty")
-    )
-    body = Var("supplier") * Var("green") * amount * Var("oyear")
-    return sum_over(("s", "p", "o", "ln"), body)
+    body = (Var("supplier") * Var("green") * Var("ps") * Var("line")
+            * Var("oyear"))
+    return sum_over(("s", "p", "o", "ln", "c"), body)
 
 
 def prepare_etch(data: TpchData, backend: str = "c", search: str = "linear") -> Tuple[Kernel, Dict[str, Tensor]]:
@@ -158,12 +140,10 @@ def prepare_etch(data: TpchData, backend: str = "c", search: str = "linear") -> 
 
 
 def run_etch(kernel: Kernel, tensors: Dict[str, Tensor], data: TpchData) -> Dict[Tuple[str, int], float]:
-    out = kernel.run(tensors)
+    coords, vals = kernel.run(tensors).to_coo()
     names = {k: name for k, name, _reg in data.nation.rows}
-    result = {}
-    for (n, y), v in out.to_dict().items():
-        result[(names[n], YEAR_BASE + y)] = v
-    return result
+    return {(names[n], YEAR_BASE + y): v
+            for (n, y), v in zip(coords.tolist(), vals.tolist())}
 
 
 def load_sqlite(data: TpchData) -> SqliteDB:

@@ -230,7 +230,8 @@ def test_from_coo_rejects_what_from_entries_rejected():
 
 def test_no_per_entry_path_outside_the_dictionary_view():
     """``to_dict`` / ``from_entries`` are the public dictionary view;
-    the data path (serve, runtime, tensor, convert) stays columnar."""
+    the data path (serve, runtime, tensor, convert, and relations
+    becoming tensors in relational and tpch) stays columnar."""
     import pathlib
     import re
 
@@ -238,7 +239,7 @@ def test_no_per_entry_path_outside_the_dictionary_view():
 
     root = pathlib.Path(repro.__file__).parent
     files = [root / "data" / "convert.py"]
-    for package in ("serve", "runtime", "tensor"):
+    for package in ("serve", "runtime", "tensor", "relational", "tpch"):
         files += sorted((root / package).rglob("*.py"))
     calls = re.compile(r"\.to_dict\(\)|from_entries\(")
     offenders = [

@@ -63,7 +63,21 @@ def test_q9_three_way_agreement(data):
 def test_q9_binary_search_agrees(data):
     k1, t1 = q9.prepare_etch(data, search="linear")
     k2, t2 = q9.prepare_etch(data, search="binary")
-    assert agree(q9.run_etch(k1, t1, data), q9.run_etch(k2, t2, data), tol=1e-6)
+    binary = q9.run_etch(k2, t2, data)
+    assert agree(q9.run_etch(k1, t1, data), binary, tol=1e-6)
+    db = q9.load_sqlite(data)
+    sql = q9.run_sqlite(db)
+    db.close()
+    assert agree(binary, sql)
+    assert agree(binary, q9.run_pairwise(data))
+
+
+@pytest.mark.parametrize("query", [q5, q9], ids=["q5", "q9"])
+def test_tensors_have_the_shapes_the_lint_checks(data, query):
+    """``SHAPES`` is the one table of operand attributes: what
+    ``build_tensors`` packs is what ``python -m repro.lint`` reads."""
+    tensors = query.build_tensors(data)
+    assert {name: t.attrs for name, t in tensors.items()} == query.SHAPES
 
 
 def test_q9_keys_are_nation_year(data):
