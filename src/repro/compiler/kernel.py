@@ -157,10 +157,6 @@ class Kernel:
         """:func:`repro.runtime.run_sharded` on this kernel."""
         return runtime.run_sharded(self, tensors, capacity=capacity, **options)
 
-    def run_batch(self, runs, capacity=None, **options):
-        """:func:`repro.runtime.run_batch` on this kernel."""
-        return runtime.run_batch(self, runs, capacity=capacity, **options)
-
     def execute(
         self,
         tensors: Mapping[str, Tensor],

@@ -195,12 +195,6 @@ _ROWS = (
     Knob("REPRO_SERVE_RETRY_BASE", "float", 0.05,
          "base seconds for full-jitter exponential retry backoff",
          minimum=0.0, strict=True),
-    Knob("REPRO_SERVE_BATCH_WINDOW", "float", 0.0,
-         "micro-batching: compatible queries (same kernel + capacity) "
-         "arriving within the window (seconds) fold into one "
-         "`Kernel.run_batch` call", shown="off", minimum=0.0, strict=True),
-    Knob("REPRO_SERVE_BATCH_MAX", "int", 16,
-         "most queries folded into one micro-batch", minimum=1, strict=True),
     Knob("REPRO_SERVE_DEGRADE", "choice", "reject",
          "what admission does with an open-breaker kernel or an over-budget "
          "footprint: `reject` → `503` + `Retry-After` (the breaker's "

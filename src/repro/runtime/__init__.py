@@ -14,8 +14,7 @@ package exploits that:
   API with a bounded task queue;
 - :mod:`repro.runtime.merge` combines the partial outputs
   semiring-correctly;
-- :mod:`repro.runtime.api` glues them into :func:`run_sharded` and
-  :func:`run_batch`;
+- :mod:`repro.runtime.api` glues them into :func:`run_sharded`;
 - :mod:`repro.runtime.policy` resolves, once per call, where and how
   it runs (call argument → handle default → ``REPRO_*`` → built-in);
 - :mod:`repro.runtime.route` is :func:`run`, where ``Kernel.run``
@@ -53,7 +52,7 @@ import importlib
 
 #: public name → the submodule that defines it
 _EXPORTS = {
-    "ShardStat": "api", "run_batch": "api", "run_sharded": "api",
+    "ShardStat": "api", "run_sharded": "api",
     "CircuitBreaker": "breaker",
     # the process-wide instance: the plain name ``breaker`` would shadow
     # the submodule

@@ -1,12 +1,9 @@
 """Sharded execution: plan → schedule → merge.
 
 :func:`run_sharded` is the engine behind ``Kernel.run_sharded`` and
-:func:`run_shards` behind a sharded ``Kernel.run``; :func:`run_batch`
-runs one kernel over many independent input bindings (the
-many-small-kernels case where sharding a single run is not worth it but
-the pool is).  Both resolve the call's execution policy once
-(:mod:`repro.runtime.policy`; DESIGN.md "Execution policy") and pass it
-to every shard.
+:func:`run_shards` behind a sharded ``Kernel.run``.  The call's
+execution policy is resolved once (:mod:`repro.runtime.policy`;
+DESIGN.md "Execution policy") and passed to every shard.
 
 Per-shard resilience mirrors the build-time story of
 :mod:`repro.compiler.resilience`: a shard that fails on its executor
@@ -46,7 +43,7 @@ from repro.runtime.route import run_fallback, run_guarded
 
 @dataclass(frozen=True)
 class ShardStat:
-    """Timing/volume record for one shard (or one batch item)."""
+    """Timing/volume record for one shard."""
 
     index: int
     lo: int
@@ -322,64 +319,3 @@ def run_shards(
         journal.discard()
     return merged
 
-
-def run_batch(
-    kernel,
-    runs: Sequence[Mapping[str, Tensor]],
-    *,
-    capacity: Optional[int] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    deadline: Optional[float] = None,
-) -> List[object]:
-    """Run ``kernel`` over many independent input bindings, pool-parallel.
-
-    Results come back in input order.  ``executor=None`` follows the
-    kernel's default, then ``REPRO_PARALLEL``, and falls back to
-    ``serial``.  ``deadline`` bounds each *item* (not the whole batch)
-    wherever execution is crash-isolated.
-    """
-    policy = resolve(
-        kernel, parallel=executor, workers=workers, deadline=deadline,
-    )
-    executor = policy.executor or "serial"
-    results: List[object] = []
-    stats: List[ShardStat] = []
-    ex = get_shared_executor(executor, policy.workers)
-    if ex.name == "pool":
-        # every item brings its own operands: nothing is pre-exported
-        futures = pool_mod.dispatch(
-            kernel, runs, [None] * len(runs), capacity, policy,
-            submit=partial(_submit, ex), workers=ex.workers,
-        )
-    else:
-        futures = [
-            _submit(ex, _local_task, kernel, tensors, capacity, policy)
-            for tensors in runs
-        ]
-    for i, (fut, tensors) in enumerate(zip(futures, runs)):
-        retried = False
-        try:
-            result, seconds, who = fut.result()
-        except Exception as exc:
-            if isinstance(exc, ReproError) and not is_retryable(exc):
-                raise  # deterministic: replaying cannot change the outcome
-            logger.warning(
-                "batch item %d/%d of kernel %r failed on the %s executor "
-                "(%s: %s); retrying in-process",
-                i + 1, len(runs), kernel.name, executor,
-                type(exc).__name__, exc,
-            )
-            _maybe_discard(ex, exc)
-            retried = True
-            result, seconds, who = _local_task(
-                kernel, tensors, capacity, policy,
-            )
-        results.append(result)
-        stats.append(ShardStat(
-            index=i, lo=0, hi=0, seconds=seconds,
-            bytes_in=sum(map(shm.tensor_bytes, tensors.values())),
-            worker=who, retried=retried,
-        ))
-    kernel.last_shard_stats = stats
-    return results

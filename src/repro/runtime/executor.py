@@ -25,8 +25,8 @@ policy" has the measurements each one stays for):
     The one backend for GIL-bound (Python-backend) kernels.
 
 All backends bound their task queue: ``submit`` blocks once
-``queue_bound`` tasks are in flight, so a large batch cannot marshal
-every operand set into memory at once.
+``queue_bound`` tasks are in flight, so a run of many shards cannot
+marshal every shard's operands into memory at once.
 
 Teardown ordering: shared pools must drain and join their workers
 *before* interpreter shutdown tears the threading machinery down —

@@ -1,11 +1,11 @@
 """Execution policy: where and how one kernel call runs, as one value.
 
-Every public run entry point (``Kernel.run`` / ``run_sharded`` /
-``run_batch``, ``run_supervised``) calls :func:`resolve`
-once and hands the result down; nothing below re-reads the environment
-or re-derives a field.  Each field has one precedence — call argument →
-the kernel handle's build-time default → ``REPRO_*`` → built-in default
-— and DESIGN.md ("Execution policy") has the table and the reasons.
+Every public run entry point (``Kernel.run`` / ``run_sharded``,
+``run_supervised``) calls :func:`resolve` once and hands the result
+down; nothing below re-reads the environment or re-derives a field.
+Each field has one precedence — call argument → the kernel handle's
+build-time default → ``REPRO_*`` → built-in default — and DESIGN.md
+("Execution policy") has the table and the reasons.
 """
 
 from __future__ import annotations

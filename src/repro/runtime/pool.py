@@ -562,10 +562,10 @@ def dispatch(
     workers: Optional[int] = None,
     scoped: bool = False,
 ) -> list:
-    """Send every shard (or batch item, or the one supervised run) to
-    the shared pool as shm descriptors; returns what ``submit`` returns
-    for each — :meth:`WorkerPool.run_call`'s ``(result, seconds, pid)``
-    when called directly, a future of it behind an executor.
+    """Send every shard (or the one supervised run) to the shared pool
+    as shm descriptors; returns what ``submit`` returns for each —
+    :meth:`WorkerPool.run_call`'s ``(result, seconds, pid)`` when
+    called directly, a future of it behind an executor.
     ``scoped`` runs the calls on a one-worker pool of their own that is
     shut down before this returns (only with the direct ``submit``).
 

@@ -13,8 +13,8 @@ wraps the whole path in a resilience stack —
   happens (:mod:`repro.serve.admission`),
 * **bounded retry** with exponential backoff + jitter for transient
   failures only (:mod:`repro.serve.retrying`),
-* **single-flight coalescing** of identical in-flight queries and
-  micro-batching of compatible ones (:mod:`repro.serve.coalesce`),
+* **single-flight coalescing** of identical in-flight queries
+  (:mod:`repro.serve.coalesce`),
 * a **graceful lifecycle**: ``/healthz`` / ``/readyz``, SIGTERM drain,
   and chunked streaming so a slow client never holds a worker
   (:mod:`repro.serve.lifecycle`, :mod:`repro.serve.stream`).

@@ -10,7 +10,6 @@ it enforce the real deadlines.  The request path::
       │ admission: drain / in-flight / rate / breaker
       │                                            → 429/503 + Retry-After
       │ single-flight coalesce (identical queries share one run)
-      │ micro-batch window (compatible queries share one dispatch)
       │ retry loop: transient errors only, budget-charged backoff
       │ Kernel.run(..., deadline=budget.remaining())
       ▼
@@ -39,7 +38,7 @@ from repro.errors import (
     StreamPropertyError,
 )
 from repro.serve.admission import AdmissionController
-from repro.serve.coalesce import Batcher, SingleFlight
+from repro.serve.coalesce import SingleFlight
 from repro.serve.config import ServeConfig
 from repro.serve.deadline import request_budget
 from repro.serve.lifecycle import Lifecycle
@@ -93,12 +92,6 @@ class ContractionServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve",
         )
-        self.batcher: Optional[Batcher] = None
-        if self.config.batch_window > 0:
-            self.batcher = Batcher(
-                self.config.batch_window, self.config.batch_max,
-                self._in_executor,
-            )
         self._policy = RetryPolicy(self.config.retries, self.config.retry_base)
         self._rng = random.Random()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -334,12 +327,9 @@ class ContractionServer:
 
     async def _execute(self, prepared, budget) -> Dict[str, Any]:
         """Dispatch one admitted, coalesce-leading query."""
-        if self.batcher is not None and prepared.batch_key is not None:
-            coro = self.batcher.submit(prepared, budget)
-        else:
-            coro = self._in_executor(self._execute_sync, prepared, budget)
         return await asyncio.wait_for(
-            coro, timeout=budget.remaining() + DEADLINE_GRACE)
+            self._in_executor(self._execute_sync, prepared, budget),
+            timeout=budget.remaining() + DEADLINE_GRACE)
 
     def _execute_sync(self, prepared, budget) -> Dict[str, Any]:
         """Blocking execution with the bounded retry loop (executor)."""
@@ -367,9 +357,6 @@ class ContractionServer:
             "inflight": self.lifecycle.inflight,
             "counters": dict(self.lifecycle.counters),
             "coalesced": self.single_flight.coalesced,
-            "batches": self.batcher.batches if self.batcher else 0,
-            "batched_items":
-                self.batcher.batched_items if self.batcher else 0,
             "latency_ms": {"p50": pct(0.50), "p90": pct(0.90),
                            "p99": pct(0.99)},
             "breaker": breaker.snapshot(),

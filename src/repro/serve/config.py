@@ -46,10 +46,6 @@ class ServeConfig:
     retries: int = 2
     #: base backoff between attempts, seconds (full jitter applied)
     retry_base: float = 0.05
-    #: micro-batch gathering window, seconds (0 = batching off)
-    batch_window: float = 0.0
-    #: max queries folded into one ``Kernel.run_batch``
-    batch_max: int = 16
     #: SIGTERM drain budget: finish in-flight work within this many
     #: seconds, then cancel with partial-result markers
     drain: float = 10.0

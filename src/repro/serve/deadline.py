@@ -5,8 +5,9 @@ queueing, coalescing, compiling, each retry attempt, the supervised
 run on a pool worker itself — spends from the *same* clock.  The
 budget's remaining time is what gets handed to
 ``Kernel.run(deadline=...)``, so a request that spent half its budget
-waiting in a batch window gives the kernel only the other half, and a
-request whose budget is gone is failed without dispatching at all.
+waiting on a coalesced leader or a retry backoff gives the kernel only
+the other half, and a request whose budget is gone is failed without
+dispatching at all.
 """
 
 from __future__ import annotations

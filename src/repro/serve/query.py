@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -178,7 +179,7 @@ class PreparedQuery:
 
     kind: str
     #: the kernel build-cache key (None for kernel-less queries) — the
-    #: breaker's and the batcher's identity for this query
+    #: breaker's identity for this query
     kernel_key: Optional[str]
     #: identity for single-flight coalescing: kernel key + operand
     #: content (two requests with this key are the *same computation*)
@@ -206,15 +207,6 @@ class PreparedQuery:
     #: surfaced in the response ``meta`` and in drain-cancel markers
     job_meta: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def batch_key(self) -> Optional[str]:
-        """Micro-batching identity: queries sharing it run the same
-        kernel at the same capacity and may fold into one
-        ``Kernel.run_batch`` call."""
-        if self.kernel_key is None:
-            return None
-        return f"{self.kernel_key}:cap={self.capacity}"
-
     # -- execution (blocking; runs in the server's executor) -----------
     def execute(self, budget: Budget) -> Dict[str, Any]:
         """Build (or cache-hit) and run, spending ``budget``."""
@@ -233,10 +225,12 @@ class PreparedQuery:
             # durable execution goes through the sharded runtime
             # directly: the journal is keyed by the run's deterministic
             # signature, so a client re-POSTing the identical query
-            # after a crash resumes the dead worker's job
+            # after a crash resumes the dead worker's job.  Each shard
+            # runs supervised, as every served query does.
             result = kernel.run_sharded(
                 self.plan.inputs, self.capacity, executor="serial",
-                deadline=remaining, durable=True, job_out=self.job_meta,
+                supervised=True, deadline=remaining, durable=True,
+                job_out=self.job_meta,
             )
         else:
             result = kernel.run(
@@ -346,8 +340,12 @@ def prepare_request(body: Any, tune: Optional[str] = None) -> PreparedQuery:
         raise QueryError("request body must be a JSON object")
     kind = _require(body, "kind", str)
     deadline_ms = body.get("deadline_ms")
-    if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
-        raise QueryError("deadline_ms must be a number")
+    # ``type(...)``: a JSON ``true`` reads as a Python int; NaN fails
+    # both bounds
+    if deadline_ms is not None and not (
+        type(deadline_ms) in (int, float) and 0 < deadline_ms < math.inf
+    ):
+        raise QueryError("deadline_ms must be a finite number > 0")
 
     if kind == "sql":
         return _prepare_sql(body, deadline_ms)

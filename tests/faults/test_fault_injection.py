@@ -379,7 +379,6 @@ UNDERSIZED_ROUTES = {
         t, capacity=1, executor="thread", workers=2, shards=3),
     "pool": lambda k, t: k.run_sharded(
         t, capacity=1, executor="pool", workers=2, shards=3),
-    "batch": lambda k, t: k.run_batch([t, t], capacity=1)[1],
     "durable": lambda k, t: k.run_sharded(
         t, capacity=1, shards=3, durable=True),
     "supervised": lambda k, t: k.run(

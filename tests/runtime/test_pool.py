@@ -301,16 +301,6 @@ def test_operands_are_exported_before_the_pool_forks(monkeypatch, route):
     shutdown_shared_runtime()
 
 
-def test_run_batch_pool_executor():
-    from repro.runtime.api import run_batch
-
-    kernel, tensors = spmv_kernel(name="pool_batch_spmv")
-    runs = [tensors] * 4
-    serial = run_batch(kernel, runs, executor="serial")
-    pooled = run_batch(kernel, runs, executor="pool", workers=2)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
-
-
 def test_pooled_supervised_routing(monkeypatch, forkless=False):
     """A supervised run goes to a pool worker.  A process that owns no
     pool keeps nothing resident: under fork the run gets a one-worker

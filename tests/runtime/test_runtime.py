@@ -561,21 +561,6 @@ class TestCBackend:
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
 
 
-class TestBatch:
-    def test_batch_preserves_order(self):
-        kernel, _ = spmv_kernel()
-        runs = []
-        for seed in range(6):
-            A = sparse_matrix(N, N, 0.3, attrs=("i", "j"), seed=seed)
-            x = dense_vector(N, attr="j", seed=seed + 100)
-            runs.append({"A": A, "x": x})
-        expected = [kernel.execute(r).vals for r in runs]
-        got = kernel.run_batch(runs, executor="thread", workers=2)
-        for want, have in zip(expected, got):
-            assert np.array_equal(np.asarray(want), np.asarray(have.vals))
-        assert len(kernel.last_shard_stats) == len(runs)
-
-
 class TestRecipe:
     def test_recipe_pickles_and_rebuilds(self):
         kernel, tensors = spmv_kernel()

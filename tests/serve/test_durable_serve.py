@@ -53,6 +53,33 @@ def test_non_durable_query_has_no_job_id(make_server):
     assert "job_id" not in resp.json["meta"]
 
 
+@pytest.mark.parametrize("durable", [False, True])
+def test_served_einsum_runs_on_a_pool_worker(make_server, monkeypatch,
+                                             durable):
+    """Plain or durable, a served einsum takes the one served route: a
+    supervised run on the pool, behind the breaker — and a durable one
+    still answers with its job id."""
+    from repro.runtime import pool as pool_mod
+
+    monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+    monkeypatch.delenv("REPRO_DURABLE", raising=False)
+    real, calls = pool_mod.pooled, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "pooled", counted)
+    server = make_server(tune="off")
+    doc = einsum_query(SPEC, n=N)
+    if durable:
+        doc["durable"] = True
+    resp = server.query(doc, timeout=60)
+    assert resp.status == 200
+    assert calls, "the query ran in the server's own process"
+    assert ("job_id" in resp.json["meta"]) is durable
+
+
 def test_bad_durable_flag_is_a_400(make_server):
     server = make_server(tune="off")
     resp = server.query(einsum_query(SPEC, n=N, durable="yes"), timeout=30)

@@ -34,8 +34,8 @@ def test_identical_bodies_coalesce_different_operands_do_not():
     c = prepare_request(einsum_query(seed=2))
     assert a.coalesce_key == b.coalesce_key
     assert a.coalesce_key != c.coalesce_key
-    # same kernel, different operands: batch-compatible, not identical
-    assert a.batch_key == c.batch_key
+    # same kernel, different operands: one breaker identity, two runs
+    assert a.kernel_key == c.kernel_key
 
 
 def test_deadline_does_not_change_identity():
@@ -117,6 +117,13 @@ def test_dims_default_to_coordinate_hull():
     (lambda d: d.update(capacity=-1), "capacity must be a positive integer"),
     (lambda d: d.update(capacity=0), "capacity must be a positive integer"),
     (lambda d: d.update(deadline_ms="soon"), "deadline_ms"),
+    # each of these was once answered 504 "deadline exceeded": a retry
+    # cue for what is the client's mistake
+    (lambda d: d.update(deadline_ms=True), "deadline_ms must be a finite number > 0"),
+    (lambda d: d.update(deadline_ms=-5), "deadline_ms must be a finite number > 0"),
+    (lambda d: d.update(deadline_ms=0), "deadline_ms must be a finite number > 0"),
+    (lambda d: d.update(deadline_ms=float("nan")),
+     "deadline_ms must be a finite number > 0"),
     (lambda d: d["operands"][0]["entries"].append([[1], 2.0]), "rank"),
     # the entry list is client input: nothing in it is coerced
     (lambda d: d["operands"][0]["entries"].append([[1.7, 0], 2.0]),
@@ -187,7 +194,6 @@ def test_sql_prepare_and_execute():
     }
     prepared = prepare_request(doc)
     assert prepared.kernel_key is None       # no kernel → no breaker gate
-    assert prepared.batch_key is None
     out = prepared.execute(Budget(5.0))
     assert out == {"kind": "rows", "rows": [[1]], "count": 1}
 
@@ -195,6 +201,13 @@ def test_sql_prepare_and_execute():
 def test_sql_syntax_error_at_admission():
     doc = {"kind": "sql", "query": "SELEC nope", "tables": {}}
     with pytest.raises(QueryError):
+        prepare_request(doc)
+
+
+def test_sql_deadline_ms_is_checked_too():
+    doc = {"kind": "sql", "query": "SELECT a FROM t", "deadline_ms": 0,
+           "tables": {"t": {"columns": ["a"], "rows": [[1]]}}}
+    with pytest.raises(QueryError, match="deadline_ms"):
         prepare_request(doc)
 
 

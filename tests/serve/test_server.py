@@ -144,29 +144,6 @@ def test_identical_concurrent_queries_coalesce(make_server):
     assert any(r.json["meta"]["coalesced"] for r in results)
 
 
-def test_compatible_queries_batch(make_server):
-    server = make_server(batch_window=0.15, batch_max=8)
-    server.query(einsum_query(seed=0))        # warm build outside the window
-    results = {}
-
-    def fire(seed):
-        results[seed] = server.query(einsum_query(seed=seed), timeout=30)
-
-    threads = [threading.Thread(target=fire, args=(s,)) for s in (11, 12, 13)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r.status == 200 for r in results.values())
-    stats = server.request("GET", "/stats").json
-    assert stats["batches"] >= 1
-    assert stats["batched_items"] >= 3
-    # batched answers must equal the unbatched oracle, item by item
-    for seed, resp in results.items():
-        oracle = server.query(einsum_query(seed=seed))
-        assert oracle.json["result"] == resp.json["result"]
-
-
 def test_deadline_budget_times_out_spinning_kernel(make_server, monkeypatch):
     from repro.runtime import pool as pool_mod
     from tests.faults.crash_kernels import SpinKernel, sabotage_in_workers
