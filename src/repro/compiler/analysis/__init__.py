@@ -31,103 +31,10 @@ adds the static half of that story:
   the node that breaks a property.  Consumed by
   :meth:`KernelBuilder.prepare` (``REPRO_STREAM_VERIFY``, default on),
   the shard planner's split certificates, and the serving layer's
-  admission lint (``python -m repro.lint``).
+  admission lint.
 
-``python -m repro.compiler.analysis <kernel>`` prints the full
-verification + lint report for a named example kernel.
+Importers name a submodule; the package itself exports nothing.
+``python -m repro.lint`` is the command-line report: the stream
+properties of every example and TPC-H pipeline, and the full
+verification + lint report for each example kernel.
 """
-
-from repro.compiler.analysis.dataflow import (
-    BackwardAnalysis,
-    DefUse,
-    ENTRY_PARAM,
-    ENTRY_ZERO,
-    ForwardAnalysis,
-    LiveVariables,
-    ReachingDefinitions,
-    arrays_read,
-    def_use_chains,
-    expr_key,
-    expr_uses,
-    free_vars,
-    live_transfer,
-    run_backward,
-    run_forward,
-    stmt_effects,
-    stmt_reads,
-)
-from repro.compiler.analysis.intervals import (
-    ArrayContract,
-    BoundsFinding,
-    Interval,
-    IntervalAnalysis,
-    eval_interval,
-    lint_bounds,
-)
-from repro.compiler.analysis.streamprops import (
-    Blame,
-    Obligation,
-    PropertySignature,
-    SplitCertificate,
-    analyze_expr,
-    analyze_stream,
-    certify_split,
-    infer_expr,
-    infer_stream,
-    refusal_reason,
-    verify_expr,
-    verify_stream,
-)
-from repro.compiler.analysis.verifier import (
-    Issue,
-    VerifyContext,
-    check_program,
-    verify_kernel,
-    verify_program,
-)
-from repro.errors import IRVerifyError, StreamPropertyError
-
-__all__ = [
-    "ForwardAnalysis",
-    "BackwardAnalysis",
-    "ReachingDefinitions",
-    "LiveVariables",
-    "DefUse",
-    "ENTRY_PARAM",
-    "ENTRY_ZERO",
-    "run_forward",
-    "run_backward",
-    "def_use_chains",
-    "expr_uses",
-    "expr_key",
-    "free_vars",
-    "arrays_read",
-    "stmt_effects",
-    "stmt_reads",
-    "live_transfer",
-    "Interval",
-    "IntervalAnalysis",
-    "eval_interval",
-    "ArrayContract",
-    "BoundsFinding",
-    "lint_bounds",
-    "Issue",
-    "VerifyContext",
-    "verify_program",
-    "verify_kernel",
-    "check_program",
-    "IRVerifyError",
-    "Blame",
-    "Obligation",
-    "PropertySignature",
-    "SplitCertificate",
-    "StreamPropertyError",
-    "analyze_expr",
-    "analyze_stream",
-    "certify_split",
-    "infer_expr",
-    "infer_stream",
-    "refusal_reason",
-    "verify_expr",
-    "verify_stream",
-]

@@ -191,7 +191,7 @@ def program_size(p: P) -> Counter[str]:
     one per ``while``/``if``), ``nodes`` (every **E** node under them),
     and how many of the statements are the two primitives — ``sort``,
     ``search.linear``, ``search.binary`` — the size measures
-    ``python -m repro.compiler.analysis`` reports."""
+    ``python -m repro.lint`` reports."""
 
     def nodes(e: E) -> int:
         return 1 + sum(nodes(x) for x in subexprs(e))

@@ -22,7 +22,7 @@ on the optimized IR:
 
 Stores that cannot be proven in bounds come back as ``proven=False``
 :class:`BoundsFinding`\\ s, kept on ``Kernel.capacity_findings`` and
-printed by ``python -m repro.compiler.analysis``.
+printed by ``python -m repro.lint``.
 
 Capacity parameters are assumed ``>= 1`` (the kernel wrapper never
 allocates an empty output buffer); the entry state gives them the

@@ -65,6 +65,16 @@ CACHE_VERSION = 9  # v9: a crd array is 32-bit when its dimension fits
 MEMO_ENTRIES = 64
 
 
+def remember(table: "OrderedDict[str, Any]", key: str, value: Any = None) -> None:
+    """Put ``key`` last in the least-recently-used ``table``; the oldest
+    entries beyond :data:`MEMO_ENTRIES` go.  Tier 1, a pool worker's
+    kernel table and the parent's mirror of it all evict by this rule."""
+    table[key] = value
+    table.move_to_end(key)
+    while len(table) > MEMO_ENTRIES:
+        table.popitem(last=False)
+
+
 def default_cache_dir() -> Path:
     """The disk-tier directory (also used for cached ``.so`` files)."""
     env = config.get("REPRO_KERNEL_CACHE_DIR")
@@ -109,10 +119,7 @@ class KernelCache:
 
     def store(self, key: str, kernel: Any) -> None:
         with self._lock:
-            self._memo[key] = kernel
-            self._memo.move_to_end(key)
-            if len(self._memo) > MEMO_ENTRIES:
-                self._memo.popitem(last=False)
+            remember(self._memo, key, kernel)
 
     def record_miss(self) -> None:
         with self._lock:

@@ -90,7 +90,7 @@ _ROWS = (
          "comma-separated subset of `address,undefined`: adds the matching "
          "`-fsanitize=` flags to C builds and switches the Python backend to "
          "the checked emitter that bounds-verifies every array subscript "
-         "(`python -m repro.compiler.analysis <kernel>` prints the static "
+         "(`python -m repro.lint <kernel>` prints the static "
          "verification/lint report)", choices=("address", "undefined")),
     Knob("REPRO_PARALLEL", "choice", None,
          "default executor for every `Kernel.run`: `serial` (the oracle: "

@@ -342,7 +342,7 @@ class StreamPropertyError(ReproError):
 class IRVerifyError(ReproError):
     """The IR verifier found an invariant violation in a P/E program.
 
-    Raised by :mod:`repro.compiler.analysis` when a kernel body fails
+    Raised by :mod:`repro.compiler.analysis.verifier` when a kernel body fails
     static verification — an ill-typed operator application, an
     undefined variable, an inconsistent array element type, or (in
     strict mode) a use-before-def.  When the verifier runs inside the

@@ -1,24 +1,28 @@
-"""``python -m repro.lint`` — static stream-property lint over the
-repo's known pipelines.
+"""``python -m repro.lint`` — the repo's one static-analysis report.
 
-Runs the :mod:`repro.compiler.analysis.streamprops` inference (the
-paper's §6 preservation lemmas as transfer rules) over every
-contraction pipeline built by ``examples/`` and the TPC-H queries, and
-prints one property signature per pipeline plus any findings with
-blame naming the offending node.  Exit status is the number of
-pipelines with findings (0 = everything statically certified).
+One registry holds two kinds of named target:
 
-The lint is purely static: no tensors are materialized, nothing is
-lowered or compiled — each target is the *expression* a pipeline
-compiles, its type context, and its semiring.  That is exactly the
-information :meth:`KernelBuilder.prepare` verifies at admission, so a
-clean lint here means the serving layer will admit the same pipelines
-without spending a compile.
+* **pipelines** — the contraction pipelines of ``examples/`` and the
+  TPC-H queries, analysed purely statically by
+  :mod:`repro.compiler.analysis.streamprops` (the paper's §6
+  preservation lemmas as transfer rules): one property signature each,
+  plus any findings with blame naming the offending node.  Nothing is
+  materialized or compiled; a target is the expression, type context
+  and semiring :meth:`KernelBuilder.prepare` verifies at admission, so
+  a clean lint means the server admits the same pipelines.
+* **kernels** — seven example kernels, each compiled with the
+  interpreter backend (no toolchain needed) and reported: the size of
+  the program a C build emits (bytes of C, **P** statements and how
+  many are ``PSearch``/``PSort``, **E** nodes), the typed-IR verifier's
+  issues, the capacity lint's verdict on every store into a
+  capacity-managed output array, and the stream-property signature.
 
-``--selftest`` additionally demonstrates the rejection paths the
-analysis exists for: a hand-written non-monotone source and a
-contraction over a non-idempotent ⊕ both refused with blame naming
-the exact node.
+``python -m repro.lint [<target> ...] [--list] [--selftest]``: no
+names means every target, pipelines first, then kernels by name.
+``--selftest`` also demonstrates the rejection paths: a non-monotone
+source and a contraction over a non-idempotent ⊕, both refused with
+blame naming the node.  Exit status 1 when any target has a finding (a
+kernel's verifier errors count), else 0.
 """
 
 from __future__ import annotations
@@ -26,16 +30,18 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.compiler.analysis.streamprops import (
-    Blame,
-    PropertySignature,
-    analyze_expr,
-    analyze_stream,
-)
+import numpy as np
+
+from repro.compiler.analysis.dataflow import program_size
+from repro.compiler.analysis.streamprops import analyze_expr, analyze_stream
+from repro.compiler.analysis.verifier import verify_kernel
+from repro.compiler.build import c_program, compile_kernel
 from repro.compiler.formats import TensorInput
+from repro.compiler.kernel import Kernel, OutputSpec
 from repro.compiler.scalars import scalar_ops_for
+from repro.data.tensor import Tensor
 from repro.krelation.schema import Schema
 from repro.lang.ast import Expr, Sum, Var
 from repro.lang.typing import TypeContext
@@ -52,14 +58,24 @@ class LintTarget:
     semiring: Semiring
     make: Callable[[], Tuple[Expr, TypeContext, Mapping[str, Sequence[str]]]]
 
-    def analyze(self) -> Tuple[PropertySignature, List[Blame]]:
+    def label(self) -> str:
+        return f"{self.origin}  [{self.semiring.name}]"
+
+    def report(self) -> int:
+        """Print the property signature and findings; return their count."""
         expr, ctx, operand_attrs = self.make()
         ops = scalar_ops_for(self.semiring)
         specs = {
             name: TensorInput(name, tuple(attrs), ("sparse",) * len(attrs), ops)
             for name, attrs in operand_attrs.items()
         }
-        return analyze_expr(expr, ctx, specs, self.semiring)
+        sig, findings = analyze_expr(expr, ctx, specs, self.semiring)
+        status = "ok" if not findings else f"{len(findings)} finding(s)"
+        print(f"{self.name:<18} [{self.origin}]  {status}")
+        print(f"    {sig.describe()}")
+        for b in findings:
+            print(f"    FINDING {b}")
+        return len(findings)
 
 
 def _simple(
@@ -84,7 +100,109 @@ def _tpch_q9() -> Tuple[Expr, TypeContext, Mapping[str, Sequence[str]]]:
     return _simple(q9.ATTR_ORDER, q9.SHAPES, q9.expression())
 
 
-TARGETS: Tuple[LintTarget, ...] = (
+N = 8
+
+
+def _vec(attr: str) -> Tensor:
+    i = np.arange(N)
+    return Tensor.from_coo((attr,), ("dense",), (N,), i[:, None], i + 1.0, FLOAT)
+
+
+def _mat(attrs: Tuple[str, str],
+         formats: Tuple[str, str] = ("dense", "sparse")) -> Tensor:
+    r, c = np.nonzero((np.arange(N)[:, None] * 31 + np.arange(N) * 17) % 3 == 0)
+    return Tensor.from_coo(attrs, formats, (N, N), np.column_stack((r, c)),
+                           1.0 + (r + c) % 5, FLOAT)
+
+
+def _svec(start: int, step: int) -> Tensor:
+    i = np.arange(start, N, step)
+    return Tensor.from_coo(("i",), ("sparse",), (N,), i[:, None], i * 1.0, FLOAT)
+
+
+def _kernel(name: str, attrs: str, shapes: Mapping[str, str], expr: Expr,
+            tensors: Mapping[str, Tensor], output: Optional[OutputSpec],
+            search: str = "linear") -> Kernel:
+    """Compile one example kernel over ``attrs`` in loop order (each of
+    extent ``N``) with the interpreter backend."""
+    ctx = TypeContext(Schema.of(**{a: range(N) for a in attrs}),
+                      {var: set(s) for var, s in shapes.items()})
+    return compile_kernel(expr, ctx, tensors, output, backend="interp",
+                          search=search, cache=False, name=f"cli_{name}")
+
+
+def _matmul(name: str, formats: Tuple[str, str], search: str) -> Kernel:
+    return _kernel(
+        name, "ikj", {"A": "ik", "B": "kj"}, Sum("k", Var("A") * Var("B")),
+        {"A": _mat(("i", "k"), formats), "B": _mat(("k", "j"), formats)},
+        OutputSpec(("i", "j"), formats, (N, N)), search,
+    )
+
+
+@dataclass(frozen=True)
+class KernelTarget:
+    """One example kernel: built, then verified and bounds-linted."""
+
+    name: str
+    build: Callable[[], Kernel]
+
+    def label(self) -> str:
+        return "example kernel, interp backend  [float]"
+
+    def report(self) -> int:
+        """Print the verification + lint report; return the error count."""
+        name, kernel = self.name, self.build()
+        print(f"== kernel {name!r} ({kernel.name}) " + "=" * max(0, 40 - len(name)))
+        print(f"   params: {', '.join(f'{p.name}:{p.ctype}' for p in kernel.params)}")
+        print(f"   locals: {len(kernel.decls)} compiler temporaries")
+        c_body, c_source = c_program(kernel)
+        size = program_size(c_body)
+        print(f"   size: {len(c_source)} bytes of C, {size['statements']} P statements "
+              f"({size['search.linear']} linear + {size['search.binary']} binary "
+              f"PSearch, {size['sort']} PSort), {size['nodes']} E nodes")
+
+        issues = verify_kernel(kernel)
+        errors = [i for i in issues if i.severity == "error"]
+        warnings = [i for i in issues if i.severity != "error"]
+        if not issues:
+            print("   verifier: clean (no issues)")
+        for issue in issues:
+            print(f"   verifier: {issue.severity}[{issue.invariant}] {issue.message}")
+
+        findings = kernel.capacity_findings
+        if not findings:
+            print("   bounds lint: no capacity-managed stores (dense/scalar output)")
+        for f in findings:
+            print(f"   bounds lint: {f}")
+        unproven = [f for f in findings if not f.proven]
+
+        # every example kernel has a recipe: its inputs are all tensors
+        recipe = kernel.recipe
+        specs = {
+            var: TensorInput(var, attrs, formats, kernel.ops, crd_types)
+            for var, attrs, formats, crd_types in recipe.input_structure
+        }
+        sig, stream_findings = analyze_expr(
+            recipe.expr, recipe.ctx, specs, recipe.semiring,
+            dims=dict(recipe.attr_dims),
+        )
+        print(f"   stream properties: {sig.describe()}")
+        for b in stream_findings:
+            print(f"   stream properties: FINDING {b}")
+
+        verdict = "NEEDS GUARD" if unproven else "ok"
+        print(
+            f"   summary: {len(errors)} error(s), {len(warnings)} warning(s), "
+            f"{len(stream_findings)} stream finding(s), "
+            f"{len(findings) - len(unproven)}/{len(findings)} store(s) proven "
+            f"in-bounds -> {verdict}"
+        )
+        return len(errors) + len(stream_findings)
+
+
+Target = Union[LintTarget, KernelTarget]
+
+TARGETS: Tuple[Target, ...] = (
     LintTarget(
         "quickstart_dot3", "examples/quickstart.py", FLOAT,
         lambda: _simple(
@@ -137,25 +255,44 @@ TARGETS: Tuple[LintTarget, ...] = (
     ),
     LintTarget("tpch_q5", "repro.tpch.q5", FLOAT, _tpch_q5),
     LintTarget("tpch_q9", "repro.tpch.q9", FLOAT, _tpch_q9),
+    # Figure 2's shape: a co-iteration of compressed vectors, whose
+    # off-diagonal arm is two scanning skips
+    KernelTarget("dot", lambda: _kernel(
+        "dot", "i", {"x": "i", "y": "i"}, Sum("i", Var("x") * Var("y")),
+        {"x": _svec(0, 2), "y": _svec(1, 3)}, None,
+    )),
+    KernelTarget("madd3", lambda: _kernel(
+        "madd3", "ij", {v: "ij" for v in "ABC"}, Var("A") + Var("B") + Var("C"),
+        {v: _mat(("i", "j"), ("sparse", "sparse")) for v in "ABC"},
+        OutputSpec(("i", "j"), ("sparse", "sparse"), (N, N)),
+    )),
+    KernelTarget("matmul", lambda: _matmul("matmul", ("dense", "sparse"), "linear")),
+    KernelTarget("sddmm", lambda: _kernel(
+        "sddmm", "ijk", {"S": "ij", "A": "ik", "B": "jk"},
+        Sum("k", Var("S") * Var("A") * Var("B")),
+        {"S": _mat(("i", "j")), "A": _mat(("i", "k"), ("dense", "dense")),
+         "B": _mat(("j", "k"), ("dense", "dense"))},
+        OutputSpec(("i", "j"), ("dense", "sparse"), (N, N)),
+    )),
+    # doubly compressed operands co-iterate: both primitives in one kernel
+    KernelTarget("smul", lambda: _matmul("smul", ("sparse", "sparse"), "binary")),
+    KernelTarget("spmv", lambda: _kernel(
+        "spmv", "ij", {"A": "ij", "v": "j"}, Sum("j", Var("A") * Var("v")),
+        {"A": _mat(("i", "j")), "v": _vec("j")},
+        OutputSpec(("i",), ("dense",), (N,)),
+    )),
+    KernelTarget("vadd", lambda: _kernel(
+        "vadd", "i", {"x": "i", "y": "i"}, Var("x") + Var("y"),
+        {"x": _svec(0, 2), "y": _svec(1, 3)},
+        OutputSpec(("i",), ("sparse",), (N,)),
+    )),
 )
 
 
-def run_target(target: LintTarget, verbose: bool = True) -> int:
-    sig, findings = target.analyze()
-    status = "ok" if not findings else f"{len(findings)} finding(s)"
-    if verbose:
-        print(f"{target.name:<18} [{target.origin}]  {status}")
-        print(f"    {sig.describe()}")
-        for b in findings:
-            print(f"    FINDING {b}")
-    return len(findings)
-
-
-def selftest(verbose: bool = True) -> int:
+def selftest() -> int:
     """Prove the rejection paths work: each case *must* produce a
     finding with blame naming the offending node.  Returns the number
     of cases that failed to be rejected."""
-    from repro.errors import StreamPropertyError  # noqa: F401 (doc link)
     from repro.streams.combinators import ContractStream
     from repro.streams.sources import SparseStream
 
@@ -180,10 +317,9 @@ def selftest(verbose: bool = True) -> int:
     ok = any(b.node == "NonMonotoneSource" and b.prop == "monotone"
              for b in findings)
     failures += 0 if ok else 1
-    if verbose:
-        print("selftest: non-monotone source rejected:", "yes" if ok else "NO")
-        for b in findings:
-            print(f"    FINDING {b}")
+    print("selftest: non-monotone source rejected:", "yes" if ok else "NO")
+    for b in findings:
+        print(f"    FINDING {b}")
 
     dup = ContractStream(
         DuplicateIndexSource("i", [0, 2, 5], [1.0, 2.0, 3.0], FLOAT)
@@ -198,22 +334,21 @@ def selftest(verbose: bool = True) -> int:
     )
     ok_minplus = not mp
     failures += 0 if (ok_float and ok_minplus) else 1
-    if verbose:
-        print(
-            "selftest: Σ over non-idempotent ⊕ rejected:",
-            "yes" if ok_float else "NO",
-            "| same Σ over min-plus certified:",
-            "yes" if ok_minplus else "NO",
-        )
-        for b in fl:
-            print(f"    FINDING {b}")
+    print(
+        "selftest: Σ over non-idempotent ⊕ rejected:",
+        "yes" if ok_float else "NO",
+        "| same Σ over min-plus certified:",
+        "yes" if ok_minplus else "NO",
+    )
+    for b in fl:
+        print(f"    FINDING {b}")
     return failures
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="statically certify the repo's stream pipelines",
+        description="statically certify the repo's pipelines and kernels",
     )
     parser.add_argument("targets", nargs="*",
                         help="target names (default: all)")
@@ -223,13 +358,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="also demonstrate the rejection paths")
     args = parser.parse_args(argv)
 
-    by_name: Dict[str, LintTarget] = {t.name: t for t in TARGETS}
+    by_name: Dict[str, Target] = {t.name: t for t in TARGETS}
     if args.list:
         for t in TARGETS:
-            print(f"{t.name:<18} {t.origin}  [{t.semiring.name}]")
+            print(f"{t.name:<18} {t.label()}")
         return 0
 
-    chosen: List[LintTarget]
+    chosen: List[Target]
     if args.targets:
         unknown = [n for n in args.targets if n not in by_name]
         if unknown:
@@ -238,11 +373,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         chosen = list(TARGETS)
 
-    errors = 0
-    for t in chosen:
-        errors += run_target(t)
-    print(f"\n{len(chosen)} pipeline(s) linted, "
-          f"{errors} finding(s)")
+    errors = sum(t.report() for t in chosen)
+    print(f"\n{len(chosen)} target(s) checked, {errors} finding(s)")
 
     if args.selftest:
         print()

@@ -33,6 +33,7 @@ from repro.errors import (
     is_retryable,
 )
 from repro.runtime import pool as pool_mod, shm
+from repro.runtime.breaker import CLOSED, breaker
 from repro.runtime.executor import discard_shared_executor, get_shared_executor
 from repro.runtime.governor import PartialAccumulator
 from repro.runtime.jobs import JobJournal, job_signature
@@ -121,7 +122,8 @@ def run_sharded(
     retried in-process — re-running a segfaulting kernel in the host
     defeats the supervision — but failed over to the pure-Python
     backend for that shard alone, marked ``failover=True`` /
-    ``worker="fallback"`` in the stats.
+    ``worker="fallback"`` in the stats; the death counts toward the
+    circuit breaker on every executor.
 
     ``durable=True`` (or ``REPRO_DURABLE=1``) journals every completed
     shard partial to an on-disk job keyed by the run's deterministic
@@ -171,6 +173,13 @@ def run_shards(
         return run_guarded(kernel, tensors, capacity, policy)
 
     executor = policy.executor
+    brk = key = None
+    if executor == "pool" and policy.supervised:
+        # pool shards count toward the breaker; one not closed sends
+        # them down the serial route, whose run_guarded serves the twin
+        brk, key = breaker, kernel.cache_key or f"uncached:{kernel.name}"
+        if brk.decide(key) != CLOSED:
+            executor, brk = "serial", None
     # operands move to shared memory before anything reads them or the
     # pool forks: shards are windows, fingerprints taken once, no heap copy
     exports = {
@@ -254,6 +263,8 @@ def run_shards(
         try:
             result, seconds, who = fut.result()
         except (KernelCrashError, KernelTimeoutError) as exc:
+            if brk is not None:
+                brk.record_failure(key, name=kernel.name)
             logger.warning(
                 "shard %d/%d of kernel %r died under supervision (%s: %s); "
                 "failing over to the Python backend for this shard",
@@ -283,6 +294,9 @@ def run_shards(
             result, seconds, who = _local_task(
                 shard_kernels[k], shard_inputs[k], capacity, policy,
             )
+        else:
+            if brk is not None:
+                brk.record_success(key, name=kernel.name)
         journaled = False
         if durable and journal is not None:
             journaled = journal.write_shard(i, result)

@@ -43,12 +43,14 @@ import os
 import pickle
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import resource_tracker
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import config
+from repro.compiler import cache
 from repro.compiler.resilience import logger
 from repro.errors import KernelCrashError, KernelTimeoutError
 from repro.runtime import executor as executor_mod, shm
@@ -115,14 +117,16 @@ class PoolStats:
 
 
 class _Worker:
-    """One resident worker process and its duplex pipe."""
+    """One resident worker process and its duplex pipe.  ``warmed``
+    mirrors the worker's kernel table: the keys it holds, least
+    recently used first, evicted by the same rule."""
 
     __slots__ = ("proc", "conn", "warmed", "last_used", "wid")
 
     def __init__(self, proc, conn, wid: int) -> None:
         self.proc = proc
         self.conn = conn
-        self.warmed: set = set()
+        self.warmed: OrderedDict = OrderedDict()
         self.last_used = time.monotonic()
         self.wid = wid
 
@@ -156,9 +160,7 @@ class WorkerPool:
         self._next_wid = 0
         self._closed = False
         self.stats = PoolStats()
-        from repro.compiler.cache import default_cache_dir
-
-        self._cache_dir = str(default_cache_dir())
+        self._cache_dir = str(cache.default_cache_dir())
         self._env = {
             k: v for k, v in os.environ.items() if k.startswith("REPRO_")
         }
@@ -175,7 +177,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
         """Start one worker (caller holds the lock) and warm it with
-        every recipe the pool has seen."""
+        the newest recipes the pool has seen, as many as it holds."""
         from repro.runtime import worker as worker_mod
 
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -195,7 +197,7 @@ class WorkerPool:
         w = _Worker(proc, parent_conn, self._next_wid)
         self._next_wid += 1
         self.stats.spawned += 1
-        for key, recipe in list(self._recipes.items()):
+        for key, recipe in list(self._recipes.items())[-cache.MEMO_ENTRIES:]:
             if not self._warm_one(w, key, recipe):
                 break
         return w
@@ -221,7 +223,7 @@ class WorkerPool:
         except (EOFError, OSError, BrokenPipeError):
             return False
         if reply[0] == "warmed":
-            w.warmed.add(key)
+            cache.remember(w.warmed, key)
             return True
         logger.warning(
             "pool worker %d could not warm kernel key %.24s…: %s",
@@ -388,7 +390,7 @@ class WorkerPool:
                 raise
             if reply[0] == "ok":
                 _tag, payload, seconds, pid = reply
-                w.warmed.add(key)
+                cache.remember(w.warmed, key)
                 result = shm.adopt_result(payload)
                 self.stats.overhead_s += max(
                     0.0, (time.monotonic() - t_enter) - seconds

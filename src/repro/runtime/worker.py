@@ -26,6 +26,7 @@ import os
 import signal
 import stat
 import time
+from collections import OrderedDict
 from typing import Mapping
 
 try:  # POSIX-only; elsewhere a worker runs uncapped (deadlines still apply)
@@ -112,8 +113,15 @@ def pool_worker_main(
       segment.  The optional recipe covers a key the worker has not
       seen (a replacement worker mid-stream); None for warmed keys —
       the "recipe ships once" contract.
-    * ``("ping", token)`` → ``("pong", token, pid)``: health check.
+    * ``("ping", token)`` → ``("pong", token, pid, resident)``: health
+      check; ``resident`` is the number of kernels held.
     * ``("exit",)``: drain attachments and leave.
+
+    The resident kernels are a least-recently-used table of
+    ``cache.MEMO_ENTRIES``.  A kernel enters or moves up only on a
+    ``warmed`` or ``ok`` reply, the replies on which the parent records
+    the key, so the parent's per-worker mirror evicts exactly what this
+    table does and ships the recipe again for a key it dropped.
 
     Typed kernel errors reply ``("err", exc, seconds)``; anything that
     escapes the interpreter (segfault, rlimit kill) is decoded by the
@@ -136,10 +144,11 @@ def pool_worker_main(
         os.environ.setdefault(key, value)
     os.environ["REPRO_KERNEL_CACHE_DIR"] = cache_dir
     from repro.compiler import resilience
+    from repro.compiler.cache import remember
     from repro.runtime import shm
 
     _cap_address_space()
-    kernels: dict = {}
+    kernels: OrderedDict = OrderedDict()
     try:
         while True:
             try:
@@ -150,12 +159,12 @@ def pool_worker_main(
             if kind == "exit":
                 break
             if kind == "ping":
-                conn.send(("pong", msg[1], os.getpid()))
+                conn.send(("pong", msg[1], os.getpid(), len(kernels)))
                 continue
             if kind == "warm":
                 _, key, recipe = msg
                 try:
-                    kernels[key] = recipe.build()
+                    remember(kernels, key, recipe.build())
                     conn.send(("warmed", key))
                 except BaseException as exc:  # noqa: BLE001 - forwarded
                     conn.send(("err", _picklable(exc), 0.0))
@@ -171,14 +180,14 @@ def pool_worker_main(
                 resilience.fault_point("supervised_child")
                 start = time.perf_counter()
                 try:
-                    kernel = kernels.get(key)
+                    resident = kernel = kernels.get(key)
                     if kernel is None:
                         if recipe is None:
                             raise RuntimeError(
                                 f"pool worker has no kernel for key "
                                 f"{key!r} and no recipe was shipped"
                             )
-                        kernel = kernels[key] = recipe.build()
+                        resident = kernel = recipe.build()
                     if output_dims is not None and (
                         kernel.output is None
                         or tuple(kernel.output.dims) != tuple(output_dims)
@@ -187,6 +196,7 @@ def pool_worker_main(
                     tensors = {n: shm.open_ref(r) for n, r in refs.items()}
                     result = kernel.execute(tensors, capacity)
                     payload = shm.export_result(result, rname, threshold)
+                    remember(kernels, key, resident)
                     conn.send(
                         ("ok", payload, time.perf_counter() - start,
                          os.getpid())

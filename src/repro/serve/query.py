@@ -226,9 +226,10 @@ class PreparedQuery:
             # directly: the journal is keyed by the run's deterministic
             # signature, so a client re-POSTing the identical query
             # after a crash resumes the dead worker's job.  Each shard
-            # runs supervised, as every served query does.
+            # runs supervised behind the breaker, as every served query
+            # does, and all of them reach the pool together.
             result = kernel.run_sharded(
-                self.plan.inputs, self.capacity, executor="serial",
+                self.plan.inputs, self.capacity, executor="pool",
                 supervised=True, deadline=remaining, durable=True,
                 job_out=self.job_meta,
             )

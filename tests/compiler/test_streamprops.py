@@ -236,3 +236,38 @@ class TestMemoization:
         first = calls["n"]
         builder.prepare(expr, specs, out, name="memo_spmv")
         assert calls["n"] == first  # second prepare hit the memo
+
+
+class TestLintCommand:
+    """``python -m repro.lint``, the one analysis command: every
+    pipeline and example kernel of its registry, reported once."""
+
+    @staticmethod
+    def _header(target):
+        from repro.lint import KernelTarget
+
+        if isinstance(target, KernelTarget):
+            return f"== kernel {target.name!r} "
+        return f"{target.name:<18} ["
+
+    @pytest.mark.parametrize("argv", [[], ["--selftest"]])
+    def test_every_target_is_reported_once(self, capsys, argv):
+        from repro.lint import TARGETS, main
+
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [t.name for t in TARGETS]
+        assert len(set(names)) == len(names) == 16
+        for t in TARGETS:
+            header = self._header(t)
+            assert sum(ln.startswith(header) for ln in lines) == 1, t.name
+        assert f"{len(TARGETS)} target(s) checked, 0 finding(s)" in lines
+        if argv:
+            assert lines[-1] == "selftest: both rejection paths caught with blame"
+
+    def test_list_names_every_target(self, capsys):
+        from repro.lint import TARGETS, main
+
+        assert main(["--list"]) == 0
+        listed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()]
+        assert listed == [t.name for t in TARGETS]

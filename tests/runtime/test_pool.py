@@ -101,6 +101,32 @@ def test_register_recipe_prewarms_idle_workers(small_pool):
     assert all(key in w.warmed for w in small_pool._idle)
 
 
+def test_worker_kernel_table_is_bounded(monkeypatch):
+    """A worker keeps the ``MEMO_ENTRIES`` most recently used kernels,
+    and the parent's mirror evicts alike: a key the worker dropped
+    ships its recipe again instead of failing the call.  Forked, so the
+    worker inherits the patched bound (a spawned one re-imports 64)."""
+    from repro.compiler import cache
+
+    monkeypatch.setattr(cache, "MEMO_ENTRIES", 2)
+    pool = pool_mod.WorkerPool(1, start_method="fork")
+    try:
+        built = [spmv_kernel(seed=11 + k, name=f"pool_lru_{k}")
+                 for k in range(3)]
+        keys = [pool_mod.pool_key(kernel) for kernel, _ in built]
+        assert len(set(keys)) == 3
+        for kernel, tensors in built + built[:1]:
+            result, _s, _p = _call(pool, kernel, tensors)
+            np.testing.assert_allclose(np.asarray(result.vals),
+                                       expected(tensors))
+        w, = pool._idle
+        assert list(w.warmed) == [keys[2], keys[0]]
+        w.conn.send(("ping", w.wid))
+        assert w.conn.recv()[3] == 2, "the worker holds more kernels"
+    finally:
+        pool.shutdown()
+
+
 def test_pool_key_is_content_addressed():
     k1, _ = spmv_kernel(seed=11, name="pool_key_a")
     k2, _ = spmv_kernel(seed=11, name="pool_key_a")

@@ -57,27 +57,48 @@ def test_non_durable_query_has_no_job_id(make_server):
 def test_served_einsum_runs_on_a_pool_worker(make_server, monkeypatch,
                                              durable):
     """Plain or durable, a served einsum takes the one served route: a
-    supervised run on the pool, behind the breaker — and a durable one
-    still answers with its job id."""
+    supervised run on the pool — and a durable one still answers with
+    its job id.  A durable query's ``REPRO_WORKERS`` shards reach the
+    pool in one dispatch, not one after another."""
     from repro.runtime import pool as pool_mod
 
     monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     monkeypatch.delenv("REPRO_DURABLE", raising=False)
-    real, calls = pool_mod.pooled, []
+    real, shards_per_dispatch = pool_mod.dispatch, []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return real(*args, **kwargs)
+    def counted(kernel, shard_inputs, *args, **kwargs):
+        shards_per_dispatch.append(len(shard_inputs))
+        return real(kernel, shard_inputs, *args, **kwargs)
 
-    monkeypatch.setattr(pool_mod, "pooled", counted)
+    monkeypatch.setattr(pool_mod, "dispatch", counted)
     server = make_server(tune="off")
     doc = einsum_query(SPEC, n=N)
     if durable:
         doc["durable"] = True
     resp = server.query(doc, timeout=60)
     assert resp.status == 200
-    assert calls, "the query ran in the server's own process"
+    assert shards_per_dispatch, "the query ran in the server's own process"
+    assert shards_per_dispatch == ([4] if durable else [1])
     assert ("job_id" in resp.json["meta"]) is durable
+
+
+def test_crashing_durable_query_opens_the_breaker(make_server, monkeypatch):
+    """A durable query's shards stand behind the breaker: shards that
+    segfault on their pool workers fail over to the Python backend (a
+    200) and count toward the breaker, so the identical query that
+    follows is shed at admission with a 503."""
+    from tests.faults.crash_kernels import SegfaultKernel, sabotage_in_workers
+
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "3")
+    sabotage_in_workers(monkeypatch, "einsum_ij_jk", SegfaultKernel())
+    server = make_server(tune="off")
+    doc = einsum_query(SPEC, n=N, durable=True)
+    first = server.query(doc, timeout=60)
+    assert first.status == 200
+    assert first.json["result"]["kind"] == "tensor"
+    second = server.query(doc, timeout=60)
+    assert second.status == 503
+    assert "breaker" in second.json["error"]
 
 
 def test_bad_durable_flag_is_a_400(make_server):
