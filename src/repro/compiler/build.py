@@ -16,7 +16,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import config
 from repro.compiler import codegen_c, codegen_py, resilience
-from repro.compiler.analysis.dataflow import stmt_effects, stmt_reads
+from repro.compiler.analysis.dataflow import (
+    expr_uses, stmt_effects, stmt_exprs, substatements,
+)
 from repro.compiler.analysis.intervals import BoundsFinding, lint_bounds
 from repro.compiler.analysis.streamprops import verify_expr
 from repro.compiler.cache import kernel_cache, kernel_cache_key
@@ -24,7 +26,7 @@ from repro.compiler.compile_fn import compile_stream
 from repro.compiler.dest import build_dest, workspace_needed
 from repro.compiler.formats import FunctionInput, Param, TensorInput
 from repro.compiler.interp import InterpKernel
-from repro.compiler.ir import P, NameGen, PSeq
+from repro.compiler.ir import P, NameGen, PSearch, PSeq
 from repro.compiler.kernel import _RESERVED, Kernel, OutputSpec
 from repro.compiler.lower import lower
 from repro.compiler.opt import DEFAULT_OPT_LEVEL, check_level, optimize
@@ -381,16 +383,16 @@ class KernelBuilder:
         def optimized(target: str):
             body = optimize(raw, ng, self.opt_level, target=target,
                             verify=self.verify, params=params)
-            return body, _declared(body, ng.allocated)
+            return body, _used(body, ng.allocated), _used(body, params)
 
-        body, decls = optimized(self.backend)
+        body, decls, taken = optimized(self.backend)
         _check_no_shadowing(name, params, ng)
 
         backend_used, vectorize = self.backend, self.vectorize
         if self.backend == "c":
             try:
-                source = codegen_c.emit_kernel_source(name, params, decls, body)
-                backend_kernel = codegen_c.CKernel(source, name, params)
+                source = codegen_c.emit_kernel_source(name, taken, decls, body)
+                backend_kernel = codegen_c.CKernel(source, name, taken)
             except (BackendUnavailableError, CompileError) as exc:
                 if not config.get("REPRO_BACKEND_FALLBACK"):
                     raise
@@ -402,18 +404,18 @@ class KernelBuilder:
                 backend_used = "python"
                 vectorize = self.opt_level > 0 and not self.sanitize
                 # the Python backend runs the passes gcc would have done
-                body, decls = optimized("python")
+                body, decls, taken = optimized("python")
         if backend_used == "python":
             sparse = output is not None and "sparse" in output.formats
             backend_kernel = codegen_py.PyKernel(
-                name, params, decls, body, vectorize=vectorize,
+                name, taken, decls, body, vectorize=vectorize,
                 checked=bool(self.sanitize), reserved=_RESERVED if sparse else (),
             )
         elif backend_used == "interp":
-            backend_kernel = InterpKernel(name, params, decls, body)
-        findings = lint_bounds(body, dest.contracts(), params=[p.name for p in params],
+            backend_kernel = InterpKernel(name, taken, decls, body)
+        findings = lint_bounds(body, dest.contracts(), params=[p.name for p in taken],
                                decls=[v.name for v in decls])
-        kernel = Kernel(name, backend_kernel, params, specs, output, self.ops,
+        kernel = Kernel(name, backend_kernel, taken, specs, output, self.ops,
                         body, decls=decls)
         kernel.ws_dim = output.dims[-1] if workspace else None
         kernel.capacity_findings = findings
@@ -563,10 +565,25 @@ class KernelBuilder:
         )
 
 
-def _declared(body: P, allocated: Sequence) -> list:
-    """The temporaries ``body`` names: a kernel declares no others."""
-    named = stmt_reads(body) | stmt_effects(body)[0]
-    return [v for v in allocated if v.name in named]
+def _used(body: P, names: Sequence) -> list:
+    """The temporaries or parameters of ``names`` that ``body`` reads or
+    writes: a kernel declares and takes no others, so an operand level
+    its loop nest never touches (a ``dim`` a sparse level bounds, a
+    ``crd`` only a locate would read) is neither in its signature nor
+    marshalled per call."""
+    assigned, stored = stmt_effects(body)
+    named = assigned | stored
+
+    def walk(s: P) -> None:
+        for e in stmt_exprs(s):
+            expr_uses(e, named, named)
+        if isinstance(s, PSearch):
+            named.add(s.array)
+        for sub in substatements(s):
+            walk(sub)
+
+    walk(body)
+    return [x for x in names if x.name in named]
 
 
 def c_program(kernel: Kernel) -> Tuple[P, str]:
@@ -576,7 +593,7 @@ def c_program(kernel: Kernel) -> Tuple[P, str]:
     raw = dataclasses.replace(kernel.recipe, backend="interp", opt_level=0).build(cache=False)
     body = optimize(raw.loop_ir, NameGen(), kernel.recipe.opt_level, target="c")
     return body, codegen_c.emit_kernel_source(
-        kernel.name, raw.params, _declared(body, raw.decls), body)
+        kernel.name, _used(body, raw.params), _used(body, raw.decls), body)
 
 
 def _check_no_shadowing(name: str, params: Sequence[Param], ng: NameGen) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import functools
 import importlib
 import threading
 from dataclasses import dataclass
@@ -81,6 +82,9 @@ class Kernel:
         self.name = name
         self._kernel = backend_kernel
         self.params = list(params)
+        #: the parameter names: an operand level no parameter names is
+        #: not marshalled
+        self._taken = frozenset(p.name for p in self.params)
         #: the element type of each array parameter (a ``crd`` is at
         #: the width it was compiled for)
         self._dtypes = {p.name: np.dtype(codegen_c.np_dtype(p.ctype))
@@ -235,6 +239,7 @@ class Kernel:
     def _marshal_inputs(self, tensors: Mapping[str, Tensor]) -> Dict[str, object]:
         env: Dict[str, object] = {}
         self._validate_dims(tensors)
+        taken = self._taken
         for name, spec in self.input_specs.items():
             if isinstance(spec, FunctionInput):
                 continue
@@ -246,7 +251,11 @@ class Kernel:
                 )
             for k, fmt in enumerate(spec.formats):
                 if fmt == "sparse":
-                    env[f"{name}_pos{k}"] = np.ascontiguousarray(tensor.pos[k], dtype=np.int64)
+                    if f"{name}_pos{k}" in taken:
+                        env[f"{name}_pos{k}"] = np.ascontiguousarray(
+                            tensor.pos[k], dtype=np.int64)
+                    if f"{name}_crd{k}" not in taken:
+                        continue
                     # read in place at the width compiled for, never cast
                     crd, want = tensor.crd[k], self._dtypes[f"{name}_crd{k}"]
                     if crd.dtype != want:
@@ -255,11 +264,12 @@ class Kernel:
                             f"the kernel reads {want}: build it for this tensor"
                         )
                     env[f"{name}_crd{k}"] = np.ascontiguousarray(crd)
-                else:
+                elif f"{name}_dim{k}" in taken:
                     env[f"{name}_dim{k}"] = int(tensor.dims[k])
-            env[f"{name}_vals"] = np.ascontiguousarray(
-                tensor.vals, dtype=codegen_c.np_dtype(self.ops.type)
-            )
+            if f"{name}_vals" in taken:
+                env[f"{name}_vals"] = np.ascontiguousarray(
+                    tensor.vals, dtype=codegen_c.np_dtype(self.ops.type)
+                )
         return env
 
     def _validate_dims(self, tensors: Mapping[str, Tensor]) -> None:
@@ -397,7 +407,13 @@ class BoundKernel:
     Calling it re-runs the kernel in place; dense output buffers are
     re-zeroed first (sparse outputs re-initialize their own counters in
     generated setup code).  Use :meth:`result` to assemble the output
-    tensor after a call."""
+    tensor after a call.
+
+    ``env`` is the call's storage for good: a C kernel's arguments —
+    each array's address — are taken once, here, so every call reads
+    and writes the arrays ``env`` held at bind (and keeps alive).  Edit
+    an operand in place (``t.vals[...] = x`` shows in the next call);
+    an entry of ``env`` replaced after bind is never read."""
 
     def __init__(self, kernel: Kernel, env: Dict[str, object]) -> None:
         self.kernel = kernel
@@ -407,6 +423,9 @@ class BoundKernel:
         if out is None or all(f == "dense" for f in out.formats):
             self._dense_out = env["out_vals"]
         self._zero = kernel.ops.semiring.zero
+        backend = kernel._kernel
+        self._run = (backend.bound(env) if kernel.c_backed
+                     else functools.partial(backend, env))
 
     def __call__(self):
         self.run_only()
@@ -416,7 +435,7 @@ class BoundKernel:
         """Execute without assembling a result object (pure kernel time)."""
         if self._dense_out is not None:
             self._dense_out.fill(self._zero)
-        self.kernel._kernel(self.env)
+        self._run()
 
     def result(self):
         return self.kernel._assemble_output(self.env)

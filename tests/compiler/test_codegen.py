@@ -252,6 +252,76 @@ def test_kernel_declares_only_the_temporaries_its_body_names():
         assert len(re.findall(rf"\b{v.name}\b", source)) >= 2, v.name
 
 
+def _lint_kernels(monkeypatch, backend):
+    """``python -m repro.lint``'s seven example kernels built on
+    ``backend``, each as ``(kernel, expr, ctx, tensors)``."""
+    from repro import lint
+
+    built = []
+
+    def build(expr, ctx, tensors, output, **options):
+        options.update(backend=backend, name=f"{options['name']}_{backend}")
+        kernel = compile_kernel(expr, ctx, tensors, output, **options)
+        built.append((kernel, expr, ctx, tensors))
+        return kernel
+
+    monkeypatch.setattr(lint, "compile_kernel", build)
+    for target in lint.TARGETS:
+        if isinstance(target, lint.KernelTarget):
+            target.build()
+    assert len(built) == 7
+    return built
+
+
+def _takes_only_what_its_body_names(kernel):
+    """Each parameter is named in the signature and in the body."""
+    unread = [p.name for p in kernel.params
+              if len(re.findall(rf"\b{p.name}\b", kernel.source)) < 2]
+    assert not unread, (kernel.name, unread)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_every_parameter_is_read_or_written_by_the_body(backend, monkeypatch):
+    """An operand level the loop nest never touches — a dense ``dim``
+    that a sparse level or the output bounds instead — is no parameter
+    of the kernel, on either backend, and the results are 𝒯's."""
+    for kernel, expr, ctx, tensors in _lint_kernels(monkeypatch, backend):
+        _takes_only_what_its_body_names(kernel)
+        truth = denote(expr, ctx, {name: tensor_to_krelation(t, ctx.schema)
+                                   for name, t in tensors.items()})
+        got = kernel.run(tensors)
+        if kernel.output is None:
+            assert got == truth.total(), kernel.name
+        else:
+            assert tensor_to_krelation(got, ctx.schema).equal(truth), kernel.name
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("query, unread", [("q5", "lineitem_crd2"), ("q9", "line_crd3")])
+def test_tpch_kernels_take_no_crd_their_body_never_reads(backend, query, unread):
+    """Q5 locates ``lineitem``'s supplier level and Q9 ``line``'s part
+    level by ``pos`` alone, so neither takes that level's ``crd``; both
+    still agree with SQLite."""
+    import importlib
+
+    from repro.tpch import generate
+
+    q = importlib.import_module(f"repro.tpch.{query}")
+    data = generate(0.001, seed=1)
+    kernel, tensors = q.prepare_etch(data, backend=backend)
+    assert unread not in {p.name for p in kernel.params}
+    assert not re.search(rf"\b{unread}\b", kernel.source)
+    _takes_only_what_its_body_names(kernel)
+    etch = q.run_etch(kernel, tensors, data)
+    db = q.load_sqlite(data)
+    try:
+        sql = q.run_sqlite(db)
+    finally:
+        db.close()
+    assert etch and set(etch) == set(sql)
+    assert all(abs(etch[k] - sql[k]) < 1e-6 * max(1.0, abs(sql[k])) for k in sql)
+
+
 def test_c_prologue_includes_only_what_the_body_needs():
     """A header is included only with the construct that needs it."""
     params = [Param("out", "array", TFLOAT), Param("lst", "array", TINT)]

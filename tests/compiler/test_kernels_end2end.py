@@ -269,6 +269,44 @@ def test_bound_kernel_sparse_output_rerun():
     assert bound().to_dict() == bound().to_dict()
 
 
+def test_bound_c_call_converts_each_array_once(monkeypatch):
+    """A bound C kernel takes its arguments' addresses at ``bind``: a
+    hundred calls convert each array once, not once per call."""
+    from repro.compiler import codegen_c
+
+    ctx = TypeContext(SCHEMA, {"x": {"i"}, "y": {"i"}})
+    tensors = {"x": sparse_vector(N, 0.5, seed=37), "y": sparse_vector(N, 0.5, seed=38)}
+    out = OutputSpec(("i",), ("sparse",), (N,))
+    kernel = compile_kernel(Var("x") + Var("y"), ctx, tensors, out, name="e2e_bound_once")
+    if not kernel.c_backed:
+        pytest.skip("no C toolchain")
+    converted = []
+    address = codegen_c._address
+    monkeypatch.setattr(codegen_c, "_address",
+                        lambda array: converted.append(id(array)) or address(array))
+    bound = kernel.bind(tensors, capacity=2 * N)
+    for _ in range(100):
+        bound.run_only()
+    arrays = [p.name for p in kernel.params if p.kind == "array"]
+    assert sorted(converted) == sorted(id(bound.env[name]) for name in arrays)
+    assert bound.result().to_dict() == kernel.run(tensors).to_dict()
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_bound_call_reads_its_operands_in_place(backend):
+    """An operand edited in place after ``bind`` is what the next bound
+    call reads, on every backend."""
+    ctx = TypeContext(SCHEMA, {"x": {"i"}, "y": {"i"}})
+    tensors = {"x": sparse_vector(N, 0.5, seed=39), "y": sparse_vector(N, 0.5, seed=40)}
+    kernel = compile_kernel(Sum("i", Var("x") * Var("y")), ctx, tensors,
+                            backend=backend, name="e2e_bound_edit")
+    bound = kernel.bind(tensors)
+    before = bound()
+    assert before != 0
+    tensors["x"].vals *= 2
+    assert bound() == 2 * before == kernel.run(tensors)
+
+
 @pytest.mark.parametrize("formats, dims", [(("dense",), (1024,)),
                                            (("dense", "dense"), (32, 32))])
 def test_bound_dense_output_is_cache_line_aligned(formats, dims):
