@@ -263,9 +263,22 @@ class KernelBuilder:
         :meth:`build` would produce (the tuned knobs participate in the
         cache key, so tuned and untuned builds never collide).
         """
+        return self._prepare(expr, inputs, output, name, attr_dims, tune)[1:]
+
+    def _prepare(
+        self,
+        expr: Expr,
+        inputs: Mapping[str, InputLike],
+        output: Optional[OutputSpec] = None,
+        name: str = "kernel",
+        attr_dims: Optional[Mapping[str, int]] = None,
+        tune: Optional[str] = None,
+    ) -> tuple:
+        """:meth:`prepare`, led by the builder that compiles the request
+        (this one or the autotuner's clone), for :meth:`build`."""
         clone = self._tuned_clone(expr, inputs, output, name, tune)
         if clone is not None:
-            return clone.prepare(expr, inputs, output, name, attr_dims)
+            return clone._prepare(expr, inputs, output, name, attr_dims)
         specs: Dict[str, Union[TensorInput, FunctionInput]] = {}
         for kind, ident in [("kernel", name), *(("variable", v) for v in inputs)]:
             if not _IDENT.match(ident) or ident.startswith("_"):
@@ -321,7 +334,7 @@ class KernelBuilder:
             )
             if key is not None:
                 _VERIFIED_KEYS.add(key)
-        return specs, dims, key
+        return self, specs, dims, key
 
     def cache_key(
         self,
@@ -343,11 +356,16 @@ class KernelBuilder:
         name: str = "kernel",
         attr_dims: Optional[Mapping[str, int]] = None,
         tune: Optional[str] = None,
+        _prepared: Optional[tuple] = None,
     ) -> Kernel:
-        clone = self._tuned_clone(expr, inputs, output, name, tune)
-        if clone is not None:
-            return clone.build(expr, inputs, output, name, attr_dims)
-        specs, dims, key = self.prepare(expr, inputs, output, name, attr_dims)
+        """Compile (or cache-restore) the kernel; ``_prepared`` is what
+        :meth:`_prepare` already returned for this very request."""
+        prepared = _prepared or self._prepare(
+            expr, inputs, output, name, attr_dims, tune)
+        builder, specs, dims, key = prepared
+        if builder is not self:     # the autotuner's clone compiles
+            return builder.build(expr, inputs, output, name, attr_dims,
+                                 _prepared=prepared)
         if key is not None:
             cached = kernel_cache.lookup(key)
             if cached is not None:

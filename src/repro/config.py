@@ -190,7 +190,7 @@ _ROWS = (
          "token-bucket burst size", shown="`2·qps`", minimum=0, strict=True),
     Knob("REPRO_SERVE_RETRIES", "int", 2,
          "replay budget for *transient* failures (`Retryable` taxonomy; "
-         "crashes replay at most once, deterministic errors never)",
+         "a kernel crash or a deterministic error never replays)",
          minimum=0, strict=True),
     Knob("REPRO_SERVE_RETRY_BASE", "float", 0.05,
          "base seconds for full-jitter exponential retry backoff",

@@ -205,16 +205,14 @@ class KernelRuntimeError(ReproError):
     """
 
 
-class KernelCrashError(Retryable, KernelRuntimeError):
+class KernelCrashError(KernelRuntimeError):
     """A supervised kernel's pool worker died by signal (segfault from
     an out-of-contract write, SIGKILL from the OOM killer or a resource
     cap, ...).
 
-    Retryable — but *once*: a crash may be environmental (memory
-    pressure on a shared worker, a poisoned pool slot already replaced
-    by the time the error surfaces), so the serving layer grants one
-    replay on a fresh worker; a kernel that crashes twice is treated as
-    deterministic and left to the circuit breaker.
+    Not retryable: the pool has already replaced the worker, and the
+    circuit breaker books the death — repeated crashes are its
+    business, so nothing replays the call.
 
     ``signal`` / ``signal_name`` identify the killer; ``exitcode`` is
     the raw child exit status when the death was not signal-shaped

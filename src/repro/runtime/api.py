@@ -7,12 +7,12 @@ DESIGN.md "Execution policy") and passed to every shard.
 
 Per-shard resilience mirrors the build-time story of
 :mod:`repro.compiler.resilience`: a shard that fails on its executor
-(a crashed pool worker, a transient OS error) is retried once in the
-parent on the serial path, with a logged warning — the parallel runtime
+(a broken pool, a transient OS error) is retried once in the parent on
+the serial path, and a supervised shard that dies fails over to the
+pure-Python twin, each with a logged warning — the parallel runtime
 degrades toward the oracle rather than failing the whole run.  Genuine
 kernel errors (shape mismatches, an output that overflows its own
-rerun) reproduce identically on the retry and surface to the caller as
-they would on a serial run.
+rerun) surface to the caller as they would on a serial run.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from repro.errors import (
     is_retryable,
 )
 from repro.runtime import pool as pool_mod, shm
-from repro.runtime.breaker import CLOSED, breaker
+from repro.runtime.breaker import CLOSED
 from repro.runtime.executor import discard_shared_executor, get_shared_executor
 from repro.runtime.governor import PartialAccumulator
 from repro.runtime.jobs import JobJournal, job_signature
 from repro.runtime.planner import plan_shards, slice_operands
 from repro.runtime.policy import ExecutionPolicy, resolve
-from repro.runtime.route import run_fallback, run_guarded
+from repro.runtime.route import breaker_closed, guard, run_fallback, run_guarded
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ def run_sharded(
     calls).
 
     A shard whose *supervised* run dies (crash or deadline) is not
-    retried in-process — re-running a segfaulting kernel in the host
-    defeats the supervision — but failed over to the pure-Python
-    backend for that shard alone, marked ``failover=True`` /
-    ``worker="fallback"`` in the stats; the death counts toward the
-    circuit breaker on every executor.
+    retried in-process but failed over to the pure-Python backend for
+    that shard alone (``failover=True`` / ``worker="fallback"`` in the
+    stats), after :func:`~repro.runtime.route.guard` booked the death.
 
     ``durable=True`` (or ``REPRO_DURABLE=1``) journals every completed
     shard partial to an on-disk job keyed by the run's deterministic
@@ -173,13 +171,10 @@ def run_shards(
         return run_guarded(kernel, tensors, capacity, policy)
 
     executor = policy.executor
-    brk = key = None
-    if executor == "pool" and policy.supervised:
-        # pool shards count toward the breaker; one not closed sends
-        # them down the serial route, whose run_guarded serves the twin
-        brk, key = breaker, kernel.cache_key or f"uncached:{kernel.name}"
-        if brk.decide(key) != CLOSED:
-            executor, brk = "serial", None
+    if (executor == "pool" and policy.supervised
+            and not breaker_closed(kernel)):
+        # the twin or the probe is one shard at a time: the serial route
+        executor = "serial"
     # operands move to shared memory before anything reads them or the
     # pool forks: shards are windows, fingerprints taken once, no heap copy
     exports = {
@@ -246,6 +241,7 @@ def run_shards(
             shard_kernels.append(kernel)
 
     stats: Dict[int, ShardStat] = dict(skipped)
+    guarded = ex.name == "pool" and policy.supervised
     if ex.name == "pool":
         futures = pool_mod.dispatch(
             kernel, shard_inputs, shard_dims, capacity, policy,
@@ -261,10 +257,14 @@ def run_shards(
         retried = False
         failover = False
         try:
-            result, seconds, who = fut.result()
+            if guarded:
+                result, seconds, who = guard(
+                    shard_kernels[k], shard_inputs[k], capacity, fut.result,
+                    state=CLOSED,
+                )
+            else:
+                result, seconds, who = fut.result()
         except (KernelCrashError, KernelTimeoutError) as exc:
-            if brk is not None:
-                brk.record_failure(key, name=kernel.name)
             logger.warning(
                 "shard %d/%d of kernel %r died under supervision (%s: %s); "
                 "failing over to the Python backend for this shard",
@@ -272,9 +272,7 @@ def run_shards(
             )
             retried = failover = True
             start = time.perf_counter()
-            result = run_fallback(
-                shard_kernels[k], shard_inputs[k], capacity, cause=exc,
-            )
+            result = run_fallback(shard_kernels[k], shard_inputs[k], capacity)
             seconds, who = time.perf_counter() - start, "fallback"
         except Exception as exc:
             if isinstance(exc, ReproError) and not is_retryable(exc):
@@ -294,9 +292,6 @@ def run_shards(
             result, seconds, who = _local_task(
                 shard_kernels[k], shard_inputs[k], capacity, policy,
             )
-        else:
-            if brk is not None:
-                brk.record_success(key, name=kernel.name)
         journaled = False
         if durable and journal is not None:
             journaled = journal.write_shard(i, result)

@@ -19,6 +19,9 @@ re-opens it with a longer delay.
         │ probe succeeds           │ probe fails (backoff ×2)     │
         └──────────────────────────┴──────────────────────────────┘
 
+Only :func:`repro.runtime.route.guard` changes this state, for every
+supervised route; the server's admission only reads it.
+
 Breaker state is keyed by the kernel's canonical cache key, held in
 memory, and mirrored to ``kbrk_<key>.json`` records in the kernel cache
 directory (atomic writes under the per-key file lock, the PR 2
@@ -184,9 +187,10 @@ class CircuitBreaker:
         return self.decide(key)
 
     def is_open(self, key: str) -> bool:
-        """Whether the breaker currently refuses native execution for
-        this key (open, including a claimed in-flight probe)."""
-        return self.state(key) != CLOSED
+        """Whether a call of this key would be refused native execution
+        now: open, with no re-probe due or the probe already in flight.
+        A half-open key is not: its next call is the re-probe."""
+        return self.state(key) == OPEN
 
     def retry_after(self, key: str) -> Optional[float]:
         """Seconds until the next half-open probe could run — the
@@ -204,10 +208,9 @@ class CircuitBreaker:
             return max(0.0, self._reprobe_at(key, rec) - _now())
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Current per-key state, for observability surfaces (the
-        worker pool's :meth:`~repro.runtime.pool.WorkerPool.snapshot`
-        reports this next to its own per-key failure counters — the
-        breaker and the pool key off the same failures)."""
+        """Current per-key state, for observability surfaces (``/stats``
+        and :meth:`~repro.runtime.pool.WorkerPool.snapshot`): the one
+        ledger of supervised deaths."""
         with self._lock:
             out: Dict[str, Dict[str, object]] = {}
             for key, rec in self._records.items():

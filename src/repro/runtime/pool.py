@@ -29,10 +29,9 @@ Worker lifecycle state machine::
 
 Health checks: acquisition re-verifies liveness (a worker that died
 idle is replaced before it is ever handed out), and :meth:`
-WorkerPool.health_check` pings every idle worker on demand.  The
-circuit breaker of :mod:`repro.runtime.breaker` keys off the same
-failures this pool observes — :meth:`WorkerPool.stats` exposes the
-per-key counters next to the breaker's state snapshot.
+WorkerPool.health_check` pings every idle worker on demand.  The pool
+keeps no ledger of deaths: the typed error it raises is booked with
+the circuit breaker by :func:`repro.runtime.route.guard`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import resource_tracker
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -87,28 +86,19 @@ def pool_key(kernel) -> str:
 
 @dataclass
 class PoolStats:
-    """Counters the circuit breaker and benchmarks key off."""
+    """Worker lifecycle counters (a death is the breaker's to book, by
+    :func:`repro.runtime.route.guard`; the pool only replaces the
+    worker)."""
 
     spawned: int = 0
     replaced: int = 0
     evicted: int = 0
     calls: int = 0
-    crashes: int = 0
-    timeouts: int = 0
     #: cumulative pool machinery overhead: wall time inside
     #: :meth:`WorkerPool.run_call` minus the worker-reported kernel
     #: seconds (worker acquisition, pipe round-trip, shm adoption);
     #: :meth:`WorkerPool.snapshot` reports its per-call mean
     overhead_s: float = 0.0
-    #: typed failures per pool key — same keying as the circuit breaker
-    failures: Dict[str, int] = field(default_factory=dict)
-
-    def record_failure(self, key: str, *, timeout: bool) -> None:
-        self.failures[key] = self.failures.get(key, 0) + 1
-        if timeout:
-            self.timeouts += 1
-        else:
-            self.crashes += 1
 
     @property
     def avg_overhead_s(self) -> float:
@@ -216,7 +206,6 @@ class WorkerPool:
             w.conn.send(("warm", key, recipe))
             if not w.conn.poll(deadline):
                 self._recipes.pop(key, None)
-                self.stats.record_failure(key, timeout=True)
                 w.proc.kill()
                 return False
             reply = w.conn.recv()
@@ -382,9 +371,9 @@ class WorkerPool:
                 ))
             except (OSError, BrokenPipeError) as exc:
                 dead = True
-                raise self._worker_died(w, key, rname, cause=str(exc))
+                raise self._worker_died(w, rname, cause=str(exc))
             try:
-                reply = self._await_reply(w, deadline, t_enter, key, rname)
+                reply = self._await_reply(w, deadline, t_enter, rname)
             except (KernelCrashError, KernelTimeoutError):
                 dead = True
                 raise
@@ -404,7 +393,7 @@ class WorkerPool:
                 self._release(w)
 
     def _await_reply(self, w: _Worker, deadline: Optional[float],
-                     start: float, key: str, rname: str):
+                     start: float, rname: str):
         """Poll the worker's pipe until ``start + deadline``; decode a
         missed deadline or a death into a typed error, then kill +
         replace."""
@@ -414,7 +403,6 @@ class WorkerPool:
                 with self._lock:
                     self._destroy(w, replace=True)
                 shm.unlink_by_name(rname)
-                self.stats.record_failure(key, timeout=True)
                 raise KernelTimeoutError(
                     f"pooled kernel call missed its {deadline:.1f}s "
                     f"deadline; worker {w.wid} was killed and replaced",
@@ -424,7 +412,7 @@ class WorkerPool:
                 if w.conn.poll(0.05):
                     return w.conn.recv()
             except (EOFError, OSError):
-                raise self._worker_died(w, key, rname)
+                raise self._worker_died(w, rname)
             if not w.proc.is_alive():
                 # drain a reply that raced the exit
                 try:
@@ -432,20 +420,17 @@ class WorkerPool:
                         return w.conn.recv()
                 except (EOFError, OSError):
                     pass
-                raise self._worker_died(w, key, rname)
+                raise self._worker_died(w, rname)
 
     def _worker_died(
-        self, w: _Worker, key: Optional[str], rname: Optional[str],
-        cause: Optional[str] = None,
+        self, w: _Worker, rname: str, cause: Optional[str] = None,
     ) -> KernelCrashError:
         """Decode a worker death into a typed error; kill + replace."""
         w.proc.join(2.0)
         code = w.proc.exitcode
         with self._lock:
             self._destroy(w, replace=True)
-        if rname is not None:
-            shm.unlink_by_name(rname)
-        self.stats.record_failure(key or "<unknown>", timeout=False)
+        shm.unlink_by_name(rname)
         if code is not None and code < 0:
             return KernelCrashError(
                 f"pool worker {w.wid} died running a kernel",
@@ -481,8 +466,7 @@ class WorkerPool:
         return report
 
     def snapshot(self) -> Dict[str, object]:
-        """Pool + breaker state for observability; the breaker keys off
-        the same per-key failure counters recorded here."""
+        """Pool + breaker state for observability."""
         from repro.runtime import breaker as breaker_mod
 
         with self._lock:

@@ -5,8 +5,10 @@
 :func:`repro.runtime.api.run_shards`, anything else through
 :func:`run_guarded`, which each thread/serial shard takes too — in
 process by :meth:`~repro.compiler.kernel.Kernel.execute`, or supervised
-on a pool worker behind the circuit breaker, whose open state serves
-the kernel's pure-Python twin (:func:`run_fallback`).
+on a pool worker.  Every supervised call, a pool shard's included, is
+settled by :func:`guard`, and no other module changes the circuit
+breaker: it books the death, serves the kernel's pure-Python twin
+(:func:`run_fallback`) or raises the typed error, and runs the probe.
 
 The policy is the only other runtime module imported here: an
 in-process run loads no breaker or pool.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from functools import partial
 from typing import Mapping, Optional, Union
 
 from repro.compiler.resilience import logger
@@ -74,19 +77,9 @@ def run_guarded(
     policy: ExecutionPolicy,
 ) -> Union[Tensor, float, int, bool]:
     """One unsharded run (also each thread/serial shard's body) under an
-    already resolved ``policy``: in process, or supervised behind the
-    circuit breaker.
-
-    closed → run supervised; a crash/timeout raises its typed error and
-    counts toward the breaker threshold.  open → serve the pure-Python
-    fallback without touching the pool.  half-open → this call is the
-    re-probe; success closes the breaker, failure re-opens it (with
-    doubled backoff) and degrades to the fallback transparently — once
-    callers have been getting fallback service, a probe failure is the
-    breaker's business, not theirs.  A kernel with no rebuild recipe
-    (a ``FunctionInput`` callable) cannot cross to a worker and runs in
-    process, with a warning.
-    """
+    already resolved ``policy``: in process, or supervised on a pool
+    worker behind :func:`guard`; a kernel with no rebuild recipe cannot
+    cross to a worker and runs in process, with a warning."""
     if not policy.supervised:
         return kernel.execute(tensors, capacity)
     if kernel.recipe is None:
@@ -96,37 +89,64 @@ def run_guarded(
             kernel.name,
         )
         return kernel.execute(tensors, capacity)
-    from repro.runtime import breaker as breaker_mod, pool
+    from repro.runtime import pool
 
-    key = kernel.cache_key or f"uncached:{kernel.name}"
-    brk = breaker_mod.breaker
-    state = brk.try_probe(key)
-    if state == breaker_mod.OPEN:
+    return guard(kernel, tensors, capacity,
+                 partial(pool.pooled, kernel, tensors, capacity, policy))
+
+
+def guard(kernel, tensors, capacity, call, *, state: Optional[str] = None):
+    """Settle one supervised ``call`` of ``kernel`` with the circuit
+    breaker — the only place a death is booked.
+
+    ``state`` is decided here, claiming a due probe, unless a dispatch
+    decided it once for all its calls (:func:`breaker_closed`).  open →
+    the pure-Python twin, ``call`` unmade.  closed → a completed call
+    is a success; a crash/timeout is a death, re-raised typed.
+    half-open → the call is the re-probe: success closes the breaker, a
+    death re-opens it (backoff doubled) and serves the twin — callers
+    already on fallback service are not handed the probe's failure.  A
+    typed kernel error (``CapacityError``, ...) books nothing and hands
+    the probe claim back.
+    """
+    from repro.runtime.breaker import HALF_OPEN, OPEN, breaker
+
+    key = _breaker_key(kernel)
+    if state is None:
+        state = breaker.try_probe(key)
+    if state == OPEN:
         return run_fallback(kernel, tensors, capacity)
-    probe = state == breaker_mod.HALF_OPEN
+    probe = state == HALF_OPEN
     if probe:
         logger.warning(
             "kernel %r: circuit breaker half-open; re-probing the "
             "supervised kernel", kernel.name,
         )
-    resolved = False
     try:
-        result = pool.pooled(kernel, tensors, capacity, policy)
-        resolved = True
-        brk.record_success(key, name=kernel.name, probe=probe)
-        return result
-    except (KernelCrashError, KernelTimeoutError) as exc:
-        resolved = True
-        brk.record_failure(key, name=kernel.name, probe=probe)
+        result = call()
+    except (KernelCrashError, KernelTimeoutError):
+        breaker.record_failure(key, name=kernel.name, probe=probe)
         if probe:
-            return run_fallback(kernel, tensors, capacity, cause=exc)
+            return run_fallback(kernel, tensors, capacity)
         raise
-    finally:
-        if probe and not resolved:
-            # a typed worker error (CapacityError, ShapeError, ...)
-            # neither closes nor re-opens the breaker, but the probe
-            # claim must not stay wedged in flight
-            brk.release_probe(key)
+    except BaseException:
+        if probe:
+            breaker.release_probe(key)
+        raise
+    breaker.record_success(key, name=kernel.name, probe=probe)
+    return result
+
+
+def _breaker_key(kernel) -> str:
+    return kernel.cache_key or f"uncached:{kernel.name}"
+
+
+def breaker_closed(kernel) -> bool:
+    """The breaker's verdict for a dispatch of several calls, read once
+    and claiming no probe."""
+    from repro.runtime.breaker import CLOSED, breaker
+
+    return breaker.decide(_breaker_key(kernel)) == CLOSED
 
 
 def fallback_kernel(kernel):
@@ -153,23 +173,12 @@ def fallback_kernel(kernel):
 
 
 def run_fallback(
-    kernel,
-    tensors: Mapping[str, Tensor],
-    capacity: Optional[int],
-    *,
-    cause: Optional[BaseException] = None,
+    kernel, tensors: Mapping[str, Tensor], capacity: Optional[int],
 ) -> Union[Tensor, float, int, bool]:
-    """Serve one run from the pure-Python twin (breaker open)."""
-    twin = fallback_kernel(kernel)
-    if twin is None:
-        if cause is not None:
-            raise cause
-        raise KernelCrashError(
-            f"kernel {kernel.name!r}: circuit breaker is open and no "
-            "Python fallback can be built (no rebuild recipe)"
-        )
+    """Serve one run from the pure-Python twin of a kernel that has a
+    rebuild recipe (every supervised one: a kernel without stays in
+    process)."""
     logger.info(
-        "kernel %r: serving the pure-Python fallback result "
-        "(circuit breaker open)", kernel.name,
+        "kernel %r: serving the pure-Python fallback result", kernel.name,
     )
-    return twin.execute(tensors, capacity)
+    return fallback_kernel(kernel).execute(tensors, capacity)

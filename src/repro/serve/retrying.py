@@ -7,16 +7,12 @@ mismatch, source-level :class:`~repro.errors.CompileError`, capacity
 exhaustion) is *never* replayed — the same inputs produce the same
 failure, and a replay only burns the caller's deadline budget.
 
-Two extra bounds on top of the classification:
-
-* a :class:`~repro.errors.KernelCrashError` is granted exactly **one**
-  replay regardless of the configured retry count — a crash may be
-  environmental (memory pressure, a poisoned pool slot already
-  replaced), but a kernel that crashes twice is deterministic in all
-  but name and belongs to the circuit breaker;
-* every sleep is checked against the request budget — when the next
-  backoff would outlive the deadline, the last error surfaces now
-  instead of after a pointless wait.
+A dead kernel (:class:`~repro.errors.KernelCrashError`) is not
+replayed: the pool has already replaced the worker and the circuit
+breaker books the death (:func:`repro.runtime.route.guard`).  Every
+sleep is checked against the request budget — when the next backoff
+would outlive the deadline, the last error surfaces now instead of
+after a pointless wait.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.compiler.resilience import logger
-from repro.errors import KernelCrashError, is_retryable
+from repro.errors import is_retryable
 from repro.serve.deadline import Budget
 
 T = TypeVar("T")
@@ -65,19 +61,12 @@ def run_with_retry(
     Runs synchronously (inside an executor thread); the sleeps are real
     ``time.sleep`` calls charged to the request's own budget.
     """
-    crashes = 0
     for attempt in range(policy.retries + 1):
         try:
             return fn()
         except Exception as exc:
             if not is_retryable(exc):
                 raise
-            if isinstance(exc, KernelCrashError):
-                crashes += 1
-                if crashes > 1:
-                    # the one replay on a fresh worker already happened;
-                    # a second crash is deterministic in all but name
-                    raise
             if attempt >= policy.retries:
                 raise
             delay = policy.delay(attempt, rng)

@@ -12,7 +12,7 @@ choice changes asymptotics).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.compiler.build import KernelBuilder
@@ -90,6 +90,9 @@ class EinsumPlan:
     backend: str
     search: str
     opt_level: int = DEFAULT_OPT_LEVEL
+    #: the builder, specs, dims and key :meth:`cache_key` prepared
+    _prepared: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def builder(self) -> KernelBuilder:
         ctx = TypeContext(
@@ -102,17 +105,21 @@ class EinsumPlan:
         )
 
     def cache_key(self) -> Optional[str]:
-        """The canonical kernel cache key, computed without compiling."""
-        return self.builder().cache_key(
-            self.expr, self.inputs, self.output,
-            name=self.name, attr_dims=self.attr_dims,
+        """The canonical kernel cache key, computed without compiling;
+        the validated request behind it is kept for :meth:`build`."""
+        prepared = self.builder()._prepare(
+            self.expr, self.inputs, self.output, self.name, self.attr_dims,
         )
+        object.__setattr__(self, "_prepared", prepared)
+        return prepared[3]
 
     def build(self):
-        """Compile (or cache-restore) the kernel for this plan."""
+        """Compile (or cache-restore) the kernel for this plan, from the
+        request :meth:`cache_key` validated if it was asked first."""
         return self.builder().build(
             self.expr, self.inputs, self.output,
             name=self.name, attr_dims=self.attr_dims,
+            _prepared=self._prepared,
         )
 
 

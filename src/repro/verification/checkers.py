@@ -235,10 +235,10 @@ def _same_result(semiring: Semiring, expected: Any, actual: Any) -> bool:
         return semiring.eq(expected, actual)
     if expected.dims != actual.dims or expected.attrs != actual.attrs:
         return False
-    lhs, rhs = expected.to_dict(), actual.to_dict()
-    if lhs.keys() != rhs.keys():
+    (lhs, lvals), (rhs, rvals) = expected.to_coo(), actual.to_coo()
+    if lhs.shape != rhs.shape or (lhs != rhs).any():
         return False
-    return all(semiring.eq(lhs[c], rhs[c]) for c in lhs)
+    return all(map(semiring.eq, lvals.tolist(), rvals.tolist()))
 
 
 def _prune(value: Any, semiring: Semiring) -> Any:

@@ -35,10 +35,8 @@ def sparse_vector(
     """A random vector with ~``density * n`` nonzeros in [0.5, 1.5)."""
     rng = np.random.default_rng(seed)
     coords = _unique_coords(rng, (n,), max(1, int(density * n)))
-    entries = {
-        (int(i),): float(rng.random()) + 0.5 for (i,) in coords
-    }
-    return Tensor.from_entries((attr,), (fmt,), (n,), entries, semiring)
+    return Tensor.from_coo((attr,), (fmt,), (n,), coords,
+                           rng.random(len(coords)) + 0.5, semiring)
 
 
 def sparse_matrix(
@@ -53,10 +51,8 @@ def sparse_matrix(
     """A random n×m matrix with ~``density * n * m`` nonzeros."""
     rng = np.random.default_rng(seed)
     coords = _unique_coords(rng, (n, m), max(1, int(density * n * m)))
-    entries = {
-        (int(i), int(j)): float(rng.random()) + 0.5 for i, j in coords
-    }
-    return Tensor.from_entries(attrs, formats, (n, m), entries, semiring)
+    return Tensor.from_coo(attrs, formats, (n, m), coords,
+                           rng.random(len(coords)) + 0.5, semiring)
 
 
 def sparse_tensor3(
@@ -71,10 +67,8 @@ def sparse_tensor3(
     rng = np.random.default_rng(seed)
     nnz = max(1, int(density * int(np.prod(dims))))
     coords = _unique_coords(rng, dims, nnz)
-    entries = {
-        tuple(int(x) for x in c): float(rng.random()) + 0.5 for c in coords
-    }
-    return Tensor.from_entries(attrs, formats, dims, entries, semiring)
+    return Tensor.from_coo(attrs, formats, dims, coords,
+                           rng.random(len(coords)) + 0.5, semiring)
 
 
 def nested_sum(depth: int, n_operands: int, n: int = 5, nnz: int = 12):
@@ -93,11 +87,12 @@ def nested_sum(depth: int, n_operands: int, n: int = 5, nnz: int = 12):
     rng = np.random.default_rng(10 * depth + n_operands)
     tensors, total = {}, 0.0
     for v in names:
+        # a repeated coordinate keeps its last value (no ⊕-fold)
         entries = {tuple(int(x) for x in rng.integers(0, n, depth)):
                    float(rng.integers(1, 9)) for _ in range(nnz)}
         total += sum(entries.values())
-        tensors[v] = Tensor.from_entries(
-            attrs, ("sparse",) * depth, (n,) * depth, entries, FLOAT)
+        tensors[v] = Tensor.from_coo(attrs, ("sparse",) * depth, (n,) * depth,
+                                     list(entries), list(entries.values()), FLOAT)
     expr = Var(names[0])
     for v in names[1:]:
         expr = expr + Var(v)
@@ -108,16 +103,15 @@ def nested_sum(depth: int, n_operands: int, n: int = 5, nnz: int = 12):
 
 def dense_vector(n: int, attr: str = "i", seed: int = 0) -> Tensor:
     rng = np.random.default_rng(seed)
-    entries = {(i,): float(rng.random()) + 0.5 for i in range(n)}
-    return Tensor.from_entries((attr,), ("dense",), (n,), entries, FLOAT)
+    return Tensor.from_coo((attr,), ("dense",), (n,), np.arange(n),
+                           rng.random(n) + 0.5, FLOAT)
 
 
 def dense_matrix(n: int, m: int, attrs: Tuple[str, str] = ("i", "j"), seed: int = 0) -> Tensor:
     rng = np.random.default_rng(seed)
-    entries = {
-        (i, j): float(rng.random()) + 0.5 for i in range(n) for j in range(m)
-    }
-    return Tensor.from_entries(attrs, ("dense", "dense"), (n, m), entries, FLOAT)
+    coords = np.indices((n, m)).reshape(2, -1).T      # row-major
+    return Tensor.from_coo(attrs, ("dense", "dense"), (n, m), coords,
+                           rng.random(n * m) + 0.5, FLOAT)
 
 
 def triangle_relations(n: int) -> Tuple[Relation, Relation, Relation]:
@@ -136,10 +130,11 @@ def triangle_relations(n: int) -> Tuple[Relation, Relation, Relation]:
 def triangle_tensors(n: int) -> Tuple[Tensor, Tensor, Tensor]:
     """The same instances as boolean-weighted DCSR tensors, with level
     orders matching the attribute order a < b < c (T is stored (a, c))."""
-    edges = {(0, b) for b in range(n)} | {(a, 0) for a in range(1, n)}
-    entries = {e: 1 for e in edges}
+    edges = np.array([(0, b) for b in range(n)] + [(a, 0) for a in range(1, n)],
+                     dtype=np.int64)
 
     def pack(attrs):
-        return Tensor.from_entries(attrs, ("sparse", "sparse"), (n, n), entries, INT)
+        return Tensor.from_coo(attrs, ("sparse", "sparse"), (n, n), edges,
+                               np.ones(len(edges)), INT)
 
     return pack(("a", "b")), pack(("b", "c")), pack(("a", "c"))

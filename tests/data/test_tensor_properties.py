@@ -230,8 +230,9 @@ def test_from_coo_rejects_what_from_entries_rejected():
 
 def test_no_per_entry_path_outside_the_dictionary_view():
     """``to_dict`` / ``from_entries`` are the public dictionary view;
-    the data path (serve, runtime, tensor, convert, and relations
-    becoming tensors in relational and tpch) stays columnar."""
+    the data path (serve, runtime, tensor, convert, relations becoming
+    tensors in relational and tpch, the workload generators and the
+    checkers) stays columnar."""
     import pathlib
     import re
 
@@ -239,7 +240,8 @@ def test_no_per_entry_path_outside_the_dictionary_view():
 
     root = pathlib.Path(repro.__file__).parent
     files = [root / "data" / "convert.py"]
-    for package in ("serve", "runtime", "tensor", "relational", "tpch"):
+    for package in ("serve", "runtime", "tensor", "relational", "tpch",
+                    "workloads", "verification"):
         files += sorted((root / package).rglob("*.py"))
     calls = re.compile(r"\.to_dict\(\)|from_entries\(")
     offenders = [
@@ -249,3 +251,81 @@ def test_no_per_entry_path_outside_the_dictionary_view():
         if calls.search(line)
     ]
     assert not offenders, offenders
+
+
+def _dict_sparse(n, density, attrs, formats, dims, seed, semiring):
+    """The generators' construction before they went columnar: one
+    ``{coordinate: value}`` entry per draw, through ``from_entries``."""
+    from repro.workloads.generators import _unique_coords
+
+    rng = np.random.default_rng(seed)
+    coords = _unique_coords(rng, dims, max(1, int(density * n)))
+    entries = {tuple(int(x) for x in c): float(rng.random()) + 0.5
+               for c in coords}
+    return Tensor.from_entries(attrs, formats, dims, entries, semiring)
+
+
+def _dict_nested_sum(depth, n_operands, n=5, nnz=12):
+    rng = np.random.default_rng(10 * depth + n_operands)
+    tensors, total = {}, 0.0
+    for v in "ABCD"[:n_operands]:
+        entries = {tuple(int(x) for x in rng.integers(0, n, depth)):
+                   float(rng.integers(1, 9)) for _ in range(nnz)}
+        total += sum(entries.values())
+        tensors[v] = Tensor.from_entries(
+            "ijkl"[:depth], ("sparse",) * depth, (n,) * depth, entries, FLOAT)
+    return tensors, total
+
+
+def _dict_dense(dims, attrs, seed):
+    rng = np.random.default_rng(seed)
+    entries = {c: float(rng.random()) + 0.5 for c in np.ndindex(*dims)}
+    return Tensor.from_entries(attrs, ("dense",) * len(dims), dims, entries,
+                               FLOAT)
+
+
+def _dict_triangle(n):
+    edges = {(0, b) for b in range(n)} | {(a, 0) for a in range(1, n)}
+    entries = {e: 1 for e in edges}
+    return [Tensor.from_entries(attrs, ("sparse", "sparse"), (n, n), entries,
+                                INT) for attrs in ("ab", "bc", "ac")]
+
+
+def _same_arrays(a: Tensor, b: Tensor) -> bool:
+    return (a.dims == b.dims and a.vals.dtype == b.vals.dtype
+            and np.array_equal(a.vals, b.vals)
+            and sorted(a.pos) == sorted(b.pos)
+            and all(np.array_equal(a.pos[k], b.pos[k]) for k in a.pos)
+            and sorted(a.crd) == sorted(b.crd)
+            and all(np.array_equal(a.crd[k], b.crd[k])
+                    and a.crd[k].dtype == b.crd[k].dtype for k in a.crd))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_generators_build_the_arrays_their_dictionaries_built(seed):
+    """The columnar generators give, array for array, the tensors their
+    ``{coordinate: value}`` construction gave at the same seed — a
+    repeated coordinate in ``nested_sum`` keeps its last value."""
+    from repro.workloads import generators as g
+
+    pairs = [
+        (g.sparse_vector(40, 0.3, seed=seed),
+         _dict_sparse(40, 0.3, "i", ("sparse",), (40,), seed, FLOAT)),
+        (g.sparse_matrix(9, 11, 0.3, seed=seed),
+         _dict_sparse(99, 0.3, ("i", "j"), ("dense", "sparse"), (9, 11), seed,
+                      FLOAT)),
+        (g.sparse_tensor3((4, 5, 6), 0.2, seed=seed),
+         _dict_sparse(120, 0.2, ("i", "k", "l"), ("sparse",) * 3, (4, 5, 6),
+                      seed, FLOAT)),
+        (g.dense_vector(13, seed=seed), _dict_dense((13,), ("i",), seed)),
+        (g.dense_matrix(5, 7, seed=seed),
+         _dict_dense((5, 7), ("i", "j"), seed)),
+        *zip(g.triangle_tensors(6 + seed), _dict_triangle(6 + seed)),
+    ]
+    for depth, n_operands in [(2, 2), (3, 4)]:
+        _expr, _ctx, tensors, total = g.nested_sum(depth, n_operands)
+        want, want_total = _dict_nested_sum(depth, n_operands)
+        assert total == want_total
+        pairs += [(tensors[v], want[v]) for v in want]
+    for got, want in pairs:
+        assert _same_arrays(got, want), (got, want)

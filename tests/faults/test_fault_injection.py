@@ -15,6 +15,9 @@ Covered modes:
 9. undersized sparse output    → one logged rerun at the counted size, on
                                  every route; an overflowed rerun is a
                                  ``CapacityError``
+10. a supervised kernel dying  → the typed error or the Python twin's
+                                 result on every supervised route, each
+                                 death booked once by the breaker
 """
 
 from __future__ import annotations
@@ -32,8 +35,12 @@ from repro.errors import (
     BackendUnavailableError,
     CapacityError,
     CompileError,
+    KernelCrashError,
+    KernelTimeoutError,
     ReproError,
 )
+from repro.runtime.breaker import CLOSED, HALF_OPEN, OPEN, breaker
+from repro.runtime.pool import run_supervised
 from tests.conftest import bench_kernel
 from tests.faults.conftest import (
     copy_problem,
@@ -43,7 +50,12 @@ from tests.faults.conftest import (
     requires_toolchain,
     spmv_problem,
 )
-from tests.faults.crash_kernels import OverrunKernel
+from tests.faults.crash_kernels import (
+    OverrunKernel,
+    SegfaultKernel,
+    SpinKernel,
+    sabotage_in_workers,
+)
 
 
 def _build_spmv(backend="c", name="fault_k", **kw):
@@ -413,3 +425,93 @@ def test_undersized_output_reruns_on_every_route(route, tmp_path, monkeypatch):
     runs, reruns = capacities.count(1), len(capacities) - capacities.count(1)
     assert reruns <= runs
     assert runs > 0 or route in ("pool", "supervised")
+
+
+# ----------------------------------------------------------------------
+# 10. a supervised kernel that dies, on every supervised route
+# ----------------------------------------------------------------------
+#: how the kernel dies in its pool worker: a segfault, a run past its
+#: deadline, or a typed kernel error (an output past every reservation)
+DEATHS = {
+    "sigsegv": SegfaultKernel,
+    "deadline": SpinKernel,
+    "typed": OverrunKernel,
+}
+DEATH_ERRORS = {
+    "sigsegv": KernelCrashError,
+    "deadline": KernelTimeoutError,
+    "typed": CapacityError,
+}
+
+#: the supervised routes; ``run_supervised`` calls the pool directly and
+#: never consults the breaker
+SUPERVISED_ROUTES = {
+    "run": lambda k, t: k.run(t, parallel=False, supervised=True),
+    "serial_shards": lambda k, t: k.run_sharded(
+        t, executor="serial", shards=2, supervised=True),
+    "pool_shards": lambda k, t: k.run_sharded(
+        t, executor="pool", workers=2, shards=2, supervised=True),
+    "run_supervised": lambda k, t: run_supervised(k, t),
+}
+
+#: (route, breaker state before, death) → (what the caller gets: the
+#: twin's result or the typed error; breaker state, failures and probes
+#: after).  Only the cells no other test pins; DESIGN.md "Supervised
+#: execution & circuit breaker" has the whole table.  The breaker opens
+#: at three deaths; a half-open breaker starts from three.
+CRASH_TABLE = {
+    ("run", "closed", "typed"): ("error", CLOSED, 0, 0),
+    ("run", "half_open", "deadline"): ("twin", OPEN, 4, 1),
+    ("run", "half_open", "typed"): ("error", HALF_OPEN, 3, 0),
+    ("serial_shards", "closed", "deadline"): ("twin", CLOSED, 2, 0),
+    ("serial_shards", "closed", "typed"): ("error", CLOSED, 0, 0),
+    ("serial_shards", "open", "sigsegv"): ("twin", OPEN, 3, 0),
+    ("serial_shards", "half_open", "sigsegv"): ("twin", OPEN, 4, 1),
+    ("serial_shards", "half_open", "deadline"): ("twin", OPEN, 4, 1),
+    ("serial_shards", "half_open", "typed"): ("error", HALF_OPEN, 3, 0),
+    ("pool_shards", "closed", "sigsegv"): ("twin", CLOSED, 2, 0),
+    ("pool_shards", "closed", "deadline"): ("twin", CLOSED, 2, 0),
+    ("pool_shards", "closed", "typed"): ("error", CLOSED, 0, 0),
+    ("pool_shards", "open", "sigsegv"): ("twin", OPEN, 3, 0),
+    ("pool_shards", "half_open", "sigsegv"): ("twin", OPEN, 4, 1),
+    ("pool_shards", "half_open", "deadline"): ("twin", OPEN, 4, 1),
+    ("pool_shards", "half_open", "typed"): ("error", HALF_OPEN, 3, 0),
+    ("run_supervised", "closed", "deadline"): ("error", CLOSED, 0, 0),
+    ("run_supervised", "open", "sigsegv"): ("error", OPEN, 3, 0),
+    ("run_supervised", "half_open", "sigsegv"): ("error", HALF_OPEN, 3, 0),
+}
+
+
+@pytest.mark.parametrize("route,state,death", sorted(CRASH_TABLE),
+                         ids=["-".join(cell) for cell in sorted(CRASH_TABLE)])
+def test_crash_table(route, state, death, monkeypatch):
+    """A supervised kernel that dies gets a typed error or the
+    pure-Python twin's result, and the breaker books it once."""
+    monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "3")
+    monkeypatch.setenv("REPRO_KERNEL_DEADLINE", "0.3")
+    monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+    ctx, expr, out, tensors = copy_problem()
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="python",
+                            name=f"dies_{route}_{state}_{death}")
+    want = kernel.execute(tensors).to_dict()
+    key = kernel.cache_key
+    breaker.reset()
+    if state != "closed":
+        for _ in range(3):
+            breaker.record_failure(key)
+        if state == "half_open":
+            breaker._records[key].opened_at -= 1e6
+    assert breaker.state(key) == state
+    sabotage_in_workers(monkeypatch, kernel.name, DEATHS[death]())
+    try:
+        expect, after, failures, probes = CRASH_TABLE[route, state, death]
+        if expect == "twin":
+            assert SUPERVISED_ROUTES[route](kernel, tensors).to_dict() == want
+        else:
+            with pytest.raises(DEATH_ERRORS[death]):
+                SUPERVISED_ROUTES[route](kernel, tensors)
+        ledger = breaker.snapshot().get(key, {"failures": 0, "probes": 0})
+        assert (breaker.state(key), ledger["failures"], ledger["probes"]) == (
+            after, failures, probes)
+    finally:
+        breaker.reset()

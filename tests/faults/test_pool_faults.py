@@ -23,6 +23,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import gc
 
@@ -31,7 +32,9 @@ import pytest
 from repro.errors import CapacityError, KernelCrashError, KernelTimeoutError
 from repro.runtime import pool as pool_mod
 from repro.runtime import shm
+from repro.runtime.breaker import breaker
 from repro.runtime.pool import run_supervised
+from repro.runtime.route import guard
 
 
 def shm_entries():
@@ -102,6 +105,23 @@ def _call(pool, kernel, **kw):
     return pool.run_call(key, {}, None, None, **kw)
 
 
+def _guarded(pool, kernel, call=None, **kw):
+    """``_call`` (or ``call``) behind the breaker's guard, which books a
+    death in the breaker's record — the pool keeps no ledger of its own."""
+    return guard(kernel, {}, None, call or partial(_call, pool, kernel, **kw))
+
+
+def _deaths(key: str) -> int:
+    return breaker.snapshot().get(key, {"failures": 0})["failures"]
+
+
+@pytest.fixture(autouse=True)
+def clean_breaker():
+    breaker.reset()
+    yield
+    breaker.reset()
+
+
 @pytest.fixture
 def pool():
     p = pool_mod.WorkerPool(1)
@@ -114,9 +134,9 @@ def pool():
 # ----------------------------------------------------------------------
 def test_sigsegv_in_worker_is_typed_and_replaced(pool):
     with pytest.raises(KernelCrashError) as err:
-        _call(pool, FaultKernel("sigsegv"))
+        _guarded(pool, FaultKernel("sigsegv"))
     assert err.value.signal == signal.SIGSEGV
-    assert pool.stats.crashes == 1
+    assert _deaths("fault:sigsegv") == 1
     assert pool.stats.replaced == 1
     # the replacement serves the next call — the pool survived
     result, _s, _p = _call(pool, FaultKernel("ok"))
@@ -125,18 +145,18 @@ def test_sigsegv_in_worker_is_typed_and_replaced(pool):
 
 def test_sigkill_mid_call_is_typed_and_replaced(pool):
     with pytest.raises(KernelCrashError) as err:
-        _call(pool, FaultKernel("sigkill"))
+        _guarded(pool, FaultKernel("sigkill"))
     assert err.value.signal == signal.SIGKILL
-    assert pool.stats.failures["fault:sigkill"] == 1
+    assert _deaths("fault:sigkill") == 1
     result, _s, _p = _call(pool, FaultKernel("ok"))
     assert result == 42.0
 
 
 def test_wedged_worker_misses_deadline(pool):
     with pytest.raises(KernelTimeoutError) as err:
-        _call(pool, FaultKernel("sleep"), deadline=0.3)
+        _guarded(pool, FaultKernel("sleep"), deadline=0.3)
     assert err.value.deadline == pytest.approx(0.3)
-    assert pool.stats.timeouts == 1
+    assert _deaths("fault:sleep") == 1
     assert pool.stats.replaced == 1
     result, _s, _p = _call(pool, FaultKernel("ok"))
     assert result == 42.0
@@ -171,11 +191,12 @@ def test_hung_warm_up_is_bounded_and_replaces_the_worker(pool):
     wedge the replacement too), and the pool serves the next key."""
     t0 = time.monotonic()
     with pytest.raises(KernelTimeoutError) as err:
-        pool.register_recipe("fault:hang", FaultRecipe("hang"), deadline=0.3)
+        _guarded(pool, FaultKernel("hang"), partial(
+            pool.register_recipe, "fault:hang", FaultRecipe("hang"),
+            deadline=0.3))
     assert err.value.deadline == pytest.approx(0.3)
     assert time.monotonic() - t0 < 5.0
-    assert pool.stats.timeouts == 1
-    assert pool.stats.failures["fault:hang"] == 1
+    assert _deaths("fault:hang") == 1
     assert pool.stats.replaced == 1
     assert "fault:hang" not in pool._recipes
     result, _s, _p = _call(pool, FaultKernel("ok"))
@@ -199,12 +220,12 @@ def test_worker_wedged_at_exit_is_killed_within_the_join_bound(start_method):
 
 def test_typed_error_crosses_the_pipe_with_metadata(pool):
     with pytest.raises(CapacityError) as err:
-        _call(pool, FaultKernel("capacity"))
+        _guarded(pool, FaultKernel("capacity"))
     assert err.value.needed == 128
     assert err.value.capacity == 64
     # a typed error is NOT a worker death: same worker, no replacement
     assert pool.stats.replaced == 0
-    assert pool.stats.crashes == 0
+    assert _deaths("fault:capacity") == 0
     result, _s, _p = _call(pool, FaultKernel("ok"))
     assert result == 42.0
 

@@ -89,7 +89,7 @@ def test_kernel_is_warmed_once_and_stays_resident(small_pool):
         np.testing.assert_allclose(np.asarray(result.vals),
                                    expected(tensors))
     assert small_pool.stats.calls == 4
-    assert small_pool.stats.crashes == 0
+    assert small_pool.stats.replaced == 0
 
 
 def test_register_recipe_prewarms_idle_workers(small_pool):

@@ -28,6 +28,21 @@ def test_einsum_kernel_key_matches_build():
     assert kernel.cache_key == prepared.kernel_key
 
 
+def test_a_served_einsum_computes_its_kernel_key_once(monkeypatch):
+    """Admission's key is the build's: prepare and execute validate the
+    request and hash it once between them."""
+    real, calls = build_mod.kernel_cache_key, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(build_mod, "kernel_cache_key", counted)
+    prepared = prepare_request(einsum_query(seed=3))
+    prepared.execute(Budget(30.0))
+    assert len(calls) == 1
+
+
 def test_identical_bodies_coalesce_different_operands_do_not():
     a = prepare_request(einsum_query(seed=1))
     b = prepare_request(einsum_query(seed=1))
