@@ -15,9 +15,8 @@ import copy
 import ctypes
 import functools
 import importlib
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,27 +118,6 @@ class Kernel:
         #: the canonical build-cache key (None when caching is off);
         #: also keys the supervised-execution circuit breaker
         self.cache_key: Optional[str] = None
-        #: per-shard timing/volume stats from the last sharded run,
-        #: behind a lock (see the ``last_shard_stats`` property)
-        self._stats_lock = threading.Lock()
-        self._last_shard_stats: List = []
-
-    @property
-    def last_shard_stats(self) -> List:
-        """Per-shard stats of the most recent sharded run (a copy).
-
-        Reads and writes go through one lock so concurrent
-        :meth:`run_sharded` calls on a shared kernel can never expose a
-        half-written list; each call's own stats are available
-        race-free via ``run_sharded(..., stats_out=[])``.
-        """
-        with self._stats_lock:
-            return list(self._last_shard_stats)
-
-    @last_shard_stats.setter
-    def last_shard_stats(self, stats) -> None:
-        with self._stats_lock:
-            self._last_shard_stats = list(stats)
 
     @property
     def source(self) -> str:
@@ -201,13 +179,10 @@ class Kernel:
         """A shallow view of this kernel with ``fields`` replaced.
 
         Every other field is carried over and the backend kernel object
-        is shared — no recompilation.  What a run writes (shard stats)
-        starts empty and belongs to the view.
+        is shared — no recompilation.
         """
         view = copy.copy(self)
         view.__dict__.update(fields)
-        view._stats_lock = threading.Lock()
-        view._last_shard_stats = []
         return view
 
     def with_output_dims(self, dims: Sequence[int]) -> "Kernel":

@@ -249,24 +249,11 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 
 def _lock_timed_out(lock_path: str, timeout: float) -> None:
-    """Policy for a lock still busy at its deadline: *never* a silent
-    downgrade.  Default — warn and let the caller continue unlocked
-    (artifact publication is atomic, so the worst case is duplicated
-    work); under ``REPRO_STRICT_LOCKS=1`` — raise a typed
-    :class:`~repro.errors.LockTimeoutError` so fault harnesses (and
-    strict deployments) can assert on the condition instead of racing.
-    """
-    from repro.errors import LockTimeoutError
-
-    if config.get("REPRO_STRICT_LOCKS"):
-        raise LockTimeoutError(
-            f"build lock {lock_path} still busy after {timeout:.1f}s "
-            "(REPRO_STRICT_LOCKS=1: failing instead of running unlocked)",
-            path=lock_path, timeout=timeout,
-        )
+    """A lock still busy at its deadline is *never* a silent downgrade:
+    warn, and let the caller continue unlocked (artifact publication is
+    atomic, so the worst case is duplicated work)."""
     logger.warning(
-        "lock %s busy past its %.1fs timeout; continuing unlocked "
-        "(set REPRO_STRICT_LOCKS=1 to fail instead)",
+        "lock %s busy past its %.1fs timeout; continuing unlocked",
         lock_path, timeout,
     )
 
@@ -281,9 +268,8 @@ def file_lock(path: Union[str, Path], timeout: float = 60.0):
     *failures* (read-only directory, exotic filesystems) degrade to
     running unlocked — the artifacts themselves are still published
     atomically, so the worst case is duplicated work, never corruption.
-    A lock that stays *busy* past ``timeout`` is different: that is
-    logged as a warning, and under ``REPRO_STRICT_LOCKS=1`` raises
-    :class:`~repro.errors.LockTimeoutError` instead of continuing.
+    A lock that stays *busy* past ``timeout`` degrades the same way,
+    but is logged as a warning.
     """
     lock_path = str(path) + ".lock"
     if fcntl is not None:
@@ -302,7 +288,7 @@ def file_lock(path: Union[str, Path], timeout: float = 60.0):
                     if time.monotonic() >= deadline:
                         os.close(fd)
                         fd = None
-                        _lock_timed_out(lock_path, timeout)  # may raise
+                        _lock_timed_out(lock_path, timeout)
                         break
                     time.sleep(0.02)
                 except OSError:
@@ -328,7 +314,7 @@ def file_lock(path: Union[str, Path], timeout: float = 60.0):
             break
         except FileExistsError:
             if time.monotonic() >= deadline:
-                _lock_timed_out(lock_path, timeout)  # may raise
+                _lock_timed_out(lock_path, timeout)
                 break
             time.sleep(0.05)
         except OSError:

@@ -8,7 +8,7 @@ invalid-value policy: log a warning naming the variable and use the
 default (a typo must not take down a library call), or raise
 :class:`~repro.errors.ConfigError` when the row is ``strict`` (the
 ``REPRO_SERVE_*`` family: a server that boots read its configuration
-the way the operator wrote it) or ``REPRO_STRICT_ENV`` is set.
+the way the operator wrote it).
 
 ``python -m repro.config`` prints the table as README's "Environment
 variables" section has it; a tier-1 test holds the two equal.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -56,7 +56,7 @@ class Knob(NamedTuple):
     #: numbers only: what ``0`` (or a FALSEY word) means when it is not
     #: a quantity — ``"default"`` or ``"none"`` (the feature is off)
     zero: str = ""
-    #: invalid values always raise, whatever ``REPRO_STRICT_ENV`` says
+    #: invalid values raise instead of warning
     strict: bool = False
 
 
@@ -164,37 +164,11 @@ _ROWS = (
          "(`shard`, `merge`, `supervised_child`: any pool worker's `run` "
          "message, supervised or sharded) on the n-th hit — the chaos "
          "suite's crash lever", shown="off"),
-    Knob("REPRO_STRICT_LOCKS", "flag", False,
-         "`1` turns a build-lock timeout into a typed `LockTimeoutError` "
-         "instead of the default warn-and-continue"),
-    Knob("REPRO_STRICT_ENV", "flag", False,
-         "`1` makes a malformed `REPRO_*` value raise a typed `ConfigError` "
-         "naming the variable instead of the default warn-and-use-default"),
     Knob("REPRO_SERVE_HOST", "str", "127.0.0.1",
          "bind address of the query server", strict=True),
     Knob("REPRO_SERVE_PORT", "int", 8774,
          "bind port (`0` picks a free port, announced via the "
          "`REPRO_SERVE_READY` line)", minimum=0, strict=True),
-    Knob("REPRO_SERVE_DEADLINE", "float", 30.0,
-         "server-side ceiling (seconds) on every request budget; a client "
-         "`deadline_ms` can only shrink it — exhaustion is `504` + "
-         "`Retry-After`", minimum=0.001, strict=True),
-    Knob("REPRO_SERVE_MAX_INFLIGHT", "int", 32,
-         "concurrent admitted requests before new ones are shed with `429`",
-         minimum=1, strict=True),
-    Knob("REPRO_SERVE_QPS", "float", 0.0,
-         "token-bucket admission rate; excess load is shed with `429` + "
-         "`Retry-After` (the bucket's own refill time)",
-         shown="off", minimum=0.0, strict=True),
-    Knob("REPRO_SERVE_BURST", "int", 0,
-         "token-bucket burst size", shown="`2·qps`", minimum=0, strict=True),
-    Knob("REPRO_SERVE_RETRIES", "int", 2,
-         "replay budget for *transient* failures (`Retryable` taxonomy; "
-         "a kernel crash or a deterministic error never replays)",
-         minimum=0, strict=True),
-    Knob("REPRO_SERVE_RETRY_BASE", "float", 0.05,
-         "base seconds for full-jitter exponential retry backoff",
-         minimum=0.0, strict=True),
     Knob("REPRO_SERVE_DEGRADE", "choice", "reject",
          "what admission does with an open-breaker kernel or an over-budget "
          "footprint: `reject` → `503` + `Retry-After` (the breaker's "
@@ -206,18 +180,6 @@ _ROWS = (
     Knob("REPRO_SERVE_DRAIN", "float", 10.0,
          "seconds SIGTERM waits for in-flight requests before cancelling "
          "them with partial-result markers", minimum=0.0, strict=True),
-    Knob("REPRO_SERVE_WRITE_TIMEOUT", "float", 5.0,
-         "per-chunk client write budget; a stalled reader is disconnected "
-         "instead of parking a worker", minimum=0.1, strict=True),
-    Knob("REPRO_SERVE_WORKERS", "int", 8,
-         "executor threads running (blocking) kernel dispatch",
-         minimum=1, strict=True),
-    Knob("REPRO_SERVE_MAX_BODY", "int", 8 * 1024 * 1024,
-         "request-body ceiling in bytes (8 MiB; `413` past it)",
-         minimum=1024, strict=True),
-    Knob("REPRO_SERVE_STREAM_THRESHOLD", "int", 4096,
-         "result entries above which the response switches to chunked "
-         "NDJSON streaming", minimum=1, strict=True),
     Knob("REPRO_TUNE", "choice", None,
          "`auto` routes open-knob builds through the `repro.autotune` "
          "planner (cost-model-chosen ordering, output formats and search); "
@@ -243,8 +205,8 @@ KNOBS = {row.name: row for row in _ROWS}
 
 def _invalid(row: Knob, raw: str, reason: str, fallback):
     """The one invalid-value policy: raise when strict, else warn and
-    use ``fallback`` (``REPRO_STRICT_ENV`` is read only here)."""
-    if row.strict or get("REPRO_STRICT_ENV"):
+    use ``fallback``."""
+    if row.strict:
         raise ConfigError(row.name, raw, reason)
     logging.getLogger("repro").warning(
         "ignoring invalid %s=%r (%s); using %r", row.name, raw, reason,
@@ -302,6 +264,20 @@ def get(name: str):
                 row, raw, f"known entries: {', '.join(row.choices)}", known)
         return known
     return _number(row, raw, text)
+
+
+def family(prefix: str) -> Dict[str, object]:
+    """Every row named ``prefix…``, read with :func:`get`.  A set
+    ``prefix…`` variable the table does not have — misspelt or retired
+    — raises :class:`ConfigError`: a family read this way was read the
+    way it was written."""
+    rows = [name for name in KNOBS if name.startswith(prefix)]
+    for name, raw in os.environ.items():
+        if name.startswith(prefix) and name not in KNOBS:
+            raise ConfigError(
+                name, raw, f"no such variable (the {prefix}* ones are "
+                f"{', '.join(rows)})")
+    return {name: get(name) for name in rows}
 
 
 def readme_table() -> str:

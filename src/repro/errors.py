@@ -14,9 +14,6 @@ class and switch on the concrete type.  The taxonomy distinguishes
 * *execution* failures — a supervised kernel run dying by signal or
   missing its wall-clock deadline (:class:`KernelCrashError`,
   :class:`KernelTimeoutError`), and
-* *coordination* failures — a cross-process build lock that could not
-  be acquired in time under strict-lock mode
-  (:class:`LockTimeoutError`), and
 * *configuration* failures — an environment knob holding an unparsable
   value (:class:`ConfigError`, naming the variable).
 
@@ -83,11 +80,12 @@ def is_retryable(exc: BaseException) -> bool:
 class ConfigError(ReproError, ValueError):
     """An environment knob holds a value that cannot be parsed.
 
-    Raised at *read* time by :func:`repro.config.get` — for any row
-    under ``REPRO_STRICT_ENV``, and always for the ``REPRO_SERVE_*``
-    rows — so an operator typo like ``REPRO_POOL_WORKERS=abc`` surfaces
-    once, named, at startup — never as a raw ``ValueError`` deep in the
-    stack.
+    Raised at *read* time by :func:`repro.config.get` for the strict
+    ``REPRO_SERVE_*`` rows, and by :func:`repro.config.family` (the
+    server's boot) for a ``REPRO_SERVE_*`` variable that is no row at
+    all — so an operator
+    typo like ``REPRO_SERVE_PORT=877a`` surfaces once, named, at
+    startup — never as a raw ``ValueError`` deep in the stack.
     """
 
     def __init__(self, variable: str, value: str, reason: str) -> None:
@@ -249,29 +247,6 @@ class KernelTimeoutError(KernelRuntimeError):
         self.deadline = deadline
 
 
-class LockTimeoutError(Retryable, ReproError):
-    """A cross-process build lock stayed busy past its timeout.
-
-    Retryable: lock contention is transient by nature — the holder
-    finishes (or dies) and a later attempt acquires cleanly.
-
-    Raised only under ``REPRO_STRICT_LOCKS=1``; the default policy logs
-    a warning and continues unlocked (artifact publication is atomic,
-    so the worst case is duplicated work, never corruption).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        path: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        super().__init__(message)
-        self.path = path
-        self.timeout = timeout
-
-
 class InjectedFault(ReproError):
     """A deliberate failure fired by an armed ``REPRO_FAULT`` site.
 
@@ -386,5 +361,4 @@ __all__ = [
     "KernelRuntimeError",
     "KernelCrashError",
     "KernelTimeoutError",
-    "LockTimeoutError",
 ]

@@ -114,9 +114,8 @@ def run_sharded(
     Degrades to the plain single run when no split index qualifies or
     the plan collapses to one shard; an explicit ``split_attr`` that is
     not splittable raises instead.  ``shards`` defaults to the worker
-    count.  Per-shard stats land on ``kernel.last_shard_stats`` (and in
-    ``stats_out`` when given — the race-free channel under concurrent
-    calls).
+    count.  Per-shard stats land in ``stats_out`` when given (one list
+    per call, so concurrent calls never share one).
 
     A shard whose *supervised* run dies (crash or deadline) is not
     retried in-process but failed over to the pure-Python backend for
@@ -308,7 +307,6 @@ def run_shards(
     for i in acc.spilled_indices():
         stats[i] = replace(stats[i], spilled=True)
     ordered = [stats[i] for i in sorted(stats)]
-    kernel.last_shard_stats = ordered
     if stats_out is not None:
         stats_out.extend(ordered)
     if job_out is not None and journal is not None:

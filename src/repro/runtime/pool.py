@@ -90,20 +90,9 @@ class PoolStats:
     :func:`repro.runtime.route.guard`; the pool only replaces the
     worker)."""
 
-    spawned: int = 0
     replaced: int = 0
     evicted: int = 0
     calls: int = 0
-    #: cumulative pool machinery overhead: wall time inside
-    #: :meth:`WorkerPool.run_call` minus the worker-reported kernel
-    #: seconds (worker acquisition, pipe round-trip, shm adoption);
-    #: :meth:`WorkerPool.snapshot` reports its per-call mean
-    overhead_s: float = 0.0
-
-    @property
-    def avg_overhead_s(self) -> float:
-        """Mean dispatch overhead per completed call (0.0 before any)."""
-        return self.overhead_s / self.calls if self.calls else 0.0
 
 
 class _Worker:
@@ -186,7 +175,6 @@ class WorkerPool:
             child_conn.close()
         w = _Worker(proc, parent_conn, self._next_wid)
         self._next_wid += 1
-        self.stats.spawned += 1
         for key, recipe in list(self._recipes.items())[-cache.MEMO_ENTRIES:]:
             if not self._warm_one(w, key, recipe):
                 break
@@ -380,11 +368,7 @@ class WorkerPool:
             if reply[0] == "ok":
                 _tag, payload, seconds, pid = reply
                 cache.remember(w.warmed, key)
-                result = shm.adopt_result(payload)
-                self.stats.overhead_s += max(
-                    0.0, (time.monotonic() - t_enter) - seconds
-                )
-                return result, seconds, pid
+                return shm.adopt_result(payload), seconds, pid
             _tag, exc, _seconds = reply
             shm.unlink_by_name(rname)
             raise exc
@@ -464,25 +448,6 @@ class WorkerPool:
                 if not ok:
                     self._destroy(w, replace=True)
         return report
-
-    def snapshot(self) -> Dict[str, object]:
-        """Pool + breaker state for observability."""
-        from repro.runtime import breaker as breaker_mod
-
-        with self._lock:
-            idle = len(self._idle)
-            busy = len(self._busy)
-            warmed = {w.wid: len(w.warmed) for w in self._idle}
-        return {
-            "max_workers": self.max_workers,
-            "idle": idle,
-            "busy": busy,
-            "warmed_keys_per_idle_worker": warmed,
-            "recipes": len(self._recipes),
-            "stats": self.stats,
-            "avg_dispatch_overhead_s": self.stats.avg_overhead_s,
-            "breaker": breaker_mod.breaker.snapshot(),
-        }
 
     # ------------------------------------------------------------------
     def grow(self, workers: int) -> None:

@@ -19,9 +19,9 @@ wraps the whole path in a resilience stack —
   and chunked streaming so a slow client never holds a worker
   (:mod:`repro.serve.lifecycle`, :mod:`repro.serve.stream`).
 
-Run it with ``python -m repro.serve``; every knob is a strict
-``REPRO_SERVE_*`` environment variable (see
-:class:`repro.serve.config.ServeConfig`).
+Run it with ``python -m repro.serve``; its environment knobs are the
+strict ``REPRO_SERVE_*`` rows, and every other setting is a
+:class:`repro.serve.config.ServeConfig` field.
 """
 
 from repro.serve.config import ServeConfig

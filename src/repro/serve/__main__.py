@@ -1,10 +1,11 @@
 """``python -m repro.serve`` — boot the contraction server.
 
 Configuration comes from the ``REPRO_SERVE_*`` environment (strictly
-parsed; a typo refuses to boot) with ``--host``/``--port`` overrides
-for convenience.  Prints ``REPRO_SERVE_READY host:port`` once the
-socket is listening, runs until SIGTERM/SIGINT, drains, and exits 0 on
-a clean drain, 1 on a forced one.
+parsed; a typo, in a value or a name, refuses to boot: exit 2) with
+``--host``/``--port`` overrides for convenience.  Prints
+``REPRO_SERVE_READY host:port`` once the socket is listening, runs
+until SIGTERM/SIGINT, drains, and exits 0 on a clean drain, 1 on a
+forced one.
 """
 
 from __future__ import annotations

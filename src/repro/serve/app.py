@@ -76,6 +76,8 @@ def _decode_and_prepare(body: bytes, tune: Optional[str]):
 
 #: idle keep-alive read budget per request, seconds
 IDLE_TIMEOUT = 30.0
+#: executor threads for blocking work (decode, builds, kernel dispatch)
+EXECUTOR_THREADS = 8
 #: extra slack the event loop grants past the request budget before it
 #: abandons the executor future (the supervised kill should fire first)
 DEADLINE_GRACE = 1.0
@@ -90,9 +92,9 @@ class ContractionServer:
         self.admission = AdmissionController(self.config)
         self.single_flight = SingleFlight()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="serve",
+            max_workers=EXECUTOR_THREADS, thread_name_prefix="serve",
         )
-        self._policy = RetryPolicy(self.config.retries, self.config.retry_base)
+        self._policy = RetryPolicy(self.config.retries)
         self._rng = random.Random()
         self._server: Optional[asyncio.AbstractServer] = None
         self._query_tasks: Set[asyncio.Task] = set()
@@ -160,8 +162,7 @@ class ContractionServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await read_request(
-                    reader, self.config.max_body, IDLE_TIMEOUT)
+                request = await read_request(reader, IDLE_TIMEOUT)
                 if request is None:
                     break
                 keep_alive = await self._dispatch(writer, *request)

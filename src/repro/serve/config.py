@@ -3,10 +3,16 @@
 Unlike the library-level ``REPRO_*`` knobs (which warn and fall back
 to defaults — a bad value must not take down a library call), the
 serve family is **always strict**: every variable is parsed once, at
-startup, and an unparsable value raises a typed
-:class:`~repro.errors.ConfigError` naming the variable.  A server that
-boots is a server whose configuration was read the way the operator
-wrote it.
+startup, and an unparsable value — or a ``REPRO_SERVE_*`` name that
+is no row of :data:`repro.config.KNOBS`, such as a retired one —
+raises a typed :class:`~repro.errors.ConfigError` naming the variable.
+A server that boots is a server whose configuration was read the way
+the operator wrote it.
+
+Only a deployment's socket and shutdown settings and its degraded
+mode come from the environment (``HOST``, ``PORT``, ``DEGRADE``,
+``DRAIN``); the admission, retry and streaming limits are
+:class:`ServeConfig` fields, set by whoever builds the server.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ DEGRADE_MODES = config.KNOBS["REPRO_SERVE_DEGRADE"].choices
 
 @dataclass
 class ServeConfig:
-    """Everything the server reads from the environment, parsed once."""
+    """The server's settings: the ``REPRO_SERVE_*`` rows and
+    ``REPRO_TUNE`` come from the environment (:meth:`from_env`); the
+    other fields keep their defaults unless the caller passes them."""
 
     host: str = "127.0.0.1"
     port: int = 8774
@@ -44,8 +52,6 @@ class ServeConfig:
     burst: int = 0
     #: extra attempts granted to *retryable* failures
     retries: int = 2
-    #: base backoff between attempts, seconds (full jitter applied)
-    retry_base: float = 0.05
     #: SIGTERM drain budget: finish in-flight work within this many
     #: seconds, then cancel with partial-result markers
     drain: float = 10.0
@@ -53,10 +59,6 @@ class ServeConfig:
     write_timeout: float = 5.0
     #: open-breaker admission policy (see :data:`DEGRADE_MODES`)
     degrade: str = "reject"
-    #: executor threads for blocking kernel work
-    workers: int = 8
-    #: request body cap, bytes
-    max_body: int = 8 * 1024 * 1024
     #: results with more entries than this stream as chunked NDJSON
     stream_threshold: int = 4096
     #: adaptive planning for open-knob einsum queries ("auto" | "off");
@@ -82,15 +84,14 @@ class ServeConfig:
     def from_env(cls) -> "ServeConfig":
         """Read the full ``REPRO_SERVE_*`` family, strictly.
 
-        Any unparsable value raises :class:`~repro.errors.ConfigError`
+        Any unparsable value, and any ``REPRO_SERVE_*`` variable the
+        table does not have, raises :class:`~repro.errors.ConfigError`
         immediately — the server refuses to boot on a typo rather than
         running with a silently ignored knob.
         """
         prefix = "REPRO_SERVE_"
-        fields = {
-            name[len(prefix):].lower(): config.get(name)
-            for name in config.KNOBS if name.startswith(prefix)
-        }
+        fields = {name[len(prefix):].lower(): value
+                  for name, value in config.family(prefix).items()}
         return cls(tune=config.get("REPRO_TUNE") or cls.tune, **fields)
 
 

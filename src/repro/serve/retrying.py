@@ -37,6 +37,7 @@ class RetryPolicy:
     """``retries`` extra attempts, exponential base delay, full jitter."""
 
     retries: int = 2
+    #: base backoff, seconds (the server runs at this default)
     base: float = 0.05
 
     def delay(self, attempt: int, rng: random.Random) -> float:

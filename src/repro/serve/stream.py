@@ -2,7 +2,7 @@
 
 Request parsing, fixed responses, and chunked NDJSON result streaming.
 The streaming path is where robustness lives: every chunk write is
-drained under a per-chunk timeout (``REPRO_SERVE_WRITE_TIMEOUT``), so
+drained under a per-chunk timeout (``ServeConfig.write_timeout``), so
 a client that stops reading mid-result costs the server one small
 buffer and a closed socket — never a parked worker thread.  Large
 tensor results stream as NDJSON frames (a header line, entry pages, a
@@ -27,6 +27,8 @@ REASONS = {
 
 #: entries per NDJSON frame when streaming a tensor result
 PAGE = 1024
+#: request-body ceiling, bytes (``413`` past it)
+MAX_BODY = 8 * 1024 * 1024
 
 
 class HttpError(Exception):
@@ -42,7 +44,7 @@ class SlowClientError(Exception):
 
 
 async def read_request(
-    reader: asyncio.StreamReader, max_body: int, timeout: float
+    reader: asyncio.StreamReader, timeout: float
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one request; None on a cleanly closed idle connection."""
     try:
@@ -71,8 +73,8 @@ async def read_request(
     if not (declared.isascii() and declared.isdigit() and len(declared) <= 19):
         raise HttpError(400, f"bad Content-Length {declared[:32]!r}")
     length = int(declared)
-    if length > max_body:
-        raise HttpError(413, f"body exceeds {max_body} bytes")
+    if length > MAX_BODY:
+        raise HttpError(413, f"body exceeds {MAX_BODY} bytes")
     body = b""
     if length:
         body = await asyncio.wait_for(

@@ -34,10 +34,12 @@ def main() -> None:
         OutputSpec(("i",), ("dense",), (n,)), backend="python",
         name="shard_race_k",
     )
+    stats = []
     result = kernel.run_sharded(
-        {"A": A, "x": x}, executor="pool", workers=2, shards=2
+        {"A": A, "x": x}, executor="pool", workers=2, shards=2,
+        stats_out=stats,
     )
-    retried = sum(int(s.retried) for s in kernel.last_shard_stats)
+    retried = sum(int(s.retried) for s in stats)
     print(f"CHECK {np.asarray(result.vals).sum():.12f}")
     print(f"RETRIED {retried}")
     print(f"STATS {kernel_cache.stats}")

@@ -206,17 +206,6 @@ def test_shared_pool_singleton_grows_not_duplicates():
     pool_mod.shutdown_shared_pool()
 
 
-def test_snapshot_reports_pool_and_breaker(small_pool):
-    kernel, tensors = spmv_kernel()
-    _call(small_pool, kernel, tensors)
-    snap = small_pool.snapshot()
-    assert snap["max_workers"] == 2
-    assert snap["idle"] + snap["busy"] == 2
-    assert snap["recipes"] == 1
-    assert snap["stats"].calls == 1
-    assert isinstance(snap["breaker"], dict)
-
-
 # ----------------------------------------------------------------------
 # the pool executor end to end
 # ----------------------------------------------------------------------

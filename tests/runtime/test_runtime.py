@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import threading
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.compiler.scalars import scalar_ops_for
 from repro.krelation import Schema
 from repro.lang import Sum, TypeContext, Var
 from repro.runtime import api as api_mod
+from repro.runtime.api import ShardStat
 from repro.runtime.executor import (
     SerialExecutor,
     ThreadExecutor,
@@ -53,6 +55,21 @@ def dot_kernel(n: int = N, seed: int = 3):
         semiring=FLOAT, backend="python", name="rt_dot",
     )
     return kernel, {"u": u, "v": v}
+
+
+def spy_shards(monkeypatch):
+    """The per-shard stats of every sharded run a ``Kernel.run`` routes
+    to, one list per call (``run_shards`` with a ``stats_out`` of its
+    own)."""
+    calls = []
+    real = api_mod.run_shards
+
+    def spy(*args, **kwargs):
+        calls.append([])
+        return real(*args, stats_out=calls[-1], **kwargs)
+
+    monkeypatch.setattr(api_mod, "run_shards", spy)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -173,11 +190,39 @@ class TestRunSharded:
     def test_free_split_matches_oracle(self):
         kernel, tensors = spmv_kernel()
         ref = kernel.execute(tensors)
-        got = kernel.run_sharded(tensors, executor="thread", shards=4, workers=2)
+        stats = []
+        got = kernel.run_sharded(tensors, executor="thread", shards=4,
+                                 workers=2, stats_out=stats)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
-        assert len(kernel.last_shard_stats) == 4
-        assert all(s.seconds >= 0 and s.bytes_in > 0
-                   for s in kernel.last_shard_stats)
+        assert len(stats) == 4
+        assert all(s.seconds >= 0 and s.bytes_in > 0 for s in stats)
+
+    def test_concurrent_calls_keep_their_own_stats(self):
+        # threads sharing one kernel (the service pattern): each call's
+        # stats_out holds that call's shards, complete and in order
+        kernel, tensors = spmv_kernel(n=32)
+        oracle = np.asarray(kernel.execute(tensors).vals)
+        errors = []
+
+        def runner():
+            try:
+                for _ in range(6):
+                    own = []
+                    got = kernel.run_sharded(
+                        tensors, executor="thread", shards=2, stats_out=own)
+                    assert np.array_equal(np.asarray(got.vals), oracle)
+                    assert all(isinstance(s, ShardStat) for s in own)
+                    assert [s.index for s in own] == [0, 1]
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=runner) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors, errors
 
     def test_contracted_scalar_matches_oracle(self):
         kernel, tensors = dot_kernel()
@@ -227,7 +272,7 @@ class TestRunSharded:
         got = kernel.run_sharded(tensors, executor="thread", shards=4)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
 
-    def test_compile_kernel_parallel_default(self):
+    def test_compile_kernel_parallel_default(self, monkeypatch):
         n = N
         A = sparse_matrix(n, n, 0.3, attrs=("i", "j"), seed=7)
         x = dense_vector(n, attr="j", seed=8)
@@ -239,8 +284,9 @@ class TestRunSharded:
             parallel="serial", workers=2,
         )
         assert (kernel.parallel, kernel.workers) == ("serial", 2)
+        calls = spy_shards(monkeypatch)
         kernel.run({"A": A, "x": x})
-        assert len(kernel.last_shard_stats) > 1
+        assert len(calls) == 1 and len(calls[0]) > 1
 
     def test_shard_failure_retries_in_process(self, monkeypatch, caplog):
         kernel, tensors = spmv_kernel()
@@ -255,11 +301,13 @@ class TestRunSharded:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(api_mod, "_local_task", flaky)
+        stats = []
         with caplog.at_level(logging.WARNING, logger="repro"):
-            got = kernel.run_sharded(tensors, executor="serial", shards=3)
+            got = kernel.run_sharded(tensors, executor="serial", shards=3,
+                                     stats_out=stats)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
-        assert kernel.last_shard_stats[0].retried
-        assert sum(s.retried for s in kernel.last_shard_stats) == 1
+        assert stats[0].retried
+        assert sum(s.retried for s in stats) == 1
         assert any("retrying in-process" in r.message for r in caplog.records)
 
     def test_broken_pool_is_evicted_and_run_still_succeeds(
@@ -284,17 +332,20 @@ class TestRunSharded:
         broken = BrokenPool(workers=2)
         key = ("thread", 2)
         monkeypatch.setitem(ex_mod._SHARED, key, broken)
+        stats = []
         with caplog.at_level(logging.WARNING, logger="repro"):
             got = kernel.run_sharded(
-                tensors, executor="thread", workers=2, shards=3)
+                tensors, executor="thread", workers=2, shards=3,
+                stats_out=stats)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
-        assert all(s.retried for s in kernel.last_shard_stats)
+        assert all(s.retried for s in stats)
         assert any("discarding it" in r.message for r in caplog.records)
         assert key not in ex_mod._SHARED
+        stats = []
         got2 = kernel.run_sharded(
-            tensors, executor="thread", workers=2, shards=3)
+            tensors, executor="thread", workers=2, shards=3, stats_out=stats)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got2.vals))
-        assert not any(s.retried for s in kernel.last_shard_stats)
+        assert stats and not any(s.retried for s in stats)
         fresh = ex_mod._SHARED.get(key)
         assert fresh is not None and fresh is not broken
 
@@ -316,12 +367,14 @@ class TestRunSharded:
         assert kernel.recipe is None
         tensors = {"A": A}
         ref = kernel.execute(tensors)
+        stats = []
         with caplog.at_level(logging.WARNING, logger="repro"):
-            got = kernel.run_sharded(tensors, executor="pool", shards=2)
+            got = kernel.run_sharded(tensors, executor="pool", shards=2,
+                                     stats_out=stats)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
         assert any("downgrading the pool executor" in r.message
                    for r in caplog.records)
-        assert {s.worker for s in kernel.last_shard_stats} == {"local"}
+        assert {s.worker for s in stats} == {"local"}
         # supervised, it cannot cross to a worker on any start method:
         # it runs here, with one warning, and opens no pool
         from repro.runtime import pool as pool_mod
@@ -428,8 +481,9 @@ class TestPolicy:
         assert getattr(resolve(handle, **args), field) == expected
         if field == "executor":
             # and Kernel.run goes where the policy says
+            calls = spy_shards(monkeypatch)
             got = handle.run(tensors, **args)
-            assert bool(handle.last_shard_stats) == (expected is not None)
+            assert bool(sum(calls, [])) == (expected is not None)
             assert np.array_equal(
                 np.asarray(got.vals),
                 np.asarray(kernel.execute(tensors).vals))
@@ -450,10 +504,12 @@ class TestPolicy:
         # opened first: the pool's boot reads its size, once per process
         pool_mod.get_shared_pool()
         reads = self._count_reads(monkeypatch)
+        stats = []
         got = kernel.run_sharded(
-            tensors, executor="serial", shards=4, supervised=True)
+            tensors, executor="serial", shards=4, supervised=True,
+            stats_out=stats)
         assert np.array_equal(np.asarray(ref.vals), np.asarray(got.vals))
-        assert len(kernel.last_shard_stats) == 4
+        assert len(stats) == 4
         assert reads["REPRO_KERNEL_DEADLINE"] == 1
         assert max(reads.values()) == 1, dict(reads)
 
