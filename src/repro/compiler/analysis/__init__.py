@@ -34,7 +34,7 @@ adds the static half of that story:
   admission lint.
 
 Importers name a submodule; the package itself exports nothing.
-``python -m repro.lint`` is the command-line report: the stream
-properties of every example and TPC-H pipeline, and the full
-verification + lint report for each example kernel.
+``python -m repro.lint`` is the command-line report, and the only runner
+of the capacity lint: the stream properties of every example and TPC-H
+pipeline, and the verification + lint report for each example kernel.
 """

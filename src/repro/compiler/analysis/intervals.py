@@ -21,8 +21,8 @@ on the optimized IR:
   against each array's :class:`ArrayContract`.
 
 Stores that cannot be proven in bounds come back as ``proven=False``
-:class:`BoundsFinding`\\ s, kept on ``Kernel.capacity_findings`` and
-printed by ``python -m repro.lint``.
+:class:`BoundsFinding`\\ s.  Only ``python -m repro.lint`` runs the lint:
+the emitted guards bound every append whatever its verdict.
 
 Capacity parameters are assumed ``>= 1`` (the kernel wrapper never
 allocates an empty output buffer); the entry state gives them the

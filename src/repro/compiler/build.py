@@ -19,7 +19,6 @@ from repro.compiler import codegen_c, codegen_py, resilience
 from repro.compiler.analysis.dataflow import (
     expr_uses, stmt_effects, stmt_exprs, substatements,
 )
-from repro.compiler.analysis.intervals import BoundsFinding, lint_bounds
 from repro.compiler.analysis.streamprops import verify_expr
 from repro.compiler.cache import kernel_cache, kernel_cache_key
 from repro.compiler.compile_fn import compile_stream
@@ -431,12 +430,9 @@ class KernelBuilder:
             )
         elif backend_used == "interp":
             backend_kernel = InterpKernel(name, taken, decls, body)
-        findings = lint_bounds(body, dest.contracts(), params=[p.name for p in taken],
-                               decls=[v.name for v in decls])
         kernel = Kernel(name, backend_kernel, taken, specs, output, self.ops,
                         body, decls=decls)
         kernel.ws_dim = output.dims[-1] if workspace else None
-        kernel.capacity_findings = findings
 
         if key is not None:
             kernel_cache.store(key, kernel)
@@ -530,8 +526,6 @@ class KernelBuilder:
             name = payload["name"]
             params = [Param(n, k, t) for n, k, t in payload["params"]]
             source = payload["source"]
-            findings = [BoundsFinding(**f)
-                        for f in payload.get("capacity_findings", ())]
             if backend == "c":
                 backend_kernel = codegen_c.CKernel(source, name, params)
             else:
@@ -554,7 +548,6 @@ class KernelBuilder:
             return None
         kernel = Kernel(name, backend_kernel, params, specs, output, self.ops, None)
         kernel.ws_dim = payload.get("ws_dim")
-        kernel.capacity_findings = findings
         return kernel
 
     def _store_payload(
@@ -576,9 +569,6 @@ class KernelBuilder:
                 "params": [[p.name, p.kind, p.ctype] for p in kernel.params],
                 "source": kernel.source,
                 "ws_dim": kernel.ws_dim,
-                # the lint verdict, which a restored kernel reports too
-                "capacity_findings": [
-                    dataclasses.asdict(f) for f in kernel.capacity_findings],
             },
         )
 

@@ -57,7 +57,7 @@ from repro import config
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
 
-CACHE_VERSION = 10  # v10: a kernel takes only the parameters its body names
+CACHE_VERSION = 11  # v11: the payload carries no capacity-lint verdict
 
 #: tier 1's bound: about twice the largest working set a benchmark
 #: workload has (30 keys: ``lib_dispatch`` / ``lib_kernel``'s three

@@ -97,10 +97,6 @@ class Kernel:
         #: dimension of the dense workspace for the last output level,
         #: or None when the output is assembled in iteration order
         self.ws_dim: Optional[int] = None
-        #: the capacity lint's verdict on every store into a
-        #: capacity-managed output array (empty for dense/scalar
-        #: outputs; the disk cache stores and restores them)
-        self.capacity_findings: list = []
         #: picklable rebuild instructions for pool workers, a
         #: :class:`~repro.compiler.build.KernelRecipe` attached by the
         #: builder (None when an input is a :class:`FunctionInput`)

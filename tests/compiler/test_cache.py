@@ -21,7 +21,7 @@ from repro import config
 from repro.compiler import cache as cache_mod
 from repro.compiler import codegen_c
 from repro.compiler import build as build_mod
-from repro.compiler.analysis.intervals import BoundsFinding
+from repro.compiler.analysis import intervals
 from repro.compiler.cache import MEMO_ENTRIES, KernelCache, kernel_cache_key
 from repro.compiler.formats import Param
 from repro.compiler.ir import TINT, EVar, PSort
@@ -352,19 +352,25 @@ def test_sanitized_build_links_its_own_runtime(tmp_path, monkeypatch):
         assert env["a"][:40].tolist() == list(range(40))
 
 
-@requires_cc
-def test_restored_kernel_keeps_its_lint_verdict(fresh_cache, monkeypatch):
-    unproven = BoundsFinding("out_vals", "p", "out_vals[p] = v", False,
-                             "upper bound unproven")
-    monkeypatch.setattr(build_mod, "lint_bounds", lambda *a, **kw: [unproven])
+@pytest.mark.parametrize("backend", [pytest.param("c", marks=requires_cc), "python"])
+def test_cold_build_runs_no_lint(fresh_cache, tmp_path, monkeypatch, backend):
+    """The capacity lint is ``repro.lint``'s report, not a build pass:
+    a sparse output builds, stores and restores without it, and a
+    restored kernel runs supervised only when asked."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build ran the capacity lint")
+
+    monkeypatch.setattr(intervals, "_BoundsLinter", refuse)
     monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
-    ctx, expr, out, tensors = _spmv()
-    built = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")
-    assert built.capacity_findings == [unproven]
+    # a CSR x CSR matmul: every store into its output is capacity-managed
+    _, expr, ctx, tensors, out = sorting_programs()[0]
+    built = compile_kernel(expr, ctx, tensors, out, backend=backend, name="no_lint")
+    [stored] = tmp_path.glob("kmeta_*.json")
+    assert "capacity_findings" not in json.loads(stored.read_text())["payload"]
     fresh_cache.clear()
-    restored = compile_kernel(expr, ctx, tensors, out, backend="c", name="lint_kept")
+    restored = compile_kernel(expr, ctx, tensors, out, backend=backend, name="no_lint")
     assert fresh_cache.stats.disk_hits == 1 and restored is not built
-    assert restored.capacity_findings == [unproven]
-    # the verdict is a report: supervision is the caller's to ask for
+    assert restored.run(tensors).to_dict() == built.execute(tensors).to_dict()
     assert not resolve(restored).supervised
     assert resolve(restored, supervised=True).supervised

@@ -43,6 +43,7 @@ from repro.compiler.ir import (
     emin,
     ilit,
 )
+from repro.lint import capacity_findings
 
 from tests.conftest import bench_kernel
 
@@ -288,4 +289,4 @@ PINNED_FINDINGS = {
 def test_benchmark_program_lint_verdicts_are_pinned(cell):
     kernel = bench_kernel(cell, f"lint_{cell}")
     assert [(f.array, f.index, f.proven)
-            for f in kernel.capacity_findings] == PINNED_FINDINGS[cell]
+            for f in capacity_findings(kernel)] == PINNED_FINDINGS[cell]

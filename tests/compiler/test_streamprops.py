@@ -265,6 +265,18 @@ class TestLintCommand:
         if argv:
             assert lines[-1] == "selftest: both rejection paths caught with blame"
 
+    def test_an_unproven_store_fails_the_command(self, capsys, monkeypatch):
+        import repro.lint as lint
+        from repro.compiler.analysis.intervals import BoundsFinding
+
+        unproven = BoundsFinding("out_vals", "p", "out_vals[p] = v", False,
+                                 "upper bound unproven")
+        monkeypatch.setattr(lint, "capacity_findings", lambda kernel: [unproven])
+        assert lint.main(["vadd"]) == 1
+        out = capsys.readouterr().out
+        assert "0/1 store(s) proven in-bounds -> NEEDS GUARD" in out
+        assert "1 target(s) checked, 1 finding(s)" in out
+
     def test_list_names_every_target(self, capsys):
         from repro.lint import TARGETS, main
 

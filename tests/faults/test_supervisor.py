@@ -202,16 +202,10 @@ def test_policy_resolution(monkeypatch):
 
 @requires_toolchain
 def test_supervised_c_kernels_run_on_the_pool(monkeypatch):
-    """Supervision is asked for: a C kernel with an unproven output
-    store runs in process by default, and on a pool worker under
-    ``supervised=True``."""
+    """Supervision is asked for: a C kernel runs in process by default,
+    and on a pool worker under ``supervised=True``."""
     monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
     kernel, tensors = _build(copy_problem, backend="c")
-
-    class _Unproven:
-        proven = False
-
-    monkeypatch.setattr(kernel, "capacity_findings", [_Unproven()])
     calls = []
     real = pool_mod.pooled
 
@@ -221,7 +215,7 @@ def test_supervised_c_kernels_run_on_the_pool(monkeypatch):
 
     monkeypatch.setattr(pool_mod, "pooled", recording)
     want = kernel.run(tensors, parallel=False).to_dict()
-    assert not calls, "no lint verdict supervises a call by itself"
+    assert not calls, "a call runs supervised only when asked"
     assert kernel.run(tensors, parallel=False, supervised=True).to_dict() == want
     assert calls, "supervised=True should have run on a pool worker"
 
