@@ -17,20 +17,29 @@ One registry holds two kinds of named target:
   issues, the capacity lint's verdict on every store into a
   capacity-managed output array, and the stream-property signature.
 
+A third list, :data:`RULES`, holds the architecture rules: the layering
+DESIGN.md argues for, checked on the source tree of the checkout this
+module sits in, one row per rule.
+
 ``python -m repro.lint [<target> ...] [--list] [--selftest]``: no
-names means every target, pipelines first, then kernels by name.
-``--selftest`` also demonstrates the rejection paths: a non-monotone
-source and a contraction over a non-idempotent ⊕, both refused with
-blame naming the node.  Exit status 1 when any target has a finding (a
-kernel's verifier errors and unproven stores count), else 0.
+names means every target, pipelines first, then kernels by name, then
+every rule.  ``--selftest`` also demonstrates the rejection paths: a
+non-monotone source and a contraction over a non-idempotent ⊕, both
+refused with blame naming the node.  Exit status 1 when any target has
+a finding (a kernel's verifier errors and unproven stores count) or a
+rule is broken, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -358,10 +367,197 @@ def selftest() -> int:
     return failures
 
 
+@dataclass(frozen=True)
+class Ban:
+    """Lines under ``roots`` that match ``pattern`` (searched line by
+    line) are violations outside every ``allow``ed site.  A site, and so
+    a root, is a file or directory, or ``path::name``: the lines of that
+    dotted ``def``/``class``, or of the module-level assignment to
+    ``name``.  With ``count``, exactly that many allowed lines match."""
+
+    pattern: str
+    roots: Tuple[str, ...] = ("src/repro",)
+    allow: Tuple[str, ...] = ()
+    count: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One architecture rule: the DESIGN.md text it enforces, what it
+    bans (its :data:`GONE` row too), and an optional ``check`` of the
+    sources that says what is wrong, if anything."""
+
+    name: str
+    anchor: str
+    bans: Tuple[Ban, ...] = ()
+    check: Optional[Callable[[Mapping[str, str]], Optional[str]]] = None
+
+
+def _at_most_30_knobs(sources: Mapping[str, str]) -> Optional[str]:
+    namespace: Dict[str, Any] = {}  # the table's module, run from the sources
+    exec(compile(sources["src/repro/config.py"], "src/repro/config.py", "exec"), namespace)
+    n = len(namespace["KNOBS"])
+    return f"repro.config.KNOBS has {n} rows, at most 30: retire one" if n > 30 else None
+
+
+#: names that must not come back, each under the rule that retired it
+GONE: Dict[str, Ban] = {
+    "Only the pool starts a process": Ban(r"REPRO_POOL\b|pool_route|mem_mb="),
+    "An output sizes itself": Ban(
+        r"\b(auto_grow|max_capacity|REPRO_MAX_CAPACITY|capacity_hint|needs_guard)\b"),
+    "A served query has one route": Ban(
+        r"run_batch|Batcher|REPRO_SERVE_BATCH|batch_key|batch_window"),
+    "No private kernel call across layers": Ban(
+        r"\._run_(single|guarded|supervised|fallback)\b|\._fallback_kernel\b",
+        roots=("src/repro", "benchmarks", "tests")),
+    "Every knob earns its row": Ban(
+        r"REPRO_STRICT_(ENV|LOCKS)|LockTimeoutError|REPRO_SERVE_(DEADLINE|MAX_INFLIGHT"
+        r"|QPS|BURST|RETRIES|RETRY_BASE|WRITE_TIMEOUT|WORKERS|MAX_BODY|STREAM_THRESHOLD)\b"),
+}
+
+RULES: Tuple[Rule, ...] = (
+    Rule("The capacity lint is a report", "Capacity bounds lint", (
+        Ban(r"capacity_findings", allow=("src/repro/lint.py",)),
+        Ban(r"analysis.intervals|lint_bounds", roots=("src/repro/compiler/build.py",)))),
+    Rule("No execution policy is assigned onto a kernel", "Execution policy", (
+        Ban(r"\.(parallel|workers|supervised|tune_decision)(: [^=]+)? = ", allow=(
+            "src/repro/compiler/kernel.py::Kernel.__init__",
+            "src/repro/compiler/build.py::KernelBuilder.__init__",
+            "src/repro/runtime/executor.py::Executor.__init__")),)),
+    Rule("Only the pool starts a process", "Execution policy", (
+        Ban(r"\.Process\(", allow=("src/repro/runtime/pool.py::WorkerPool._spawn",)),)),
+    Rule("Output capacity is reserved, not initialised", "Output storage", (
+        Ban(r"np\.(full|zeros)\((cap|rows|row_cap|capacity)\b",
+            roots=("src/repro/compiler/kernel.py::Kernel._allocate_output",)),)),
+    Rule("An output sizes itself", "Output storage"),
+    Rule("A served query has one route", "What each route isolates"),
+    Rule("The breaker is changed from one module", "Supervised execution & circuit breaker", (
+        Ban(r"\.(decide|try_probe|record_failure|record_success|release_probe)\(",
+            allow=("src/repro/runtime/route.py", "src/repro/runtime/breaker.py")),)),
+    Rule("The compiler does not import the runtime", "4. Architecture", (
+        Ban(r"^\s*(from|import) repro\.(runtime|autotune)\b"
+            r"|import_module\(.repro\.(runtime|autotune)", roots=("src/repro/compiler",)),)),
+    Rule("The tuner does not import the runtime", "Adaptive planning & autotuning", (
+        Ban(r"^\s*(from|import) repro\.runtime\b|import_module\(.repro\.runtime",
+            roots=("src/repro/autotune",)),)),
+    Rule("No private kernel call across layers", "4. Architecture"),
+    Rule("Shared-memory segments are created in one place", "Zero-copy data plane & worker pool", (
+        Ban(r"^(?!.*SharedMemory\(.*create=True).*create="),
+        Ban(r"SharedMemory\(.*create=True", allow=("src/repro/runtime/shm.py::_pack",), count=1))),
+    Rule("The environment is read in one place", "Configuration", (
+        Ban(r"os\.environ|getenv", allow=(
+            "src/repro/config.py", "src/repro/runtime/pool.py::WorkerPool.__init__",
+            "src/repro/runtime/worker.py::pool_worker_main")),
+        Ban(r'ENV_[A-Z_]+ = "REPRO_', roots=("src",)))),
+    Rule("Every knob earns its row", "Configuration", check=_at_most_30_knobs),
+    Rule("The sort is emitted in one place", "search and sort are P primitives", (
+        Ban(re.escape("tmp[at[a[i] >> s & 255]++] = a[i];"), allow=("src/repro",), count=1),
+        Ban(r"_SORT_I64", allow=tuple(f"src/repro/compiler/codegen_c.py::{name}"
+                                      for name in ("_SORT_I64", "_publish", "_build"))))),
+    Rule("A coordinate's width is chosen in one place", "Data plane: columnar in, columnar out", (
+        Ban(r"np\.int32|int32_t", allow=(
+            "src/repro/data/tensor.py", "src/repro/baselines/taco.py",
+            *(f"src/repro/compiler/codegen_c.py::{name}"
+              for name in ("_CTYPES", "_NP_DTYPES", "_C_NAMES")))),)),
+    Rule("A relation becomes a tensor through columns", "Relational frontend: stacked measures", (
+        Ban(r"from_entries\(|\.to_dict\(\)", roots=("src/repro/relational", "src/repro/tpch")),)),
+)
+
+#: the lines no rule reads: the two literals above, whose patterns
+#: would otherwise match themselves
+_TABLE = ("src/repro/lint.py::GONE", "src/repro/lint.py::RULES")
+
+
+def load_sources(checkout: Path = Path(__file__).resolve().parents[2]) -> Dict[str, str]:
+    """Every text file under the roots the rules scan, by path relative
+    to ``checkout`` (the checkout this module sits in)."""
+    sources: Dict[str, str] = {}
+    for path in sorted(p for top in ("src", "benchmarks", "tests")
+                       for p in (checkout / top).rglob("*") if p.is_file()):
+        if "__pycache__" not in path.parts:
+            try:
+                sources[path.relative_to(checkout).as_posix()] = path.read_text("utf-8")
+            except UnicodeDecodeError:
+                pass  # binary
+    return sources
+
+
+@lru_cache(maxsize=256)
+def _scopes(text: str) -> Tuple[str, ...]:
+    """The scope of each line of a Python module (index = line number):
+    the dotted name of its innermost ``def``/``class``, the target of
+    its module-level assignment, or ``""``."""
+    scopes = [""] * (text.count("\n") + 2)
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = ""
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+            elif not prefix and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                target = child.targets[0] if isinstance(child, ast.Assign) else child.target
+                name = target.id if isinstance(target, ast.Name) else ""
+            if name:
+                first = min([child.lineno] + [d.lineno for d in getattr(child, "decorator_list", [])])
+                scopes[first:child.end_lineno + 1] = [name] * (child.end_lineno + 1 - first)
+            visit(child, name + "." if name else prefix)
+
+    visit(ast.parse(text), "")
+    return tuple(scopes)
+
+
+def _under(path: str, where: str) -> bool:
+    return path == where or path.startswith(where + "/")
+
+
+def _in_site(sources: Mapping[str, str], path: str, line: int, site: str) -> bool:
+    where, _, name = site.partition("::")
+    if not _under(path, where):
+        return False
+    scope = _scopes(sources[path])[line] if name and path.endswith(".py") else ""
+    return not name or scope == name or scope.startswith(name + ".")
+
+
+# one entry per (pattern, file): the tree's whole scan, and a few copies
+@lru_cache(maxsize=8192)
+def _matching_lines(pattern: str, text: str) -> Tuple[Tuple[int, str], ...]:
+    if not re.search(pattern, text, re.MULTILINE):  # a line's match is the text's
+        return ()
+    rx = re.compile(pattern)
+    return tuple((n, line) for n, line in enumerate(text.split("\n"), 1) if rx.search(line))
+
+
+def rule_violations(rule: Rule, sources: Mapping[str, str]) -> List[str]:
+    """One line per site that breaks ``rule`` in ``sources`` (path →
+    text, as :func:`load_sources` reads them)."""
+    out: List[str] = []
+    for ban in rule.bans + ((GONE[rule.name],) if rule.name in GONE else ()):
+        for root in ban.roots:
+            where, _, name = root.partition("::")
+            if not any(_under(p, where) for p in sources) or (
+                    name and name not in _scopes(sources[where])):
+                out.append(f"{root} not found")
+        allowed = 0
+        for path, text in sources.items():
+            for n, line in _matching_lines(ban.pattern, text):
+                if (not any(_in_site(sources, path, n, r) for r in ban.roots)
+                        or any(_in_site(sources, path, n, t) for t in _TABLE)):
+                    continue
+                if any(_in_site(sources, path, n, a) for a in ban.allow):
+                    allowed += 1
+                else:
+                    out.append(f"{path}:{n}: {line.strip()}")
+        if ban.count is not None and allowed != ban.count:
+            out.append(f"{allowed} allowed line(s) match {ban.pattern!r}, expected {ban.count}")
+    problem = rule.check(sources) if rule.check else None
+    return [f"rule {rule.name!r} (DESIGN.md \"{rule.anchor}\"): {v}"
+            for v in out + ([problem] if problem else [])]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="statically certify the repo's pipelines and kernels",
+        description="statically certify the repo's pipelines, kernels and architecture rules",
     )
     parser.add_argument("targets", nargs="*",
                         help="target names (default: all)")
@@ -388,6 +584,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     errors = sum(t.report() for t in chosen)
     print(f"\n{len(chosen)} target(s) checked, {errors} finding(s)")
+
+    if not args.targets:
+        sources = load_sources()
+        broken = [v for rule in RULES for v in rule_violations(rule, sources)]
+        for line in broken:
+            print(line)
+        print(f"{len(RULES)} rule(s) checked, {len(broken)} violation(s)")
+        errors += len(broken)
 
     if args.selftest:
         print()

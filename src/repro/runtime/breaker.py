@@ -163,10 +163,12 @@ class CircuitBreaker:
             if probe:
                 self._probing.discard(key)
             rec = self._records.get(key)
-            was_open = rec.is_open if rec is not None else False
             self._records[key] = BreakerRecord()
-            self._erase(key)
-            if was_open:
+            # a clean record this process loaded has no file to erase; an
+            # unloaded key's file may hold another process's failures
+            if rec is None or rec.failures or rec.is_open:
+                self._erase(key)
+            if rec is not None and rec.is_open:
                 logger.warning(
                     "kernel %r: re-probe succeeded; circuit breaker CLOSED "
                     "(native execution restored)", name,
@@ -208,9 +210,8 @@ class CircuitBreaker:
             return max(0.0, self._reprobe_at(key, rec) - _now())
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Current per-key state, for observability surfaces (``/stats``
-        and :meth:`~repro.runtime.pool.WorkerPool.snapshot`): the one
-        ledger of supervised deaths."""
+        """Current per-key state, which the server's ``/stats`` reports:
+        the one ledger of supervised deaths."""
         with self._lock:
             out: Dict[str, Dict[str, object]] = {}
             for key, rec in self._records.items():

@@ -238,9 +238,56 @@ class TestMemoization:
         assert calls["n"] == first  # second prepare hit the memo
 
 
+#: one violation per architecture rule: (rule, file, the text the line
+#: goes after — None appends it —, the line).  The private-call line is
+#: put together here because its rule scans tests/ too
+RULE_SEEDS = (
+    ("The capacity lint is a report", "src/repro/runtime/route.py", None,
+     "findings = capacity_findings(kernel)"),
+    ("No execution policy is assigned onto a kernel", "src/repro/runtime/route.py",
+     None, 'kernel.parallel = "thread"'),
+    ("Only the pool starts a process", "src/repro/runtime/route.py", None,
+     "proc = multiprocessing.Process(target=print)"),
+    ("Output capacity is reserved, not initialised", "src/repro/compiler/kernel.py",
+     "    def _allocate_output(self, env: Dict[str, object], "
+     "capacity: Optional[int]) -> None:\n",
+     "        out_vals = np.zeros(capacity)"),
+    ("An output sizes itself", "src/repro/compiler/kernel.py", None, "auto_grow = True"),
+    ("A served query has one route", "src/repro/serve/app.py", None, "run_batch = None"),
+    ("The breaker is changed from one module", "src/repro/serve/admission.py", None,
+     "breaker.record_failure(key)"),
+    ("The compiler does not import the runtime", "src/repro/compiler/build.py", None,
+     "from repro.runtime import route"),
+    ("The tuner does not import the runtime", "src/repro/autotune/tuner.py", None,
+     "    import repro.runtime"),
+    ("No private kernel call across layers", "tests/runtime/test_runtime.py", None,
+     "kernel._run" + "_single(tensors)"),
+    ("Shared-memory segments are created in one place", "src/repro/runtime/pool.py",
+     None, "seg = shared_memory.SharedMemory(name=name, create=True, size=8)"),
+    ("The environment is read in one place", "src/repro/serve/app.py", None,
+     'port = os.environ.get("REPRO_SERVE_PORT")'),
+    ("Every knob earns its row", "src/repro/config.py", "_ROWS = (\n",
+     '    Knob("REPRO_SPARE", "flag", False, "a 31st row"),'),
+    ("The sort is emitted in one place", "src/repro/compiler/codegen_py.py", None,
+     "# for (i = 0; i < n; i++) tmp[at[a[i] >> s & 255]++] = a[i];"),
+    ("A coordinate's width is chosen in one place", "src/repro/runtime/shm.py", None,
+     "crd = crd.astype(np.int32)"),
+    ("A relation becomes a tensor through columns", "src/repro/relational/encode.py",
+     None, "entries = tensor.to_dict()"),
+)
+
+
+@pytest.fixture(scope="module")
+def checkout_sources():
+    from repro.lint import load_sources
+
+    return load_sources()
+
+
 class TestLintCommand:
     """``python -m repro.lint``, the one analysis command: every
-    pipeline and example kernel of its registry, reported once."""
+    pipeline and example kernel of its registry, reported once, then
+    every architecture rule."""
 
     @staticmethod
     def _header(target):
@@ -252,7 +299,7 @@ class TestLintCommand:
 
     @pytest.mark.parametrize("argv", [[], ["--selftest"]])
     def test_every_target_is_reported_once(self, capsys, argv):
-        from repro.lint import TARGETS, main
+        from repro.lint import RULES, TARGETS, main
 
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -262,6 +309,7 @@ class TestLintCommand:
             header = self._header(t)
             assert sum(ln.startswith(header) for ln in lines) == 1, t.name
         assert f"{len(TARGETS)} target(s) checked, 0 finding(s)" in lines
+        assert f"{len(RULES)} rule(s) checked, 0 violation(s)" in lines
         if argv:
             assert lines[-1] == "selftest: both rejection paths caught with blame"
 
@@ -283,3 +331,35 @@ class TestLintCommand:
         assert main(["--list"]) == 0
         listed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()]
         assert listed == [t.name for t in TARGETS]
+
+    @pytest.mark.parametrize("rule, path, after, line", RULE_SEEDS,
+                             ids=[seed[0] for seed in RULE_SEEDS])
+    def test_an_architecture_rule_holds_and_can_fail(self, checkout_sources, rule, path,
+                                                     after, line):
+        """Each rule of ``repro.lint.RULES`` passes on the checkout and fails,
+        alone, on a copy of it with one violation; it cites DESIGN.md text
+        that is there."""
+        from pathlib import Path
+
+        from repro.lint import GONE, RULES, rule_violations
+
+        def table(sources):
+            return [v for r in RULES for v in rule_violations(r, sources)]
+
+        assert [r.name for r in RULES] == [seed[0] for seed in RULE_SEEDS]
+        assert set(GONE) <= {r.name for r in RULES}
+        assert table(checkout_sources) == []
+
+        seeded = dict(checkout_sources)
+        text = seeded[path]
+        if after is None:
+            seeded[path] = f"{text}\n{line}\n"
+        else:
+            assert after in text
+            seeded[path] = text.replace(after, f"{after}{line}\n", 1)
+        broken = table(seeded)
+        assert broken and all(v.startswith(f"rule {rule!r} ") for v in broken), broken
+
+        anchor = next(r.anchor for r in RULES if r.name == rule)
+        design = Path(__file__).resolve().parents[2] / "DESIGN.md"
+        assert anchor in " ".join(design.read_text("utf-8").split())

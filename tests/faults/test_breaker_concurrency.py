@@ -19,6 +19,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,31 @@ def test_probe_success_closes_and_erases_persisted_state():
         "a closed breaker must not leave a stale open verdict for the "
         "next process to inherit"
     )
+
+
+def test_successes_on_a_loaded_closed_key_touch_no_file(monkeypatch):
+    brk = CircuitBreaker()
+    assert brk.decide(KEY) == CLOSED            # loads the key: no record
+    unlinked = []
+    real_unlink = Path.unlink
+
+    def spy(self, *args, **kwargs):
+        unlinked.append(self)
+        return real_unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", spy)
+    for _ in range(5):
+        brk.record_success(KEY)
+    assert unlinked == []
+
+
+def test_a_success_after_a_failure_erases_the_record():
+    brk = CircuitBreaker()
+    brk.record_failure(KEY)
+    assert _record_path().exists()
+    brk.record_success(KEY)
+    assert not _record_path().exists()
+    assert CircuitBreaker().decide(KEY) == CLOSED
 
 
 def test_sibling_process_reloads_the_hammered_state(monkeypatch):
