@@ -26,7 +26,7 @@ from repro.compiler.dest import build_dest, workspace_needed
 from repro.compiler.formats import FunctionInput, Param, TensorInput
 from repro.compiler.interp import InterpKernel
 from repro.compiler.ir import P, NameGen, PSearch, PSeq
-from repro.compiler.kernel import _RESERVED, Kernel, OutputSpec
+from repro.compiler.kernel import _RESERVED, Kernel, OutputSpec, Pending
 from repro.compiler.lower import lower
 from repro.compiler.opt import DEFAULT_OPT_LEVEL, check_level, optimize
 from repro.compiler.resilience import logger
@@ -405,38 +405,63 @@ class KernelBuilder:
         body, decls, taken = optimized(self.backend)
         _check_no_shadowing(name, params, ng)
 
-        backend_used, vectorize = self.backend, self.vectorize
-        if self.backend == "c":
-            try:
-                source = codegen_c.emit_kernel_source(name, taken, decls, body)
-                backend_kernel = codegen_c.CKernel(source, name, taken)
-            except (BackendUnavailableError, CompileError) as exc:
-                if not config.get("REPRO_BACKEND_FALLBACK"):
-                    raise
-                logger.warning(
-                    "C backend failed for kernel %r (%s); falling back to the "
-                    "Python backend (set REPRO_BACKEND_FALLBACK=0 to fail "
-                    "instead)", name, exc,
-                )
-                backend_used = "python"
-                vectorize = self.opt_level > 0 and not self.sanitize
-                # the Python backend runs the passes gcc would have done
-                body, decls, taken = optimized("python")
-        if backend_used == "python":
-            sparse = output is not None and "sparse" in output.formats
-            backend_kernel = codegen_py.PyKernel(
+        sparse = output is not None and "sparse" in output.formats
+
+        def kernel_of(backend_kernel, taken, decls, body) -> Kernel:
+            kernel = Kernel(name, backend_kernel, taken, specs, output,
+                            self.ops, body, decls=decls)
+            kernel.ws_dim = output.dims[-1] if workspace else None
+            return kernel
+
+        def python_kernel(body, decls, taken, vectorize) -> Kernel:
+            return kernel_of(codegen_py.PyKernel(
                 name, taken, decls, body, vectorize=vectorize,
                 checked=bool(self.sanitize), reserved=_RESERVED if sparse else (),
+            ), taken, decls, body)
+
+        def fall_back(exc: Exception) -> Kernel:
+            """The kernel a failed C build falls back to, its payload
+            stored: the body optimised again, for Python — the passes
+            gcc would have done.  Under ``REPRO_BACKEND_FALLBACK=0``,
+            ``exc`` itself."""
+            if not config.get("REPRO_BACKEND_FALLBACK"):
+                raise exc
+            logger.warning(
+                "C backend failed for kernel %r (%s); falling back to the "
+                "Python backend (set REPRO_BACKEND_FALLBACK=0 to fail "
+                "instead)", name, exc,
             )
-        elif backend_used == "interp":
-            backend_kernel = InterpKernel(name, taken, decls, body)
-        kernel = Kernel(name, backend_kernel, taken, specs, output, self.ops,
-                        body, decls=decls)
-        kernel.ws_dim = output.dims[-1] if workspace else None
+            kernel = python_kernel(*optimized("python"),
+                                   vectorize=self.opt_level > 0 and not self.sanitize)
+            if key is not None:
+                self._store_payload(key, kernel, "python", kernel.source)
+            return kernel
+
+        if self.backend == "c":
+            # gcc runs while the caller goes on: the kernel's first call
+            # joins it, or this build does when a failure must raise here
+            source = codegen_c.emit_kernel_source(name, taken, decls, body)
+            try:
+                kernel = kernel_of(
+                    Pending(codegen_c.start(source, name, taken), fall_back),
+                    taken, decls, body)
+            except (BackendUnavailableError, CompileError) as exc:
+                kernel = fall_back(exc)
+            else:
+                if not config.get("REPRO_BACKEND_FALLBACK"):
+                    kernel.join()
+                if key is not None:
+                    self._store_payload(key, kernel, "c", source)
+        elif self.backend == "python":
+            kernel = python_kernel(body, decls, taken, self.vectorize)
+            if key is not None:
+                self._store_payload(key, kernel, "python", kernel.source)
+        else:
+            kernel = kernel_of(InterpKernel(name, taken, decls, body),
+                               taken, decls, body)
 
         if key is not None:
             kernel_cache.store(key, kernel)
-            self._store_payload(key, kernel, body, backend_used)
         return self._attach_runtime(kernel, expr, specs, output, name, dims,
                                     key=key)
 
@@ -550,14 +575,13 @@ class KernelBuilder:
         kernel.ws_dim = payload.get("ws_dim")
         return kernel
 
-    def _store_payload(
-        self, key: str, kernel: Kernel, body, backend_used: Optional[str] = None
-    ) -> None:
-        backend_used = backend_used or self.backend
-        if backend_used not in ("c", "python"):
-            return
+    def _store_payload(self, key: str, kernel: Kernel, backend_used: str,
+                       source: str) -> None:
+        """The disk tier's entry for ``kernel``, whose generated
+        ``source`` targets ``backend_used`` (given, not read: a C
+        kernel's build may still be in flight)."""
         ops: Dict[str, object] = {}
-        codegen_py._collect_ops(body, ops)
+        codegen_py._collect_ops(kernel.loop_ir, ops)
         if ops:
             return  # user-defined op callables cannot be serialized
         kernel_cache.store_payload(
@@ -567,7 +591,7 @@ class KernelBuilder:
                 "requested_backend": self.backend,
                 "name": kernel.name,
                 "params": [[p.name, p.kind, p.ctype] for p in kernel.params],
-                "source": kernel.source,
+                "source": source,
                 "ws_dim": kernel.ws_dim,
             },
         )
@@ -652,6 +676,13 @@ def compile_kernel(
     tune: Optional[str] = None,
 ) -> Kernel:
     """One-call convenience wrapper around :class:`KernelBuilder`.
+
+    A C kernel comes back with its gcc still running: its first
+    ``run``, ``bind``, ``execute``, ``source`` or ``c_backed`` (or
+    ``join()``) waits for the build, and a gcc failure surfaces there —
+    as the logged Python fallback, or, under
+    ``REPRO_BACKEND_FALLBACK=0``, as the error, raised here instead
+    (DESIGN.md "Builds in flight").
 
     ``tune="auto"`` routes the build through :mod:`repro.autotune`
     (search strategy chosen by the cost model); ``tune="off"`` never

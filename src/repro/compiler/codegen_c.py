@@ -6,23 +6,33 @@ parameters ``int64_t`` values.  Compiled with
 ``gcc -O3`` into a shared object and invoked through ctypes — the same
 pipeline shape as the paper's Lean → C → Clang -O3 evaluation.  A
 kernel that sorts calls ``_sort_i64`` from the runtime, a second shared
-object built once per cache directory beside it (:func:`_build`).
+object built once per cache directory beside it (:func:`_start`).
+
+:func:`start` launches gcc and returns at once; its join waits for the
+run.  At most :data:`IN_FLIGHT` gccs run at a time, and the toolchain
+is started in one place, :class:`_Gcc` (DESIGN.md "Builds in flight").
 """
 
 from __future__ import annotations
 
 import _ctypes
+import atexit
+import contextlib
 import functools
 import hashlib
 import math
 import os
 import re
+import select
 import shutil
 import subprocess
 import tempfile
+import threading
+import time
 import weakref
+from collections import OrderedDict
 from ctypes import CDLL, c_bool, c_double, c_int32, c_int64, c_void_p
-from typing import Callable, Dict, List, Mapping, Sequence, Set
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -289,13 +299,17 @@ def emit_kernel_source(
 
 
 class CKernel:
-    """A compiled C kernel, callable with numpy arrays."""
+    """A compiled C kernel, callable with numpy arrays.  Constructing
+    one builds it: gcc runs and is waited for here, unless ``artifact``
+    is the build :func:`start` already began for this ``source``."""
 
-    def __init__(self, source: str, name: str, params: Sequence[Param], cache_dir: str | None = None) -> None:
+    def __init__(self, source: str, name: str, params: Sequence[Param],
+                 cache_dir: str | None = None,
+                 artifact: "_Artifact | None" = None) -> None:
         self.source = source
         self.name = name
         self.params = list(params)
-        self._lib = _build(source, name, cache_dir)
+        self._lib = (artifact or _Artifact(source, name, cache_dir)).load()
         self._fn = getattr(self._lib, name)
         # an array is passed as its address, a scalar as it is
         self._plan = [(p.name, p.kind == "array") for p in self.params]
@@ -320,6 +334,17 @@ class CKernel:
         """The call on ``env`` with its arguments converted once, now:
         the caller keeps ``env``'s arrays alive while it may run."""
         return functools.partial(self._fn, *self.args(env))
+
+
+def start(source: str, name: str, params: Sequence[Param],
+          cache_dir: str | None = None) -> Callable[[], CKernel]:
+    """Start building ``source`` and return the build's join: the call
+    that waits for gcc and returns the :class:`CKernel` (DESIGN.md
+    "Builds in flight").  A missing compiler raises here, as does a
+    failed build of the sort runtime, which is built before the kernel
+    starts; a failed kernel build raises from the join."""
+    return functools.partial(CKernel, source, name, params,
+                             artifact=_Artifact(source, name, cache_dir))
 
 
 def _address(array: np.ndarray) -> int:
@@ -354,96 +379,217 @@ def _sanitizer_flags() -> List[str]:
     return flags
 
 
-def _compile(source: str, c_path: str, so_path: str, opt: str = "-O3",
-             link: Sequence[str] = ()) -> None:
-    """Run the C toolchain: atomic source/artifact publication, probe
-    for a missing compiler, configurable timeout, one retry on
-    transient failures, stderr attached to the raised error."""
-    cc = config.get("REPRO_GCC")
-    if shutil.which(cc) is None:
-        raise BackendUnavailableError("c", f"compiler {cc!r} not found on PATH")
-    resilience.atomic_write_text(c_path, source)
-    # compile into a temp name and publish with os.replace so a
-    # concurrent (or crashed) builder never exposes a truncated .so
-    tmp_so = f"{so_path}.build{os.getpid()}"
+def _command(source: str, c_path: str, tmp_so: str, opt: str,
+             link: Sequence[str]) -> List[str]:
+    """The toolchain's command line for one shared object."""
     # a source that includes only the two type headers calls no libc,
     # so it links none, and gcc may not turn its loops into memset
     # calls; an Op's C text, <math.h> and a sanitized build link it all
     includes = set(re.findall(r"^#include <(.+)>$", source, re.M))
     lean = includes <= {"stdint.h", "stdbool.h"} and not config.get("REPRO_SANITIZE")
     libs = ["-nostdlib", "-fno-tree-loop-distribute-patterns"] if lean else ["-lm"]
-    cmd = [cc, opt, "-march=native", "-shared", "-fPIC", *_sanitizer_flags(),
-           c_path, "-o", tmp_so, *link, *libs]
-    timeout = config.get("REPRO_GCC_TIMEOUT")
-    last_error: CompileError | None = None
-    seen_signals: set[int] = set()
-    repeated_kill = False
-    try:
-        for attempt in (1, 2):
-            try:
-                proc = subprocess.run(cmd, capture_output=True, timeout=timeout)
-            except subprocess.TimeoutExpired as exc:
-                stderr = exc.stderr.decode(errors="replace") if exc.stderr else None
-                raise CompileError(
-                    f"{cc} timed out after {timeout:.1f}s compiling {c_path}",
-                    command=cmd, stderr=stderr, timeout=True,
-                ) from exc
-            except OSError as exc:  # vanished mid-run, exec failure, ...
-                last_error = CompileError(f"could not invoke {cc}: {exc}", command=cmd)
-                logger.warning("compiler invocation failed (%s); attempt %d", exc, attempt)
-                continue
-            if proc.returncode == 0:
-                os.replace(tmp_so, so_path)
+    return [config.get("REPRO_GCC"), opt, "-march=native", "-shared", "-fPIC",
+            *_sanitizer_flags(), c_path, "-o", tmp_so, *link, *libs]
+
+
+def _failure(cc: str, cmd: List[str], returncode: int, stderr: str) -> CompileError:
+    if returncode < 0:
+        return CompileError(f"{cc} was killed by {resilience.signal_name(-returncode)}",
+                            command=cmd, returncode=returncode, stderr=stderr)
+    return CompileError(f"{cc} exited with status {returncode}",
+                        command=cmd, returncode=returncode, stderr=stderr)
+
+
+def _killed_twice(cc: str, cmd: List[str], last: CompileError) -> CompileError:
+    """The retry died by the same signal: deterministic, not transient —
+    tell the operator what to do about it."""
+    hint = (
+        "likely the OOM killer — reduce concurrent builds, raise the "
+        "memory limit, or set REPRO_BACKEND_FALLBACK=1 to use the "
+        "Python backend"
+        if last.signal_name == "SIGKILL"
+        else "an external supervisor is killing the toolchain; check "
+        "resource limits and container policies"
+    )
+    return CompileError(
+        f"{cc} was killed by {last.signal_name} twice in a row; "
+        f"not retrying further ({hint})",
+        command=cmd, returncode=last.returncode, stderr=last.stderr,
+    )
+
+
+class _Gcc:
+    """One toolchain run: ``source`` compiled into ``so_path``.  The
+    artifact's per-key lock is held from the launch (:meth:`start`) to
+    the publication by ``os.replace`` (:meth:`join`), so a concurrent
+    (or crashed) builder never exposes a truncated .so, and a second
+    process building the same key waits and then loads this one."""
+
+    def __init__(self, source: str, so_path: str, opt: str, link: Sequence[str]) -> None:
+        cc = config.get("REPRO_GCC")
+        if shutil.which(cc) is None:
+            raise BackendUnavailableError("c", f"compiler {cc!r} not found on PATH")
+        self.so_path = so_path
+        self.c_path = so_path[:-3] + ".c"
+        self.tmp_so = f"{so_path}.build{os.getpid()}"
+        self.cmd = _command(source, self.c_path, self.tmp_so, opt, link)
+        self.timeout = config.get("REPRO_GCC_TIMEOUT")
+        self.error: CompileError | None = None
+        self.done = False
+        self._mutex = threading.Lock()
+        self._held = contextlib.ExitStack()
+        self._stderr = None
+        self._held.enter_context(resilience.file_lock(so_path))
+        try:
+            if os.path.exists(so_path):
+                # published by another process while we waited for its lock
+                self.done = True
+                self._held.close()
                 return
-            stderr = proc.stderr.decode(errors="replace")
-            if proc.returncode < 0:
-                signame = resilience.signal_name(-proc.returncode)
-                last_error = CompileError(
-                    f"{cc} was killed by {signame}",
-                    command=cmd, returncode=proc.returncode, stderr=stderr,
-                )
-            else:
-                last_error = CompileError(
-                    f"{cc} exited with status {proc.returncode}",
-                    command=cmd, returncode=proc.returncode, stderr=stderr,
-                )
-            if not resilience.is_transient(proc.returncode, seen_signals):
-                repeated_kill = (
-                    proc.returncode < 0 and -proc.returncode in seen_signals
-                )
-                break
-            seen_signals.add(-proc.returncode)
-            logger.warning(
-                "transient compiler failure (killed by %s) on attempt %d; "
-                "retrying once",
-                resilience.signal_name(-proc.returncode), attempt,
-            )
-        assert last_error is not None
-        if repeated_kill and last_error.signal is not None:
-            # the retry died by the same signal: deterministic, not
-            # transient — tell the operator what to do about it
-            hint = (
-                "likely the OOM killer — reduce concurrent builds, raise the "
-                "memory limit, or set REPRO_BACKEND_FALLBACK=1 to use the "
-                "Python backend"
-                if last_error.signal_name == "SIGKILL"
-                else "an external supervisor is killing the toolchain; check "
-                "resource limits and container policies"
-            )
-            raise CompileError(
-                f"{cc} was killed by {last_error.signal_name} twice in a row; "
-                f"not retrying further ({hint})",
-                command=cmd,
-                returncode=last_error.returncode,
-                stderr=last_error.stderr,
-            )
-        raise last_error
-    finally:
-        if os.path.exists(tmp_so):
+            resilience.atomic_write_text(self.c_path, source)
+            self.start()
+        except BaseException:
+            self._held.close()
+            raise
+
+    def start(self) -> None:
+        """Launch gcc; its stderr goes to an unnamed file, so a chatty
+        compile never blocks on a pipe nobody reads yet."""
+        if self._stderr is not None:
+            self._stderr.close()
+        self._stderr = tempfile.TemporaryFile()
+        self.started = time.monotonic()
+        self.launch_error: OSError | None = None
+        try:
+            self.proc = subprocess.Popen(self.cmd, stdout=subprocess.DEVNULL,
+                                         stderr=self._stderr)
+        except OSError as exc:  # vanished mid-run, exec failure, ...
+            self.proc, self.launch_error = None, exc
+
+    def join(self) -> CompileError | None:
+        """Wait for gcc — until ``REPRO_GCC_TIMEOUT`` after its start —,
+        retry once on a transient failure, publish the .so and release
+        the lock.  Returns the build's error, or None; every caller, and
+        every later call, gets the one outcome."""
+        with self._mutex:
+            if self.done:
+                return self.error
+            cc = self.cmd[0]
+            seen_signals: set[int] = set()
+            repeated_kill = False
             try:
-                os.unlink(tmp_so)
-            except OSError:
-                pass
+                for attempt in (1, 2):
+                    if attempt == 2:
+                        self.start()
+                    if self.proc is None:
+                        self.error = CompileError(
+                            f"could not invoke {cc}: {self.launch_error}", command=self.cmd)
+                        logger.warning("compiler invocation failed (%s); attempt %d",
+                                       self.launch_error, attempt)
+                        continue
+                    left = max(self.started + self.timeout - time.monotonic(), 0.0)
+                    try:
+                        code = self.proc.wait(0.0 if _await_exit(self.proc.pid, left) else left)
+                    except subprocess.TimeoutExpired:
+                        self.proc.kill()
+                        self.proc.wait()
+                        self.error = CompileError(
+                            f"{cc} timed out after {self.timeout:.1f}s compiling {self.c_path}",
+                            command=self.cmd, stderr=self._stderr_text() or None, timeout=True,
+                        )
+                        return self.error
+                    if code == 0:
+                        try:
+                            os.replace(self.tmp_so, self.so_path)
+                        except OSError as exc:  # the cache dir went away meanwhile
+                            self.error = CompileError(
+                                f"could not publish {self.so_path}: {exc}", command=self.cmd)
+                        else:
+                            self.error = None
+                        return self.error
+                    self.error = _failure(cc, self.cmd, code, self._stderr_text())
+                    if not resilience.is_transient(code, seen_signals):
+                        repeated_kill = code < 0 and -code in seen_signals
+                        break
+                    seen_signals.add(-code)
+                    logger.warning(
+                        "transient compiler failure (killed by %s) on attempt %d; "
+                        "retrying once", resilience.signal_name(-code), attempt,
+                    )
+                if repeated_kill and self.error.signal is not None:
+                    self.error = _killed_twice(cc, self.cmd, self.error)
+                return self.error
+            finally:
+                self.done = True
+                if os.path.exists(self.tmp_so):
+                    try:
+                        os.unlink(self.tmp_so)
+                    except OSError:
+                        pass
+                self._stderr.close()
+                self._held.close()
+
+    def _stderr_text(self) -> str:
+        self._stderr.seek(0)
+        return self._stderr.read().decode(errors="replace")
+
+
+def _await_exit(pid: int, timeout: float) -> bool:
+    """Sleep until process ``pid`` exits or ``timeout`` seconds pass,
+    woken by a pidfd.  ``Popen.wait(timeout)`` polls instead, waking up
+    to 50 ms after the exit.  False where no pidfd can be had; the
+    caller's wait then polls."""
+    try:
+        fd = os.pidfd_open(pid)
+    except (AttributeError, OSError):
+        return False
+    try:
+        select.select([fd], [], [], timeout)
+    finally:
+        os.close(fd)
+    return True
+
+
+#: gccs that may run at once: one per CPU this process may run on
+IN_FLIGHT = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+
+#: the .so path of each gcc run started and not yet joined, oldest
+#: first.  Changed under ``_lock``; read without it by :func:`join_all`,
+#: which runs at fork time, when another thread may hold the lock
+_in_flight: "OrderedDict[str, _Gcc]" = OrderedDict()
+_lock = threading.Lock()
+
+
+def _launch(source: str, so_path: str, opt: str, link: Sequence[str]) -> "_Gcc | None":
+    """gcc started on ``source`` into ``so_path`` — or the run of it this
+    process already has in flight —, None when another process
+    published it meanwhile.  A start past :data:`IN_FLIGHT` first joins
+    the oldest run."""
+    while True:
+        with _lock:
+            for path in [p for p, gcc in _in_flight.items() if gcc.done]:
+                del _in_flight[path]
+            gcc = _in_flight.get(so_path)
+            if gcc is None and len(_in_flight) < IN_FLIGHT:
+                gcc = _Gcc(source, so_path, opt, link)
+                if gcc.done:
+                    return None
+                _in_flight[so_path] = gcc
+            if gcc is not None:
+                return gcc
+            oldest = next(iter(_in_flight.values()))
+        oldest.join()
+
+
+def join_all() -> None:
+    """Join every gcc run in flight: before a fork, so no child inherits
+    one, and at exit, so none outlives the process unpublished."""
+    for gcc in tuple(_in_flight.values()):
+        gcc.join()
+
+
+atexit.register(join_all)
 
 
 def _key(source: str) -> str:
@@ -464,60 +610,87 @@ def _scratch_dir() -> str:
     return tempfile.mkdtemp(prefix="repro_so_")
 
 
-def _publish(source: str, directory: str, stem: str, runtime: str | None,
-             opt: str = "-O3") -> str:
-    """``<directory>/<stem>.so``, compiled unless it is there.  A kernel
-    that sorts links ``runtime`` — built into the same directory first
-    if missing — and finds it at load time through ``$ORIGIN``."""
+def _start(source: str, directory: str, stem: str, runtime: str | None,
+           opt: str = "-O3") -> "Tuple[str, _Gcc | None]":
+    """``<directory>/<stem>.so`` and the gcc run that publishes it (None
+    when it is there).  A kernel that sorts links ``runtime`` — built
+    into the same directory first if missing, and waited for — and
+    finds it at load time through ``$ORIGIN``."""
     link: List[str] = []
     if runtime is not None:
         _publish(_SORT_I64, directory, runtime, None, "-O2")
         link = [f"-L{directory}", f"-l:{runtime}.so", "-Wl,-rpath,$ORIGIN"]
     so_path = os.path.join(directory, f"{stem}.so")
-    if not os.path.exists(so_path):
-        # per-key lock: two processes building the same kernel compile
-        # once (or harmlessly twice on lock failure — publication is
-        # atomic either way)
-        with resilience.file_lock(so_path):
-            if not os.path.exists(so_path):
-                _compile(source, so_path[:-3] + ".c", so_path, opt, link)
+    if os.path.exists(so_path):
+        return so_path, None
+    return so_path, _launch(source, so_path, opt, link)
+
+
+def _publish(source: str, directory: str, stem: str, runtime: str | None,
+             opt: str = "-O3") -> str:
+    """:func:`_start`, joined: the .so's path once it is there."""
+    so_path, gcc = _start(source, directory, stem, runtime, opt)
+    error = gcc and gcc.join()
+    if error is not None:
+        raise error
     return so_path
 
 
-def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
-    # the runtime's hash is part of a sorting kernel's identity, so a
-    # changed sort relinks every kernel that calls it
-    runtime = f"repro_rt_{_key(_SORT_I64)}" if _SORT_PROTO in source else None
-    key = _key(f"runtime={runtime}\x00{source}" if runtime else source)
-    lib = _CACHE.get(key)
-    if lib is not None:
-        return lib
-    directory = resilience.usable_cache_dir(cache_dir or str(default_cache_dir()))
-    stem = f"{name}_{key}"
-    so_path = _publish(source, directory, stem, runtime)
-    try:
-        lib = CDLL(so_path)
-    except OSError as exc:
-        # truncated, clobbered or vanished .so — the runtime's when the
-        # loader names it: quarantine the bad artifact and rebuild (in
-        # the scratch dir if the cache dir is not writable).  Logged as
-        # text: a kept record must not pin this frame and the library
-        logger.warning(
-            "cached shared object %s failed to load (%s); rebuilding", so_path, str(exc)
-        )
-        bad = so_path
-        if runtime is not None and runtime in str(exc):
-            bad = os.path.join(directory, f"{runtime}.so")
-        if os.path.exists(bad) and resilience.quarantine(bad) is None:
-            directory = _scratch_dir()
-        so_path = _publish(source, directory, stem, runtime)
+class _Artifact:
+    """The shared object of one source, its gcc started on construction
+    (unless it is loaded or published already); :meth:`load` joins the
+    run and loads the library."""
+
+    def __init__(self, source: str, name: str, cache_dir: str | None) -> None:
+        # the runtime's hash is part of a sorting kernel's identity, so
+        # a changed sort relinks every kernel that calls it
+        self.source = source
+        self.runtime = f"repro_rt_{_key(_SORT_I64)}" if _SORT_PROTO in source else None
+        self.key = _key(f"runtime={self.runtime}\x00{source}" if self.runtime else source)
+        self.stem = f"{name}_{self.key}"
+        self.lib, self.gcc = _CACHE.get(self.key), None
+        if self.lib is None:
+            self.directory = resilience.usable_cache_dir(
+                cache_dir or str(default_cache_dir()))
+            self.so_path, self.gcc = _start(source, self.directory, self.stem, self.runtime)
+
+    def load(self) -> CDLL:
+        lib, self.lib = self.lib or _CACHE.get(self.key), None
+        if lib is not None:
+            return lib
+        error = self.gcc and self.gcc.join()
+        if error is not None:
+            raise error
+        so_path, runtime = self.so_path, self.runtime
         try:
             lib = CDLL(so_path)
-        except OSError as exc2:
-            raise CacheCorruptionError(
-                f"shared object {so_path} unloadable even after rebuild: {exc2}",
-                path=so_path,
-            ) from exc2
-    weakref.finalize(lib, _ctypes.dlclose, lib._handle).atexit = False
-    _CACHE[key] = lib
-    return lib
+        except OSError as exc:
+            # truncated, clobbered or vanished .so — the runtime's when
+            # the loader names it: quarantine the bad artifact and
+            # rebuild (in the scratch dir if the cache dir is not
+            # writable).  Logged as text: a kept record must not pin
+            # this frame and the library
+            logger.warning(
+                "cached shared object %s failed to load (%s); rebuilding", so_path, str(exc)
+            )
+            bad, directory = so_path, self.directory
+            if runtime is not None and runtime in str(exc):
+                bad = os.path.join(directory, f"{runtime}.so")
+            if os.path.exists(bad) and resilience.quarantine(bad) is None:
+                directory = _scratch_dir()
+            so_path = _publish(self.source, directory, self.stem, runtime)
+            try:
+                lib = CDLL(so_path)
+            except OSError as exc2:
+                raise CacheCorruptionError(
+                    f"shared object {so_path} unloadable even after rebuild: {exc2}",
+                    path=so_path,
+                ) from exc2
+        weakref.finalize(lib, _ctypes.dlclose, lib._handle).atexit = False
+        _CACHE[self.key] = lib
+        return lib
+
+
+def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
+    """The loaded shared object of ``source``, built now if need be."""
+    return _Artifact(source, name, cache_dir).load()

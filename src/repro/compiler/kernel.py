@@ -15,8 +15,9 @@ import copy
 import ctypes
 import functools
 import importlib
+import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.compiler.ir import EVar
 from repro.compiler.resilience import logger
 from repro.compiler.scalars import ScalarOps
 from repro.data.tensor import Tensor, crd_dtype
-from repro.errors import CapacityError, ShapeError
+from repro.errors import CapacityError, CompileError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,38 @@ class OutputSpec:
 #: ``repro/__init__.py`` puts a stand-in here that imports it on the
 #: first call, so the compiler never imports the layer above it
 runtime = None
+
+#: what a kernel's build decides: a C build that falls back at its join
+#: gives every handle of the kernel the Python build's values of these
+_ARTIFACT = ("_kernel", "params", "_taken", "_dtypes", "loop_ir", "decls")
+
+
+class Pending:
+    """A C kernel's artifact while gcc builds it, in its kernel's
+    ``_kernel`` slot: the one build state the memo, every
+    :meth:`Kernel._view` and every :class:`BoundKernel` share.
+
+    ``build`` is :func:`codegen_c.start`'s join; ``fallback`` turns the
+    :class:`CompileError` it raises into the kernel to run instead (the
+    Python build) or re-raises it.  :meth:`join` runs them once and
+    returns the artifact's fields, which each joining handle adopts."""
+
+    def __init__(self, build: Callable[[], object],
+                 fallback: Callable[[CompileError], "Kernel"]) -> None:
+        self._build, self._fallback = build, fallback
+        self._fields: Optional[Dict[str, object]] = None
+        self._mutex = threading.Lock()
+
+    def join(self) -> Dict[str, object]:
+        with self._mutex:
+            if self._fields is None:
+                try:
+                    self._fields = {"_kernel": self._build()}
+                except CompileError as exc:
+                    kernel = self._fallback(exc)
+                    self._fields = {f: kernel.__dict__[f] for f in _ARTIFACT}
+                self._build = self._fallback = None
+            return self._fields
 
 
 class Kernel:
@@ -115,25 +148,38 @@ class Kernel:
         #: also keys the supervised-execution circuit breaker
         self.cache_key: Optional[str] = None
 
+    def join(self) -> "Kernel":
+        """This handle, its build joined: a C build still in flight is
+        waited for, published and loaded — or, failing there, falls back
+        to the Python build.  The first call that needs the artifact
+        (:meth:`run`, :meth:`execute`, :meth:`bind`, :attr:`source`,
+        :attr:`c_backed`) makes it (DESIGN.md "Builds in flight")."""
+        pending = self._kernel
+        if pending.__class__ is Pending:
+            self.__dict__.update(pending.join())
+        return self
+
     @property
     def source(self) -> str:
         """The generated kernel source (C or Python, per backend)."""
-        return self._kernel.source
+        return self.join()._kernel.source
 
     @property
     def c_backed(self) -> bool:
         """Whether the loaded artifact is compiled C (a crash takes the
         host down) rather than the Python or interpreter backend."""
-        return isinstance(self._kernel, codegen_c.CKernel)
+        return isinstance(self.join()._kernel, codegen_c.CKernel)
 
-    # how a call runs is the runtime's decision; these forward to it
+    # how a call runs is the runtime's decision; these forward to it,
+    # joined first: a pool worker rebuilding the kernel must find its
+    # .so published, not wait on the lock this process holds for gcc
     def run(self, tensors, capacity=None, **options):
         """:func:`repro.runtime.run` on this kernel."""
-        return runtime.run(self, tensors, capacity=capacity, **options)
+        return runtime.run(self.join(), tensors, capacity=capacity, **options)
 
     def run_sharded(self, tensors, capacity=None, **options):
         """:func:`repro.runtime.run_sharded` on this kernel."""
-        return runtime.run_sharded(self, tensors, capacity=capacity, **options)
+        return runtime.run_sharded(self.join(), tensors, capacity=capacity, **options)
 
     def execute(
         self,
@@ -153,6 +199,7 @@ class Kernel:
         ``repro`` logger, is the result.  A rerun that overflows again
         breaks that invariant and raises :class:`CapacityError`.
         """
+        self.join()
         env = self._marshal_inputs(tensors)
         self._allocate_output(env, capacity)
         self._kernel(env)
@@ -273,7 +320,7 @@ class Kernel:
         once, the prepared query executed repeatedly.  A compressed
         output's ``capacity`` is reserved, not initialised: the bound
         kernel commits only the pages its runs write."""
-        env = self._marshal_inputs(tensors)
+        env = self.join()._marshal_inputs(tensors)
         self._allocate_output(env, capacity)
         return BoundKernel(self, env)
 

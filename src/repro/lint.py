@@ -453,14 +453,19 @@ RULES: Tuple[Rule, ...] = (
     Rule("The sort is emitted in one place", "search and sort are P primitives", (
         Ban(re.escape("tmp[at[a[i] >> s & 255]++] = a[i];"), allow=("src/repro",), count=1),
         Ban(r"_SORT_I64", allow=tuple(f"src/repro/compiler/codegen_c.py::{name}"
-                                      for name in ("_SORT_I64", "_publish", "_build"))))),
+                                      for name in ("_SORT_I64", "_start", "_Artifact"))))),
     Rule("A coordinate's width is chosen in one place", "Data plane: columnar in, columnar out", (
         Ban(r"np\.int32|int32_t", allow=(
             "src/repro/data/tensor.py", "src/repro/baselines/taco.py",
             *(f"src/repro/compiler/codegen_c.py::{name}"
               for name in ("_CTYPES", "_NP_DTYPES", "_C_NAMES")))),)),
     Rule("A relation becomes a tensor through columns", "Relational frontend: stacked measures", (
-        Ban(r"from_entries\(|\.to_dict\(\)", roots=("src/repro/relational", "src/repro/tpch")),)),
+        Ban(r"from_entries\(|\.to_dict\(\)", roots=("src/repro/data/convert.py", *(
+            f"src/repro/{package}" for package in ("serve", "runtime", "tensor", "relational",
+                                                   "tpch", "workloads", "verification")))),)),
+    Rule("The toolchain is started in one place", "Builds in flight", (
+        Ban(r"subprocess\.", allow=tuple(f"src/repro/compiler/codegen_c.py::_Gcc.{name}"
+                                         for name in ("start", "join"))),)),
 )
 
 #: the lines no rule reads: the two literals above, whose patterns

@@ -220,8 +220,9 @@ def test_evicted_c_kernel_a_caller_holds_still_runs(fresh_cache):
 @requires_cc
 def test_shared_object_is_unloaded_with_its_last_kernel(fresh_cache):
     ctx, expr, out, tensors = _spmv()
-    held = compile_kernel(expr, ctx, tensors, out, backend="c", name="so_held")
-    dropped = compile_kernel(expr, ctx, tensors, out, backend="c", name="so_dropped")
+    # a C kernel's .so is loaded when its build is joined
+    held = compile_kernel(expr, ctx, tensors, out, backend="c", name="so_held").join()
+    dropped = compile_kernel(expr, ctx, tensors, out, backend="c", name="so_dropped").join()
     assert _mapped("so_held") and _mapped("so_dropped")
     fresh_cache.clear()
     del dropped
@@ -288,11 +289,11 @@ def run_sorting_kernels():
 _RESTORE_SORTING_KERNELS = textwrap.dedent("""
     import json, subprocess
     from repro import config
-    gcc, run = [], subprocess.run
+    gcc, popen = [], subprocess.Popen
     def counted(cmd, *args, **kw):
         gcc.extend(cmd[:1] if cmd[0] == config.get("REPRO_GCC") else [])
-        return run(cmd, *args, **kw)
-    subprocess.run = counted
+        return popen(cmd, *args, **kw)
+    subprocess.Popen = counted
     from repro.compiler.cache import kernel_cache
     from tests.compiler.test_cache import run_sorting_kernels
     results = run_sorting_kernels()

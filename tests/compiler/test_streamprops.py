@@ -274,6 +274,8 @@ RULE_SEEDS = (
      "crd = crd.astype(np.int32)"),
     ("A relation becomes a tensor through columns", "src/repro/relational/encode.py",
      None, "entries = tensor.to_dict()"),
+    ("The toolchain is started in one place", "src/repro/compiler/build.py", None,
+     'subprocess.run(["gcc", "--version"])'),
 )
 
 

@@ -39,15 +39,15 @@ def poisoned_output_storage():
 
 @pytest.fixture
 def gcc_runs(monkeypatch):
-    """The compiler invocations of this test, counted on ``subprocess.run``."""
+    """The compiler invocations of this test, counted on ``subprocess.Popen``."""
     runs = []
-    run = subprocess.run
+    popen = subprocess.Popen
 
     def counted(cmd, *args, **kw):
         if cmd[0] == config.get("REPRO_GCC"):
             runs.append(cmd)
-        return run(cmd, *args, **kw)
-    monkeypatch.setattr(subprocess, "run", counted)
+        return popen(cmd, *args, **kw)
+    monkeypatch.setattr(subprocess, "Popen", counted)
     return runs
 
 

@@ -228,31 +228,6 @@ def test_from_coo_rejects_what_from_entries_rejected():
         Tensor.from_coo("ij", ("sparse",), (4, 4), [[0, 0]], [1.0])
 
 
-def test_no_per_entry_path_outside_the_dictionary_view():
-    """``to_dict`` / ``from_entries`` are the public dictionary view;
-    the data path (serve, runtime, tensor, convert, relations becoming
-    tensors in relational and tpch, the workload generators and the
-    checkers) stays columnar."""
-    import pathlib
-    import re
-
-    import repro
-
-    root = pathlib.Path(repro.__file__).parent
-    files = [root / "data" / "convert.py"]
-    for package in ("serve", "runtime", "tensor", "relational", "tpch",
-                    "workloads", "verification"):
-        files += sorted((root / package).rglob("*.py"))
-    calls = re.compile(r"\.to_dict\(\)|from_entries\(")
-    offenders = [
-        f"{path.relative_to(root)}:{n}"
-        for path in files
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if calls.search(line)
-    ]
-    assert not offenders, offenders
-
-
 def _dict_sparse(n, density, attrs, formats, dims, seed, semiring):
     """The generators' construction before they went columnar: one
     ``{coordinate: value}`` entry per draw, through ``from_entries``."""

@@ -11,11 +11,17 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tests.faults.conftest import requires_gcc
+from repro.compiler import codegen_c
+from repro.compiler.build import compile_kernel
+from tests.faults.conftest import expected_spmv, requires_gcc, spmv_problem
 
 WORKER = Path(__file__).with_name("_concurrent_worker.py")
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -79,3 +85,129 @@ def test_warm_process_served_from_disk(tmp_path):
     assert f"{check}" in proc.stdout
     stats = [ln for ln in proc.stdout.splitlines() if ln.startswith("STATS")][0]
     assert "disk_hits=1" in stats and "misses=0" in stats
+
+
+def _slow_gcc(tmp_path) -> tuple:
+    """A gcc that sleeps a second first, logging when each run starts
+    and which source it compiles."""
+    log = tmp_path / "gcc_starts.log"
+    wrapper = tmp_path / "slow_gcc.sh"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'for a; do case "$a" in *.c) echo "$(date +%s.%N) $(basename "$a")" >> "{log}";; esac; done\n'
+        f'sleep 1\nexec "{shutil.which("gcc")}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    return str(wrapper), log
+
+
+def _starts(log) -> list:
+    return [(float(t), name) for t, name in (ln.split() for ln in log.read_text().splitlines())]
+
+
+@requires_gcc
+def test_builds_overlap_up_to_the_cap(tmp_path, monkeypatch):
+    """Two builds return with their gccs running side by side, so the
+    two builds and two runs take one slow gcc, not two.  A third build
+    past the cap of 2 waits for the oldest run before it starts its
+    own (the wrapper sleeps, so this holds on one CPU too)."""
+    wrapper, log = _slow_gcc(tmp_path)
+    monkeypatch.setenv("REPRO_GCC", wrapper)
+    monkeypatch.setattr(codegen_c, "IN_FLIGHT", 2)
+    codegen_c.join_all()
+    ctx, expr, out, tensors = spmv_problem()
+
+    def build(name):
+        return compile_kernel(expr, ctx, tensors, out, backend="c", name=name)
+
+    t0 = time.monotonic()
+    kernels = [build("overlap_a"), build("overlap_b")]
+    results = [k.run(tensors) for k in kernels]
+    assert time.monotonic() - t0 < 1.8
+    for result in results:
+        np.testing.assert_allclose(np.asarray(result.vals), expected_spmv(tensors))
+
+    log.write_text("")
+    kernels = [build("cap_a"), build("cap_b"), build("cap_c")]
+    assert all(k.c_backed for k in kernels)
+    (t_a, a), (t_b, b), (t_c, c) = _starts(log)
+    assert [a[:5], b[:5], c[:5]] == ["cap_a", "cap_b", "cap_c"]
+    assert t_b - t_a < 0.5 and t_c - t_a >= 1.0
+
+
+_BUILD_AND_EXIT = textwrap.dedent("""
+    from repro.compiler import codegen_c
+    from repro.compiler.build import compile_kernel
+    from tests.faults.conftest import spmv_problem
+
+    ctx, expr, out, tensors = spmv_problem()
+    compile_kernel(expr, ctx, tensors, out, backend="c", name="exit_in_flight")
+    assert [not gcc.done for gcc in codegen_c._in_flight.values()] == [True]
+""")
+
+
+@requires_gcc
+def test_exit_reaps_a_build_in_flight(tmp_path):
+    """A process that exits with its gcc running and its kernel never
+    called leaves no gcc behind, no temporary ``*.build<pid>`` file,
+    and the published .so."""
+    wrapper, log = _slow_gcc(tmp_path)
+    pids = tmp_path / "gcc.pid"
+    text = Path(wrapper).read_text().replace("sleep 1", f'echo $$ > "{pids}"; sleep 1')
+    Path(wrapper).write_text(text)
+    cache = tmp_path / "cache"
+    env = dict(os.environ, REPRO_GCC=wrapper, REPRO_KERNEL_CACHE_DIR=str(cache),
+               PYTHONPATH=os.pathsep.join([REPO_SRC, str(Path(REPO_SRC).parent)]))
+    proc = subprocess.run([sys.executable, "-c", _BUILD_AND_EXIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pids.read_text()), 0)
+    assert len(list(cache.glob("exit_in_flight_*.so"))) == 1
+    assert not list(cache.glob("*.build*"))
+
+
+@requires_gcc
+def test_threads_building_and_joining_keep_the_cap(tmp_path, monkeypatch):
+    """Six threads, more than the cap of 2 and than the cores, build
+    three kernels twice each and run them under a short switch
+    interval: every result is right, a source shared by two threads is
+    compiled once, and no more than two gccs ever run at once."""
+    log = tmp_path / "gcc.log"
+    wrapper = tmp_path / "logged_gcc.sh"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'echo "$(date +%s.%N) 1" >> "{log}"\nsleep 0.2\n'
+        f'"{shutil.which("gcc")}" "$@"; rc=$?\n'
+        f'echo "$(date +%s.%N) -1" >> "{log}"\nexit $rc\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_GCC", str(wrapper))
+    monkeypatch.setattr(codegen_c, "IN_FLIGHT", 2)
+    codegen_c.join_all()
+    ctx, expr, out, tensors = spmv_problem()
+    want = expected_spmv(tensors)
+    failures = []
+
+    def build_and_run(i):
+        try:
+            kernel = compile_kernel(expr, ctx, tensors, out, backend="c", name=f"stress_{i % 3}")
+            np.testing.assert_allclose(np.asarray(kernel.run(tensors).vals), want)
+        except BaseException as exc:  # reported below, in the test's thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build_and_run, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not failures, failures
+    events = sorted((float(t), int(d)) for t, d in (ln.split() for ln in log.read_text().splitlines()))
+    assert len(events) == 2 * 3
+    running = [sum(d for _, d in events[:k + 1]) for k in range(len(events))]
+    assert max(running) <= 2

@@ -181,21 +181,46 @@ def test_repeated_sigkill_falls_back_to_python(monkeypatch, tmp_path, fake_gcc, 
     assert any("falling back" in r.message for r in repro_records(caplog))
 
 
-@pytest.mark.parametrize("cell", ["spmv", "smul"])
-def test_fallback_keeps_the_python_pipeline(monkeypatch, cell):
+@pytest.mark.parametrize("cell, gcc", [
+    ("spmv", "missing"), ("smul", "missing"), ("spmv", "failing"), ("smul", "failing"),
+], ids=["spmv", "smul", "spmv-failing", "smul-failing"])
+def test_fallback_keeps_the_python_pipeline(monkeypatch, fake_gcc, cell, gcc):
     """A C build that falls back emits what a direct Python build does:
-    the body is optimised again for Python, LICM and CSE included.  So
-    is the breaker's twin, rebuilt from the recipe on Python."""
+    the body is optimised again for Python, LICM and CSE included —
+    in the build when gcc is missing, at the join when it fails.  So is
+    the breaker's twin, rebuilt from the recipe on Python."""
     from repro.runtime.route import fallback_kernel
 
-    monkeypatch.setenv("REPRO_GCC", "/nonexistent/bin/gcc")
+    if gcc == "missing":
+        monkeypatch.setenv("REPRO_GCC", "/nonexistent/bin/gcc")
+        resilience.reset_probe_cache()
+    else:
+        fake_gcc("exit 1")
     monkeypatch.setenv("REPRO_BACKEND_FALLBACK", "1")
-    resilience.reset_probe_cache()
     fallback = bench_kernel(cell, f"fb_{cell}", backend="c")
     direct = bench_kernel(cell, f"fb_{cell}", backend="python")
     assert fallback.source == direct.source
     assert "_tinv" in fallback.source
     assert "_tinv" in fallback_kernel(fallback).source
+
+
+@requires_gcc
+def test_pool_forked_while_a_build_is_in_flight(fake_gcc):
+    """Forking joins every gcc in flight first: the worker inherits a
+    published build, loads it, and returns the right answer."""
+    import shutil
+
+    from repro.compiler import codegen_c
+    from repro.runtime import pool as pool_mod
+
+    fake_gcc(f'sleep 1; exec "{shutil.which("gcc")}" "$@"')
+    kernel, tensors = _build_spmv(name="fork_in_flight")
+    assert any(not gcc.done for gcc in codegen_c._in_flight.values())
+    pool_mod.get_shared_pool(1)             # forks its worker now
+    assert all(gcc.done for gcc in codegen_c._in_flight.values())
+    result = run_supervised(kernel, tensors)
+    assert np.allclose(np.asarray(result.vals), expected_spmv(tensors))
+    assert kernel.c_backed
 
 
 # ----------------------------------------------------------------------
