@@ -9,7 +9,7 @@ table of :data:`MEMO_ENTRIES` kernels: a process keeps the kernels it
 uses, not every kernel it ever built.  A miss past the bound costs a
 tier-2 restore, not a compile (DESIGN.md "Optimizer & kernel cache").
 
-Tier 2 generalizes the shared-object cache in ``codegen_c._build`` to
+Tier 2 generalizes the shared-object cache in ``codegen_c._Artifact`` to
 every source-emitting backend: the emitted source plus the metadata
 needed to reconstruct a kernel object (params, declarations, workspace
 dim) is written to a JSON file keyed by the same canonical key.  A

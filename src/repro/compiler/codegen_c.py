@@ -419,11 +419,14 @@ def _killed_twice(cc: str, cmd: List[str], last: CompileError) -> CompileError:
 
 
 class _Gcc:
-    """One toolchain run: ``source`` compiled into ``so_path``.  The
-    artifact's per-key lock is held from the launch (:meth:`start`) to
-    the publication by ``os.replace`` (:meth:`join`), so a concurrent
-    (or crashed) builder never exposes a truncated .so, and a second
-    process building the same key waits and then loads this one."""
+    """One toolchain run: ``source`` compiled into ``so_path`` on a
+    thread of its own, started on construction.  The thread takes the
+    artifact's per-key lock, writes the source, runs gcc (:meth:`start`,
+    :meth:`reap`), publishes the .so by ``os.replace`` and releases the
+    lock — at gcc's exit, not at a caller's join.  So a concurrent (or
+    crashed) builder never exposes a truncated .so, and a second process
+    building the same key — a pool worker rebuilding it, say — waits for
+    this gcc, not for this process, and then loads the one it built."""
 
     def __init__(self, source: str, so_path: str, opt: str, link: Sequence[str]) -> None:
         cc = config.get("REPRO_GCC")
@@ -434,104 +437,91 @@ class _Gcc:
         self.tmp_so = f"{so_path}.build{os.getpid()}"
         self.cmd = _command(source, self.c_path, self.tmp_so, opt, link)
         self.timeout = config.get("REPRO_GCC_TIMEOUT")
-        self.error: CompileError | None = None
-        self.done = False
-        self._mutex = threading.Lock()
-        self._held = contextlib.ExitStack()
-        self._stderr = None
-        self._held.enter_context(resilience.file_lock(so_path))
-        try:
-            if os.path.exists(so_path):
-                # published by another process while we waited for its lock
-                self.done = True
-                self._held.close()
-                return
-            resilience.atomic_write_text(self.c_path, source)
-            self.start()
-        except BaseException:
-            self._held.close()
-            raise
+        #: the build's error once it is done: a :class:`CompileError`,
+        #: or what writing the source raised; None on success
+        self.error: Exception | None = None
+        self._thread = threading.Thread(target=self._build, args=(source,),
+                                        name=f"gcc {os.path.basename(so_path)}", daemon=True)
+        self._thread.start()
 
-    def start(self) -> None:
-        """Launch gcc; its stderr goes to an unnamed file, so a chatty
-        compile never blocks on a pipe nobody reads yet."""
-        if self._stderr is not None:
-            self._stderr.close()
-        self._stderr = tempfile.TemporaryFile()
-        self.started = time.monotonic()
-        self.launch_error: OSError | None = None
-        try:
-            self.proc = subprocess.Popen(self.cmd, stdout=subprocess.DEVNULL,
-                                         stderr=self._stderr)
-        except OSError as exc:  # vanished mid-run, exec failure, ...
-            self.proc, self.launch_error = None, exc
+    @property
+    def done(self) -> bool:
+        return not self._thread.is_alive()
 
-    def join(self) -> CompileError | None:
-        """Wait for gcc — until ``REPRO_GCC_TIMEOUT`` after its start —,
-        retry once on a transient failure, publish the .so and release
-        the lock.  Returns the build's error, or None; every caller, and
-        every later call, gets the one outcome."""
-        with self._mutex:
-            if self.done:
-                return self.error
-            cc = self.cmd[0]
-            seen_signals: set[int] = set()
-            repeated_kill = False
-            try:
-                for attempt in (1, 2):
-                    if attempt == 2:
-                        self.start()
-                    if self.proc is None:
-                        self.error = CompileError(
-                            f"could not invoke {cc}: {self.launch_error}", command=self.cmd)
-                        logger.warning("compiler invocation failed (%s); attempt %d",
-                                       self.launch_error, attempt)
-                        continue
-                    left = max(self.started + self.timeout - time.monotonic(), 0.0)
-                    try:
-                        code = self.proc.wait(0.0 if _await_exit(self.proc.pid, left) else left)
-                    except subprocess.TimeoutExpired:
-                        self.proc.kill()
-                        self.proc.wait()
-                        self.error = CompileError(
-                            f"{cc} timed out after {self.timeout:.1f}s compiling {self.c_path}",
-                            command=self.cmd, stderr=self._stderr_text() or None, timeout=True,
-                        )
-                        return self.error
-                    if code == 0:
-                        try:
-                            os.replace(self.tmp_so, self.so_path)
-                        except OSError as exc:  # the cache dir went away meanwhile
-                            self.error = CompileError(
-                                f"could not publish {self.so_path}: {exc}", command=self.cmd)
-                        else:
-                            self.error = None
-                        return self.error
-                    self.error = _failure(cc, self.cmd, code, self._stderr_text())
-                    if not resilience.is_transient(code, seen_signals):
-                        repeated_kill = code < 0 and -code in seen_signals
-                        break
-                    seen_signals.add(-code)
-                    logger.warning(
-                        "transient compiler failure (killed by %s) on attempt %d; "
-                        "retrying once", resilience.signal_name(-code), attempt,
-                    )
-                if repeated_kill and self.error.signal is not None:
-                    self.error = _killed_twice(cc, self.cmd, self.error)
-                return self.error
-            finally:
-                self.done = True
-                if os.path.exists(self.tmp_so):
-                    try:
+    def join(self) -> Exception | None:
+        """Wait for the build and return its error, or None: every
+        caller, and every later call, gets the one outcome."""
+        self._thread.join()
+        return self.error
+
+    def _build(self, source: str) -> None:
+        try:
+            with resilience.file_lock(self.so_path):
+                if os.path.exists(self.so_path):
+                    return  # published by another process while we waited for its lock
+                resilience.atomic_write_text(self.c_path, source)
+                try:
+                    self.error = self.reap()
+                finally:
+                    with contextlib.suppress(OSError):
                         os.unlink(self.tmp_so)
-                    except OSError:
-                        pass
-                self._stderr.close()
-                self._held.close()
+        except Exception as exc:  # raised by the join, in the caller's thread
+            self.error = exc
 
-    def _stderr_text(self) -> str:
-        self._stderr.seek(0)
-        return self._stderr.read().decode(errors="replace")
+    def start(self, stderr) -> subprocess.Popen:
+        """Launch gcc, its stderr into ``stderr``, an unnamed file, so a
+        chatty compile never blocks on a pipe."""
+        return subprocess.Popen(self.cmd, stdout=subprocess.DEVNULL, stderr=stderr)
+
+    def reap(self) -> CompileError | None:
+        """Run gcc and wait for it — until ``REPRO_GCC_TIMEOUT`` —,
+        retry once on a transient failure and publish the .so: the
+        build's error, or None."""
+        cc = self.cmd[0]
+        seen_signals: set[int] = set()
+        repeated_kill = False
+        error: CompileError | None = None
+        for attempt in (1, 2):
+            with tempfile.TemporaryFile() as stderr:
+                try:
+                    proc = self.start(stderr)
+                except OSError as exc:  # vanished mid-run, exec failure, ...
+                    error = CompileError(f"could not invoke {cc}: {exc}", command=self.cmd)
+                    logger.warning("compiler invocation failed (%s); attempt %d", exc, attempt)
+                    continue
+                try:
+                    code = proc.wait(0.0 if _await_exit(proc.pid, self.timeout) else self.timeout)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+                    return CompileError(
+                        f"{cc} timed out after {self.timeout:.1f}s compiling {self.c_path}",
+                        command=self.cmd, stderr=_text(stderr) or None, timeout=True,
+                    )
+                if code == 0:
+                    try:
+                        os.replace(self.tmp_so, self.so_path)
+                    except OSError as exc:  # the cache dir went away meanwhile
+                        return CompileError(f"could not publish {self.so_path}: {exc}",
+                                            command=self.cmd)
+                    return None
+                error = _failure(cc, self.cmd, code, _text(stderr))
+            if not resilience.is_transient(code, seen_signals):
+                repeated_kill = code < 0 and -code in seen_signals
+                break
+            seen_signals.add(-code)
+            logger.warning(
+                "transient compiler failure (killed by %s) on attempt %d; "
+                "retrying once", resilience.signal_name(-code), attempt,
+            )
+        if repeated_kill and error.signal is not None:
+            return _killed_twice(cc, self.cmd, error)
+        return error
+
+
+def _text(file) -> str:
+    file.seek(0)
+    return file.read().decode(errors="replace")
 
 
 def _await_exit(pid: int, timeout: float) -> bool:
@@ -561,21 +551,17 @@ _in_flight: "OrderedDict[str, _Gcc]" = OrderedDict()
 _lock = threading.Lock()
 
 
-def _launch(source: str, so_path: str, opt: str, link: Sequence[str]) -> "_Gcc | None":
+def _launch(source: str, so_path: str, opt: str, link: Sequence[str]) -> _Gcc:
     """gcc started on ``source`` into ``so_path`` — or the run of it this
-    process already has in flight —, None when another process
-    published it meanwhile.  A start past :data:`IN_FLIGHT` first joins
-    the oldest run."""
+    process already has in flight.  A start past :data:`IN_FLIGHT`
+    first joins the oldest run."""
     while True:
         with _lock:
             for path in [p for p, gcc in _in_flight.items() if gcc.done]:
                 del _in_flight[path]
             gcc = _in_flight.get(so_path)
             if gcc is None and len(_in_flight) < IN_FLIGHT:
-                gcc = _Gcc(source, so_path, opt, link)
-                if gcc.done:
-                    return None
-                _in_flight[so_path] = gcc
+                gcc = _in_flight[so_path] = _Gcc(source, so_path, opt, link)
             if gcc is not None:
                 return gcc
             oldest = next(iter(_in_flight.values()))
@@ -584,12 +570,21 @@ def _launch(source: str, so_path: str, opt: str, link: Sequence[str]) -> "_Gcc |
 
 def join_all() -> None:
     """Join every gcc run in flight: before a fork, so no child inherits
-    one, and at exit, so none outlives the process unpublished."""
+    one or the lock it holds, and at exit, so none outlives the process
+    unpublished."""
     for gcc in tuple(_in_flight.values()):
         gcc.join()
 
 
+def _forget_in_flight() -> None:
+    """A forked child starts with no runs and a fresh lock: the runs it
+    inherits belong to threads it does not have."""
+    global _in_flight, _lock
+    _in_flight, _lock = OrderedDict(), threading.Lock()
+
+
 atexit.register(join_all)
+os.register_at_fork(before=join_all, after_in_child=_forget_in_flight)
 
 
 def _key(source: str) -> str:
@@ -689,8 +684,3 @@ class _Artifact:
         weakref.finalize(lib, _ctypes.dlclose, lib._handle).atexit = False
         _CACHE[self.key] = lib
         return lib
-
-
-def _build(source: str, name: str, cache_dir: str | None = None) -> CDLL:
-    """The loaded shared object of ``source``, built now if need be."""
-    return _Artifact(source, name, cache_dir).load()

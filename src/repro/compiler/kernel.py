@@ -170,16 +170,16 @@ class Kernel:
         host down) rather than the Python or interpreter backend."""
         return isinstance(self.join()._kernel, codegen_c.CKernel)
 
-    # how a call runs is the runtime's decision; these forward to it,
-    # joined first: a pool worker rebuilding the kernel must find its
-    # .so published, not wait on the lock this process holds for gcc
+    # how a call runs is the runtime's decision; these forward to it.
+    # Every route joins the build: in process :meth:`execute` does, and
+    # :func:`repro.runtime.pool.dispatch` before the kernel crosses
     def run(self, tensors, capacity=None, **options):
         """:func:`repro.runtime.run` on this kernel."""
-        return runtime.run(self.join(), tensors, capacity=capacity, **options)
+        return runtime.run(self, tensors, capacity=capacity, **options)
 
     def run_sharded(self, tensors, capacity=None, **options):
         """:func:`repro.runtime.run_sharded` on this kernel."""
-        return runtime.run_sharded(self.join(), tensors, capacity=capacity, **options)
+        return runtime.run_sharded(self, tensors, capacity=capacity, **options)
 
     def execute(
         self,

@@ -50,7 +50,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Optional
 
 from repro import config
-from repro.compiler import codegen_c
 from repro.compiler.resilience import logger
 from repro.runtime import shm
 from repro.runtime.policy import worker_count
@@ -314,14 +313,6 @@ def _forget_inherited_runtime() -> None:
         sys.modules["repro.runtime.pool"]._shared = None
 
 
-def _before_fork() -> None:
-    """No gcc run stays in flight across a fork — a child could neither
-    wait for its parent's gcc nor take the lock that run holds — and
-    the heap is trimmed before the child shares its pages."""
-    codegen_c.join_all()
-    shm._give_back()
-
-
-os.register_at_fork(before=_before_fork,
+os.register_at_fork(before=shm._give_back,
                     after_in_child=_forget_inherited_runtime)
 atexit.register(shutdown_shared_runtime)

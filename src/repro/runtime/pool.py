@@ -525,7 +525,12 @@ def dispatch(
     travel as byte windows, so the per-shard pipe payload is a few
     hundred bytes of descriptor regardless of operand size.  An operand
     it does not name is exported here, before the pool forks.
+
+    The kernel's build is joined first, in this process: a worker that
+    rebuilds it finds its .so published, and a C build that failed has
+    fallen back before the recipe ships.
     """
+    kernel.join()
     if kernel.recipe is None:
         raise PoolUnavailableError(
             f"kernel {kernel.name!r} has no rebuild recipe"

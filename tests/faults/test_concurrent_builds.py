@@ -167,6 +167,69 @@ def test_exit_reaps_a_build_in_flight(tmp_path):
     assert not list(cache.glob("*.build*"))
 
 
+_BUILD_AND_FORK = textwrap.dedent("""
+    import os, sys
+    from repro.compiler import codegen_c
+    from repro.compiler.build import compile_kernel
+    from tests.faults.conftest import spmv_problem
+
+    ctx, expr, out, tensors = spmv_problem()
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="c", name="fork_bare")
+    assert "repro.runtime.executor" not in sys.modules
+    assert any(not gcc.done for gcc in codegen_c._in_flight.values())
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if not codegen_c._in_flight else 3)
+    assert all(gcc.done for gcc in codegen_c._in_flight.values())
+    assert os.waitpid(pid, 0)[1] == 0
+    assert kernel.c_backed
+""")
+
+
+@requires_gcc
+def test_a_fork_without_the_runtime_joins_first(tmp_path):
+    """The compiler owns its builds in flight: a program that compiles
+    and forks without importing the runtime still joins every run
+    before the fork, and its child starts with none."""
+    wrapper, log = _slow_gcc(tmp_path)
+    env = dict(os.environ, REPRO_GCC=wrapper,
+               PYTHONPATH=os.pathsep.join([REPO_SRC, str(Path(REPO_SRC).parent)]))
+    proc = subprocess.run([sys.executable, "-c", _BUILD_AND_FORK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_BUILD_AND_RUN = textwrap.dedent("""
+    import numpy as np
+    from repro.compiler.build import compile_kernel
+    from tests.faults.conftest import expected_spmv, spmv_problem
+
+    ctx, expr, out, tensors = spmv_problem()
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="c", name="shared_key")
+    np.testing.assert_allclose(np.asarray(kernel.run(tensors).vals), expected_spmv(tensors))
+    assert kernel.c_backed
+""")
+
+
+@requires_gcc
+def test_a_build_in_flight_is_published_when_gcc_exits(tmp_path, monkeypatch):
+    """The per-key lock goes with gcc's exit, not with this process's
+    join: a second process building the same key while this one never
+    calls its kernel loads the .so this gcc published, without a gcc of
+    its own and without waiting out the lock."""
+    wrapper, log = _slow_gcc(tmp_path)
+    monkeypatch.setenv("REPRO_GCC", wrapper)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([REPO_SRC, str(Path(REPO_SRC).parent)]))
+    ctx, expr, out, tensors = spmv_problem()
+    kernel = compile_kernel(expr, ctx, tensors, out, backend="c", name="shared_key")
+    proc = subprocess.run([sys.executable, "-c", _BUILD_AND_RUN], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert [name[:10] for _, name in _starts(log)] == ["shared_key"]
+    assert kernel.c_backed
+
+
 @requires_gcc
 def test_threads_building_and_joining_keep_the_cap(tmp_path, monkeypatch):
     """Six threads, more than the cap of 2 and than the cores, build

@@ -223,6 +223,30 @@ def test_pool_forked_while_a_build_is_in_flight(fake_gcc):
     assert kernel.c_backed
 
 
+@requires_gcc
+def test_pool_forked_before_a_build_runs_it_supervised(fake_gcc, caplog):
+    """A pool whose worker is forked before the build: the supervised
+    call joins the build before the kernel crosses, so the worker loads
+    the published .so at once — no wait on the lock for gcc, no
+    deadline passing, no failure booked."""
+    import shutil
+    import time
+
+    from repro.runtime import pool as pool_mod
+
+    pool_mod.get_shared_pool(1)             # forks its worker now
+    fake_gcc(f'sleep 1; exec "{shutil.which("gcc")}" "$@"')
+    kernel, tensors = _build_spmv(name="pool_before_build")
+    t0 = time.monotonic()
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        result = run_supervised(kernel, tensors, deadline=20.0)
+    assert time.monotonic() - t0 < 10.0
+    assert np.allclose(np.asarray(result.vals), expected_spmv(tensors))
+    assert kernel.c_backed
+    assert not repro_records(caplog)
+    assert breaker.snapshot().get(kernel.cache_key, {}).get("failures", 0) == 0
+
+
 # ----------------------------------------------------------------------
 # 5. corrupted JSON payload on disk
 # ----------------------------------------------------------------------
@@ -274,7 +298,7 @@ def test_tampered_payload_fails_checksum(cache_dir, caplog):
 def test_truncated_so_quarantined_and_recompiled(cache_dir, caplog):
     """A half-written ``.so`` (crashed writer, fresh process reading it)
     is quarantined and recompiled.  The truncated file is planted at the
-    exact path ``_build`` will load — it must never have been dlopen'd
+    exact path the artifact will load — it must never have been dlopen'd
     by this process, since glibc dedups loads by path."""
     import ctypes
     import hashlib
@@ -291,7 +315,7 @@ def test_truncated_so_quarantined_and_recompiled(cache_dir, caplog):
     so_path.write_bytes(b"\x7fELF truncated by a crashed writer")
 
     with caplog.at_level(logging.WARNING, logger="repro"):
-        lib = codegen_c._build(source, "trunc_probe")
+        lib = codegen_c._Artifact(source, "trunc_probe", None).load()
     fn = lib.trunc_probe
     fn.restype = ctypes.c_int64
     assert fn() == 4242
@@ -321,7 +345,7 @@ def test_corrupt_so_in_a_read_only_cache_is_rebuilt_once(cache_dir, tmp_path, mo
     codegen_c._scratch_dir.cache_clear()
     try:
         for _ in range(2):
-            lib = codegen_c._build(source, "ro_probe")
+            lib = codegen_c._Artifact(source, "ro_probe", None).load()
             got = lib.ro_probe()
             del lib
             gc.collect()

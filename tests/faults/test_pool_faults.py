@@ -85,6 +85,9 @@ class FaultKernel:
         self.recipe = FaultRecipe(mode)
         self.cache_key = f"fault:{mode}"
 
+    def join(self):
+        return self  # nothing is built, so nothing is in flight
+
     def execute(self, tensors, capacity=None):
         if self.mode == "sigsegv":
             ctypes.memset(8, 0, 1)  # store through the null page
