@@ -24,7 +24,7 @@ def build(depth: int, n_operands: int):
     expr, ctx, tensors, total = nested_sum(depth, n_operands)
     start = time.perf_counter()
     kernel = compile_kernel(expr, ctx, tensors, None, cache=False,
-                            name=f"codesize_{depth}_{n_operands}")
+                            name=f"codesize_{depth}_{n_operands}").join()
     elapsed = time.perf_counter() - start
     assert kernel.run(tensors) == total
     return len(kernel.source), elapsed

@@ -359,310 +359,17 @@ def ablations(quick: bool) -> None:
           f"-> fusion {t_unfused/t_fused:.1f}x faster")
 
 
-def parallel(quick: bool) -> None:
-    import os
-
-    from repro.compiler.build import compile_kernel
-    from repro.compiler.kernel import OutputSpec
-    from repro.krelation import Schema
-    from repro.lang import Sum, TypeContext, Var
-    from repro.runtime import pool as pool_mod
-    from repro.workloads import dense_matrix, sparse_matrix
-
-    cpus = os.cpu_count() or 1
-    header(f"Parallel runtime: sharded matmul scaling "
-           f"({cpus} CPU(s); REPRO_PARALLEL/REPRO_WORKERS)")
-    if cpus < 2:
-        print("WARNING: single-CPU machine — the speedup column below "
-              "measures dispatch\noverhead, NOT parallel scaling; do not "
-              "quote it as a scaling result.")
-    n = 2000 if quick else 4000
-    k = 256 if quick else 512
-    A = sparse_matrix(n, n, 0.02, attrs=("i", "j"), seed=3)
-    B = dense_matrix(n, k, attrs=("j", "k"), seed=4)
-    ctx = TypeContext(Schema.of(i=None, j=None, k=None),
-                      {"A": {"i", "j"}, "B": {"j", "k"}})
-    kernel = compile_kernel(
-        Sum("j", Var("A") * Var("B")), ctx, {"A": A, "B": B},
-        OutputSpec(("i", "k"), ("dense", "dense"), (n, k)),
-        name="report_par_matmul",
-    )
-    tensors = {"A": A, "B": B}
-    base = timeit(lambda: kernel.execute(tensors))
-    print(f"{'configuration':<28}{'ms':>10}{'speedup':>10}")
-    print(f"{'unsharded':<28}{base*1e3:>10.2f}{1.0:>10.2f}")
-    for executor in ("serial", "thread", "pool"):
-        for w in (2, 4):
-            t = timeit(lambda: kernel.run_sharded(
-                tensors, executor=executor, workers=w, shards=w))
-            print(f"{executor + ' x' + str(w):<28}{t*1e3:>10.2f}"
-                  f"{base/t:>10.2f}")
-    t_warm = timeit(lambda: pool_mod.run_supervised(kernel, tensors))
-    print(f"{'pooled supervised (warm)':<28}{t_warm*1e3:>10.2f}"
-          f"{base/t_warm:>10.2f}")
-    pool_mod.shutdown_shared_pool()
-
-
-# ----------------------------------------------------------------------
-def deltas(quick: bool = False) -> None:
-    """Cross-PR benchmark comparison: BENCH_PR6 vs the PR 4/PR 5
-    baselines, with non-representative (single-CPU) reports flagged.
-
-    Tolerant of missing or partially-written reports: a benchmark run
-    interrupted mid-suite leaves a valid-JSON file with some workloads
-    or metrics absent, and a half-written file may not parse at all —
-    every lookup below degrades to "skip that row", never a crash."""
-    import json
-    import os
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    reports = {}
-    for tag in ("PR4", "PR5", "PR6", "serve", "PR8", "PR9", "PR10"):
-        path = root / f"BENCH_{tag}.json"
-        if not path.exists():
-            continue
-        try:
-            loaded = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            print(f"[skipping unreadable {path.name}: {exc}]")
-            continue
-        if isinstance(loaded, dict):
-            reports[tag] = loaded
-
-    header("Benchmark deltas across PRs (BENCH_PR4/PR5/PR6.json)")
-    if not reports:
-        print("no BENCH_*.json reports found; run the benchmarks/ suite "
-              "first")
-        return
-    for tag, rep in reports.items():
-        if tag in ("serve", "PR8", "PR9", "PR10"):
-            continue      # rendered by their own sections below
-        cpus = rep.get("cpus", "?")
-        flag = ("" if isinstance(cpus, int) and cpus >= 2 else
-                "  [NON-REPRESENTATIVE: single CPU — speedups are "
-                "dispatch overhead, not scaling]")
-        print(f"{tag}: backend={rep.get('backend', '?')}, cpus={cpus}, "
-              f"generated={rep.get('generated', '?')}{flag}")
-
-    pr5 = reports.get("PR5", {}).get("results", {})
-    pr6 = reports.get("PR6", {}).get("results", {})
-
-    if pr6:
-        print(f"\n{'workload':<10}{'metric':<34}{'PR5':>12}"
-              f"{'PR6':>12}{'change':>10}")
-        for wl, r6 in pr6.items():
-            if not isinstance(r6, dict):
-                continue
-            r5 = pr5.get(wl, {})
-            new = r6.get("supervised_slowdown", {}).get("pool_warm")
-            if "slowdown" in r5 and new is not None:
-                old = r5["slowdown"]
-                change = (f"{old / new:>9.2f}x" if new else "      n/a")
-                print(f"{wl:<10}{'supervised slowdown fork -> pool':<34}"
-                      f"{old:>12.4f}{new:>12.4f}{change}")
-        print("\n(PR5's supervised run forks per call; PR6 amortizes the "
-              "sandbox into resident\npooled workers with shared-memory "
-              "operands.)")
-
-    _serve_section(reports.get("serve"))
-    _pr8_section(reports.get("PR8"))
-    _pr9_section(reports.get("PR9"))
-    _pr10_section(reports.get("PR10"))
-
-
-def _pr10_section(rep) -> None:
-    """Render BENCH_PR10.json (benchmarks/test_resume_overhead.py): the
-    durable-job layer's costs — journaling overhead of durable=True,
-    how much of a killed job resume saves, and the governed spill +
-    streaming merge penalty."""
-    if not rep:
-        return
-    results = rep.get("results")
-    if not isinstance(results, dict) or not results:
-        return
-    header("Durable jobs & memory governor (BENCH_PR10.json)")
-    print(f"shards={rep.get('shards', '?')}, cpus={rep.get('cpus', '?')}, "
-          f"generated={rep.get('generated', '?')}")
-    def _ratio(value):
-        return f"{value:.2f}" if isinstance(value, (int, float)) else "?"
-
-    jo = results.get("journal_overhead")
-    if isinstance(jo, dict) and isinstance(jo.get("seconds"), dict):
-        s = jo["seconds"]
-        print(f"journal:  plain {s.get('plain', float('nan')):.6f}s -> "
-              f"durable {s.get('durable', float('nan')):.6f}s  "
-              f"({_ratio(jo.get('slowdown'))}x; checksummed atomic shard "
-              "writes)")
-    res = results.get("resume")
-    if isinstance(res, dict) and isinstance(res.get("seconds"), dict):
-        s = res["seconds"]
-        print(f"resume:   skipped {res.get('skipped_on_resume', '?')}/"
-              f"{res.get('shards', '?')} shards; "
-              f"uninterrupted {s.get('uninterrupted', float('nan')):.6f}s "
-              f"-> resume {s.get('resume', float('nan')):.6f}s  "
-              f"(ratio {_ratio(res.get('resume_ratio'))})")
-    sp = results.get("spill_merge")
-    if isinstance(sp, dict) and isinstance(sp.get("seconds"), dict):
-        s = sp["seconds"]
-        print(f"spill:    eager {s.get('eager', float('nan')):.6f}s -> "
-              f"spilling {s.get('spilling', float('nan')):.6f}s  "
-              f"({_ratio(sp.get('slowdown'))}x with {sp.get('spills', '?')} "
-              "spilled partial(s), streaming ⊕-merge)")
-
-
-def _pr9_section(rep) -> None:
-    """Render BENCH_PR9.json (benchmarks/test_autotune_ablation.py):
-    the autotuner ablation — every workload under each fixed global
-    policy vs the adaptive tuner, plus the geometric-mean summary.
-    The acceptance bar: adaptive within 10% of the best fixed policy
-    per workload, and beating every fixed policy overall."""
-    if not rep:
-        return
-    results = rep.get("results")
-    if not isinstance(results, dict) or not results:
-        return
-    header("Autotuner ablation: adaptive vs fixed policies "
-           "(BENCH_PR9.json)")
-    flag = " [SMOKE — sizes shrunk, not representative]" \
-        if rep.get("smoke") else ""
-    print(f"backend={rep.get('backend', '?')}, "
-          f"cpus={rep.get('cpus', '?')}, "
-          f"generated={rep.get('generated', '?')}{flag}")
-    workloads = results.get("workloads")
-    if isinstance(workloads, dict) and workloads:
-        policies = []
-        for row in workloads.values():
-            if isinstance(row, dict) and isinstance(row.get("fixed_s"), dict):
-                policies = list(row["fixed_s"])
-                break
-        head = f"\n{'workload':<16}" + "".join(
-            f"{p:>10}" for p in policies) + f"{'adaptive':>10}{'vs best':>9}"
-        print(head)
-        for wl, row in workloads.items():
-            if not isinstance(row, dict):
-                continue
-            fixed = row.get("fixed_s", {})
-            cells = "".join(
-                f"{fixed.get(p, float('nan')) * 1e3:>9.2f}m"
-                for p in policies)
-            ad = row.get("adaptive_s")
-            ratio = row.get("adaptive_vs_best_fixed", "?")
-            print(f"{wl:<16}{cells}"
-                  f"{(ad or float('nan')) * 1e3:>9.2f}m{ratio:>8}x")
-    geo = results.get("geomean_s")
-    if isinstance(geo, dict) and geo:
-        ranked = sorted(
-            (v, k) for k, v in geo.items() if isinstance(v, (int, float)))
-        print("\ngeomean across the mix:")
-        for v, k in ranked:
-            marker = "  <- adaptive" if k == "adaptive" else ""
-            print(f"  {k:<10}{v * 1e3:>9.3f} ms{marker}")
-    decisions = results.get("decisions")
-    if isinstance(decisions, dict):
-        print("\ntuned decisions (spot checks):")
-        for wl, d in decisions.items():
-            if isinstance(d, dict):
-                print(f"  {wl}: order={d.get('order')}, "
-                      f"out={d.get('output_formats')}, "
-                      f"search={d.get('search')}")
-
-
-def _pr8_section(rep) -> None:
-    """Render BENCH_PR8.json (benchmarks/test_verify_overhead.py): the
-    static stream-property verifier's cost on cold compiles, warm
-    (memoized) prepares, and in isolation.  The acceptance bar is ≤5%
-    cold-compile overhead."""
-    if not rep:
-        return
-    results = rep.get("results")
-    if not isinstance(results, dict) or not results:
-        return
-    header("Stream-property verifier overhead (BENCH_PR8.json)")
-    print(f"backend={rep.get('backend', '?')}, "
-          f"cpus={rep.get('cpus', '?')}, "
-          f"generated={rep.get('generated', '?')}")
-    cold = results.get("cold_build")
-    if isinstance(cold, dict):
-        print(f"cold compile:  off {cold.get('off_s', float('nan')):.6f}s"
-              f" -> on {cold.get('on_s', float('nan')):.6f}s  "
-              f"({cold.get('overhead_pct', '?')}% overhead; bar is 5%)")
-    warm = results.get("warm_prepare")
-    if isinstance(warm, dict):
-        print(f"warm prepare:  {warm.get('ratio', '?')}x with the pass on "
-              "(memoized by cache key)")
-    ve = results.get("verify_expr")
-    if isinstance(ve, dict) and "best_s" in ve:
-        print(f"analysis alone: {ve['best_s'] * 1e6:.1f} µs per "
-              "3-node expression")
-
-
-def _serve_section(rep) -> None:
-    """Render BENCH_serve.json (tests/serve/test_load.py): latency
-    percentiles unloaded vs under 2x-QPS overload, shed behavior, and
-    the SIGTERM drain timing.  Partial reports print what they have."""
-    if not rep:
-        return
-    results = rep.get("results")
-    if not isinstance(results, dict) or not results:
-        return
-    header("Serving layer (BENCH_serve.json)")
-    print(f"admission: qps={rep.get('qps', '?')}, "
-          f"burst={rep.get('burst', '?')}, cpus={rep.get('cpus', '?')}, "
-          f"generated={rep.get('generated', '?')}")
-
-    lat_rows = []
-    unloaded = results.get("unloaded")
-    if isinstance(unloaded, dict):
-        lat_rows.append(("unloaded", unloaded))
-    overload = results.get("overload", {})
-    if isinstance(overload, dict):
-        admitted = overload.get("admitted_latency")
-        if isinstance(admitted, dict):
-            lat_rows.append(("admitted @ 2x QPS", admitted))
-        shed = overload.get("shed_latency")
-        if isinstance(shed, dict):
-            lat_rows.append(("shed (429/503)", shed))
-    if lat_rows:
-        print(f"\n{'phase':<20}{'n':>6}{'p50 ms':>10}{'p90 ms':>10}"
-              f"{'p99 ms':>10}")
-        for label, row in lat_rows:
-            print(f"{label:<20}{row.get('count', 0):>6}"
-                  f"{row.get('p50_ms', float('nan')):>10.2f}"
-                  f"{row.get('p90_ms', float('nan')):>10.2f}"
-                  f"{row.get('p99_ms', float('nan')):>10.2f}")
-    if isinstance(overload, dict) and "offered" in overload:
-        print(f"\noverload: offered {overload['offered']} "
-              f"({overload.get('offered_qps', '?')} qps) -> "
-              f"{overload.get('admitted', '?')} admitted, "
-              f"{overload.get('shed', '?')} shed "
-              f"(statuses {overload.get('shed_statuses', [])})")
-    drain = results.get("drain")
-    if isinstance(drain, dict):
-        print(f"drain: SIGTERM -> exit {drain.get('exit_code', '?')} in "
-              f"{drain.get('elapsed_s', '?')}s "
-              f"(budget {drain.get('budget_s', '?')}s, in-flight "
-              f"completed: {drain.get('in_flight_completed', '?')})")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true",
                         help="smaller sizes (~1 minute total)")
-    parser.add_argument("--deltas", action="store_true",
-                        help="only print the cross-PR benchmark deltas")
     args = parser.parse_args()
-    if args.deltas:
-        deltas(args.quick)
-        return
     fig17(args.quick)
     sec81(args.quick)
     fig19(args.quick)
     fig20(args.quick)
     fig21(args.quick)
     ablations(args.quick)
-    parallel(args.quick)
-    deltas(args.quick)
 
 
 if __name__ == "__main__":

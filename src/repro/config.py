@@ -193,10 +193,6 @@ _ROWS = (
          "directory for the per-signature decision records (checksummed, "
          "flocked, quarantined on corruption)",
          shown="kernel cache dir"),
-    Knob("REPRO_BENCH_RECORD", "flag", False,
-         "`1` lets `benchmarks/` and the serve load test write their "
-         "`BENCH_*.json` reports at the repo root; otherwise reports land in "
-         "a temp directory (CI artifacts stay out of the working tree)"),
 )
 
 #: variable name → its row, in README order

@@ -393,11 +393,11 @@ class Rule:
     check: Optional[Callable[[Mapping[str, str]], Optional[str]]] = None
 
 
-def _at_most_30_knobs(sources: Mapping[str, str]) -> Optional[str]:
+def _at_most_29_knobs(sources: Mapping[str, str]) -> Optional[str]:
     namespace: Dict[str, Any] = {}  # the table's module, run from the sources
     exec(compile(sources["src/repro/config.py"], "src/repro/config.py", "exec"), namespace)
     n = len(namespace["KNOBS"])
-    return f"repro.config.KNOBS has {n} rows, at most 30: retire one" if n > 30 else None
+    return f"repro.config.KNOBS has {n} rows, at most 29: retire one" if n > 29 else None
 
 
 #: names that must not come back, each under the rule that retired it
@@ -413,6 +413,10 @@ GONE: Dict[str, Ban] = {
     "Every knob earns its row": Ban(
         r"REPRO_STRICT_(ENV|LOCKS)|LockTimeoutError|REPRO_SERVE_(DEADLINE|MAX_INFLIGHT"
         r"|QPS|BURST|RETRIES|RETRY_BASE|WRITE_TIMEOUT|WORKERS|MAX_BODY|STREAM_THRESHOLD)\b"),
+    # a class in each name keeps this line out of a plain grep for them
+    "Measurements are written in one place": Ban(
+        r"bench[r]ecord|report_path|REPRO_BENCH_[R]ECORD|BENCH_(PR\d+|serve)\.json",
+        roots=("src/repro", "benchmarks", "tests")),
 }
 
 RULES: Tuple[Rule, ...] = (
@@ -449,7 +453,7 @@ RULES: Tuple[Rule, ...] = (
             "src/repro/config.py", "src/repro/runtime/pool.py::WorkerPool.__init__",
             "src/repro/runtime/worker.py::pool_worker_main")),
         Ban(r'ENV_[A-Z_]+ = "REPRO_', roots=("src",)))),
-    Rule("Every knob earns its row", "Configuration", check=_at_most_30_knobs),
+    Rule("Every knob earns its row", "Configuration", check=_at_most_29_knobs),
     Rule("The sort is emitted in one place", "search and sort are P primitives", (
         Ban(re.escape("tmp[at[a[i] >> s & 255]++] = a[i];"), allow=("src/repro",), count=1),
         Ban(r"_SORT_I64", allow=tuple(f"src/repro/compiler/codegen_c.py::{name}"
@@ -466,6 +470,7 @@ RULES: Tuple[Rule, ...] = (
     Rule("The toolchain is started in one place", "Builds in flight", (
         Ban(r"subprocess\.", allow=tuple(f"src/repro/compiler/codegen_c.py::_Gcc.{name}"
                                          for name in ("start", "reap"))),)),
+    Rule("Measurements are written in one place", "`bench/` is the one writer of measurements"),
 )
 
 #: the lines no rule reads: the two literals above, whose patterns

@@ -130,9 +130,13 @@ def test_builds_overlap_up_to_the_cap(tmp_path, monkeypatch):
     log.write_text("")
     kernels = [build("cap_a"), build("cap_b"), build("cap_c")]
     assert all(k.c_backed for k in kernels)
-    (t_a, a), (t_b, b), (t_c, c) = _starts(log)
-    assert [a[:5], b[:5], c[:5]] == ["cap_a", "cap_b", "cap_c"]
-    assert t_b - t_a < 0.5 and t_c - t_a >= 1.0
+    # cap_a's and cap_b's threads race to start their gccs, so only the
+    # third start's place is fixed
+    starts = _starts(log)
+    assert sorted(name[:5] for _, name in starts[:2]) == ["cap_a", "cap_b"]
+    assert starts[2][1][:5] == "cap_c"
+    t = {name[:5]: when for when, name in starts}
+    assert abs(t["cap_b"] - t["cap_a"]) < 0.5 and t["cap_c"] - t["cap_a"] >= 1.0
 
 
 _BUILD_AND_EXIT = textwrap.dedent("""

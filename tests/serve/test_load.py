@@ -1,7 +1,7 @@
 """Load and lifecycle: shedding under overload, drain under SIGTERM.
 
-Three phases, all recorded to ``BENCH_serve.json`` at the repo root
-(rendered by ``benchmarks/report.py``):
+Three phases, each asserted and none written to a file (served
+latency is ``bench/``'s ``serve_query`` workload):
 
 ``unloaded``
     sequential warm queries; the p50/p90/p99 baseline every overload
@@ -27,7 +27,6 @@ catching collapse, not regressing on milliseconds.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -41,18 +40,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.benchrecord import report_path
 from tests.serve.harness import einsum_query, http_request
 
 REPO = Path(__file__).resolve().parents[2]
-REPORT_PATH = report_path("BENCH_serve.json")
 
 QPS = 10.0
 BURST = 3
 OVERLOAD_SECONDS = 3.0
 P99_FLOOR_S = 1.0          # absolute slack for single-CPU scheduling noise
-
-RESULTS = {}
 
 
 def _percentile(samples, q):
@@ -63,36 +58,11 @@ def _percentile(samples, q):
     return ordered[idx]
 
 
-def _latency_summary(samples):
-    return {
-        "count": len(samples),
-        "p50_ms": round((_percentile(samples, 0.50) or 0) * 1e3, 3),
-        "p90_ms": round((_percentile(samples, 0.90) or 0) * 1e3, 3),
-        "p99_ms": round((_percentile(samples, 0.99) or 0) * 1e3, 3),
-    }
-
-
 def _shm_segments():
     shm = Path("/dev/shm")
     if not shm.exists():
         return set()
     return {p.name for p in shm.glob("repro_*")}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_report():
-    yield
-    if not RESULTS:
-        return
-    report = {
-        "cpus": os.cpu_count() or 1,
-        "python": sys.version.split()[0],
-        "qps": QPS,
-        "burst": BURST,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "results": RESULTS,
-    }
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 
 def test_overload_sheds_instead_of_collapsing(make_server):
@@ -108,7 +78,6 @@ def test_overload_sheds_instead_of_collapsing(make_server):
         resp = server.query(einsum_query(), timeout=30)
         unloaded.append(time.perf_counter() - t0)
         assert resp.status == 200
-    RESULTS["unloaded"] = _latency_summary(unloaded)
 
     # -- open-loop overload at 2× the admitted rate -------------------
     time.sleep(BURST / QPS)                       # refill the bucket
@@ -154,17 +123,6 @@ def test_overload_sheds_instead_of_collapsing(make_server):
         f"admitted p99 {loaded_p99 * 1e3:.0f}ms exceeds "
         f"{bound * 1e3:.0f}ms — degradation is not bounded"
     )
-
-    RESULTS["overload"] = {
-        "offered": offered,
-        "offered_qps": round(offered / OVERLOAD_SECONDS, 1),
-        "admitted": len(admitted),
-        "shed": len(shed),
-        "shed_statuses": sorted({s for s, *_ in shed}),
-        "admitted_latency": _latency_summary(admitted),
-        "shed_latency": _latency_summary([e for *_, e in shed]),
-        "p99_bound_ms": round(bound * 1e3, 3),
-    }
 
     # -- teardown hygiene ---------------------------------------------
     assert server.stop() is True
@@ -233,13 +191,6 @@ def test_sigterm_drains_in_flight_then_exits_clean(tmp_path):
             socket.create_connection(("127.0.0.1", port), timeout=1).close()
         leaked = _shm_segments() - shm_before
         assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-        RESULTS["drain"] = {
-            "budget_s": drain_budget,
-            "elapsed_s": round(drain_elapsed, 3),
-            "in_flight_completed": True,
-            "exit_code": returncode,
-        }
     finally:
         if proc.poll() is None:
             proc.kill()
