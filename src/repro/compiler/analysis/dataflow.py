@@ -1,13 +1,10 @@
 """A small dataflow framework over the structured IR **P**.
 
-**P** has no goto, so analyses run directly on the statement tree: a
-:class:`ForwardAnalysis` is folded over sequences, joined across
-branches, and iterated to a fixpoint around ``while`` loops (with a
-``widen`` hook for infinite-height domains); a
-:class:`BackwardAnalysis` is the mirror image.  Two classic instances
-are provided — :class:`ReachingDefinitions` and
-:class:`LiveVariables` — plus :func:`def_use_chains` built on the
-former.
+**P** has no goto, so an analysis runs directly on the statement tree:
+a :class:`ForwardAnalysis` is folded over sequences, joined across
+branches, and iterated to a fixpoint around ``while`` loops.  One
+instance is provided, :class:`ReachingDefinitions`, which the verifier
+runs for its use-before-def and binding-scope checks.
 
 The structural helpers at the top (:func:`expr_uses`,
 :func:`free_vars`, :func:`arrays_read`, :func:`stmt_exprs`,
@@ -26,7 +23,6 @@ from typing import (
     FrozenSet,
     Generic,
     List,
-    Optional,
     Set,
     Tuple,
     TypeVar,
@@ -56,7 +52,7 @@ S = TypeVar("S")
 
 
 # ----------------------------------------------------------------------
-# structural helpers (shared by opt, codegen_py, verifier, intervals)
+# structural helpers (shared by opt, codegen_py, verifier)
 # ----------------------------------------------------------------------
 def expr_key(e: E) -> str:
     """A structural identity key: E reprs are deterministic and total,
@@ -211,8 +207,8 @@ def program_size(p: P) -> Counter[str]:
 
 def live_transfer(p: P, live: Set[str]) -> Set[str]:
     """The backward liveness transfer for one *leaf* statement: kill the
-    assigned variable, then gen everything the statement reads.  Shared
-    by :class:`LiveVariables` and the dead-store-elimination pass."""
+    assigned variable, then gen everything the statement reads.  The
+    dead-store-elimination pass folds it backward over a body."""
     if isinstance(p, PAssign):
         live = live - {p.var.name}
     return live.union(*(free_vars(e) for e in stmt_exprs(p)))
@@ -225,15 +221,14 @@ class ForwardAnalysis(Generic[S]):
     """A forward analysis: state flows top-to-bottom through the tree.
 
     Subclasses implement ``transfer`` (leaf statements only — the
-    engine handles sequencing, branching, and loops), ``join``, and
-    optionally ``refine`` (branch-condition refinement, used by the
-    interval domain) and ``widen`` (for infinite-height domains).
-    ``observe`` is called with the *in*-state of every leaf statement
-    and every condition on a final post-fixpoint pass, which is where
-    instances record their per-program-point results.
+    engine handles sequencing, branching, and loops) and ``join`` over
+    a finite-height domain.  ``observe`` is called with the *in*-state
+    of every leaf statement and every condition on a final
+    post-fixpoint pass, which is where instances record their
+    per-program-point results.
     """
 
-    #: iteration bound before ``widen`` is forced (loops)
+    #: iteration bound of a loop's fixpoint
     max_iter: int = 16
 
     def transfer(self, stmt: P, state: S) -> S:
@@ -244,12 +239,6 @@ class ForwardAnalysis(Generic[S]):
 
     def eq(self, a: S, b: S) -> bool:
         return bool(a == b)
-
-    def widen(self, older: S, newer: S) -> S:
-        return newer
-
-    def refine(self, cond: E, branch: bool, state: S) -> S:
-        return state
 
     def observe(self, stmt: P, state: S) -> None:
         pass
@@ -272,82 +261,23 @@ def _forward(p: P, an: ForwardAnalysis[S], state: S, observe: bool) -> S:
     if isinstance(p, PIf):
         if observe:
             an.observe_cond(p, p.cond, state)
-        t = _forward(p.then, an, an.refine(p.cond, True, state), observe)
-        if p.els is not None:
-            e = _forward(p.els, an, an.refine(p.cond, False, state), observe)
-        else:
-            e = an.refine(p.cond, False, state)
+        t = _forward(p.then, an, state, observe)
+        e = _forward(p.els, an, state, observe) if p.els is not None else state
         return an.join(t, e)
     if isinstance(p, PWhile):
         head = state
-        for iteration in range(an.max_iter):
-            out = _forward(p.body, an, an.refine(p.cond, True, head), False)
-            joined = an.join(head, out)
-            if an.eq(joined, head):
-                break
-            head = an.widen(head, joined) if iteration >= 2 else joined
-        else:  # pragma: no cover - widening guarantees convergence
-            raise RuntimeError("dataflow fixpoint did not converge")
-        if observe:
-            an.observe_cond(p, p.cond, head)
-            _forward(p.body, an, an.refine(p.cond, True, head), True)
-        return an.refine(p.cond, False, head)
-    # leaf statements: PAssign, PStore, PSearch, PSort, PSkip, PComment
-    if observe:
-        an.observe(p, state)
-    return an.transfer(p, state)
-
-
-class BackwardAnalysis(Generic[S]):
-    """A backward analysis: state flows bottom-to-top (e.g. liveness)."""
-
-    max_iter: int = 16
-
-    def transfer(self, stmt: P, state: S) -> S:
-        raise NotImplementedError
-
-    def transfer_cond(self, cond: E, state: S) -> S:
-        return state
-
-    def join(self, a: S, b: S) -> S:
-        raise NotImplementedError
-
-    def eq(self, a: S, b: S) -> bool:
-        return bool(a == b)
-
-    def observe(self, stmt: P, state: S) -> None:
-        pass
-
-
-def run_backward(p: P, analysis: BackwardAnalysis[S], state: S) -> S:
-    """Run ``analysis`` over ``p`` from exit state ``state``; returns
-    the entry state."""
-    return _backward(p, analysis, state, observe=True)
-
-
-def _backward(p: P, an: BackwardAnalysis[S], state: S, observe: bool) -> S:
-    if isinstance(p, PSeq):
-        for item in reversed(p.items):
-            state = _backward(item, an, state, observe)
-        return state
-    if isinstance(p, PIf):
-        t = _backward(p.then, an, state, observe)
-        e = _backward(p.els, an, state, observe) if p.els is not None else state
-        return an.transfer_cond(p.cond, an.join(t, e))
-    if isinstance(p, PWhile):
-        # entry state L satisfies L = cond ⊔ exit ⊔ body-entry(L)
-        head = an.transfer_cond(p.cond, state)
         for _ in range(an.max_iter):
-            body_in = _backward(p.body, an, head, False)
-            joined = an.join(head, an.transfer_cond(p.cond, an.join(state, body_in)))
+            joined = an.join(head, _forward(p.body, an, head, False))
             if an.eq(joined, head):
                 break
             head = joined
         else:  # pragma: no cover - finite domains converge
             raise RuntimeError("dataflow fixpoint did not converge")
         if observe:
-            _backward(p.body, an, head, True)
+            an.observe_cond(p, p.cond, head)
+            _forward(p.body, an, head, True)
         return head
+    # leaf statements: PAssign, PStore, PSearch, PSort, PSkip, PComment
     if observe:
         an.observe(p, state)
     return an.transfer(p, state)
@@ -374,8 +304,8 @@ class ReachingDefinitions(ForwardAnalysis[RDState]):
     locals to :data:`ENTRY_ZERO` (both backends zero-initialize every
     declared local at kernel entry).  After :func:`run_forward`,
     ``uses`` maps each (statement, variable) use to the set of def
-    labels that reach it — the raw material for use-before-def
-    checking and def-use chains.
+    labels that reach it — the raw material of the verifier's
+    use-before-def and binding-scope checks.
     """
 
     def __init__(self) -> None:
@@ -424,84 +354,14 @@ class ReachingDefinitions(ForwardAnalysis[RDState]):
         self._record(owner, cond, state)
 
 
-class DefUse:
-    """Def-use chains: for every definition, the uses it may reach."""
-
-    def __init__(self, rd: ReachingDefinitions) -> None:
-        self.rd = rd
-        #: def label -> set of (id(stmt), var) uses it reaches
-        self.uses_of_def: Dict[str, Set[Tuple[int, str]]] = {}
-        for use, defs in rd.uses.items():
-            for label in defs:
-                self.uses_of_def.setdefault(label, set()).add(use)
-
-    def dead_defs(self) -> List[str]:
-        """Def labels (real assignments, not entry pseudo-defs) that
-        reach no use — dead stores a DSE pass should have removed."""
-        return [
-            label
-            for label in self.rd.def_reprs
-            if label not in self.uses_of_def
-        ]
-
-
-def def_use_chains(
-    body: P, params: List[str], decls: List[str]
-) -> DefUse:
-    """Compute def-use chains for a kernel body."""
-    rd = ReachingDefinitions()
-    run_forward(body, rd, ReachingDefinitions.entry_state(params, decls))
-    return DefUse(rd)
-
-
-# ----------------------------------------------------------------------
-# live variables
-# ----------------------------------------------------------------------
-LVState = FrozenSet[str]
-
-
-class LiveVariables(BackwardAnalysis[LVState]):
-    """Classic backward liveness; ``live_in`` records the live set
-    *before* each leaf statement (keyed by ``id``)."""
-
-    def __init__(self) -> None:
-        self.live_in: Dict[int, LVState] = {}
-
-    def transfer(self, stmt: P, state: LVState) -> LVState:
-        result = frozenset(live_transfer(stmt, set(state)))
-        self.live_in[id(stmt)] = result
-        return result
-
-    def transfer_cond(self, cond: E, state: LVState) -> LVState:
-        return state | frozenset(free_vars(cond))
-
-    def join(self, a: LVState, b: LVState) -> LVState:
-        return a | b
-
-
-def liveness(body: P, live_out: Optional[Set[str]] = None) -> LiveVariables:
-    """Run liveness over a kernel body; ``live_out`` is the set of
-    variables read after the body (e.g. none for a full kernel)."""
-    lv = LiveVariables()
-    run_backward(body, lv, frozenset(live_out or ()))
-    return lv
-
-
 #: re-exported for callers that want the module as one namespace
 __all__ = [
     "ForwardAnalysis",
-    "BackwardAnalysis",
     "ReachingDefinitions",
-    "LiveVariables",
-    "DefUse",
     "ENTRY_PARAM",
     "ENTRY_ZERO",
     "RDState",
-    "LVState",
     "run_forward",
-    "run_backward",
-    "def_use_chains",
-    "liveness",
     "expr_key",
     "expr_uses",
     "free_vars",

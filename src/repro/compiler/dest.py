@@ -9,13 +9,25 @@ Provided destinations mirror the paper's: a scalar variable, dense
 arrays (with affine offset arithmetic), and compressed (pos/crd/vals)
 outputs whose upper levels append coordinates only for non-empty slices
 — the per-level decomposition of Chou et al. [2018].
+
+A compressed level's appends (its ``crd`` and ``vals``, and the child
+``pos`` entry an inner level closes) are capacity-managed: each store
+is guarded by its counter against the reservation (``out_cap``, or
+``out_row_cap`` for a doubly compressed output's rows), and the counter
+keeps counting past it.  So a run that overflows stores nothing outside
+its arrays and ends with the exact sizes — the count pass that
+``Kernel.execute`` reruns at.  Dimension-sized arrays (dense outputs, a
+dense level's ``pos``, workspace scratch) are bounded by the dimension
+agreement ``Kernel._validate_dims`` enforces.  The parity suites run
+generated programs at a one-entry reservation, which sends every
+compressed output through the guards (DESIGN.md "Capacity bounds are
+checked by running").
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.compiler.analysis.intervals import ArrayContract
 from repro.compiler.formats import Param, crd_ctype
 from repro.compiler.ir import (
     E,
@@ -84,16 +96,6 @@ class Dest:
         """Code a parent level emits when one of its slices completes
         (no-op except for workspace destinations, which flush)."""
         return PSkip()
-
-    def contracts(self) -> List["ArrayContract"]:
-        """The capacity contracts this destination's stores must honor
-        (see :mod:`repro.compiler.analysis.intervals`): only the
-        capacity-managed append arrays, whose writes the emitted code
-        guards by a counter-vs-capacity test.  Dimension-sized arrays
-        (dense outputs, ``DensePosDest`` pos levels, workspace scratch)
-        are bounded by the runtime dimension agreement that
-        ``Kernel._validate_dims`` enforces instead."""
-        return []
 
 
 class ScalarDest(Dest):
@@ -165,8 +167,9 @@ class SparseLeafDest(Dest):
     output is a valid compressed level without sorting or dedup.
 
     Writes are bounded by ``cap``; the counter keeps counting past it,
-    so the kernel wrapper can detect overflow and raise instead of
-    corrupting memory.  Note the count includes *candidate* entries:
+    so the kernel wrapper sees the overflow and reruns at the counted
+    size instead of corrupting memory.  Note the count includes
+    *candidate* entries:
     like TACO's assembly, a slot is appended whenever the output level
     is reached, even if the accumulated value ends up zero.
 
@@ -209,12 +212,6 @@ class SparseLeafDest(Dest):
 
     def setup(self) -> P:
         return PAssign(self.counter, ilit(0))
-
-    def contracts(self) -> List[ArrayContract]:
-        return [
-            ArrayContract(self.crd, self.cap),
-            ArrayContract(self.vals, self.cap),
-        ]
 
 
 class SparseInnerDest(Dest):
@@ -275,13 +272,6 @@ class SparseInnerDest(Dest):
             PStore(self.child_pos, ilit(0), ilit(0)),
             self.child.setup(),
         )
-
-    def contracts(self) -> List[ArrayContract]:
-        # the pos array is allocated with one extra slot (cap + 1)
-        return [
-            ArrayContract(self.crd, self.cap),
-            ArrayContract(self.child_pos, self.cap, slack=1),
-        ] + self.child.contracts()
 
 
 class DensePosDest(Dest):
@@ -347,10 +337,6 @@ class DensePosDest(Dest):
         # the child has nothing left to do: the last row's push closed
         # its slice, like every row's
         return self._fill_to(self.dim) if self.gaps else PSkip()
-
-    def contracts(self) -> List[ArrayContract]:
-        # child_pos is sized by the level dimension, not a capacity
-        return self.child.contracts()
 
 
 class WorkspaceLeafDest(Dest):
@@ -446,14 +432,6 @@ class WorkspaceLeafDest(Dest):
         # only the top level is finalized: a workspace that is one (a
         # vector output) closes its single slice here
         return self.close_slice()
-
-    def contracts(self) -> List[ArrayContract]:
-        # ws_vals/ws_mask/ws_list are dimension-sized scratch, and the
-        # flush loop guards its crd/vals appends by the capacity
-        return [
-            ArrayContract(self.crd, self.cap),
-            ArrayContract(self.vals, self.cap),
-        ]
 
 
 def workspace_needed(stream, output: Optional[OutputSpec]) -> bool:

@@ -2,7 +2,10 @@
 interpreter) are observationally identical on randomized kernels.
 
 The interpreter is the run/eval semantics of §7.2; the code generators
-must refine it exactly.
+must refine it exactly.  The sparse-output suites also run every kernel
+at a one-entry reservation: the first run overflows, so it is the count
+pass, and every store it makes must stay inside its guards — the check
+that a compressed output's appends respect their capacity.
 """
 
 import pytest
@@ -85,6 +88,8 @@ def test_matrix_add_kernels_agree(dm, dn):
         kernel = compile_kernel(Var("A") + Var("B"), ctx, tensors, out,
                                 backend=backend, name="parity_madd")
         results.append(kernel.run(tensors, capacity=4 * N * N).to_dict())
+        # one row and one entry reserved: an overflowing run is the count pass
+        assert kernel.run(tensors, capacity=1).to_dict() == results[-1], backend
     assert results[0] == results[1] == results[2]
 
 
@@ -93,7 +98,8 @@ def test_matrix_add_kernels_agree(dm, dn):
 def test_nested_sum_kernels_agree(prog):
     """Nested sums and sums of products into a sparse vector, CSR, or
     (rank 3 has no compressed stack) dense output: the three backends
-    agree with each other and with the denotation 𝒯."""
+    agree with each other and with the denotation 𝒯, at a roomy
+    reservation and at one entry, where the guarded appends overflow."""
     rank = len(prog.out_attrs)
     formats = {0: (), 1: ("sparse",), 2: ("dense", "sparse"), 3: ("dense",) * 3}[rank]
     if prog.out_attrs == ("j", "k"):
@@ -111,9 +117,10 @@ def test_nested_sum_kernels_agree(prog):
     for backend in ("interp", "python", "c"):
         kernel = compile_kernel(prog.expr, prog.ctx, prog.tensors, out,
                                 backend=backend, name=f"parity_{prog.tag}")
-        result = kernel.run(prog.tensors, capacity=SUM_N ** 3 + 1)
-        got = result.to_dict() if rank else result
-        assert got == want, f"{prog.expr!r} on {backend}"
+        for capacity in (SUM_N ** 3 + 1, 1):
+            result = kernel.run(prog.tensors, capacity=capacity)
+            got = result.to_dict() if rank else result
+            assert got == want, f"{prog.expr!r} on {backend}, capacity={capacity}"
 
 
 @pytest.mark.parametrize("pattern", ROW_PATTERNS)

@@ -239,12 +239,12 @@ class TestMemoization:
 
 
 #: one violation per architecture rule: (rule, file, the text the line
-#: goes after — None appends it —, the line).  The private-call and
-#: report-path lines are put together here because their rules scan
-#: tests/ too
+#: goes after — None appends it —, the line).  The capacity-lint,
+#: private-call and report-path lines are put together here because
+#: their rules scan tests/ too
 RULE_SEEDS = (
-    ("The capacity lint is a report", "src/repro/runtime/route.py", None,
-     "findings = capacity_findings(kernel)"),
+    ("The capacity check is a run", "examples/quickstart.py", None,
+     "from repro.compiler.analysis.inter" + "vals import lint" + "_bounds"),
     ("No execution policy is assigned onto a kernel", "src/repro/runtime/route.py",
      None, 'kernel.parallel = "thread"'),
     ("Only the pool starts a process", "src/repro/runtime/route.py", None,
@@ -318,16 +318,15 @@ class TestLintCommand:
         if argv:
             assert lines[-1] == "selftest: both rejection paths caught with blame"
 
-    def test_an_unproven_store_fails_the_command(self, capsys, monkeypatch):
+    def test_a_verifier_error_fails_the_command(self, capsys, monkeypatch):
         import repro.lint as lint
-        from repro.compiler.analysis.intervals import BoundsFinding
+        from repro.compiler.analysis.verifier import Issue
 
-        unproven = BoundsFinding("out_vals", "p", "out_vals[p] = v", False,
-                                 "upper bound unproven")
-        monkeypatch.setattr(lint, "capacity_findings", lambda kernel: [unproven])
+        error = Issue("error", "operator-type", "seeded", "out_vals[p] = v")
+        monkeypatch.setattr(lint, "verify_kernel", lambda kernel: [error])
         assert lint.main(["vadd"]) == 1
         out = capsys.readouterr().out
-        assert "0/1 store(s) proven in-bounds -> NEEDS GUARD" in out
+        assert "1 error(s), 0 warning(s), 0 stream finding(s) -> FAIL" in out
         assert "1 target(s) checked, 1 finding(s)" in out
 
     def test_list_names_every_target(self, capsys):
